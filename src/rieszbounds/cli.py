@@ -13,6 +13,7 @@ digits under --full-precision, and files are written atomically.  Only the
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -144,6 +145,20 @@ def cmd_riesz(args) -> int:
     return 0
 
 
+def _bound_arg(item: str):
+    """Parse one ``--arg KEY=VALUE`` into (key, finite int or float)."""
+    key, sep, val = item.partition("=")
+    try:
+        if not sep or not key:
+            raise ValueError("expected KEY=VALUE")
+        num = float(val) if "." in val or "e" in val.lower() else int(val)
+        if not math.isfinite(num):
+            raise ValueError("value must be finite")
+    except (ValueError, OverflowError) as exc:
+        raise RieszBoundsError(f"bad --arg {item!r}: {exc}") from None
+    return key, num
+
+
 def cmd_bounds(args) -> int:
     if args.bessel_zeros is not None:
         orders = [float(v) for v in args.bessel_zeros.split(",")]
@@ -153,11 +168,16 @@ def cmd_bounds(args) -> int:
         return 0
     if args.eval is not None:
         bound_id = args.eval
-        kwargs = {}
-        for item in args.arg:
-            key, _, val = item.partition("=")
-            kwargs[key] = float(val) if "." in val or "e" in val.lower() \
-                else int(val)
+        bound = bounds.CATALOG.get(bound_id)
+        if bound is None:
+            raise RieszBoundsError(
+                f"unknown bound id {bound_id!r} (see 'bounds --list')")
+        kwargs = dict(_bound_arg(item) for item in args.arg)
+        try:
+            inspect.signature(bound.fn).bind(**kwargs)
+        except TypeError as exc:
+            raise RieszBoundsError(
+                f"bad arguments for bound {bound_id!r}: {exc}") from None
         value = bounds.evaluate(bound_id, **kwargs)
         fmt = _fmt(args.full_precision)
         payload = {"id": bound_id, "args": kwargs, "value": float(fmt(value))}

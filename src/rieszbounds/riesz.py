@@ -13,6 +13,8 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import _kernels
 from .errors import DomainError, TruncationError
 from .spectra import Spectrum
@@ -71,16 +73,32 @@ def counting(spec: Spectrum, z: float) -> int:
 
 _prefix_cache: "weakref.WeakKeyDictionary[Spectrum, object]" = \
     weakref.WeakKeyDictionary()
+_square_prefix_cache: "weakref.WeakKeyDictionary[Spectrum, object]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _cached_prefix(cache, spec: Spectrum, terms):
+    arr = cache.get(spec)
+    if arr is None:
+        arr = _kernels.prefix_sums(terms(spec.eigenvalues))
+        arr.setflags(write=False)
+        cache[spec] = arr
+    return arr
 
 
 def eigensum_prefix(spec: Spectrum):
     """Cached correctly rounded prefix sums of the eigenvalue list."""
-    arr = _prefix_cache.get(spec)
-    if arr is None:
-        arr = _kernels.prefix_sums(spec.eigenvalues)
-        arr.setflags(write=False)
-        _prefix_cache[spec] = arr
-    return arr
+    return _cached_prefix(_prefix_cache, spec, lambda ev: ev)
+
+
+def square_prefix(spec: Spectrum):
+    """Cached correctly rounded prefix sums of the squared eigenvalues.
+
+    ``square_prefix(spec)[k-1] / k`` is the mean square of the first k
+    eigenvalues, equal to the exact (``math.fsum``) ``means(spec, k).mean_sq``.
+    """
+    return _cached_prefix(_square_prefix_cache, spec,
+                          lambda ev: np.power(ev, 2.0))
 
 
 def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:

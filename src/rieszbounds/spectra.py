@@ -73,10 +73,17 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", ev)
         if self.dimension < 1:
             raise SpectrumValidationError("dimension must be >= 1")
+        if not math.isfinite(self.complete_below):
+            raise SpectrumValidationError(
+                f"complete_below must be finite, got {self.complete_below}")
         if self.complete_below <= 0:
             raise SpectrumValidationError("complete_below must be positive")
         if len(ev) == 0:
             raise SpectrumValidationError("spectrum has no eigenvalues")
+        if not np.isfinite(ev).all():
+            i = int(np.argmin(np.isfinite(ev)))
+            raise SpectrumValidationError(
+                f"eigenvalues must be finite, lambda_{i+1} is {ev[i]}")
         if ev[0] <= 0:
             raise SpectrumValidationError(
                 f"eigenvalues must be positive, first is {ev[0]}")
@@ -84,8 +91,11 @@ class Spectrum:
             i = int(np.argmax(np.diff(ev) < 0))
             raise SpectrumValidationError(
                 f"eigenvalues must be nondecreasing (violated at index {i+1})")
-        if self.volume is not None and self.volume <= 0:
-            raise SpectrumValidationError("volume must be positive if given")
+        if self.volume is not None and not (
+                math.isfinite(self.volume) and self.volume > 0):
+            raise SpectrumValidationError(
+                f"volume must be positive and finite if given, "
+                f"got {self.volume}")
 
     def __len__(self):
         return len(self.eigenvalues)

@@ -10,6 +10,15 @@ and a point passes iff ``margin >= -SLACK``.  Every margin is computed by a
 scalar function registered in ``MARGINS``; re-evaluating a reported witness
 through :func:`reevaluate` therefore reproduces the margin exactly.
 
+Each margin costs O(1) apart from its Riesz sums: eigenvalue means and mean
+squares are read from the cached correctly rounded prefix arrays
+(:func:`~rieszbounds.riesz.eigensum_prefix`,
+:func:`~rieszbounds.riesz.square_prefix`).  While one spectrum is swept,
+R_sigma(z) values are memoized per (sigma, z), and the table is dropped when
+that spectrum's sweep ends.  The memo only hands back values that
+``riesz_value`` computed, so witness re-evaluation outside a sweep stays
+exact.
+
 A corrupted-spectrum negative control is part of the standard suite: the
 suite is only green if the genuine checks pass *and* the corrupted twin
 fails at least one check (guarding against vacuously true sweeps).
@@ -18,13 +27,13 @@ fails at least one check (guarding against vacuously true sweeps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import bounds, riesz, spectra
-from .errors import ConfigError
-from .riesz import eigensum_prefix, riesz_value
+from .errors import ConfigError, DomainError
+from .riesz import eigensum_prefix, riesz_value, square_prefix
 from .spectra import Spectrum
 
 #: relative numerical slack on all inequality checks
@@ -115,53 +124,73 @@ def _mean(spec, j):
     return eigensum_prefix(spec)[j - 1] / j
 
 
+#: per-spectrum {(sigma, z): R_sigma(z)} tables, alive while _sweep runs
+_riesz_memo: dict[Spectrum, dict] = {}
+
+
+def _riesz(spec, sigma, z):
+    """R_sigma(z), memoized while the spectrum is being swept.
+
+    Misses (and every call outside a sweep) go to ``riesz_value``, so a
+    memoized value is always one that ``riesz_value`` returned.
+    """
+    table = _riesz_memo.get(spec)
+    if table is None:
+        return riesz_value(spec, sigma, z)[0]
+    key = (sigma, z)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = riesz_value(spec, sigma, z)[0]
+    return value
+
+
 def margin_thm21_diff1(spec, sigma, z):
-    rs = riesz_value(spec, sigma, z)[0]
-    rsm1 = riesz_value(spec, sigma - 1.0, z)[0]
+    rs = _riesz(spec, sigma, z)
+    rsm1 = _riesz(spec, sigma - 1.0, z)
     return _margin(rsm1, (1 + spec.dimension / 4) * rs / z)
 
 
 def margin_thm21_diff2(spec, sigma, z):
-    rs = riesz_value(spec, sigma, z)[0]
-    rsm1 = riesz_value(spec, sigma - 1.0, z)[0]
+    rs = _riesz(spec, sigma, z)
+    rsm1 = _riesz(spec, sigma - 1.0, z)
     return _margin(rsm1, (1 + spec.dimension / (2 * sigma)) * rs / z)
 
 
 def _central_difference(spec, sigma, z, h):
-    hi = riesz_value(spec, sigma, z + h)[0]
-    lo = riesz_value(spec, sigma, z - h)[0]
+    hi = _riesz(spec, sigma, z + h)
+    lo = _riesz(spec, sigma, z - h)
     return (hi - lo) / (2 * h)
 
 
 def margin_thm21_deriv1(spec, sigma, z, h):
     fd = _central_difference(spec, sigma, z, h)
-    rs = riesz_value(spec, sigma, z)[0]
+    rs = _riesz(spec, sigma, z)
     return _margin(fd, (1 + spec.dimension / 4) * sigma * rs / z)
 
 
 def margin_thm21_deriv2(spec, sigma, z, h):
     fd = _central_difference(spec, sigma, z, h)
-    rs = riesz_value(spec, sigma, z)[0]
+    rs = _riesz(spec, sigma, z)
     return _margin(fd, (sigma + spec.dimension / 2) * rs / z)
 
 
 def margin_thm21_mono1(spec, sigma, z1, z2):
     p = sigma * (1 + spec.dimension / 4)
-    f1 = riesz_value(spec, sigma, z1)[0] / z1 ** p
-    f2 = riesz_value(spec, sigma, z2)[0] / z2 ** p
+    f1 = _riesz(spec, sigma, z1) / z1 ** p
+    f2 = _riesz(spec, sigma, z2) / z2 ** p
     return _margin(f2, f1)
 
 
 def margin_thm21_mono2(spec, sigma, z1, z2):
     p = sigma + spec.dimension / 2
-    f1 = riesz_value(spec, sigma, z1)[0] / z1 ** p
-    f2 = riesz_value(spec, sigma, z2)[0] / z2 ** p
+    f1 = _riesz(spec, sigma, z1) / z1 ** p
+    f2 = _riesz(spec, sigma, z2) / z2 ** p
     return _margin(f2, f1)
 
 
 def margin_cor23_sandwich(spec, sigma, z, form):
     d = spec.dimension
-    rs = riesz_value(spec, sigma, z)[0]
+    rs = _riesz(spec, sigma, z)
     if form == "upper":
         ub = bounds.riesz_upper(sigma, d, spec.volume, z)
         return _margin(ub, rs)
@@ -171,9 +200,9 @@ def margin_cor23_sandwich(spec, sigma, z, form):
 
 def margin_aizenman_lieb_ratio(spec, sigma, z):
     d = spec.dimension
-    lhs = (riesz_value(spec, sigma - 1.0, z)[0]
+    lhs = (_riesz(spec, sigma - 1.0, z)
            / (bounds.L_cl(sigma - 1.0, d) * z ** (sigma - 1 + d / 2)))
-    rhs = (riesz_value(spec, sigma, z)[0]
+    rhs = (_riesz(spec, sigma, z)
            / (bounds.L_cl(sigma, d) * z ** (sigma + d / 2)))
     return _margin(lhs, rhs)
 
@@ -182,15 +211,15 @@ def margin_cor26_lower(spec, sigma, z, form):
     d = spec.dimension
     lb = bounds.riesz_lower_sub2(sigma, d, spec.lambda_1, z)
     if form == "direct":
-        return _margin(riesz_value(spec, sigma, z)[0], lb)
+        return _margin(_riesz(spec, sigma, z), lb)
     # middle link of the sigma = 1 chain: (1 + d/4) R_2(z)/z >= lb
-    mid = (1 + d / 4) * riesz_value(spec, 2.0, z)[0] / z
+    mid = (1 + d / 4) * _riesz(spec, 2.0, z) / z
     return _margin(mid, lb)
 
 
 def margin_eq213_lower(spec, sigma, z):
     lb = bounds.riesz_lower_hermi(sigma, spec.dimension, spec.lambda_1, z)
-    return _margin(riesz_value(spec, sigma, z)[0], lb)
+    return _margin(_riesz(spec, sigma, z), lb)
 
 
 def margin_cor29_r2(spec, j, z):
@@ -198,7 +227,7 @@ def margin_cor29_r2(spec, j, z):
     mean_j = _mean(spec, j)
     lb = (j * z ** (2 + d / 2)
           / ((1 + d / 4) ** 2 * ((1 + 4 / d) * mean_j) ** (d / 2)))
-    return _margin(riesz_value(spec, 2.0, z)[0], lb)
+    return _margin(_riesz(spec, 2.0, z), lb)
 
 
 def margin_cor29_r1(spec, j, z):
@@ -206,7 +235,7 @@ def margin_cor29_r1(spec, j, z):
     mean_j = _mean(spec, j)
     lb = (j * z ** (1 + d / 2)
           / ((1 + d / 4) * ((1 + 4 / d) * mean_j) ** (d / 2)))
-    return _margin(riesz_value(spec, 1.0, z)[0], lb)
+    return _margin(_riesz(spec, 1.0, z), lb)
 
 
 def margin_cor29_counting(spec, j, z):
@@ -231,17 +260,17 @@ def margin_hoelder_chain(spec, form, z, sigma=None, sigma0=None,
     d = spec.dimension
     if form == "logconvex":
         t = (sigma2 - sigma1) / (sigma2 - sigma0)
-        r0 = riesz_value(spec, sigma0, z)[0]
-        r1 = riesz_value(spec, sigma1, z)[0]
-        r2 = riesz_value(spec, sigma2, z)[0]
+        r0 = _riesz(spec, sigma0, z)
+        r1 = _riesz(spec, sigma1, z)
+        r2 = _riesz(spec, sigma2, z)
         return _margin(r0 ** t * r2 ** (1 - t), r1)
     if form == "counting":
-        rsm1 = riesz_value(spec, sigma - 1.0, z)[0]
-        rs = riesz_value(spec, sigma, z)[0]
+        rsm1 = _riesz(spec, sigma - 1.0, z)
+        rs = _riesz(spec, sigma, z)
         lb = rsm1 ** sigma / rs ** (sigma - 1.0)
         return _margin(float(riesz.counting(spec, z)), lb)
     # form == "counting2": sigma >= 2 counting bound
-    rs = riesz_value(spec, sigma, z)[0]
+    rs = _riesz(spec, sigma, z)
     lb = ((d + 2 * sigma) / (2 * sigma)) ** sigma * z ** (-sigma) * rs
     return _margin(float(riesz.counting(spec, z)), lb)
 
@@ -262,11 +291,13 @@ def margin_eq36_next(spec, k):
 
 
 def margin_eq37_discrim(spec, k, form):
-    m = riesz.means(spec, k)
-    lo, hi = bounds.mean_sq_envelope(spec.dimension, m.mean)
+    if not 1 <= k <= len(spec):
+        raise DomainError(f"k must be in 1..{len(spec)}, got {k}")
+    mean_sq = square_prefix(spec)[k - 1] / k
+    lo, hi = bounds.mean_sq_envelope(spec.dimension, _mean(spec, k))
     if form == "lower":
-        return _margin(m.mean_sq, lo)
-    return _margin(hi, m.mean_sq)
+        return _margin(mean_sq, lo)
+    return _margin(hi, mean_sq)
 
 
 def _moment(spec, k, sigma):
@@ -519,19 +550,23 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
     Returns {check_id: (grid, n_points, worst_margin, witness)}.
     """
     results = {}
-    for check_id, grid, points in _build_points(spec, cfg, n_z):
-        if ids is not None and check_id not in ids:
-            continue
-        fn = MARGINS[check_id]
-        worst = math.inf
-        witness = {}
-        for params in points:
-            m = fn(spec, **params)
-            if m < worst:
-                worst = m
-                witness = dict(params)
-                witness["spectrum"] = label
-        results[check_id] = (grid, len(points), worst, witness)
+    _riesz_memo[spec] = {}
+    try:
+        for check_id, grid, points in _build_points(spec, cfg, n_z):
+            if ids is not None and check_id not in ids:
+                continue
+            fn = MARGINS[check_id]
+            worst = math.inf
+            witness = {}
+            for params in points:
+                m = fn(spec, **params)
+                if m < worst:
+                    worst = m
+                    witness = dict(params)
+                    witness["spectrum"] = label
+            results[check_id] = (grid, len(points), worst, witness)
+    finally:
+        _riesz_memo.pop(spec, None)
     return results
 
 
@@ -606,11 +641,10 @@ def run_suite(specs: dict[str, Spectrum],
 
     controls = []
     for label, spec in specs.items():
-        ctl_cfg = VerifyConfig(
-            z_points=cfg.control_z_points, z_max_frac=cfg.z_max_frac,
-            sigma_grid=cfg.sigma_grid, j_count=cfg.control_j_count,
+        ctl_cfg = replace(
+            cfg, z_points=cfg.control_z_points, j_count=cfg.control_j_count,
             k_count=cfg.control_j_count, hoelder_samples=10,
-            moment_k_count=3, seed=cfg.seed)
+            moment_k_count=3)
         twin = corrupt_spectrum(spec)
         res = _sweep(f"control:{label}", twin, ctl_cfg, ctl_cfg.z_points)
         n_failed = sum(1 for _, npts, worst, _ in res.values()

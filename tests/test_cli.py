@@ -161,6 +161,27 @@ class TestBoundsCommand:
         assert code == 2
         assert "error" in err
 
+    def test_eval_unknown_id(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--eval", "nope")
+        assert code == 2
+        assert out == ""
+        assert "unknown bound id 'nope'" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--arg", "d=2", "--arg", "k=abc"],
+        ["--arg", "d=2", "--arg", "k"],
+        ["--arg", "d=2", "--arg", "k=1e400"],
+        ["--arg", "d=2", "--arg", "k=1" + "0" * 400],
+        ["--arg", "d=2"],
+        ["--arg", "d=2", "--arg", "k=3", "--arg", "q=1"],
+    ])
+    def test_eval_bad_args(self, capsys, args):
+        code, out, err = run_cli(capsys, "bounds", "--eval", "cheng_yang",
+                                 *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad ")
+
     def test_bessel_zero_export(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--bessel-zeros", "0,1",
                             "--zero-count", "2", "--full-precision")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszbounds import riesz
+from rieszbounds import BACKEND, riesz, verify
 from rieszbounds.errors import DomainError, TruncationError
 
 
@@ -94,6 +94,34 @@ class TestMeans:
             riesz.means(square_pi, 0)
         with pytest.raises(DomainError):
             riesz.means(square_pi, len(square_pi) + 1)
+
+
+class TestSquarePrefix:
+    @pytest.fixture(params=["square_pi", "ball3", "corrupted_ball3"])
+    def spec(self, request):
+        if request.param == "corrupted_ball3":
+            return verify.corrupt_spectrum(request.getfixturevalue("ball3"))
+        return request.getfixturevalue(request.param)
+
+    def test_exact_fsum_of_squares(self, spec):
+        sq = riesz.square_prefix(spec)
+        lams = np.asarray(spec.eigenvalues)
+        for k in range(1, len(spec) + 1):
+            assert sq[k - 1] == math.fsum(np.power(lams[:k], 2.0))
+
+    @pytest.mark.skipif(BACKEND != "python",
+                        reason="the compiled power_sum is Kahan-compensated, "
+                               "not correctly rounded")
+    def test_equals_means_mean_sq(self, spec):
+        sq = riesz.square_prefix(spec)
+        for k in range(1, len(spec) + 1):
+            assert sq[k - 1] / k == riesz.means(spec, k).mean_sq
+
+    def test_cached_read_only(self, square_pi):
+        sq = riesz.square_prefix(square_pi)
+        assert riesz.square_prefix(square_pi) is sq
+        with pytest.raises(ValueError):
+            sq[0] = 0.0
 
 
 class TestDerivativeIdentity:

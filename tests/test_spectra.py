@@ -117,6 +117,21 @@ class TestSpectrumValidation:
                              complete_below=10.0,
                              domain=spectra.DomainSpec("file", 2))
 
+    @pytest.mark.parametrize("eigenvalues, complete_below, volume", [
+        ([1.0, math.nan, 3.0], 10.0, None),
+        ([1.0, 3.0, math.inf], 10.0, None),
+        ([1.0, 3.0], math.nan, None),
+        ([1.0, 3.0], math.inf, None),
+        ([1.0, 3.0], 10.0, math.nan),
+        ([1.0, 3.0], 10.0, math.inf),
+    ])
+    def test_rejects_non_finite(self, eigenvalues, complete_below, volume):
+        with pytest.raises(SpectrumValidationError, match="finite"):
+            spectra.Spectrum(dimension=2, eigenvalues=np.array(eigenvalues),
+                             complete_below=complete_below,
+                             domain=spectra.DomainSpec("file", 2),
+                             volume=volume)
+
     def test_eigenvalues_read_only(self, square_pi):
         with pytest.raises(ValueError):
             square_pi.eigenvalues[0] = 0.0
@@ -158,6 +173,18 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("dim: 2\ncomplete_below: 10\n2.0\nnot-a-number\n")
         with pytest.raises(SpectrumFormatError, match=r"bad\.txt:4"):
+            spectra.load_spectrum(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "dim: 2\ncomplete_below: nan\n1.0\nnan\n3.0\n",
+        "dim: 2\ncomplete_below: 10\n1.0\nnan\n3.0\n",
+        "dim: 2\ncomplete_below: inf\n1.0\n3.0\n",
+        "dim: 2\ncomplete_below: 10\nvolume: inf\n1.0\n3.0\n",
+    ])
+    def test_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(text)
+        with pytest.raises(SpectrumValidationError, match="finite"):
             spectra.load_spectrum(str(path))
 
     def test_missing_headers(self, tmp_path):

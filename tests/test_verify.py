@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from rieszbounds import spectra, verify
-from rieszbounds.errors import ConfigError
+from rieszbounds import BACKEND, bounds, riesz, spectra, verify
+from rieszbounds.errors import ConfigError, DomainError
 
 SMALL = verify.VerifyConfig(z_points=25, j_count=4, k_count=8,
                             hoelder_samples=10, moment_k_count=3,
@@ -65,6 +65,46 @@ class TestSuite:
         assert "ALL PASS" in text
 
 
+class TestRieszMemo:
+    def test_sweep_drops_its_table(self, small_specs, monkeypatch):
+        spec = small_specs["disk"]
+        tables = []
+        margin = verify.MARGINS["thm21_diff1"]
+
+        def spy(s, **params):
+            tables.append(verify._riesz_memo.get(s))
+            return margin(s, **params)
+
+        monkeypatch.setitem(verify.MARGINS, "thm21_diff1", spy)
+        verify._sweep("disk", spec, SMALL, 10, ids={"thm21_diff1"})
+        assert tables and tables[-1]
+        assert spec not in verify._riesz_memo
+
+    def test_sweep_drops_its_table_on_error(self, small_specs, monkeypatch):
+        spec = small_specs["square"]
+
+        def boom(s, **params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(verify.MARGINS, "thm21_diff1", boom)
+        with pytest.raises(RuntimeError):
+            verify._sweep("square", spec, SMALL, 10)
+        assert spec not in verify._riesz_memo
+
+    def test_memo_counts_only_misses(self, small_specs, monkeypatch):
+        spec = small_specs["square"]
+        calls = []
+        riesz_value = verify.riesz_value
+
+        def counting_riesz_value(s, sigma, z):
+            calls.append((sigma, z))
+            return riesz_value(s, sigma, z)
+
+        monkeypatch.setattr(verify, "riesz_value", counting_riesz_value)
+        verify._sweep("square", spec, SMALL, SMALL.z_points)
+        assert len(calls) == len(set(calls))
+
+
 class TestCorruption:
     def test_corrupt_spectrum_is_valid_but_wrong(self, small_specs):
         twin = verify.corrupt_spectrum(small_specs["square"])
@@ -102,6 +142,26 @@ class TestConfig:
             gap = min(abs(z - ev) for ev in spec.eigenvalues)
             assert gap >= 1e-10 * z
 
+    def test_control_grid_respects_z_max(self, small_specs, monkeypatch):
+        z_max = 300.0
+        seen = []
+        z_grid = verify.z_grid
+
+        def spy(spec, cfg, n=None):
+            zs = z_grid(spec, cfg, n)
+            seen.append((cfg.z_points, max(zs)))
+            return zs
+
+        monkeypatch.setattr(verify, "z_grid", spy)
+        cfg = verify.VerifyConfig(
+            z_points=15, z_max=z_max, j_count=3, k_count=5,
+            hoelder_samples=5, moment_k_count=2, control_z_points=10,
+            control_j_count=2)
+        verify.run_suite(small_specs, cfg)
+        controls = [top for n, top in seen if n == cfg.control_z_points]
+        assert len(controls) == len(small_specs)
+        assert all(top <= z_max for _, top in seen)
+
     def test_bad_z_points(self, small_specs):
         with pytest.raises(ConfigError):
             verify.run_suite(small_specs, verify.VerifyConfig(z_points=1))
@@ -130,6 +190,25 @@ class TestHandAnchors:
         # lambda_6 = 10 <= 3 mean_5 (5/5)^1 = 18
         m = verify.margin_eq224_ratio(square_pi_200, 5, 5)
         assert m == pytest.approx((18 - 10) / 18, rel=1e-12)
+
+    @pytest.mark.skipif(BACKEND != "python",
+                        reason="the compiled power_sum behind means() is "
+                               "Kahan-compensated, not correctly rounded")
+    def test_eq37_matches_means_expression(self, square_pi_200):
+        spec = square_pi_200
+        for twin in (spec, verify.corrupt_spectrum(spec)):
+            for k in range(1, len(twin) + 1):
+                m = riesz.means(twin, k)
+                lo, hi = bounds.mean_sq_envelope(twin.dimension, m.mean)
+                assert verify.margin_eq37_discrim(twin, k, "lower") == \
+                    verify._margin(m.mean_sq, lo)
+                assert verify.margin_eq37_discrim(twin, k, "upper") == \
+                    verify._margin(hi, m.mean_sq)
+
+    def test_eq37_k_range_guard(self, square_pi_200):
+        for k in (0, len(square_pi_200) + 1):
+            with pytest.raises(DomainError):
+                verify.margin_eq37_discrim(square_pi_200, k, "lower")
 
     def test_eq37_equality_on_flat_spectrum(self):
         import numpy as np
