@@ -1,14 +1,23 @@
-"""Benchmark the compiled summation kernel against the pure-Python fallback.
+"""Benchmark the summation kernels.
+
+Part 1 compares the compiled ``riesz_sum``/``power_sum`` with the pure-Python
+fallback (the compiled half runs only if the extension was built).  Part 2
+times the exact primitives against their references at n = 10^3 .. 10^6 and
+checks bit-equality as it goes: ``math.fsum`` against ``exact_sum``, and the
+Shewchuk loop against ``prefix_sums``.
 
 Run:  python3 benchmarks/bench_kernels.py [n_eigenvalues]
 """
 
+import math
 import sys
 import time
 
 import numpy as np
 
 from rieszbounds._kernels import _ckernels_or_none, pykernels
+
+EXACT_SIZES = (10**3, 10**4, 10**5, 10**6)
 
 
 def _time(fn, *args, repeat=5):
@@ -21,8 +30,7 @@ def _time(fn, *args, repeat=5):
     return best, out
 
 
-def main() -> int:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
+def compare_backends(n: int) -> None:
     rng = np.random.default_rng(0)
     lams = np.sort(rng.uniform(1.0, 1000.0, n))
     z = 900.0
@@ -52,7 +60,45 @@ def main() -> int:
         t, val = _time(mod.power_sum, lams, n, 2.0)
         print(f"  power_sum p=2       [{name:6s}] {t*1e3:8.2f} ms  "
               f"value={val:.12e}")
-    return 0
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+def compare_exact() -> bool:
+    """Exact primitives against their references; True if all bits agree."""
+    ok = True
+    rng = np.random.default_rng(1)
+    print("exact primitives (best of repeats; unit-square-like terms)")
+    for n in EXACT_SIZES:
+        lams = np.sort(rng.uniform(19.7, 1.3e7, n))
+        terms = np.power(1.3e7 - lams, 0.5)
+        repeat = 5 if n < 10**6 else 2
+        t_ref, ref = _time(math.fsum, terms, repeat=repeat)
+        t_new, new = _time(pykernels.exact_sum, terms, repeat=repeat)
+        same = _same_bits(ref, new)
+        ok &= same
+        print(f"  n={n:>8}  math.fsum {t_ref*1e3:9.2f} ms  "
+              f"exact_sum {t_new*1e3:8.2f} ms  x{t_ref / t_new:5.1f}  "
+              f"bit-equal={same}")
+        squares = np.power(lams, 2.0)
+        t_ref, ref = _time(pykernels._shewchuk_prefix_sums, squares,
+                           repeat=1 if n == 10**6 else repeat)
+        t_new, new = _time(pykernels.prefix_sums, squares, repeat=repeat)
+        same = _same_bits(ref, new)
+        ok &= same
+        print(f"  n={n:>8}  Shewchuk  {t_ref*1e3:9.2f} ms  "
+              f"prefix_sums {t_new*1e3:6.2f} ms  x{t_ref / t_new:5.1f}  "
+              f"bit-equal={same}")
+    return ok
+
+
+def main() -> int:
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
+    compare_backends(n)
+    return 0 if compare_exact() else 1
 
 
 if __name__ == "__main__":

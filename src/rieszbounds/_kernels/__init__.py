@@ -1,9 +1,13 @@
 """Accumulation kernels with import-time backend selection.
 
-The compiled Cython extension is used when available; setting the
-environment variable ``RIESZBOUNDS_PURE_PYTHON=1`` forces the pure-Python
-fallback.  ``prefix_sums`` is always the exact Python implementation because
-downstream code relies on its correctly rounded prefixes.
+The compiled Cython extension (Kahan-compensated) provides ``riesz_sum`` and
+``power_sum`` when available; setting the environment variable
+``RIESZBOUNDS_PURE_PYTHON=1`` forces the pure-Python fallback, whose sums
+are correctly rounded.  ``exact_sum`` and ``prefix_sums`` always come from
+``pykernels`` because downstream code relies on their correctly rounded
+results: ``exact_sum`` is bucketed by binary exponent (``math.fsum`` for
+short or out-of-range input), ``prefix_sums`` keeps an exact integer running
+sum (a Shewchuk loop for input outside that domain).
 """
 
 import os
@@ -11,9 +15,10 @@ import os
 import numpy as np
 
 from . import pykernels
-from .pykernels import prefix_sums
+from .pykernels import exact_sum, prefix_sums
 
-__all__ = ["BACKEND", "riesz_sum", "power_sum", "prefix_sums", "as_eigenarray"]
+__all__ = ["BACKEND", "riesz_sum", "power_sum", "exact_sum", "prefix_sums",
+           "as_eigenarray"]
 
 if os.environ.get("RIESZBOUNDS_PURE_PYTHON", "") not in ("", "0"):
     _impl = pykernels

@@ -19,6 +19,9 @@ from . import _kernels
 from .errors import DomainError, TruncationError
 from .spectra import Spectrum
 
+#: eigenvalues per ``math.log`` batch in ``means``
+_LOG_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class RieszEvaluation:
@@ -116,10 +119,23 @@ def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
             raise DomainError(f"power-mean sigma must be in (0, 2], got {sigma}")
         power[float(sigma)] = (
             _kernels.power_sum(ev, k, float(sigma)) / k) ** (1.0 / sigma)
-    geometric = math.exp(math.fsum(math.log(x) for x in ev[:k]) / k)
-    harmonic = k / math.fsum(1.0 / x for x in ev[:k])
+    geometric = math.exp(_kernels.exact_sum(_logs(ev[:k])) / k)
+    harmonic = k / _kernels.exact_sum(1.0 / ev[:k])
     return MeanSet(k=k, mean=mean, mean_sq=mean_sq, power_means=power,
                    geometric=geometric, harmonic=harmonic)
+
+
+def _logs(values):
+    """``math.log`` of each value, filled in chunk by chunk.
+
+    ``np.log`` can differ from ``math.log`` in the last bit, which would
+    move the geometric mean.
+    """
+    out = np.empty(len(values))
+    for start in range(0, len(values), _LOG_CHUNK):
+        chunk = values[start:start + _LOG_CHUNK].tolist()
+        out[start:start + len(chunk)] = list(map(math.log, chunk))
+    return out
 
 
 def riesz_derivative_check(spec: Spectrum, sigma: float, z: float,

@@ -105,6 +105,17 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
+def _check_weyl_count(d: int, volume: float, lam_max: float,
+                      cap: int) -> None:
+    """Fail before any work if Weyl's law predicts far more than ``cap``
+    eigenvalues below ``lam_max``."""
+    predicted = (volume * (lam_max / (4 * math.pi))**(d / 2)
+                 / specfun.gamma(1 + d / 2))
+    if predicted > 2 * cap:
+        raise ResourceLimitError(
+            f"predicted eigenvalue count {predicted:.3g} exceeds cap {cap}")
+
+
 def box_spectrum(sides, lam_max: float,
                  cap: int = MAX_EIGENVALUES) -> Spectrum:
     """All Dirichlet eigenvalues pi^2 sum(n_i^2/L_i^2) < lam_max, sorted."""
@@ -118,11 +129,7 @@ def box_spectrum(sides, lam_max: float,
             f"lam_max={lam_max} is below the first eigenvalue {lam_1}")
     d = len(sides)
     volume = math.prod(sides)
-    predicted = (volume * (lam_max / (4 * math.pi))**(d / 2)
-                 / specfun.gamma(1 + d / 2))
-    if predicted > 2 * cap:
-        raise ResourceLimitError(
-            f"predicted eigenvalue count {predicted:.3g} exceeds cap {cap}")
+    _check_weyl_count(d, volume, lam_max, cap)
 
     vals: list[float] = []
 
@@ -173,6 +180,8 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
         raise DomainError("ball_spectrum requires d >= 2")
     if radius <= 0:
         raise DomainError("radius must be positive")
+    volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
+    _check_weyl_count(d, volume, lam_max, cap)
     r2 = radius * radius
     vals: list[float] = []
     ell = 0
@@ -195,7 +204,6 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
         raise EmptySpectrumError(
             f"lam_max={lam_max} is below the first eigenvalue of the ball")
     vals.sort()
-    volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
     return Spectrum(
         dimension=d,
         eigenvalues=np.array(vals),

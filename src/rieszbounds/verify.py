@@ -241,7 +241,7 @@ def margin_cor29_r1(spec, j, z):
 def margin_cor29_counting(spec, j, z):
     d = spec.dimension
     lb = bounds.counting_lower_j(d, j, _mean(spec, j), z)
-    return _margin(float(riesz.counting(spec, z)), lb)
+    return _margin(_riesz(spec, 0.0, z), lb)
 
 
 def margin_eq224_ratio(spec, j, k):
@@ -268,11 +268,11 @@ def margin_hoelder_chain(spec, form, z, sigma=None, sigma0=None,
         rsm1 = _riesz(spec, sigma - 1.0, z)
         rs = _riesz(spec, sigma, z)
         lb = rsm1 ** sigma / rs ** (sigma - 1.0)
-        return _margin(float(riesz.counting(spec, z)), lb)
+        return _margin(_riesz(spec, 0.0, z), lb)
     # form == "counting2": sigma >= 2 counting bound
     rs = _riesz(spec, sigma, z)
     lb = ((d + 2 * sigma) / (2 * sigma)) ** sigma * z ** (-sigma) * rs
-    return _margin(float(riesz.counting(spec, z)), lb)
+    return _margin(_riesz(spec, 0.0, z), lb)
 
 
 def margin_cor31_mean_ratio(spec, j, k):

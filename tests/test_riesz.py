@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszbounds import BACKEND, riesz, verify
+from rieszbounds import BACKEND, riesz, spectra, verify
 from rieszbounds.errors import DomainError, TruncationError
 
 
@@ -94,6 +94,36 @@ class TestMeans:
             riesz.means(square_pi, 0)
         with pytest.raises(DomainError):
             riesz.means(square_pi, len(square_pi) + 1)
+
+
+class TestMeansExactSum:
+    """The vectorised geometric and harmonic means equal the scalar
+    generator expressions they replaced, bit for bit."""
+
+    @pytest.fixture(params=["square_pi", "ball3", "large_square",
+                            "log_sensitive"])
+    def spec(self, request):
+        if request.param == "large_square":    # n > 2**16
+            return spectra.box_spectrum([1.0, 1.0], 1e6)
+        if request.param == "log_sensitive":
+            # a value where numpy's vectorised log can differ from math.log
+            # in the last bit; repeated, the difference reaches the mean
+            return spectra.Spectrum(
+                dimension=2, eigenvalues=np.full(5000, 4478346.298071504),
+                complete_below=4.5e6, domain=spectra.DomainSpec("file", 2))
+        return request.getfixturevalue(request.param)
+
+    def test_equals_generator_expressions(self, spec):
+        ev = spec.eigenvalues
+        n = len(ev)
+        for k in sorted({1, 7, min(n, 1023), min(n, 1025), n // 2, n}):
+            m = riesz.means(spec, k)
+            assert m.geometric == math.exp(
+                math.fsum(math.log(x) for x in ev[:k]) / k)
+            assert m.harmonic == k / math.fsum(1.0 / x for x in ev[:k])
+
+    def test_large_case_exceeds_one_chunk(self):
+        assert len(spectra.box_spectrum([1.0, 1.0], 1e6)) > 2**16
 
 
 class TestSquarePrefix:

@@ -97,6 +97,20 @@ class TestBallSpectrum:
         with pytest.raises(EmptySpectrumError):
             spectra.ball_spectrum(2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("d, lam_max, cap", [
+        (3, 1e12, spectra.MAX_EIGENVALUES),    # ~1.6e17 predicted
+        (2, math.inf, spectra.MAX_EIGENVALUES),
+        (2, 1e5, 10),                           # ~8e3 predicted
+    ])
+    def test_resource_cap_fails_before_any_zero(self, d, lam_max, cap,
+                                                monkeypatch):
+        def no_zeros(*args):
+            raise AssertionError("Bessel zero computed before the cap check")
+
+        monkeypatch.setattr(specfun, "bessel_zero", no_zeros)
+        with pytest.raises(ResourceLimitError):
+            spectra.ball_spectrum(d, 1.0, lam_max, cap=cap)
+
 
 class TestSpectrumValidation:
     def test_rejects_nonpositive(self):

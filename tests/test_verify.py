@@ -105,6 +105,24 @@ class TestRieszMemo:
         assert len(calls) == len(set(calls))
 
 
+    def test_counting_reads_the_memo(self, small_specs, monkeypatch):
+        # N(z) comes from the sigma = 0 memo entry, not riesz.counting
+        spec = small_specs["disk"]
+        z = 150.0
+        expected = verify._margin(
+            float(riesz.counting(spec, z)),
+            bounds.counting_lower_j(2, 3, verify._mean(spec, 3), z))
+
+        def no_counting(*args):
+            raise AssertionError("riesz.counting bypasses the memo")
+
+        monkeypatch.setattr(riesz, "counting", no_counting)
+        assert verify.margin_cor29_counting(spec, j=3, z=z) == expected
+        result = verify._sweep("disk", spec, SMALL, SMALL.z_points,
+                               ids={"cor29_counting", "hoelder_chain"})
+        assert set(result) == {"cor29_counting", "hoelder_chain"}
+
+
 class TestCorruption:
     def test_corrupt_spectrum_is_valid_but_wrong(self, small_specs):
         twin = verify.corrupt_spectrum(small_specs["square"])
