@@ -119,22 +119,32 @@ def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
             raise DomainError(f"power-mean sigma must be in (0, 2], got {sigma}")
         power[float(sigma)] = (
             _kernels.power_sum(ev, k, float(sigma)) / k) ** (1.0 / sigma)
-    geometric = math.exp(_kernels.exact_sum(_logs(ev[:k])) / k)
+    geometric = math.exp(_kernels.exact_sum(_logs(spec)[:k]) / k)
     harmonic = k / _kernels.exact_sum(1.0 / ev[:k])
     return MeanSet(k=k, mean=mean, mean_sq=mean_sq, power_means=power,
                    geometric=geometric, harmonic=harmonic)
 
 
-def _logs(values):
-    """``math.log`` of each value, filled in chunk by chunk.
+_log_cache: "weakref.WeakKeyDictionary[Spectrum, object]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _logs(spec: Spectrum):
+    """Cached read-only ``math.log`` of every eigenvalue, filled in chunk
+    by chunk.
 
     ``np.log`` can differ from ``math.log`` in the last bit, which would
     move the geometric mean.
     """
-    out = np.empty(len(values))
-    for start in range(0, len(values), _LOG_CHUNK):
-        chunk = values[start:start + _LOG_CHUNK].tolist()
-        out[start:start + len(chunk)] = list(map(math.log, chunk))
+    out = _log_cache.get(spec)
+    if out is None:
+        values = spec.eigenvalues
+        out = np.empty(len(values))
+        for start in range(0, len(values), _LOG_CHUNK):
+            chunk = values[start:start + _LOG_CHUNK].tolist()
+            out[start:start + len(chunk)] = list(map(math.log, chunk))
+        out.setflags(write=False)
+        _log_cache[spec] = out
     return out
 
 

@@ -4,9 +4,27 @@ positive zeros.
 Gamma and J evaluation are delegated to scipy.special, which meets the
 accuracy targets (relative 1e-12 for Gamma on [0.5, 50], absolute 1e-12 for
 J on the needed range) with well-tested implementations.  The zero finder
-is our own: zeros are located sequentially by sign-change bracketing and
-polished with a safeguarded Newton iteration, then residual-verified.  A
-closed-form spherical-Bessel path for half-integer orders is kept as an
+is our own and caches the zeros of each order:
+
+* Interlacing brackets.  Zeros of neighbouring orders interlace,
+  j_{nu-1,p} < j_{nu,p} < j_{nu-1,p+1} (DLMF 10.21(i)), and J_nu has sign
+  (-1)^(p-1) just above j_{nu-1,p}.  When order nu - 1 is cached, every zero
+  of order nu it brackets is found in one batch, started from a polynomial
+  extrapolation in the order through the cached orders below.
+* Scanning.  Zeros that no cached order brackets are found one at a time
+  by a sign-change scan, starting at max(nu, 0) for the first zero
+  (j_{nu,1} > nu) and otherwise pi/2 above the previous zero (consecutive
+  zeros are more than pi/2 apart) or at j_{nu-1,p}, whichever is larger.
+* Batched safeguarded Newton.  Each iteration evaluates J_nu and J_{nu-1}
+  once over all unconverged brackets as numpy arrays; converged lanes drop
+  out.  A lane stops when its Newton step is at most 1e-9 absolute (or 4 ulps
+  of x, if larger), and that step is still applied as a final polish, which
+  leaves an error of about step^2 / (2x).  A step leaving its bracket is
+  replaced by bisection.
+* Every zero is then residual-verified: |J_nu(x)| <= RESIDUAL_TOL *
+  max(1, |J_nu'(x)|), or ConvergenceError.
+
+A closed-form spherical-Bessel path for half-integer orders is kept as an
 independent cross-check.
 """
 
@@ -14,8 +32,10 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import jv as _jv
 
@@ -23,7 +43,11 @@ from .errors import ConvergenceError, DomainError
 
 #: residual acceptance for a computed zero: |J_nu(x)| <= RESIDUAL_TOL * max(1, |J_nu'(x)|)
 RESIDUAL_TOL = 1e-10
-_NEWTON_TOL = 1e-12
+#: a Newton step at most this long (absolute), or _STEP_ULPS ulps of x, ends
+#: the iteration; the step is still applied, as the final polish
+_STEP_TOL = 1e-9
+_STEP_ULPS = 4
+_MAX_ITER = 200
 _SCAN_STEP = 0.5  # safe: consecutive zeros of J_nu, nu >= -1/2, are > pi/2 apart
 
 
@@ -86,68 +110,151 @@ class BesselZero:
     value: float
 
 
-_zero_cache: dict[float, list[float]] = {}
+#: order -> its zeros found so far, in order, as float64 (8 bytes a zero)
+_zero_cache: dict[float, array] = {}
 _cache_lock = threading.Lock()
 
 
-def _refine(nu: float, a: float, b: float) -> float:
-    """Safeguarded Newton within the bracket [a, b] (bisection fallback)."""
-    fa = bessel_j(nu, a)
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        f = bessel_j(nu, x)
-        if f == 0.0:
-            return x
-        if (f > 0) == (fa > 0):
-            a = x
-        else:
-            b = x
-        df = bessel_j_prime(nu, x)
-        x_new = x - f / df if df != 0.0 else 0.5 * (a + b)
-        if not a < x_new < b:
-            x_new = 0.5 * (a + b)
-        if abs(x_new - x) <= _NEWTON_TOL * max(1.0, abs(x)):
-            return x_new
-        x = x_new
+def _newton(nu: float, a, b, x, sign_a):
+    """Safeguarded Newton for one zero of J_nu in each bracket (a, b).
+
+    All arguments are arrays with one lane per bracket: ``x`` is the start
+    point inside (a, b) and ``sign_a`` the sign of J_nu just right of ``a``.
+    Each iteration evaluates J_nu and J_{nu-1} once over the lanes still
+    running.  A lane stops when its Newton step is at most the absolute
+    tolerance and returns that last step applied; a step that leaves the
+    bracket is replaced by bisection, and a bracket shrunk below the
+    tolerance returns its midpoint.
+    """
+    a, b, x, sign_a = (np.asarray(v, dtype=float) for v in (a, b, x, sign_a))
+    out = np.empty(len(x))
+    lanes = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            f = _jv(nu, x)
+            step = f / (_jv(nu - 1.0, x) - (nu / x) * f)
+            tol = np.maximum(_STEP_TOL, _STEP_ULPS * np.spacing(x))
+            same = np.sign(f) == sign_a
+            a = np.where(same, x, a)
+            b = np.where(same, b, x)
+            x_new = x - step
+            polished = np.abs(step) <= tol
+            mid = 0.5 * (a + b)
+            collapsed = ~polished & (b - a <= tol)
+            out[lanes[polished]] = x_new[polished]
+            out[lanes[collapsed]] = mid[collapsed]
+            run = ~(polished | collapsed)
+            if not run.any():
+                return out
+            x_new = np.where((a < x_new) & (x_new < b), x_new, mid)
+            a, b, x, sign_a, lanes = (
+                v[run] for v in (a, b, x_new, sign_a, lanes))
     raise ConvergenceError(
-        f"zero refinement for nu={nu} did not converge in [{a}, {b}]")
+        f"zero refinement for nu={nu} did not converge in "
+        f"[{a[0]}, {b[0]}]")
 
 
-def _extend_zeros(nu: float, zeros: list[float], p: int) -> None:
-    """Append zeros of J_nu until at least p are cached."""
-    while len(zeros) < p:
-        a = (zeros[-1] if zeros else 0.0) + 0.05
-        fa = bessel_j(nu, a)
-        while fa == 0.0:
-            a += 1e-3
-            fa = bessel_j(nu, a)
+def _scan(nu: float, lo: float) -> tuple[float, float, float, float]:
+    """Bracket the first zero of J_nu above ``lo`` by sign-change scanning.
+
+    Returns (a, b, J_nu(a), J_nu(b)).  A grid point where J_nu is exactly
+    0.0 ends the bracket.
+    """
+    a, fa = lo, float(_jv(nu, lo))
+    while True:
         b = a + _SCAN_STEP
-        fb = bessel_j(nu, b)
-        while (fb > 0) == (fa > 0):
-            a, fa = b, fb
-            b = a + _SCAN_STEP
-            fb = bessel_j(nu, b)
-            if fb == 0.0:
-                b += 1e-3
-                fb = bessel_j(nu, b)
-        z = _refine(nu, a, b)
-        resid = abs(bessel_j(nu, z))
-        if resid > RESIDUAL_TOL * max(1.0, abs(bessel_j_prime(nu, z))):
-            raise ConvergenceError(
-                f"residual {resid:.3e} too large for zero {len(zeros)+1} "
-                f"of J_{nu}")
-        zeros.append(z)
+        fb = float(_jv(nu, b))
+        if fb == 0.0 or (fb > 0) != (fa > 0):
+            return a, b, fa, fb
+        a, fa = b, fb
+
+
+def _check_residuals(nu: float, zeros, first: int) -> None:
+    """Residual acceptance: |J_nu(x)| <= RESIDUAL_TOL * max(1, |J_nu'(x)|).
+
+    For nu >= 1, |J_nu'| = |J_{nu-1} - J_{nu+1}| / 2 <= 1 (DLMF 10.14.1),
+    so the bound is RESIDUAL_TOL itself and J_{nu-1} is not evaluated.
+    """
+    f = _jv(nu, zeros)
+    bound = np.full(len(zeros), RESIDUAL_TOL)
+    if nu < 1.0:
+        df = _jv(nu - 1.0, zeros) - (nu / zeros) * f
+        bound *= np.maximum(1.0, np.abs(df))
+    bad = np.flatnonzero(np.abs(f) > bound)
+    if len(bad):
+        i = bad[0]
+        raise ConvergenceError(
+            f"residual {abs(f[i]):.3e} too large for zero {first + i} "
+            f"of J_{nu}")
+
+
+def _start_points(nu: float, n: int, a, b):
+    """Newton start points for zeros n+1, n+2, ... of J_nu in brackets (a, b).
+
+    Zeros move smoothly with the order, so j_{nu,q} is extrapolated from the
+    cached zeros of orders nu-1 (``a``), nu-2 and nu-3: quadratically where
+    all three exist, else linearly.  Other zeros, and guesses outside their
+    bracket, start at the bracket midpoint.
+    """
+    x = 0.5 * (a + b)
+    lower = [a] + [np.array(_zero_cache.get(nu - k, [])[n:n + len(a)])
+                   for k in (2.0, 3.0)]
+    for coeffs in ((2.0, -1.0), (3.0, -3.0, 1.0)):
+        m = min(len(row) for row in lower[:len(coeffs)])
+        guess = sum(c * row[:m] for c, row in zip(coeffs, lower))
+        inside = (a[:m] < guess) & (guess < b[:m])
+        x[:m] = np.where(inside, guess, x[:m])
+    return x
+
+
+def _extend_zeros(nu: float, zeros: array, p: int) -> None:
+    """Append zeros of J_nu until at least p are cached.
+
+    Every zero that the cached order nu - 1 brackets is computed in one
+    batch; the rest are found one at a time by scanning.
+    """
+    below = _zero_cache.get(nu - 1.0, [])
+    n = len(zeros)
+    if len(below) > n + 1:
+        # j_{nu-1,q} < j_{nu,q} < j_{nu-1,q+1} for q = n+1 .. len(below)-1;
+        # J_nu has sign (-1)^(q-1) just above j_{nu-1,q}
+        a = np.array(below[n:-1])
+        b = np.array(below[n + 1:])
+        x = _start_points(nu, n, a, b)
+        sign_a = 1.0 - 2.0 * (np.arange(n, len(below) - 1) % 2)
+        new = _newton(nu, a, b, x, sign_a)
+        _check_residuals(nu, new, n + 1)
+        zeros.extend(new.tolist())
+    while len(zeros) < p:
+        q = len(zeros)
+        # j_{nu,1} > max(nu, 0); consecutive zeros are more than pi/2 apart
+        lo = zeros[-1] + 0.5 * math.pi if zeros else max(nu, 0.0)
+        if len(below) > q:
+            lo = max(lo, below[q])
+        a, b, fa, fb = _scan(nu, lo)
+        x = a - fa * (b - a) / (fb - fa)  # secant; nan if J_nu(a) is inf
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        new = _newton(nu, [a], [b], [x], [math.copysign(1.0, fa)])
+        _check_residuals(nu, new, q + 1)
+        zeros.append(float(new[0]))
 
 
 def bessel_zero(nu: float, p: int) -> BesselZero:
-    """The p-th positive zero j_{nu,p}, accurate to 1e-10 absolute."""
+    """The p-th positive zero j_{nu,p}, accurate to 1e-10 absolute.
+
+    The error actually reached is set by the accuracy of scipy's J_nu, not
+    by the stopping rule: against 30-digit mpmath roots, the 16,646 zeros
+    behind the disk spectrum below 1e5 and the 3-ball spectrum below 3e4
+    (nu <= 299.5, j < 317) are off by at most 2.2e-13, median 1.8e-14.
+    """
     if nu < -0.5:
         raise DomainError(f"bessel_zero requires nu >= -1/2, got {nu}")
     if p < 1:
         raise DomainError(f"bessel_zero requires p >= 1, got {p}")
     key = float(nu)
     with _cache_lock:
-        zeros = _zero_cache.setdefault(key, [])
+        zeros = _zero_cache.setdefault(key, array("d"))
         if len(zeros) < p:
             _extend_zeros(key, zeros, p)
         value = zeros[p - 1]

@@ -125,6 +125,13 @@ class TestMeansExactSum:
     def test_large_case_exceeds_one_chunk(self):
         assert len(spectra.box_spectrum([1.0, 1.0], 1e6)) > 2**16
 
+    def test_logs_cached_read_only(self, spec):
+        logs = riesz._logs(spec)
+        assert riesz._logs(spec) is logs
+        assert logs.tolist() == [math.log(x) for x in spec.eigenvalues]
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
+
 
 class TestSquarePrefix:
     @pytest.fixture(params=["square_pi", "ball3", "corrupted_ball3"])

@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,3 +133,90 @@ class TestBesselZeros:
             specfun.bessel_zero(-0.75, 1)
         with pytest.raises(DomainError):
             specfun.bessel_zero(0.0, 0)
+
+
+def _zeros_through(nu, x_max):
+    """Zeros of J_nu below x_max, followed by the first one at or above it."""
+    zeros = []
+    while not zeros or zeros[-1] < x_max:
+        zeros.append(specfun.bessel_zero(nu, len(zeros) + 1).value)
+    return zeros
+
+
+@pytest.fixture
+def fresh_zero_cache(monkeypatch):
+    """An empty zero cache, so each test picks the finder's path itself."""
+    cache = {}
+    monkeypatch.setattr(specfun, "_zero_cache", cache)
+    return cache
+
+
+class TestBesselZeroAccuracy:
+    """Zeros at large p and nu within 1e-10 absolute of a 30-digit root."""
+
+    X_MAX = 320.0
+    P_MAX = 100
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 49.5, 150.0, 299.0])
+    def test_large_p_and_nu_against_mpmath(self, nu, fresh_zero_cache):
+        # scanned: order nu alone; interlaced: orders nu-3 .. nu-1 cached
+        # first, so order nu is bracketed by them and extrapolated from them
+        scanned = _zeros_through(nu, self.X_MAX)
+        fresh_zero_cache.clear()
+        for k in (3, 2, 1):
+            if nu - k >= -0.5:
+                _zeros_through(nu - k, self.X_MAX)
+        interlaced = _zeros_through(nu, self.X_MAX)
+        assert len(interlaced) == len(scanned)
+        for p, ours in enumerate(scanned[:self.P_MAX], start=1):
+            if ours >= self.X_MAX:
+                break
+            ref = mpmath.findroot(lambda x: mpmath.besselj(nu, x),
+                                  mpmath.mpf(ours))
+            assert abs(float(ref) - ours) <= 1e-10, (nu, p, "scanned")
+            assert abs(float(ref) - interlaced[p - 1]) <= 1e-10, \
+                (nu, p, "interlaced")
+
+    @pytest.mark.parametrize("first_order", [0.0, -0.5])
+    def test_interlacing_over_whole_ranges(self, first_order,
+                                           fresh_zero_cache):
+        # j_{nu,p} < j_{nu+1,p} < j_{nu,p+1} (DLMF 10.21(i)) and gaps > pi/2:
+        # a skipped or repeated zero breaks one of them
+        x_max = 320.0
+        orders = np.arange(first_order, x_max, 1.0)
+        table = [np.array(_zeros_through(nu, x_max)) for nu in orders]
+        for nu, zeros in zip(orders, table):
+            assert np.all(np.diff(zeros) > math.pi / 2), nu
+        for nu, lo, hi in zip(orders, table, table[1:]):
+            m = min(len(lo), len(hi))
+            assert np.all(lo[:m] < hi[:m]), nu
+            assert np.all(hi[:m - 1] < lo[1:m]), nu
+            below = (np.sum(lo < x_max), np.sum(hi < x_max))
+            assert below[1] in (below[0] - 1, below[0]), nu
+
+
+class TestZeroFinderCost:
+    """J evaluations per zero, counted element-wise through specfun._jv."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch, fresh_zero_cache):
+        count = [0]
+        jv = specfun._jv
+
+        def counting(nu, x):
+            count[0] += np.size(x)
+            return jv(nu, x)
+
+        monkeypatch.setattr(specfun, "_jv", counting)
+        return count
+
+    @pytest.mark.parametrize("p", [14, 100])
+    def test_scanned_order_cost_per_zero(self, p, evaluations):
+        specfun.bessel_zero(0.0, p)
+        assert evaluations[0] <= 20 * p
+
+    def test_interlaced_order_cost_per_zero(self, evaluations):
+        _zeros_through(0.0, 100.0)
+        evaluations[0] = 0
+        n = len(_zeros_through(1.0, 100.0))
+        assert evaluations[0] <= 10 * n

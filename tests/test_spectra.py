@@ -111,6 +111,22 @@ class TestBallSpectrum:
         with pytest.raises(ResourceLimitError):
             spectra.ball_spectrum(d, 1.0, lam_max, cap=cap)
 
+    @pytest.mark.parametrize("d, lam_max, cap", [
+        (3, 1e12, spectra.MAX_EIGENVALUES),
+        (2, math.inf, spectra.MAX_EIGENVALUES),
+        (2, 1e5, 10),
+    ])
+    def test_resource_cap_fails_before_any_bessel_evaluation(
+            self, d, lam_max, cap, monkeypatch):
+        # the finder evaluates J through specfun._jv, not bessel_zero alone
+        def no_bessel(*args):
+            raise AssertionError("Bessel work done before the cap check")
+
+        monkeypatch.setattr(specfun, "bessel_zero", no_bessel)
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(ResourceLimitError):
+            spectra.ball_spectrum(d, 1.0, lam_max, cap=cap)
+
 
 class TestSpectrumValidation:
     def test_rejects_nonpositive(self):
