@@ -5,20 +5,19 @@ The compiled Cython extension (Kahan-compensated) provides ``riesz_sum`` and
 ``RIESZBOUNDS_PURE_PYTHON=1`` forces the pure-Python fallback, whose sums
 are correctly rounded.  ``exact_sum`` and ``prefix_sums`` always come from
 ``pykernels`` because downstream code relies on their correctly rounded
-results: ``exact_sum`` is bucketed by binary exponent (``math.fsum`` for
-short or out-of-range input), ``prefix_sums`` keeps an exact integer running
-sum (a Shewchuk loop for input outside that domain).
+results.  ``exact_sum`` adds terms that are monotone in magnitude and of one
+sign (the Riesz, power, log and reciprocal terms of a sorted spectrum) run
+by run of equal binary exponent, other terms bucketed by binary exponent,
+and short or out-of-range input with ``math.fsum``; ``prefix_sums`` keeps an
+exact integer running sum (a Shewchuk loop for input outside that domain).
 """
 
 import os
 
-import numpy as np
-
 from . import pykernels
 from .pykernels import exact_sum, prefix_sums
 
-__all__ = ["BACKEND", "riesz_sum", "power_sum", "exact_sum", "prefix_sums",
-           "as_eigenarray"]
+__all__ = ["BACKEND", "riesz_sum", "power_sum", "exact_sum", "prefix_sums"]
 
 if os.environ.get("RIESZBOUNDS_PURE_PYTHON", "") not in ("", "0"):
     _impl = pykernels
@@ -31,11 +30,6 @@ else:
 BACKEND = _impl.BACKEND
 riesz_sum = _impl.riesz_sum
 power_sum = _impl.power_sum
-
-
-def as_eigenarray(values):
-    """Contiguous float64 view/copy suitable for either backend."""
-    return np.ascontiguousarray(values, dtype=np.float64)
 
 
 def _ckernels_or_none():

@@ -3,9 +3,15 @@
 Fallback for the compiled extension, and the accuracy reference: every sum
 here is correctly rounded, bit for bit what ``math.fsum`` returns.
 
-- ``exact_sum`` buckets the terms by binary exponent and adds the integer
-  halves of their mantissas with ``np.bincount``; the few bucket totals are
-  exact, and one ``math.fsum`` over them rounds once.  Short, non-finite or
+- ``exact_sum`` has two vectorised paths.  Terms of one sign whose
+  magnitudes are monotone (a Riesz sum's (z - lambda_i)**sigma, powers,
+  logs or reciprocals of a sorted spectrum) take the run path: each binary
+  exponent then fills one contiguous run, found by ``np.searchsorted``, and
+  the integer mantissas of each run are added exactly in uint64 blocks read
+  straight from the float bits.  Other input takes the bucket path, which
+  buckets the terms by binary exponent and adds the integer halves of their
+  mantissas with ``np.bincount``.  Either way the few partial sums are
+  exact and the total is rounded once.  Short, non-finite or
   extreme-exponent input, and a zero result, go to ``math.fsum`` itself.
 - ``prefix_sums`` keeps the running sum of positive terms as a Python
   integer at a common binary scale, so each prefix is rounded only once, on
@@ -23,7 +29,8 @@ BACKEND = "python"
 
 #: terms per vectorised step; bounds every temporary array
 _CHUNK = 1 << 16
-#: below this many terms ``math.fsum`` is faster than bucketing
+#: below this many terms ``math.fsum`` is faster than either vectorised
+#: path; from here on the run path is never slower than the bucket path
 _SMALL = 1024
 #: terms per bucket set: each half-mantissa sum stays below 2**53
 _BLOCK = 1 << 26
@@ -33,6 +40,11 @@ _LANES = 8
 _LANE = np.tile(np.arange(_LANES, dtype=np.int8), _CHUNK // _LANES)
 #: smallest frexp exponent of a normal float64
 _EMIN = -1021
+#: terms per block on the run path: 2**11 mantissas below 2**53 sum to
+#: less than 2**64, so a block's uint64 sum is exact
+_RUN_BLOCK = 1 << 11
+#: sign and exponent bits of a float64
+_SIGN_EXP = np.uint64(0xFFF << 52)
 
 
 def _bucket_parts(block, emax):
@@ -75,16 +87,59 @@ def _bucket_parts(block, emax):
     return parts
 
 
-def exact_sum(terms):
-    """Correctly rounded sum of a float64 array: ``math.fsum(terms)``.
+def _run_sum(terms):
+    """Exact sum of terms that are monotone in magnitude, of one sign,
+    normal and finite; None for any other input.
 
-    The result has the same bits as ``math.fsum``, including the sign of a
-    zero, and non-finite input gives ``math.fsum``'s result or exception.
+    For such terms the float64 bit patterns, read as uint64, are monotone
+    too, so one ``np.all`` pass per chunk checks the order and the two end
+    terms fix the sign and the exponent range.  A normal term with biased
+    exponent E is M * 2**(E - 1075) with the integer mantissa
+    M = bits - (sign and exponent bits) + 2**52 < 2**53.  The terms with
+    exponent E form one run, whose start ``np.searchsorted`` finds; the
+    runs are cut into blocks of at most ``_RUN_BLOCK`` terms, and
+    ``np.add.reduceat`` sums the bits of each block modulo 2**64, from
+    which the exact mantissa sum follows.  The block totals are shifted
+    into one Python integer at scale 2**(e_lo - 53) and rounded once.
     """
-    terms = np.asarray(terms, dtype=np.float64)
     n = len(terms)
-    if n < _SMALL:
-        return math.fsum(terms.tolist())
+    bits = terms.view(np.uint64)
+    lo, hi = int(bits[0]), int(bits[-1])
+    ordered, ascending = np.greater_equal, bits
+    if lo > hi:
+        ordered, ascending = np.less_equal, bits[::-1]
+        lo, hi = hi, lo
+    sign = lo >> 63
+    e_lo = (lo >> 52 & 0x7FF) - 1022
+    e_hi = (hi >> 52 & 0x7FF) - 1022
+    width = n.bit_length()
+    # as in prefix_sums: the smallest term is normal, the sum stays below
+    # 2**1023, and the integer total converts to a finite float
+    if (sign != hi >> 63 or e_lo < _EMIN or e_hi + width > 1023
+            or e_hi - e_lo + 53 + width > 1023):
+        return None
+    for start in range(0, n - 1, _CHUNK):
+        chunk = bits[start:start + _CHUNK + 1]
+        if not np.all(ordered(chunk[1:], chunk[:-1])):
+            return None
+    # the bit pattern of 2**(e-1), signed, starts the run of exponent e
+    firsts = np.arange(e_lo + 1023, e_hi + 1023, dtype=np.uint64) << 52
+    runs = np.searchsorted(ascending, firsts | sign << 63)
+    if ascending is not bits:    # run ends, counted from the far end
+        runs = n - runs
+    starts = np.union1d(np.arange(0, n, _RUN_BLOCK), runs)
+    sums = np.add.reduceat(bits, starts)
+    heads = bits[starts] & _SIGN_EXP
+    sums -= np.diff(starts, append=n).astype(np.uint64) * (heads - (1 << 52))
+    shifts = (heads >> 52 & 0x7FF).astype(np.int64) - (e_lo + 1022)
+    total = sum(map(operator.lshift, sums.tolist(), shifts.tolist()))
+    total = math.ldexp(float(total), e_lo - 53)
+    return -total if sign else total
+
+
+def _bucket_sum(terms):
+    """``exact_sum`` for input of at least ``_SMALL`` terms, by buckets."""
+    n = len(terms)
     # |term| < 2**emax and n < 2**bit_length keep every partial sum, here
     # and in math.fsum, below 2**1023: neither can overflow
     emax = 1023 - n.bit_length()
@@ -100,6 +155,24 @@ def exact_sum(terms):
     total = math.fsum(parts)
     if total == 0.0:    # math.fsum decides the sign of an exact zero
         return math.fsum(terms)
+    return total
+
+
+def exact_sum(terms):
+    """Correctly rounded sum of a float64 array: ``math.fsum(terms)``.
+
+    The result has the same bits as ``math.fsum``, including the sign of a
+    zero, and non-finite input gives ``math.fsum``'s result or exception.
+    Input of at least ``_SMALL`` terms takes the run path when its terms
+    are monotone in magnitude, of one sign, normal and far enough from
+    overflow, and the bucket path otherwise.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    if len(terms) < _SMALL:
+        return math.fsum(terms.tolist())
+    total = _run_sum(terms)
+    if total is None:
+        return _bucket_sum(terms)
     return total
 
 

@@ -13,6 +13,7 @@ digits under --full-precision, and files are written atomically.  Only the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -29,20 +30,28 @@ def _fmt(full_precision: bool):
     return lambda x: digits.format(x)
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write to stdout, or atomically to the output path."""
+@contextlib.contextmanager
+def _output_file(output: str | None):
+    """Stdout, or a temporary file that replaces the output path only once
+    everything has been written to it."""
     if output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszbounds-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, output)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _emit(text: str, output: str | None) -> None:
+    """Write to stdout, or atomically to the output path."""
+    with _output_file(output) as fh:
+        fh.write(text)
 
 
 def _rows_to_csv(header, rows, fmt):
@@ -114,12 +123,8 @@ def cmd_spectrum(args) -> int:
     elif args.format == "csv":
         _emit(spectra.spectrum_csv(spec, args.full_precision), args.output)
     else:
-        lines = [f"dim: {spec.dimension}",
-                 f"complete_below: {spec.complete_below!r}"]
-        if spec.volume is not None:
-            lines.append(f"volume: {spec.volume!r}")
-        lines.extend(repr(float(v)) for v in spec.eigenvalues)
-        _emit("\n".join(lines) + "\n", args.output)
+        with _output_file(args.output) as fh:
+            spectra._write_text(spec, fh)
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -148,24 +147,6 @@ def _logs(spec: Spectrum):
     return out
 
 
-def riesz_derivative_check(spec: Spectrum, sigma: float, z: float,
-                           h: float) -> tuple[float, float]:
-    """Central difference of R_sigma at z versus sigma * R_{sigma-1}(z).
-
-    The two should agree (the derivative identity); comparison is left to
-    the caller.  Requires sigma >= 1 and z +/- h inside (0, complete_below].
-    """
-    if sigma < 1:
-        raise DomainError("derivative check requires sigma >= 1")
-    if z - h <= 0:
-        raise DomainError("z - h must be positive")
-    hi, _ = riesz_value(spec, sigma, z + h)
-    lo, _ = riesz_value(spec, sigma, z - h)
-    fd = (hi - lo) / (2 * h)
-    rhs = sigma * riesz_value(spec, sigma - 1.0, z)[0]
-    return fd, rhs
-
-
 def legendre_R1(spec: Spectrum, w: float) -> float:
     """Closed-form Legendre transform of R_1 at w:
     (w - [w]) * lambda_{[w]+1} + [w] * mean(lambda_1..lambda_[w])."""
@@ -178,44 +159,6 @@ def legendre_R1(spec: Spectrum, w: float) -> float:
             f"w={w} needs eigenvalue {m+1}, spectrum has {len(ev)}")
     partial = eigensum_prefix(spec)[m - 1] if m >= 1 else 0.0
     return (w - m) * float(ev[m]) + partial
-
-
-def legendre_numeric(spec: Spectrum, w: float) -> float:
-    """Breakpoint-scan oracle for the Legendre transform of R_1.
-
-    The objective w z - R_1(z) is piecewise linear and concave in z, so its
-    supremum is attained at a breakpoint z = lambda_{k+1}.  The scan
-    maximizes the breakpoint objective (w - k) lambda_{k+1} + sum_{l<=k}
-    lambda_l over all k in exact rational arithmetic, instead of trusting
-    the closed-form index [w].  The winning objective is then rendered in
-    floating point by the shared breakpoint expression, so equal-valued tie
-    indices (repeated eigenvalues) cannot introduce rounding differences.
-    """
-    if w <= 0:
-        raise DomainError(f"w must be positive, got {w}")
-    m = int(math.floor(w))
-    ev = spec.eigenvalues
-    if m + 1 > len(ev):
-        raise DomainError(
-            f"w={w} needs eigenvalue {m+1}, spectrum has {len(ev)}")
-    w_exact = Fraction(w)
-    partial = Fraction(0)
-    best = None
-    best_ks: list[int] = []
-    for k in range(len(ev)):
-        obj = (w_exact - k) * Fraction(float(ev[k])) + partial
-        if best is None or obj > best:
-            best = obj
-            best_ks = [k]
-        elif obj == best:
-            best_ks.append(k)
-        elif k > w:
-            break  # objective is nonincreasing in k past [w]
-        partial += Fraction(float(ev[k]))
-    # the closed-form index is canonical when it attains the exact maximum
-    k = m if m in best_ks else best_ks[0]
-    prefix = eigensum_prefix(spec)
-    return (w - k) * float(ev[k]) + (prefix[k - 1] if k >= 1 else 0.0)
 
 
 def c_sigma(sigma: float) -> float:

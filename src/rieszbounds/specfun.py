@@ -23,9 +23,6 @@ is our own and caches the zeros of each order:
   replaced by bisection.
 * Every zero is then residual-verified: |J_nu(x)| <= RESIDUAL_TOL *
   max(1, |J_nu'(x)|), or ConvergenceError.
-
-A closed-form spherical-Bessel path for half-integer orders is kept as an
-independent cross-check.
 """
 
 from __future__ import annotations
@@ -72,33 +69,6 @@ def bessel_j_prime(nu: float, x: float) -> float:
     if x <= 0:
         raise DomainError(f"bessel_j_prime requires x > 0, got {x}")
     return float(_jv(nu - 1.0, x)) - (nu / x) * bessel_j(nu, x)
-
-
-def bessel_j_half_integer(nu: float, x: float) -> float:
-    """Closed-form J_nu for half-integer nu = m + 1/2, m >= 0.
-
-    Upward recurrence from J_{-1/2} = sqrt(2/(pi x)) cos x and
-    J_{1/2} = sqrt(2/(pi x)) sin x.  Independent of scipy; used as a
-    cross-check oracle.
-    """
-    m = nu - 0.5
-    if m < 0 or m != int(m):
-        raise DomainError(f"nu must be a nonnegative half-integer, got {nu}")
-    if x <= 0:
-        raise DomainError(f"requires x > 0, got {x}")
-    scale = math.sqrt(2.0 / (math.pi * x))
-    j_prev = scale * math.cos(x)   # J_{-1/2}
-    j_cur = scale * math.sin(x)    # J_{+1/2}
-    order = 0.5
-    for _ in range(int(m)):
-        j_prev, j_cur = j_cur, (2.0 * order / x) * j_cur - j_prev
-        order += 1.0
-    return j_cur
-
-
-def mcmahon_asymptote(nu: float, p: int) -> float:
-    """Leading McMahon term (p + nu/2 - 1/4) * pi for the p-th zero."""
-    return (p + nu / 2.0 - 0.25) * math.pi
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -228,62 +229,98 @@ def weyl_asymptote(spec: Spectrum, k: int) -> float:
 # file format: header lines "dim: <d>", "complete_below: <v>", optional
 # "volume: <v>", then one eigenvalue per line; '#' starts a comment.
 
-def load_spectrum(path: str) -> Spectrum:
-    """Parse a spectrum file; validation errors name the first violation."""
-    dim = None
-    complete_below = None
-    volume = None
+#: lines per block that ``load_spectrum`` converts at once
+_LOAD_BLOCK = 1 << 16
+#: eigenvalues per write in ``write_spectrum`` and ``cli spectrum``
+_WRITE_CHUNK = 1 << 14
+
+
+def _parse_lines(path: str, lines, lineno: int, header: dict) -> list[float]:
+    """Values of ``lines``, the first of which is line ``lineno``, parsed
+    line by line; header lines are stored in ``header``."""
     values: list[float] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" in line:
-                key, _, rest = line.partition(":")
-                key = key.strip().lower()
-                rest = rest.strip()
-                try:
-                    if key == "dim":
-                        dim = int(rest)
-                    elif key == "complete_below":
-                        complete_below = float(rest)
-                    elif key == "volume":
-                        volume = float(rest)
-                    else:
-                        raise SpectrumFormatError(
-                            f"{path}:{lineno}: unknown header {key!r}")
-                except ValueError as exc:
-                    raise SpectrumFormatError(
-                        f"{path}:{lineno}: bad header value: {exc}") from exc
-                continue
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" in line:
+            key, _, rest = line.partition(":")
+            key = key.strip().lower()
+            rest = rest.strip()
             try:
-                values.append(float(line))
+                if key == "dim":
+                    header["dim"] = int(rest)
+                elif key in ("complete_below", "volume"):
+                    header[key] = float(rest)
+                else:
+                    raise SpectrumFormatError(
+                        f"{path}:{lineno}: unknown header {key!r}")
             except ValueError as exc:
                 raise SpectrumFormatError(
-                    f"{path}:{lineno}: not a number: {line!r}") from exc
-    if dim is None:
+                    f"{path}:{lineno}: bad header value: {exc}") from exc
+            continue
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise SpectrumFormatError(
+                f"{path}:{lineno}: not a number: {line!r}") from exc
+    return values
+
+
+def load_spectrum(path: str) -> Spectrum:
+    """Parse a spectrum file; validation errors name the first violation.
+
+    The file is read in blocks of lines, and each block is first converted
+    by one pass of ``float`` over its lines.  ``float`` rejects any line
+    that holds a header, a ``#`` comment, only blanks or a bad value, and a
+    block with such a line goes through the line parser instead.  Either
+    way the file means what the line parser reads, and a format error
+    names its ``path:line``.
+    """
+    header: dict = {}
+    parts = []
+    with open(path) as fh:
+        lineno = 1
+        while lines := list(islice(fh, _LOAD_BLOCK)):
+            try:
+                values = np.fromiter(map(float, lines), np.float64,
+                                     len(lines))
+            except ValueError:
+                values = np.array(_parse_lines(path, lines, lineno, header),
+                                  dtype=np.float64)
+            parts.append(values)
+            lineno += len(lines)
+    if "dim" not in header:
         raise SpectrumFormatError(f"{path}: missing 'dim' header")
-    if complete_below is None:
+    if "complete_below" not in header:
         raise SpectrumFormatError(f"{path}: missing 'complete_below' header")
+    dim = header["dim"]
     return Spectrum(
         dimension=dim,
-        eigenvalues=np.array(values),
-        complete_below=complete_below,
+        eigenvalues=np.concatenate(parts) if parts else np.empty(0),
+        complete_below=header["complete_below"],
         domain=DomainSpec(kind="file", dimension=dim, source_path=str(path)),
-        volume=volume,
+        volume=header.get("volume"),
     )
+
+
+def _write_text(spec: Spectrum, fh) -> None:
+    """Write ``spec`` to the open text file ``fh`` in the format of
+    :func:`load_spectrum`, ``_WRITE_CHUNK`` eigenvalues per write."""
+    fh.write(f"dim: {spec.dimension}\n")
+    fh.write(f"complete_below: {spec.complete_below!r}\n")
+    if spec.volume is not None:
+        fh.write(f"volume: {spec.volume!r}\n")
+    ev = spec.eigenvalues
+    for start in range(0, len(ev), _WRITE_CHUNK):
+        chunk = ev[start:start + _WRITE_CHUNK].tolist()
+        fh.write("\n".join(map(repr, chunk)) + "\n")
 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:
     """Write a spectrum in the text format accepted by :func:`load_spectrum`."""
     with open(path, "w") as fh:
-        fh.write(f"dim: {spec.dimension}\n")
-        fh.write(f"complete_below: {spec.complete_below!r}\n")
-        if spec.volume is not None:
-            fh.write(f"volume: {spec.volume!r}\n")
-        for lam in spec.eigenvalues:
-            fh.write(f"{float(lam)!r}\n")
+        _write_text(spec, fh)
 
 
 def spectrum_csv(spec: Spectrum, full_precision: bool = False) -> str:

@@ -10,6 +10,8 @@ import pytest
 
 from rieszbounds import bounds, cli, riesz, specfun, verify
 
+from oracles import legendre_numeric
+
 # Golden table values (published comparison tables, 6 displayed digits).
 TABLE1_GOLDEN = {
     2: (142.875, 190.5, 163.962, 339.852, 43.9204),
@@ -120,7 +122,7 @@ def test_criterion_6_legendre_oracle_equivalence(full_specs):
         ws = rng.uniform(1e-6, len(spec) - 1e-6, 200)
         for w in ws:
             assert riesz.legendre_R1(spec, float(w)) == \
-                riesz.legendre_numeric(spec, float(w))
+                legendre_numeric(spec, float(w))
 
 
 def test_criterion_7_special_function_accuracy():

@@ -217,3 +217,22 @@ class TestVerifyCommand:
                                "--z-max", "5000")
         assert code == 2
         assert "error" in err
+
+
+class TestSpectrumText:
+    def test_output_and_stdout_equal_write_spectrum(self, capsys, tmp_path):
+        # more eigenvalues than one write chunk
+        args = ["spectrum", "--box", "1", "1", "--lambda-max", "3e5"]
+        spec = spectra.box_spectrum([1.0, 1.0], 3e5)
+        assert len(spec) > spectra._WRITE_CHUNK
+        ref = tmp_path / "ref.txt"
+        spectra.write_spectrum(spec, str(ref))
+        out_path = tmp_path / "cli.txt"
+        code, _, _ = run_cli(capsys, *args, "--output", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == ref.read_bytes()
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out == ref.read_text()
+        assert not [f for f in os.listdir(tmp_path)
+                    if f.startswith(".rieszbounds-")]

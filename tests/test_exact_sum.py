@@ -122,3 +122,107 @@ class TestPrefixSums:
 
     def test_empty(self):
         assert len(pykernels.prefix_sums(np.empty(0))) == 0
+
+
+RUN_BLOCK = pykernels._RUN_BLOCK
+
+#: sizes either side of the run-path minimum and of run-block and chunk
+#: boundaries
+RUN_SIZES = [SMALL - 1, SMALL, SMALL + 1, RUN_BLOCK - 1, RUN_BLOCK,
+             RUN_BLOCK + 1, CHUNK + 1, 2 * CHUNK + 7]
+
+
+def _bits(r):
+    return math.copysign(1.0, r), float(r).hex()
+
+
+@st.composite
+def monotone_arrays(draw):
+    """Normal terms of one sign, monotone in magnitude, ascending or
+    descending, over a chosen exponent span, some exactly at powers of two."""
+    n = draw(st.sampled_from(RUN_SIZES) | st.integers(SMALL, 3 * RUN_BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e_lo = draw(st.integers(-1000, 940))    # n < 2**18: no overflow risk
+    e_hi = e_lo + draw(st.integers(0, 60))
+    mant = rng.uniform(0.5, 1.0, n)
+    if draw(st.booleans()):
+        mant[rng.random(n) < 0.3] = 0.5
+    x = np.sort(np.ldexp(mant, rng.integers(e_lo, e_hi + 1, n)))
+    if draw(st.booleans()):
+        x = x[::-1].copy()
+    if draw(st.booleans()):
+        x = -x
+    return x
+
+
+class TestRunPath:
+    @given(monotone_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_fsum(self, x):
+        _assert_same(x)
+        if len(x) >= SMALL:
+            assert _bits(pykernels._run_sum(x)) == \
+                _bits(math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize("n", [RUN_BLOCK + 1, 2 * CHUNK + 7])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_run_of_largest_mantissas(self, n, sign):
+        # every term 2 - 2**-52: each block sum is as close to 2**64 as
+        # it gets, and the one run is longer than a block and a chunk
+        x = np.full(n, sign * np.nextafter(2.0, 0.0))
+        assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize("n", [SMALL, 3 * RUN_BLOCK + 5, CHUNK + 3])
+    def test_spectrum_terms(self, n):
+        rng = np.random.default_rng(n)
+        lams = np.sort(rng.uniform(19.7, 1.3e7, n))
+        z = float(lams[-1]) + 1.0
+        cases = [np.power(z - lams, s) for s in (0.5, 1.0, 2.0, 3.5)]
+        cases += [np.power(lams, p) for p in (0.5, 1.0, 1.5, 2.0)]
+        cases += [np.array([math.log(v) for v in lams.tolist()]),
+                  1.0 / lams]
+        for terms in cases:
+            run = pykernels._run_sum(terms)
+            assert run is not None
+            assert _bits(run) == _bits(math.fsum(terms.tolist()))
+            assert _bits(pykernels.exact_sum(terms)) == _bits(run)
+
+    def test_values_at_powers_of_two(self):
+        x = np.repeat(np.ldexp(1.0, np.arange(-30, 31)), 100)
+        assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
+        _assert_same(x[::-1].copy())
+
+
+def _ascending_across_two(n):
+    """Sorted terms just below and at 2**10, n of them."""
+    below = np.nextafter(1024.0, 0.0) - np.arange(n // 2)[::-1] * 2.0**-42
+    return np.concatenate([below, 1024.0 + np.arange(n - n // 2) * 0.5])
+
+
+class TestRunPathFallback:
+    def test_one_ulp_swap_across_exponent_boundary(self):
+        x = _ascending_across_two(2 * RUN_BLOCK)
+        i = RUN_BLOCK
+        assert x[i - 1] == np.nextafter(1024.0, 0.0) and x[i] == 1024.0
+        x[i - 1], x[i] = x[i], x[i - 1]
+        assert pykernels._run_sum(x) is None
+        _assert_same(x)
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-5.0, 5.0, 3000),                          # mixed signs
+        # ascending bit patterns, positive then negative
+        np.concatenate([np.linspace(1.0, 2.0, 2000),
+                        -np.linspace(1.0, 2.0, 2000)]),
+        np.concatenate([[0.0], np.linspace(1.0, 2.0, 3000)]),  # a zero
+        np.sort(np.ldexp(0.75, np.arange(-1070, -900))).repeat(20),
+        np.linspace(1e300, 1.7e308, 3000),                     # overflow risk
+        np.sort(np.ldexp(0.75, np.arange(-600, 600, 1))),      # too wide
+        np.concatenate([np.linspace(1.0, 2.0, 3000), [math.inf]]),
+        np.concatenate([np.linspace(-2.0, -1.0, 3000), [-math.inf]]),
+        np.concatenate([np.linspace(1.0, 2.0, 3000), [math.nan]]),
+        np.concatenate([[math.nan], np.linspace(1.0, 2.0, 3000)]),
+    ], ids=["mixed", "sign-flip", "zero", "subnormal", "near-overflow", "wide",
+            "inf", "-inf", "nan-last", "nan-first"])
+    def test_ineligible_input_falls_back(self, x):
+        assert pykernels._run_sum(x) is None
+        _assert_same(x)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from rieszbounds import BACKEND, riesz, spectra, verify
 from rieszbounds.errors import DomainError, TruncationError
 
+from oracles import legendre_numeric, riesz_derivative_check
+
 
 class TestRieszMean:
     def test_hand_enumeration_square_pi(self, square_pi):
@@ -165,12 +167,12 @@ class TestDerivativeIdentity:
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
     def test_central_difference_matches(self, square_pi, sigma):
         z = 9.5
-        fd, rhs = riesz.riesz_derivative_check(square_pi, sigma, z, 1e-6 * z)
+        fd, rhs = riesz_derivative_check(square_pi, sigma, z, 1e-6 * z)
         assert fd == pytest.approx(rhs, rel=1e-6)
 
     def test_sigma_gate(self, square_pi):
         with pytest.raises(DomainError):
-            riesz.riesz_derivative_check(square_pi, 0.5, 9.0, 1e-6)
+            riesz_derivative_check(square_pi, 0.5, 9.0, 1e-6)
 
 
 class TestLegendre:
@@ -197,7 +199,7 @@ class TestLegendre:
     @settings(max_examples=300, deadline=None)
     def test_numeric_oracle_exact(self, square_pi, w):
         assert riesz.legendre_R1(square_pi, w) == \
-            riesz.legendre_numeric(square_pi, w)
+            legendre_numeric(square_pi, w)
 
     def test_out_of_range(self, square_pi):
         with pytest.raises(DomainError):

@@ -229,3 +229,92 @@ class TestFileFormat:
         assert lines[0] == "k,lambda_k"
         assert lines[1].startswith("1,2")
         assert len(lines) == len(square_pi) + 1
+
+
+class TestBlockParsing:
+    """``load_spectrum`` converts blocks of lines at once; files that need
+    the line parser somewhere must still read exactly as it reads them."""
+
+    N = 3 * spectra._LOAD_BLOCK + 100
+
+    def _values(self):
+        return np.sort(np.random.default_rng(5).uniform(1.0, 1e6, self.N))
+
+    def _lines(self):
+        return [repr(v) for v in self._values().tolist()]
+
+    def _reference(self, path):
+        with open(path) as fh:
+            header = {}
+            values = spectra._parse_lines(str(path), fh, 1, header)
+        return header, np.array(values)
+
+    def _check(self, path):
+        header, values = self._reference(path)
+        loaded = spectra.load_spectrum(str(path))
+        assert np.array_equal(loaded.eigenvalues, values)
+        assert loaded.dimension == header["dim"]
+        assert loaded.complete_below == header["complete_below"]
+        assert loaded.volume == header.get("volume")
+        return loaded
+
+    def test_comment_and_header_after_values(self, tmp_path):
+        lines = self._lines()
+        lines.insert(150_000, "# a comment after values")
+        lines.insert(190_000, "volume: 2.5")
+        lines[190_001] += "  # trailing"
+        path = tmp_path / "late.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e6\n"
+                        + "\n".join(lines) + "\n")
+        loaded = self._check(path)
+        assert loaded.volume == 2.5
+        assert np.array_equal(loaded.eigenvalues, self._values())
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(("dim: 2\r\ncomplete_below: 1e6\r\n"
+                          + "\r\n".join(self._lines()) + "\r\n").encode())
+        loaded = self._check(path)
+        assert np.array_equal(loaded.eigenvalues, self._values())
+
+    def test_blank_lines_inside_a_block(self, tmp_path):
+        lines = self._lines()
+        for at in (70_000, 70_001, 140_000):
+            lines.insert(at, "   " if at % 2 else "")
+        path = tmp_path / "blank.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e6\n"
+                        + "\n".join(lines) + "\n")
+        loaded = self._check(path)
+        assert np.array_equal(loaded.eigenvalues, self._values())
+
+    def test_bad_value_deep_in_file_names_its_line(self, tmp_path):
+        lines = self._lines()
+        lines[180_000] = "1.5e3x"
+        path = tmp_path / "deep.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e6\n"
+                        + "\n".join(lines) + "\n")
+        with pytest.raises(SpectrumFormatError,
+                           match=r"deep\.txt:180003: not a number"):
+            spectra.load_spectrum(str(path))
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf", "1e400"])
+    def test_non_finite_deep_in_file(self, tmp_path, bad):
+        lines = self._lines()
+        lines[-10] = bad
+        path = tmp_path / "nonfinite.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e6\n"
+                        + "\n".join(lines) + "\n")
+        with pytest.raises(SpectrumValidationError, match="finite"):
+            spectra.load_spectrum(str(path))
+
+    def test_write_then_load_in_chunks(self, tmp_path):
+        spec = spectra.Spectrum(
+            dimension=2, eigenvalues=self._values(), complete_below=1e6,
+            domain=spectra.DomainSpec("file", 2), volume=1.0)
+        path = tmp_path / "rt.txt"
+        spectra.write_spectrum(spec, str(path))
+        text = path.read_text()
+        values = spec.eigenvalues.tolist()
+        assert text == ("dim: 2\ncomplete_below: 1000000.0\nvolume: 1.0\n"
+                        + "".join(f"{v!r}\n" for v in values))
+        assert np.array_equal(self._check(path).eigenvalues, spec.eigenvalues)
