@@ -3,10 +3,9 @@
 Part 1 compares the compiled ``riesz_sum``/``power_sum`` with the pure-Python
 fallback (the compiled half runs only if the extension was built).  Part 2
 times the exact primitives against their references at n = 10^3 .. 10^6 and
-checks bit-equality as it goes: ``math.fsum`` against ``exact_sum``, and the
-Shewchuk loop against ``prefix_sums``.  Part 3 times the two paths of
-``exact_sum`` on the sorted terms of a spectrum (Riesz, power and
-reciprocal terms) against ``math.fsum``, checking that both give its bits.
+checks bit-equality as it goes: ``math.fsum`` against ``exact_sum`` on the
+Riesz, power, reciprocal and log terms of a sorted spectrum, and the
+Shewchuk loop against ``prefix_sums``.
 
 Run:  python3 benchmarks/bench_kernels.py [n_eigenvalues]
 Exit status 1 if any result differs from its reference in a single bit.
@@ -71,65 +70,46 @@ def _same_bits(a, b) -> bool:
 
 
 def compare_exact() -> bool:
-    """Exact primitives against their references; True if all bits agree."""
+    """Exact primitives against their references; True if all bits agree.
+
+    ``exact_sum`` is timed on the sorted terms of a spectrum: Riesz, power
+    and reciprocal terms, and the logs of a spectrum that straddles 1,
+    which change sign.
+    """
     ok = True
     rng = np.random.default_rng(1)
     print("exact primitives (best of repeats; unit-square-like terms)")
     for n in EXACT_SIZES:
         lams = np.sort(rng.uniform(19.7, 1.3e7, n))
-        terms = np.power(1.3e7 - lams, 0.5)
         repeat = 5 if n < 10**6 else 2
-        t_ref, ref = _time(math.fsum, terms, repeat=repeat)
-        t_new, new = _time(pykernels.exact_sum, terms, repeat=repeat)
-        same = _same_bits(ref, new)
-        ok &= same
-        print(f"  n={n:>8}  math.fsum {t_ref*1e3:9.2f} ms  "
-              f"exact_sum {t_new*1e3:8.2f} ms  x{t_ref / t_new:5.1f}  "
-              f"bit-equal={same}")
+        logs = np.array([math.log(v) for v in (lams / 1e3).tolist()])
+        for name, terms in (("riesz", np.power(1.3e7 - lams, 0.5)),
+                            ("power", np.power(lams, 2.0)),
+                            ("recip", 1.0 / lams),
+                            ("log", logs)):
+            t_ref, ref = _time(math.fsum, terms, repeat=repeat)
+            t_new, new = _time(pykernels.exact_sum, terms, repeat=repeat)
+            same = _same_bits(ref, new)
+            ok &= same
+            print(f"  n={n:>8} {name:5}  math.fsum {t_ref*1e3:9.2f} ms  "
+                  f"exact_sum {t_new*1e3:8.2f} ms  x{t_ref / t_new:5.1f}  "
+                  f"bit-equal={same}")
         squares = np.power(lams, 2.0)
         t_ref, ref = _time(pykernels._shewchuk_prefix_sums, squares,
                            repeat=1 if n == 10**6 else repeat)
         t_new, new = _time(pykernels.prefix_sums, squares, repeat=repeat)
         same = _same_bits(ref, new)
         ok &= same
-        print(f"  n={n:>8}  Shewchuk  {t_ref*1e3:9.2f} ms  "
+        print(f"  n={n:>8}        Shewchuk  {t_ref*1e3:9.2f} ms  "
               f"prefix_sums {t_new*1e3:6.2f} ms  x{t_ref / t_new:5.1f}  "
               f"bit-equal={same}")
-    return ok
-
-
-def compare_paths() -> bool:
-    """Run path and bucket path of ``exact_sum`` against ``math.fsum`` on
-    sorted terms; True if all bits agree."""
-    ok = True
-    rng = np.random.default_rng(2)
-    print("sorted terms: math.fsum vs bucket path vs run path "
-          "(best of repeats)")
-    for n in EXACT_SIZES:
-        lams = np.sort(rng.uniform(19.7, 1.3e7, n))
-        repeat = 5 if n < 10**6 else 2
-        for name, terms in (("riesz", np.power(1.3e7 - lams, 0.5)),
-                            ("power", np.power(lams, 2.0)),
-                            ("recip", 1.0 / lams)):
-            t_ref, ref = _time(math.fsum, terms, repeat=repeat)
-            t_bucket, bucket = _time(pykernels._bucket_sum, terms,
-                                     repeat=repeat)
-            t_run, run = _time(pykernels._run_sum, terms, repeat=repeat)
-            same = (run is not None and _same_bits(ref, run)
-                    and _same_bits(ref, bucket))
-            ok &= same
-            print(f"  n={n:>8} {name:5}  math.fsum {t_ref*1e3:9.2f} ms  "
-                  f"bucket {t_bucket*1e3:7.2f} ms  run {t_run*1e3:6.2f} ms  "
-                  f"x{t_bucket / t_run:5.1f}  bit-equal={same}")
     return ok
 
 
 def main() -> int:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     compare_backends(n)
-    ok = compare_exact()
-    ok &= compare_paths()
-    return 0 if ok else 1
+    return 0 if compare_exact() else 1
 
 
 if __name__ == "__main__":

@@ -5,11 +5,11 @@ The compiled Cython extension (Kahan-compensated) provides ``riesz_sum`` and
 ``RIESZBOUNDS_PURE_PYTHON=1`` forces the pure-Python fallback, whose sums
 are correctly rounded.  ``exact_sum`` and ``prefix_sums`` always come from
 ``pykernels`` because downstream code relies on their correctly rounded
-results.  ``exact_sum`` adds terms that are monotone in magnitude and of one
-sign (the Riesz, power, log and reciprocal terms of a sorted spectrum) run
-by run of equal binary exponent, other terms bucketed by binary exponent,
-and short or out-of-range input with ``math.fsum``; ``prefix_sums`` keeps an
-exact integer running sum (a Shewchuk loop for input outside that domain).
+results.  ``exact_sum`` adds sorted terms (the Riesz, power, log and
+reciprocal terms of a sorted spectrum) run by run of equal sign and binary
+exponent, and leaves short, unsorted or out-of-range input to
+``math.fsum``; ``prefix_sums`` keeps an exact integer running sum (a
+Shewchuk loop for input outside that domain).
 """
 
 import os

@@ -3,16 +3,14 @@
 Fallback for the compiled extension, and the accuracy reference: every sum
 here is correctly rounded, bit for bit what ``math.fsum`` returns.
 
-- ``exact_sum`` has two vectorised paths.  Terms of one sign whose
-  magnitudes are monotone (a Riesz sum's (z - lambda_i)**sigma, powers,
-  logs or reciprocals of a sorted spectrum) take the run path: each binary
-  exponent then fills one contiguous run, found by ``np.searchsorted``, and
-  the integer mantissas of each run are added exactly in uint64 blocks read
-  straight from the float bits.  Other input takes the bucket path, which
-  buckets the terms by binary exponent and adds the integer halves of their
-  mantissas with ``np.bincount``.  Either way the few partial sums are
-  exact and the total is rounded once.  Short, non-finite or
-  extreme-exponent input, and a zero result, go to ``math.fsum`` itself.
+- ``exact_sum`` adds a sorted array run by run.  Along sorted terms (a Riesz
+  sum's (z - lambda_i)**sigma, or powers, logs or reciprocals of a sorted
+  spectrum, which change sign at most once) the sign and the binary
+  exponent change monotonically, so the terms with one sign and exponent
+  fill one contiguous run.  The integer mantissas of each run are added
+  exactly in uint64 blocks read straight from the float bits, and the total
+  is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
+  input, and a zero result, go to ``math.fsum`` itself.
 - ``prefix_sums`` keeps the running sum of positive terms as a Python
   integer at a common binary scale, so each prefix is rounded only once, on
   conversion back to float.  Other input takes a Shewchuk partials loop.
@@ -21,7 +19,7 @@ here is correctly rounded, bit for bit what ``math.fsum`` returns.
 import math
 import operator
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -29,15 +27,8 @@ BACKEND = "python"
 
 #: terms per vectorised step; bounds every temporary array
 _CHUNK = 1 << 16
-#: below this many terms ``math.fsum`` is faster than either vectorised
-#: path; from here on the run path is never slower than the bucket path
+#: below this many terms ``math.fsum`` is faster than the run path
 _SMALL = 1024
-#: terms per bucket set: each half-mantissa sum stays below 2**53
-_BLOCK = 1 << 26
-#: interleaved accumulators per exponent, so that runs of terms with the
-#: same exponent do not serialise ``np.bincount`` on one memory cell
-_LANES = 8
-_LANE = np.tile(np.arange(_LANES, dtype=np.int8), _CHUNK // _LANES)
 #: smallest frexp exponent of a normal float64
 _EMIN = -1021
 #: terms per block on the run path: 2**11 mantissas below 2**53 sum to
@@ -45,117 +36,84 @@ _EMIN = -1021
 _RUN_BLOCK = 1 << 11
 #: sign and exponent bits of a float64
 _SIGN_EXP = np.uint64(0xFFF << 52)
-
-
-def _bucket_parts(block, emax):
-    """Exact per-exponent partial sums of ``block`` as a list of floats.
-
-    A term m * 2**e (frexp form) is split into the integers
-    hi = trunc(m * 2**27) and lo = (m * 2**27 - hi) * 2**26, worth
-    hi * 2**(e-27) + lo * 2**(e-53).  With at most ``_BLOCK`` terms every
-    per-exponent sum of hi or lo is an integer below 2**53, hence exact in
-    float64 whatever the order of addition, and ``math.ldexp`` scales it
-    exactly.  Returns None if an exponent lies outside [_EMIN, emax].
-    """
-    hi_acc = np.zeros(emax - _EMIN + 1)
-    lo_acc = np.zeros(emax - _EMIN + 1)
-    used_lo, used_hi = emax, _EMIN
-    for start in range(0, len(block), _CHUNK):
-        m, e = np.frexp(block[start:start + _CHUNK])
-        e_lo, e_hi = int(e.min()), int(e.max())
-        if e_lo < _EMIN or e_hi > emax:
-            return None
-        used_lo, used_hi = min(used_lo, e_lo), max(used_hi, e_hi)
-        e -= e_lo
-        e *= _LANES
-        idx = e + _LANE[:len(e)]
-        m *= 2.0 ** 27
-        hi = np.trunc(m)
-        m -= hi
-        m *= 2.0 ** 26
-        at = e_lo - _EMIN
-        width = e_hi - e_lo + 1
-        for acc, weights in ((hi_acc, hi), (lo_acc, m)):
-            sums = np.bincount(idx, weights, minlength=width * _LANES)
-            acc[at:at + width] += sums.reshape(width, _LANES).sum(axis=1)
-    parts = []
-    for acc, shift in ((hi_acc, -27), (lo_acc, -53)):
-        totals = acc[used_lo - _EMIN:used_hi - _EMIN + 1]
-        used = np.flatnonzero(totals)
-        parts += map(math.ldexp, totals[used].tolist(),
-                     (used + (used_lo + shift)).tolist())
-    return parts
+#: spacing of the terms sampled to find the stretches that hold a run
+#: start, and the offsets of the terms of one stretch, both ends included
+_MARK = 1 << 8
+_STRETCH = np.arange(_MARK + 1)
 
 
 def _run_sum(terms):
-    """Exact sum of terms that are monotone in magnitude, of one sign,
-    normal and finite; None for any other input.
+    """Exact sum of sorted, finite, non-subnormal terms far enough from
+    overflow; None for any other input, or for an exact zero.
 
-    For such terms the float64 bit patterns, read as uint64, are monotone
-    too, so one ``np.all`` pass per chunk checks the order and the two end
-    terms fix the sign and the exponent range.  A normal term with biased
-    exponent E is M * 2**(E - 1075) with the integer mantissa
-    M = bits - (sign and exponent bits) + 2**52 < 2**53.  The terms with
-    exponent E form one run, whose start ``np.searchsorted`` finds; the
-    runs are cut into blocks of at most ``_RUN_BLOCK`` terms, and
-    ``np.add.reduceat`` sums the bits of each block modulo 2**64, from
-    which the exact mantissa sum follows.  The block totals are shifted
-    into one Python integer at scale 2**(e_lo - 53) and rounded once.
+    Along sorted terms the sign and the biased exponent E change
+    monotonically, so the terms with one sign and exponent form one run.
+    One pass per chunk checks the order; the run starts are looked for
+    only in the stretches of ``_MARK`` terms whose end terms differ.  A
+    normal term is M * 2**(E - 1075) with the integer mantissa
+    M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs are cut
+    into blocks of at most ``_RUN_BLOCK`` terms, ``np.add.reduceat`` sums
+    the bits of each block modulo 2**64, from which the exact mantissa sum
+    follows.  The signed block totals are shifted into one Python integer
+    at scale 2**(E_lo - 1075) and rounded once.
     """
     n = len(terms)
-    bits = terms.view(np.uint64)
-    lo, hi = int(bits[0]), int(bits[-1])
-    ordered, ascending = np.greater_equal, bits
-    if lo > hi:
-        ordered, ascending = np.less_equal, bits[::-1]
-        lo, hi = hi, lo
-    sign = lo >> 63
-    e_lo = (lo >> 52 & 0x7FF) - 1022
-    e_hi = (hi >> 52 & 0x7FF) - 1022
-    width = n.bit_length()
-    # as in prefix_sums: the smallest term is normal, the sum stays below
-    # 2**1023, and the integer total converts to a finite float
-    if (sign != hi >> 63 or e_lo < _EMIN or e_hi + width > 1023
-            or e_hi - e_lo + 53 + width > 1023):
-        return None
+    ordered = np.greater_equal if terms[0] <= terms[-1] else np.less_equal
     for start in range(0, n - 1, _CHUNK):
-        chunk = bits[start:start + _CHUNK + 1]
-        if not np.all(ordered(chunk[1:], chunk[:-1])):
+        chunk = terms[start:start + _CHUNK + 1]
+        if not ordered(chunk[1:], chunk[:-1]).all():
             return None
-    # the bit pattern of 2**(e-1), signed, starts the run of exponent e
-    firsts = np.arange(e_lo + 1023, e_hi + 1023, dtype=np.uint64) << 52
-    runs = np.searchsorted(ascending, firsts | sign << 63)
-    if ascending is not bits:    # run ends, counted from the far end
-        runs = n - runs
-    starts = np.union1d(np.arange(0, n, _RUN_BLOCK), runs)
-    sums = np.add.reduceat(bits, starts)
-    heads = bits[starts] & _SIGN_EXP
-    sums -= np.diff(starts, append=n).astype(np.uint64) * (heads - (1 << 52))
-    shifts = (heads >> 52 & 0x7FF).astype(np.int64) - (e_lo + 1022)
-    total = sum(map(operator.lshift, sums.tolist(), shifts.tolist()))
-    total = math.ldexp(float(total), e_lo - 53)
-    return -total if sign else total
-
-
-def _bucket_sum(terms):
-    """``exact_sum`` for input of at least ``_SMALL`` terms, by buckets."""
-    n = len(terms)
-    # |term| < 2**emax and n < 2**bit_length keep every partial sum, here
-    # and in math.fsum, below 2**1023: neither can overflow
-    emax = 1023 - n.bit_length()
-    parts = []
-    with np.errstate(invalid="ignore"):    # inf - inf marks inf input
-        for start in range(0, n, _BLOCK):
-            block = _bucket_parts(terms[start:start + _BLOCK], emax)
-            if block is None:
-                return math.fsum(terms)
-            parts += block
-    if not all(map(math.isfinite, parts)):
-        return math.fsum(terms)
-    total = math.fsum(parts)
-    if total == 0.0:    # math.fsum decides the sign of an exact zero
-        return math.fsum(terms)
-    return total
+    bits = terms.view(np.uint64)
+    # a stretch of _MARK terms whose first term has the sign and exponent
+    # of the next stretch's first term (or of the last term) lies in one
+    # run; the other stretches are read term by term, as rows of a table
+    marks = np.concatenate((bits[::_MARK], bits[-1:])) >> 52
+    firsts = np.nonzero(marks[1:] != marks[:-1])[0] * _MARK
+    runs = [np.zeros(1, np.int64)]
+    for at in range(0, len(firsts), _CHUNK // _MARK):
+        rows = np.minimum(firsts[at:at + _CHUNK // _MARK, None] + _STRETCH,
+                          n - 1)
+        heads = bits[rows] >> 52
+        row, col = np.nonzero(heads[:, 1:] != heads[:, :-1])
+        runs.append(rows[row, col + 1])
+    runs = np.concatenate(runs)
+    exps = (bits[runs] >> 52 & 0x7FF).tolist()
+    nonzero = [e for e in exps if e]
+    if not nonzero:
+        return None
+    e_lo, e_hi = min(nonzero), max(exps)
+    width = n.bit_length()
+    # as in prefix_sums: no inf, the sum stays below 2**1023, and the
+    # integer total converts to a finite float
+    if e_hi - 1022 + width > 1023 or e_hi - e_lo + 53 + width > 1023:
+        return None
+    zeros = len(nonzero) < len(exps)
+    if zeros:
+        # the zeros, of either sign, lie between the negative and the
+        # positive terms and add nothing; a subnormal among them would
+        first = exps.index(0)
+        last = len(exps) - exps[::-1].index(0)
+        if np.any(terms[runs[first]:runs[last] if last < len(runs) else n]):
+            return None
+    grid = np.arange(0, n + _RUN_BLOCK, _RUN_BLOCK)
+    grid[-1] = n
+    edges = np.sort(np.concatenate((grid, runs)))
+    sums = np.add.reduceat(bits, edges[:-1])
+    heads = bits[edges[:-1]] & _SIGN_EXP
+    counts = (edges[1:] - edges[:-1]).astype(np.uint64)
+    sums -= counts * (heads - (1 << 52))
+    sums[counts == 0] = 0    # reduceat gives a repeated edge one term
+    heads >>= 52
+    shifts = (heads & 0x7FF).astype(np.int64) - e_lo
+    if zeros:    # only the blocks of zeros lie below E_lo
+        below = shifts < 0
+        sums[below] = 0
+        shifts[below] = 0
+    parts = list(map(operator.lshift, sums.tolist(), shifts.tolist()))
+    total = sum(parts) - 2 * sum(compress(parts, (heads >> 11).tolist()))
+    if total == 0:    # math.fsum decides the sign of an exact zero
+        return None
+    return math.ldexp(float(total), e_lo - 1075)
 
 
 def exact_sum(terms):
@@ -163,17 +121,16 @@ def exact_sum(terms):
 
     The result has the same bits as ``math.fsum``, including the sign of a
     zero, and non-finite input gives ``math.fsum``'s result or exception.
-    Input of at least ``_SMALL`` terms takes the run path when its terms
-    are monotone in magnitude, of one sign, normal and far enough from
-    overflow, and the bucket path otherwise.
+    Sorted input of at least ``_SMALL`` terms takes the run path when its
+    terms are finite, not subnormal and far enough from overflow; all other
+    input goes to ``math.fsum``.
     """
     terms = np.asarray(terms, dtype=np.float64)
-    if len(terms) < _SMALL:
-        return math.fsum(terms.tolist())
-    total = _run_sum(terms)
-    if total is None:
-        return _bucket_sum(terms)
-    return total
+    if len(terms) >= _SMALL:
+        total = _run_sum(terms)
+        if total is not None:
+            return total
+    return math.fsum(terms.tolist())
 
 
 def riesz_sum(lams, sigma, z):

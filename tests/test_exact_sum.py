@@ -138,8 +138,9 @@ def _bits(r):
 
 @st.composite
 def monotone_arrays(draw):
-    """Normal terms of one sign, monotone in magnitude, ascending or
-    descending, over a chosen exponent span, some exactly at powers of two."""
+    """Sorted normal terms, ascending or descending, over a chosen exponent
+    span, some exactly at powers of two; of one sign, or of both signs with
+    or without signed zeros between them."""
     n = draw(st.sampled_from(RUN_SIZES) | st.integers(SMALL, 3 * RUN_BLOCK))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     e_lo = draw(st.integers(-1000, 940))    # n < 2**18: no overflow risk
@@ -147,6 +148,12 @@ def monotone_arrays(draw):
     mant = rng.uniform(0.5, 1.0, n)
     if draw(st.booleans()):
         mant[rng.random(n) < 0.3] = 0.5
+    signs = draw(st.sampled_from(["one", "both", "both with zeros"]))
+    if signs != "one":
+        mant *= rng.choice([-1.0, 1.0], n)
+    if signs == "both with zeros":
+        zero = rng.random(n) < 0.05
+        mant[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
     x = np.sort(np.ldexp(mant, rng.integers(e_lo, e_hi + 1, n)))
     if draw(st.booleans()):
         x = x[::-1].copy()
@@ -187,6 +194,36 @@ class TestRunPath:
             assert _bits(run) == _bits(math.fsum(terms.tolist()))
             assert _bits(pykernels.exact_sum(terms)) == _bits(run)
 
+    @pytest.mark.parametrize("lo", [0.3, 1.0])
+    def test_logs_of_spectrum_across_one(self, lo):
+        # logs of eigenvalues below and above 1 (and exactly 1 when lo is
+        # 1.0): negative terms, zeros, then positive terms
+        lams = np.sort(np.concatenate([np.linspace(lo, 40.0, 3000),
+                                       np.ones(7)]))
+        logs = np.array([math.log(v) for v in lams.tolist()])
+        for terms in (logs, logs[::-1], -logs):
+            run = pykernels._run_sum(terms)
+            assert run is not None
+            assert _bits(run) == _bits(math.fsum(terms.tolist()))
+
+    def test_zeros_of_both_signs_between_signs(self):
+        # more interleaved +0 and -0 than a chunk, between negative and
+        # positive terms: the blocks of zeros must add nothing
+        zeros = np.tile([0.0, -0.0, -0.0, 0.0, 0.0], CHUNK // 4)
+        x = np.concatenate([-np.linspace(3.0, 0.5, 5000), zeros,
+                            np.linspace(0.25, 7.0, 5000)])
+        for terms in (x, x[::-1]):
+            run = pykernels._run_sum(terms)
+            assert run is not None
+            assert _bits(run) == _bits(math.fsum(terms.tolist()))
+
+    def test_run_starts_on_the_block_grid(self):
+        # each run starts where a block of _RUN_BLOCK terms starts
+        x = np.repeat([1.5, 2.5, 5.0, 5.5, 13.0], RUN_BLOCK)
+        x[::3] += 2.0**-40
+        x.sort()
+        assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
+
     def test_values_at_powers_of_two(self):
         x = np.repeat(np.ldexp(1.0, np.arange(-30, 31)), 100)
         assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
@@ -209,11 +246,14 @@ class TestRunPathFallback:
         _assert_same(x)
 
     @pytest.mark.parametrize("x", [
-        np.linspace(-5.0, 5.0, 3000),                          # mixed signs
-        # ascending bit patterns, positive then negative
+        # magnitudes ascending on each side, values not sorted
         np.concatenate([np.linspace(1.0, 2.0, 2000),
                         -np.linspace(1.0, 2.0, 2000)]),
-        np.concatenate([[0.0], np.linspace(1.0, 2.0, 3000)]),  # a zero
+        np.concatenate([-np.linspace(2.0, 1.0, 2000),      # a subnormal
+                        [-5e-324, 0.0], np.linspace(1.0, 2.0, 2000)]),
+        np.zeros(3000),
+        np.sort(np.concatenate([np.linspace(1.0, 2.0, 2000),      # a zero
+                                -np.linspace(1.0, 2.0, 2000)])),  # total
         np.sort(np.ldexp(0.75, np.arange(-1070, -900))).repeat(20),
         np.linspace(1e300, 1.7e308, 3000),                     # overflow risk
         np.sort(np.ldexp(0.75, np.arange(-600, 600, 1))),      # too wide
@@ -221,8 +261,9 @@ class TestRunPathFallback:
         np.concatenate([np.linspace(-2.0, -1.0, 3000), [-math.inf]]),
         np.concatenate([np.linspace(1.0, 2.0, 3000), [math.nan]]),
         np.concatenate([[math.nan], np.linspace(1.0, 2.0, 3000)]),
-    ], ids=["mixed", "sign-flip", "zero", "subnormal", "near-overflow", "wide",
-            "inf", "-inf", "nan-last", "nan-first"])
+    ], ids=["sign-flip", "subnormal-between", "zeros", "cancelling",
+            "subnormal", "near-overflow", "wide", "inf", "-inf", "nan-last",
+            "nan-first"])
     def test_ineligible_input_falls_back(self, x):
         assert pykernels._run_sum(x) is None
         _assert_same(x)
