@@ -1,13 +1,11 @@
 """Benchmark the summation kernels.
 
-Part 1 compares the compiled ``riesz_sum``/``power_sum`` with the pure-Python
-fallback (the compiled half runs only if the extension was built).  Part 2
-times the exact primitives against their references at n = 10^3 .. 10^6 and
-checks bit-equality as it goes: ``math.fsum`` against ``exact_sum`` on the
-Riesz, power, reciprocal and log terms of a sorted spectrum, and the
+Times the exact primitives against their references at n = 10^3 .. 10^6
+and checks bit-equality as it goes: ``math.fsum`` against ``exact_sum`` on
+the Riesz, power, reciprocal and log terms of a sorted spectrum, and the
 Shewchuk loop against ``prefix_sums``.
 
-Run:  python3 benchmarks/bench_kernels.py [n_eigenvalues]
+Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
 """
 
@@ -17,7 +15,7 @@ import time
 
 import numpy as np
 
-from rieszbounds._kernels import _ckernels_or_none, pykernels
+from rieszbounds._kernels import pykernels
 
 EXACT_SIZES = (10**3, 10**4, 10**5, 10**6)
 
@@ -30,38 +28,6 @@ def _time(fn, *args, repeat=5):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def compare_backends(n: int) -> None:
-    rng = np.random.default_rng(0)
-    lams = np.sort(rng.uniform(1.0, 1000.0, n))
-    z = 900.0
-
-    backends = [("python", pykernels)]
-    ck = _ckernels_or_none()
-    if ck is not None:
-        backends.insert(0, ("c", ck))
-    else:
-        print("compiled kernel unavailable; benchmarking fallback only")
-
-    print(f"n = {n}, z = {z}")
-    for sigma in (0.5, 1.0, 2.0):
-        results = {}
-        for name, mod in backends:
-            t, (val, cnt) = _time(mod.riesz_sum, lams, sigma, z)
-            results[name] = (t, val)
-            print(f"  riesz_sum sigma={sigma:<4} [{name:6s}] "
-                  f"{t*1e3:8.2f} ms  value={val:.12e}  terms={cnt}")
-        if len(results) == 2:
-            rel = abs(results["c"][1] - results["python"][1]) \
-                / abs(results["python"][1])
-            speedup = results["python"][0] / results["c"][0]
-            print(f"    speedup x{speedup:.1f}, backend deviation {rel:.2e}")
-
-    for name, mod in backends:
-        t, val = _time(mod.power_sum, lams, n, 2.0)
-        print(f"  power_sum p=2       [{name:6s}] {t*1e3:8.2f} ms  "
-              f"value={val:.12e}")
 
 
 def _same_bits(a, b) -> bool:
@@ -107,8 +73,6 @@ def compare_exact() -> bool:
 
 
 def main() -> int:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
-    compare_backends(n)
     return 0 if compare_exact() else 1
 
 

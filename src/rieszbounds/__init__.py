@@ -10,9 +10,9 @@ Subpackages/modules:
 - ``verify``: inequality verification suite with negative controls.
 - ``cli``: command-line interface (``rieszbounds`` entry point).
 
-A compiled summation kernel is used when available; set the environment
-variable ``RIESZBOUNDS_PURE_PYTHON=1`` before import to force the pure
-Python fallback.  ``rieszbounds.BACKEND`` reports which one is active.
+Every sum takes one correctly rounded path in Python and numpy; nothing
+is compiled and there is no backend switch.  ``rieszbounds.BACKEND`` is
+always ``"python"``.
 """
 
 from . import bounds, riesz, specfun, spectra, verify

@@ -1,7 +1,7 @@
-"""Pure-Python accumulation kernels.
+"""Accumulation kernels in Python and numpy.
 
-Fallback for the compiled extension, and the accuracy reference: every sum
-here is correctly rounded, bit for bit what ``math.fsum`` returns.
+Every sum here is correctly rounded, bit for bit what ``math.fsum``
+returns.
 
 - ``exact_sum`` adds a sorted array run by run.  Along sorted terms (a Riesz
   sum's (z - lambda_i)**sigma, or powers, logs or reciprocals of a sorted

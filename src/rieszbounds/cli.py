@@ -166,7 +166,11 @@ def _bound_arg(item: str):
 
 def cmd_bounds(args) -> int:
     if args.bessel_zeros is not None:
-        orders = [float(v) for v in args.bessel_zeros.split(",")]
+        try:
+            orders = [float(v) for v in args.bessel_zeros.split(",")]
+        except ValueError as exc:
+            raise RieszBoundsError(
+                f"bad --bessel-zeros {args.bessel_zeros!r}: {exc}") from None
         rows = [[nu, p, specfun.bessel_zero(nu, p).value]
                 for nu in orders for p in range(1, args.zero_count + 1)]
         _emit_rows(args, ["nu", "p", "zero"], rows)

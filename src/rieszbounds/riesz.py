@@ -54,14 +54,14 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
     if z > spec.complete_below:
         raise TruncationError(
             f"z={z} exceeds completeness threshold {spec.complete_below}")
-    if z <= 0:
+    if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
     return _kernels.riesz_sum(spec.eigenvalues, float(sigma), float(z))
 
 
 def riesz_mean(spec: Spectrum, sigma: float, z: float) -> RieszEvaluation:
     """R_sigma(z) = sum (z - lambda_k)_+^sigma; sigma = 0 counts strictly."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise DomainError(f"sigma must be nonnegative, got {sigma}")
     value, count = riesz_value(spec, sigma, z)
     return RieszEvaluation(sigma=float(sigma), z=float(z),
@@ -150,13 +150,13 @@ def _logs(spec: Spectrum):
 def legendre_R1(spec: Spectrum, w: float) -> float:
     """Closed-form Legendre transform of R_1 at w:
     (w - [w]) * lambda_{[w]+1} + [w] * mean(lambda_1..lambda_[w])."""
-    if w <= 0:
+    if not w > 0:
         raise DomainError(f"w must be positive, got {w}")
-    m = int(math.floor(w))
     ev = spec.eigenvalues
-    if m + 1 > len(ev):
+    if not w < len(ev):
         raise DomainError(
-            f"w={w} needs eigenvalue {m+1}, spectrum has {len(ev)}")
+            f"w={w} needs eigenvalue [w]+1, spectrum has {len(ev)}")
+    m = int(math.floor(w))
     partial = eigensum_prefix(spec)[m - 1] if m >= 1 else 0.0
     return (w - m) * float(ev[m]) + partial
 

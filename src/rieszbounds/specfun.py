@@ -218,8 +218,9 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
     behind the disk spectrum below 1e5 and the 3-ball spectrum below 3e4
     (nu <= 299.5, j < 317) are off by at most 2.2e-13, median 1.8e-14.
     """
-    if nu < -0.5:
-        raise DomainError(f"bessel_zero requires nu >= -1/2, got {nu}")
+    if not -0.5 <= nu < math.inf:
+        raise DomainError(
+            f"bessel_zero requires finite nu >= -1/2, got {nu}")
     if p < 1:
         raise DomainError(f"bessel_zero requires p >= 1, got {p}")
     key = float(nu)

@@ -109,7 +109,7 @@ class Spectrum:
 def _check_weyl_count(d: int, volume: float, lam_max: float,
                       cap: int) -> None:
     """Fail before any work if Weyl's law predicts far more than ``cap``
-    eigenvalues below ``lam_max``."""
+    eigenvalues below ``lam_max``; an infinite ``lam_max`` always fails."""
     predicted = (volume * (lam_max / (4 * math.pi))**(d / 2)
                  / specfun.gamma(1 + d / 2))
     if predicted > 2 * cap:
@@ -121,8 +121,11 @@ def box_spectrum(sides, lam_max: float,
                  cap: int = MAX_EIGENVALUES) -> Spectrum:
     """All Dirichlet eigenvalues pi^2 sum(n_i^2/L_i^2) < lam_max, sorted."""
     sides = tuple(float(s) for s in sides)
-    if not sides or any(s <= 0 for s in sides):
-        raise DomainError("box sides must be positive")
+    if not sides or not all(0 < s < math.inf for s in sides):
+        raise DomainError(
+            f"box sides must be finite and positive, got {sides}")
+    if not lam_max > 0:
+        raise DomainError(f"lam_max must be positive, got {lam_max}")
     coeffs = [math.pi**2 / s**2 for s in sides]
     lam_1 = sum(coeffs)
     if lam_max <= lam_1:
@@ -179,8 +182,10 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
     """
     if d < 2:
         raise DomainError("ball_spectrum requires d >= 2")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError(f"radius must be finite and positive, got {radius}")
+    if not lam_max > 0:
+        raise DomainError(f"lam_max must be positive, got {lam_max}")
     volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
     _check_weyl_count(d, volume, lam_max, cap)
     r2 = radius * radius

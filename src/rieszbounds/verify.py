@@ -39,9 +39,6 @@ from .spectra import Spectrum
 #: relative numerical slack on all inequality checks
 SLACK = 1e-9
 
-#: relative offset used when a limit z -> lambda_{k+1} from below is intended
-LIMIT_OFFSET = 1e-12
-
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -375,7 +372,7 @@ def z_grid(spec: Spectrum, cfg: VerifyConfig, n: int | None = None):
             f"z_max={z_hi} exceeds completeness threshold "
             f"{spec.complete_below}")
     lam1 = spec.lambda_1
-    if z_hi <= lam1:
+    if not z_hi > lam1:
         raise ConfigError(f"z_max={z_hi} is not above lambda_1={lam1}")
     grid = np.geomspace(lam1 * (1 + 1e-6), z_hi, n)
     ev = spec.eigenvalues
@@ -627,6 +624,8 @@ def run_suite(specs: dict[str, Spectrum],
     if cfg.z_points < 2:
         raise ConfigError("z_points must be >= 2")
     if cfg.z_max is not None:
+        if not math.isfinite(cfg.z_max):
+            raise ConfigError(f"z_max must be finite, got {cfg.z_max}")
         for label, spec in specs.items():
             if cfg.z_max > spec.complete_below:
                 raise ConfigError(

@@ -191,6 +191,37 @@ class TestBoundsCommand:
         assert first == pytest.approx(2.404825557695773, abs=1e-10)
 
 
+class TestBadInput:
+    """Non-finite or malformed input exits 2 with an error that names the
+    offending argument, instead of hanging, crashing or printing nonsense."""
+
+    BOX = ("riesz", "--box", "1", "1", "--lambda-max", "100")
+
+    @pytest.mark.parametrize("argv, name", [
+        (BOX + ("--z", "nan"), "z"),
+        (BOX + ("--z", "50", "--sigma", "nan"), "sigma"),
+        (BOX + ("--legendre", "nan"), "w"),
+        (BOX + ("--legendre", "inf"), "w"),
+        (("riesz", "--box", "1", "nan", "--lambda-max", "100", "--z", "5"),
+         "sides"),
+        (("riesz", "--box", "1", "1", "--lambda-max", "nan", "--z", "5"),
+         "lam_max"),
+        (("riesz", "--ball", "--dim", "2", "--lambda-max", "nan", "--z", "5"),
+         "lam_max"),
+        (("riesz", "--ball", "--dim", "2", "--radius", "nan",
+          "--lambda-max", "100", "--z", "5"), "radius"),
+        (("bounds", "--bessel-zeros", "nan"), "nu"),
+        (("bounds", "--bessel-zeros", "inf"), "nu"),
+        (("bounds", "--bessel-zeros", "1,a"), "--bessel-zeros"),
+    ])
+    def test_exit_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert name in err
+
+
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("verify") / "square.txt"
@@ -213,10 +244,11 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     def test_z_max_config_error(self, capsys, spec_file):
-        code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,
-                               "--z-max", "5000")
-        assert code == 2
-        assert "error" in err
+        for z_max in ("5000", "nan"):
+            code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,
+                                   "--z-max", z_max)
+            assert code == 2
+            assert "error" in err
 
 
 class TestSpectrumText:

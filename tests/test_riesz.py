@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszbounds import BACKEND, riesz, spectra, verify
+from rieszbounds import riesz, spectra, verify
 from rieszbounds.errors import DomainError, TruncationError
 
 from oracles import legendre_numeric, riesz_derivative_check
@@ -148,9 +148,6 @@ class TestSquarePrefix:
         for k in range(1, len(spec) + 1):
             assert sq[k - 1] == math.fsum(np.power(lams[:k], 2.0))
 
-    @pytest.mark.skipif(BACKEND != "python",
-                        reason="the compiled power_sum is Kahan-compensated, "
-                               "not correctly rounded")
     def test_equals_means_mean_sq(self, spec):
         sq = riesz.square_prefix(spec)
         for k in range(1, len(spec) + 1):

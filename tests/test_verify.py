@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from rieszbounds import BACKEND, bounds, riesz, spectra, verify
+from rieszbounds import bounds, riesz, spectra, verify
 from rieszbounds.errors import ConfigError, DomainError
 
 SMALL = verify.VerifyConfig(z_points=25, j_count=4, k_count=8,
@@ -151,6 +151,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             verify.run_suite(small_specs, cfg)
 
+    def test_z_grid_rejects_nan_z_max(self, small_specs):
+        # run_suite rejects a non-finite z_max first, so the CLI never
+        # reaches this gate
+        with pytest.raises(ConfigError):
+            verify.z_grid(small_specs["square"],
+                          verify.VerifyConfig(z_max=math.nan))
+
     def test_z_grid_avoids_eigenvalues(self, small_specs):
         spec = small_specs["square"]
         zs = verify.z_grid(spec, SMALL)
@@ -209,9 +216,6 @@ class TestHandAnchors:
         m = verify.margin_eq224_ratio(square_pi_200, 5, 5)
         assert m == pytest.approx((18 - 10) / 18, rel=1e-12)
 
-    @pytest.mark.skipif(BACKEND != "python",
-                        reason="the compiled power_sum behind means() is "
-                               "Kahan-compensated, not correctly rounded")
     def test_eq37_matches_means_expression(self, square_pi_200):
         spec = square_pi_200
         for twin in (spec, verify.corrupt_spectrum(spec)):
