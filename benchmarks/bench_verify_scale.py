@@ -1,0 +1,70 @@
+"""Verify a large unit-square spectrum in bounded memory.
+
+Runs the full suite, genuine checks and the negative control, at the
+default ``VerifyConfig`` on the Dirichlet unit square complete below
+lambda_max (default 1.3e7, n = 1,033,365 eigenvalues), then prints n, the
+genuine and control point counts, the seconds, the peak RSS and whether
+every check passed.
+
+Run:  python3 benchmarks/bench_verify_scale.py [--lambda-max 1e6]
+Exit status 1 if the suite does not pass or the peak RSS exceeds
+MAX_RSS_MB.
+"""
+
+import argparse
+import resource
+import sys
+import time
+
+from rieszbounds import spectra, verify
+
+MAX_RSS_MB = 1024
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _control_points(spec, cfg) -> int:
+    ctl_cfg = verify._control_config(cfg)
+    twin = verify.corrupt_spectrum(spec)
+    return sum(len(points) for _, _, points in verify._build_points(
+        twin, ctl_cfg, ctl_cfg.z_points))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--lambda-max", type=float, default=1.3e7,
+                    help="completeness threshold of the unit square")
+    args = ap.parse_args(argv)
+
+    t0 = time.perf_counter()
+    spec = spectra.box_spectrum([1.0, 1.0], args.lambda_max)
+    t_spec = time.perf_counter() - t0
+    cfg = verify.VerifyConfig()
+    t0 = time.perf_counter()
+    report = verify.run_suite({"square": spec}, cfg)
+    t_suite = time.perf_counter() - t0
+    rss = _peak_rss_mb()
+
+    genuine = sum(c.n_points for c in report.checks)
+    print(f"lambda_max      {args.lambda_max:g}")
+    print(f"n               {len(spec)}")
+    print(f"genuine points  {genuine}")
+    print(f"control points  {_control_points(spec, cfg)}")
+    print(f"spectrum s      {t_spec:.2f}")
+    print(f"suite s         {t_suite:.2f}")
+    print(f"peak RSS MB     {rss:.1f}")
+    print(f"all_passed      {report.all_passed}")
+    for c in report.checks:
+        if not c.passed:
+            print(f"FAILED {c.id}: margin {c.worst_margin!r} at {c.witness}")
+    if not report.negative_control_ok:
+        print(f"vacuous negative control: {report.controls}")
+    if rss > MAX_RSS_MB:
+        print(f"peak RSS {rss:.1f} MB exceeds {MAX_RSS_MB} MB")
+    return 0 if report.all_passed and rss <= MAX_RSS_MB else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -78,12 +78,22 @@ def ab_ratio(d: int, allow_large_d: bool = False) -> float:
 # ---------------------------------------------------------------------------
 # bounds on eigenvalue ratios and means
 
+def _ab_power(d, m, allow_large_d):
+    """ab_ratio(d)^m, or ValidityError once it leaves the float range."""
+    try:
+        return ab_ratio(d, allow_large_d) ** m
+    except OverflowError:
+        raise ValidityError(
+            f"ab94 power overflows: ab_ratio({d})^m exceeds the float "
+            f"range at m={m}") from None
+
+
 def ab94(d, m, allow_large_d=False):
     """lambda_{2^m}/lambda_1 <= (j_{d/2,1}^2/j_{d/2-1,1}^2)^m."""
     d = _check_dim(d, allow_large_d)
     if int(m) != m or m < 0:
         raise ValidityError(f"m must be a nonnegative integer, got {m}")
-    return ab_ratio(d, allow_large_d) ** m
+    return _ab_power(d, m, allow_large_d)
 
 
 def ab94_avg(d, k, allow_large_d=False):
@@ -92,7 +102,7 @@ def ab94_avg(d, k, allow_large_d=False):
     if k < 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     m = math.ceil(math.log2(k)) if k > 1 else 0
-    return ab_ratio(d, allow_large_d) ** m / (1 + 2 / d)
+    return _ab_power(d, m, allow_large_d) / (1 + 2 / d)
 
 
 def her1(d, k, allow_large_d=False):

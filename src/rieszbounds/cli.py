@@ -22,7 +22,11 @@ import sys
 import tempfile
 
 from . import bounds, riesz, spectra, specfun, verify
-from .errors import RieszBoundsError
+from .errors import ResourceLimitError, RieszBoundsError
+
+#: most Bessel zeros one ``bounds --bessel-zeros`` export may compute
+#: (orders times ``--zero-count``; 10^5 zeros take about 15 s)
+MAX_EXPORT_ZEROS = 10**5
 
 
 def _fmt(full_precision: bool):
@@ -171,6 +175,13 @@ def cmd_bounds(args) -> int:
         except ValueError as exc:
             raise RieszBoundsError(
                 f"bad --bessel-zeros {args.bessel_zeros!r}: {exc}") from None
+        if args.zero_count < 1:
+            raise RieszBoundsError(
+                f"--zero-count must be >= 1, got {args.zero_count}")
+        if len(orders) * args.zero_count > MAX_EXPORT_ZEROS:
+            raise ResourceLimitError(
+                f"--zero-count {args.zero_count} for {len(orders)} order(s) "
+                f"exceeds cap {MAX_EXPORT_ZEROS} zeros")
         rows = [[nu, p, specfun.bessel_zero(nu, p).value]
                 for nu in orders for p in range(1, args.zero_count + 1)]
         _emit_rows(args, ["nu", "p", "zero"], rows)

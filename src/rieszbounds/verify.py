@@ -14,10 +14,24 @@ Each margin costs O(1) apart from its Riesz sums: eigenvalue means and mean
 squares are read from the cached correctly rounded prefix arrays
 (:func:`~rieszbounds.riesz.eigensum_prefix`,
 :func:`~rieszbounds.riesz.square_prefix`).  While one spectrum is swept,
-R_sigma(z) values are memoized per (sigma, z), and the table is dropped when
-that spectrum's sweep ends.  The memo only hands back values that
-``riesz_value`` computed, so witness re-evaluation outside a sweep stays
-exact.
+R_sigma(z) values are memoized per (sigma, z), the eigenvalues and the two
+prefix arrays are read from Python-list copies, and all of it is dropped
+when that spectrum's sweep ends.  The memo only hands back values that
+``riesz_value`` computed and the lists hold the arrays' own floats, so
+witness re-evaluation outside a sweep stays exact.
+
+Points are streamed.  Each family's points form one lazy sequence: sized
+(its length is counted from the grids, not by building the points),
+re-iterable, and made one keyword dict at a time while the sweep calls the
+family's ``MARGINS`` entry on it.  What a sweep holds therefore does not
+grow with the number of points: the z grid, the per-parameter lists of z
+values that pass a family's threshold, the random Hoelder samples, and
+O(n) arrays and lists for the spectrum itself, where n is the number of
+eigenvalues.  The ~16 n points of the index families (eq224_ratio,
+yang_simplified, cor32_abhh, eq36_next, eq37_discrim) are never stored.
+The unit square below 1.3e7 (n = 1,033,365; 16.1 M genuine points and
+8.3 M control points) is verified by ``benchmarks/bench_verify_scale.py``
+with a peak RSS of about 250 MB.
 
 A corrupted-spectrum negative control is part of the standard suite: the
 suite is only green if the genuine checks pass *and* the corrupted twin
@@ -117,12 +131,38 @@ def _margin(big, small):
     return (big - small) / max(1.0, abs(big))
 
 
-def _mean(spec, j):
-    return eigensum_prefix(spec)[j - 1] / j
-
-
 #: per-spectrum {(sigma, z): R_sigma(z)} tables, alive while _sweep runs
 _riesz_memo: dict[Spectrum, dict] = {}
+
+#: per-spectrum {name: list} copies of the eigenvalues and of their prefix
+#: sums, alive while _sweep runs (a list index is cheaper than an array's)
+_list_memo: dict[Spectrum, dict] = {}
+
+
+def _listed(spec, name, array):
+    """``array(spec)``, or its list copy while the spectrum is swept.
+
+    The copy holds the same floats, so margins keep their bits either way.
+    """
+    table = _list_memo.get(spec)
+    if table is None:
+        return array(spec)
+    values = table.get(name)
+    if values is None:
+        values = table[name] = array(spec).tolist()
+    return values
+
+
+def _eigenvalues(spec):
+    return spec.eigenvalues
+
+
+def _eigenvalue(spec, k):
+    return float(_listed(spec, "ev", _eigenvalues)[k])
+
+
+def _mean(spec, j):
+    return _listed(spec, "sum", eigensum_prefix)[j - 1] / j
 
 
 def _riesz(spec, sigma, z):
@@ -244,12 +284,12 @@ def margin_cor29_counting(spec, j, z):
 def margin_eq224_ratio(spec, j, k):
     bound = (bounds.lambda_next_over_mean(spec.dimension, j, k)
              * _mean(spec, j))
-    return _margin(bound, float(spec.eigenvalues[k]))
+    return _margin(bound, _eigenvalue(spec, k))
 
 
 def margin_yang_simplified(spec, k):
     bound = (1 + 4 / spec.dimension) * _mean(spec, k)
-    return _margin(bound, float(spec.eigenvalues[k]))
+    return _margin(bound, _eigenvalue(spec, k))
 
 
 def margin_hoelder_chain(spec, form, z, sigma=None, sigma0=None,
@@ -284,13 +324,13 @@ def margin_cor32_abhh(spec, k):
 
 def margin_eq36_next(spec, k):
     bound = bounds.abhh_next(spec.dimension, k) * spec.lambda_1
-    return _margin(bound, float(spec.eigenvalues[k]))
+    return _margin(bound, _eigenvalue(spec, k))
 
 
 def margin_eq37_discrim(spec, k, form):
     if not 1 <= k <= len(spec):
         raise DomainError(f"k must be in 1..{len(spec)}, got {k}")
-    mean_sq = square_prefix(spec)[k - 1] / k
+    mean_sq = _listed(spec, "sq", square_prefix)[k - 1] / k
     lo, hi = bounds.mean_sq_envelope(spec.dimension, _mean(spec, k))
     if form == "lower":
         return _margin(mean_sq, lo)
@@ -362,6 +402,17 @@ def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
 # ---------------------------------------------------------------------------
 # grids
 
+def _nearest_gap(ev, zs):
+    """Distance from each z to its nearest eigenvalue, by one searchsorted."""
+    zs = np.asarray(zs, dtype=np.float64)
+    idx = np.searchsorted(ev, zs)
+    above = np.abs(ev[np.minimum(idx, len(ev) - 1)] - zs)
+    below = np.abs(zs - ev[np.maximum(idx - 1, 0)])
+    above[idx == len(ev)] = np.inf
+    below[idx == 0] = np.inf
+    return np.minimum(above, below)
+
+
 def z_grid(spec: Spectrum, cfg: VerifyConfig, n: int | None = None):
     """Logarithmic z grid in (lambda_1, z_hi], nudged off eigenvalues."""
     n = n or cfg.z_points
@@ -376,20 +427,13 @@ def z_grid(spec: Spectrum, cfg: VerifyConfig, n: int | None = None):
         raise ConfigError(f"z_max={z_hi} is not above lambda_1={lam1}")
     grid = np.geomspace(lam1 * (1 + 1e-6), z_hi, n)
     ev = spec.eigenvalues
-    out = []
-    for z in grid:
-        idx = np.searchsorted(ev, z)
-        near = []
-        if idx < len(ev):
-            near.append(abs(ev[idx] - z))
-        if idx > 0:
-            near.append(abs(z - ev[idx - 1]))
-        while near and min(near) < 1e-9 * z:
+    out = np.minimum(grid, spec.complete_below).tolist()
+    # the rare z within 1e-9 z of an eigenvalue is nudged up until clear
+    for i in np.flatnonzero(_nearest_gap(ev, grid) < 1e-9 * grid):
+        z = grid[i] * (1 + 2e-9)
+        while _nearest_gap(ev, [z])[0] < 1e-9 * z:
             z *= 1 + 2e-9
-            idx = np.searchsorted(ev, z)
-            near = [abs(ev[i] - z) for i in (idx - 1, idx)
-                    if 0 <= i < len(ev)]
-        out.append(float(min(z, spec.complete_below)))
+        out[i] = float(min(z, spec.complete_below))
     return out
 
 
@@ -404,11 +448,36 @@ def _index_list(n_max: int, count: int):
 # ---------------------------------------------------------------------------
 # check builders: lists of (check_id, grid description, points)
 
+class _Points:
+    """The points of one check family, made one keyword dict at a time.
+
+    ``rows`` is a zero-argument callable that returns a fresh iterable of
+    keyword-argument dicts, the same sequence on every call; ``length`` is
+    how many it yields.  Rows made by a generator exist one at a time.
+    """
+
+    __slots__ = ("_rows", "_length")
+
+    def __init__(self, rows, length: int):
+        self._rows = rows
+        self._length = length
+
+    def __len__(self):
+        return self._length
+
+    def __iter__(self):
+        return iter(self._rows())
+
+
+def _sigma_z(sigmas, zs):
+    return _Points(lambda: ({"sigma": s, "z": z} for s in sigmas for z in zs),
+                   len(sigmas) * len(zs))
+
+
 def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     d = spec.dimension
     lam1 = spec.lambda_1
     n = len(spec)
-    ev = spec.eigenvalues
     zs = z_grid(spec, cfg, n_z)
     s_le2 = [s for s in cfg.sigma_grid if 0 < s <= 2]
     s_ge2 = [s for s in cfg.sigma_grid if s >= 2]
@@ -416,23 +485,21 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     out = []
 
     out.append(("thm21_diff1", f"sigma in {s_le2}, {n_z} log z points",
-                [{"sigma": s, "z": z} for s in s_le2 for z in zs]))
+                _sigma_z(s_le2, zs)))
     out.append(("thm21_diff2", f"sigma in {s_ge2}, {n_z} log z points",
-                [{"sigma": s, "z": z} for s in s_ge2 for z in zs]))
+                _sigma_z(s_ge2, zs)))
+
+    # central differences: z whose step h stays clear of eigenvalues and
+    # below the completeness threshold
+    z_arr = np.array(zs)
+    clear = ((_nearest_gap(spec.eigenvalues, z_arr) > 10 * (1e-6 * z_arr))
+             & (z_arr + 1e-6 * z_arr <= spec.complete_below))
+    z_fd = [z for z, ok in zip(zs, clear.tolist()) if ok]
 
     def fd_points(sigmas):
-        pts = []
-        for s in sigmas:
-            for z in zs:
-                h = 1e-6 * z
-                idx = np.searchsorted(ev, z)
-                near = [abs(ev[i] - z) for i in (idx - 1, idx)
-                        if 0 <= i < len(ev)]
-                if near and min(near) <= 10 * h:
-                    continue
-                if z + h <= spec.complete_below:
-                    pts.append({"sigma": s, "z": z, "h": h})
-        return pts
+        return _Points(lambda: ({"sigma": s, "z": z, "h": 1e-6 * z}
+                                for s in sigmas for z in z_fd),
+                       len(sigmas) * len(z_fd))
 
     out.append(("thm21_deriv1", "sigma in {1.5, 2}, central differences",
                 fd_points([s for s in s_le2 if s >= 1.5])))
@@ -440,58 +507,71 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
                 fd_points([s for s in s_ge2 if s > 2])))
 
     pairs = list(zip(zs[:-1], zs[1:]))
+
+    def pair_points(sigmas):
+        return _Points(lambda: ({"sigma": s, "z1": z1, "z2": z2}
+                                for s in sigmas for z1, z2 in pairs),
+                       len(sigmas) * len(pairs))
+
     out.append(("thm21_mono1", f"sigma in {s_le2}, consecutive z pairs",
-                [{"sigma": s, "z1": z1, "z2": z2}
-                 for s in s_le2 for z1, z2 in pairs]))
+                pair_points(s_le2)))
     out.append(("thm21_mono2", f"sigma in {s_ge2}, consecutive z pairs",
-                [{"sigma": s, "z1": z1, "z2": z2}
-                 for s in s_ge2 for z1, z2 in pairs]))
+                pair_points(s_ge2)))
 
     if spec.volume is not None:
-        pts = []
-        for s in s_ge2:
-            thr = (1 + 2 * s / d) * lam1
-            for z in zs:
-                pts.append({"sigma": s, "z": z, "form": "upper"})
-                if z >= thr:
-                    pts.append({"sigma": s, "z": z, "form": "lower"})
+        thr23 = [(s, (1 + 2 * s / d) * lam1) for s in s_ge2]
+
+        def sandwich_rows():
+            for s, thr in thr23:
+                for z in zs:
+                    yield {"sigma": s, "z": z, "form": "upper"}
+                    if z >= thr:
+                        yield {"sigma": s, "z": z, "form": "lower"}
+
         out.append(("cor23_sandwich",
                     f"sigma in {s_ge2}, upper all z, lower above threshold",
-                    pts))
+                    _Points(sandwich_rows,
+                            sum(len(zs) + sum(z >= thr for z in zs)
+                                for _, thr in thr23))))
     out.append(("aizenman_lieb_ratio", f"sigma in {s_ge2}, {n_z} z points",
-                [{"sigma": s, "z": z} for s in s_ge2 for z in zs]))
+                _sigma_z(s_ge2, zs)))
 
-    pts = []
+    lower26 = []
     for s in [x for x in cfg.sigma_grid if x < 2] + [0.0]:
         thr = (1 + (2 * s + 2) / d) * lam1 if s >= 1 \
             else (1 + (2 * s + 4) / d) * lam1
-        pts.extend({"sigma": s, "z": z, "form": "direct"}
-                   for z in zs if z >= thr)
+        lower26.append((s, "direct", [z for z in zs if z >= thr]))
     chain_thr = (1 + 4 / d) * lam1
-    pts.extend({"sigma": 1.0, "z": z, "form": "chain"}
-               for z in zs if z >= chain_thr)
+    lower26.append((1.0, "chain", [z for z in zs if z >= chain_thr]))
     out.append(("cor26_lower", "sigma < 2 incl. counting form, z above "
-                "regime thresholds", pts))
+                "regime thresholds",
+                _Points(lambda: ({"sigma": s, "z": z, "form": form}
+                                 for s, form, above in lower26
+                                 for z in above),
+                        sum(len(above) for _, _, above in lower26))))
 
     out.append(("eq213_lower", "sigma >= 1 grid, all z",
-                [{"sigma": s, "z": z}
-                 for s in cfg.sigma_grid if s >= 1 for z in zs]))
+                _sigma_z([s for s in cfg.sigma_grid if s >= 1], zs)))
 
     j_list = _index_list(n, cfg.j_count)
-    pts29 = [{"j": j, "z": z} for j in j_list for z in zs
-             if z >= (1 + 4 / d) * _mean(spec, j)]
-    out.append(("cor29_r2", f"j in {j_list}, z above (1+4/d) mean_j", pts29))
-    out.append(("cor29_r1", f"j in {j_list}, z above (1+4/d) mean_j",
-                list(pts29)))
-    out.append(("cor29_counting", f"j in {j_list}, z above (1+4/d) mean_j",
-                list(pts29)))
+    z29 = [(j, [z for z in zs if z >= (1 + 4 / d) * _mean(spec, j)])
+           for j in j_list]
+    pts29 = _Points(lambda: ({"j": j, "z": z} for j, above in z29
+                             for z in above),
+                    sum(len(above) for _, above in z29))
+    for check_id in ("cor29_r2", "cor29_r1", "cor29_counting"):
+        out.append((check_id, f"j in {j_list}, z above (1+4/d) mean_j",
+                    pts29))
 
     out.append(("eq224_ratio", f"j in {j_list}, all k in j..{n-1}",
-                [{"j": j, "k": k} for j in j_list
-                 for k in range(j, n)]))
+                _Points(lambda: ({"j": j, "k": k} for j in j_list
+                                 for k in range(j, n)),
+                        sum(max(0, n - j) for j in j_list))))
     out.append(("yang_simplified", f"all k in 1..{n-1}",
-                [{"k": k} for k in range(1, n)]))
+                _Points(lambda: ({"k": k} for k in range(1, n)),
+                        max(0, n - 1))))
 
+    # the random draws are made once, so every pass sees the same samples
     hoelder = []
     for _ in range(cfg.hoelder_samples):
         s0 = float(rng.uniform(0.0, 2.0))
@@ -507,36 +587,44 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         hoelder.extend({"form": "counting2", "sigma": s, "z": z}
                        for z in zs[::5])
     out.append(("hoelder_chain", "random sigma triples + counting forms",
-                hoelder))
+                _Points(lambda: hoelder, len(hoelder))))
 
     k_list = _index_list(n, cfg.k_count)
-    pts31 = [{"j": j, "k": k} for j in j_list for k in k_list
-             if k >= j * (1 + d / 2) / (1 + d / 4)]
+    k31 = [(j, [k for k in k_list if k >= j * (1 + d / 2) / (1 + d / 4)])
+           for j in j_list]
     out.append(("cor31_mean_ratio", "(j, k) pairs above validity threshold",
-                pts31))
+                _Points(lambda: ({"j": j, "k": k} for j, ks in k31
+                                 for k in ks),
+                        sum(len(ks) for _, ks in k31))))
 
     thresh = (d + 1) * (1 + d / 2) / (1 + d / 4)
     k_min = int(math.ceil(thresh))
     out.append(("cor32_abhh", f"k in {k_min}..{n}",
-                [{"k": k} for k in range(k_min, n + 1)]))
+                _Points(lambda: ({"k": k} for k in range(k_min, n + 1)),
+                        max(0, n + 1 - k_min))))
     out.append(("eq36_next", f"k in {k_min}..{n-1}",
-                [{"k": k} for k in range(k_min, n)]))
+                _Points(lambda: ({"k": k} for k in range(k_min, n)),
+                        max(0, n - k_min))))
 
     out.append(("eq37_discrim", "all k, both envelope sides",
-                [{"k": k, "form": f} for k in range(1, n + 1)
-                 for f in ("lower", "upper")]))
+                _Points(lambda: ({"k": k, "form": f}
+                                 for k in range(1, n + 1)
+                                 for f in ("lower", "upper")),
+                        2 * n)))
 
-    mk = _index_list(n, cfg.moment_k_count)
+    mk = [k for k in _index_list(n, cfg.moment_k_count) if k >= 2]
     orders = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]
+    order_pairs = list(zip(orders[:-1], orders[1:]))
     out.append(("moment_ordering", "consecutive power-mean orders",
-                [{"k": k, "s_lo": lo, "s_hi": hi}
-                 for k in mk for lo, hi in zip(orders[:-1], orders[1:])
-                 if k >= 2]))
+                _Points(lambda: ({"k": k, "s_lo": lo, "s_hi": hi}
+                                 for k in mk for lo, hi in order_pairs),
+                        len(mk) * len(order_pairs))))
     triples = [(0.25, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 2.0),
                (0.5, 1.5, 2.0)]
     out.append(("moment_interpolation", "sampled (mu, sigma, tau) triples",
-                [{"k": k, "mu": a, "sigma": b, "tau": c}
-                 for k in mk for a, b, c in triples if k >= 2]))
+                _Points(lambda: ({"k": k, "mu": a, "sigma": b, "tau": c}
+                                 for k in mk for a, b, c in triples),
+                        len(mk) * len(triples))))
     return out
 
 
@@ -548,6 +636,7 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
     """
     results = {}
     _riesz_memo[spec] = {}
+    _list_memo[spec] = {}
     try:
         for check_id, grid, points in _build_points(spec, cfg, n_z):
             if ids is not None and check_id not in ids:
@@ -564,6 +653,7 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
             results[check_id] = (grid, len(points), worst, witness)
     finally:
         _riesz_memo.pop(spec, None)
+        _list_memo.pop(spec, None)
     return results
 
 
@@ -617,6 +707,13 @@ def sweep(specs: dict[str, Spectrum], cfg: VerifyConfig,
     return checks
 
 
+def _control_config(cfg: VerifyConfig) -> VerifyConfig:
+    """The smaller grid the negative control is swept on."""
+    return replace(
+        cfg, z_points=cfg.control_z_points, j_count=cfg.control_j_count,
+        k_count=cfg.control_j_count, hoelder_samples=10, moment_k_count=3)
+
+
 def run_suite(specs: dict[str, Spectrum],
               config: VerifyConfig | None = None) -> VerificationReport:
     """Aggregate all checks over all spectra, plus the negative control."""
@@ -639,11 +736,8 @@ def run_suite(specs: dict[str, Spectrum],
     checks = sweep(specs, cfg)
 
     controls = []
+    ctl_cfg = _control_config(cfg)
     for label, spec in specs.items():
-        ctl_cfg = replace(
-            cfg, z_points=cfg.control_z_points, j_count=cfg.control_j_count,
-            k_count=cfg.control_j_count, hoelder_samples=10,
-            moment_k_count=3)
         twin = corrupt_spectrum(spec)
         res = _sweep(f"control:{label}", twin, ctl_cfg, ctl_cfg.z_points)
         n_failed = sum(1 for _, npts, worst, _ in res.values()

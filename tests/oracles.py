@@ -2,7 +2,8 @@
 against.  None of them is used by the library itself."""
 
 import math
-from fractions import Fraction
+
+import numpy as np
 
 from rieszbounds.errors import DomainError
 from rieszbounds.riesz import eigensum_prefix, riesz_value
@@ -26,16 +27,31 @@ def riesz_derivative_check(spec, sigma: float, z: float,
     return fd, rhs
 
 
+def _on_binary_scale(values):
+    """Integers N_i and one exponent q <= 0 with values[i] == N_i * 2**q.
+
+    Every finite float is an integer mantissa times a power of two, so
+    shifting each mantissa up to the smallest exponent is exact.
+    """
+    mant, exp = np.frexp(np.asarray(values, dtype=np.float64))
+    ints = (mant * 2.0 ** 53).astype(np.int64).tolist()
+    exps = (exp - 53).tolist()
+    q = min(min(exps), 0)
+    return [m << (e - q) for m, e in zip(ints, exps)], q
+
+
 def legendre_numeric(spec, w: float) -> float:
     """Breakpoint-scan oracle for the Legendre transform of R_1.
 
     The objective w z - R_1(z) is piecewise linear and concave in z, so its
     supremum is attained at a breakpoint z = lambda_{k+1}.  The scan
     maximizes the breakpoint objective (w - k) lambda_{k+1} + sum_{l<=k}
-    lambda_l over all k in exact rational arithmetic, instead of trusting
-    the closed-form index [w].  The winning objective is then rendered in
-    floating point by the shared breakpoint expression, so equal-valued tie
-    indices (repeated eigenvalues) cannot introduce rounding differences.
+    lambda_l over all k in exact arithmetic, instead of trusting the
+    closed-form index [w]: w, k and the eigenvalues are integers on one
+    binary scale 2**q, so each objective is an exact integer times
+    2**(2q).  The winning objective is then rendered in floating point by
+    the shared breakpoint expression, so equal-valued tie indices (repeated
+    eigenvalues) cannot introduce rounding differences.
     """
     if w <= 0:
         raise DomainError(f"w must be positive, got {w}")
@@ -44,12 +60,15 @@ def legendre_numeric(spec, w: float) -> float:
     if m + 1 > len(ev):
         raise DomainError(
             f"w={w} needs eigenvalue {m+1}, spectrum has {len(ev)}")
-    w_exact = Fraction(w)
-    partial = Fraction(0)
+    ints, q = _on_binary_scale(np.append(ev, w))
+    w_int = ints.pop()
+    unit = 1 << -q  # k == k * unit * 2**q
+    partial = 0
     best = None
     best_ks: list[int] = []
-    for k in range(len(ev)):
-        obj = (w_exact - k) * Fraction(float(ev[k])) + partial
+    for k, lam in enumerate(ints):
+        # (w - k) lambda_{k+1} + sum_{l<=k} lambda_l, times 2**(-2q)
+        obj = (w_int - k * unit) * lam + partial * unit
         if best is None or obj > best:
             best = obj
             best_ks = [k]
@@ -57,7 +76,7 @@ def legendre_numeric(spec, w: float) -> float:
             best_ks.append(k)
         elif k > w:
             break  # objective is nonincreasing in k past [w]
-        partial += Fraction(float(ev[k]))
+        partial += lam
     # the closed-form index is canonical when it attains the exact maximum
     k = m if m in best_ks else best_ks[0]
     prefix = eigensum_prefix(spec)

@@ -128,6 +128,15 @@ class TestValidityGates:
         with pytest.raises(ValidityError):
             bounds.lambda_next_over_mean(2, 5, 3)
 
+    def test_ab94_power_leaving_float_range(self):
+        # ab_ratio(3) ~ 2.05, so ab_ratio(3)^m overflows between m = 900
+        # and m = 1000; k = 2^999 needs m = 999
+        assert math.isfinite(bounds.ab94(3, 900))
+        with pytest.raises(ValidityError, match="m=1000"):
+            bounds.ab94(3, 1000)
+        with pytest.raises(ValidityError):
+            bounds.ab94_avg(3, 2.0 ** 999)
+
 
 class TestCatalog:
     def test_census(self):

@@ -190,6 +190,25 @@ class TestBoundsCommand:
         first = float(lines[1].split(",")[2])
         assert first == pytest.approx(2.404825557695773, abs=1e-10)
 
+    @pytest.mark.parametrize("orders, count, reason", [
+        ("0", cli.MAX_EXPORT_ZEROS + 1, "exceeds cap"),
+        ("0,1", cli.MAX_EXPORT_ZEROS // 2 + 1, "exceeds cap"),
+        ("0", 0, "must be >= 1"),
+        ("0", -5, "must be >= 1"),
+    ])
+    def test_zero_count_fails_before_any_zero(self, capsys, monkeypatch,
+                                              orders, count, reason):
+        def no_zero(*args):
+            raise AssertionError("a zero was computed")
+
+        monkeypatch.setattr(cli.specfun, "bessel_zero", no_zero)
+        code, out, err = run_cli(capsys, "bounds", "--bessel-zeros", orders,
+                                 "--zero-count", str(count))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --zero-count")
+        assert reason in err
+
 
 class TestBadInput:
     """Non-finite or malformed input exits 2 with an error that names the
@@ -213,6 +232,11 @@ class TestBadInput:
         (("bounds", "--bessel-zeros", "nan"), "nu"),
         (("bounds", "--bessel-zeros", "inf"), "nu"),
         (("bounds", "--bessel-zeros", "1,a"), "--bessel-zeros"),
+        (("figure", "fig3", "--m-max", "1000"), "m="),
+        (("bounds", "--bessel-zeros", "0", "--zero-count", "100000000"),
+         "--zero-count"),
+        (("bounds", "--bessel-zeros", "0", "--zero-count", "0"),
+         "--zero-count"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

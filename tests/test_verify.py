@@ -2,7 +2,9 @@
 reproducibility, negative controls, and configuration errors."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rieszbounds import bounds, riesz, spectra, verify
@@ -50,7 +52,7 @@ class TestSuite:
         for c in report.checks:
             label = c.witness["spectrum"]
             margin = verify.reevaluate(small_specs[label], c.id, c.witness)
-            assert margin == pytest.approx(c.worst_margin, abs=1e-12)
+            assert margin == c.worst_margin, c.id
 
     def test_negative_control_detects_corruption(self, report):
         assert report.negative_control_ok
@@ -79,6 +81,7 @@ class TestRieszMemo:
         verify._sweep("disk", spec, SMALL, 10, ids={"thm21_diff1"})
         assert tables and tables[-1]
         assert spec not in verify._riesz_memo
+        assert spec not in verify._list_memo
 
     def test_sweep_drops_its_table_on_error(self, small_specs, monkeypatch):
         spec = small_specs["square"]
@@ -90,6 +93,7 @@ class TestRieszMemo:
         with pytest.raises(RuntimeError):
             verify._sweep("square", spec, SMALL, 10)
         assert spec not in verify._riesz_memo
+        assert spec not in verify._list_memo
 
     def test_memo_counts_only_misses(self, small_specs, monkeypatch):
         spec = small_specs["square"]
@@ -121,6 +125,34 @@ class TestRieszMemo:
         result = verify._sweep("disk", spec, SMALL, SMALL.z_points,
                                ids={"cor29_counting", "hoelder_chain"})
         assert set(result) == {"cor29_counting", "hoelder_chain"}
+
+
+class TestStreamedPoints:
+    """Families are lazy sequences: sized, re-iterable, never materialised."""
+
+    def test_len_matches_iteration_and_passes_repeat(self, small_specs):
+        for spec in small_specs.values():
+            for twin in (spec, verify.corrupt_spectrum(spec)):
+                families = verify._build_points(twin, SMALL, SMALL.z_points)
+                assert {f[0] for f in families} == set(verify.MARGINS)
+                for check_id, _, points in families:
+                    first = [list(p.items()) for p in points]
+                    assert len(first) == len(points), check_id
+                    assert [list(p.items()) for p in points] == first, \
+                        check_id
+
+    def test_sweep_memory_is_bounded(self):
+        # 7,861 eigenvalues and 63,785 points; one dict per point held at
+        # once would peak above 10 MB
+        spec = spectra.box_spectrum([1.0, 1.0], 1e5)
+        tracemalloc.start()
+        try:
+            results = verify._sweep("square", spec, SMALL, SMALL.z_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(r[1] for r in results.values()) == 63_785
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCorruption:
@@ -166,6 +198,32 @@ class TestConfig:
             assert spec.lambda_1 < z <= spec.complete_below
             gap = min(abs(z - ev) for ev in spec.eigenvalues)
             assert gap >= 1e-10 * z
+
+    def test_z_grid_nudges_off_eigenvalues_on_the_grid(self, small_specs):
+        # eigenvalues placed on the raw log grid force the nudge loop; the
+        # result must equal the per-z scalar search
+        spec = small_specs["square"]
+        raw = np.geomspace(spec.lambda_1 * (1 + 1e-6),
+                           SMALL.z_max_frac * spec.complete_below,
+                           SMALL.z_points)
+        ev = np.sort(np.concatenate(
+            [spec.eigenvalues, raw[3:20:2], raw[5:6] * (1 + 3e-9)]))
+        onto = spectra.Spectrum(dimension=2, eigenvalues=ev,
+                                complete_below=spec.complete_below,
+                                domain=spectra.DomainSpec("file", 2))
+
+        def gap(z):
+            return float(np.min(np.abs(ev - z)))
+
+        expected = []
+        for z in raw:
+            while gap(z) < 1e-9 * z:
+                z *= 1 + 2e-9
+            expected.append(float(min(z, onto.complete_below)))
+        zs = verify.z_grid(onto, SMALL)
+        assert zs == expected
+        assert zs != raw.tolist()
+        assert all(gap(z) >= 1e-9 * z for z in zs)
 
     def test_control_grid_respects_z_max(self, small_specs, monkeypatch):
         z_max = 300.0
