@@ -11,9 +11,16 @@ returns.
   exactly in uint64 blocks read straight from the float bits, and the total
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
   input, and a zero result, go to ``math.fsum`` itself.
-- ``prefix_sums`` keeps the running sum of positive terms as a Python
-  integer at a common binary scale, so each prefix is rounded only once, on
-  conversion back to float.  Other input takes a Shewchuk partials loop.
+- ``prefix_sums`` keeps the running sum of positive normal terms exactly,
+  at the binary scale of the smallest term, and rounds each prefix once.
+  When the terms' exponents span at most ``_LIMB - bit_length(n)`` binades
+  (the eigenvalues of a spectrum with n near 10**6, not their squares),
+  the running sum is two uint64 limbs split at bit ``_LIMB``, added by
+  ``np.cumsum`` a chunk at a time; a wider span keeps it as a Python
+  integer, one addition per term.  Non-positive, subnormal, non-finite or
+  near-overflow input takes a Shewchuk partials loop.
+- ``riesz_sum`` and ``power_sum`` build their terms with ``np.power``'s
+  own shortcuts for the exponents 1/2, 1 and 2 (see ``riesz_sum``).
 """
 
 import math
@@ -36,6 +43,12 @@ _EMIN = -1021
 _RUN_BLOCK = 1 << 11
 #: sign and exponent bits of a float64
 _SIGN_EXP = np.uint64(0xFFF << 52)
+#: fraction bits of a float64, and the implicit bit of a normal one
+_FRACTION = np.uint64((1 << 52) - 1)
+_HIDDEN = np.uint64(1 << 52)
+#: split bit of the two-limb prefix path: a chunk of low limbs below
+#: 2**_LIMB, plus a carried one, sums below (_CHUNK + 1) * 2**_LIMB < 2**64
+_LIMB = 64 - _CHUNK.bit_length()
 #: spacing of the terms sampled to find the stretches that hold a run
 #: start, and the offsets of the terms of one stretch, both ends included
 _MARK = 1 << 8
@@ -133,12 +146,33 @@ def exact_sum(terms):
     return math.fsum(terms.tolist())
 
 
+def _powers(t, p, out=None):
+    """``np.power(t, p)`` for a scalar ``p``, bit for bit, into ``out``
+    (None or ``t``); at ``p == 1`` the result is ``t`` itself."""
+    if p == 1.0:
+        return t
+    if p == 0.5:
+        return np.sqrt(t, out=out)
+    if p == 2.0:
+        return np.multiply(t, t, out=out)
+    return np.power(t, p, out=out)
+
+
 def riesz_sum(lams, sigma, z):
     """Sum of (z - lam)**sigma over eigenvalues strictly below z.
 
     ``lams`` must be sorted ascending.  For ``sigma == 0`` the value is the
     strict counting function.  Negative ``sigma`` is permitted as long as no
     eigenvalue equals ``z``.  Returns ``(value, count)``.
+
+    The terms are ``np.power(z - lams, sigma)`` with a scalar exponent,
+    bit for bit, but at sigma = 1/2, 1 and 2 they are built without the
+    generic pow loop: ``np.sqrt``, no pass, and ``t * t``.  These are the
+    shortcuts that ``np.power`` itself takes for a scalar exponent of 1/2,
+    1 and 2, so the arithmetic is the same (``tests/test_kernels.py`` pins
+    the equality, on the terms where libm ``pow(x, 0.5)`` and ``sqrt(x)``
+    differ too).  Libm ``pow`` and ``np.power`` with an array exponent are
+    other functions and can differ from both in the last bit.
     """
     idx = bisect_left(lams, z)
     if sigma == 0.0:
@@ -146,16 +180,13 @@ def riesz_sum(lams, sigma, z):
     if idx == 0:
         return 0.0, 0
     terms = z - np.asarray(lams[:idx], dtype=float)
-    np.power(terms, sigma, out=terms)
-    return exact_sum(terms), idx
+    return exact_sum(_powers(terms, sigma, out=terms)), idx
 
 
 def power_sum(lams, k, p):
-    """Exact sum of lams[i]**p for i < k."""
-    head = np.asarray(lams[:k], dtype=float)
-    if p == 1.0:
-        return exact_sum(head)
-    return exact_sum(np.power(head, p))
+    """Exact sum of lams[i]**p for i < k, with the terms of ``riesz_sum``'s
+    ``np.power``."""
+    return exact_sum(_powers(np.asarray(lams[:k], dtype=float), p))
 
 
 def prefix_sums(lams):
@@ -163,9 +194,17 @@ def prefix_sums(lams):
 
     ``out[i]`` equals ``math.fsum(lams[:i+1])`` exactly.  For positive
     normal terms whose binary exponents span few enough bits that no prefix
-    overflows, each term is an integer multiple of 2**qmin, the running
-    sums are exact Python integers, and ``float(int)`` rounds each one
-    correctly.  Anything else takes the Shewchuk loop.
+    overflows, each term is an integer multiple of 2**qmin (qmin = e_lo - 53
+    for the smallest term's frexp exponent e_lo), the running sums are
+    exact integers, and each is rounded once on conversion back to float:
+
+    - If the exponents span at most ``_LIMB - bit_length(n)`` binades, every
+      prefix is below 2**(53 + _LIMB) units, and ``_limb_prefix_sums`` keeps
+      it in two uint64 limbs with ``np.cumsum``.
+    - Otherwise the running sums are Python integers (``_int_prefix_sums``).
+
+    Non-positive, subnormal or non-finite terms, or a span or size at which
+    a prefix could overflow, take the Shewchuk loop.
     """
     x = np.asarray(lams, dtype=np.float64)
     n = len(x)
@@ -176,10 +215,64 @@ def prefix_sums(lams):
         return _shewchuk_prefix_sums(x)
     e_lo = math.frexp(smallest)[1]
     e_hi = math.frexp(largest)[1]
-    bits = n.bit_length()
-    # prefix < 2**(e_hi + bits): finite, and below 2**1024 in units 2**qmin
-    if e_lo < _EMIN or e_hi + bits > 1023 or e_hi - e_lo + 53 + bits > 1023:
+    width = n.bit_length()
+    # prefix < 2**(e_hi + width): finite, and below 2**1024 in units 2**qmin
+    if (e_lo < _EMIN or e_hi + width > 1023
+            or e_hi - e_lo + 53 + width > 1023):
         return _shewchuk_prefix_sums(x)
+    if e_hi - e_lo + width <= _LIMB:
+        return _limb_prefix_sums(x, e_lo)
+    return _int_prefix_sums(x, e_lo)
+
+
+def _limb_prefix_sums(x, e_lo):
+    """Prefix sums of positive normal ``x`` whose frexp exponents lie in
+    [e_lo, e_lo + _LIMB - bit_length(n)], one rounding each.
+
+    With the biased exponent E of a term and E_lo = e_lo + 1022, the term is
+    M * 2**s units of 2**qmin, where M < 2**53 is its integer mantissa and
+    s = E - E_lo.  It is split at bit ``_LIMB`` into a high limb
+    M >> (_LIMB - s) and a low limb (M << s) mod 2**_LIMB, and each limb is
+    summed by ``np.cumsum``, with the normalised (high, low) pair of the
+    last prefix carried into the next chunk.  A prefix is below
+    n * 2**(53 + E_hi - E_lo) <= 2**(53 + _LIMB), so after the low limb's
+    carry moves into the high limb both limbs are below 2**53, and
+    high * 2**_LIMB + low is one IEEE addition of two exact floats:
+    correctly rounded.  Scaling by 2**qmin is exact, as every prefix is at
+    least the smallest term, a normal float.
+    """
+    n = len(x)
+    out = np.empty(n)
+    mask = np.uint64((1 << _LIMB) - 1)
+    limb = np.uint64(_LIMB)
+    top = 2.0 ** _LIMB
+    unit = math.ldexp(1.0, e_lo - 53)
+    biased = np.uint64(e_lo + 1022)
+    high = low = np.uint64(0)
+    for start in range(0, n, _CHUNK):
+        bits = x[start:start + _CHUNK].view(np.uint64)
+        shifts = (bits >> np.uint64(52)) - biased
+        mant = (bits & _FRACTION) | _HIDDEN
+        hi = mant >> (limb - shifts)
+        lo = (mant << shifts) & mask
+        hi[0] += high
+        lo[0] += low
+        np.cumsum(hi, out=hi)
+        np.cumsum(lo, out=lo)
+        hi += lo >> limb
+        lo &= mask
+        high, low = hi[-1], lo[-1]
+        part = out[start:start + len(hi)]
+        np.multiply(hi, top, out=part)
+        part += lo
+        part *= unit
+    return out
+
+
+def _int_prefix_sums(x, e_lo):
+    """Prefix sums of positive normal ``x`` as Python integers in units of
+    2**qmin, rounded once each by ``float``."""
+    n = len(x)
     qmin = e_lo - 53
     out = np.empty(n)
     carry = 0

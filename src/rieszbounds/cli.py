@@ -34,19 +34,31 @@ def _fmt(full_precision: bool):
     return lambda x: digits.format(x)
 
 
+def _write_error(output: str, exc: OSError) -> RieszBoundsError:
+    return RieszBoundsError(
+        f"cannot write {output}: {exc.strerror or exc}")
+
+
 @contextlib.contextmanager
 def _output_file(output: str | None):
     """Stdout, or a temporary file that replaces the output path only once
-    everything has been written to it."""
+    everything has been written to it; RieszBoundsError names an output
+    path that cannot be created or replaced."""
     if output is None:
         yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszbounds-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rieszbounds-")
+    except OSError as exc:
+        raise _write_error(output, exc) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        os.replace(tmp, output)
+        try:
+            os.replace(tmp, output)
+        except OSError as exc:
+            raise _write_error(output, exc) from exc
     except BaseException:
         os.unlink(tmp)
         raise

@@ -272,29 +272,56 @@ def _parse_lines(path: str, lines, lineno: int, header: dict) -> list[float]:
     return values
 
 
+def _is_number(line: str) -> bool:
+    try:
+        float(line)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_block(path: str, lines, lineno: int, header: dict) -> np.ndarray:
+    """Values of a block of ``lines``, the first of which is line
+    ``lineno``; header lines are stored in ``header``.
+
+    ``float`` takes a line exactly when the line parser reads it as one
+    value, and rejects any line that holds a header, a ``#`` comment, only
+    blanks or a bad value.  The leading lines up to the first number (the
+    headers at the top of a file) go through the line parser, and the rest
+    is converted by one pass of ``float``, or by the line parser if that
+    fails.
+    """
+    head = next((i for i, line in enumerate(lines) if _is_number(line)),
+                len(lines))
+    values = _parse_lines(path, lines[:head], lineno, header)
+    rest = lines[head:]
+    try:
+        tail = np.fromiter(map(float, rest), np.float64, len(rest))
+    except ValueError:
+        tail = _parse_lines(path, rest, lineno + head, header)
+    return np.concatenate((values, tail))
+
+
 def load_spectrum(path: str) -> Spectrum:
     """Parse a spectrum file; validation errors name the first violation.
 
-    The file is read in blocks of lines, and each block is first converted
-    by one pass of ``float`` over its lines.  ``float`` rejects any line
-    that holds a header, a ``#`` comment, only blanks or a bad value, and a
-    block with such a line goes through the line parser instead.  Either
-    way the file means what the line parser reads, and a format error
-    names its ``path:line``.
+    The file is read in blocks of lines, each converted by
+    ``_parse_block``: in bulk where its lines are bare numbers, by the line
+    parser elsewhere.  Either way the file means what the line parser
+    reads, and a format error names its ``path:line``.  A file that cannot
+    be opened or decoded raises SpectrumFormatError naming the path.
     """
     header: dict = {}
     parts = []
-    with open(path) as fh:
-        lineno = 1
-        while lines := list(islice(fh, _LOAD_BLOCK)):
-            try:
-                values = np.fromiter(map(float, lines), np.float64,
-                                     len(lines))
-            except ValueError:
-                values = np.array(_parse_lines(path, lines, lineno, header),
-                                  dtype=np.float64)
-            parts.append(values)
-            lineno += len(lines)
+    try:
+        with open(path) as fh:
+            lineno = 1
+            while lines := list(islice(fh, _LOAD_BLOCK)):
+                parts.append(_parse_block(path, lines, lineno, header))
+                lineno += len(lines)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpectrumFormatError(f"{path}: cannot read: {reason}") from exc
     if "dim" not in header:
         raise SpectrumFormatError(f"{path}: missing 'dim' header")
     if "complete_below" not in header:

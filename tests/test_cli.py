@@ -292,3 +292,40 @@ class TestSpectrumText:
         assert out == ref.read_text()
         assert not [f for f in os.listdir(tmp_path)
                     if f.startswith(".rieszbounds-")]
+
+
+class TestIOErrors:
+    """A spectrum file that cannot be read, or an output path that cannot
+    be written, exits 2 with an error that names the path."""
+
+    def _exit_2(self, capsys, path, *argv):
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert str(path) in err
+
+    def test_load_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        self._exit_2(capsys, path, "--load", str(path))
+
+    def test_load_directory(self, capsys, tmp_path):
+        self._exit_2(capsys, tmp_path, "--load", str(tmp_path))
+
+    def test_load_undecodable_byte(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"dim: 2\ncomplete_below: 10\n1.0\n\xff\n")
+        self._exit_2(capsys, path, "--load", str(path))
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "dir.txt"
+        self._exit_2(capsys, path, "--box", "1", "1", "--lambda-max", "100",
+                     "--output", str(path))
+
+    def test_output_onto_a_directory(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "keep").write_text("")
+        self._exit_2(capsys, target, "--box", "1", "1", "--lambda-max", "100",
+                     "--output", str(target))
+        assert sorted(os.listdir(tmp_path)) == ["taken"]

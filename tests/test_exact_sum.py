@@ -93,6 +93,33 @@ class TestExactSum:
             _assert_same(np.power(1.3e7 - lams, sigma))
 
 
+LIMB = pykernels._LIMB
+
+
+@pytest.fixture
+def prefix_path(monkeypatch):
+    """Names of the exact prefix paths that ``prefix_sums`` takes."""
+    taken = []
+    for name in ("_limb_prefix_sums", "_int_prefix_sums"):
+        def spy(x, e_lo, _fn=getattr(pykernels, name), _name=name):
+            taken.append(_name)
+            return _fn(x, e_lo)
+        monkeypatch.setattr(pykernels, name, spy)
+    return taken
+
+
+def _assert_prefix_exact(terms):
+    """``prefix_sums`` against the Shewchuk loop bit for bit, and against
+    ``math.fsum`` at sampled prefixes."""
+    fast = pykernels.prefix_sums(terms)
+    ref = pykernels._shewchuk_prefix_sums(terms)
+    assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
+    n = len(terms)
+    picks = np.random.default_rng(n).integers(0, n, 4).tolist()
+    for i in {0, n // 2, n - 1, *picks}:
+        assert fast[i] == math.fsum(terms[:i + 1].tolist())
+
+
 class TestPrefixSums:
     def test_longer_than_two_chunks_matches_shewchuk(self):
         rng = np.random.default_rng(11)
@@ -122,6 +149,46 @@ class TestPrefixSums:
 
     def test_empty(self):
         assert len(pykernels.prefix_sums(np.empty(0))) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   3 * CHUNK + 7])
+    def test_unsorted_eigenvalue_like_terms(self, n, prefix_path):
+        # the two-limb path: positive normal terms whose exponents span at
+        # most _LIMB - bit_length(n) binades, in any order
+        terms = np.random.default_rng(n).uniform(19.7, 1.3e7, n)
+        _assert_prefix_exact(terms)
+        assert prefix_path == ["_limb_prefix_sums"]
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_span_at_the_limit_and_one_binade_past(self, past, prefix_path):
+        # n = 2**17 - 1 terms, nearly all of the largest mantissa in the top
+        # binade, so the high limb of the last prefixes comes close to 2**53
+        n = 2 * CHUNK - 1
+        span = LIMB - n.bit_length() + past
+        rng = np.random.default_rng(past)
+        top = np.nextafter(2.0 ** (span + 1), 0.0)
+        terms = np.full(n, top)
+        terms[0] = 1.0
+        middle = rng.integers(1, n, 1000)
+        terms[middle] = np.ldexp(rng.uniform(0.5, 1.0, 1000),
+                                 rng.integers(1, span + 2, 1000))
+        assert math.frexp(terms.max())[1] - math.frexp(terms.min())[1] \
+            == span
+        _assert_prefix_exact(terms)
+        assert prefix_path == [["_limb_prefix_sums", "_int_prefix_sums"][past]]
+
+    @pytest.mark.parametrize("n", [CHUNK + 1, 3 * CHUNK + 7])
+    def test_one_exponent_and_largest_mantissas(self, n, prefix_path):
+        # a term of the largest mantissa, 2**53 - 1, has the low limb
+        # 2**_LIMB - 1, so the low limb carries into the high one at every
+        # second prefix of such terms
+        largest = np.nextafter(2.0 ** 11, 0.0)
+        rng = np.random.default_rng(n)
+        one_exponent = rng.uniform(2.0 ** 10, 2.0 ** 11, n)
+        for terms in (np.full(n, largest), one_exponent,
+                      np.where(rng.random(n) < 0.5, largest, one_exponent)):
+            _assert_prefix_exact(terms)
+        assert prefix_path == ["_limb_prefix_sums"] * 3
 
 
 RUN_BLOCK = pykernels._RUN_BLOCK

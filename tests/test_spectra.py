@@ -270,6 +270,29 @@ class TestBlockParsing:
         assert loaded.volume == 2.5
         assert np.array_equal(loaded.eigenvalues, self._values())
 
+    def test_headers_before_and_inside_the_first_block(self, tmp_path):
+        # the leading header lines are parsed one by one and the rest of the
+        # block in bulk; a repeated header keeps its last value
+        lines = self._lines()
+        lines.insert(1_000, "complete_below: 1e6  # again")
+        path = tmp_path / "headers.txt"
+        path.write_text("# comment\ndim: 2\n\ncomplete_below: 5\n"
+                        "volume: 3\n" + "\n".join(lines) + "\n")
+        loaded = self._check(path)
+        assert loaded.complete_below == 1e6
+        assert loaded.volume == 3.0
+        assert np.array_equal(loaded.eigenvalues, self._values())
+
+    def test_bad_value_in_the_first_block_names_its_line(self, tmp_path):
+        lines = self._lines()
+        lines[20] = "2..5"
+        path = tmp_path / "early.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e6\n"
+                        + "\n".join(lines) + "\n")
+        with pytest.raises(SpectrumFormatError,
+                           match=r"early\.txt:23: not a number"):
+            spectra.load_spectrum(str(path))
+
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(("dim: 2\r\ncomplete_below: 1e6\r\n"
