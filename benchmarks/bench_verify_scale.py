@@ -18,7 +18,7 @@ import time
 
 from rieszbounds import spectra, verify
 
-MAX_RSS_MB = 1024
+MAX_RSS_MB = 200
 
 
 def _peak_rss_mb() -> float:

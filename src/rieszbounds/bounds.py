@@ -414,9 +414,15 @@ CATALOG: dict[str, Bound] = {b.id: b for b in [
 
 
 def evaluate(bound_id: str, **kwargs) -> float:
-    """Evaluate a catalog bound by id; unknown ids raise KeyError."""
+    """Evaluate a catalog bound by id; unknown ids raise KeyError, and a
+    value that leaves the float range raises ValidityError."""
     bound = CATALOG[bound_id]
-    return bound.fn(**kwargs)
+    try:
+        return bound.fn(**kwargs)
+    except OverflowError as exc:
+        raise ValidityError(
+            f"bound {bound_id!r} leaves the float range at {kwargs}: "
+            f"{exc}") from None
 
 
 def catalog_dump(d_list=(1, 2, 3, 4, 5, 6, 7)) -> dict:

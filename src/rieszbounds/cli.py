@@ -28,6 +28,9 @@ from .errors import ResourceLimitError, RieszBoundsError
 #: (orders times ``--zero-count``; 10^5 zeros take about 15 s)
 MAX_EXPORT_ZEROS = 10**5
 
+#: most rows one ``figure fig2`` k range may produce
+MAX_FIGURE_ROWS = 10**6
+
 
 def _fmt(full_precision: bool):
     digits = "{:.17g}" if full_precision else "{:.6g}"
@@ -288,6 +291,10 @@ def figure_rows(fig_id: str, k_min=2, k_max=127, m_max=7, d_min=2, d_max=7):
                 for d in range(d_min, d_max + 1)]
         return header, rows
     if fig_id == "fig2":
+        if k_max - k_min + 1 > MAX_FIGURE_ROWS:
+            raise ResourceLimitError(
+                f"fig2 k range {k_min}..{k_max} exceeds cap "
+                f"{MAX_FIGURE_ROWS} rows")
         d = 4
         header = ["k"] + [name for name, _ in TABLE1_COLUMNS]
         rows = [[str(k)] + [fn(d, k) for _, fn in TABLE1_COLUMNS]

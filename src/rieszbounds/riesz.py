@@ -9,7 +9,6 @@ stay below the spectrum's completeness threshold.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,24 +72,20 @@ def counting(spec: Spectrum, z: float) -> int:
     return riesz_value(spec, 0.0, z)[1]
 
 
-_prefix_cache: "weakref.WeakKeyDictionary[Spectrum, object]" = \
-    weakref.WeakKeyDictionary()
-_square_prefix_cache: "weakref.WeakKeyDictionary[Spectrum, object]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _cached_prefix(cache, spec: Spectrum, terms):
-    arr = cache.get(spec)
+def _cached(spec: Spectrum, name: str, compute):
+    """``compute(spec.eigenvalues)``, made read-only and kept on the
+    spectrum under ``name`` from its first use on."""
+    arr = spec._derived.get(name)
     if arr is None:
-        arr = _kernels.prefix_sums(terms(spec.eigenvalues))
+        arr = compute(spec.eigenvalues)
         arr.setflags(write=False)
-        cache[spec] = arr
+        spec._derived[name] = arr
     return arr
 
 
 def eigensum_prefix(spec: Spectrum):
     """Cached correctly rounded prefix sums of the eigenvalue list."""
-    return _cached_prefix(_prefix_cache, spec, lambda ev: ev)
+    return _cached(spec, "eigensum_prefix", _kernels.prefix_sums)
 
 
 def square_prefix(spec: Spectrum):
@@ -99,8 +94,8 @@ def square_prefix(spec: Spectrum):
     ``square_prefix(spec)[k-1] / k`` is the mean square of the first k
     eigenvalues, equal to the exact (``math.fsum``) ``means(spec, k).mean_sq``.
     """
-    return _cached_prefix(_square_prefix_cache, spec,
-                          lambda ev: np.power(ev, 2.0))
+    return _cached(spec, "square_prefix",
+                    lambda ev: _kernels.prefix_sums(np.power(ev, 2.0)))
 
 
 def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
@@ -124,8 +119,12 @@ def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
                    geometric=geometric, harmonic=harmonic)
 
 
-_log_cache: "weakref.WeakKeyDictionary[Spectrum, object]" = \
-    weakref.WeakKeyDictionary()
+def _math_logs(values):
+    out = np.empty(len(values))
+    for start in range(0, len(values), _LOG_CHUNK):
+        chunk = values[start:start + _LOG_CHUNK].tolist()
+        out[start:start + len(chunk)] = list(map(math.log, chunk))
+    return out
 
 
 def _logs(spec: Spectrum):
@@ -135,16 +134,7 @@ def _logs(spec: Spectrum):
     ``np.log`` can differ from ``math.log`` in the last bit, which would
     move the geometric mean.
     """
-    out = _log_cache.get(spec)
-    if out is None:
-        values = spec.eigenvalues
-        out = np.empty(len(values))
-        for start in range(0, len(values), _LOG_CHUNK):
-            chunk = values[start:start + _LOG_CHUNK].tolist()
-            out[start:start + len(chunk)] = list(map(math.log, chunk))
-        out.setflags(write=False)
-        _log_cache[spec] = out
-    return out
+    return _cached(spec, "logs", _math_logs)
 
 
 def legendre_R1(spec: Spectrum, w: float) -> float:

@@ -9,7 +9,7 @@ threshold; this is the main correctness contract of the whole toolkit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -59,7 +59,9 @@ class Spectrum:
     """Ordered Dirichlet eigenvalue list, complete below a threshold.
 
     Multiplicities are represented by repetition; values are kept exactly
-    as computed, with no tolerance-based merging.
+    as computed, with no tolerance-based merging.  ``_derived`` holds the
+    read-only arrays computed from the eigenvalues (prefix sums, logs),
+    filled on first use by :mod:`rieszbounds.riesz`.
     """
 
     dimension: int
@@ -67,6 +69,7 @@ class Spectrum:
     complete_below: float
     domain: DomainSpec
     volume: float | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ev = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)

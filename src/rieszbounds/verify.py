@@ -10,15 +10,15 @@ and a point passes iff ``margin >= -SLACK``.  Every margin is computed by a
 scalar function registered in ``MARGINS``; re-evaluating a reported witness
 through :func:`reevaluate` therefore reproduces the margin exactly.
 
-Each margin costs O(1) apart from its Riesz sums: eigenvalue means and mean
-squares are read from the cached correctly rounded prefix arrays
+Each margin costs O(1) apart from its Riesz sums: eigenvalues, means and
+mean squares are read as Python floats (``ndarray.item``) from the
+spectrum's eigenvalues and its cached correctly rounded prefix arrays
 (:func:`~rieszbounds.riesz.eigensum_prefix`,
-:func:`~rieszbounds.riesz.square_prefix`).  While one spectrum is swept,
-R_sigma(z) values are memoized per (sigma, z), the eigenvalues and the two
-prefix arrays are read from Python-list copies, and all of it is dropped
-when that spectrum's sweep ends.  The memo only hands back values that
-``riesz_value`` computed and the lists hold the arrays' own floats, so
-witness re-evaluation outside a sweep stays exact.
+:func:`~rieszbounds.riesz.square_prefix`), the same way inside and outside
+a sweep.  While one spectrum is swept, R_sigma(z) values are memoized per
+(sigma, z), and the memo is dropped when that spectrum's sweep ends.  It
+only hands back values that ``riesz_value`` computed, so witness
+re-evaluation outside a sweep stays exact.
 
 Points are streamed.  Each family's points form one lazy sequence: sized
 (its length is counted from the grids, not by building the points),
@@ -26,12 +26,13 @@ re-iterable, and made one keyword dict at a time while the sweep calls the
 family's ``MARGINS`` entry on it.  What a sweep holds therefore does not
 grow with the number of points: the z grid, the per-parameter lists of z
 values that pass a family's threshold, the random Hoelder samples, and
-O(n) arrays and lists for the spectrum itself, where n is the number of
-eigenvalues.  The ~16 n points of the index families (eq224_ratio,
-yang_simplified, cor32_abhh, eq36_next, eq37_discrim) are never stored.
-The unit square below 1.3e7 (n = 1,033,365; 16.1 M genuine points and
-8.3 M control points) is verified by ``benchmarks/bench_verify_scale.py``
-with a peak RSS of about 250 MB.
+the spectrum's own O(n) arrays, where n is the number of eigenvalues; no
+Python object is made per eigenvalue.  The ~16 n points of the index
+families (eq224_ratio, yang_simplified, cor32_abhh, eq36_next,
+eq37_discrim) are never stored.  The unit square below 1.3e7
+(n = 1,033,365; 16.1 M genuine points and 8.3 M control points) is
+verified by ``benchmarks/bench_verify_scale.py`` with a peak RSS of about
+140 MB.
 
 A corrupted-spectrum negative control is part of the standard suite: the
 suite is only green if the genuine checks pass *and* the corrupted twin
@@ -46,12 +47,15 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import bounds, riesz, spectra
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ResourceLimitError
 from .riesz import eigensum_prefix, riesz_value, square_prefix
 from .spectra import Spectrum
 
 #: relative numerical slack on all inequality checks
 SLACK = 1e-9
+
+#: most z grid points a suite may ask for (desk-scale guard)
+MAX_Z_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -134,35 +138,12 @@ def _margin(big, small):
 #: per-spectrum {(sigma, z): R_sigma(z)} tables, alive while _sweep runs
 _riesz_memo: dict[Spectrum, dict] = {}
 
-#: per-spectrum {name: list} copies of the eigenvalues and of their prefix
-#: sums, alive while _sweep runs (a list index is cheaper than an array's)
-_list_memo: dict[Spectrum, dict] = {}
-
-
-def _listed(spec, name, array):
-    """``array(spec)``, or its list copy while the spectrum is swept.
-
-    The copy holds the same floats, so margins keep their bits either way.
-    """
-    table = _list_memo.get(spec)
-    if table is None:
-        return array(spec)
-    values = table.get(name)
-    if values is None:
-        values = table[name] = array(spec).tolist()
-    return values
-
-
-def _eigenvalues(spec):
-    return spec.eigenvalues
-
-
 def _eigenvalue(spec, k):
-    return float(_listed(spec, "ev", _eigenvalues)[k])
+    return spec.eigenvalues.item(k)
 
 
 def _mean(spec, j):
-    return _listed(spec, "sum", eigensum_prefix)[j - 1] / j
+    return eigensum_prefix(spec).item(j - 1) / j
 
 
 def _riesz(spec, sigma, z):
@@ -330,7 +311,7 @@ def margin_eq36_next(spec, k):
 def margin_eq37_discrim(spec, k, form):
     if not 1 <= k <= len(spec):
         raise DomainError(f"k must be in 1..{len(spec)}, got {k}")
-    mean_sq = _listed(spec, "sq", square_prefix)[k - 1] / k
+    mean_sq = square_prefix(spec).item(k - 1) / k
     lo, hi = bounds.mean_sq_envelope(spec.dimension, _mean(spec, k))
     if form == "lower":
         return _margin(mean_sq, lo)
@@ -636,7 +617,6 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
     """
     results = {}
     _riesz_memo[spec] = {}
-    _list_memo[spec] = {}
     try:
         for check_id, grid, points in _build_points(spec, cfg, n_z):
             if ids is not None and check_id not in ids:
@@ -653,7 +633,6 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
             results[check_id] = (grid, len(points), worst, witness)
     finally:
         _riesz_memo.pop(spec, None)
-        _list_memo.pop(spec, None)
     return results
 
 
@@ -720,6 +699,9 @@ def run_suite(specs: dict[str, Spectrum],
     cfg = config or VerifyConfig()
     if cfg.z_points < 2:
         raise ConfigError("z_points must be >= 2")
+    if cfg.z_points > MAX_Z_POINTS:
+        raise ResourceLimitError(
+            f"z_points={cfg.z_points} exceeds cap {MAX_Z_POINTS}")
     if cfg.z_max is not None:
         if not math.isfinite(cfg.z_max):
             raise ConfigError(f"z_max must be finite, got {cfg.z_max}")

@@ -237,6 +237,12 @@ class TestBadInput:
          "--zero-count"),
         (("bounds", "--bessel-zeros", "0", "--zero-count", "0"),
          "--zero-count"),
+        (("bounds", "--eval", "riesz_upper", "--arg", "sigma=2", "--arg",
+          "d=2", "--arg", "volume=1", "--arg", "z=1e308"), "riesz_upper"),
+        (("bounds", "--eval", "cheng_yang", "--arg", "d=1", "--arg",
+          "k=1e300"), "cheng_yang"),
+        (("verify", "--z-points", "400000000"), "z_points"),
+        (("figure", "fig2", "--k-max", "1000000000"), "k range"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

@@ -135,6 +135,27 @@ class TestMeansExactSum:
             logs[0] = 0.0
 
 
+class TestDerivedArrays:
+    """Arrays derived from the eigenvalues are computed once per spectrum,
+    kept on it read-only, and never shared with another spectrum."""
+
+    @pytest.mark.parametrize("derived", [riesz.eigensum_prefix,
+                                         riesz.square_prefix, riesz._logs],
+                             ids=lambda fn: fn.__name__)
+    def test_cached_read_only_per_spectrum(self, square_pi, derived):
+        arr = derived(square_pi)
+        assert derived(square_pi) is arr
+        assert len(arr) == len(square_pi)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        twin = verify.corrupt_spectrum(square_pi)
+        twin_arr = derived(twin)
+        assert twin_arr is not arr
+        assert derived(twin) is twin_arr
+        assert twin_arr[0] != arr[0]
+        assert derived(square_pi) is arr
+
+
 class TestSquarePrefix:
     @pytest.fixture(params=["square_pi", "ball3", "corrupted_ball3"])
     def spec(self, request):
@@ -152,12 +173,6 @@ class TestSquarePrefix:
         sq = riesz.square_prefix(spec)
         for k in range(1, len(spec) + 1):
             assert sq[k - 1] / k == riesz.means(spec, k).mean_sq
-
-    def test_cached_read_only(self, square_pi):
-        sq = riesz.square_prefix(square_pi)
-        assert riesz.square_prefix(square_pi) is sq
-        with pytest.raises(ValueError):
-            sq[0] = 0.0
 
 
 class TestDerivativeIdentity:

@@ -81,7 +81,6 @@ class TestRieszMemo:
         verify._sweep("disk", spec, SMALL, 10, ids={"thm21_diff1"})
         assert tables and tables[-1]
         assert spec not in verify._riesz_memo
-        assert spec not in verify._list_memo
 
     def test_sweep_drops_its_table_on_error(self, small_specs, monkeypatch):
         spec = small_specs["square"]
@@ -93,7 +92,6 @@ class TestRieszMemo:
         with pytest.raises(RuntimeError):
             verify._sweep("square", spec, SMALL, 10)
         assert spec not in verify._riesz_memo
-        assert spec not in verify._list_memo
 
     def test_memo_counts_only_misses(self, small_specs, monkeypatch):
         spec = small_specs["square"]
@@ -153,6 +151,24 @@ class TestStreamedPoints:
             tracemalloc.stop()
         assert sum(r[1] for r in results.values()) == 63_785
         assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_index_sweep_holds_no_per_eigenvalue_objects(self):
+        # the index families read the arrays themselves; a Python float per
+        # eigenvalue, for lambda_k and for each prefix array, would peak
+        # near 1.4 MiB at n = 15,782
+        spec = spectra.box_spectrum([1.0, 1.0], 2e5)
+        riesz.eigensum_prefix(spec)
+        riesz.square_prefix(spec)
+        tracemalloc.start()
+        try:
+            results = verify._sweep("square", spec, SMALL, SMALL.z_points,
+                                    ids={"eq224_ratio", "eq37_discrim"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spec) == 15_782
+        assert set(results) == {"eq224_ratio", "eq37_discrim"}
+        assert peak < 2**19, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCorruption:
