@@ -1,0 +1,76 @@
+"""Benchmark the spectrum text writer.
+
+Times ``spectra._write_text`` into a ``StringIO`` against the per-value
+reference of ``tests/oracles.py`` (one ``repr`` per line) on four spectra:
+the 3-ball below 3e4 and the disk below 1e5 (long runs of equal
+eigenvalues, as in ``cli spectrum --ball``), the unit square below 1.3e7
+(10^6 eigenvalues, short runs) and a sorted seeded uniform sample of 10^6
+values with no repeats.  The two are timed alternately, best of repeats,
+and their bytes are compared.
+
+Run:  python3 benchmarks/bench_spectra.py
+Exit status 1 if the writer's bytes differ from the reference's.
+"""
+
+import io
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from rieszbounds import spectra
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import spectrum_text  # noqa: E402
+
+
+def _spectra():
+    uniform = np.sort(np.random.default_rng(7).uniform(1.0, 1.3e7, 10**6))
+    return {
+        "ball d=3, lambda < 3e4": spectra.ball_spectrum(3, 1.0, 3e4),
+        "disk, lambda < 1e5": spectra.ball_spectrum(2, 1.0, 1e5),
+        "square, lambda < 1.3e7": spectra.box_spectrum([1.0, 1.0], 1.3e7),
+        "uniform, no repeats": spectra.Spectrum(
+            dimension=2, eigenvalues=uniform, complete_below=1.3e7,
+            domain=spectra.DomainSpec("file", 2)),
+    }
+
+
+def _writer(spec) -> str:
+    buf = io.StringIO()
+    spectra._write_text(spec, buf)
+    return buf.getvalue()
+
+
+def _time_pair(spec, repeat):
+    """Best times of the reference and the writer, run alternately."""
+    best = [float("inf"), float("inf")]
+    texts = [None, None]
+    for _ in range(repeat):
+        for i, fn in enumerate((spectrum_text, _writer)):
+            t0 = time.perf_counter()
+            texts[i] = fn(spec)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best, texts
+
+
+def main() -> int:
+    ok = True
+    print(f"{'spectrum':<24}{'n':>10}{'repeats':>9}"
+          f"{'per-value':>12}{'writer':>10}{'ratio':>8}  bytes")
+    for name, spec in _spectra().items():
+        ev = spec.eigenvalues
+        repeats = float(np.mean(ev[1:] == ev[:-1]))
+        (t_ref, t_new), (ref, new) = _time_pair(
+            spec, 3 if len(ev) >= 10**6 else 5)
+        same = ref == new
+        ok &= same
+        print(f"{name:<24}{len(ev):>10,}{repeats:>9.1%}"
+              f"{t_ref * 1e3:>10.1f}ms{t_new * 1e3:>8.1f}ms"
+              f"{t_new / t_ref:>8.2f}  {'equal' if same else 'DIFFER'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -224,14 +224,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cfg = verify.VerifyConfig(
+        z_points=args.z_points, z_max=args.z_max, seed=args.seed,
+        inject_corruption=args.inject_corruption)
+    verify.check_config(cfg)
     if args.spectrum:
         specs = {os.path.basename(p): spectra.load_spectrum(p)
                  for p in args.spectrum}
     else:
         specs = verify.default_spectra()
-    cfg = verify.VerifyConfig(
-        z_points=args.z_points, z_max=args.z_max, seed=args.seed,
-        inject_corruption=args.inject_corruption)
     report = verify.run_suite(specs, cfg)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n",

@@ -339,17 +339,42 @@ def load_spectrum(path: str) -> Spectrum:
     )
 
 
+def _format_runs(values: np.ndarray, fmt) -> list[str]:
+    """``[fmt(v) for v in values.tolist()]``, calling ``fmt`` once per run
+    of equal adjacent values.
+
+    One ``!=`` pass finds where the runs start; ``fmt`` formats the first
+    value of each run, and the strings are repeated by run length.  The
+    strings are the per-value ones for any finite, nonzero values, as a
+    ``Spectrum`` holds: two such doubles compare equal exactly when their
+    bits are equal, and a format reads nothing but the bits.
+    """
+    starts = np.flatnonzero(
+        np.concatenate(([True], values[1:] != values[:-1])))
+    texts = list(map(fmt, values[starts].tolist()))
+    if len(starts) < len(values):
+        counts = np.diff(starts, append=len(values))
+        texts = np.repeat(np.array(texts, dtype=object), counts).tolist()
+    return texts
+
+
 def _write_text(spec: Spectrum, fh) -> None:
     """Write ``spec`` to the open text file ``fh`` in the format of
-    :func:`load_spectrum`, ``_WRITE_CHUNK`` eigenvalues per write."""
+    :func:`load_spectrum`, ``_WRITE_CHUNK`` eigenvalues per write.
+
+    Each line is the ``repr`` of its eigenvalue.  A ball's eigenvalues come
+    in runs of equal values (one per spherical-harmonic multiplicity), so
+    ``repr`` is taken once per run (``_format_runs``); the bytes are those
+    of one ``repr`` per line.
+    """
     fh.write(f"dim: {spec.dimension}\n")
     fh.write(f"complete_below: {spec.complete_below!r}\n")
     if spec.volume is not None:
         fh.write(f"volume: {spec.volume!r}\n")
     ev = spec.eigenvalues
     for start in range(0, len(ev), _WRITE_CHUNK):
-        chunk = ev[start:start + _WRITE_CHUNK].tolist()
-        fh.write("\n".join(map(repr, chunk)) + "\n")
+        chunk = ev[start:start + _WRITE_CHUNK]
+        fh.write("\n".join(_format_runs(chunk, repr)) + "\n")
 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:
@@ -359,9 +384,14 @@ def write_spectrum(spec: Spectrum, path: str) -> None:
 
 
 def spectrum_csv(spec: Spectrum, full_precision: bool = False) -> str:
-    """CSV export with columns (k, lambda_k)."""
+    """CSV export with columns (k, lambda_k).
+
+    Each distinct value is formatted once per run of equal eigenvalues
+    (``_format_runs``, as in :func:`write_spectrum`), and the ``k`` column
+    is written per line; the bytes are those of formatting every line.
+    """
     fmt = "{:.17g}" if full_precision else "{:.6g}"
     lines = ["k,lambda_k"]
-    for k, lam in enumerate(spec.eigenvalues, start=1):
-        lines.append(f"{k},{fmt.format(lam)}")
+    lines += [f"{k},{text}" for k, text in enumerate(
+        _format_runs(spec.eigenvalues, fmt.format), start=1)]
     return "\n".join(lines) + "\n"

@@ -693,18 +693,24 @@ def _control_config(cfg: VerifyConfig) -> VerifyConfig:
         k_count=cfg.control_j_count, hoelder_samples=10, moment_k_count=3)
 
 
-def run_suite(specs: dict[str, Spectrum],
-              config: VerifyConfig | None = None) -> VerificationReport:
-    """Aggregate all checks over all spectra, plus the negative control."""
-    cfg = config or VerifyConfig()
+def check_config(cfg: VerifyConfig) -> None:
+    """Reject what is wrong with ``cfg`` whatever the spectra, so a caller
+    can check it before building any spectrum."""
     if cfg.z_points < 2:
         raise ConfigError("z_points must be >= 2")
     if cfg.z_points > MAX_Z_POINTS:
         raise ResourceLimitError(
             f"z_points={cfg.z_points} exceeds cap {MAX_Z_POINTS}")
+    if cfg.z_max is not None and not math.isfinite(cfg.z_max):
+        raise ConfigError(f"z_max must be finite, got {cfg.z_max}")
+
+
+def run_suite(specs: dict[str, Spectrum],
+              config: VerifyConfig | None = None) -> VerificationReport:
+    """Aggregate all checks over all spectra, plus the negative control."""
+    cfg = config or VerifyConfig()
+    check_config(cfg)
     if cfg.z_max is not None:
-        if not math.isfinite(cfg.z_max):
-            raise ConfigError(f"z_max must be finite, got {cfg.z_max}")
         for label, spec in specs.items():
             if cfg.z_max > spec.complete_below:
                 raise ConfigError(

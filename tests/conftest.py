@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from rieszbounds import spectra
@@ -49,3 +50,32 @@ def unit_square():
 @pytest.fixture(scope="session")
 def ball3():
     return spectra.ball_spectrum(3, 1.0, 500.0)
+
+
+@pytest.fixture(scope="session")
+def writer_cases():
+    """Spectra whose runs of equal eigenvalues meet the writer's chunks in
+    every way: a run longer than a chunk, a run across a chunk edge, one
+    value throughout, no repeats, one eigenvalue, runs one ulp apart, the
+    3-ball and the disk."""
+    chunk = spectra._WRITE_CHUNK
+    across = np.arange(1.0, 2 * chunk + 1) / 4
+    across[chunk - 3:chunk + 4] = across[chunk - 3]
+    values = {
+        "long_run": np.repeat([1.5, 2.0, 3.25], [3, 2 * chunk + 7, 5]),
+        "run_across_edge": across,
+        "all_equal": np.full(chunk + 10, 7.25),
+        "no_repeats": np.sort(
+            np.random.default_rng(3).uniform(1.0, 1e6, 2 * chunk + 1)),
+        "single": np.array([math.pi ** 2]),
+        "one_ulp_apart": np.repeat(
+            (np.full(50, 1234.5).view(np.int64) + np.arange(50)).view(float),
+            3),
+    }
+    cases = {name: spectra.Spectrum(
+        dimension=2, eigenvalues=ev, complete_below=1e6,
+        domain=spectra.DomainSpec("file", 2), volume=0.1)
+        for name, ev in values.items()}
+    cases["ball3"] = spectra.ball_spectrum(3, 1.0, 1e4)
+    cases["disk"] = spectra.ball_spectrum(2, 1.0, 1e5)
+    return cases

@@ -107,3 +107,19 @@ def bessel_j_half_integer(nu: float, x: float) -> float:
 def mcmahon_asymptote(nu: float, p: int) -> float:
     """Leading McMahon term (p + nu/2 - 1/4) * pi for the p-th zero."""
     return (p + nu / 2.0 - 0.25) * math.pi
+
+
+def spectrum_text(spec) -> str:
+    """The text of ``write_spectrum``, one ``repr`` per eigenvalue."""
+    head = f"dim: {spec.dimension}\ncomplete_below: {spec.complete_below!r}\n"
+    if spec.volume is not None:
+        head += f"volume: {spec.volume!r}\n"
+    return head + "".join(repr(v) + "\n" for v in spec.eigenvalues.tolist())
+
+
+def spectrum_csv(spec, full_precision: bool = False) -> str:
+    """The text of ``spectrum_csv``, one format call per eigenvalue."""
+    fmt = "{:.17g}" if full_precision else "{:.6g}"
+    return "k,lambda_k\n" + "".join(
+        f"{k},{fmt.format(v)}\n"
+        for k, v in enumerate(spec.eigenvalues.tolist(), start=1))

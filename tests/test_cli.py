@@ -8,6 +8,7 @@ import os
 import pytest
 
 from rieszbounds import cli, spectra
+from oracles import spectrum_csv, spectrum_text
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +274,26 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flags, name", [
+        (("--z-points", "1"), "z_points"),
+        (("--z-points", "400000000"), "z_points"),
+        (("--z-max", "nan"), "z_max"),
+        (("--z-max", "inf"), "z_max"),
+    ])
+    @pytest.mark.parametrize("source", [(), ("--spectrum", "square.txt")])
+    def test_config_checked_before_any_spectrum(self, capsys, monkeypatch,
+                                                source, flags, name):
+        def no_spectrum(*args):
+            raise AssertionError("a spectrum was built")
+
+        monkeypatch.setattr(cli.verify, "default_spectra", no_spectrum)
+        monkeypatch.setattr(cli.spectra, "load_spectrum", no_spectrum)
+        code, out, err = run_cli(capsys, "verify", *source, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert name in err
+
     def test_z_max_config_error(self, capsys, spec_file):
         for z_max in ("5000", "nan"):
             code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,
@@ -282,7 +303,8 @@ class TestVerifyCommand:
 
 
 class TestSpectrumText:
-    def test_output_and_stdout_equal_write_spectrum(self, capsys, tmp_path):
+    def test_output_and_stdout_equal_write_spectrum(self, capsys, tmp_path,
+                                                    writer_cases):
         # more eigenvalues than one write chunk
         args = ["spectrum", "--box", "1", "1", "--lambda-max", "3e5"]
         spec = spectra.box_spectrum([1.0, 1.0], 3e5)
@@ -298,6 +320,21 @@ class TestSpectrumText:
         assert out == ref.read_text()
         assert not [f for f in os.listdir(tmp_path)
                     if f.startswith(".rieszbounds-")]
+        # runs of equal eigenvalues: text (stdout and --output) and CSV at
+        # both precisions against one format call per line
+        for name, case in writer_cases.items():
+            text = spectrum_text(case)
+            ref.write_text(text)
+            load = ("spectrum", "--load", str(ref))
+            code, _, _ = run_cli(capsys, *load, "--output", str(out_path))
+            assert code == 0
+            assert out_path.read_bytes() == text.encode(), name
+            assert run_cli(capsys, *load) == (0, text, ""), name
+            for full in (False, True):
+                csv = spectrum_csv(case, full)
+                assert spectra.spectrum_csv(case, full) == csv, name
+                flags = ("--format", "csv") + ("--full-precision",) * full
+                assert run_cli(capsys, *load, *flags) == (0, csv, ""), name
 
 
 class TestIOErrors:

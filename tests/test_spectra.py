@@ -16,6 +16,7 @@ from rieszbounds.errors import (
     SpectrumFormatError,
     SpectrumValidationError,
 )
+from oracles import spectrum_text
 
 
 class TestBoxSpectrum:
@@ -330,7 +331,7 @@ class TestBlockParsing:
         with pytest.raises(SpectrumValidationError, match="finite"):
             spectra.load_spectrum(str(path))
 
-    def test_write_then_load_in_chunks(self, tmp_path):
+    def test_write_then_load_in_chunks(self, tmp_path, writer_cases):
         spec = spectra.Spectrum(
             dimension=2, eigenvalues=self._values(), complete_below=1e6,
             domain=spectra.DomainSpec("file", 2), volume=1.0)
@@ -341,3 +342,10 @@ class TestBlockParsing:
         assert text == ("dim: 2\ncomplete_below: 1000000.0\nvolume: 1.0\n"
                         + "".join(f"{v!r}\n" for v in values))
         assert np.array_equal(self._check(path).eigenvalues, spec.eigenvalues)
+        # runs of equal eigenvalues, however they meet the write chunks,
+        # give the bytes of one repr per line
+        for name, case in writer_cases.items():
+            spectra.write_spectrum(case, str(path))
+            assert path.read_bytes() == spectrum_text(case).encode(), name
+            assert np.array_equal(self._check(path).eigenvalues,
+                                  case.eigenvalues), name
