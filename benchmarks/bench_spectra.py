@@ -1,15 +1,16 @@
-"""Benchmark the spectrum text writer.
+"""Benchmark the spectrum text and JSON writers.
 
-Times ``spectra._write_text`` into a ``StringIO`` against the per-value
-reference of ``tests/oracles.py`` (one ``repr`` per line) on four spectra:
-the 3-ball below 3e4 and the disk below 1e5 (long runs of equal
+Times ``spectra._write_text`` and ``spectra._write_json`` into a
+``StringIO`` against the per-value references of ``tests/oracles.py`` (one
+``repr`` per line, and one ``json.dumps`` of a list of floats) on four
+spectra: the 3-ball below 3e4 and the disk below 1e5 (long runs of equal
 eigenvalues, as in ``cli spectrum --ball``), the unit square below 1.3e7
 (10^6 eigenvalues, short runs) and a sorted seeded uniform sample of 10^6
-values with no repeats.  The two are timed alternately, best of repeats,
-and their bytes are compared.
+values with no repeats.  Each writer and its reference are timed
+alternately, best of repeats, and their bytes are compared.
 
 Run:  python3 benchmarks/bench_spectra.py
-Exit status 1 if the writer's bytes differ from the reference's.
+Exit status 1 if any writer's bytes differ from its reference's.
 """
 
 import io
@@ -22,7 +23,7 @@ import numpy as np
 from rieszbounds import spectra
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import spectrum_text  # noqa: E402
+from oracles import spectrum_json, spectrum_text  # noqa: E402
 
 
 def _spectra():
@@ -37,18 +38,27 @@ def _spectra():
     }
 
 
-def _writer(spec) -> str:
-    buf = io.StringIO()
-    spectra._write_text(spec, buf)
-    return buf.getvalue()
+def _to_string(write):
+    def run(spec) -> str:
+        buf = io.StringIO()
+        write(spec, buf)
+        return buf.getvalue()
+    return run
 
 
-def _time_pair(spec, repeat):
+#: format -> (per-value reference, writer)
+WRITERS = {
+    "text": (spectrum_text, _to_string(spectra._write_text)),
+    "json": (spectrum_json, _to_string(spectra._write_json)),
+}
+
+
+def _time_pair(fns, spec, repeat):
     """Best times of the reference and the writer, run alternately."""
     best = [float("inf"), float("inf")]
     texts = [None, None]
     for _ in range(repeat):
-        for i, fn in enumerate((spectrum_text, _writer)):
+        for i, fn in enumerate(fns):
             t0 = time.perf_counter()
             texts[i] = fn(spec)
             best[i] = min(best[i], time.perf_counter() - t0)
@@ -57,18 +67,19 @@ def _time_pair(spec, repeat):
 
 def main() -> int:
     ok = True
-    print(f"{'spectrum':<24}{'n':>10}{'repeats':>9}"
+    print(f"{'spectrum':<24}{'format':>7}{'n':>10}{'repeats':>9}"
           f"{'per-value':>12}{'writer':>10}{'ratio':>8}  bytes")
     for name, spec in _spectra().items():
         ev = spec.eigenvalues
         repeats = float(np.mean(ev[1:] == ev[:-1]))
-        (t_ref, t_new), (ref, new) = _time_pair(
-            spec, 3 if len(ev) >= 10**6 else 5)
-        same = ref == new
-        ok &= same
-        print(f"{name:<24}{len(ev):>10,}{repeats:>9.1%}"
-              f"{t_ref * 1e3:>10.1f}ms{t_new * 1e3:>8.1f}ms"
-              f"{t_new / t_ref:>8.2f}  {'equal' if same else 'DIFFER'}")
+        for fmt, fns in WRITERS.items():
+            (t_ref, t_new), (ref, new) = _time_pair(
+                fns, spec, 3 if len(ev) >= 10**6 else 5)
+            same = ref == new
+            ok &= same
+            print(f"{name:<24}{fmt:>7}{len(ev):>10,}{repeats:>9.1%}"
+                  f"{t_ref * 1e3:>10.1f}ms{t_new * 1e3:>8.1f}ms"
+                  f"{t_new / t_ref:>8.2f}  {'equal' if same else 'DIFFER'}")
     return 0 if ok else 1
 
 

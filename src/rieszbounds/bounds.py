@@ -2,9 +2,21 @@
 
 Every bound is a named, citable evaluation rule with a hard validity gate:
 evaluating outside the stated region raises ``ValidityError`` rather than
-returning a silently meaningless number.  Formulas are well-defined for any
+returning a silently meaningless number.  Each gate is written as
+``not x >= limit``, so a NaN argument fails it too, and a dimension or
+index must be a finite integer.  Formulas are well-defined for any
 dimension, but constants above ``MAX_CHECKED_DIMENSION`` involve untested
 high-order Bessel zeros and are gated behind ``allow_large_d``.
+
+A bound is evaluated once per verification point, so what depends only on
+the dimension is computed once: the dimension gate per
+``(d, allow_large_d)``, the coefficients and thresholds of ``abhh``,
+``abhh_next``, ``mean_ratio`` and ``mean_sq_envelope`` per d, ``L_cl`` per
+``(sigma, d)`` and :func:`~rieszbounds.specfun.gamma` per argument.  Each
+memo is bounded and stores only values, never an exception.  Each bound
+still multiplies its coefficient by ``k ** (2 / d)`` (or its other variable
+factor) in the association order of the closed form, so every value has
+the bits of the formula written out in full.
 """
 
 from __future__ import annotations
@@ -18,11 +30,25 @@ from .errors import ValidityError
 
 MAX_CHECKED_DIMENSION = 10
 
+#: entries per memo of a per-dimension gate or constant
+_MEMO_SIZE = 256
 
+
+def _whole(x) -> bool:
+    """True for a finite integral value; NaN and infinities are not."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):
+        return False
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _check_dim(d, allow_large_d=False):
-    if int(d) != d or d < 1:
+    """``int(d)`` for a finite integer d in the allowed range, else
+    ValidityError."""
+    if not (d >= 1 and _whole(d)):
         raise ValidityError(f"dimension must be a positive integer, got {d}")
-    if d > MAX_CHECKED_DIMENSION and not allow_large_d:
+    if not (d <= MAX_CHECKED_DIMENSION or allow_large_d):
         raise ValidityError(
             f"d={d} exceeds the checked range 1..{MAX_CHECKED_DIMENSION}; "
             "pass allow_large_d=True to override")
@@ -46,9 +72,11 @@ def H_d(d: int, allow_large_d: bool = False) -> float:
     return 2.0 * d / (j0 * j0 * specfun.bessel_j(d / 2, j0) ** 2)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def L_cl(sigma: float, d: int) -> float:
-    """Semiclassical constant Gamma(s+1) / ((4 pi)^{d/2} Gamma(s+1+d/2))."""
-    if sigma < 0:
+    """Semiclassical constant Gamma(s+1) / ((4 pi)^{d/2} Gamma(s+1+d/2)),
+    memoized per (sigma, d)."""
+    if not sigma >= 0:
         raise ValidityError(f"sigma must be nonnegative, got {sigma}")
     return (specfun.gamma(sigma + 1)
             / ((4 * math.pi) ** (d / 2) * specfun.gamma(sigma + 1 + d / 2)))
@@ -56,7 +84,7 @@ def L_cl(sigma: float, d: int) -> float:
 
 def weyl_coeff(d: int, volume: float) -> float:
     """Leading Weyl coefficient 4 pi Gamma(1+d/2)^{2/d} / |Omega|^{2/d}."""
-    if volume <= 0:
+    if not volume > 0:
         raise ValidityError("volume must be positive")
     return 4 * math.pi * specfun.gamma(1 + d / 2) ** (2 / d) / volume ** (2 / d)
 
@@ -91,7 +119,7 @@ def _ab_power(d, m, allow_large_d):
 def ab94(d, m, allow_large_d=False):
     """lambda_{2^m}/lambda_1 <= (j_{d/2,1}^2/j_{d/2-1,1}^2)^m."""
     d = _check_dim(d, allow_large_d)
-    if int(m) != m or m < 0:
+    if not (m >= 0 and _whole(m)):
         raise ValidityError(f"m must be a nonnegative integer, got {m}")
     return _ab_power(d, m, allow_large_d)
 
@@ -99,7 +127,7 @@ def ab94(d, m, allow_large_d=False):
 def ab94_avg(d, k, allow_large_d=False):
     """Averaged doubling bound at general k, using m = ceil(log2 k)."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     m = math.ceil(math.log2(k)) if k > 1 else 0
     return _ab_power(d, m, allow_large_d) / (1 + 2 / d)
@@ -108,7 +136,7 @@ def ab94_avg(d, k, allow_large_d=False):
 def her1(d, k, allow_large_d=False):
     """lambda_{k+1}/lambda_1 <= 1 + (1+d/2)^{2/d} H_d^{2/d} k^{2/d}."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     return 1 + (1 + d / 2) ** (2 / d) * H_d(d, allow_large_d) ** (2 / d) \
         * k ** (2 / d)
@@ -117,7 +145,7 @@ def her1(d, k, allow_large_d=False):
 def her2(d, k, allow_large_d=False):
     """mean(lambda_1..lambda_k)/lambda_1 <= 1 + H_d^{2/d} k^{2/d} / (1+2/d)."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     return 1 + H_d(d, allow_large_d) ** (2 / d) / (1 + 2 / d) * k ** (2 / d)
 
@@ -125,7 +153,7 @@ def her2(d, k, allow_large_d=False):
 def cheng_yang(d, k, allow_large_d=False):
     """lambda_{k+1}/lambda_1 <= (1 + 4/d) k^{2/d}."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     return (1 + 4 / d) * k ** (2 / d)
 
@@ -133,7 +161,7 @@ def cheng_yang(d, k, allow_large_d=False):
 def cheng_yang2(d, k, allow_large_d=False):
     """Refined ratio bound, valid for k >= d + 1."""
     d = _check_dim(d, allow_large_d)
-    if k < d + 1:
+    if not k >= d + 1:
         raise ValidityError(f"requires k >= d+1 = {d+1}, got k={k}")
     return ((1 + 4 / d)
             * math.sqrt(1 + 8 / (d + 1) + 8 / (d + 1) ** 2)
@@ -148,7 +176,7 @@ def cheng_yang2_avg(d, k, allow_large_d=False):
 def fk_weyl(d, k, allow_large_d=False):
     """Asymptotic ratio expression 4 Gamma(1+d/2)^{4/d} k^{2/d} / j_{d/2-1,1}^2."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     return fk_coeff(d, allow_large_d) * k ** (2 / d)
 
@@ -161,7 +189,7 @@ def fk_weyl_avg(d, k, allow_large_d=False):
 def berezin_li_yau(d, volume, k, allow_large_d=False):
     """Lower bound on mean(lambda_1..lambda_k)."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     return weyl_coeff(d, volume) * k ** (2 / d) / (1 + 2 / d)
 
@@ -172,11 +200,11 @@ def berezin_li_yau(d, volume, k, allow_large_d=False):
 def riesz_upper(sigma, d, volume, z, allow_large_d=False):
     """Upper bound L_cl(sigma, d) |Omega| z^{sigma + d/2} for sigma >= 2."""
     d = _check_dim(d, allow_large_d)
-    if sigma < 2:
+    if not sigma >= 2:
         raise ValidityError(f"requires sigma >= 2, got {sigma}")
-    if volume <= 0:
+    if not volume > 0:
         raise ValidityError("volume must be positive")
-    if z < 0:
+    if not z >= 0:
         raise ValidityError("z must be nonnegative")
     return L_cl(sigma, d) * volume * z ** (sigma + d / 2)
 
@@ -185,12 +213,12 @@ def riesz_lower_main(sigma, d, lam1, z, allow_large_d=False):
     """Lower bound (2s/d)^s lam1^{-d/2} (z/(1+2s/d))^{s+d/2}, sigma >= 2,
     valid for z >= (1 + 2 sigma/d) lam1."""
     d = _check_dim(d, allow_large_d)
-    if sigma < 2:
+    if not sigma >= 2:
         raise ValidityError(f"requires sigma >= 2, got {sigma}")
-    if lam1 <= 0:
+    if not lam1 > 0:
         raise ValidityError("lam1 must be positive")
     threshold = (1 + 2 * sigma / d) * lam1
-    if z < threshold:
+    if not z >= threshold:
         raise ValidityError(f"requires z >= {threshold}, got {z}")
     return ((2 * sigma / d) ** sigma * lam1 ** (-d / 2)
             * (z / (1 + 2 * sigma / d)) ** (sigma + d / 2))
@@ -199,19 +227,19 @@ def riesz_lower_main(sigma, d, lam1, z, allow_large_d=False):
 def riesz_lower_sub2(sigma, d, lam1, z, allow_large_d=False):
     """Lower bounds on R_sigma for 0 <= sigma < 2, with their thresholds."""
     d = _check_dim(d, allow_large_d)
-    if lam1 <= 0:
+    if not lam1 > 0:
         raise ValidityError("lam1 must be positive")
     if not 0 <= sigma < 2:
         raise ValidityError(f"requires 0 <= sigma < 2, got {sigma}")
     if sigma >= 1:
         threshold = (1 + (2 * sigma + 2) / d) * lam1
-        if z < threshold:
+        if not z >= threshold:
             raise ValidityError(f"requires z >= {threshold}, got {z}")
         return ((2 * sigma + 2) ** sigma * d ** (d / 2)
                 / (d + 2 * sigma + 2) ** (sigma + d / 2)
                 * lam1 ** (-d / 2) * z ** (sigma + d / 2))
     threshold = (1 + (2 * sigma + 4) / d) * lam1
-    if z < threshold:
+    if not z >= threshold:
         raise ValidityError(f"requires z >= {threshold}, got {z}")
     return ((1 + d / 4) * (2 * sigma + 4) ** (sigma + 1) * d ** (d / 2)
             / (d + 2 * sigma + 4) ** (sigma + 1 + d / 2)
@@ -222,10 +250,12 @@ def riesz_lower_hermi(sigma, d, lam1, z, allow_large_d=False):
     """Lower bound H_d^{-1} lam1^{-d/2} B(sigma, d) (z - lam1)_+^{sigma+d/2},
     sigma >= 1, with B the Beta-type Gamma ratio."""
     d = _check_dim(d, allow_large_d)
-    if sigma < 1:
+    if not sigma >= 1:
         raise ValidityError(f"requires sigma >= 1, got {sigma}")
-    if lam1 <= 0:
+    if not lam1 > 0:
         raise ValidityError("lam1 must be positive")
+    if math.isnan(z):
+        raise ValidityError("z must not be NaN")
     gap = max(z - lam1, 0.0)
     return (H_d(d, allow_large_d) ** -1 * lam1 ** (-d / 2)
             * specfun.gamma(1 + sigma) * specfun.gamma(1 + d / 2)
@@ -241,12 +271,12 @@ def counting_lower(d, lam1, z, allow_large_d=False):
 def counting_lower_j(d, j, mean_j, z, allow_large_d=False):
     """N(z) >= j (z / ((1+4/d) mean_j))^{d/2}, valid z >= (1+4/d) mean_j."""
     d = _check_dim(d, allow_large_d)
-    if int(j) != j or j < 1:
+    if not (j >= 1 and _whole(j)):
         raise ValidityError(f"j must be a positive integer, got {j}")
-    if mean_j <= 0:
+    if not mean_j > 0:
         raise ValidityError("mean_j must be positive")
     threshold = (1 + 4 / d) * mean_j
-    if z < threshold:
+    if not z >= threshold:
         raise ValidityError(f"requires z >= {threshold}, got {z}")
     return j * (z / threshold) ** (d / 2)
 
@@ -254,36 +284,57 @@ def counting_lower_j(d, j, mean_j, z, allow_large_d=False):
 def lambda_next_over_mean(d, j, k, allow_large_d=False):
     """lambda_{k+1}/mean(lambda_1..lambda_j) <= (1+4/d)(k/j)^{2/d}, k >= j >= 1."""
     d = _check_dim(d, allow_large_d)
-    if int(j) != j or j < 1:
+    if not (j >= 1 and _whole(j)):
         raise ValidityError(f"j must be a positive integer, got {j}")
-    if int(k) != k or k < j:
+    if not (k >= j and _whole(k)):
         raise ValidityError(f"requires k >= j, got k={k}, j={j}")
     return (1 + 4 / d) * (k / j) ** (2 / d)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _mean_ratio_constants(d):
+    """(1 + d/2, 1 + d/4, coefficient of (k/j)^{2/d}) of :func:`mean_ratio`."""
+    return (1 + d / 2, 1 + d / 4,
+            2 * ((1 + d / 4) / (1 + d / 2)) ** (1 + 2 / d))
 
 
 def mean_ratio(d, j, k, allow_large_d=False):
     """mean_k/mean_j <= 2 ((1+d/4)/(1+d/2))^{1+2/d} (k/j)^{2/d},
     valid for k >= j (1+d/2)/(1+d/4)."""
     d = _check_dim(d, allow_large_d)
-    if int(j) != j or j < 1:
+    if not (j >= 1 and _whole(j)):
         raise ValidityError(f"j must be a positive integer, got {j}")
-    threshold = j * (1 + d / 2) / (1 + d / 4)
-    if k < threshold:
+    half, quarter, coeff = _mean_ratio_constants(d)
+    threshold = j * half / quarter
+    if not k >= threshold:
         raise ValidityError(f"requires k >= {threshold}, got k={k}")
-    return (2 * ((1 + d / 4) / (1 + d / 2)) ** (1 + 2 / d)
-            * (k / j) ** (2 / d))
+    return coeff * (k / j) ** (2 / d)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _abhh_constants(d):
+    """(threshold, coefficient of k^{2/d}) of :func:`abhh`."""
+    return ((d + 1) * (1 + d / 2) / (1 + d / 4),
+            (d + 5) / 2 ** (2 / d)
+            * ((d + 4) / ((d + 1) * (d + 2))) ** (1 + 2 / d))
 
 
 def abhh(d, k, allow_large_d=False):
     """mean_k/lambda_1 <= (d+5)/2^{2/d} ((d+4)/((d+1)(d+2)))^{1+2/d} k^{2/d},
     valid for k >= (d+1)(1+d/2)/(1+d/4)."""
     d = _check_dim(d, allow_large_d)
-    threshold = (d + 1) * (1 + d / 2) / (1 + d / 4)
-    if k < threshold:
+    threshold, coeff = _abhh_constants(d)
+    if not k >= threshold:
         raise ValidityError(f"requires k >= {threshold}, got k={k}")
-    return ((d + 5) / 2 ** (2 / d)
-            * ((d + 4) / ((d + 1) * (d + 2))) ** (1 + 2 / d)
-            * k ** (2 / d))
+    return coeff * k ** (2 / d)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _abhh_next_coeff(d):
+    """Coefficient of k^{2/d} in :func:`abhh_next`."""
+    return ((d + 4) ** (2 + 2 / d) * (d + 5)
+            / (2 ** (2 / d) * d * (d + 1) ** (1 + 2 / d)
+               * (d + 2) ** (1 + 2 / d)))
 
 
 def abhh_next(d, k, allow_large_d=False):
@@ -291,22 +342,26 @@ def abhh_next(d, k, allow_large_d=False):
     with Yang's simplification; the inequality is guaranteed for
     k >= (d+1)(1+d/2)/(1+d/4), the expression is defined for all k >= 1."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
-    return ((d + 4) ** (2 + 2 / d) * (d + 5)
-            / (2 ** (2 / d) * d * (d + 1) ** (1 + 2 / d)
-               * (d + 2) ** (1 + 2 / d))
-            * k ** (2 / d))
+    return _abhh_next_coeff(d) * k ** (2 / d)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _mean_sq_coeff(d):
+    """Upper-envelope coefficient (1+2/d)^2/(1+4/d) of
+    :func:`mean_sq_envelope`."""
+    return (1 + 2 / d) ** 2 / (1 + 4 / d)
 
 
 def mean_sq_envelope(d, mean_k, allow_large_d=False):
     """(lower, upper) envelope for the mean square of the first k eigenvalues:
     mean_k^2 <= mean_sq_k <= (1+2/d)^2/(1+4/d) mean_k^2."""
     d = _check_dim(d, allow_large_d)
-    if mean_k <= 0:
+    if not mean_k > 0:
         raise ValidityError("mean_k must be positive")
     sq = mean_k * mean_k
-    return sq, (1 + 2 / d) ** 2 / (1 + 4 / d) * sq
+    return sq, _mean_sq_coeff(d) * sq
 
 
 def simple_p9(d, k, allow_large_d=False):
@@ -317,15 +372,14 @@ def simple_p9(d, k, allow_large_d=False):
 def cy_av(d, k, allow_large_d=False):
     """Averaged Cheng-Yang bound (d+4)/(d+2) k^{2/d} on mean_k/lambda_1."""
     d = _check_dim(d, allow_large_d)
-    if k < 1:
+    if not k >= 1:
         raise ValidityError(f"k must be >= 1, got {k}")
     return (d + 4) / (d + 2) * k ** (2 / d)
 
 
 def simple_p9_coeff(d, allow_large_d=False):
     """Coefficient of k^{2/d} in :func:`simple_p9`."""
-    d = _check_dim(d, allow_large_d)
-    return 2 * ((1 + d / 4) / (1 + d / 2)) ** (1 + 2 / d)
+    return _mean_ratio_constants(_check_dim(d, allow_large_d))[2]
 
 
 def cy_av_coeff(d, allow_large_d=False):

@@ -131,19 +131,13 @@ def _spectrum_from_args(args) -> spectra.Spectrum:
 
 def cmd_spectrum(args) -> int:
     spec = _spectrum_from_args(args)
-    if args.format == "json":
-        payload = {
-            "dim": spec.dimension,
-            "complete_below": spec.complete_below,
-            "volume": spec.volume,
-            "eigenvalues": [float(v) for v in spec.eigenvalues],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    elif args.format == "csv":
+    if args.format == "csv":
         _emit(spectra.spectrum_csv(spec, args.full_precision), args.output)
-    else:
-        with _output_file(args.output) as fh:
-            spectra._write_text(spec, fh)
+        return 0
+    write = spectra._write_json if args.format == "json" \
+        else spectra._write_text
+    with _output_file(args.output) as fh:
+        write(spec, fh)
     return 0
 
 

@@ -98,25 +98,45 @@ def square_prefix(spec: Spectrum):
                     lambda ev: _kernels.prefix_sums(np.power(ev, 2.0)))
 
 
-def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
-    """Mean, mean square, requested power means, geometric and harmonic
-    means of the first k eigenvalues."""
+def _check_index(spec: Spectrum, k: int) -> None:
+    """DomainError unless 1 <= k <= n."""
     n = len(spec.eigenvalues)
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
-    ev = spec.eigenvalues
+
+
+def _power_mean(spec: Spectrum, k: int, sigma: float) -> float:
+    """Power mean of order sigma in (0, 2] of the first k eigenvalues."""
+    if not 0 < sigma <= 2:
+        raise DomainError(f"power-mean sigma must be in (0, 2], got {sigma}")
+    return (_kernels.power_sum(spec.eigenvalues, k, float(sigma)) / k) \
+        ** (1.0 / sigma)
+
+
+def _geometric_mean(spec: Spectrum, k: int) -> float:
+    return math.exp(_kernels.exact_sum(_logs(spec)[:k]) / k)
+
+
+def _harmonic_mean(spec: Spectrum, k: int) -> float:
+    return k / _kernels.exact_sum(1.0 / spec.eigenvalues[:k])
+
+
+def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
+    """Mean, mean square, requested power means, geometric and harmonic
+    means of the first k eigenvalues.
+
+    The power, geometric and harmonic means each have their own helper
+    (``_power_mean``, ``_geometric_mean``, ``_harmonic_mean``), so a caller
+    that needs one of them can compute just that one.
+    """
+    _check_index(spec, k)
     mean = eigensum_prefix(spec)[k - 1] / k
-    mean_sq = _kernels.power_sum(ev, k, 2.0) / k
-    power = {}
-    for sigma in sigma_list:
-        if not 0 < sigma <= 2:
-            raise DomainError(f"power-mean sigma must be in (0, 2], got {sigma}")
-        power[float(sigma)] = (
-            _kernels.power_sum(ev, k, float(sigma)) / k) ** (1.0 / sigma)
-    geometric = math.exp(_kernels.exact_sum(_logs(spec)[:k]) / k)
-    harmonic = k / _kernels.exact_sum(1.0 / ev[:k])
+    mean_sq = _kernels.power_sum(spec.eigenvalues, k, 2.0) / k
+    power = {float(sigma): _power_mean(spec, k, sigma)
+             for sigma in sigma_list}
     return MeanSet(k=k, mean=mean, mean_sq=mean_sq, power_means=power,
-                   geometric=geometric, harmonic=harmonic)
+                   geometric=_geometric_mean(spec, k),
+                   harmonic=_harmonic_mean(spec, k))
 
 
 def _math_logs(values):

@@ -3,7 +3,9 @@ positive zeros.
 
 Gamma and J evaluation are delegated to scipy.special, which meets the
 accuracy targets (relative 1e-12 for Gamma on [0.5, 50], absolute 1e-12 for
-J on the needed range) with well-tested implementations.  The zero finder
+J on the needed range) with well-tested implementations; Gamma values are
+memoized per argument (a bounded memo), since the bounds ask for the same
+few Gamma(1 + d/2) and Gamma(1 + sigma) again and again.  The zero finder
 is our own and caches the zeros of each order:
 
 * Interlacing brackets.  Zeros of neighbouring orders interlace,
@@ -31,6 +33,7 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -48,9 +51,10 @@ _MAX_ITER = 200
 _SCAN_STEP = 0.5  # safe: consecutive zeros of J_nu, nu >= -1/2, are > pi/2 apart
 
 
+@lru_cache(maxsize=256)
 def gamma(x: float) -> float:
-    """Gamma function for positive arguments."""
-    if x <= 0:
+    """Gamma function for positive arguments, memoized per argument."""
+    if not x > 0:
         raise DomainError(f"gamma requires x > 0, got {x}")
     return float(_gamma(x))
 

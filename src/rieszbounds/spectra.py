@@ -8,6 +8,7 @@ threshold; this is the main correctness contract of the whole toolkit.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -240,6 +241,7 @@ def weyl_asymptote(spec: Spectrum, k: int) -> float:
 #: lines per block that ``load_spectrum`` converts at once
 _LOAD_BLOCK = 1 << 16
 #: eigenvalues per write in ``write_spectrum`` and ``cli spectrum``
+#: (text and JSON)
 _WRITE_CHUNK = 1 << 14
 
 
@@ -375,6 +377,30 @@ def _write_text(spec: Spectrum, fh) -> None:
     for start in range(0, len(ev), _WRITE_CHUNK):
         chunk = ev[start:start + _WRITE_CHUNK]
         fh.write("\n".join(_format_runs(chunk, repr)) + "\n")
+
+
+def _write_json(spec: Spectrum, fh) -> None:
+    """Write ``spec`` to the open text file ``fh`` as the JSON object
+    ``{"dim", "complete_below", "volume", "eigenvalues"}``.
+
+    The bytes are those of ``json.dumps(payload, indent=2) + "\n"`` with
+    the eigenvalues as a list of floats.  ``json`` renders a finite float
+    by its ``repr``, so the eigenvalues are written as in
+    :func:`_write_text`: ``_format_runs(chunk, repr)``, ``_WRITE_CHUNK``
+    per write, with no Python float made per eigenvalue.
+    """
+    head = json.dumps({"dim": spec.dimension,
+                       "complete_below": spec.complete_below,
+                       "volume": spec.volume}, indent=2)
+    # the head ends in "\n}"; the eigenvalue list goes before that brace
+    fh.write(head[:-2] + ',\n  "eigenvalues": [\n    ')
+    sep = ",\n    "
+    ev = spec.eigenvalues
+    for start in range(0, len(ev), _WRITE_CHUNK):
+        if start:
+            fh.write(sep)
+        fh.write(sep.join(_format_runs(ev[start:start + _WRITE_CHUNK], repr)))
+    fh.write("\n  ]\n}\n")
 
 
 def write_spectrum(spec: Spectrum, path: str) -> None:

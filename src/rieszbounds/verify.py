@@ -10,15 +10,24 @@ and a point passes iff ``margin >= -SLACK``.  Every margin is computed by a
 scalar function registered in ``MARGINS``; re-evaluating a reported witness
 through :func:`reevaluate` therefore reproduces the margin exactly.
 
-Each margin costs O(1) apart from its Riesz sums: eigenvalues, means and
-mean squares are read as Python floats (``ndarray.item``) from the
-spectrum's eigenvalues and its cached correctly rounded prefix arrays
-(:func:`~rieszbounds.riesz.eigensum_prefix`,
-:func:`~rieszbounds.riesz.square_prefix`), the same way inside and outside
-a sweep.  While one spectrum is swept, R_sigma(z) values are memoized per
-(sigma, z), and the memo is dropped when that spectrum's sweep ends.  It
-only hands back values that ``riesz_value`` computed, so witness
-re-evaluation outside a sweep stays exact.
+Each margin pays only for its own arithmetic, apart from its Riesz sums
+and moments:
+
+* Eigenvalues, means and mean squares are read as Python floats
+  (``ndarray.item``) straight from the spectrum's eigenvalues and its
+  cached correctly rounded prefix arrays, which
+  :func:`~rieszbounds.riesz.eigensum_prefix` and
+  :func:`~rieszbounds.riesz.square_prefix` fill on first use.  This is the
+  same inside and outside a sweep.
+* A bound's dimension gate and per-dimension constants are memoized in
+  :mod:`~rieszbounds.bounds`, so a point pays for its own gates on j, k
+  or z and one power of k.
+* A moment point computes only the one power, geometric or harmonic mean
+  it compares, by the helper that ``riesz.means`` uses for that field.
+* While one spectrum is swept, R_sigma(z) values are memoized per
+  (sigma, z), and the memo is dropped when that spectrum's sweep ends.  It
+  only hands back values that ``riesz_value`` computed, so witness
+  re-evaluation outside a sweep stays exact.
 
 Points are streamed.  Each family's points form one lazy sequence: sized
 (its length is counted from the grids, not by building the points),
@@ -132,7 +141,9 @@ class VerificationReport:
 # scalar margin functions (witness-reproducible)
 
 def _margin(big, small):
-    return (big - small) / max(1.0, abs(big))
+    # (big - small) / max(1, |big|), without a call to max
+    scale = abs(big)
+    return (big - small) / (scale if scale > 1.0 else 1.0)
 
 
 #: per-spectrum {(sigma, z): R_sigma(z)} tables, alive while _sweep runs
@@ -143,7 +154,10 @@ def _eigenvalue(spec, k):
 
 
 def _mean(spec, j):
-    return eigensum_prefix(spec).item(j - 1) / j
+    prefix = spec._derived.get("eigensum_prefix")
+    if prefix is None:
+        prefix = eigensum_prefix(spec)
+    return prefix.item(j - 1) / j
 
 
 def _riesz(spec, sigma, z):
@@ -299,19 +313,23 @@ def margin_cor31_mean_ratio(spec, j, k):
 
 
 def margin_cor32_abhh(spec, k):
-    bound = bounds.abhh(spec.dimension, k) * spec.lambda_1
+    bound = bounds.abhh(spec.dimension, k) * _eigenvalue(spec, 0)
     return _margin(bound, _mean(spec, k))
 
 
 def margin_eq36_next(spec, k):
-    bound = bounds.abhh_next(spec.dimension, k) * spec.lambda_1
+    bound = bounds.abhh_next(spec.dimension, k) * _eigenvalue(spec, 0)
     return _margin(bound, _eigenvalue(spec, k))
 
 
 def margin_eq37_discrim(spec, k, form):
-    if not 1 <= k <= len(spec):
-        raise DomainError(f"k must be in 1..{len(spec)}, got {k}")
-    mean_sq = square_prefix(spec).item(k - 1) / k
+    n = len(spec.eigenvalues)
+    if not 1 <= k <= n:
+        raise DomainError(f"k must be in 1..{n}, got {k}")
+    squares = spec._derived.get("square_prefix")
+    if squares is None:
+        squares = square_prefix(spec)
+    mean_sq = squares.item(k - 1) / k
     lo, hi = bounds.mean_sq_envelope(spec.dimension, _mean(spec, k))
     if form == "lower":
         return _margin(mean_sq, lo)
@@ -319,12 +337,14 @@ def margin_eq37_discrim(spec, k, form):
 
 
 def _moment(spec, k, sigma):
-    # sigma = 0 denotes the geometric mean, -1 the harmonic mean
+    """The one mean of order sigma that ``riesz.means`` reports: sigma = 0
+    denotes the geometric mean, -1 the harmonic mean."""
+    riesz._check_index(spec, k)
     if sigma == -1.0:
-        return riesz.means(spec, k).harmonic
+        return riesz._harmonic_mean(spec, k)
     if sigma == 0.0:
-        return riesz.means(spec, k).geometric
-    return riesz.means(spec, k, sigma_list=[sigma]).power_means[sigma]
+        return riesz._geometric_mean(spec, k)
+    return riesz._power_mean(spec, k, sigma)
 
 
 def margin_moment_ordering(spec, k, s_lo, s_hi):

@@ -1,9 +1,11 @@
 """Independent reference implementations that the tests compare the library
 against.  None of them is used by the library itself."""
 
+import json
 import math
 
 import numpy as np
+from scipy.special import gamma as _gamma
 
 from rieszbounds.errors import DomainError
 from rieszbounds.riesz import eigensum_prefix, riesz_value
@@ -123,3 +125,56 @@ def spectrum_csv(spec, full_precision: bool = False) -> str:
     return "k,lambda_k\n" + "".join(
         f"{k},{fmt.format(v)}\n"
         for k, v in enumerate(spec.eigenvalues.tolist(), start=1))
+
+
+def spectrum_json(spec) -> str:
+    """The text of ``cli spectrum --format json``, one ``float`` per
+    eigenvalue and one ``json.dumps`` of the whole payload."""
+    payload = {"dim": spec.dimension, "complete_below": spec.complete_below,
+               "volume": spec.volume,
+               "eigenvalues": [float(v) for v in spec.eigenvalues]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Closed forms of the bounds that ``rieszbounds.bounds`` memoizes per
+# dimension, written out in full as one expression each (no gates, no
+# memo), to pin the memoized values bit for bit.
+
+def lambda_next_over_mean(d, j, k):
+    return (1 + 4 / d) * (k / j) ** (2 / d)
+
+
+def mean_ratio(d, j, k):
+    return (2 * ((1 + d / 4) / (1 + d / 2)) ** (1 + 2 / d)
+            * (k / j) ** (2 / d))
+
+
+def mean_ratio_threshold(d, j):
+    return j * (1 + d / 2) / (1 + d / 4)
+
+
+def abhh(d, k):
+    return ((d + 5) / 2 ** (2 / d)
+            * ((d + 4) / ((d + 1) * (d + 2))) ** (1 + 2 / d)
+            * k ** (2 / d))
+
+
+def abhh_threshold(d):
+    return (d + 1) * (1 + d / 2) / (1 + d / 4)
+
+
+def abhh_next(d, k):
+    return ((d + 4) ** (2 + 2 / d) * (d + 5)
+            / (2 ** (2 / d) * d * (d + 1) ** (1 + 2 / d)
+               * (d + 2) ** (1 + 2 / d))
+            * k ** (2 / d))
+
+
+def mean_sq_envelope(d, mean_k):
+    sq = mean_k * mean_k
+    return sq, (1 + 2 / d) ** 2 / (1 + 4 / d) * sq
+
+
+def L_cl(sigma, d):
+    return (float(_gamma(sigma + 1))
+            / ((4 * math.pi) ** (d / 2) * float(_gamma(sigma + 1 + d / 2))))

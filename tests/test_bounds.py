@@ -6,8 +6,9 @@ import math
 import mpmath
 import pytest
 
-from rieszbounds import bounds
-from rieszbounds.errors import ValidityError
+import oracles
+from rieszbounds import bounds, specfun
+from rieszbounds.errors import DomainError, ValidityError
 
 mpmath.mp.dps = 30
 
@@ -161,3 +162,127 @@ class TestCatalog:
         assert "cheng_yang" in text
         assert dump["constants"]["2"]["H_d"] == pytest.approx(
             bounds.H_d(2))
+
+
+#: (d, allow_large_d) pairs the memo pins cover
+_DIMS = [(d, False) for d in range(1, 11)] + [(11, True), (12, True)]
+_INDICES = [1, 2, 3, 4, 5, 7, 10, 16, 33, 100, 127, 1000, 4097, 10**5,
+            10**6 + 3]
+
+
+class TestMemoizedConstants:
+    """The per-dimension memos give the bits of the closed forms written
+    out in full (``tests/oracles.py``), on every call."""
+
+    @pytest.mark.parametrize("d, large", _DIMS)
+    def test_index_bounds_equal_closed_forms(self, d, large):
+        for _ in range(2):  # cold memo, then warm
+            for k in _INDICES:
+                if k >= oracles.abhh_threshold(d):
+                    assert bounds.abhh(d, k, large) == oracles.abhh(d, k)
+                else:
+                    with pytest.raises(ValidityError):
+                        bounds.abhh(d, k, large)
+                assert bounds.abhh_next(d, k, large) == \
+                    oracles.abhh_next(d, k)
+                for j in _INDICES[:8]:
+                    if k >= j:
+                        assert bounds.lambda_next_over_mean(d, j, k, large) \
+                            == oracles.lambda_next_over_mean(d, j, k)
+                    if k >= oracles.mean_ratio_threshold(d, j):
+                        assert bounds.mean_ratio(d, j, k, large) == \
+                            oracles.mean_ratio(d, j, k)
+                    else:
+                        with pytest.raises(ValidityError):
+                            bounds.mean_ratio(d, j, k, large)
+            for mean_k in (1e-300, 0.1, 1.0, 19.739208802178716, 3e5,
+                           1e150):
+                assert bounds.mean_sq_envelope(d, mean_k, large) == \
+                    oracles.mean_sq_envelope(d, mean_k)
+
+    @pytest.mark.parametrize("d, large", _DIMS)
+    def test_L_cl_equals_closed_form(self, d, large):
+        for _ in range(2):
+            for sigma in (0.0, 0.25, 0.5, 1, 1.0, 1.5, 2.0, 2.5, 4.0, 5.0):
+                assert bounds.L_cl(sigma, d) == oracles.L_cl(sigma, d)
+
+    def test_large_d_stays_gated_after_an_allowed_call(self):
+        bounds.abhh(11, 100, allow_large_d=True)
+        with pytest.raises(ValidityError, match="allow_large_d"):
+            bounds.abhh(11, 100)
+        with pytest.raises(ValidityError, match="allow_large_d"):
+            bounds._check_dim(11)
+
+    def test_memos_store_no_exception(self):
+        for call in (lambda: bounds._check_dim(2.5),
+                     lambda: bounds.abhh(2, 3),
+                     lambda: bounds.L_cl(-1.0, 2)):
+            for _ in range(3):
+                with pytest.raises(ValidityError):
+                    call()
+        with pytest.raises(DomainError):
+            specfun.gamma(0.0)
+        with pytest.raises(DomainError):
+            specfun.gamma(0.0)
+
+
+_NAN = math.nan
+_INF = math.inf
+
+
+class TestNonFiniteGates:
+    """Each gate is ``not x >= limit``: NaN fails it, and a dimension or
+    index must be a finite integer, so a non-finite argument raises
+    ValidityError instead of a bare ValueError/OverflowError or a NaN."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (bounds._check_dim, (_NAN,)),
+        (bounds._check_dim, (_INF,)),
+        (bounds._check_dim, (-_INF,)),
+        (bounds._check_dim, (_INF, True)),
+        (bounds.H_d, (_NAN,)),
+        (bounds.L_cl, (_NAN, 2)),
+        (bounds.weyl_coeff, (2, _NAN)),
+        (bounds.ab94, (2, _NAN)),
+        (bounds.ab94, (2, _INF)),
+        (bounds.ab94_avg, (2, _NAN)),
+        (bounds.her1, (2, _NAN)),
+        (bounds.her2, (2, _NAN)),
+        (bounds.cheng_yang, (2, _NAN)),
+        (bounds.cheng_yang2, (2, _NAN)),
+        (bounds.fk_weyl, (2, _NAN)),
+        (bounds.berezin_li_yau, (2, 1.0, _NAN)),
+        (bounds.berezin_li_yau, (2, _NAN, 5)),
+        (bounds.riesz_upper, (_NAN, 2, 1.0, 10.0)),
+        (bounds.riesz_upper, (2.0, 2, 1.0, _NAN)),
+        (bounds.riesz_lower_main, (2.0, 2, 1.0, _NAN)),
+        (bounds.riesz_lower_main, (2.0, 2, _NAN, 10.0)),
+        (bounds.riesz_lower_sub2, (1.0, 2, 1.0, _NAN)),
+        (bounds.riesz_lower_sub2, (_NAN, 2, 1.0, 10.0)),
+        (bounds.riesz_lower_hermi, (1.0, 2, 1.0, _NAN)),
+        (bounds.riesz_lower_hermi, (_NAN, 2, 1.0, 10.0)),
+        (bounds.counting_lower, (2, 1.0, _NAN)),
+        (bounds.counting_lower_j, (2, _NAN, 1.0, 10.0)),
+        (bounds.counting_lower_j, (2, _INF, 1.0, 10.0)),
+        (bounds.counting_lower_j, (2, 1, _NAN, 10.0)),
+        (bounds.lambda_next_over_mean, (2, 1, _NAN)),
+        (bounds.lambda_next_over_mean, (2, 1, _INF)),
+        (bounds.lambda_next_over_mean, (2, _NAN, 3)),
+        (bounds.mean_ratio, (2, 1, _NAN)),
+        (bounds.mean_ratio, (2, _NAN, 5)),
+        (bounds.abhh, (2, _NAN)),
+        (bounds.abhh, (_NAN, 10)),
+        (bounds.abhh_next, (2, _NAN)),
+        (bounds.mean_sq_envelope, (2, _NAN)),
+        (bounds.simple_p9, (2, _NAN)),
+        (bounds.cy_av, (2, _NAN)),
+        (bounds.simple_p9_coeff, (_NAN,)),
+        (bounds.cy_av_coeff, (_INF,)),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_rejects_non_finite(self, fn, args):
+        with pytest.raises(ValidityError):
+            fn(*args)
+
+    def test_evaluate_rejects_nan(self):
+        with pytest.raises(ValidityError):
+            bounds.evaluate("abhh", d=2, k=_NAN)

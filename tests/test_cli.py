@@ -1,6 +1,7 @@
 """CLI: golden table values, determinism, table/figure consistency,
 spectrum generation, atomic output, and the verify exit-code contract."""
 
+import io
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import os
 import pytest
 
 from rieszbounds import cli, spectra
-from oracles import spectrum_csv, spectrum_text
+from oracles import spectrum_csv, spectrum_json, spectrum_text
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +336,48 @@ class TestSpectrumText:
                 assert spectra.spectrum_csv(case, full) == csv, name
                 flags = ("--format", "csv") + ("--full-precision",) * full
                 assert run_cli(capsys, *load, *flags) == (0, csv, ""), name
+
+
+class TestSpectrumJson:
+    """``spectrum --format json`` writes the bytes of one ``json.dumps``
+    of the payload, to stdout and to --output."""
+
+    @pytest.mark.parametrize("argv, spec", [
+        # more eigenvalues than one write chunk
+        (("--box", "1", "1", "--lambda-max", "3e5"),
+         lambda: spectra.box_spectrum([1.0, 1.0], 3e5)),
+        (("--ball", "--dim", "2", "--lambda-max", "2e4"),
+         lambda: spectra.ball_spectrum(2, 1.0, 2e4)),
+        (("--ball", "--dim", "3", "--lambda-max", "3e3"),
+         lambda: spectra.ball_spectrum(3, 1.0, 3e3)),
+    ], ids=["box", "disk", "ball3"])
+    def test_generated(self, capsys, tmp_path, argv, spec):
+        ref = spectrum_json(spec())
+        code, out, _ = run_cli(capsys, "spectrum", *argv, "--format", "json")
+        assert (code, out) == (0, ref)
+        path = tmp_path / "out.json"
+        code, _, _ = run_cli(capsys, "spectrum", *argv, "--format", "json",
+                             "--output", str(path))
+        assert code == 0
+        assert path.read_bytes() == ref.encode()
+        assert json.loads(ref)["eigenvalues"] == spec().eigenvalues.tolist()
+
+    def test_loaded_without_volume(self, capsys, tmp_path):
+        path = tmp_path / "novol.txt"
+        path.write_text("dim: 3\ncomplete_below: 50\n"
+                        + "3.5\n" * 3 + "7.25\n10.0\n")
+        spec = spectra.load_spectrum(str(path))
+        assert spec.volume is None
+        code, out, _ = run_cli(capsys, "spectrum", "--load", str(path),
+                               "--format", "json")
+        assert (code, out) == (0, spectrum_json(spec))
+        assert json.loads(out)["volume"] is None
+
+    def test_writer_cases(self, writer_cases):
+        for name, case in writer_cases.items():
+            buf = io.StringIO()
+            spectra._write_json(case, buf)
+            assert buf.getvalue() == spectrum_json(case), name
 
 
 class TestIOErrors:

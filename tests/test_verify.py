@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rieszbounds import bounds, riesz, spectra, verify
-from rieszbounds.errors import ConfigError, DomainError
+from rieszbounds.errors import ConfigError, DomainError, ValidityError
 
 SMALL = verify.VerifyConfig(z_points=25, j_count=4, k_count=8,
                             hoelder_samples=10, moment_k_count=3,
@@ -313,3 +313,55 @@ class TestHandAnchors:
             complete_below=10.0, domain=spectra.DomainSpec("file", 2))
         assert verify.margin_eq37_discrim(flat, 4, "lower") == \
             pytest.approx(0.0, abs=1e-14)
+
+
+class TestMoments:
+    """``_moment`` computes only the mean it compares, and gives the bits
+    of the matching ``riesz.means`` field."""
+
+    ORDERS = (-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+
+    def test_equals_means_field(self, square_pi_200):
+        for spec in (square_pi_200, verify.corrupt_spectrum(square_pi_200)):
+            for k in range(1, len(spec) + 1):
+                m = riesz.means(spec, k, sigma_list=self.ORDERS[2:])
+                fields = {-1.0: m.harmonic, 0.0: m.geometric,
+                          **m.power_means}
+                for sigma in self.ORDERS:
+                    assert verify._moment(spec, k, sigma) == fields[sigma], \
+                        (k, sigma)
+
+    def test_guards(self, square_pi_200):
+        for k in (0, len(square_pi_200) + 1):
+            for sigma in self.ORDERS:
+                with pytest.raises(DomainError):
+                    verify._moment(square_pi_200, k, sigma)
+        with pytest.raises(DomainError):
+            verify._moment(square_pi_200, 3, 2.5)
+
+
+class TestBadWitness:
+    """``reevaluate`` of a witness outside a bound's validity region
+    raises, whether or not the memos already hold that dimension."""
+
+    @pytest.mark.parametrize("check_id, witness, error", [
+        ("cor32_abhh", {"k": 3}, ValidityError),      # below k >= 4 at d = 2
+        ("eq224_ratio", {"j": 5, "k": 3}, ValidityError),         # j > k
+        ("eq224_ratio", {"j": 1.5, "k": 3}, ValidityError),
+        ("eq224_ratio", {"j": math.nan, "k": 3}, ValidityError),
+        ("eq224_ratio", {"j": 1, "k": math.inf}, ValidityError),
+        ("cor31_mean_ratio", {"j": 2.5, "k": 40}, ValidityError),
+        ("cor31_mean_ratio", {"j": 10, "k": 12}, ValidityError),
+        ("eq37_discrim", {"k": 0, "form": "lower"}, DomainError),
+        ("eq37_discrim", {"k": 10**6, "form": "upper"}, DomainError),
+        ("moment_ordering", {"k": 0, "s_lo": 0.5, "s_hi": 1.0},
+         DomainError),
+        ("moment_interpolation",
+         {"k": 10**6, "mu": 0.5, "sigma": 1.0, "tau": 2.0}, DomainError),
+    ])
+    def test_raises(self, square_pi_200, check_id, witness, error):
+        spec = square_pi_200
+        verify.reevaluate(spec, "cor32_abhh", {"k": 10})   # warm the memos
+        for _ in range(2):
+            with pytest.raises(error):
+                verify.reevaluate(spec, check_id, witness)
