@@ -3,10 +3,10 @@
 Times the exact primitives against their references at n = 10^3 .. 10^6
 and checks bit-equality as it goes: ``math.fsum`` against ``exact_sum`` on
 the Riesz, power, reciprocal and log terms of a sorted spectrum; the
-Shewchuk loop against ``prefix_sums`` on the eigenvalues (the two-limb
-numpy path) and on their squares (the integer path at n = 10^6); and
-``math.fsum`` of the ``np.power`` terms against ``riesz_sum`` at
-sigma = 1/2, 1, 2 and 5/2.
+Shewchuk loop of ``tests/oracles.py`` against ``prefix_sums`` on the
+eigenvalues and on their squares, and on subnormal terms, runs of +0.0
+and terms from 1e-300 to 1e300; and ``math.fsum`` of the ``np.power``
+terms against ``riesz_sum`` at sigma = 1/2, 1, 2 and 5/2.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -15,10 +15,14 @@ Exit status 1 if any result differs from its reference in a single bit.
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from rieszbounds._kernels import pykernels
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import shewchuk_prefix_sums  # noqa: E402
 
 EXACT_SIZES = (10**3, 10**4, 10**5, 10**6)
 
@@ -64,7 +68,7 @@ def compare_exact() -> bool:
                   f"exact_sum {t_new*1e3:8.2f} ms  x{t_ref / t_new:5.1f}  "
                   f"bit-equal={same}")
         for name, terms in (("eigen", lams), ("square", np.power(lams, 2.0))):
-            t_ref, ref = _time(pykernels._shewchuk_prefix_sums, terms,
+            t_ref, ref = _time(shewchuk_prefix_sums, terms,
                                repeat=1 if n == 10**6 else repeat)
             t_new, new = _time(pykernels.prefix_sums, terms, repeat=repeat)
             same = _same_bits(ref, new)
@@ -87,8 +91,41 @@ def compare_exact() -> bool:
     return ok
 
 
+def _prefix_domain_cases(rng):
+    """Non-negative inputs beyond a spectrum's: subnormal terms, runs of
+    +0.0 between normal terms, and terms from 1e-300 to 1e300 in
+    ascending, descending and random order."""
+    n = 10**4
+    subnormal = np.ldexp(rng.integers(0, 2**52, n).astype(float), -1074)
+    zeros = rng.uniform(1.0, 2.0, n)
+    zeros[rng.random(n) < 0.5] = 0.0
+    zeros[1000:3000] = 0.0
+    wide = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), n))
+    return (("subnormal", subnormal), ("zero runs", zeros),
+            ("1e-300..1e300 ascending", np.sort(wide)),
+            ("1e-300..1e300 descending", np.sort(wide)[::-1].copy()),
+            ("1e-300..1e300 any order", wide))
+
+
+def compare_prefix_domain() -> bool:
+    """``prefix_sums`` against the Shewchuk loop on inputs outside a
+    spectrum's range; True if all bits agree."""
+    ok = True
+    print("prefix sums beyond a spectrum (n = 10^4)")
+    for name, terms in _prefix_domain_cases(np.random.default_rng(2)):
+        t_ref, ref = _time(shewchuk_prefix_sums, terms, repeat=1)
+        t_new, new = _time(pykernels.prefix_sums, terms, repeat=3)
+        same = _same_bits(ref, new)
+        ok &= same
+        print(f"  {name:25} Shewchuk {t_ref*1e3:8.2f} ms  "
+              f"prefix_sums {t_new*1e3:7.2f} ms  bit-equal={same}")
+    return ok
+
+
 def main() -> int:
-    return 0 if compare_exact() else 1
+    ok = compare_exact()
+    ok &= compare_prefix_domain()
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -11,14 +11,9 @@ returns.
   exactly in uint64 blocks read straight from the float bits, and the total
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
   input, and a zero result, go to ``math.fsum`` itself.
-- ``prefix_sums`` keeps the running sum of positive normal terms exactly,
-  at the binary scale of the smallest term, and rounds each prefix once.
-  When the terms' exponents span at most ``_LIMB - bit_length(n)`` binades
-  (the eigenvalues of a spectrum with n near 10**6, not their squares),
-  the running sum is two uint64 limbs split at bit ``_LIMB``, added by
-  ``np.cumsum`` a chunk at a time; a wider span keeps it as a Python
-  integer, one addition per term.  Non-positive, subnormal, non-finite or
-  near-overflow input takes a Shewchuk partials loop.
+- ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
+  columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
+  window.
 - ``riesz_sum`` and ``power_sum`` build their terms with ``np.power``'s
   own shortcuts for the exponents 1/2, 1 and 2 (see ``riesz_sum``).
 """
@@ -26,9 +21,11 @@ returns.
 import math
 import operator
 from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import compress
 
 import numpy as np
+
+from ..errors import DomainError
 
 BACKEND = "python"
 
@@ -36,19 +33,18 @@ BACKEND = "python"
 _CHUNK = 1 << 16
 #: below this many terms ``math.fsum`` is faster than the run path
 _SMALL = 1024
-#: smallest frexp exponent of a normal float64
-_EMIN = -1021
 #: terms per block on the run path: 2**11 mantissas below 2**53 sum to
 #: less than 2**64, so a block's uint64 sum is exact
 _RUN_BLOCK = 1 << 11
 #: sign and exponent bits of a float64
 _SIGN_EXP = np.uint64(0xFFF << 52)
-#: fraction bits of a float64, and the implicit bit of a normal one
-_FRACTION = np.uint64((1 << 52) - 1)
-_HIDDEN = np.uint64(1 << 52)
-#: split bit of the two-limb prefix path: a chunk of low limbs below
-#: 2**_LIMB, plus a carried one, sums below (_CHUNK + 1) * 2**_LIMB < 2**64
-_LIMB = 64 - _CHUNK.bit_length()
+#: widest exponent span of a prefix chunk whose shifted mantissas stay
+#: below 2**64; limbs per prefix chunk; the least prefix, in units of
+#: 2**-1074, that rounds to infinity
+_BAND = 11
+_CELLS = _CHUNK
+_OVERFLOW = (1 << 2098) - (1 << 2044)
+_MASK32 = (1 << 32) - 1
 #: spacing of the terms sampled to find the stretches that hold a run
 #: start, and the offsets of the terms of one stretch, both ends included
 _MARK = 1 << 8
@@ -96,8 +92,8 @@ def _run_sum(terms):
         return None
     e_lo, e_hi = min(nonzero), max(exps)
     width = n.bit_length()
-    # as in prefix_sums: no inf, the sum stays below 2**1023, and the
-    # integer total converts to a finite float
+    # no inf, the sum stays below 2**1023, and the integer total converts
+    # to a finite float
     if e_hi - 1022 + width > 1023 or e_hi - e_lo + 53 + width > 1023:
         return None
     zeros = len(nonzero) < len(exps)
@@ -190,121 +186,112 @@ def power_sum(lams, k, p):
 
 
 def prefix_sums(lams):
-    """Correctly rounded running prefix sums of ``lams``.
-
-    ``out[i]`` equals ``math.fsum(lams[:i+1])`` exactly.  For positive
-    normal terms whose binary exponents span few enough bits that no prefix
-    overflows, each term is an integer multiple of 2**qmin (qmin = e_lo - 53
-    for the smallest term's frexp exponent e_lo), the running sums are
-    exact integers, and each is rounded once on conversion back to float:
-
-    - If the exponents span at most ``_LIMB - bit_length(n)`` binades, every
-      prefix is below 2**(53 + _LIMB) units, and ``_limb_prefix_sums`` keeps
-      it in two uint64 limbs with ``np.cumsum``.
-    - Otherwise the running sums are Python integers (``_int_prefix_sums``).
-
-    Non-positive, subnormal or non-finite terms, or a span or size at which
-    a prefix could overflow, take the Shewchuk loop.
-    """
+    """``math.fsum(lams[:i+1])`` for every i, bit for bit, for finite
+    terms >= +0.0; other terms, or a prefix that rounds to infinity (where
+    ``math.fsum`` overflows), raise DomainError.  Exact limb column sums
+    of a chunk (``_limb_sums``) plus the exact total of the chunks before,
+    a Python integer, give each prefix, rounded once (``_round_chunk``)."""
     x = np.asarray(lams, dtype=np.float64)
-    n = len(x)
-    if n == 0:
-        return np.empty(0)
-    smallest, largest = float(x.min()), float(x.max())
-    if not (smallest > 0.0 and largest < math.inf):
-        return _shewchuk_prefix_sums(x)
-    e_lo = math.frexp(smallest)[1]
-    e_hi = math.frexp(largest)[1]
-    width = n.bit_length()
-    # prefix < 2**(e_hi + width): finite, and below 2**1024 in units 2**qmin
-    if (e_lo < _EMIN or e_hi + width > 1023
-            or e_hi - e_lo + 53 + width > 1023):
-        return _shewchuk_prefix_sums(x)
-    if e_hi - e_lo + width <= _LIMB:
-        return _limb_prefix_sums(x, e_lo)
-    return _int_prefix_sums(x, e_lo)
-
-
-def _limb_prefix_sums(x, e_lo):
-    """Prefix sums of positive normal ``x`` whose frexp exponents lie in
-    [e_lo, e_lo + _LIMB - bit_length(n)], one rounding each.
-
-    With the biased exponent E of a term and E_lo = e_lo + 1022, the term is
-    M * 2**s units of 2**qmin, where M < 2**53 is its integer mantissa and
-    s = E - E_lo.  It is split at bit ``_LIMB`` into a high limb
-    M >> (_LIMB - s) and a low limb (M << s) mod 2**_LIMB, and each limb is
-    summed by ``np.cumsum``, with the normalised (high, low) pair of the
-    last prefix carried into the next chunk.  A prefix is below
-    n * 2**(53 + E_hi - E_lo) <= 2**(53 + _LIMB), so after the low limb's
-    carry moves into the high limb both limbs are below 2**53, and
-    high * 2**_LIMB + low is one IEEE addition of two exact floats:
-    correctly rounded.  Scaling by 2**qmin is exact, as every prefix is at
-    least the smallest term, a normal float.
-    """
-    n = len(x)
-    out = np.empty(n)
-    mask = np.uint64((1 << _LIMB) - 1)
-    limb = np.uint64(_LIMB)
-    top = 2.0 ** _LIMB
-    unit = math.ldexp(1.0, e_lo - 53)
-    biased = np.uint64(e_lo + 1022)
-    high = low = np.uint64(0)
-    for start in range(0, n, _CHUNK):
-        bits = x[start:start + _CHUNK].view(np.uint64)
-        shifts = (bits >> np.uint64(52)) - biased
-        mant = (bits & _FRACTION) | _HIDDEN
-        hi = mant >> (limb - shifts)
-        lo = (mant << shifts) & mask
-        hi[0] += high
-        lo[0] += low
-        np.cumsum(hi, out=hi)
-        np.cumsum(lo, out=lo)
-        hi += lo >> limb
-        lo &= mask
-        high, low = hi[-1], lo[-1]
-        part = out[start:start + len(hi)]
-        np.multiply(hi, top, out=part)
-        part += lo
-        part *= unit
+    out = np.empty(len(x))
+    if len(x) and not (x.min() >= 0.0 and x.max() < math.inf):
+        raise DomainError("prefix sums need finite non-negative terms, "
+                          f"got terms from {x.min()} to {x.max()}")
+    bits = x.view(np.uint64)
+    total = start = 0
+    while start < len(x):
+        pos, sums = _limb_sums(bits[start:start + _CHUNK], total)
+        total = _round_chunk(out[start:start + len(sums)], sums, total, pos)
+        start += len(sums)
     return out
 
 
-def _int_prefix_sums(x, e_lo):
-    """Prefix sums of positive normal ``x`` as Python integers in units of
-    2**qmin, rounded once each by ``float``."""
-    n = len(x)
-    qmin = e_lo - 53
-    out = np.empty(n)
+def _limb_sums(bits, total):
+    """(pos, running sums of a head of ``bits`` in uint64 columns of 32-bit
+    limbs at bits pos + 32 w), in units of 2**-1074.
+
+    A term is M << s at pos = E_lo - 1: M < 2**53 its mantissa, E >= 1 its
+    biased exponent (1 if subnormal or zero), s = E - E_lo.  Within
+    ``_BAND`` binades M << s < 2**64 fills two limbs, else M << (s % 32)
+    fills the three columns from s // 32.  A column stays below 2**48;
+    there are enough to reach any window above ``total`` and at most
+    ``_CELLS`` limbs."""
+    exps = np.maximum(bits >> np.uint64(52), np.uint64(1))
+    e_lo, e_hi = int(exps.min()), int(exps.max())
+    if e_hi > 2047:
+        raise DomainError("prefix sums need non-negative terms, got -0.0")
+    pos = e_lo - 1
+    narrow = e_hi - e_lo <= _BAND
+    cols = max(2 if narrow else (e_hi - e_lo) // 32 + 3,
+               (total.bit_length() - pos - 31) // 32)
+    m = min(len(bits), _CELLS // cols)
+    exps = exps[:m]
+    mant = bits[:m] - ((exps - np.uint64(1)) << np.uint64(52))
+    exps -= np.uint64(e_lo)
+    limbs = np.zeros((m, cols), np.uint32)    # keeps the low 32 bits
+    if narrow:
+        mant <<= exps
+        limbs[:, 0] = mant
+        limbs[:, 1] = mant >> np.uint64(32)
+    else:
+        flat = limbs.reshape(-1)
+        at = exps >> np.uint64(5)
+        at += np.arange(0, m * cols, cols, dtype=np.uint64)
+        shift = exps & np.uint64(31)
+        flat[at] = low = mant << shift
+        flat[at + np.uint64(1)] = low >> np.uint64(32)
+        mant >>= np.uint64(32)
+        flat[at + np.uint64(2)] = mant >> (np.uint64(32) - shift)
+    return pos, np.cumsum(limbs, axis=0, dtype=np.uint64)
+
+
+def _round_chunk(out, sums, total, pos):
+    """Round S_i = total + sum_w sums[i, w] * 2**(pos + 32 w) into ``out``
+    and return the last, exact.  S only grows, so the prefixes in
+    [2**(beta + 54), 2**(beta + 63)) form one stretch for one window at bit
+    beta; the stretches are found from the last down by bisection."""
+    def exact(i):
+        return total + sum(limb << (pos + 32 * w)
+                           for w, limb in enumerate(sums[i].tolist()))
+
+    end = len(out)
+    last = exact(end - 1)
+    if last >= _OVERFLOW:
+        raise DomainError("a prefix sum overflows")
+    while end:
+        beta = max(0, exact(end - 1).bit_length() - 63)
+        least = 1 << (beta + 54)    # 55 bits in the window
+        first = bisect_left(range(end), least, key=exact) if beta else 0
+        _round_window(out[first:end], sums[first:end], total, pos, beta)
+        end = first
+    return last
+
+
+def _round_window(out, sums, total, pos, beta):
+    """Round S_i of ``_round_chunk`` into ``out`` from N_i = S_i >> beta,
+    its lowest bit set if a bit of S_i below beta is: with 55 to 63 bits
+    (or exact at beta = 0) its int64 -> float64 conversion rounds as S_i
+    would.  Columns (plus ``total``'s word beside them) carry upwards below
+    beta and add into N modulo 2**64 from beta up, exact as N < 2**63."""
+    top = pos + 32 * sums.shape[1]    # at or above beta
+    low = total & ((1 << pos) - 1)
+    window = np.full(len(out), (((total >> top) << (top - beta))
+                                + (low >> beta)) % 2**64, np.uint64)
+    rest = np.full(len(out), low & ((1 << beta) - 1) != 0, np.uint64)
     carry = 0
-    for start in range(0, n, _CHUNK):
-        m, e = np.frexp(x[start:start + _CHUNK])
-        m *= 2.0 ** 53
-        e -= e_lo
-        ints = map(operator.lshift, m.astype(np.int64).tolist(), e.tolist())
-        sums = list(accumulate(ints, initial=carry))
-        carry = sums[-1]
-        rounded = np.fromiter(map(float, sums), np.float64, len(sums))
-        out[start:start + len(e)] = np.ldexp(rounded[1:], qmin)
-    return out
-
-
-def _shewchuk_prefix_sums(lams):
-    # the running state is a list of non-overlapping partials, rounded after
-    # every addition
-    out = np.empty(len(lams), dtype=float)
-    partials = []
-    for i, x in enumerate(lams):
-        x = float(x)
-        j = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[j] = lo
-                j += 1
-            x = hi
-        partials[j:] = [x]
-        out[i] = math.fsum(partials)
-    return out
+    for w in range(sums.shape[1]):
+        above = pos + 32 * w - beta
+        word = sums[:, w] + (carry + ((total >> (pos + 32 * w)) & _MASK32))
+        carry = 0
+        if above <= -32:
+            carry = word >> np.uint64(32)
+            word &= np.uint64(_MASK32)
+        elif above < 0:
+            window += word >> np.uint64(-above)
+            word &= np.uint64((1 << -above) - 1)
+        else:    # a column 63 or more bits above beta is 0, as N < 2**63
+            window += word << np.uint64(above)
+            continue
+        rest |= word
+    window |= np.minimum(rest, np.uint64(1), out=rest)
+    np.multiply(window.view(np.int64), math.ldexp(1.0, beta - 1074),
+                out=out)

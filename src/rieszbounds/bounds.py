@@ -3,7 +3,7 @@
 Every bound is a named, citable evaluation rule with a hard validity gate:
 evaluating outside the stated region raises ``ValidityError`` rather than
 returning a silently meaningless number.  Each gate is written as
-``not x >= limit``, so a NaN argument fails it too, and a dimension or
+``not limit <= x < inf``, so NaN and +inf fail it, and a dimension or
 index must be a finite integer.  Formulas are well-defined for any
 dimension, but constants above ``MAX_CHECKED_DIMENSION`` involve untested
 high-order Bessel zeros and are gated behind ``allow_large_d``.
@@ -35,10 +35,10 @@ _MEMO_SIZE = 256
 
 
 def _whole(x) -> bool:
-    """True for a finite integral value; NaN and infinities are not."""
+    """True for a finite integral value; NaN, infinities and None not."""
     try:
         return int(x) == x
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -76,7 +76,7 @@ def H_d(d: int, allow_large_d: bool = False) -> float:
 def L_cl(sigma: float, d: int) -> float:
     """Semiclassical constant Gamma(s+1) / ((4 pi)^{d/2} Gamma(s+1+d/2)),
     memoized per (sigma, d)."""
-    if not sigma >= 0:
+    if not 0 <= sigma < math.inf:
         raise ValidityError(f"sigma must be nonnegative, got {sigma}")
     return (specfun.gamma(sigma + 1)
             / ((4 * math.pi) ** (d / 2) * specfun.gamma(sigma + 1 + d / 2)))
@@ -84,7 +84,7 @@ def L_cl(sigma: float, d: int) -> float:
 
 def weyl_coeff(d: int, volume: float) -> float:
     """Leading Weyl coefficient 4 pi Gamma(1+d/2)^{2/d} / |Omega|^{2/d}."""
-    if not volume > 0:
+    if not 0 < volume < math.inf:
         raise ValidityError("volume must be positive")
     return 4 * math.pi * specfun.gamma(1 + d / 2) ** (2 / d) / volume ** (2 / d)
 
@@ -127,7 +127,7 @@ def ab94(d, m, allow_large_d=False):
 def ab94_avg(d, k, allow_large_d=False):
     """Averaged doubling bound at general k, using m = ceil(log2 k)."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     m = math.ceil(math.log2(k)) if k > 1 else 0
     return _ab_power(d, m, allow_large_d) / (1 + 2 / d)
@@ -136,7 +136,7 @@ def ab94_avg(d, k, allow_large_d=False):
 def her1(d, k, allow_large_d=False):
     """lambda_{k+1}/lambda_1 <= 1 + (1+d/2)^{2/d} H_d^{2/d} k^{2/d}."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return 1 + (1 + d / 2) ** (2 / d) * H_d(d, allow_large_d) ** (2 / d) \
         * k ** (2 / d)
@@ -145,7 +145,7 @@ def her1(d, k, allow_large_d=False):
 def her2(d, k, allow_large_d=False):
     """mean(lambda_1..lambda_k)/lambda_1 <= 1 + H_d^{2/d} k^{2/d} / (1+2/d)."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return 1 + H_d(d, allow_large_d) ** (2 / d) / (1 + 2 / d) * k ** (2 / d)
 
@@ -153,7 +153,7 @@ def her2(d, k, allow_large_d=False):
 def cheng_yang(d, k, allow_large_d=False):
     """lambda_{k+1}/lambda_1 <= (1 + 4/d) k^{2/d}."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return (1 + 4 / d) * k ** (2 / d)
 
@@ -161,7 +161,7 @@ def cheng_yang(d, k, allow_large_d=False):
 def cheng_yang2(d, k, allow_large_d=False):
     """Refined ratio bound, valid for k >= d + 1."""
     d = _check_dim(d, allow_large_d)
-    if not k >= d + 1:
+    if not d + 1 <= k < math.inf:
         raise ValidityError(f"requires k >= d+1 = {d+1}, got k={k}")
     return ((1 + 4 / d)
             * math.sqrt(1 + 8 / (d + 1) + 8 / (d + 1) ** 2)
@@ -176,7 +176,7 @@ def cheng_yang2_avg(d, k, allow_large_d=False):
 def fk_weyl(d, k, allow_large_d=False):
     """Asymptotic ratio expression 4 Gamma(1+d/2)^{4/d} k^{2/d} / j_{d/2-1,1}^2."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return fk_coeff(d, allow_large_d) * k ** (2 / d)
 
@@ -189,7 +189,7 @@ def fk_weyl_avg(d, k, allow_large_d=False):
 def berezin_li_yau(d, volume, k, allow_large_d=False):
     """Lower bound on mean(lambda_1..lambda_k)."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return weyl_coeff(d, volume) * k ** (2 / d) / (1 + 2 / d)
 
@@ -200,11 +200,11 @@ def berezin_li_yau(d, volume, k, allow_large_d=False):
 def riesz_upper(sigma, d, volume, z, allow_large_d=False):
     """Upper bound L_cl(sigma, d) |Omega| z^{sigma + d/2} for sigma >= 2."""
     d = _check_dim(d, allow_large_d)
-    if not sigma >= 2:
+    if not 2 <= sigma < math.inf:
         raise ValidityError(f"requires sigma >= 2, got {sigma}")
-    if not volume > 0:
+    if not 0 < volume < math.inf:
         raise ValidityError("volume must be positive")
-    if not z >= 0:
+    if not 0 <= z < math.inf:
         raise ValidityError("z must be nonnegative")
     return L_cl(sigma, d) * volume * z ** (sigma + d / 2)
 
@@ -213,12 +213,12 @@ def riesz_lower_main(sigma, d, lam1, z, allow_large_d=False):
     """Lower bound (2s/d)^s lam1^{-d/2} (z/(1+2s/d))^{s+d/2}, sigma >= 2,
     valid for z >= (1 + 2 sigma/d) lam1."""
     d = _check_dim(d, allow_large_d)
-    if not sigma >= 2:
+    if not 2 <= sigma < math.inf:
         raise ValidityError(f"requires sigma >= 2, got {sigma}")
-    if not lam1 > 0:
+    if not 0 < lam1 < math.inf:
         raise ValidityError("lam1 must be positive")
     threshold = (1 + 2 * sigma / d) * lam1
-    if not z >= threshold:
+    if not threshold <= z < math.inf:
         raise ValidityError(f"requires z >= {threshold}, got {z}")
     return ((2 * sigma / d) ** sigma * lam1 ** (-d / 2)
             * (z / (1 + 2 * sigma / d)) ** (sigma + d / 2))
@@ -227,19 +227,19 @@ def riesz_lower_main(sigma, d, lam1, z, allow_large_d=False):
 def riesz_lower_sub2(sigma, d, lam1, z, allow_large_d=False):
     """Lower bounds on R_sigma for 0 <= sigma < 2, with their thresholds."""
     d = _check_dim(d, allow_large_d)
-    if not lam1 > 0:
+    if not 0 < lam1 < math.inf:
         raise ValidityError("lam1 must be positive")
     if not 0 <= sigma < 2:
         raise ValidityError(f"requires 0 <= sigma < 2, got {sigma}")
     if sigma >= 1:
         threshold = (1 + (2 * sigma + 2) / d) * lam1
-        if not z >= threshold:
+        if not threshold <= z < math.inf:
             raise ValidityError(f"requires z >= {threshold}, got {z}")
         return ((2 * sigma + 2) ** sigma * d ** (d / 2)
                 / (d + 2 * sigma + 2) ** (sigma + d / 2)
                 * lam1 ** (-d / 2) * z ** (sigma + d / 2))
     threshold = (1 + (2 * sigma + 4) / d) * lam1
-    if not z >= threshold:
+    if not threshold <= z < math.inf:
         raise ValidityError(f"requires z >= {threshold}, got {z}")
     return ((1 + d / 4) * (2 * sigma + 4) ** (sigma + 1) * d ** (d / 2)
             / (d + 2 * sigma + 4) ** (sigma + 1 + d / 2)
@@ -250,12 +250,12 @@ def riesz_lower_hermi(sigma, d, lam1, z, allow_large_d=False):
     """Lower bound H_d^{-1} lam1^{-d/2} B(sigma, d) (z - lam1)_+^{sigma+d/2},
     sigma >= 1, with B the Beta-type Gamma ratio."""
     d = _check_dim(d, allow_large_d)
-    if not sigma >= 1:
+    if not 1 <= sigma < math.inf:
         raise ValidityError(f"requires sigma >= 1, got {sigma}")
-    if not lam1 > 0:
+    if not 0 < lam1 < math.inf:
         raise ValidityError("lam1 must be positive")
-    if math.isnan(z):
-        raise ValidityError("z must not be NaN")
+    if not z < math.inf:
+        raise ValidityError("z must not be NaN or +inf")
     gap = max(z - lam1, 0.0)
     return (H_d(d, allow_large_d) ** -1 * lam1 ** (-d / 2)
             * specfun.gamma(1 + sigma) * specfun.gamma(1 + d / 2)
@@ -273,10 +273,10 @@ def counting_lower_j(d, j, mean_j, z, allow_large_d=False):
     d = _check_dim(d, allow_large_d)
     if not (j >= 1 and _whole(j)):
         raise ValidityError(f"j must be a positive integer, got {j}")
-    if not mean_j > 0:
+    if not 0 < mean_j < math.inf:
         raise ValidityError("mean_j must be positive")
     threshold = (1 + 4 / d) * mean_j
-    if not z >= threshold:
+    if not threshold <= z < math.inf:
         raise ValidityError(f"requires z >= {threshold}, got {z}")
     return j * (z / threshold) ** (d / 2)
 
@@ -306,7 +306,7 @@ def mean_ratio(d, j, k, allow_large_d=False):
         raise ValidityError(f"j must be a positive integer, got {j}")
     half, quarter, coeff = _mean_ratio_constants(d)
     threshold = j * half / quarter
-    if not k >= threshold:
+    if not threshold <= k < math.inf:
         raise ValidityError(f"requires k >= {threshold}, got k={k}")
     return coeff * (k / j) ** (2 / d)
 
@@ -324,7 +324,7 @@ def abhh(d, k, allow_large_d=False):
     valid for k >= (d+1)(1+d/2)/(1+d/4)."""
     d = _check_dim(d, allow_large_d)
     threshold, coeff = _abhh_constants(d)
-    if not k >= threshold:
+    if not threshold <= k < math.inf:
         raise ValidityError(f"requires k >= {threshold}, got k={k}")
     return coeff * k ** (2 / d)
 
@@ -342,7 +342,7 @@ def abhh_next(d, k, allow_large_d=False):
     with Yang's simplification; the inequality is guaranteed for
     k >= (d+1)(1+d/2)/(1+d/4), the expression is defined for all k >= 1."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return _abhh_next_coeff(d) * k ** (2 / d)
 
@@ -358,7 +358,7 @@ def mean_sq_envelope(d, mean_k, allow_large_d=False):
     """(lower, upper) envelope for the mean square of the first k eigenvalues:
     mean_k^2 <= mean_sq_k <= (1+2/d)^2/(1+4/d) mean_k^2."""
     d = _check_dim(d, allow_large_d)
-    if not mean_k > 0:
+    if not 0 < mean_k < math.inf:
         raise ValidityError("mean_k must be positive")
     sq = mean_k * mean_k
     return sq, _mean_sq_coeff(d) * sq
@@ -372,7 +372,7 @@ def simple_p9(d, k, allow_large_d=False):
 def cy_av(d, k, allow_large_d=False):
     """Averaged Cheng-Yang bound (d+4)/(d+2) k^{2/d} on mean_k/lambda_1."""
     d = _check_dim(d, allow_large_d)
-    if not k >= 1:
+    if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
     return (d + 4) / (d + 2) * k ** (2 / d)
 

@@ -395,8 +395,15 @@ COROLLARY_IDS = tuple(i for i in MARGINS if i not in THEOREM_IDS)
 
 
 def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
-    """Recompute the margin for a reported witness tuple."""
+    """Recompute the margin for a reported witness tuple; an integer j or
+    k outside the spectrum raises DomainError (the sweep makes none)."""
     params = {k: v for k, v in witness.items() if k != "spectrum"}
+    reads_next = check_id in ("eq224_ratio", "yang_simplified", "eq36_next")
+    for key in ("j", "k"):
+        top = len(spec.eigenvalues) - (key == "k" and reads_next)
+        if bounds._whole(params.get(key)) and not 1 <= params[key] <= top:
+            raise DomainError(f"{check_id}: {key} must be in 1..{top}, "
+                              f"got {params[key]}")
     return MARGINS[check_id](spec, **params)
 
 
@@ -644,12 +651,17 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
             fn = MARGINS[check_id]
             worst = math.inf
             witness = {}
-            for params in points:
-                m = fn(spec, **params)
-                if m < worst:
-                    worst = m
-                    witness = dict(params)
-                    witness["spectrum"] = label
+            params = None
+            try:    # a float overflow or division by zero is no verdict
+                for params in points:
+                    m = fn(spec, **params)
+                    if m < worst:
+                        worst = m
+                        witness = dict(params)
+                        witness["spectrum"] = label
+            except ArithmeticError as exc:
+                raise DomainError(f"{check_id} cannot be evaluated on "
+                                  f"{label!r} at {params}: {exc!r}") from exc
             results[check_id] = (grid, len(points), worst, witness)
     finally:
         _riesz_memo.pop(spec, None)

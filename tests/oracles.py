@@ -178,3 +178,29 @@ def mean_sq_envelope(d, mean_k):
 def L_cl(sigma, d):
     return (float(_gamma(sigma + 1))
             / ((4 * math.pi) ** (d / 2) * float(_gamma(sigma + 1 + d / 2))))
+
+
+def shewchuk_prefix_sums(terms):
+    """Correctly rounded running prefix sums by Shewchuk's partials loop:
+    the reference for ``prefix_sums``.
+
+    The running state is a list of non-overlapping partials whose exact
+    sum is the prefix; every prefix is rounded by ``math.fsum`` of them.
+    """
+    out = np.empty(len(terms))
+    partials = []
+    for i, x in enumerate(terms):
+        x = float(x)
+        j = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[j] = lo
+                j += 1
+            x = hi
+        partials[j:] = [x]
+        out[i] = math.fsum(partials)
+    return out

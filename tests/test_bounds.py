@@ -231,9 +231,10 @@ _INF = math.inf
 
 
 class TestNonFiniteGates:
-    """Each gate is ``not x >= limit``: NaN fails it, and a dimension or
-    index must be a finite integer, so a non-finite argument raises
-    ValidityError instead of a bare ValueError/OverflowError or a NaN."""
+    """Each lower-limit gate is ``not limit <= x < inf``: NaN and +inf fail
+    it, and a dimension or index must be a finite integer, so a non-finite
+    argument raises ValidityError instead of a bare ValueError or
+    OverflowError, a NaN or an infinite bound."""
 
     @pytest.mark.parametrize("fn, args", [
         (bounds._check_dim, (_NAN,)),
@@ -278,6 +279,38 @@ class TestNonFiniteGates:
         (bounds.cy_av, (2, _NAN)),
         (bounds.simple_p9_coeff, (_NAN,)),
         (bounds.cy_av_coeff, (_INF,)),
+        # +inf fails every lower-limit gate as NaN does
+        (bounds.L_cl, (_INF, 2)),
+        (bounds.weyl_coeff, (2, _INF)),
+        (bounds.ab94_avg, (2, _INF)),
+        (bounds.her1, (2, _INF)),
+        (bounds.her2, (2, _INF)),
+        (bounds.cheng_yang, (2, _INF)),
+        (bounds.cheng_yang2, (2, _INF)),
+        (bounds.fk_weyl, (2, _INF)),
+        (bounds.berezin_li_yau, (2, _INF, 5)),
+        (bounds.berezin_li_yau, (2, 1.0, _INF)),
+        (bounds.riesz_upper, (2.0, 2, 1.0, _INF)),
+        (bounds.riesz_upper, (2.0, 2, _INF, 10.0)),
+        (bounds.riesz_upper, (_INF, 2, 1.0, 10.0)),
+        (bounds.riesz_lower_main, (2.0, 2, 1.0, _INF)),
+        (bounds.riesz_lower_main, (2.0, 2, _INF, 10.0)),
+        (bounds.riesz_lower_main, (_INF, 2, 1.0, 10.0)),
+        (bounds.riesz_lower_sub2, (1.0, 2, 1.0, _INF)),
+        (bounds.riesz_lower_sub2, (0.5, 2, 1.0, _INF)),
+        (bounds.riesz_lower_sub2, (1.0, 2, _INF, 10.0)),
+        (bounds.riesz_lower_hermi, (1.0, 2, 1.0, _INF)),
+        (bounds.riesz_lower_hermi, (1.0, 2, _INF, 10.0)),
+        (bounds.riesz_lower_hermi, (_INF, 2, 1.0, 10.0)),
+        (bounds.counting_lower, (2, 1.0, _INF)),
+        (bounds.counting_lower_j, (2, 1, 1.0, _INF)),
+        (bounds.counting_lower_j, (2, 1, _INF, 10.0)),
+        (bounds.mean_ratio, (2, 1, _INF)),
+        (bounds.abhh, (2, _INF)),
+        (bounds.abhh_next, (2, _INF)),
+        (bounds.mean_sq_envelope, (2, _INF)),
+        (bounds.simple_p9, (2, _INF)),
+        (bounds.cy_av, (2, _INF)),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_rejects_non_finite(self, fn, args):
         with pytest.raises(ValidityError):

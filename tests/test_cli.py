@@ -295,6 +295,23 @@ class TestVerifyCommand:
         assert err.startswith("error:")
         assert name in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitude_exits_2(self, capsys, tmp_path, scale):
+        # R_sigma(z) / z**p overflows at 1e200 and divides by zero at
+        # 1e-200: an error naming the check and the point, not exit 1
+        square = spectra.box_spectrum([1.0, 1.0], 900.0)
+        path = str(tmp_path / "scaled.txt")
+        spectra.write_spectrum(spectra.Spectrum(
+            dimension=2, eigenvalues=square.eigenvalues * scale,
+            complete_below=900.0 * scale,
+            domain=spectra.DomainSpec("file", 2)), path)
+        code, out, err = run_cli(capsys, "verify", "--spectrum", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: thm21_mono1 cannot be evaluated")
+        assert "scaled.txt" in err and "'sigma'" in err
+
     def test_z_max_config_error(self, capsys, spec_file):
         for z_max in ("5000", "nan"):
             code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,

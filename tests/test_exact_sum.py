@@ -1,5 +1,5 @@
 """Exact summation: ``exact_sum`` must return the bits of ``math.fsum`` and
-``prefix_sums`` those of the Shewchuk reference, on every path."""
+``prefix_sums`` those of the Shewchuk reference in ``tests/oracles.py``."""
 
 import math
 
@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import shewchuk_prefix_sums
 from rieszbounds._kernels import pykernels
+from rieszbounds.errors import DomainError
 
 SMALL = pykernels._SMALL
 CHUNK = pykernels._CHUNK
@@ -93,31 +95,50 @@ class TestExactSum:
             _assert_same(np.power(1.3e7 - lams, sigma))
 
 
-LIMB = pykernels._LIMB
-
-
-@pytest.fixture
-def prefix_path(monkeypatch):
-    """Names of the exact prefix paths that ``prefix_sums`` takes."""
-    taken = []
-    for name in ("_limb_prefix_sums", "_int_prefix_sums"):
-        def spy(x, e_lo, _fn=getattr(pykernels, name), _name=name):
-            taken.append(_name)
-            return _fn(x, e_lo)
-        monkeypatch.setattr(pykernels, name, spy)
-    return taken
-
-
 def _assert_prefix_exact(terms):
     """``prefix_sums`` against the Shewchuk loop bit for bit, and against
     ``math.fsum`` at sampled prefixes."""
     fast = pykernels.prefix_sums(terms)
-    ref = pykernels._shewchuk_prefix_sums(terms)
+    ref = shewchuk_prefix_sums(terms)
     assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
     n = len(terms)
     picks = np.random.default_rng(n).integers(0, n, 4).tolist()
     for i in {0, n // 2, n - 1, *picks}:
         assert fast[i] == math.fsum(terms[:i + 1].tolist())
+
+
+def _tie_terms(mantissa, exponent, pieces, sticky):
+    """A = mantissa * 2**exponent (mantissa in [1, 2)), then half an ulp
+    of A as ``pieces`` powers of two of falling exponent, so that the exact
+    sum after them is halfway between two floats; then, if ``sticky``, a
+    term far below that breaks the tie upwards."""
+    half = exponent - 53
+    terms = [math.ldexp(mantissa, exponent)]
+    terms += [math.ldexp(1.0, half - i) for i in range(1, pieces)]
+    terms.append(math.ldexp(1.0, half - pieces + 1))
+    if sticky:
+        terms.append(math.ldexp(1.0, half - 80))
+    return np.array(terms)
+
+
+@st.composite
+def non_negative_arrays(draw):
+    """Non-negative finite arrays over a chosen exponent span, subnormal to
+    near overflow, with optional runs of +0.0, in any order."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e1 = draw(st.integers(-1080, 1010))
+    e2 = draw(st.integers(-1080, 1010))
+    lo, hi = min(e1, e2), max(e1, e2)
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):
+        x[rng.random(n) < 0.3] = 0.0
+    order = draw(st.sampled_from(["any", "ascending", "descending"]))
+    if order != "any":
+        x.sort()
+    if order == "descending":
+        x = x[::-1].copy()
+    return x
 
 
 class TestPrefixSums:
@@ -126,45 +147,60 @@ class TestPrefixSums:
         lams = np.sort(rng.uniform(19.7, 1.3e7, 2 * CHUNK + 1001))
         for terms in (lams, np.power(lams, 2.0)):
             fast = pykernels.prefix_sums(terms)
-            ref = pykernels._shewchuk_prefix_sums(terms)
+            ref = shewchuk_prefix_sums(terms)
             assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
             for i in (0, CHUNK - 1, CHUNK, 2 * CHUNK, len(terms) - 1):
                 assert fast[i] == math.fsum(terms[:i + 1].tolist())
 
-    @pytest.mark.parametrize("terms", [
-        [3.0, -1.0, 2.5, 0.0, 1e-3],               # non-positive values
-        [1e-320, 1.0, 2.0],                        # subnormal
-        [1e-300, 1e300, 1.0],                      # exponent span too wide
-        [1.7e308, 1.7e308],                        # overflowing prefix
-    ])
-    def test_fallback_domain_matches_shewchuk(self, terms):
-        def outcome(fn):
-            try:
-                return fn(np.asarray(terms)).tolist()
-            except (OverflowError, ValueError) as exc:
-                return type(exc)
+    @pytest.mark.parametrize("terms, reason", [
+        ([3.0, -1.0, 2.5, 0.0, 1e-3], "non-negative"),
+        ([1.0, -0.0, 2.0], "-0.0"),
+        ([-0.0], "-0.0"),
+        ([1.0, math.inf], "finite"),
+        ([math.nan, 1.0], "finite"),
+        ([1.0, 2.0, math.nan], "finite"),
+        ([1.7e308, 1.7e308], "overflows"),
+        # the largest float plus half its ulp rounds to infinity
+        ([1.7976931348623157e308, 2.0**970], "overflows"),
+    ], ids=["negative", "minus-zero", "minus-zero-alone", "inf", "nan-first",
+            "nan-last", "overflow", "overflow-at-the-tie"])
+    def test_domain_error(self, terms, reason):
+        with pytest.raises(DomainError, match=reason):
+            pykernels.prefix_sums(np.asarray(terms))
 
-        assert outcome(pykernels.prefix_sums) == \
-            outcome(pykernels._shewchuk_prefix_sums)
+    def test_below_overflow(self):
+        # just below half an ulp past the largest float: no overflow
+        _assert_prefix_exact(np.array([1.7976931348623157e308, 0.0,
+                                       2.0**969, 2.0**968]))
 
     def test_empty(self):
         assert len(pykernels.prefix_sums(np.empty(0))) == 0
 
+    @pytest.mark.parametrize("terms", [
+        [1e-320, 1.0, 2.0],
+        [1e-300, 1e300, 1.0],
+        [5e-324] * 5 + [2.0**-1022, 2.2250738585072009e-308],
+        [0.0, 0.0, 5e-324, 0.0, 1.0, 0.0],
+    ], ids=["subnormal", "span-1e-300-1e300", "subnormal-to-normal",
+            "zeros-and-subnormal"])
+    def test_small_cases(self, terms):
+        _assert_prefix_exact(np.asarray(terms))
+
     @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1,
                                    3 * CHUNK + 7])
-    def test_unsorted_eigenvalue_like_terms(self, n, prefix_path):
-        # the two-limb path: positive normal terms whose exponents span at
-        # most _LIMB - bit_length(n) binades, in any order
+    def test_unsorted_eigenvalue_like_terms(self, n):
+        # positive normal terms over 19 binades, in any order: chunks of
+        # three limb columns, each term's limbs scattered to its own
         terms = np.random.default_rng(n).uniform(19.7, 1.3e7, n)
         _assert_prefix_exact(terms)
-        assert prefix_path == ["_limb_prefix_sums"]
 
     @pytest.mark.parametrize("past", [0, 1])
-    def test_span_at_the_limit_and_one_binade_past(self, past, prefix_path):
-        # n = 2**17 - 1 terms, nearly all of the largest mantissa in the top
-        # binade, so the high limb of the last prefixes comes close to 2**53
+    def test_span_at_the_limit_and_one_binade_past(self, past):
+        # n = 2**17 - 1 terms over 30 and 31 binades (where an earlier
+        # two-limb path ended), nearly all of the largest mantissa in the
+        # top binade, so the column sums come close to 2**48
         n = 2 * CHUNK - 1
-        span = LIMB - n.bit_length() + past
+        span = 30 + past
         rng = np.random.default_rng(past)
         top = np.nextafter(2.0 ** (span + 1), 0.0)
         terms = np.full(n, top)
@@ -175,20 +211,77 @@ class TestPrefixSums:
         assert math.frexp(terms.max())[1] - math.frexp(terms.min())[1] \
             == span
         _assert_prefix_exact(terms)
-        assert prefix_path == [["_limb_prefix_sums", "_int_prefix_sums"][past]]
 
     @pytest.mark.parametrize("n", [CHUNK + 1, 3 * CHUNK + 7])
-    def test_one_exponent_and_largest_mantissas(self, n, prefix_path):
-        # a term of the largest mantissa, 2**53 - 1, has the low limb
-        # 2**_LIMB - 1, so the low limb carries into the high one at every
-        # second prefix of such terms
+    def test_one_exponent_and_largest_mantissas(self, n):
+        # a term of the largest mantissa, 2**53 - 1, fills both 32-bit
+        # limbs, so the low column carries into the high one at every
+        # prefix
         largest = np.nextafter(2.0 ** 11, 0.0)
         rng = np.random.default_rng(n)
         one_exponent = rng.uniform(2.0 ** 10, 2.0 ** 11, n)
         for terms in (np.full(n, largest), one_exponent,
                       np.where(rng.random(n) < 0.5, largest, one_exponent)):
             _assert_prefix_exact(terms)
-        assert prefix_path == ["_limb_prefix_sums"] * 3
+
+    @pytest.mark.parametrize("scale", [-1074, -1000, -60, 0, 40, 900])
+    def test_subnormal_terms_and_zero_runs(self, scale):
+        # terms of mantissas below 2**53 at 2**(scale - 52) and up, so the
+        # smallest scales are subnormal, with runs of +0.0 between them,
+        # one of them longer than a chunk
+        rng = np.random.default_rng(scale + 2000)
+        n = 3000
+        x = np.ldexp(rng.integers(0, 2**53, n).astype(float),
+                     rng.integers(scale, scale + 12, n))
+        x[rng.random(n) < 0.3] = 0.0
+        terms = np.concatenate([np.zeros(5), x[:1500], np.zeros(CHUNK + 3),
+                                x[1500:], np.zeros(7)])
+        _assert_prefix_exact(terms)
+        _assert_prefix_exact(np.sort(x))
+
+    def test_total_finer_than_the_next_chunk(self):
+        # two chunks of two limb columns total 2**35 + 2**-25; the next
+        # chunk's terms c = 2**30 + 2**-18 have their lowest bit at 2**-22,
+        # above that 2**-25, and 2**35 + c is a tie that only the 2**-25
+        # bit, inside the rounding window, breaks upwards
+        n = pykernels._CELLS
+        first = np.full(n, 2.0**19)
+        first[0] += 2.0**-25
+        terms = np.concatenate([first, np.full(10, 2.0**30 + 2.0**-18)])
+        _assert_prefix_exact(terms)
+        assert pykernels.prefix_sums(terms)[n] == \
+            np.nextafter(2.0**35 + 2.0**30, math.inf)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "any"])
+    def test_span_from_1e_300_to_1e300(self, order):
+        rng = np.random.default_rng(300)
+        terms = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 3000))
+        if order != "any":
+            terms.sort()
+        if order == "descending":
+            terms = terms[::-1].copy()
+        _assert_prefix_exact(terms)
+
+    @pytest.mark.parametrize("exponent", [-940, 0, 32, 700])
+    @pytest.mark.parametrize("pieces", [1, 12, 13, 33, 60])
+    def test_ties_across_limb_boundaries(self, exponent, pieces):
+        # an exact tie made of half an ulp split over many binades, so the
+        # halfway bit arrives by carries across 32-bit limb columns; the
+        # mantissa parity decides it, a far sticky term breaks it
+        for mantissa in (1.0, 1.0 + 2.0**-52, 2.0 - 2.0**-52):
+            a = math.ldexp(mantissa, exponent)
+            for sticky in (False, True):
+                terms = _tie_terms(mantissa, exponent, pieces, sticky)
+                up = sticky or mantissa != 1.0
+                assert math.fsum(terms.tolist()) == \
+                    (np.nextafter(a, math.inf) if up else a)
+                _assert_prefix_exact(terms)
+                _assert_prefix_exact(np.concatenate([terms[1:], terms[:1]]))
+
+    @given(non_negative_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_shewchuk(self, x):
+        _assert_prefix_exact(x)
 
 
 RUN_BLOCK = pykernels._RUN_BLOCK

@@ -365,3 +365,15 @@ class TestBadWitness:
         for _ in range(2):
             with pytest.raises(error):
                 verify.reevaluate(spec, check_id, witness)
+
+    @pytest.mark.parametrize("check_id, witness", [
+        ("cor29_r2", {"j": 0, "z": 150.0}),
+        ("yang_simplified", {"k": 0}),
+        ("yang_simplified", {"k": -3}),
+        ("eq36_next", {"k": 141}),        # k = n reads lambda_{n+1}
+        ("cor32_abhh", {"k": 142}),
+    ])
+    def test_index_outside_spectrum(self, square_pi_200, check_id, witness):
+        assert len(square_pi_200) == 141
+        with pytest.raises(DomainError):
+            verify.reevaluate(square_pi_200, check_id, witness)
