@@ -292,6 +292,7 @@ def _round_window(out, sums, total, pos, beta):
             window += word << np.uint64(above)
             continue
         rest |= word
+    window += carry    # the last column's carry, at bit top = beta
     window |= np.minimum(rest, np.uint64(1), out=rest)
     np.multiply(window.view(np.int64), math.ldexp(1.0, beta - 1074),
                 out=out)

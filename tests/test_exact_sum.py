@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import shewchuk_prefix_sums
@@ -141,6 +141,38 @@ def non_negative_arrays(draw):
     return x
 
 
+@st.composite
+def multi_chunk_arrays(draw):
+    """A few large terms that sum to just below 2**top, then more small
+    terms than one chunk holds over a chosen band of binades, some at its
+    foot in every chunk; the running total crosses 2**top after ``cross``
+    small terms, in any chunk.  ``offset`` is the distance in binades from
+    the small terms' lowest bit to 2**top.  At 126 + 32 c, drawn more
+    often, a chunk's column count comes from the total and its top column
+    ends at the least bit of the rounding window past 2**top."""
+    n = draw(st.integers(CHUNK // 2, CHUNK))
+    band = draw(st.integers(0, 40) | st.just(11))
+    low = draw(st.integers(-1020, 800))
+    offset = draw(st.integers(60, 200) | st.sampled_from([126, 158]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        exps = low + rng.integers(0, band + 1, n)
+    else:
+        exps = np.full(n, low + band)
+    small = np.ldexp(rng.uniform(1.0, 2.0, n), exps)
+    small[::1000] = math.ldexp(1.0, low)
+    cross = rng.integers(1, n + 1)
+    gap = math.frexp(math.fsum(small[:cross].tolist()))[1]
+    top = low - 52 + offset
+    assume(gap < top <= 1023)
+    big = []
+    while top > gap:
+        step = min(53, top - gap)
+        big.append(math.ldexp(1.0, top) - math.ldexp(1.0, top - step))
+        top -= step
+    return np.concatenate([big, small])
+
+
 class TestPrefixSums:
     def test_longer_than_two_chunks_matches_shewchuk(self):
         rng = np.random.default_rng(11)
@@ -252,6 +284,16 @@ class TestPrefixSums:
         assert pykernels.prefix_sums(terms)[n] == \
             np.nextafter(2.0**35 + 2.0**30, math.inf)
 
+    def test_total_carried_into_the_window_at_the_top_column(self):
+        # the total 2**74 - 2**21 + 13107 sits 126 bits above the second
+        # chunk's lowest bit (2**-52), so that chunk's column count comes
+        # from the total and its top column ends at the rounding window's
+        # least bit; the carry out of that column crosses 2**74
+        terms = np.array([2.0**74 - 2.0**21] + [1.0] * 13107
+                         + [4096 - 2.0**-41] * 32767)
+        _assert_prefix_exact(terms)
+        assert pykernels.prefix_sums(terms)[-1] > 2.0**74
+
     @pytest.mark.parametrize("order", ["ascending", "descending", "any"])
     def test_span_from_1e_300_to_1e300(self, order):
         rng = np.random.default_rng(300)
@@ -281,6 +323,11 @@ class TestPrefixSums:
     @given(non_negative_arrays())
     @settings(max_examples=200, deadline=None)
     def test_bitwise_equal_to_shewchuk(self, x):
+        _assert_prefix_exact(x)
+
+    @given(multi_chunk_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_multi_chunk_bitwise_equal_to_shewchuk(self, x):
         _assert_prefix_exact(x)
 
 
