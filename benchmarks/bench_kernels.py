@@ -5,8 +5,10 @@ and checks bit-equality as it goes: ``math.fsum`` against ``exact_sum`` on
 the Riesz, power, reciprocal and log terms of a sorted spectrum; the
 Shewchuk loop of ``tests/oracles.py`` against ``prefix_sums`` on the
 eigenvalues and on their squares, and on subnormal terms, runs of +0.0
-and terms from 1e-300 to 1e300; and ``math.fsum`` of the ``np.power``
-terms against ``riesz_sum`` at sigma = 1/2, 1, 2 and 5/2.
+and terms from 1e-300 to 1e300; ``math.fsum`` of the ``np.power``
+terms against ``riesz_sum`` at sigma = 1/2, 1, 2 and 5/2; and per-z
+``riesz_sum`` against the rows of ``riesz_sums`` on the default ``verify``
+z grid of the 3-ball and of the unit square below 1e6.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rieszbounds import spectra, verify
 from rieszbounds._kernels import pykernels
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -122,9 +125,33 @@ def compare_prefix_domain() -> bool:
     return ok
 
 
+def compare_rows() -> bool:
+    """``riesz_sums`` against ``riesz_sum`` at each z of the default
+    ``verify`` z grid; True if all bits agree."""
+    ok = True
+    print("Riesz rows on the default verify z grid (200 z)")
+    cases = (("3-ball below 2000", spectra.ball_spectrum(3, 1.0, 2000.0)),
+             ("unit square below 1e6", spectra.box_spectrum([1.0, 1.0], 1e6)))
+    for name, spec in cases:
+        lams = spec.eigenvalues
+        zs = verify.z_grid(spec, verify.VerifyConfig())
+        for sigma in (0.5, 1.0, 2.0, 2.5):
+            t_ref, ref = _time(
+                lambda: [pykernels.riesz_sum(lams, sigma, z)[0] for z in zs])
+            t_new, new = _time(pykernels.riesz_sums, lams, sigma, zs)
+            same = _same_bits(ref, new)
+            ok &= same
+            print(f"  {name:22} n={len(lams):>6} sigma={sigma:3}  "
+                  f"per-z riesz_sum {t_ref*1e3:8.2f} ms  "
+                  f"riesz_sums {t_new*1e3:7.2f} ms  x{t_ref / t_new:5.1f}  "
+                  f"bit-equal={same}")
+    return ok
+
+
 def main() -> int:
     ok = compare_exact()
     ok &= compare_prefix_domain()
+    ok &= compare_rows()
     return 0 if ok else 1
 
 

@@ -11,17 +11,23 @@ returns.
   exactly in uint64 blocks read straight from the float bits, and the total
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
   input, and a zero result, go to ``math.fsum`` itself.
+- The run path (``_run_sum``) takes an array cut into segments, each
+  sorted on its own, and returns one sum per segment, each with its own
+  least exponent and its own fallback to ``math.fsum``; ``exact_sum`` is
+  the one-segment case.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
 - ``riesz_sum`` and ``power_sum`` build their terms with ``np.power``'s
   own shortcuts for the exponents 1/2, 1 and 2 (see ``riesz_sum``).
+  ``riesz_sums`` builds the terms of many z values the same way into one
+  buffer, one segment per z, and adds them in one run-path pass.
 """
 
 import math
 import operator
 from bisect import bisect_left
-from itertools import compress
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,8 +42,9 @@ _SMALL = 1024
 #: terms per block on the run path: 2**11 mantissas below 2**53 sum to
 #: less than 2**64, so a block's uint64 sum is exact
 _RUN_BLOCK = 1 << 11
-#: sign and exponent bits of a float64
+#: sign and exponent bits, and mantissa bits, of a float64
 _SIGN_EXP = np.uint64(0xFFF << 52)
+_MANTISSA = np.uint64((1 << 52) - 1)
 #: widest exponent span of a prefix chunk whose shifted mantissas stay
 #: below 2**64; limbs per prefix chunk; the least prefix, in units of
 #: 2**-1074, that rounds to infinity
@@ -51,78 +58,125 @@ _MARK = 1 << 8
 _STRETCH = np.arange(_MARK + 1)
 
 
-def _run_sum(terms):
-    """Exact sum of sorted, finite, non-subnormal terms far enough from
-    overflow; None for any other input, or for an exact zero.
+def _run_sum(terms, starts=None):
+    """Exact sum of each segment of sorted, finite, non-subnormal terms far
+    enough from overflow; None for any other segment, or for an exact zero.
+
+    ``starts`` holds the first index of each non-empty segment, ascending
+    from 0; a segment ends where the next one starts, the last at the end
+    of ``terms``.  The result is one sum per segment, or without
+    ``starts`` the sum of the whole array as one segment.
 
     Along sorted terms the sign and the biased exponent E change
-    monotonically, so the terms with one sign and exponent form one run.
-    One pass per chunk checks the order; the run starts are looked for
-    only in the stretches of ``_MARK`` terms whose end terms differ.  A
-    normal term is M * 2**(E - 1075) with the integer mantissa
-    M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs are cut
-    into blocks of at most ``_RUN_BLOCK`` terms, ``np.add.reduceat`` sums
-    the bits of each block modulo 2**64, from which the exact mantissa sum
-    follows.  The signed block totals are shifted into one Python integer
-    at scale 2**(E_lo - 1075) and rounded once.
+    monotonically, so the terms of a segment with one sign and exponent
+    form one run.  One pass per chunk checks each segment's order against
+    the direction of most segments; the run starts are looked for only in
+    the stretches of ``_MARK`` terms whose end terms differ or that hold a
+    segment start.  A normal term is M * 2**(E - 1075) with the integer
+    mantissa M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs
+    are cut into blocks of at most ``_RUN_BLOCK`` terms, ``np.add.reduceat``
+    sums the bits of each block modulo 2**64, from which the exact mantissa
+    sum follows.  The signed block totals of a segment are shifted into one
+    Python integer at scale 2**(E_lo - 1075), E_lo the segment's least
+    nonzero exponent, and rounded once.
     """
     n = len(terms)
-    ordered = np.greater_equal if terms[0] <= terms[-1] else np.less_equal
+    one = starts is None
+    starts = np.asarray([0] if one else starts, np.intp)
+    bad = np.zeros(len(starts), bool)
+    first = terms[starts]
+    last = terms[np.concatenate((starts[1:], [n])) - 1]
+    ordered = (np.greater_equal if np.count_nonzero(first < last)
+               >= np.count_nonzero(first > last) else np.less_equal)
     for start in range(0, n - 1, _CHUNK):
         chunk = terms[start:start + _CHUNK + 1]
-        if not ordered(chunk[1:], chunk[:-1]).all():
-            return None
+        ok = ordered(chunk[1:], chunk[:-1])
+        if not ok.all():
+            # an unordered pair whose second term starts a segment is none
+            second = (~ok).nonzero()[0] + (start + 1)
+            seg = starts.searchsorted(second, "right") - 1
+            bad[seg[starts[seg] != second]] = True
+            if bad.all():
+                return None if one else [None] * len(starts)
     bits = terms.view(np.uint64)
-    # a stretch of _MARK terms whose first term has the sign and exponent
-    # of the next stretch's first term (or of the last term) lies in one
-    # run; the other stretches are read term by term, as rows of a table
+    # a stretch of _MARK terms inside one segment whose first term has the
+    # sign and exponent of the next stretch's first term (or of the last
+    # term) lies in one run; the other stretches are read term by term, as
+    # rows of a table, or, when they are most stretches, with all terms
     marks = np.concatenate((bits[::_MARK], bits[-1:])) >> 52
-    firsts = np.nonzero(marks[1:] != marks[:-1])[0] * _MARK
-    runs = [np.zeros(1, np.int64)]
-    for at in range(0, len(firsts), _CHUNK // _MARK):
-        rows = np.minimum(firsts[at:at + _CHUNK // _MARK, None] + _STRETCH,
-                          n - 1)
-        heads = bits[rows] >> 52
-        row, col = np.nonzero(heads[:, 1:] != heads[:, :-1])
-        runs.append(rows[row, col + 1])
+    cross = marks[1:] != marks[:-1]
+    cross[(starts[1:] - 1) // _MARK] = True
+    firsts = cross.nonzero()[0] * _MARK
+    runs = [starts]
+    if 2 * len(firsts) > len(cross):
+        for start in range(0, n - 1, _CHUNK):
+            heads = bits[start:start + _CHUNK + 1] >> 52
+            runs.append((heads[1:] != heads[:-1]).nonzero()[0] + start + 1)
+    else:
+        for at in range(0, len(firsts), _CHUNK // _MARK):
+            rows = np.minimum(firsts[at:at + _CHUNK // _MARK, None]
+                              + _STRETCH, n - 1)
+            heads = bits[rows] >> 52
+            row, col = (heads[:, 1:] != heads[:, :-1]).nonzero()
+            runs.append(rows[row, col + 1])
+    # a segment start where the sign or exponent changes is there twice;
+    # the repeated edge below makes an empty block
     runs = np.concatenate(runs)
-    exps = (bits[runs] >> 52 & 0x7FF).tolist()
-    nonzero = [e for e in exps if e]
-    if not nonzero:
-        return None
-    e_lo, e_hi = min(nonzero), max(exps)
-    width = n.bit_length()
+    runs.sort()
+    exps = (bits[runs] >> 52 & 0x7FF).astype(np.int64)
+    first_run = runs.searchsorted(starts)
+    e_hi = np.maximum.reduceat(exps, first_run)
+    e_lo = np.minimum.reduceat(exps + (exps == 0) * 4096, first_run)
     # no inf, the sum stays below 2**1023, and the integer total converts
-    # to a finite float
-    if e_hi - 1022 + width > 1023 or e_hi - e_lo + 53 + width > 1023:
-        return None
-    zeros = len(nonzero) < len(exps)
-    if zeros:
-        # the zeros, of either sign, lie between the negative and the
+    # to a finite float (a segment without a normal term sums to 0 or
+    # holds a subnormal)
+    width = n.bit_length()
+    bad |= (e_hi > 2045 - width) | (e_hi - e_lo > 970 - width)
+    if not exps.all():
+        # the zeros, of either sign, lie between a segment's negative and
         # positive terms and add nothing; a subnormal among them would
-        first = exps.index(0)
-        last = len(exps) - exps[::-1].index(0)
-        if np.any(terms[runs[first]:runs[last] if last < len(runs) else n]):
-            return None
+        subnormal = (exps == 0) & (np.bitwise_or.reduceat(bits, runs)
+                                   & _MANTISSA != 0)
+        bad[starts.searchsorted(runs[subnormal], "right") - 1] = True
+    if bad.all():
+        return None if one else [None] * len(starts)
     grid = np.arange(0, n + _RUN_BLOCK, _RUN_BLOCK)
     grid[-1] = n
-    edges = np.sort(np.concatenate((grid, runs)))
+    edges = np.concatenate((grid, runs))
+    edges.sort()
     sums = np.add.reduceat(bits, edges[:-1])
-    heads = bits[edges[:-1]] & _SIGN_EXP
+    signs = bits[edges[:-1]] & _SIGN_EXP
     counts = (edges[1:] - edges[:-1]).astype(np.uint64)
-    sums -= counts * (heads - (1 << 52))
-    sums[counts == 0] = 0    # reduceat gives a repeated edge one term
-    heads >>= 52
-    shifts = (heads & 0x7FF).astype(np.int64) - e_lo
-    if zeros:    # only the blocks of zeros lie below E_lo
-        below = shifts < 0
-        sums[below] = 0
-        shifts[below] = 0
+    sums -= counts * (signs - (1 << 52))
+    signs >>= 52
+    block_exps = (signs & 0x7FF).astype(np.int64)
+    shifts = block_exps - e_lo[starts.searchsorted(edges[:-1], "right") - 1]
+    np.maximum(shifts, 0, out=shifts)    # in zeros and skipped segments
+    # reduceat gives a repeated edge one term; zeros add nothing
+    sums[(counts == 0) | (block_exps == 0)] = 0
     parts = list(map(operator.lshift, sums.tolist(), shifts.tolist()))
-    total = sum(parts) - 2 * sum(compress(parts, (heads >> 11).tolist()))
-    if total == 0:    # math.fsum decides the sign of an exact zero
-        return None
-    return math.ldexp(float(total), e_lo - 1075)
+    for i in (signs >> 11).nonzero()[0].tolist():
+        parts[i] = -parts[i]
+    # the exact running sum over all blocks; a segment's total is the
+    # difference at its ends, and math.fsum decides the sign of a zero
+    partial = [0, *accumulate(parts)]
+    cuts = edges[:-1].searchsorted(starts).tolist() + [len(parts)]
+    out = [None if skip or not (total := partial[b] - partial[a])
+           else math.ldexp(float(total), e - 1075)
+           for skip, e, a, b in zip(bad.tolist(), e_lo.tolist(),
+                                    cuts, cuts[1:])]
+    return out[0] if one else out
+
+
+def _exact_sums(terms, starts):
+    """``math.fsum`` of each segment of ``terms`` (as in ``_run_sum``),
+    bit for bit: the run path for at least ``_SMALL`` terms, ``math.fsum``
+    for what it leaves."""
+    sums = (_run_sum(terms, starts) if len(terms) >= _SMALL
+            else [None] * len(starts))
+    ends = [*starts[1:], len(terms)]
+    return [math.fsum(terms[a:b].tolist()) if total is None else total
+            for total, a, b in zip(sums, starts, ends)]
 
 
 def exact_sum(terms):
@@ -132,26 +186,23 @@ def exact_sum(terms):
     zero, and non-finite input gives ``math.fsum``'s result or exception.
     Sorted input of at least ``_SMALL`` terms takes the run path when its
     terms are finite, not subnormal and far enough from overflow; all other
-    input goes to ``math.fsum``.
+    input goes to ``math.fsum``.  It is the one-segment ``_exact_sums``.
     """
-    terms = np.asarray(terms, dtype=np.float64)
-    if len(terms) >= _SMALL:
-        total = _run_sum(terms)
-        if total is not None:
-            return total
-    return math.fsum(terms.tolist())
+    return _exact_sums(np.asarray(terms, dtype=np.float64), [0])[0]
 
 
 def _powers(t, p, out=None):
     """``np.power(t, p)`` for a scalar ``p``, bit for bit, into ``out``
-    (None or ``t``); at ``p == 1`` the result is ``t`` itself."""
+    (None or ``t``); at ``p == 1`` the result is ``t`` itself.  A power
+    that overflows is inf without a warning; the sum then is inf too."""
     if p == 1.0:
         return t
     if p == 0.5:
         return np.sqrt(t, out=out)
-    if p == 2.0:
-        return np.multiply(t, t, out=out)
-    return np.power(t, p, out=out)
+    with np.errstate(over="ignore"):
+        if p == 2.0:
+            return np.multiply(t, t, out=out)
+        return np.power(t, p, out=out)
 
 
 def riesz_sum(lams, sigma, z):
@@ -177,6 +228,42 @@ def riesz_sum(lams, sigma, z):
         return 0.0, 0
     terms = z - np.asarray(lams[:idx], dtype=float)
     return exact_sum(_powers(terms, sigma, out=terms)), idx
+
+
+def riesz_sums(lams, sigma, zs):
+    """``riesz_sum(lams, sigma, z)[0]`` for each z of ``zs``, bit for bit,
+    as a list.
+
+    The terms of consecutive z go into one buffer of at most ``_CHUNK``
+    terms, one segment per z, built and powered as ``riesz_sum`` builds
+    them and added by one ``_exact_sums`` pass; a z with more terms than
+    that has a buffer of its own.
+    """
+    lams = np.asarray(lams, dtype=float)
+    counts = np.searchsorted(lams, zs).tolist()    # bisect_left
+    if sigma == 0.0:
+        return [float(c) for c in counts]
+    out = [0.0] * len(counts)
+    rows = [(i, z, c) for i, (z, c) in enumerate(zip(zs, counts)) if c]
+    at = 0
+    while at < len(rows):
+        end, size = at + 1, rows[at][2]
+        while end < len(rows) and size + rows[end][2] <= _CHUNK:
+            size += rows[end][2]
+            end += 1
+        batch = rows[at:end]
+        terms = np.empty(size)
+        starts = []
+        here = 0
+        for _, z, c in batch:
+            starts.append(here)
+            np.subtract(z, lams[:c], out=terms[here:here + c])
+            here += c
+        sums = _exact_sums(_powers(terms, sigma, out=terms), starts)
+        for (i, _, _), total in zip(batch, sums):
+            out[i] = total
+        at = end
+    return out
 
 
 def power_sum(lams, k, p):
@@ -210,7 +297,8 @@ def _limb_sums(bits, total):
     limbs at bits pos + 32 w), in units of 2**-1074.
 
     A term is M << s at pos = E_lo - 1: M < 2**53 its mantissa, E >= 1 its
-    biased exponent (1 if subnormal or zero), s = E - E_lo.  Within
+    biased exponent (1 if subnormal), E_lo the least E of a nonzero term
+    (a zero adds no limbs and is placed at E_lo), s = E - E_lo.  Within
     ``_BAND`` binades M << s < 2**64 fills two limbs, else M << (s % 32)
     fills the three columns from s // 32.  A column stays below 2**48;
     there are enough to reach any window above ``total`` and at most
@@ -219,6 +307,8 @@ def _limb_sums(bits, total):
     e_lo, e_hi = int(exps.min()), int(exps.max())
     if e_hi > 2047:
         raise DomainError("prefix sums need non-negative terms, got -0.0")
+    if e_lo == 1:
+        e_lo = int(exps.min(where=bits != 0, initial=e_hi))
     pos = e_lo - 1
     narrow = e_hi - e_lo <= _BAND
     cols = max(2 if narrow else (e_hi - e_lo) // 32 + 3,
@@ -226,6 +316,7 @@ def _limb_sums(bits, total):
     m = min(len(bits), _CELLS // cols)
     exps = exps[:m]
     mant = bits[:m] - ((exps - np.uint64(1)) << np.uint64(52))
+    np.maximum(exps, np.uint64(e_lo), out=exps)    # a zero at E_lo
     exps -= np.uint64(e_lo)
     limbs = np.zeros((m, cols), np.uint32)    # keeps the low 32 bits
     if narrow:

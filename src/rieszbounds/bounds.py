@@ -82,8 +82,9 @@ def L_cl(sigma: float, d: int) -> float:
             / ((4 * math.pi) ** (d / 2) * specfun.gamma(sigma + 1 + d / 2)))
 
 
-def weyl_coeff(d: int, volume: float) -> float:
+def weyl_coeff(d: int, volume: float, allow_large_d: bool = False) -> float:
     """Leading Weyl coefficient 4 pi Gamma(1+d/2)^{2/d} / |Omega|^{2/d}."""
+    d = _check_dim(d, allow_large_d)
     if not 0 < volume < math.inf:
         raise ValidityError("volume must be positive")
     return 4 * math.pi * specfun.gamma(1 + d / 2) ** (2 / d) / volume ** (2 / d)
@@ -191,7 +192,7 @@ def berezin_li_yau(d, volume, k, allow_large_d=False):
     d = _check_dim(d, allow_large_d)
     if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
-    return weyl_coeff(d, volume) * k ** (2 / d) / (1 + 2 / d)
+    return weyl_coeff(d, volume, allow_large_d) * k ** (2 / d) / (1 + 2 / d)
 
 
 # ---------------------------------------------------------------------------

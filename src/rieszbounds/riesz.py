@@ -50,12 +50,25 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
     eigenvalues (the summand has a pole there).  Raises TruncationError for
     z above the completeness threshold.
     """
+    _check_z(spec, z)
+    return _kernels.riesz_sum(spec.eigenvalues, float(sigma), float(z))
+
+
+def riesz_row(spec: Spectrum, sigma: float, zs) -> list[float]:
+    """``riesz_value(spec, sigma, z)[0]`` for each z of ``zs``, bit for bit,
+    summed a batch of z at a time, with the same checks on every z."""
+    for z in zs:
+        _check_z(spec, z)
+    return _kernels.riesz_sums(spec.eigenvalues, float(sigma),
+                               [float(z) for z in zs])
+
+
+def _check_z(spec: Spectrum, z: float) -> None:
     if z > spec.complete_below:
         raise TruncationError(
             f"z={z} exceeds completeness threshold {spec.complete_below}")
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return _kernels.riesz_sum(spec.eigenvalues, float(sigma), float(z))
 
 
 def riesz_mean(spec: Spectrum, sigma: float, z: float) -> RieszEvaluation:

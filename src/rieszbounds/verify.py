@@ -25,9 +25,15 @@ and moments:
 * A moment point computes only the one power, geometric or harmonic mean
   it compares, by the helper that ``riesz.means`` uses for that field.
 * While one spectrum is swept, R_sigma(z) values are memoized per
-  (sigma, z), and the memo is dropped when that spectrum's sweep ends.  It
-  only hands back values that ``riesz_value`` computed, so witness
-  re-evaluation outside a sweep stays exact.
+  (sigma, z), and the memo is dropped when that spectrum's sweep ends.
+  Values are computed a row at a time: the sweep registers the rows of z
+  it evaluates (the z grid and the central-difference rows z + h and
+  z - h), and the second time that a sigma misses in a row,
+  :func:`~rieszbounds.riesz.riesz_row` sums the whole row in one
+  segmented pass.  Other misses, such as the random Hoelder sigmas, call
+  ``riesz_value``.  Every memoized value is bit-equal to what
+  ``riesz_value`` returns, so witness re-evaluation outside a sweep stays
+  exact.
 
 Points are streamed.  Each family's points form one lazy sequence: sized
 (its length is counted from the grids, not by building the points),
@@ -57,7 +63,7 @@ import numpy as np
 
 from . import bounds, riesz, spectra
 from .errors import ConfigError, DomainError, ResourceLimitError
-from .riesz import eigensum_prefix, riesz_value, square_prefix
+from .riesz import eigensum_prefix, riesz_row, riesz_value, square_prefix
 from .spectra import Spectrum
 
 #: relative numerical slack on all inequality checks
@@ -146,8 +152,44 @@ def _margin(big, small):
     return (big - small) / (scale if scale > 1.0 else 1.0)
 
 
-#: per-spectrum {(sigma, z): R_sigma(z)} tables, alive while _sweep runs
-_riesz_memo: dict[Spectrum, dict] = {}
+class _RieszTable(dict):
+    """{(sigma, z): R_sigma(z)} of one spectrum while it is swept.
+
+    A missing value is computed on first use.  The sweep registers rows of
+    z values that many points share (``add_row``).  The second time one
+    sigma misses in a row, ``riesz_row`` computes the whole row of that
+    sigma at once; any other miss is the one value of ``riesz_value``.
+    Both give the bits of ``riesz_value``.
+    """
+
+    def __init__(self, spec):
+        super().__init__()
+        self.spec = spec
+        self.rows = []
+        self.row_of = {}     # z -> index of the first row that holds it
+        self.missed = set()  # (sigma, row index) pairs that missed once
+
+    def add_row(self, zs):
+        for z in zs:
+            self.row_of.setdefault(z, len(self.rows))
+        self.rows.append(zs)
+
+    def __missing__(self, key):
+        sigma, z = key
+        row = self.row_of.get(z)
+        if (sigma, row) in self.missed:
+            zs = self.rows[row]
+            self.update(zip([(sigma, x) for x in zs],
+                            riesz_row(self.spec, sigma, zs)))
+            return self[key]
+        if row is not None:
+            self.missed.add((sigma, row))
+        value = self[key] = riesz_value(self.spec, sigma, z)[0]
+        return value
+
+
+#: per-spectrum R_sigma(z) tables, alive while _sweep runs
+_riesz_memo: dict[Spectrum, _RieszTable] = {}
 
 def _eigenvalue(spec, k):
     return spec.eigenvalues.item(k)
@@ -163,17 +205,13 @@ def _mean(spec, j):
 def _riesz(spec, sigma, z):
     """R_sigma(z), memoized while the spectrum is being swept.
 
-    Misses (and every call outside a sweep) go to ``riesz_value``, so a
-    memoized value is always one that ``riesz_value`` returned.
+    Every call outside a sweep goes to ``riesz_value``; a memoized value
+    has the bits that ``riesz_value`` returns (see ``_RieszTable``).
     """
     table = _riesz_memo.get(spec)
     if table is None:
         return riesz_value(spec, sigma, z)[0]
-    key = (sigma, z)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = riesz_value(spec, sigma, z)[0]
-    return value
+    return table[sigma, z]
 
 
 def margin_thm21_diff1(spec, sigma, z):
@@ -503,6 +541,11 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     clear = ((_nearest_gap(spec.eigenvalues, z_arr) > 10 * (1e-6 * z_arr))
              & (z_arr + 1e-6 * z_arr <= spec.complete_below))
     z_fd = [z for z, ok in zip(zs, clear.tolist()) if ok]
+    table = _riesz_memo.get(spec)
+    if table is not None:
+        for row in (zs, [z + 1e-6 * z for z in z_fd],
+                    [z - 1e-6 * z for z in z_fd]):
+            table.add_row(row)
 
     def fd_points(sigmas):
         return _Points(lambda: ({"sigma": s, "z": z, "h": 1e-6 * z}
@@ -643,7 +686,7 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
     Returns {check_id: (grid, n_points, worst_margin, witness)}.
     """
     results = {}
-    _riesz_memo[spec] = {}
+    _riesz_memo[spec] = _RieszTable(spec)
     try:
         for check_id, grid, points in _build_points(spec, cfg, n_z):
             if ids is not None and check_id not in ids:

@@ -316,6 +316,19 @@ class TestNonFiniteGates:
         with pytest.raises(ValidityError):
             fn(*args)
 
+    @pytest.mark.parametrize("d", [_INF, _NAN, 0, -1, 2.5])
+    def test_weyl_coeff_dimension_gate(self, d):
+        with pytest.raises(ValidityError):
+            bounds.weyl_coeff(d, 1.0)
+
+    def test_weyl_coeff_large_d_passes_through_berezin_li_yau(self):
+        d = bounds.MAX_CHECKED_DIMENSION + 1
+        for call in (lambda **kw: bounds.weyl_coeff(d, 1.0, **kw),
+                     lambda **kw: bounds.berezin_li_yau(d, 1.0, 5, **kw)):
+            with pytest.raises(ValidityError, match="allow_large_d"):
+                call()
+            assert 0 < call(allow_large_d=True) < _INF
+
     def test_evaluate_rejects_nan(self):
         with pytest.raises(ValidityError):
             bounds.evaluate("abhh", d=2, k=_NAN)

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -311,6 +313,26 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: thm21_mono1 cannot be evaluated")
         assert "scaled.txt" in err and "'sigma'" in err
+
+    def test_overflowing_terms_print_only_the_error(self, tmp_path):
+        # R_2 terms near 1e400 overflow to inf in numpy; a separate
+        # interpreter shows every warning that would reach stderr
+        square = spectra.box_spectrum([1.0, 1.0], 900.0)
+        path = str(tmp_path / "scaled.txt")
+        spectra.write_spectrum(spectra.Spectrum(
+            dimension=2, eigenvalues=square.eigenvalues * 1e200,
+            complete_below=900.0 * 1e200,
+            domain=spectra.DomainSpec("file", 2)), path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        done = subprocess.run(
+            [sys.executable, "-m", "rieszbounds.cli", "verify", "--spectrum",
+             path], capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("error: thm21_mono1 cannot be evaluated")
 
     def test_z_max_config_error(self, capsys, spec_file):
         for z_max in ("5000", "nan"):

@@ -271,6 +271,19 @@ class TestPrefixSums:
         _assert_prefix_exact(terms)
         _assert_prefix_exact(np.sort(x))
 
+    @pytest.mark.parametrize("scale", [-1000, 0, 1000])
+    def test_zeros_inside_a_narrow_span(self, scale):
+        # zeros add no limbs: a chunk of +0.0 among terms of one binade
+        # keeps two limb columns; the second chunk holds only zeros and
+        # the third starts with a run of them
+        rng = np.random.default_rng(scale + 3000)
+        x = np.ldexp(rng.uniform(1.0, 2.0, 3 * CHUNK), scale)
+        x[rng.random(len(x)) < 0.5] = 0.0
+        x[CHUNK:2 * CHUNK + 5000] = 0.0
+        _assert_prefix_exact(x)
+        _, sums = pykernels._limb_sums(x.view(np.uint64)[:CHUNK], 0)
+        assert sums.shape[1] == 2
+
     def test_total_finer_than_the_next_chunk(self):
         # two chunks of two limb columns total 2**35 + 2**-25; the next
         # chunk's terms c = 2**30 + 2**-18 have their lowest bit at 2**-22,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszbounds import _kernels
+from rieszbounds import _kernels, spectra
 from rieszbounds._kernels import pykernels
 
 
@@ -91,3 +91,90 @@ class TestTermShortcuts:
         k = 4321
         assert pykernels.power_sum(lams, k, p) == \
             math.fsum(np.power(lams[:k], p).tolist())
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def riesz_rows(draw):
+    """A sorted spectrum at a drawn scale and z values in any order, some
+    at or below lambda_1 (empty rows), none on an eigenvalue."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    lams = np.sort(rng.uniform(0.5, 10.0, n) * scale)
+    zs = rng.uniform(0.0, 1.2 * lams[-1], draw(st.integers(1, 100)))
+    if draw(st.booleans()):
+        zs.sort()
+    eigenvalues = set(lams.tolist())
+    zs = [z for z in zs.tolist() if z not in eigenvalues]
+    return lams, zs
+
+
+class TestRieszRows:
+    """``riesz_sums`` adds many rows in one segmented pass and must give
+    the bits of ``riesz_sum`` at every z."""
+
+    SIGMAS = [0.0, 0.5, 1.0, 2.0, -0.5, 2.5]
+
+    @given(riesz_rows(), st.sampled_from(SIGMAS))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_riesz_sum(self, rows, sigma):
+        lams, zs = rows
+        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+            _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_ball_rows_where_np_power_is_not_libm_pow(self, sigma):
+        spec = spectra.ball_spectrum(3, 1.0, 2000.0)
+        lams = spec.eigenvalues
+        zs = [lams[0] / 2, *np.geomspace(lams[0] * (1 + 1e-6), 1900.0, 200)
+              .tolist()]
+        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+            _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
+        terms = 1900.0 - lams[lams < 1900.0]
+        assert np.power(terms, 2.5).tolist() != \
+            [math.pow(t, 2.5) for t in terms.tolist()]
+
+    def test_rows_longer_than_the_buffer(self):
+        rng = np.random.default_rng(6)
+        lams = np.sort(rng.uniform(1.0, 100.0, pykernels._CHUNK + 5000))
+        zs = [50.0, 99.0, 100.5, 30.0, 100.5, 0.5]
+        for sigma in (0.5, 2.5):
+            assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+                _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
+
+    def test_stretch_across_a_row_start_with_equal_end_exponents(self):
+        # rows of 1500 terms in [2, 4) but for the last ten in (1, 2): a
+        # 256-term mark stretch that holds a row start has both ends in
+        # [2, 4), with the dip of the row before it in between
+        lams = np.sort(np.concatenate([np.linspace(0.001, 2.0, 1490),
+                                       np.linspace(2.05, 2.95, 10)]))
+        zs = [4.0] * 40
+        rows = pykernels.riesz_sums(lams, 1.0, zs)
+        assert _hex(rows) == _hex([pykernels.riesz_sum(lams, 1.0, 4.0)[0]]
+                                  * 40)
+        assert rows[0] == math.fsum((4.0 - lams).tolist())
+
+    @pytest.mark.parametrize("z, gap, run", [
+        (1e-153, 1e-160, False),    # subnormal terms
+        (1e-150, 1e-165, True),     # terms that underflow to zero
+        (1e160, 1e150, False),      # infinite terms
+        (2.5e152, 1e140, False),    # terms near overflow
+    ])
+    def test_rows_that_fall_back(self, z, gap, run):
+        # the z row takes the run path only if its terms allow it; every
+        # row has the bits of riesz_sum either way
+        rng = np.random.default_rng(7)
+        lams = np.sort(np.concatenate([z * rng.uniform(0.0, 0.9, 3000),
+                                       z - gap * rng.uniform(1.0, 2.0, 50)]))
+        zs = [z, z / 2, z * (1 + 1e-15)]
+        assert _hex(pykernels.riesz_sums(lams, 2.0, zs)) == \
+            _hex(pykernels.riesz_sum(lams, 2.0, z)[0] for z in zs)
+        with np.errstate(over="ignore"):
+            rows = [np.power(x - lams[lams < x], 2.0) for x in zs]
+        starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+        sums = pykernels._run_sum(np.concatenate(rows), starts)
+        assert (sums[0] is not None) == run

@@ -107,6 +107,31 @@ class TestRieszMemo:
         assert len(calls) == len(set(calls))
 
 
+    def test_default_sweep_sums_rows(self, monkeypatch):
+        # the grid sigmas are summed a row at a time; single values are
+        # the 3 random Hoelder sigmas of each of the 60 samples and the
+        # first miss of each (sigma, row)
+        spec = verify.default_spectra()["disk_r1"]
+        cfg = verify.VerifyConfig()
+        calls = {"value": 0, "row": 0}
+        riesz_value, riesz_row = verify.riesz_value, verify.riesz_row
+
+        def counting_value(s, sigma, z):
+            calls["value"] += 1
+            return riesz_value(s, sigma, z)
+
+        def counting_row(s, sigma, zs):
+            calls["row"] += 1
+            values = riesz_row(s, sigma, zs)
+            assert values == [riesz_value(s, sigma, z)[0] for z in zs]
+            return values
+
+        monkeypatch.setattr(verify, "riesz_value", counting_value)
+        monkeypatch.setattr(verify, "riesz_row", counting_row)
+        verify._sweep("disk", spec, cfg, cfg.z_points)
+        assert calls["value"] <= 3 * cfg.hoelder_samples + 22
+        assert 0 < calls["row"] <= 22
+
     def test_counting_reads_the_memo(self, small_specs, monkeypatch):
         # N(z) comes from the sigma = 0 memo entry, not riesz.counting
         spec = small_specs["disk"]
