@@ -7,8 +7,9 @@ Shewchuk loop of ``tests/oracles.py`` against ``prefix_sums`` on the
 eigenvalues and on their squares, and on subnormal terms, runs of +0.0
 and terms from 1e-300 to 1e300; ``math.fsum`` of the ``np.power``
 terms against ``riesz_sum`` at sigma = 1/2, 1, 2 and 5/2; and per-z
-``riesz_sum`` against the rows of ``riesz_sums`` on the default ``verify``
-z grid of the 3-ball and of the unit square below 1e6.
+``math.fsum`` of the ``np.power`` terms against the rows of ``riesz_sums``
+on the default ``verify`` z grid of the 3-ball and of the unit square below
+1e6, timed against per-z ``riesz_sum`` calls.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -126,17 +127,22 @@ def compare_prefix_domain() -> bool:
 
 
 def compare_rows() -> bool:
-    """``riesz_sums`` against ``riesz_sum`` at each z of the default
-    ``verify`` z grid; True if all bits agree."""
+    """``riesz_sums`` at the default ``verify`` z grid against ``math.fsum``
+    of the ``np.power`` terms at each z, a reference that shares no code
+    with the kernel, and timed against ``riesz_sum`` at each z; True if
+    all bits agree."""
     ok = True
-    print("Riesz rows on the default verify z grid (200 z)")
+    print("Riesz rows on the default verify z grid (200 z; bits against "
+          "per-z math.fsum)")
     cases = (("3-ball below 2000", spectra.ball_spectrum(3, 1.0, 2000.0)),
              ("unit square below 1e6", spectra.box_spectrum([1.0, 1.0], 1e6)))
     for name, spec in cases:
         lams = spec.eigenvalues
         zs = verify.z_grid(spec, verify.VerifyConfig())
         for sigma in (0.5, 1.0, 2.0, 2.5):
-            t_ref, ref = _time(
+            ref = [math.fsum(np.power(z - lams[lams < z], sigma).tolist())
+                   for z in zs]
+            t_ref, _ = _time(
                 lambda: [pykernels.riesz_sum(lams, sigma, z)[0] for z in zs])
             t_new, new = _time(pykernels.riesz_sums, lams, sigma, zs)
             same = _same_bits(ref, new)

@@ -7,9 +7,10 @@ run path adds many sorted segments of one array at once, one sum per
 segment; ``exact_sum`` is its one-segment case.  ``prefix_sums`` keeps the
 exact running sum of non-negative finite terms in 32-bit limb columns and
 rounds each prefix once (other input raises ``DomainError``).
-``riesz_sum`` and ``power_sum`` build their terms in numpy and add them
-with ``exact_sum``; ``riesz_sums`` sums the Riesz rows of many z values,
-one segment per z.  ``BACKEND`` is always ``"python"``.
+``riesz_sums`` is the one builder of Riesz terms: it sums the rows of many
+z values, one segment per z, and ``riesz_sum`` (one value with its count)
+is its one-z row.  ``power_sum`` builds its terms in numpy and adds them
+with ``exact_sum``.  ``BACKEND`` is always ``"python"``.
 """
 
 from .pykernels import (BACKEND, exact_sum, power_sum, prefix_sums,

@@ -18,10 +18,10 @@ returns.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
-- ``riesz_sum`` and ``power_sum`` build their terms with ``np.power``'s
-  own shortcuts for the exponents 1/2, 1 and 2 (see ``riesz_sum``).
-  ``riesz_sums`` builds the terms of many z values the same way into one
-  buffer, one segment per z, and adds them in one run-path pass.
+- ``_riesz_rows`` is the one builder of Riesz terms, ``_powers`` of
+  z - lambda: it packs the rows of many z into one buffer, one segment per
+  z, for one run-path pass.  ``riesz_sums`` returns its sums, and
+  ``riesz_sum`` is its one-z row with the count.
 """
 
 import math
@@ -58,14 +58,13 @@ _MARK = 1 << 8
 _STRETCH = np.arange(_MARK + 1)
 
 
-def _run_sum(terms, starts=None):
+def _run_sum(terms, starts):
     """Exact sum of each segment of sorted, finite, non-subnormal terms far
     enough from overflow; None for any other segment, or for an exact zero.
 
     ``starts`` holds the first index of each non-empty segment, ascending
     from 0; a segment ends where the next one starts, the last at the end
-    of ``terms``.  The result is one sum per segment, or without
-    ``starts`` the sum of the whole array as one segment.
+    of ``terms``.  The result is a list of one sum per segment.
 
     Along sorted terms the sign and the biased exponent E change
     monotonically, so the terms of a segment with one sign and exponent
@@ -81,8 +80,7 @@ def _run_sum(terms, starts=None):
     nonzero exponent, and rounded once.
     """
     n = len(terms)
-    one = starts is None
-    starts = np.asarray([0] if one else starts, np.intp)
+    starts = np.asarray(starts, np.intp)
     bad = np.zeros(len(starts), bool)
     first = terms[starts]
     last = terms[np.concatenate((starts[1:], [n])) - 1]
@@ -97,7 +95,7 @@ def _run_sum(terms, starts=None):
             seg = starts.searchsorted(second, "right") - 1
             bad[seg[starts[seg] != second]] = True
             if bad.all():
-                return None if one else [None] * len(starts)
+                return [None] * len(starts)
     bits = terms.view(np.uint64)
     # a stretch of _MARK terms inside one segment whose first term has the
     # sign and exponent of the next stretch's first term (or of the last
@@ -139,7 +137,7 @@ def _run_sum(terms, starts=None):
                                    & _MANTISSA != 0)
         bad[starts.searchsorted(runs[subnormal], "right") - 1] = True
     if bad.all():
-        return None if one else [None] * len(starts)
+        return [None] * len(starts)
     grid = np.arange(0, n + _RUN_BLOCK, _RUN_BLOCK)
     grid[-1] = n
     edges = np.concatenate((grid, runs))
@@ -161,11 +159,10 @@ def _run_sum(terms, starts=None):
     # difference at its ends, and math.fsum decides the sign of a zero
     partial = [0, *accumulate(parts)]
     cuts = edges[:-1].searchsorted(starts).tolist() + [len(parts)]
-    out = [None if skip or not (total := partial[b] - partial[a])
-           else math.ldexp(float(total), e - 1075)
-           for skip, e, a, b in zip(bad.tolist(), e_lo.tolist(),
-                                    cuts, cuts[1:])]
-    return out[0] if one else out
+    return [None if skip or not (total := partial[b] - partial[a])
+            else math.ldexp(float(total), e - 1075)
+            for skip, e, a, b in zip(bad.tolist(), e_lo.tolist(),
+                                     cuts, cuts[1:])]
 
 
 def _exact_sums(terms, starts):
@@ -194,7 +191,16 @@ def exact_sum(terms):
 def _powers(t, p, out=None):
     """``np.power(t, p)`` for a scalar ``p``, bit for bit, into ``out``
     (None or ``t``); at ``p == 1`` the result is ``t`` itself.  A power
-    that overflows is inf without a warning; the sum then is inf too."""
+    that overflows is inf without a warning; the sum then is inf too.
+
+    At p = 1/2, 1 and 2 the powers are built without the generic pow loop:
+    ``np.sqrt``, no pass, and ``t * t``.  These are the shortcuts that
+    ``np.power`` itself takes for a scalar exponent of 1/2, 1 and 2, so the
+    arithmetic is the same (``tests/test_kernels.py`` pins the equality, on
+    the terms where libm ``pow(x, 0.5)`` and ``sqrt(x)`` differ too).  Libm
+    ``pow`` and ``np.power`` with an array exponent are other functions and
+    can differ from both in the last bit.
+    """
     if p == 1.0:
         return t
     if p == 0.5:
@@ -210,65 +216,56 @@ def riesz_sum(lams, sigma, z):
 
     ``lams`` must be sorted ascending.  For ``sigma == 0`` the value is the
     strict counting function.  Negative ``sigma`` is permitted as long as no
-    eigenvalue equals ``z``.  Returns ``(value, count)``.
-
-    The terms are ``np.power(z - lams, sigma)`` with a scalar exponent,
-    bit for bit, but at sigma = 1/2, 1 and 2 they are built without the
-    generic pow loop: ``np.sqrt``, no pass, and ``t * t``.  These are the
-    shortcuts that ``np.power`` itself takes for a scalar exponent of 1/2,
-    1 and 2, so the arithmetic is the same (``tests/test_kernels.py`` pins
-    the equality, on the terms where libm ``pow(x, 0.5)`` and ``sqrt(x)``
-    differ too).  Libm ``pow`` and ``np.power`` with an array exponent are
-    other functions and can differ from both in the last bit.
+    eigenvalue equals ``z``.  Returns ``(value, count)``, the one-z row of
+    ``riesz_sums`` and its count.
     """
-    idx = bisect_left(lams, z)
-    if sigma == 0.0:
-        return float(idx), idx
-    if idx == 0:
-        return 0.0, 0
-    terms = z - np.asarray(lams[:idx], dtype=float)
-    return exact_sum(_powers(terms, sigma, out=terms)), idx
+    (value,), (count,) = _riesz_rows(lams, sigma, [z])
+    return value, count
 
 
 def riesz_sums(lams, sigma, zs):
-    """``riesz_sum(lams, sigma, z)[0]`` for each z of ``zs``, bit for bit,
-    as a list.
+    """``riesz_sum(lams, sigma, z)[0]`` for each z of ``zs``, as a list."""
+    return _riesz_rows(lams, sigma, zs)[0]
 
-    The terms of consecutive z go into one buffer of at most ``_CHUNK``
-    terms, one segment per z, built and powered as ``riesz_sum`` builds
-    them and added by one ``_exact_sums`` pass; a z with more terms than
-    that has a buffer of its own.
+
+def _riesz_rows(lams, sigma, zs):
+    """The Riesz sums and the counts below each z of ``zs``, as two lists.
+
+    The terms ``_powers(z - lams[:count], sigma)`` of consecutive z go into
+    one buffer of at most ``_CHUNK`` terms, one segment per z, added by one
+    ``_exact_sums`` pass; a z with more terms is a batch of its own, and a
+    batch of one z is summed without packing.
     """
     lams = np.asarray(lams, dtype=float)
-    counts = np.searchsorted(lams, zs).tolist()    # bisect_left
+    counts = lams.searchsorted(zs).tolist()    # bisect_left
     if sigma == 0.0:
-        return [float(c) for c in counts]
+        return [float(c) for c in counts], counts
     out = [0.0] * len(counts)
-    rows = [(i, z, c) for i, (z, c) in enumerate(zip(zs, counts)) if c]
+    rows = [i for i, c in enumerate(counts) if c]
     at = 0
     while at < len(rows):
-        end, size = at + 1, rows[at][2]
-        while end < len(rows) and size + rows[end][2] <= _CHUNK:
-            size += rows[end][2]
+        end, size = at + 1, counts[rows[at]]
+        while end < len(rows) and size + counts[rows[end]] <= _CHUNK:
+            size += counts[rows[end]]
             end += 1
         batch = rows[at:end]
-        terms = np.empty(size)
-        starts = []
-        here = 0
-        for _, z, c in batch:
-            starts.append(here)
-            np.subtract(z, lams[:c], out=terms[here:here + c])
-            here += c
+        if len(batch) == 1:    # nothing to pack
+            terms, starts = zs[batch[0]] - lams[:size], [0]
+        else:
+            terms = np.empty(size)
+            starts = [0, *accumulate(counts[i] for i in batch[:-1])]
+            for i, here in zip(batch, starts):
+                np.subtract(zs[i], lams[:counts[i]],
+                            out=terms[here:here + counts[i]])
         sums = _exact_sums(_powers(terms, sigma, out=terms), starts)
-        for (i, _, _), total in zip(batch, sums):
+        for i, total in zip(batch, sums):
             out[i] = total
         at = end
-    return out
+    return out, counts
 
 
 def power_sum(lams, k, p):
-    """Exact sum of lams[i]**p for i < k, with the terms of ``riesz_sum``'s
-    ``np.power``."""
+    """Exact sum of lams[i]**p for i < k, with the terms of ``_powers``."""
     return exact_sum(_powers(np.asarray(lams[:k], dtype=float), p))
 
 

@@ -71,11 +71,36 @@ def _check_z(spec: Spectrum, z: float) -> None:
         raise DomainError(f"z must be positive, got {z}")
 
 
+def _finite(value: float, what: str, *args) -> float:
+    """``value``, or DomainError naming ``what.format(*args)`` if it is not
+    finite: a value that leaves the float range is an error, as in
+    ``bounds.evaluate``.  The name is formatted only then."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what.format(*args)} is {value}, outside the "
+                          "float range")
+    return value
+
+
+def _or_inf(fn, *args) -> float:
+    """``fn(*args)``, or inf where ``math.fsum`` overflows adding finite
+    terms whose total leaves the float range."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def riesz_mean(spec: Spectrum, sigma: float, z: float) -> RieszEvaluation:
-    """R_sigma(z) = sum (z - lambda_k)_+^sigma; sigma = 0 counts strictly."""
+    """R_sigma(z) = sum (z - lambda_k)_+^sigma; sigma = 0 counts strictly.
+
+    A value outside the float range raises DomainError."""
     if not sigma >= 0:
         raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    value, count = riesz_value(spec, sigma, z)
+    try:
+        value, count = riesz_value(spec, sigma, z)
+    except OverflowError:    # from math.fsum, as in _or_inf
+        value, count = math.inf, 0
+    _finite(value, "riesz_mean at sigma={}, z={}", sigma, z)
     return RieszEvaluation(sigma=float(sigma), z=float(z),
                            value=value, contributing=count)
 
@@ -140,16 +165,22 @@ def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
 
     The power, geometric and harmonic means each have their own helper
     (``_power_mean``, ``_geometric_mean``, ``_harmonic_mean``), so a caller
-    that needs one of them can compute just that one.
+    that needs one of them can compute just that one.  A field outside the
+    float range raises DomainError.
     """
     _check_index(spec, k)
     mean = eigensum_prefix(spec)[k - 1] / k
-    mean_sq = _kernels.power_sum(spec.eigenvalues, k, 2.0) / k
-    power = {float(sigma): _power_mean(spec, k, sigma)
+    mean_sq = _finite(
+        _or_inf(_kernels.power_sum, spec.eigenvalues, k, 2.0) / k,
+        "means at k={}: mean_sq", k)
+    power = {float(sigma): _finite(_or_inf(_power_mean, spec, k, sigma),
+                                   "means at k={}: power mean of order {}",
+                                   k, sigma)
              for sigma in sigma_list}
     return MeanSet(k=k, mean=mean, mean_sq=mean_sq, power_means=power,
                    geometric=_geometric_mean(spec, k),
-                   harmonic=_harmonic_mean(spec, k))
+                   harmonic=_finite(_harmonic_mean(spec, k),
+                                    "means at k={}: harmonic", k))
 
 
 def _math_logs(values):
@@ -172,7 +203,8 @@ def _logs(spec: Spectrum):
 
 def legendre_R1(spec: Spectrum, w: float) -> float:
     """Closed-form Legendre transform of R_1 at w:
-    (w - [w]) * lambda_{[w]+1} + [w] * mean(lambda_1..lambda_[w])."""
+    (w - [w]) * lambda_{[w]+1} + [w] * mean(lambda_1..lambda_[w]).  A value
+    outside the float range raises DomainError."""
     if not w > 0:
         raise DomainError(f"w must be positive, got {w}")
     ev = spec.eigenvalues
@@ -181,7 +213,8 @@ def legendre_R1(spec: Spectrum, w: float) -> float:
             f"w={w} needs eigenvalue [w]+1, spectrum has {len(ev)}")
     m = int(math.floor(w))
     partial = eigensum_prefix(spec)[m - 1] if m >= 1 else 0.0
-    return (w - m) * float(ev[m]) + partial
+    value = (w - m) * float(ev[m]) + partial
+    return _finite(value, "legendre_R1 at w={}", w)
 
 
 def c_sigma(sigma: float) -> float:

@@ -68,13 +68,6 @@ def bessel_j(nu: float, x: float) -> float:
     return float(_jv(nu, x))
 
 
-def bessel_j_prime(nu: float, x: float) -> float:
-    """d/dx J_nu(x) via the recurrence J_nu' = J_{nu-1} - (nu/x) J_nu."""
-    if x <= 0:
-        raise DomainError(f"bessel_j_prime requires x > 0, got {x}")
-    return float(_jv(nu - 1.0, x)) - (nu / x) * bessel_j(nu, x)
-
-
 @dataclass(frozen=True)
 class BesselZero:
     """The p-th positive zero of J_nu."""

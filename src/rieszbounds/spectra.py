@@ -130,7 +130,11 @@ def box_spectrum(sides, lam_max: float,
             f"box sides must be finite and positive, got {sides}")
     if not lam_max > 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    coeffs = [math.pi**2 / s**2 for s in sides]
+    squares = [s**2 for s in sides]
+    if 0.0 in squares:
+        raise DomainError(f"box side {sides[squares.index(0.0)]} is too "
+                          "small: its square underflows to 0")
+    coeffs = [math.pi**2 / q for q in squares]
     lam_1 = sum(coeffs)
     if lam_max <= lam_1:
         raise EmptySpectrumError(
@@ -193,6 +197,9 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
     volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
     _check_weyl_count(d, volume, lam_max, cap)
     r2 = radius * radius
+    if r2 == 0.0:
+        raise DomainError(f"radius {radius} is too small: its square "
+                          "underflows to 0")
     vals: list[float] = []
     ell = 0
     while True:

@@ -778,6 +778,8 @@ def check_config(cfg: VerifyConfig) -> None:
             f"z_points={cfg.z_points} exceeds cap {MAX_Z_POINTS}")
     if cfg.z_max is not None and not math.isfinite(cfg.z_max):
         raise ConfigError(f"z_max must be finite, got {cfg.z_max}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
 
 
 def run_suite(specs: dict[str, Spectrum],

@@ -4,6 +4,7 @@ against.  None of them is used by the library itself."""
 import json
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import gamma as _gamma
 
@@ -104,6 +105,11 @@ def bessel_j_half_integer(nu: float, x: float) -> float:
         j_prev, j_cur = j_cur, (2.0 * order / x) * j_cur - j_prev
         order += 1.0
     return j_cur
+
+
+def bessel_j_prime(nu: float, x: float) -> float:
+    """d/dx J_nu(x) by mpmath, independent of scipy."""
+    return float(mpmath.besselj(nu, x, derivative=1))
 
 
 def mcmahon_asymptote(nu: float, p: int) -> float:

@@ -247,9 +247,36 @@ class TestBadInput:
           "k=1e300"), "cheng_yang"),
         (("verify", "--z-points", "400000000"), "z_points"),
         (("figure", "fig2", "--k-max", "1000000000"), "k range"),
+        (("verify", "--seed", "-1"), "seed"),
+        (("spectrum", "--box", "1e-200", "1", "--lambda-max", "1e5"),
+         "box side 1e-200"),
+        (("spectrum", "--ball", "--dim", "3", "--radius", "1e-300",
+          "--lambda-max", "1e5"), "radius 1e-300"),
+        (BOX + ("--z", "50", "--sigma", "1e3"), "riesz_mean"),
+        (BOX + ("--z", "50", "--sigma", "1e3", "--format", "json"),
+         "riesz_mean"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert name in err
+
+    @pytest.mark.parametrize("values, query, name", [
+        ("1e200 2e200 3e200", ("--means", "3"), "mean_sq"),
+        # the squares are finite, their sum is not
+        ("1e154 1.2e154 1.3e154", ("--means", "3"), "mean_sq"),
+        ("1e-3 2e-3", ("--z", "1.3e154", "--sigma", "2"), "riesz_mean"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_value_outside_float_range_exits_2(self, capsys, tmp_path, fmt,
+                                               values, query, name):
+        path = tmp_path / "spectrum.txt"
+        path.write_text("dim: 1\ncomplete_below: 1e300\n"
+                        + "\n".join(values.split()) + "\n")
+        code, out, err = run_cli(capsys, "riesz", "--load", str(path),
+                                 *query, "--format", fmt)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
@@ -282,6 +309,7 @@ class TestVerifyCommand:
         (("--z-points", "400000000"), "z_points"),
         (("--z-max", "nan"), "z_max"),
         (("--z-max", "inf"), "z_max"),
+        (("--seed", "-1"), "seed"),
     ])
     @pytest.mark.parametrize("source", [(), ("--spectrum", "square.txt")])
     def test_config_checked_before_any_spectrum(self, capsys, monkeypatch,

@@ -382,13 +382,18 @@ def monotone_arrays(draw):
     return x
 
 
+def _run_one(terms):
+    """The run path's sum of ``terms`` as one segment."""
+    return pykernels._run_sum(terms, [0])[0]
+
+
 class TestRunPath:
     @given(monotone_arrays())
     @settings(max_examples=200, deadline=None)
     def test_bitwise_equal_to_fsum(self, x):
         _assert_same(x)
         if len(x) >= SMALL:
-            assert _bits(pykernels._run_sum(x)) == \
+            assert _bits(_run_one(x)) == \
                 _bits(math.fsum(x.tolist()))
 
     @pytest.mark.parametrize("n", [RUN_BLOCK + 1, 2 * CHUNK + 7])
@@ -397,7 +402,7 @@ class TestRunPath:
         # every term 2 - 2**-52: each block sum is as close to 2**64 as
         # it gets, and the one run is longer than a block and a chunk
         x = np.full(n, sign * np.nextafter(2.0, 0.0))
-        assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
+        assert _bits(_run_one(x)) == _bits(math.fsum(x.tolist()))
 
     @pytest.mark.parametrize("n", [SMALL, 3 * RUN_BLOCK + 5, CHUNK + 3])
     def test_spectrum_terms(self, n):
@@ -409,7 +414,7 @@ class TestRunPath:
         cases += [np.array([math.log(v) for v in lams.tolist()]),
                   1.0 / lams]
         for terms in cases:
-            run = pykernels._run_sum(terms)
+            run = _run_one(terms)
             assert run is not None
             assert _bits(run) == _bits(math.fsum(terms.tolist()))
             assert _bits(pykernels.exact_sum(terms)) == _bits(run)
@@ -422,7 +427,7 @@ class TestRunPath:
                                        np.ones(7)]))
         logs = np.array([math.log(v) for v in lams.tolist()])
         for terms in (logs, logs[::-1], -logs):
-            run = pykernels._run_sum(terms)
+            run = _run_one(terms)
             assert run is not None
             assert _bits(run) == _bits(math.fsum(terms.tolist()))
 
@@ -433,7 +438,7 @@ class TestRunPath:
         x = np.concatenate([-np.linspace(3.0, 0.5, 5000), zeros,
                             np.linspace(0.25, 7.0, 5000)])
         for terms in (x, x[::-1]):
-            run = pykernels._run_sum(terms)
+            run = _run_one(terms)
             assert run is not None
             assert _bits(run) == _bits(math.fsum(terms.tolist()))
 
@@ -442,11 +447,11 @@ class TestRunPath:
         x = np.repeat([1.5, 2.5, 5.0, 5.5, 13.0], RUN_BLOCK)
         x[::3] += 2.0**-40
         x.sort()
-        assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
+        assert _bits(_run_one(x)) == _bits(math.fsum(x.tolist()))
 
     def test_values_at_powers_of_two(self):
         x = np.repeat(np.ldexp(1.0, np.arange(-30, 31)), 100)
-        assert _bits(pykernels._run_sum(x)) == _bits(math.fsum(x.tolist()))
+        assert _bits(_run_one(x)) == _bits(math.fsum(x.tolist()))
         _assert_same(x[::-1].copy())
 
 
@@ -462,7 +467,7 @@ class TestRunPathFallback:
         i = RUN_BLOCK
         assert x[i - 1] == np.nextafter(1024.0, 0.0) and x[i] == 1024.0
         x[i - 1], x[i] = x[i], x[i - 1]
-        assert pykernels._run_sum(x) is None
+        assert _run_one(x) is None
         _assert_same(x)
 
     @pytest.mark.parametrize("x", [
@@ -485,5 +490,5 @@ class TestRunPathFallback:
             "subnormal", "near-overflow", "wide", "inf", "-inf", "nan-last",
             "nan-first"])
     def test_ineligible_input_falls_back(self, x):
-        assert pykernels._run_sum(x) is None
+        assert _run_one(x) is None
         _assert_same(x)

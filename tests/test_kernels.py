@@ -97,6 +97,21 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _fsum_rows(lams, sigma, zs):
+    """R_sigma(z) at each z as ``math.fsum`` of the ``np.power`` terms, or
+    the count at sigma = 0: a reference that builds no term the way the
+    kernel does."""
+    out = []
+    for z in zs:
+        below = lams[lams < z]
+        if sigma == 0.0:
+            out.append(float(len(below)))
+        else:
+            with np.errstate(over="ignore"):
+                out.append(math.fsum(np.power(z - below, sigma).tolist()))
+    return out
+
+
 @st.composite
 def riesz_rows(draw):
     """A sorted spectrum at a drawn scale and z values in any order, some
@@ -115,7 +130,7 @@ def riesz_rows(draw):
 
 class TestRieszRows:
     """``riesz_sums`` adds many rows in one segmented pass and must give
-    the bits of ``riesz_sum`` at every z."""
+    the bits of ``riesz_sum`` at every z, and of ``_fsum_rows``."""
 
     SIGMAS = [0.0, 0.5, 1.0, 2.0, -0.5, 2.5]
 
@@ -125,6 +140,8 @@ class TestRieszRows:
         lams, zs = rows
         assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
             _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
+        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+            _hex(_fsum_rows(lams, sigma, zs))
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_ball_rows_where_np_power_is_not_libm_pow(self, sigma):
@@ -134,6 +151,8 @@ class TestRieszRows:
               .tolist()]
         assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
             _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
+        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+            _hex(_fsum_rows(lams, sigma, zs))
         terms = 1900.0 - lams[lams < 1900.0]
         assert np.power(terms, 2.5).tolist() != \
             [math.pow(t, 2.5) for t in terms.tolist()]
@@ -145,6 +164,8 @@ class TestRieszRows:
         for sigma in (0.5, 2.5):
             assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
                 _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
+            assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+                _hex(_fsum_rows(lams, sigma, zs))
 
     def test_stretch_across_a_row_start_with_equal_end_exponents(self):
         # rows of 1500 terms in [2, 4) but for the last ten in (1, 2): a
@@ -157,6 +178,7 @@ class TestRieszRows:
         assert _hex(rows) == _hex([pykernels.riesz_sum(lams, 1.0, 4.0)[0]]
                                   * 40)
         assert rows[0] == math.fsum((4.0 - lams).tolist())
+        assert _hex(rows) == _hex(_fsum_rows(lams, 1.0, zs))
 
     @pytest.mark.parametrize("z, gap, run", [
         (1e-153, 1e-160, False),    # subnormal terms
@@ -173,6 +195,8 @@ class TestRieszRows:
         zs = [z, z / 2, z * (1 + 1e-15)]
         assert _hex(pykernels.riesz_sums(lams, 2.0, zs)) == \
             _hex(pykernels.riesz_sum(lams, 2.0, z)[0] for z in zs)
+        assert _hex(pykernels.riesz_sums(lams, 2.0, zs)) == \
+            _hex(_fsum_rows(lams, 2.0, zs))
         with np.errstate(over="ignore"):
             rows = [np.power(x - lams[lams < x], 2.0) for x in zs]
         starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
