@@ -3,8 +3,8 @@
 Runs the full suite, genuine checks and the negative control, at the
 default ``VerifyConfig`` on the Dirichlet unit square complete below
 lambda_max (default 1.3e7, n = 1,033,365 eigenvalues), then prints n, the
-genuine and control point counts, the seconds, the peak RSS and whether
-every check passed.
+genuine and control point counts, the seconds, the points (genuine and
+control) swept per second, the peak RSS and whether every check passed.
 
 Run:  python3 benchmarks/bench_verify_scale.py [--lambda-max 1e6]
 Exit status 1 if the suite does not pass or the peak RSS exceeds
@@ -48,12 +48,14 @@ def main(argv=None) -> int:
     rss = _peak_rss_mb()
 
     genuine = sum(c.n_points for c in report.checks)
+    control = _control_points(spec, cfg)
     print(f"lambda_max      {args.lambda_max:g}")
     print(f"n               {len(spec)}")
     print(f"genuine points  {genuine}")
-    print(f"control points  {_control_points(spec, cfg)}")
+    print(f"control points  {control}")
     print(f"spectrum s      {t_spec:.2f}")
     print(f"suite s         {t_suite:.2f}")
+    print(f"points per s    {(genuine + control) / t_suite:.0f}")
     print(f"peak RSS MB     {rss:.1f}")
     print(f"all_passed      {report.all_passed}")
     for c in report.checks:

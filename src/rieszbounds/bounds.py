@@ -8,12 +8,14 @@ index must be a finite integer.  Formulas are well-defined for any
 dimension, but constants above ``MAX_CHECKED_DIMENSION`` involve untested
 high-order Bessel zeros and are gated behind ``allow_large_d``.
 
-A bound is evaluated once per verification point, so what depends only on
-the dimension is computed once: the dimension gate per
-``(d, allow_large_d)``, the coefficients and thresholds of ``abhh``,
-``abhh_next``, ``mean_ratio`` and ``mean_sq_envelope`` per d, ``L_cl`` per
-``(sigma, d)`` and :func:`~rieszbounds.specfun.gamma` per argument.  Each
-memo is bounded and stores only values, never an exception.  Each bound
+A bound is evaluated once per verification point, so its gates are cheap
+for the plain ``int`` dimensions and indices that points carry: such a
+dimension in the checked range, and such an index, pass without a
+conversion.  What depends only on the dimension is computed once: the
+coefficients and thresholds of ``abhh``, ``abhh_next``, ``mean_ratio`` and
+``mean_sq_envelope`` per d, ``L_cl`` per ``(sigma, d)`` and
+:func:`~rieszbounds.specfun.gamma` per argument.  Each memo is bounded
+and stores only values, never an exception.  Each bound
 still multiplies its coefficient by ``k ** (2 / d)`` (or its other variable
 factor) in the association order of the closed form, so every value has
 the bits of the formula written out in full.
@@ -30,22 +32,29 @@ from .errors import ValidityError
 
 MAX_CHECKED_DIMENSION = 10
 
-#: entries per memo of a per-dimension gate or constant
+#: entries per memo of a per-dimension constant
 _MEMO_SIZE = 256
 
 
 def _whole(x) -> bool:
-    """True for a finite integral value; NaN, infinities and None not."""
+    """True for a finite integral value; NaN, infinities and None not.
+
+    A plain ``int``, as every index of a verification point is, passes at
+    once; anything else, ``bool`` and ``float`` included, is converted.
+    """
+    if type(x) is int:
+        return True
     try:
         return int(x) == x
     except (TypeError, ValueError, OverflowError):
         return False
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _check_dim(d, allow_large_d=False):
     """``int(d)`` for a finite integer d in the allowed range, else
-    ValidityError."""
+    ValidityError.  An ``int`` in 1..MAX_CHECKED_DIMENSION passes at once."""
+    if type(d) is int and 1 <= d <= MAX_CHECKED_DIMENSION:
+        return d
     if not (d >= 1 and _whole(d)):
         raise ValidityError(f"dimension must be a positive integer, got {d}")
     if not (d <= MAX_CHECKED_DIMENSION or allow_large_d):

@@ -130,7 +130,13 @@ def box_spectrum(sides, lam_max: float,
             f"box sides must be finite and positive, got {sides}")
     if not lam_max > 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    squares = [s**2 for s in sides]
+    squares = []
+    for s in sides:
+        try:
+            squares.append(s**2)
+        except OverflowError:
+            raise DomainError(f"box side {s} is too large: its square "
+                              "overflows") from None
     if 0.0 in squares:
         raise DomainError(f"box side {sides[squares.index(0.0)]} is too "
                           "small: its square underflows to 0")
@@ -141,6 +147,9 @@ def box_spectrum(sides, lam_max: float,
             f"lam_max={lam_max} is below the first eigenvalue {lam_1}")
     d = len(sides)
     volume = math.prod(sides)
+    if volume == math.inf:
+        raise DomainError(f"box sides {sides} are too large: their product, "
+                          "the volume, overflows")
     _check_weyl_count(d, volume, lam_max, cap)
 
     vals: list[float] = []
@@ -194,7 +203,13 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
         raise DomainError(f"radius must be finite and positive, got {radius}")
     if not lam_max > 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
+    try:
+        volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
+    except OverflowError:
+        volume = math.inf
+    if volume == math.inf:
+        raise DomainError(f"the volume of the {d}-ball of radius {radius} "
+                          "overflows")
     _check_weyl_count(d, volume, lam_max, cap)
     r2 = radius * radius
     if r2 == 0.0:

@@ -8,7 +8,10 @@ convention is uniform: for an inequality ``big >= small``,
 
 and a point passes iff ``margin >= -SLACK``.  Every margin is computed by a
 scalar function registered in ``MARGINS``; re-evaluating a reported witness
-through :func:`reevaluate` therefore reproduces the margin exactly.
+through :func:`reevaluate` therefore reproduces the margin exactly.  A
+margin that is NaN, or whose arithmetic raises (a float overflow, a
+division by zero), is no verdict: the sweep raises ``DomainError`` naming
+the check, the spectrum and the point.
 
 Each margin pays only for its own arithmetic, apart from its Riesz sums
 and moments:
@@ -18,9 +21,11 @@ and moments:
   cached correctly rounded prefix arrays, which
   :func:`~rieszbounds.riesz.eigensum_prefix` and
   :func:`~rieszbounds.riesz.square_prefix` fill on first use.  This is the
-  same inside and outside a sweep.
-* A bound's dimension gate and per-dimension constants are memoized in
-  :mod:`~rieszbounds.bounds`, so a point pays for its own gates on j, k
+  same inside and outside a sweep.  The five index families, which hold
+  most of the points, read them without a helper call between.
+* A bound's per-dimension constants are memoized in
+  :mod:`~rieszbounds.bounds`, and its gates pass an ``int`` dimension or
+  index without converting it, so a point pays for its own gates on j, k
   or z and one power of k.
 * A moment point computes only the one power, geometric or harmonic mean
   it compares, by the helper that ``riesz.means`` uses for that field.
@@ -37,8 +42,14 @@ and moments:
 
 Points are streamed.  Each family's points form one lazy sequence: sized
 (its length is counted from the grids, not by building the points),
-re-iterable, and made one keyword dict at a time while the sweep calls the
-family's ``MARGINS`` entry on it.  What a sweep holds therefore does not
+re-iterable, and made one row at a time while the sweep calls the
+family's ``MARGINS`` entry on it.  A row is a tuple of the margin
+function's arguments after the spectrum, in its parameter order, and the
+sequence carries their ``names``; the sweep calls ``fn(spec, *row)`` and
+makes a keyword dict only once per family, for the witness.  (The two row
+shapes of ``hoelder_chain`` each keep their own witness key order.)  The
+index families' rows of one index are made by ``zip`` without a Python
+frame per row.  What a sweep holds therefore does not
 grow with the number of points: the z grid, the per-parameter lists of z
 values that pass a family's threshold, the random Hoelder samples, and
 the spectrum's own O(n) arrays, where n is the number of eigenvalues; no
@@ -58,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -191,9 +203,6 @@ class _RieszTable(dict):
 #: per-spectrum R_sigma(z) tables, alive while _sweep runs
 _riesz_memo: dict[Spectrum, _RieszTable] = {}
 
-def _eigenvalue(spec, k):
-    return spec.eigenvalues.item(k)
-
 
 def _mean(spec, j):
     prefix = spec._derived.get("eigensum_prefix")
@@ -314,15 +323,25 @@ def margin_cor29_counting(spec, j, z):
     return _margin(_riesz(spec, 0.0, z), lb)
 
 
+# The five index margins (eq224_ratio, yang_simplified, cor32_abhh,
+# eq36_next, eq37_discrim) hold most of a sweep's points, so each reads the
+# prefix sums and eigenvalues itself instead of through _mean.
+
 def margin_eq224_ratio(spec, j, k):
+    sums = spec._derived.get("eigensum_prefix")
+    if sums is None:
+        sums = eigensum_prefix(spec)
     bound = (bounds.lambda_next_over_mean(spec.dimension, j, k)
-             * _mean(spec, j))
-    return _margin(bound, _eigenvalue(spec, k))
+             * (sums.item(j - 1) / j))
+    return _margin(bound, spec.eigenvalues.item(k))
 
 
 def margin_yang_simplified(spec, k):
-    bound = (1 + 4 / spec.dimension) * _mean(spec, k)
-    return _margin(bound, _eigenvalue(spec, k))
+    sums = spec._derived.get("eigensum_prefix")
+    if sums is None:
+        sums = eigensum_prefix(spec)
+    bound = (1 + 4 / spec.dimension) * (sums.item(k - 1) / k)
+    return _margin(bound, spec.eigenvalues.item(k))
 
 
 def margin_hoelder_chain(spec, form, z, sigma=None, sigma0=None,
@@ -351,24 +370,32 @@ def margin_cor31_mean_ratio(spec, j, k):
 
 
 def margin_cor32_abhh(spec, k):
-    bound = bounds.abhh(spec.dimension, k) * _eigenvalue(spec, 0)
-    return _margin(bound, _mean(spec, k))
+    bound = bounds.abhh(spec.dimension, k) * spec.eigenvalues.item(0)
+    sums = spec._derived.get("eigensum_prefix")
+    if sums is None:
+        sums = eigensum_prefix(spec)
+    return _margin(bound, sums.item(k - 1) / k)
 
 
 def margin_eq36_next(spec, k):
-    bound = bounds.abhh_next(spec.dimension, k) * _eigenvalue(spec, 0)
-    return _margin(bound, _eigenvalue(spec, k))
+    ev = spec.eigenvalues
+    bound = bounds.abhh_next(spec.dimension, k) * ev.item(0)
+    return _margin(bound, ev.item(k))
 
 
 def margin_eq37_discrim(spec, k, form):
     n = len(spec.eigenvalues)
     if not 1 <= k <= n:
         raise DomainError(f"k must be in 1..{n}, got {k}")
-    squares = spec._derived.get("square_prefix")
+    derived = spec._derived
+    squares = derived.get("square_prefix")
     if squares is None:
         squares = square_prefix(spec)
+    sums = derived.get("eigensum_prefix")
+    if sums is None:
+        sums = eigensum_prefix(spec)
     mean_sq = squares.item(k - 1) / k
-    lo, hi = bounds.mean_sq_envelope(spec.dimension, _mean(spec, k))
+    lo, hi = bounds.mean_sq_envelope(spec.dimension, sums.item(k - 1) / k)
     if form == "lower":
         return _margin(mean_sq, lo)
     return _margin(hi, mean_sq)
@@ -495,18 +522,23 @@ def _index_list(n_max: int, count: int):
 # check builders: lists of (check_id, grid description, points)
 
 class _Points:
-    """The points of one check family, made one keyword dict at a time.
+    """The points of one check family, made one argument tuple at a time.
 
     ``rows`` is a zero-argument callable that returns a fresh iterable of
-    keyword-argument dicts, the same sequence on every call; ``length`` is
-    how many it yields.  Rows made by a generator exist one at a time.
+    tuples, the same sequence on every call; ``length`` is how many it
+    yields.  A row holds the arguments of the family's margin function
+    after the spectrum, in its parameter order, and ``names`` are their
+    parameter names, so ``fn(spec, *row)`` and
+    ``fn(spec, **dict(zip(names, row)))`` are the same call.  Rows made by
+    a generator exist one at a time.
     """
 
-    __slots__ = ("_rows", "_length")
+    __slots__ = ("_rows", "_length", "names")
 
-    def __init__(self, rows, length: int):
+    def __init__(self, rows, length: int, names: tuple[str, ...]):
         self._rows = rows
         self._length = length
+        self.names = names
 
     def __len__(self):
         return self._length
@@ -514,10 +546,31 @@ class _Points:
     def __iter__(self):
         return iter(self._rows())
 
+    def params(self, row) -> dict:
+        """The keyword arguments of ``row``, in witness key order."""
+        return dict(zip(self.names, row))
+
+
+class _HoelderPoints(_Points):
+    """``hoelder_chain`` rows, of two shapes: ``(form, z, None, sigma0,
+    sigma1, sigma2)`` for the log-convexity form and ``(form, z, sigma)``
+    for the two counting forms.  Each shape keeps its own witness key
+    order."""
+
+    __slots__ = ()
+
+    KEYS = {"logconvex": ("form", "z", "sigma0", "sigma1", "sigma2"),
+            "counting": ("form", "sigma", "z"),
+            "counting2": ("form", "sigma", "z")}
+
+    def params(self, row) -> dict:
+        named = dict(zip(self.names, row))
+        return {key: named[key] for key in self.KEYS[row[0]]}
+
 
 def _sigma_z(sigmas, zs):
-    return _Points(lambda: ({"sigma": s, "z": z} for s in sigmas for z in zs),
-                   len(sigmas) * len(zs))
+    return _Points(lambda: product(sigmas, zs), len(sigmas) * len(zs),
+                   ("sigma", "z"))
 
 
 def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
@@ -546,11 +599,11 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         for row in (zs, [z + 1e-6 * z for z in z_fd],
                     [z - 1e-6 * z for z in z_fd]):
             table.add_row(row)
+    z_h = [(z, 1e-6 * z) for z in z_fd]
 
     def fd_points(sigmas):
-        return _Points(lambda: ({"sigma": s, "z": z, "h": 1e-6 * z}
-                                for s in sigmas for z in z_fd),
-                       len(sigmas) * len(z_fd))
+        return _Points(lambda: ((s, z, h) for s in sigmas for z, h in z_h),
+                       len(sigmas) * len(z_h), ("sigma", "z", "h"))
 
     out.append(("thm21_deriv1", "sigma in {1.5, 2}, central differences",
                 fd_points([s for s in s_le2 if s >= 1.5])))
@@ -560,9 +613,9 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     pairs = list(zip(zs[:-1], zs[1:]))
 
     def pair_points(sigmas):
-        return _Points(lambda: ({"sigma": s, "z1": z1, "z2": z2}
+        return _Points(lambda: ((s, z1, z2)
                                 for s in sigmas for z1, z2 in pairs),
-                       len(sigmas) * len(pairs))
+                       len(sigmas) * len(pairs), ("sigma", "z1", "z2"))
 
     out.append(("thm21_mono1", f"sigma in {s_le2}, consecutive z pairs",
                 pair_points(s_le2)))
@@ -575,15 +628,16 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         def sandwich_rows():
             for s, thr in thr23:
                 for z in zs:
-                    yield {"sigma": s, "z": z, "form": "upper"}
+                    yield s, z, "upper"
                     if z >= thr:
-                        yield {"sigma": s, "z": z, "form": "lower"}
+                        yield s, z, "lower"
 
         out.append(("cor23_sandwich",
                     f"sigma in {s_ge2}, upper all z, lower above threshold",
                     _Points(sandwich_rows,
                             sum(len(zs) + sum(z >= thr for z in zs)
-                                for _, thr in thr23))))
+                                for _, thr in thr23),
+                            ("sigma", "z", "form"))))
     out.append(("aizenman_lieb_ratio", f"sigma in {s_ge2}, {n_z} z points",
                 _sigma_z(s_ge2, zs)))
 
@@ -596,10 +650,10 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     lower26.append((1.0, "chain", [z for z in zs if z >= chain_thr]))
     out.append(("cor26_lower", "sigma < 2 incl. counting form, z above "
                 "regime thresholds",
-                _Points(lambda: ({"sigma": s, "z": z, "form": form}
-                                 for s, form, above in lower26
+                _Points(lambda: ((s, z, form) for s, form, above in lower26
                                  for z in above),
-                        sum(len(above) for _, _, above in lower26))))
+                        sum(len(above) for _, _, above in lower26),
+                        ("sigma", "z", "form"))))
 
     out.append(("eq213_lower", "sigma >= 1 grid, all z",
                 _sigma_z([s for s in cfg.sigma_grid if s >= 1], zs)))
@@ -607,20 +661,19 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     j_list = _index_list(n, cfg.j_count)
     z29 = [(j, [z for z in zs if z >= (1 + 4 / d) * _mean(spec, j)])
            for j in j_list]
-    pts29 = _Points(lambda: ({"j": j, "z": z} for j, above in z29
-                             for z in above),
-                    sum(len(above) for _, above in z29))
+    pts29 = _Points(lambda: ((j, z) for j, above in z29 for z in above),
+                    sum(len(above) for _, above in z29), ("j", "z"))
     for check_id in ("cor29_r2", "cor29_r1", "cor29_counting"):
         out.append((check_id, f"j in {j_list}, z above (1+4/d) mean_j",
                     pts29))
 
+    # rows of one index are made by zip, without a Python frame per row
     out.append(("eq224_ratio", f"j in {j_list}, all k in j..{n-1}",
-                _Points(lambda: ({"j": j, "k": k} for j in j_list
-                                 for k in range(j, n)),
-                        sum(max(0, n - j) for j in j_list))))
+                _Points(lambda: chain.from_iterable(
+                            zip(repeat(j), range(j, n)) for j in j_list),
+                        sum(max(0, n - j) for j in j_list), ("j", "k"))))
     out.append(("yang_simplified", f"all k in 1..{n-1}",
-                _Points(lambda: ({"k": k} for k in range(1, n)),
-                        max(0, n - 1))))
+                _Points(lambda: zip(range(1, n)), max(0, n - 1), ("k",))))
 
     # the random draws are made once, so every pass sees the same samples
     hoelder = []
@@ -629,53 +682,52 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         s2 = s0 + float(rng.uniform(0.5, 3.0))
         t = float(rng.uniform(0.05, 0.95))
         s1 = t * s0 + (1 - t) * s2
-        hoelder.append({"form": "logconvex", "z": float(rng.choice(zs)),
-                        "sigma0": s0, "sigma1": s1, "sigma2": s2})
+        hoelder.append(("logconvex", float(rng.choice(zs)), None,
+                        s0, s1, s2))
     for s in (1.5, 2.0, 3.0):
-        hoelder.extend({"form": "counting", "sigma": s, "z": z}
-                       for z in zs[::5])
+        hoelder.extend(("counting", z, s) for z in zs[::5])
     for s in (2.0, 3.0, 5.0):
-        hoelder.extend({"form": "counting2", "sigma": s, "z": z}
-                       for z in zs[::5])
+        hoelder.extend(("counting2", z, s) for z in zs[::5])
     out.append(("hoelder_chain", "random sigma triples + counting forms",
-                _Points(lambda: hoelder, len(hoelder))))
+                _HoelderPoints(lambda: hoelder, len(hoelder),
+                               ("form", "z", "sigma", "sigma0", "sigma1",
+                                "sigma2"))))
 
     k_list = _index_list(n, cfg.k_count)
     k31 = [(j, [k for k in k_list if k >= j * (1 + d / 2) / (1 + d / 4)])
            for j in j_list]
     out.append(("cor31_mean_ratio", "(j, k) pairs above validity threshold",
-                _Points(lambda: ({"j": j, "k": k} for j, ks in k31
-                                 for k in ks),
-                        sum(len(ks) for _, ks in k31))))
+                _Points(lambda: ((j, k) for j, ks in k31 for k in ks),
+                        sum(len(ks) for _, ks in k31), ("j", "k"))))
 
     thresh = (d + 1) * (1 + d / 2) / (1 + d / 4)
     k_min = int(math.ceil(thresh))
     out.append(("cor32_abhh", f"k in {k_min}..{n}",
-                _Points(lambda: ({"k": k} for k in range(k_min, n + 1)),
-                        max(0, n + 1 - k_min))))
+                _Points(lambda: zip(range(k_min, n + 1)),
+                        max(0, n + 1 - k_min), ("k",))))
     out.append(("eq36_next", f"k in {k_min}..{n-1}",
-                _Points(lambda: ({"k": k} for k in range(k_min, n)),
-                        max(0, n - k_min))))
+                _Points(lambda: zip(range(k_min, n)), max(0, n - k_min),
+                        ("k",))))
 
     out.append(("eq37_discrim", "all k, both envelope sides",
-                _Points(lambda: ({"k": k, "form": f}
-                                 for k in range(1, n + 1)
-                                 for f in ("lower", "upper")),
-                        2 * n)))
+                _Points(lambda: ((k, form) for k in range(1, n + 1)
+                                 for form in ("lower", "upper")),
+                        2 * n, ("k", "form"))))
 
     mk = [k for k in _index_list(n, cfg.moment_k_count) if k >= 2]
     orders = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]
     order_pairs = list(zip(orders[:-1], orders[1:]))
     out.append(("moment_ordering", "consecutive power-mean orders",
-                _Points(lambda: ({"k": k, "s_lo": lo, "s_hi": hi}
+                _Points(lambda: ((k, lo, hi)
                                  for k in mk for lo, hi in order_pairs),
-                        len(mk) * len(order_pairs))))
+                        len(mk) * len(order_pairs), ("k", "s_lo", "s_hi"))))
     triples = [(0.25, 0.5, 1.0), (0.5, 1.0, 2.0), (1.0, 1.5, 2.0),
                (0.5, 1.5, 2.0)]
     out.append(("moment_interpolation", "sampled (mu, sigma, tau) triples",
-                _Points(lambda: ({"k": k, "mu": a, "sigma": b, "tau": c}
+                _Points(lambda: ((k, a, b, c)
                                  for k in mk for a, b, c in triples),
-                        len(mk) * len(triples))))
+                        len(mk) * len(triples),
+                        ("k", "mu", "sigma", "tau"))))
     return out
 
 
@@ -683,9 +735,16 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
            ids=None):
     """Run margin sweeps on one spectrum, optionally restricted to ids.
 
+    Each family keeps its first row with the smallest margin and builds
+    its witness dict once, from that row.  An ArithmeticError raises
+    DomainError at once.  A NaN margin is no verdict either, but it is
+    raised only after the spectrum's other families are swept, so that it
+    never hides such an error, which names the operation that failed.
+
     Returns {check_id: (grid, n_points, worst_margin, witness)}.
     """
     results = {}
+    nan = None      # message for the first NaN margin
     _riesz_memo[spec] = _RieszTable(spec)
     try:
         for check_id, grid, points in _build_points(spec, cfg, n_z):
@@ -693,21 +752,30 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
                 continue
             fn = MARGINS[check_id]
             worst = math.inf
-            witness = {}
-            params = None
+            best = row = None
             try:    # a float overflow or division by zero is no verdict
-                for params in points:
-                    m = fn(spec, **params)
-                    if m < worst:
+                for row in points:
+                    m = fn(spec, *row)
+                    if not m >= worst:      # a new minimum, or NaN
+                        if m != m:
+                            nan = nan or (f"{check_id} has a NaN margin on "
+                                          f"{label!r} at {points.params(row)}")
+                            continue
                         worst = m
-                        witness = dict(params)
-                        witness["spectrum"] = label
+                        best = row
             except ArithmeticError as exc:
-                raise DomainError(f"{check_id} cannot be evaluated on "
-                                  f"{label!r} at {params}: {exc!r}") from exc
+                raise DomainError(
+                    f"{check_id} cannot be evaluated on {label!r} at "
+                    f"{points.params(row)}: {exc!r}") from exc
+            witness = {}
+            if best is not None:
+                witness = points.params(best)
+                witness["spectrum"] = label
             results[check_id] = (grid, len(points), worst, witness)
     finally:
         _riesz_memo.pop(spec, None)
+    if nan is not None:
+        raise DomainError(nan)
     return results
 
 

@@ -1,6 +1,7 @@
 """Independent reference implementations that the tests compare the library
 against.  None of them is used by the library itself."""
 
+import inspect
 import json
 import math
 
@@ -8,8 +9,9 @@ import mpmath
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from rieszbounds import bounds, verify
 from rieszbounds.errors import DomainError
-from rieszbounds.riesz import eigensum_prefix, riesz_value
+from rieszbounds.riesz import eigensum_prefix, riesz_value, square_prefix
 
 
 def riesz_derivative_check(spec, sigma: float, z: float,
@@ -210,3 +212,108 @@ def shewchuk_prefix_sums(terms):
         partials[j:] = [x]
         out[i] = math.fsum(partials)
     return out
+
+
+#: keyword order of each check family's points, as the sweep made them when
+#: every point was a keyword dict; hoelder_chain's order depends on its form
+POINT_KEYS = {
+    "thm21_diff1": ("sigma", "z"),
+    "thm21_diff2": ("sigma", "z"),
+    "thm21_deriv1": ("sigma", "z", "h"),
+    "thm21_deriv2": ("sigma", "z", "h"),
+    "thm21_mono1": ("sigma", "z1", "z2"),
+    "thm21_mono2": ("sigma", "z1", "z2"),
+    "cor23_sandwich": ("sigma", "z", "form"),
+    "aizenman_lieb_ratio": ("sigma", "z"),
+    "cor26_lower": ("sigma", "z", "form"),
+    "eq213_lower": ("sigma", "z"),
+    "cor29_r2": ("j", "z"),
+    "cor29_r1": ("j", "z"),
+    "cor29_counting": ("j", "z"),
+    "eq224_ratio": ("j", "k"),
+    "yang_simplified": ("k",),
+    "hoelder_chain": {
+        "logconvex": ("form", "z", "sigma0", "sigma1", "sigma2"),
+        "counting": ("form", "sigma", "z"),
+        "counting2": ("form", "sigma", "z"),
+    },
+    "cor31_mean_ratio": ("j", "k"),
+    "cor32_abhh": ("k",),
+    "eq36_next": ("k",),
+    "eq37_discrim": ("k", "form"),
+    "moment_ordering": ("k", "s_lo", "s_hi"),
+    "moment_interpolation": ("k", "mu", "sigma", "tau"),
+}
+
+
+def point_dict(check_id, fn, row) -> dict:
+    """The keyword dict of one point: ``row`` bound to the parameters of
+    ``fn`` by position, in the order of ``POINT_KEYS``.  Every argument that
+    is not None must be named there."""
+    bound = inspect.signature(fn).bind(None, *row).arguments
+    keys = POINT_KEYS[check_id]
+    if isinstance(keys, dict):
+        keys = keys[bound["form"]]
+    given = [name for name, value in list(bound.items())[1:]
+             if value is not None]
+    assert sorted(given) == sorted(keys), (check_id, row)
+    return {key: bound[key] for key in keys}
+
+
+def dict_sweep(label, spec, cfg, n_z, ids=None):
+    """``verify._sweep`` as it ran when every point was a keyword dict:
+    ``fn(spec, **params)`` per point, the first strict minimum kept and
+    its dict copied into the witness.
+
+    Returns {check_id: (grid, n_points, worst_margin, witness)}.
+    """
+    results = {}
+    verify._riesz_memo[spec] = verify._RieszTable(spec)
+    try:
+        for check_id, grid, points in verify._build_points(spec, cfg, n_z):
+            if ids is not None and check_id not in ids:
+                continue
+            fn = verify.MARGINS[check_id]
+            worst = math.inf
+            witness = {}
+            for row in points:
+                params = point_dict(check_id, fn, row)
+                m = fn(spec, **params)
+                if m < worst:
+                    worst = m
+                    witness = dict(params)
+                    witness["spectrum"] = label
+            results[check_id] = (grid, len(points), worst, witness)
+    finally:
+        verify._riesz_memo.pop(spec, None)
+    return results
+
+
+def index_margin(check_id, spec, k_or_j, *rest) -> float:
+    """The margin of an index family written out from numpy scalars and the
+    bounds, as ``float(prefix[k - 1]) / k`` means and ``float(ev[k])``
+    eigenvalues, in the association order of each closed form."""
+    d = spec.dimension
+    ev = spec.eigenvalues
+
+    def mean(k):
+        return float(eigensum_prefix(spec)[k - 1]) / k
+
+    if check_id == "eq224_ratio":
+        j, (k,) = k_or_j, rest
+        return verify._margin(bounds.lambda_next_over_mean(d, j, k)
+                              * mean(j), float(ev[k]))
+    k = k_or_j
+    if check_id == "yang_simplified":
+        return verify._margin((1 + 4 / d) * mean(k), float(ev[k]))
+    if check_id == "cor32_abhh":
+        return verify._margin(bounds.abhh(d, k) * float(ev[0]), mean(k))
+    if check_id == "eq36_next":
+        return verify._margin(bounds.abhh_next(d, k) * float(ev[0]),
+                              float(ev[k]))
+    assert check_id == "eq37_discrim"
+    mean_sq = float(square_prefix(spec)[k - 1]) / k
+    lo, hi = bounds.mean_sq_envelope(d, mean(k))
+    if rest == ("lower",):
+        return verify._margin(mean_sq, lo)
+    return verify._margin(hi, mean_sq)

@@ -255,6 +255,18 @@ class TestBadInput:
         (BOX + ("--z", "50", "--sigma", "1e3"), "riesz_mean"),
         (BOX + ("--z", "50", "--sigma", "1e3", "--format", "json"),
          "riesz_mean"),
+        (("spectrum", "--box", "1e160", "1", "--lambda-max", "1e5"),
+         "box side 1e+160"),
+        (("spectrum", "--ball", "--dim", "3", "--radius", "1e200",
+          "--lambda-max", "1e5"), "radius 1e+200"),
+        (("riesz", "--box", "1e200", "1", "--lambda-max", "100", "--z", "5"),
+         "box side 1e+200"),
+        # each square is finite, the product of the sides is not
+        (("spectrum", "--box", "1e100", "1e100", "1e100", "1e100",
+          "--lambda-max", "1e5"), "volume"),
+        # radius**2 is finite, pi radius**2 is not
+        (("spectrum", "--ball", "--dim", "2", "--radius", "1e154",
+          "--lambda-max", "1e5"), "radius 1e+154"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

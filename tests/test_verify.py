@@ -2,6 +2,7 @@
 reproducibility, negative controls, and configuration errors."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from rieszbounds import bounds, riesz, spectra, verify
 from rieszbounds.errors import ConfigError, DomainError, ValidityError
+
+import oracles
 
 SMALL = verify.VerifyConfig(z_points=25, j_count=4, k_count=8,
                             hoelder_samples=10, moment_k_count=3,
@@ -73,9 +76,9 @@ class TestRieszMemo:
         tables = []
         margin = verify.MARGINS["thm21_diff1"]
 
-        def spy(s, **params):
+        def spy(s, *row):
             tables.append(verify._riesz_memo.get(s))
-            return margin(s, **params)
+            return margin(s, *row)
 
         monkeypatch.setitem(verify.MARGINS, "thm21_diff1", spy)
         verify._sweep("disk", spec, SMALL, 10, ids={"thm21_diff1"})
@@ -85,7 +88,7 @@ class TestRieszMemo:
     def test_sweep_drops_its_table_on_error(self, small_specs, monkeypatch):
         spec = small_specs["square"]
 
-        def boom(s, **params):
+        def boom(s, *row):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(verify.MARGINS, "thm21_diff1", boom)
@@ -159,10 +162,9 @@ class TestStreamedPoints:
                 families = verify._build_points(twin, SMALL, SMALL.z_points)
                 assert {f[0] for f in families} == set(verify.MARGINS)
                 for check_id, _, points in families:
-                    first = [list(p.items()) for p in points]
+                    first = list(points)
                     assert len(first) == len(points), check_id
-                    assert [list(p.items()) for p in points] == first, \
-                        check_id
+                    assert list(points) == first, check_id
 
     def test_sweep_memory_is_bounded(self):
         # 7,861 eigenvalues and 63,785 points; one dict per point held at
@@ -194,6 +196,110 @@ class TestStreamedPoints:
         assert len(spec) == 15_782
         assert set(results) == {"eq224_ratio", "eq37_discrim"}
         assert peak < 2**19, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestPointRows:
+    """Each point is a tuple of positional arguments; the sweep gives what
+    it gave when each point was a keyword dict."""
+
+    def test_sweep_equals_dict_oracle(self, small_specs):
+        for label, spec in small_specs.items():
+            for twin in (spec, verify.corrupt_spectrum(spec)):
+                got = verify._sweep(label, twin, SMALL, SMALL.z_points)
+                want = oracles.dict_sweep(label, twin, SMALL, SMALL.z_points)
+                assert list(got) == list(want)
+                assert set(got) == set(verify.MARGINS)
+                for check_id, (grid, n, worst, witness) in want.items():
+                    g_grid, g_n, g_worst, g_witness = got[check_id]
+                    assert (g_grid, g_n) == (grid, n), check_id
+                    assert _bits(g_worst) == _bits(worst), check_id
+                    assert list(g_witness.items()) == list(witness.items()), \
+                        check_id
+
+    def test_positional_equals_keyword_call(self, small_specs):
+        shapes = set()
+        for spec in small_specs.values():
+            for twin in (spec, verify.corrupt_spectrum(spec)):
+                for check_id, _, points in verify._build_points(
+                        twin, SMALL, SMALL.z_points):
+                    fn = verify.MARGINS[check_id]
+                    for row in points:
+                        m = fn(twin, *row)
+                        named = dict(zip(points.names, row))
+                        assert _bits(fn(twin, **named)) == _bits(m), \
+                            (check_id, row)
+                        params = points.params(row)
+                        assert _bits(fn(twin, **params)) == _bits(m), \
+                            (check_id, row)
+                        assert list(params.items()) == list(
+                            oracles.point_dict(check_id, fn, row).items())
+                        if check_id == "hoelder_chain":
+                            shapes.add(len(row))
+        assert shapes == {3, 6}
+
+    @pytest.mark.parametrize("check_id", ["eq224_ratio", "yang_simplified",
+                                          "cor32_abhh", "eq36_next",
+                                          "eq37_discrim"])
+    def test_index_margins_keep_their_bits(self, small_specs, check_id):
+        # the 3-ball's exponent 2/d = 2/3 rounds, so an association change
+        # shows in the last bits
+        ball3 = spectra.ball_spectrum(3, 1.0, 400.0)
+        for spec in (*small_specs.values(), ball3):
+            for twin in (spec, verify.corrupt_spectrum(spec)):
+                points = {c: p for c, _, p in verify._build_points(
+                    twin, SMALL, SMALL.z_points)}[check_id]
+                fn = verify.MARGINS[check_id]
+                for row in points:
+                    assert _bits(fn(twin, *row)) == _bits(
+                        oracles.index_margin(check_id, twin, *row)), row
+
+    @pytest.mark.parametrize("nan_at", [1, 5])
+    def test_nan_margin_raises(self, small_specs, monkeypatch, nan_at):
+        # NaN compares false with everything, so it would never become the
+        # minimum: with every margin NaN the check passed at worst = inf
+        # with an empty witness, otherwise on the other points
+        margin = verify.MARGINS["yang_simplified"]
+
+        def nan_from(s, *row):
+            return math.nan if row[0] >= nan_at else margin(s, *row)
+
+        spec = small_specs["disk"]
+        monkeypatch.setitem(verify.MARGINS, "yang_simplified", nan_from)
+        with pytest.raises(DomainError, match=r"yang_simplified .*NaN.*"
+                                              rf"'disk'.*\{{'k': {nan_at}\}}"):
+            verify.sweep({"disk": spec}, SMALL, ids={"yang_simplified"})
+        assert spec not in verify._riesz_memo
+
+    def test_arithmetic_error_reported_before_nan(self, small_specs,
+                                                  monkeypatch):
+        # yang_simplified is swept before hoelder_chain
+        def nan(s, *row):
+            return math.nan
+
+        def overflow(s, *row):
+            raise OverflowError("boom")
+
+        monkeypatch.setitem(verify.MARGINS, "yang_simplified", nan)
+        monkeypatch.setitem(verify.MARGINS, "hoelder_chain", overflow)
+        with pytest.raises(DomainError, match="hoelder_chain cannot be "
+                                              "evaluated"):
+            verify._sweep("disk", small_specs["disk"], SMALL, SMALL.z_points,
+                          ids={"yang_simplified", "hoelder_chain"})
+
+    def test_overflow_names_the_point(self, small_specs, monkeypatch):
+        def overflow(s, *row):
+            raise OverflowError("boom")
+
+        monkeypatch.setitem(verify.MARGINS, "hoelder_chain", overflow)
+        with pytest.raises(DomainError, match=r"hoelder_chain cannot be "
+                           r"evaluated on 'square' at \{'form': 'logconvex', "
+                           r"'z': .*, 'sigma0': "):
+            verify._sweep("square", small_specs["square"], SMALL,
+                          SMALL.z_points, ids={"hoelder_chain"})
 
 
 class TestCorruption:
