@@ -8,10 +8,13 @@ index must be a finite integer.  Formulas are well-defined for any
 dimension, but constants above ``MAX_CHECKED_DIMENSION`` involve untested
 high-order Bessel zeros and are gated behind ``allow_large_d``.
 
-A bound is evaluated once per verification point, so its gates are cheap
-for the plain ``int`` dimensions and indices that points carry: such a
-dimension in the checked range, and such an index, pass without a
-conversion.  What depends only on the dimension is computed once: the
+The Riesz and counting families of :mod:`~rieszbounds.verify` evaluate a
+bound once per point, so its gates are cheap for the plain ``int``
+dimensions and indices that points carry: such a dimension in the checked
+range, and such an index, pass without a conversion.  (The index families
+run a bound's gates once per family and compute its closed form
+themselves, from the memos below.)  What depends only on the dimension is
+computed once: the
 coefficients and thresholds of ``abhh``, ``abhh_next``, ``mean_ratio`` and
 ``mean_sq_envelope`` per d, ``L_cl`` per ``(sigma, d)`` and
 :func:`~rieszbounds.specfun.gamma` per argument.  Each memo is bounded
@@ -135,7 +138,10 @@ def ab94(d, m, allow_large_d=False):
 
 
 def ab94_avg(d, k, allow_large_d=False):
-    """Averaged doubling bound at general k, using m = ceil(log2 k)."""
+    """Averaged doubling expression at general k, using m = ceil(log2 k).
+
+    A comparison expression for mean_k/lambda_1, not a bound on it: at
+    k = 1 its value 1/(1 + 2/d) is below mean_1/lambda_1 = 1."""
     d = _check_dim(d, allow_large_d)
     if not 1 <= k < math.inf:
         raise ValidityError(f"k must be >= 1, got {k}")
@@ -422,8 +428,11 @@ _NLOW = "lower_on_counting"
 CATALOG: dict[str, Bound] = {b.id: b for b in [
     Bound("ab94", _RATIO, "Ashbaugh & Benguria (1994) eigenvalue-doubling bound",
           ("d", "m"), "d >= 1, m >= 0", ab94),
-    Bound("ab94_avg", _MEAN, "averaged Ashbaugh-Benguria bound, m = ceil(log2 k)",
-          ("d", "k"), "d >= 1, k >= 1", ab94_avg),
+    Bound("ab94_avg", _MEAN,
+          "averaged Ashbaugh-Benguria expression, m = ceil(log2 k)",
+          ("d", "k"),
+          "k >= 1 (comparison expression, not a bound: below mean_k/lambda_1 "
+          "at k = 1)", ab94_avg),
     Bound("her1", _RATIO, "Hermi Weyl-type ratio bound",
           ("d", "k"), "k >= 1", her1),
     Bound("her2", _MEAN, "Hermi Weyl-type mean bound",

@@ -23,12 +23,25 @@ and moments:
   :func:`~rieszbounds.riesz.square_prefix` fill on first use.  This is the
   same inside and outside a sweep.  The five index families, which hold
   most of the points, read them without a helper call between.
-* A bound's per-dimension constants are memoized in
-  :mod:`~rieszbounds.bounds`, and its gates pass an ``int`` dimension or
-  index without converting it, so a point pays for its own gates on j, k
-  or z and one power of k.
+* The four index margins that compare with a catalog bound (eq224_ratio,
+  cor32_abhh, eq36_next, eq37_discrim) compute its closed form in place,
+  ``(1 + 4/d) (k/j)^(2/d)`` or a per-dimension coefficient memoized in
+  :mod:`~rieszbounds.bounds` times ``k ** (2 / d)``, in the bound's
+  association order, so each margin has the bits of the public bound.
+  Their validity gates (``_GATES``: the public bound at one point) run
+  once per family, just before its first point, at the first row of each
+  row group: ``lambda_next_over_mean(d, j, j)`` for each j,
+  ``abhh(d, k_min)``, ``abhh_next(d, k_min)`` and
+  ``mean_sq_envelope(d, mean_1)``.  Every later row of a group lies in
+  the same validity region: its k is an ``int`` no smaller, and for
+  eq37_discrim every mean is positive, as the eigenvalues are, and finite,
+  as ``prefix_sums`` raises on overflow.  ``reevaluate`` runs the gate on
+  the witness itself.  The other families call their bound per point; its
+  gates pass an ``int`` dimension or index without converting it.
 * A moment point computes only the one power, geometric or harmonic mean
-  it compares, by the helper that ``riesz.means`` uses for that field.
+  it compares, by the helper that ``riesz.means`` uses for that field,
+  and while one spectrum is swept each (k, order) is computed once: the
+  moment memo is dropped with the Riesz memo when the sweep ends.
 * While one spectrum is swept, R_sigma(z) values are memoized per
   (sigma, z), and the memo is dropped when that spectrum's sweep ends.
   Values are computed a row at a time: the sweep registers the rows of z
@@ -325,14 +338,19 @@ def margin_cor29_counting(spec, j, z):
 
 # The five index margins (eq224_ratio, yang_simplified, cor32_abhh,
 # eq36_next, eq37_discrim) hold most of a sweep's points, so each reads the
-# prefix sums and eigenvalues itself instead of through _mean.
+# prefix sums and eigenvalues itself instead of through _mean.  The four
+# that compare with a catalog bound compute its closed form in place, from
+# the per-dimension memos of ``bounds``, in the bound's association order;
+# their validity gates are in ``_GATES``, which the sweep and ``reevaluate``
+# run and a direct call does not.
 
 def margin_eq224_ratio(spec, j, k):
     sums = spec._derived.get("eigensum_prefix")
     if sums is None:
         sums = eigensum_prefix(spec)
-    bound = (bounds.lambda_next_over_mean(spec.dimension, j, k)
-             * (sums.item(j - 1) / j))
+    d = spec.dimension
+    # bounds.lambda_next_over_mean(d, j, k) * mean_j
+    bound = (1 + 4 / d) * (k / j) ** (2 / d) * (sums.item(j - 1) / j)
     return _margin(bound, spec.eigenvalues.item(k))
 
 
@@ -370,7 +388,10 @@ def margin_cor31_mean_ratio(spec, j, k):
 
 
 def margin_cor32_abhh(spec, k):
-    bound = bounds.abhh(spec.dimension, k) * spec.eigenvalues.item(0)
+    d = spec.dimension
+    # bounds.abhh(d, k) * lambda_1
+    bound = (bounds._abhh_constants(d)[1] * k ** (2 / d)
+             * spec.eigenvalues.item(0))
     sums = spec._derived.get("eigensum_prefix")
     if sums is None:
         sums = eigensum_prefix(spec)
@@ -379,7 +400,9 @@ def margin_cor32_abhh(spec, k):
 
 def margin_eq36_next(spec, k):
     ev = spec.eigenvalues
-    bound = bounds.abhh_next(spec.dimension, k) * ev.item(0)
+    d = spec.dimension
+    # bounds.abhh_next(d, k) * lambda_1
+    bound = bounds._abhh_next_coeff(d) * k ** (2 / d) * ev.item(0)
     return _margin(bound, ev.item(k))
 
 
@@ -395,15 +418,31 @@ def margin_eq37_discrim(spec, k, form):
     if sums is None:
         sums = eigensum_prefix(spec)
     mean_sq = squares.item(k - 1) / k
-    lo, hi = bounds.mean_sq_envelope(spec.dimension, sums.item(k - 1) / k)
+    mean = sums.item(k - 1) / k
+    sq = mean * mean    # bounds.mean_sq_envelope(d, mean) is (sq, coeff * sq)
     if form == "lower":
-        return _margin(mean_sq, lo)
-    return _margin(hi, mean_sq)
+        return _margin(mean_sq, sq)
+    return _margin(bounds._mean_sq_coeff(spec.dimension) * sq, mean_sq)
+
+
+#: per-spectrum {(k, sigma): moment} tables, alive while _sweep runs
+_moment_memo: dict[Spectrum, dict] = {}
 
 
 def _moment(spec, k, sigma):
     """The one mean of order sigma that ``riesz.means`` reports: sigma = 0
-    denotes the geometric mean, -1 the harmonic mean."""
+    denotes the geometric mean, -1 the harmonic mean.  Memoized per
+    (k, sigma) while the spectrum is being swept, with the same bits."""
+    table = _moment_memo.get(spec)
+    if table is None:
+        return _moment_value(spec, k, sigma)
+    value = table.get((k, sigma))
+    if value is None:
+        value = table[k, sigma] = _moment_value(spec, k, sigma)
+    return value
+
+
+def _moment_value(spec, k, sigma):
     riesz._check_index(spec, k)
     if sigma == -1.0:
         return riesz._harmonic_mean(spec, k)
@@ -459,9 +498,41 @@ THEOREM_IDS = ("thm21_diff1", "thm21_diff2", "thm21_deriv1", "thm21_deriv2",
 COROLLARY_IDS = tuple(i for i in MARGINS if i not in THEOREM_IDS)
 
 
+# Validity gates of the margins that compute a catalog bound in place: the
+# public bound at one point, whose value is not used.  A sweep runs a
+# family's gate at the edge rows of its row groups (``_Points.edges``),
+# where every later row of the group lies inside the same validity region;
+# ``reevaluate`` runs it on the witness.
+
+def _gate_eq224_ratio(spec, j, k):
+    bounds.lambda_next_over_mean(spec.dimension, j, k)
+
+
+def _gate_cor32_abhh(spec, k):
+    bounds.abhh(spec.dimension, k)
+
+
+def _gate_eq36_next(spec, k):
+    bounds.abhh_next(spec.dimension, k)
+
+
+def _gate_eq37_discrim(spec, k, form):
+    bounds.mean_sq_envelope(spec.dimension, _mean(spec, k))
+
+
+_GATES = {
+    "eq224_ratio": _gate_eq224_ratio,
+    "cor32_abhh": _gate_cor32_abhh,
+    "eq36_next": _gate_eq36_next,
+    "eq37_discrim": _gate_eq37_discrim,
+}
+
+
 def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
     """Recompute the margin for a reported witness tuple; an integer j or
-    k outside the spectrum raises DomainError (the sweep makes none)."""
+    k outside the spectrum raises DomainError (the sweep makes none), and
+    a witness outside the validity region of its family's bound raises
+    ValidityError."""
     params = {k: v for k, v in witness.items() if k != "spectrum"}
     reads_next = check_id in ("eq224_ratio", "yang_simplified", "eq36_next")
     for key in ("j", "k"):
@@ -469,6 +540,9 @@ def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
         if bounds._whole(params.get(key)) and not 1 <= params[key] <= top:
             raise DomainError(f"{check_id}: {key} must be in 1..{top}, "
                               f"got {params[key]}")
+    gate = _GATES.get(check_id)
+    if gate is not None:
+        gate(spec, **params)
     return MARGINS[check_id](spec, **params)
 
 
@@ -530,15 +604,19 @@ class _Points:
     after the spectrum, in its parameter order, and ``names`` are their
     parameter names, so ``fn(spec, *row)`` and
     ``fn(spec, **dict(zip(names, row)))`` are the same call.  Rows made by
-    a generator exist one at a time.
+    a generator exist one at a time.  ``edges`` are the rows at which the
+    family's validity gate (``_GATES``) runs before the first point: the
+    first row of each row group.
     """
 
-    __slots__ = ("_rows", "_length", "names")
+    __slots__ = ("_rows", "_length", "names", "edges")
 
-    def __init__(self, rows, length: int, names: tuple[str, ...]):
+    def __init__(self, rows, length: int, names: tuple[str, ...],
+                 edges=()):
         self._rows = rows
         self._length = length
         self.names = names
+        self.edges = edges
 
     def __len__(self):
         return self._length
@@ -671,7 +749,8 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     out.append(("eq224_ratio", f"j in {j_list}, all k in j..{n-1}",
                 _Points(lambda: chain.from_iterable(
                             zip(repeat(j), range(j, n)) for j in j_list),
-                        sum(max(0, n - j) for j in j_list), ("j", "k"))))
+                        sum(max(0, n - j) for j in j_list), ("j", "k"),
+                        edges=[(j, j) for j in j_list if j < n])))
     out.append(("yang_simplified", f"all k in 1..{n-1}",
                 _Points(lambda: zip(range(1, n)), max(0, n - 1), ("k",))))
 
@@ -704,15 +783,18 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     k_min = int(math.ceil(thresh))
     out.append(("cor32_abhh", f"k in {k_min}..{n}",
                 _Points(lambda: zip(range(k_min, n + 1)),
-                        max(0, n + 1 - k_min), ("k",))))
+                        max(0, n + 1 - k_min), ("k",),
+                        edges=[(k_min,)] if k_min <= n else [])))
     out.append(("eq36_next", f"k in {k_min}..{n-1}",
                 _Points(lambda: zip(range(k_min, n)), max(0, n - k_min),
-                        ("k",))))
+                        ("k",), edges=[(k_min,)] if k_min < n else [])))
 
+    # the gate at k = 1 covers every k: each later mean is positive, as the
+    # eigenvalues are, and finite, as prefix_sums raises on overflow
     out.append(("eq37_discrim", "all k, both envelope sides",
                 _Points(lambda: ((k, form) for k in range(1, n + 1)
                                  for form in ("lower", "upper")),
-                        2 * n, ("k", "form"))))
+                        2 * n, ("k", "form"), edges=[(1, "lower")])))
 
     mk = [k for k in _index_list(n, cfg.moment_k_count) if k >= 2]
     orders = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0]
@@ -735,9 +817,10 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
            ids=None):
     """Run margin sweeps on one spectrum, optionally restricted to ids.
 
-    Each family keeps its first row with the smallest margin and builds
-    its witness dict once, from that row.  An ArithmeticError raises
-    DomainError at once.  A NaN margin is no verdict either, but it is
+    A family with a validity gate runs it at its edge rows before its
+    first point.  Each family keeps its first row with the smallest margin
+    and builds its witness dict once, from that row.  An ArithmeticError
+    raises DomainError at once.  A NaN margin is no verdict either, but it is
     raised only after the spectrum's other families are swept, so that it
     never hides such an error, which names the operation that failed.
 
@@ -746,6 +829,7 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
     results = {}
     nan = None      # message for the first NaN margin
     _riesz_memo[spec] = _RieszTable(spec)
+    _moment_memo[spec] = {}
     try:
         for check_id, grid, points in _build_points(spec, cfg, n_z):
             if ids is not None and check_id not in ids:
@@ -754,6 +838,8 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
             worst = math.inf
             best = row = None
             try:    # a float overflow or division by zero is no verdict
+                for row in points.edges:
+                    _GATES[check_id](spec, *row)
                 for row in points:
                     m = fn(spec, *row)
                     if not m >= worst:      # a new minimum, or NaN
@@ -774,6 +860,7 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
             results[check_id] = (grid, len(points), worst, witness)
     finally:
         _riesz_memo.pop(spec, None)
+        _moment_memo.pop(spec, None)
     if nan is not None:
         raise DomainError(nan)
     return results

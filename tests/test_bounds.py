@@ -147,6 +147,14 @@ class TestCatalog:
             assert b.validity
             assert callable(b.fn)
 
+    def test_ab94_avg_is_no_bound_at_k1(self):
+        # mean_1/lambda_1 = 1 on every spectrum, so an upper bound on
+        # mean_k/lambda_1 must be >= 1 at k = 1
+        for d in range(1, 11):
+            assert bounds.ab94_avg(d, 1) < 1
+            assert bounds.ab94_avg(d, 1) == 1 / (1 + 2 / d)
+        assert "comparison expression" in bounds.CATALOG["ab94_avg"].validity
+
     def test_evaluate_by_id(self):
         assert bounds.evaluate("cheng_yang", d=2, k=127) == \
             pytest.approx(381.0)

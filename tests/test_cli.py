@@ -154,6 +154,15 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert len(payload["bounds"]) >= 18
 
+    def test_list_labels_comparison_expressions(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--list")
+        validity = {b["id"]: b["validity"]
+                    for b in json.loads(out)["bounds"]}
+        assert validity["ab94_avg"] == (
+            "k >= 1 (comparison expression, not a bound: below "
+            "mean_k/lambda_1 at k = 1)")
+        assert validity["fk_weyl"] == "k >= 1 (asymptotic expression)"
+
     def test_eval(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--eval", "cheng_yang",
                             "--arg", "d=2", "--arg", "k=127")

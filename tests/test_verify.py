@@ -1,6 +1,7 @@
 """Verification harness: passing suite on small grids, witness
 reproducibility, negative controls, and configuration errors."""
 
+import itertools
 import math
 import struct
 import tracemalloc
@@ -151,6 +152,153 @@ class TestRieszMemo:
         result = verify._sweep("disk", spec, SMALL, SMALL.z_points,
                                ids={"cor29_counting", "hoelder_chain"})
         assert set(result) == {"cor29_counting", "hoelder_chain"}
+
+
+class TestMomentMemo:
+    """While a spectrum is swept, each (k, order) moment is computed once
+    and read back with the bits of ``_moment`` outside a sweep."""
+
+    IDS = {"moment_ordering", "moment_interpolation"}
+
+    def test_memo_values_equal_moment(self, small_specs, monkeypatch):
+        spec = small_specs["square"]
+        seen = {}
+        computed = []
+        margin = verify.MARGINS["moment_interpolation"]
+        moment_value = verify._moment_value
+
+        def spy(s, *row):
+            m = margin(s, *row)
+            seen.update(verify._moment_memo[s])
+            return m
+
+        def counting_value(s, k, sigma):
+            computed.append((k, sigma))
+            return moment_value(s, k, sigma)
+
+        monkeypatch.setitem(verify.MARGINS, "moment_interpolation", spy)
+        monkeypatch.setattr(verify, "_moment_value", counting_value)
+        verify._sweep("square", spec, SMALL, SMALL.z_points, ids=self.IDS)
+        assert spec not in verify._moment_memo
+        assert seen and sorted(computed) == sorted(seen)
+        for (k, sigma), value in seen.items():
+            assert _bits(value) == _bits(verify._moment(spec, k, sigma)), \
+                (k, sigma)
+
+    def test_sweep_drops_its_memo_on_error(self, small_specs, monkeypatch):
+        # moment_ordering fills the memo before moment_interpolation raises
+        spec = small_specs["disk"]
+        filled = []
+        margin = verify.MARGINS["moment_ordering"]
+
+        def spy(s, *row):
+            filled.append(len(verify._moment_memo[s]))
+            return margin(s, *row)
+
+        def boom(s, *row):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(verify.MARGINS, "moment_ordering", spy)
+        monkeypatch.setitem(verify.MARGINS, "moment_interpolation", boom)
+        with pytest.raises(RuntimeError):
+            verify._sweep("disk", spec, SMALL, SMALL.z_points, ids=self.IDS)
+        assert filled and filled[-1] > 0
+        assert spec not in verify._moment_memo
+        assert spec not in verify._riesz_memo
+
+
+#: families that compute a catalog bound in place, with their public bound
+GATED = ("eq224_ratio", "cor32_abhh", "eq36_next", "eq37_discrim")
+
+
+class TestIndexGates:
+    """The index families that compute a catalog bound in place run its
+    validity gate once per family, at the first row of each row group."""
+
+    @pytest.fixture(scope="class")
+    def dim11(self):
+        return spectra.Spectrum(
+            dimension=11, eigenvalues=np.arange(1.0, 60.0),
+            complete_below=60.0, domain=spectra.DomainSpec("file", 11))
+
+    def test_dimension_11_raises(self, dim11):
+        with pytest.raises(ValidityError, match=r"d=11 exceeds the checked "
+                                                r"range 1\.\.10"):
+            verify.run_suite({"d11": dim11}, SMALL)
+
+    @pytest.mark.parametrize("check_id", GATED)
+    def test_dimension_11_raises_before_any_point(self, dim11, check_id,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setitem(verify.MARGINS, check_id,
+                            lambda s, *row: calls.append(row))
+        with pytest.raises(ValidityError, match="d=11 exceeds"):
+            verify._sweep("d11", dim11, SMALL, SMALL.z_points,
+                          ids={check_id})
+        assert calls == []
+
+    @pytest.mark.parametrize("check_id, bad_rows, message", [
+        ("eq224_ratio", [(0, k) for k in range(5)], "j must be a positive"),
+        ("cor32_abhh", [(3,)], r"requires k >= 4\.0"),    # d = 2
+        ("eq36_next", [(0,), (1,)], "k must be >= 1"),
+    ])
+    def test_group_outside_range_raises_first(self, small_specs, monkeypatch,
+                                              check_id, bad_rows, message):
+        # the bad group is appended after the family's genuine groups
+        spec = small_specs["square"]
+        build = verify._build_points
+        calls = []
+
+        def with_bad_group(s, cfg, n_z):
+            out = []
+            for cid, grid, points in build(s, cfg, n_z):
+                if cid == check_id:
+                    points = verify._Points(
+                        lambda points=points: itertools.chain(points,
+                                                              bad_rows),
+                        len(points) + len(bad_rows), points.names,
+                        edges=[*points.edges, bad_rows[0]])
+                out.append((cid, grid, points))
+            return out
+
+        monkeypatch.setattr(verify, "_build_points", with_bad_group)
+        monkeypatch.setitem(verify.MARGINS, check_id,
+                            lambda s, *row: calls.append(row) or 1.0)
+        with pytest.raises(ValidityError, match=message):
+            verify._sweep("square", spec, SMALL, SMALL.z_points,
+                          ids={check_id})
+        assert calls == []
+
+    def _gate_calls(self, monkeypatch):
+        calls = {}
+        for check_id in GATED:
+            gate = verify._GATES[check_id]
+
+            def spy(s, *row, check_id=check_id, gate=gate):
+                calls.setdefault(check_id, []).append(row)
+                return gate(s, *row)
+
+            monkeypatch.setitem(verify._GATES, check_id, spy)
+        return calls
+
+    def test_each_family_gates_its_edges_once(self, small_specs,
+                                              monkeypatch):
+        spec = small_specs["square"]
+        n = len(spec)
+        calls = self._gate_calls(monkeypatch)
+        verify._sweep("square", spec, SMALL, SMALL.z_points)
+        j_list = verify._index_list(n, SMALL.j_count)
+        assert set(calls) == set(GATED)
+        assert calls["eq224_ratio"] == [(j, j) for j in j_list if j < n]
+        assert calls["cor32_abhh"] == calls["eq36_next"] == [(4,)]   # d = 2
+        assert calls["eq37_discrim"] == [(1, "lower")]
+
+    def test_restricted_sweep_runs_only_its_gates(self, small_specs,
+                                                  monkeypatch):
+        calls = self._gate_calls(monkeypatch)
+        verify._sweep("square", small_specs["square"], SMALL,
+                      SMALL.z_points, ids={"cor32_abhh", "yang_simplified"})
+        assert calls == {"cor32_abhh": [(4,)]}
 
 
 class TestStreamedPoints:
