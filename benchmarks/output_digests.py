@@ -1,0 +1,61 @@
+"""Print one SHA-256 digest per deterministic CLI artifact.
+
+Runs each invocation below as ``python -m rieszbounds.cli`` in a fresh
+process and prints ``sha256  name`` for its standard output, one line per
+artifact: ``verify`` (JSON at full precision for seeds 0, 1 and 7, and
+text), tables 1-3 and figures 1-3 at both precisions, ``bounds --list``,
+and the spectrum of the unit square and the unit 3-ball in text, CSV and
+JSON.  The child processes import ``rieszbounds`` the way this process
+would, so ``PYTHONPATH`` selects the tree under test.  Two trees give
+byte-identical output exactly when their digest lists are equal:
+
+    PYTHONPATH=src python3 benchmarks/output_digests.py > head.txt
+    PYTHONPATH=../base/src python3 benchmarks/output_digests.py > base.txt
+    diff base.txt head.txt
+
+Exit status 1 if any invocation exits nonzero.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+BOX = ["--box", "1", "1", "--lambda-max", "2000"]
+BALL = ["--ball", "--dim", "3", "--radius", "1", "--lambda-max", "2000"]
+
+
+def _invocations():
+    for seed in (0, 1, 7):
+        yield (f"verify-json-seed{seed}",
+               ["verify", "--format", "json", "--full-precision",
+                "--seed", str(seed)])
+    yield "verify-text", ["verify"]
+    for kind, ids in (("table", ("table1", "table2", "table3")),
+                      ("figure", ("fig1", "fig2", "fig3"))):
+        for item in ids:
+            yield item, [kind, item]
+            yield f"{item}-full", [kind, item, "--full-precision"]
+    yield "bounds-list", ["bounds", "--list"]
+    for name, domain in (("box", BOX), ("ball3", BALL)):
+        for fmt in ("text", "csv", "json"):
+            yield f"spectrum-{name}-{fmt}", ["spectrum", *domain,
+                                             "--format", fmt]
+
+
+def main() -> int:
+    status = 0
+    for name, argv in _invocations():
+        run = subprocess.run([sys.executable, "-m", "rieszbounds.cli", *argv],
+                             capture_output=True)
+        if run.returncode != 0:
+            print(f"{name}: exit {run.returncode}: "
+                  f"{run.stderr.decode(errors='replace').strip()}",
+                  file=sys.stderr)
+            status = 1
+        print(f"{hashlib.sha256(run.stdout).hexdigest()}  {name}",
+              flush=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

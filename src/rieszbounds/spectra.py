@@ -110,19 +110,18 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def _check_weyl_count(d: int, volume: float, lam_max: float,
-                      cap: int) -> None:
-    """Fail before any work if Weyl's law predicts far more than ``cap``
-    eigenvalues below ``lam_max``; an infinite ``lam_max`` always fails."""
+def _check_weyl_count(d: int, volume: float, lam_max: float) -> None:
+    """Fail before any work if Weyl's law predicts far more than
+    MAX_EIGENVALUES eigenvalues below ``lam_max``; an infinite ``lam_max``
+    always fails."""
     predicted = (volume * (lam_max / (4 * math.pi))**(d / 2)
                  / specfun.gamma(1 + d / 2))
-    if predicted > 2 * cap:
-        raise ResourceLimitError(
-            f"predicted eigenvalue count {predicted:.3g} exceeds cap {cap}")
+    if predicted > 2 * MAX_EIGENVALUES:
+        raise ResourceLimitError(f"predicted eigenvalue count {predicted:.3g} "
+                                 f"exceeds cap {MAX_EIGENVALUES}")
 
 
-def box_spectrum(sides, lam_max: float,
-                 cap: int = MAX_EIGENVALUES) -> Spectrum:
+def box_spectrum(sides, lam_max: float) -> Spectrum:
     """All Dirichlet eigenvalues pi^2 sum(n_i^2/L_i^2) < lam_max, sorted."""
     sides = tuple(float(s) for s in sides)
     if not sides or not all(0 < s < math.inf for s in sides):
@@ -150,7 +149,7 @@ def box_spectrum(sides, lam_max: float,
     if volume == math.inf:
         raise DomainError(f"box sides {sides} are too large: their product, "
                           "the volume, overflows")
-    _check_weyl_count(d, volume, lam_max, cap)
+    _check_weyl_count(d, volume, lam_max)
 
     vals: list[float] = []
 
@@ -162,9 +161,9 @@ def box_spectrum(sides, lam_max: float,
             if t >= lam_max:
                 break
             if axis == d - 1:
-                if len(vals) >= cap:
+                if len(vals) >= MAX_EIGENVALUES:
                     raise ResourceLimitError(
-                        f"eigenvalue count exceeds cap {cap}")
+                        f"eigenvalue count exceeds cap {MAX_EIGENVALUES}")
                 vals.append(t)
             else:
                 recurse(axis + 1, t)
@@ -191,8 +190,7 @@ def ball_multiplicity(ell: int, d: int) -> int:
             // (math.factorial(ell) * math.factorial(d - 2)))
 
 
-def ball_spectrum(d: int, radius: float, lam_max: float,
-                  cap: int = MAX_EIGENVALUES) -> Spectrum:
+def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     """All Dirichlet eigenvalues j_{d/2-1+ell,p}^2 / radius^2 < lam_max.
 
     Each value is repeated with its spherical-harmonic multiplicity.
@@ -210,7 +208,7 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
     if volume == math.inf:
         raise DomainError(f"the volume of the {d}-ball of radius {radius} "
                           "overflows")
-    _check_weyl_count(d, volume, lam_max, cap)
+    _check_weyl_count(d, volume, lam_max)
     r2 = radius * radius
     if r2 == 0.0:
         raise DomainError(f"radius {radius} is too small: its square "
@@ -227,8 +225,9 @@ def ball_spectrum(d: int, radius: float, lam_max: float,
             lam = specfun.bessel_zero(nu, p).value**2 / r2
             if lam >= lam_max:
                 break
-            if len(vals) + mult > cap:
-                raise ResourceLimitError(f"eigenvalue count exceeds cap {cap}")
+            if len(vals) + mult > MAX_EIGENVALUES:
+                raise ResourceLimitError(
+                    f"eigenvalue count exceeds cap {MAX_EIGENVALUES}")
             vals.extend([lam] * mult)
             p += 1
         ell += 1

@@ -1,9 +1,11 @@
 """Bound catalog: frozen reference values (computed independently), the
 semiclassical-constant identity, validity gates, and catalog metadata."""
 
+import inspect
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 import oracles
@@ -47,9 +49,9 @@ class TestConstants:
                                                    rel=1e-12)
 
     def test_dimension_gate(self):
-        with pytest.raises(ValidityError):
+        with pytest.raises(ValidityError,
+                           match=r"^d=25 exceeds the checked range 1\.\.10$"):
             bounds.H_d(25)
-        assert bounds.H_d(25, allow_large_d=True) > 0
 
 
 class TestFrozenTableValues:
@@ -165,60 +167,155 @@ class TestCatalog:
 
     def test_catalog_dump_serializable(self):
         import json
-        dump = bounds.catalog_dump(d_list=(2, 3))
+        dump = bounds.catalog_dump()
         text = json.dumps(dump)
         assert "cheng_yang" in text
         assert dump["constants"]["2"]["H_d"] == pytest.approx(
             bounds.H_d(2))
 
+    def test_catalog_shape(self):
+        # each entry's params are its function's argument names, in order
+        dump = bounds.catalog_dump()
+        shape = [(b["id"], b["kind"], tuple(b["params"]), b["validity"])
+                 for b in dump["bounds"]]
+        assert shape == _CATALOG_SHAPE
+        assert list(dump["constants"]) == ["1", "2", "3", "4", "5", "6", "7"]
 
-#: (d, allow_large_d) pairs the memo pins cover
-_DIMS = [(d, False) for d in range(1, 11)] + [(11, True), (12, True)]
+
+_RATIO, _MEAN = "upper_on_lambda_ratio", "upper_on_mean_ratio"
+_RLOW, _NLOW = "lower_on_riesz", "lower_on_counting"
+_DK = ("d", "k")
+#: (id, kind, params, validity) of every catalog entry, in catalog order
+_CATALOG_SHAPE = [
+    ("ab94", _RATIO, ("d", "m"), "d >= 1, m >= 0"),
+    ("ab94_avg", _MEAN, _DK,
+     "k >= 1 (comparison expression, not a bound: below mean_k/lambda_1 "
+     "at k = 1)"),
+    ("her1", _RATIO, _DK, "k >= 1"),
+    ("her2", _MEAN, _DK, "k >= 1"),
+    ("cheng_yang", _RATIO, _DK, "k >= 1"),
+    ("cheng_yang2", _RATIO, _DK, "k >= d+1"),
+    ("cheng_yang2_avg", _MEAN, _DK, "k >= d+1"),
+    ("fk_weyl", _RATIO, _DK, "k >= 1 (asymptotic expression)"),
+    ("fk_weyl_avg", _MEAN, _DK, "k >= 1 (asymptotic expression)"),
+    ("berezin_li_yau", _RLOW, ("d", "volume", "k"), "k >= 1, volume > 0"),
+    ("riesz_upper", "upper_on_riesz", ("sigma", "d", "volume", "z"),
+     "sigma >= 2"),
+    ("riesz_lower_main", _RLOW, ("sigma", "d", "lam1", "z"),
+     "sigma >= 2, z >= (1+2 sigma/d) lam1"),
+    ("riesz_lower_sub2", _RLOW, ("sigma", "d", "lam1", "z"),
+     "z >= (1+(2 sigma+2)/d) lam1 for sigma >= 1, "
+     "z >= (1+(2 sigma+4)/d) lam1 for sigma < 1"),
+    ("riesz_lower_hermi", _RLOW, ("sigma", "d", "lam1", "z"), "sigma >= 1"),
+    ("counting_lower", _NLOW, ("d", "lam1", "z"), "z >= (1+4/d) lam1"),
+    ("counting_lower_j", _NLOW, ("d", "j", "mean_j", "z"),
+     "z >= (1+4/d) mean_j"),
+    ("lambda_next_over_mean", _RATIO, ("d", "j", "k"), "k >= j >= 1"),
+    ("mean_ratio", _MEAN, ("d", "j", "k"), "k >= j (1+d/2)/(1+d/4)"),
+    ("abhh", _MEAN, _DK, "k >= (d+1)(1+d/2)/(1+d/4)"),
+    ("abhh_next", _RATIO, _DK, "guaranteed for k >= (d+1)(1+d/2)/(1+d/4)"),
+    ("simple_p9", _MEAN, _DK, "k >= 2"),
+    ("cy_av", _MEAN, _DK, "k >= 1"),
+]
+
+
+#: (d, gated) pairs the memo pins cover; a gated d is past the checked range
+_DIMS = [(d, d > bounds.MAX_CHECKED_DIMENSION) for d in range(1, 13)]
 _INDICES = [1, 2, 3, 4, 5, 7, 10, 16, 33, 100, 127, 1000, 4097, 10**5,
             10**6 + 3]
+#: the one message of a dimension past the checked range
+_OUT_OF_RANGE = r"^d={d} exceeds the checked range 1\.\.10$"
+_K = {"k": 100}
+_Z = {"lam1": 1.0, "z": 100.0}
+#: every public bound or constant that gates d, with valid other arguments
+_D_CALLS = [
+    (bounds.H_d, {}), (bounds.fk_coeff, {}), (bounds.ab_ratio, {}),
+    (bounds.weyl_coeff, {"volume": 1.0}), (bounds.ab94, {"m": 3}),
+    (bounds.ab94_avg, _K), (bounds.her1, _K), (bounds.her2, _K),
+    (bounds.cheng_yang, _K), (bounds.cheng_yang2, _K),
+    (bounds.cheng_yang2_avg, _K), (bounds.fk_weyl, _K),
+    (bounds.fk_weyl_avg, _K), (bounds.berezin_li_yau, {"volume": 1.0, **_K}),
+    (bounds.riesz_upper, {"sigma": 2.0, "volume": 1.0, "z": 100.0}),
+    (bounds.riesz_lower_main, {"sigma": 2.0, **_Z}),
+    (bounds.riesz_lower_sub2, {"sigma": 1.0, **_Z}),
+    (bounds.riesz_lower_hermi, {"sigma": 1.0, **_Z}),
+    (bounds.counting_lower, _Z),
+    (bounds.counting_lower_j, {"j": 1, "mean_j": 1.0, "z": 100.0}),
+    (bounds.lambda_next_over_mean, {"j": 1, **_K}),
+    (bounds.mean_ratio, {"j": 1, **_K}), (bounds.abhh, _K),
+    (bounds.abhh_next, _K), (bounds.mean_sq_envelope, {"mean_k": 1.0}),
+    (bounds.simple_p9, _K), (bounds.cy_av, _K),
+    (bounds.simple_p9_coeff, {}), (bounds.cy_av_coeff, {}),
+]
 
 
 class TestMemoizedConstants:
     """The per-dimension memos give the bits of the closed forms written
     out in full (``tests/oracles.py``), on every call."""
 
-    @pytest.mark.parametrize("d, large", _DIMS)
-    def test_index_bounds_equal_closed_forms(self, d, large):
+    @pytest.mark.parametrize("d, gated", _DIMS)
+    def test_index_bounds_equal_closed_forms(self, d, gated):
         for _ in range(2):  # cold memo, then warm
+            if gated:
+                for call in (lambda: bounds.abhh(d, 100),
+                             lambda: bounds.abhh_next(d, 100),
+                             lambda: bounds.lambda_next_over_mean(d, 1, 100),
+                             lambda: bounds.mean_ratio(d, 1, 100),
+                             lambda: bounds.mean_sq_envelope(d, 1.0)):
+                    with pytest.raises(ValidityError,
+                                       match=_OUT_OF_RANGE.format(d=d)):
+                        call()
+                continue
             for k in _INDICES:
                 if k >= oracles.abhh_threshold(d):
-                    assert bounds.abhh(d, k, large) == oracles.abhh(d, k)
+                    assert bounds.abhh(d, k) == oracles.abhh(d, k)
                 else:
                     with pytest.raises(ValidityError):
-                        bounds.abhh(d, k, large)
-                assert bounds.abhh_next(d, k, large) == \
-                    oracles.abhh_next(d, k)
+                        bounds.abhh(d, k)
+                assert bounds.abhh_next(d, k) == oracles.abhh_next(d, k)
                 for j in _INDICES[:8]:
                     if k >= j:
-                        assert bounds.lambda_next_over_mean(d, j, k, large) \
+                        assert bounds.lambda_next_over_mean(d, j, k) \
                             == oracles.lambda_next_over_mean(d, j, k)
                     if k >= oracles.mean_ratio_threshold(d, j):
-                        assert bounds.mean_ratio(d, j, k, large) == \
+                        assert bounds.mean_ratio(d, j, k) == \
                             oracles.mean_ratio(d, j, k)
                     else:
                         with pytest.raises(ValidityError):
-                            bounds.mean_ratio(d, j, k, large)
+                            bounds.mean_ratio(d, j, k)
             for mean_k in (1e-300, 0.1, 1.0, 19.739208802178716, 3e5,
                            1e150):
-                assert bounds.mean_sq_envelope(d, mean_k, large) == \
+                assert bounds.mean_sq_envelope(d, mean_k) == \
                     oracles.mean_sq_envelope(d, mean_k)
 
-    @pytest.mark.parametrize("d, large", _DIMS)
-    def test_L_cl_equals_closed_form(self, d, large):
+    @pytest.mark.parametrize("d, gated", _DIMS)
+    def test_L_cl_equals_closed_form(self, d, gated):
         for _ in range(2):
             for sigma in (0.0, 0.25, 0.5, 1, 1.0, 1.5, 2.0, 2.5, 4.0, 5.0):
                 assert bounds.L_cl(sigma, d) == oracles.L_cl(sigma, d)
 
-    def test_large_d_stays_gated_after_an_allowed_call(self):
-        bounds.abhh(11, 100, allow_large_d=True)
-        with pytest.raises(ValidityError, match="allow_large_d"):
-            bounds.abhh(11, 100)
-        with pytest.raises(ValidityError, match="allow_large_d"):
+    def test_gated_functions_are_every_public_function_of_d(self):
+        # L_cl(sigma, d) is the one function of d without a dimension gate
+        of_d = {fn for name, fn in vars(bounds).items()
+                if not name.startswith("_") and callable(fn)
+                and not isinstance(fn, type)
+                and fn.__module__ == bounds.__name__
+                and "d" in inspect.signature(fn).parameters}
+        assert of_d == {fn for fn, _ in _D_CALLS} | {bounds.L_cl}
+
+    @pytest.mark.parametrize("fn, args", _D_CALLS,
+                             ids=[fn.__name__ for fn, _ in _D_CALLS])
+    def test_large_d_stays_gated_after_other_calls(self, fn, args):
+        # d = 11 gives the one message before and after calls at d = 2
+        # and d = 10 fill the function's memos
+        for d in (11, 2, 11, 10, 11):
+            if d <= bounds.MAX_CHECKED_DIMENSION:
+                assert np.isfinite(fn(d=d, **args)).all()
+            else:
+                with pytest.raises(ValidityError,
+                                   match=_OUT_OF_RANGE.format(d=d)):
+                    fn(d=d, **args)
+        with pytest.raises(ValidityError, match=_OUT_OF_RANGE.format(d=11)):
             bounds._check_dim(11)
 
     def test_memos_store_no_exception(self):
@@ -248,7 +345,7 @@ class TestNonFiniteGates:
         (bounds._check_dim, (_NAN,)),
         (bounds._check_dim, (_INF,)),
         (bounds._check_dim, (-_INF,)),
-        (bounds._check_dim, (_INF, True)),
+        (bounds._check_dim, (np.float64(_INF),)),
         (bounds.H_d, (_NAN,)),
         (bounds.L_cl, (_NAN, 2)),
         (bounds.weyl_coeff, (2, _NAN)),
@@ -328,14 +425,6 @@ class TestNonFiniteGates:
     def test_weyl_coeff_dimension_gate(self, d):
         with pytest.raises(ValidityError):
             bounds.weyl_coeff(d, 1.0)
-
-    def test_weyl_coeff_large_d_passes_through_berezin_li_yau(self):
-        d = bounds.MAX_CHECKED_DIMENSION + 1
-        for call in (lambda **kw: bounds.weyl_coeff(d, 1.0, **kw),
-                     lambda **kw: bounds.berezin_li_yau(d, 1.0, 5, **kw)):
-            with pytest.raises(ValidityError, match="allow_large_d"):
-                call()
-            assert 0 < call(allow_large_d=True) < _INF
 
     def test_evaluate_rejects_nan(self):
         with pytest.raises(ValidityError):

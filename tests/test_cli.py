@@ -195,6 +195,48 @@ class TestBoundsCommand:
         assert out == ""
         assert err.startswith("error: bad ")
 
+    @pytest.mark.parametrize("args", [
+        ["berezin_li_yau", "--arg", "d=2", "--arg", "volume=1e-320",
+         "--arg", "k=1"],
+        ["riesz_upper", "--arg", "sigma=2.0", "--arg", "d=2",
+         "--arg", "volume=1e300", "--arg", "z=1e10"],
+        ["counting_lower_j", "--arg", "d=2", "--arg", "j=1",
+         "--arg", "mean_j=1e-320", "--arg", "z=1e300"],
+    ], ids=lambda args: args[0])
+    def test_eval_overflow_exits_2(self, capsys, args):
+        # an overflow through * or / gives inf, not OverflowError
+        code, out, err = run_cli(capsys, "bounds", "--eval", *args)
+        assert code == 2
+        assert out == ""
+        assert f"bound {args[0]!r} leaves the float range" in err
+        assert "value inf" in err
+
+    def test_eval_large_d_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--eval", "abhh",
+                                 "--arg", "d=11", "--arg", "k=100",
+                                 "--arg", "allow_large_d=1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad arguments for bound 'abhh'")
+        code, out, err = run_cli(capsys, "bounds", "--eval", "abhh",
+                                 "--arg", "d=11", "--arg", "k=100")
+        assert code == 2
+        assert out == ""
+        assert "d=11 exceeds the checked range 1..10" in err
+
+    @pytest.mark.parametrize("order", ["1e17", "1e300"])
+    def test_bessel_zero_of_huge_order_exits_2(self, capsys, monkeypatch,
+                                               order):
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the range check")
+
+        monkeypatch.setattr(cli.specfun, "_jv", no_bessel)
+        code, out, err = run_cli(capsys, "bounds", "--bessel-zeros", order,
+                                 "--zero-count", "1")
+        assert code == 2
+        assert out == ""
+        assert "< 2^20" in err
+
     def test_bessel_zero_export(self, capsys):
         _, out, _ = run_cli(capsys, "bounds", "--bessel-zeros", "0,1",
                             "--zero-count", "2", "--full-precision")

@@ -136,6 +136,20 @@ class TestBesselZeros:
         with pytest.raises(DomainError):
             specfun.bessel_zero(0.0, 0)
 
+    @pytest.mark.parametrize("nu, p", [
+        (2.0 ** 20, 1), (1e8, 1), (1e17, 1), (1e300, 1),
+        (0.0, 700_000), (0.0, 10**18), (5e5, 400_000)])
+    def test_zero_past_2_20_fails_before_any_bessel_evaluation(
+            self, nu, p, monkeypatch):
+        # max(nu, 0) + (p - 1) pi/2 <= j_{nu,p} reaches 2^20, where one ulp
+        # exceeds 1e-10; the scan step would also stop moving past 2^52
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the range check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match=r"< 2\^20"):
+            specfun.bessel_zero(nu, p)
+
 
 def _zeros_through(nu, x_max):
     """Zeros of J_nu below x_max, followed by the first one at or above it."""

@@ -53,9 +53,10 @@ class TestBoxSpectrum:
         with pytest.raises(EmptySpectrumError):
             spectra.box_spectrum([1.0, 1.0], 0.1)
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", 10)
         with pytest.raises(ResourceLimitError):
-            spectra.box_spectrum([1.0, 1.0], 5000.0, cap=10)
+            spectra.box_spectrum([1.0, 1.0], 5000.0)
 
 
 class TestBallSpectrum:
@@ -109,8 +110,9 @@ class TestBallSpectrum:
             raise AssertionError("Bessel zero computed before the cap check")
 
         monkeypatch.setattr(specfun, "bessel_zero", no_zeros)
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", cap)
         with pytest.raises(ResourceLimitError):
-            spectra.ball_spectrum(d, 1.0, lam_max, cap=cap)
+            spectra.ball_spectrum(d, 1.0, lam_max)
 
     @pytest.mark.parametrize("d, lam_max, cap", [
         (3, 1e12, spectra.MAX_EIGENVALUES),
@@ -125,8 +127,9 @@ class TestBallSpectrum:
 
         monkeypatch.setattr(specfun, "bessel_zero", no_bessel)
         monkeypatch.setattr(specfun, "_jv", no_bessel)
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", cap)
         with pytest.raises(ResourceLimitError):
-            spectra.ball_spectrum(d, 1.0, lam_max, cap=cap)
+            spectra.ball_spectrum(d, 1.0, lam_max)
 
 
 class TestSpectrumValidation:
