@@ -62,7 +62,9 @@ class Spectrum:
     Multiplicities are represented by repetition; values are kept exactly
     as computed, with no tolerance-based merging.  ``_derived`` holds the
     read-only arrays computed from the eigenvalues (prefix sums, logs),
-    filled on first use by :mod:`rieszbounds.riesz`.
+    filled on first use by :mod:`rieszbounds.riesz`, and the memoryviews of
+    them and of the eigenvalues that :mod:`rieszbounds.verify` reads its
+    index margins' operands through.
     """
 
     dimension: int

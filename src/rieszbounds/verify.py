@@ -16,13 +16,15 @@ the check, the spectrum and the point.
 Each margin pays only for its own arithmetic, apart from its Riesz sums
 and moments:
 
-* Eigenvalues, means and mean squares are read as Python floats
-  (``ndarray.item``) straight from the spectrum's eigenvalues and its
-  cached correctly rounded prefix arrays, which
-  :func:`~rieszbounds.riesz.eigensum_prefix` and
-  :func:`~rieszbounds.riesz.square_prefix` fill on first use.  This is the
-  same inside and outside a sweep.  The five index families, which hold
-  most of the points, read them without a helper call between.
+* Eigenvalues, means and mean squares are read as Python floats through
+  memoryviews of the spectrum's eigenvalues and of its cached correctly
+  rounded prefix arrays, which :func:`~rieszbounds.riesz.eigensum_prefix`
+  and :func:`~rieszbounds.riesz.square_prefix` fill on first use.  The
+  views, with ``1 + 4/d`` and ``2/d``, are kept in the spectrum's
+  ``_derived`` cache on first use (``_operands``), so this is the same
+  inside and outside a sweep.  The five index families, which hold most
+  of the points, read them and compute their margin without a helper
+  call between.
 * The four index margins that compare with a catalog bound (eq224_ratio,
   cor32_abhh, eq36_next, eq37_discrim) compute its closed form in place,
   ``(1 + 4/d) (k/j)^(2/d)`` or a per-dimension coefficient memoized in
@@ -58,20 +60,23 @@ Points are streamed.  Each family's points form one lazy sequence: sized
 re-iterable, and made one row at a time while the sweep calls the
 family's ``MARGINS`` entry on it.  A row is a tuple of the margin
 function's arguments after the spectrum, in its parameter order, and the
-sequence carries their ``names``; the sweep calls ``fn(spec, *row)`` and
-makes a keyword dict only once per family, for the witness.  (The two row
-shapes of ``hoelder_chain`` each keep their own witness key order.)  The
-index families' rows of one index are made by ``zip`` without a Python
-frame per row.  What a sweep holds therefore does not
-grow with the number of points: the z grid, the per-parameter lists of z
-values that pass a family's threshold, the random Hoelder samples, and
-the spectrum's own O(n) arrays, where n is the number of eigenvalues; no
-Python object is made per eigenvalue.  The ~16 n points of the index
-families (eq224_ratio, yang_simplified, cor32_abhh, eq36_next,
-eq37_discrim) are never stored.  The unit square below 1.3e7
-(n = 1,033,365; 16.1 M genuine points and 8.3 M control points) is
-verified by ``benchmarks/bench_verify_scale.py`` with a peak RSS of about
-140 MB.
+sequence carries their ``names``.  The sweep takes the rows ``_CHUNK`` at
+a time and computes their margins into one array by
+``np.fromiter(starmap(partial(fn, spec), chunk))``, with no Python frame
+between the calls, so ``fn(spec, *row)`` is still called once per point;
+it makes a keyword dict only once per family, for the witness.  (The two
+row shapes of ``hoelder_chain`` each keep their own witness key order.)
+The index families' rows of one index are made by ``zip`` without a
+Python frame per row.  What a sweep holds therefore does not grow with
+the number of points: the z grid, the per-parameter lists of z values
+that pass a family's threshold, the random Hoelder samples, one chunk of
+rows and margins, and the spectrum's own O(n) arrays, where n is the
+number of eigenvalues; no Python object is made per eigenvalue.  The
+~16 n points of the index families (eq224_ratio, yang_simplified,
+cor32_abhh, eq36_next, eq37_discrim) are never stored.  The unit square
+below 1.3e7 (n = 1,033,365; 16.1 M genuine points and 8.3 M control
+points) is verified by ``benchmarks/bench_verify_scale.py`` with a peak
+RSS of about 140 MB.
 
 A corrupted-spectrum negative control is part of the standard suite: the
 suite is only green if the genuine checks pass *and* the corrupted twin
@@ -82,7 +87,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict, replace
-from itertools import chain, product, repeat
+from functools import partial
+from itertools import chain, islice, product, repeat, starmap
 
 import numpy as np
 
@@ -143,10 +149,14 @@ class VerificationReport:
                 and self.negative_control_ok)
 
     def to_json_dict(self) -> dict:
+        checks = [asdict(c) for c in self.checks]
+        for c in checks:
+            if c["worst_margin"] != c["worst_margin"]:
+                c["worst_margin"] = None    # no points; JSON has no NaN
         return {
             "all_passed": self.all_passed,
             "negative_control_ok": self.negative_control_ok,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": checks,
             "controls": self.controls,
         }
 
@@ -217,11 +227,19 @@ class _RieszTable(dict):
 _riesz_memo: dict[Spectrum, _RieszTable] = {}
 
 
+def _operands(spec):
+    """``(1 + 4/d, 2/d, eigenvalues, eigensum prefix)`` of ``spec``, the
+    arrays as memoryviews, whose items are the Python floats that
+    ``ndarray.item`` returns; cached in ``spec._derived`` on first use."""
+    d = spec.dimension
+    ops = spec._derived["operands"] = (
+        1 + 4 / d, 2 / d, memoryview(spec.eigenvalues),
+        memoryview(eigensum_prefix(spec)))
+    return ops
+
+
 def _mean(spec, j):
-    prefix = spec._derived.get("eigensum_prefix")
-    if prefix is None:
-        prefix = eigensum_prefix(spec)
-    return prefix.item(j - 1) / j
+    return (spec._derived.get("operands") or _operands(spec))[3][j - 1] / j
 
 
 def _riesz(spec, sigma, z):
@@ -337,29 +355,26 @@ def margin_cor29_counting(spec, j, z):
 
 
 # The five index margins (eq224_ratio, yang_simplified, cor32_abhh,
-# eq36_next, eq37_discrim) hold most of a sweep's points, so each reads the
-# prefix sums and eigenvalues itself instead of through _mean.  The four
-# that compare with a catalog bound compute its closed form in place, from
-# the per-dimension memos of ``bounds``, in the bound's association order;
+# eq36_next, eq37_discrim) hold most of a sweep's points, so each reads its
+# operands from the cached ``_operands`` tuple and computes its margin in
+# place, without a call to ``_mean`` or ``_margin``.  Every ``big`` there is
+# positive, as the eigenvalues are, so |big| is ``big``.  The four that
+# compare with a catalog bound compute its closed form in place, from the
+# per-dimension memos of ``bounds``, in the bound's association order;
 # their validity gates are in ``_GATES``, which the sweep and ``reevaluate``
 # run and a direct call does not.
 
 def margin_eq224_ratio(spec, j, k):
-    sums = spec._derived.get("eigensum_prefix")
-    if sums is None:
-        sums = eigensum_prefix(spec)
-    d = spec.dimension
+    c, e, ev, sums = spec._derived.get("operands") or _operands(spec)
     # bounds.lambda_next_over_mean(d, j, k) * mean_j
-    bound = (1 + 4 / d) * (k / j) ** (2 / d) * (sums.item(j - 1) / j)
-    return _margin(bound, spec.eigenvalues.item(k))
+    big = c * (k / j) ** e * (sums[j - 1] / j)
+    return (big - ev[k]) / (big if big > 1.0 else 1.0)
 
 
 def margin_yang_simplified(spec, k):
-    sums = spec._derived.get("eigensum_prefix")
-    if sums is None:
-        sums = eigensum_prefix(spec)
-    bound = (1 + 4 / spec.dimension) * (sums.item(k - 1) / k)
-    return _margin(bound, spec.eigenvalues.item(k))
+    c, _, ev, sums = spec._derived.get("operands") or _operands(spec)
+    big = c * (sums[k - 1] / k)
+    return (big - ev[k]) / (big if big > 1.0 else 1.0)
 
 
 def margin_hoelder_chain(spec, form, z, sigma=None, sigma0=None,
@@ -388,41 +403,35 @@ def margin_cor31_mean_ratio(spec, j, k):
 
 
 def margin_cor32_abhh(spec, k):
-    d = spec.dimension
+    _, e, ev, sums = spec._derived.get("operands") or _operands(spec)
     # bounds.abhh(d, k) * lambda_1
-    bound = (bounds._abhh_constants(d)[1] * k ** (2 / d)
-             * spec.eigenvalues.item(0))
-    sums = spec._derived.get("eigensum_prefix")
-    if sums is None:
-        sums = eigensum_prefix(spec)
-    return _margin(bound, sums.item(k - 1) / k)
+    big = bounds._abhh_constants(spec.dimension)[1] * k ** e * ev[0]
+    return (big - sums[k - 1] / k) / (big if big > 1.0 else 1.0)
 
 
 def margin_eq36_next(spec, k):
-    ev = spec.eigenvalues
-    d = spec.dimension
+    _, e, ev, _ = spec._derived.get("operands") or _operands(spec)
     # bounds.abhh_next(d, k) * lambda_1
-    bound = bounds._abhh_next_coeff(d) * k ** (2 / d) * ev.item(0)
-    return _margin(bound, ev.item(k))
+    big = bounds._abhh_next_coeff(spec.dimension) * k ** e * ev[0]
+    return (big - ev[k]) / (big if big > 1.0 else 1.0)
 
 
 def margin_eq37_discrim(spec, k, form):
-    n = len(spec.eigenvalues)
-    if not 1 <= k <= n:
-        raise DomainError(f"k must be in 1..{n}, got {k}")
     derived = spec._derived
-    squares = derived.get("square_prefix")
+    _, _, ev, sums = derived.get("operands") or _operands(spec)
+    if not 1 <= k <= len(ev):
+        raise DomainError(f"k must be in 1..{len(ev)}, got {k}")
+    squares = derived.get("square_view")
     if squares is None:
-        squares = square_prefix(spec)
-    sums = derived.get("eigensum_prefix")
-    if sums is None:
-        sums = eigensum_prefix(spec)
-    mean_sq = squares.item(k - 1) / k
-    mean = sums.item(k - 1) / k
+        squares = derived["square_view"] = memoryview(square_prefix(spec))
+    mean_sq = squares[k - 1] / k
+    mean = sums[k - 1] / k
     sq = mean * mean    # bounds.mean_sq_envelope(d, mean) is (sq, coeff * sq)
     if form == "lower":
-        return _margin(mean_sq, sq)
-    return _margin(bounds._mean_sq_coeff(spec.dimension) * sq, mean_sq)
+        big, small = mean_sq, sq
+    else:
+        big, small = bounds._mean_sq_coeff(spec.dimension) * sq, mean_sq
+    return (big - small) / (big if big > 1.0 else 1.0)
 
 
 #: per-spectrum {(k, sigma): moment} tables, alive while _sweep runs
@@ -813,16 +822,24 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     return out
 
 
+#: rows whose margins ``_sweep`` computes into one array; 1,024 rows were
+#: no faster and hold four times the row tuples at once
+_CHUNK = 256
+
+
 def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
            ids=None):
     """Run margin sweeps on one spectrum, optionally restricted to ids.
 
     A family with a validity gate runs it at its edge rows before its
-    first point.  Each family keeps its first row with the smallest margin
-    and builds its witness dict once, from that row.  An ArithmeticError
-    raises DomainError at once.  A NaN margin is no verdict either, but it is
-    raised only after the spectrum's other families are swept, so that it
-    never hides such an error, which names the operation that failed.
+    first point.  Its margins are then computed ``_CHUNK`` rows at a time
+    into one array.  Each family keeps its first row with the smallest
+    margin and builds its witness dict once, from that row.  An
+    ArithmeticError raises DomainError at once, naming the row that raised
+    (its chunk is re-run row by row to find it).  A NaN margin is no
+    verdict either, but it is raised only after the spectrum's other
+    families are swept, so that it never hides such an error, which names
+    the operation that failed.
 
     Returns {check_id: (grid, n_points, worst_margin, witness)}.
     """
@@ -834,21 +851,31 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
         for check_id, grid, points in _build_points(spec, cfg, n_z):
             if ids is not None and check_id not in ids:
                 continue
-            fn = MARGINS[check_id]
+            margin = partial(MARGINS[check_id], spec)
+            rows = iter(points)
             worst = math.inf
             best = row = None
             try:    # a float overflow or division by zero is no verdict
                 for row in points.edges:
                     _GATES[check_id](spec, *row)
-                for row in points:
-                    m = fn(spec, *row)
-                    if not m >= worst:      # a new minimum, or NaN
-                        if m != m:
-                            nan = nan or (f"{check_id} has a NaN margin on "
-                                          f"{label!r} at {points.params(row)}")
-                            continue
-                        worst = m
-                        best = row
+                while chunk := list(islice(rows, _CHUNK)):
+                    try:
+                        ms = np.fromiter(starmap(margin, chunk), float,
+                                         len(chunk))
+                    except ArithmeticError:
+                        for row in chunk:   # find the row that raised
+                            margin(*row)
+                        raise
+                    # the first NaN if there is one; the sweep then
+                    # raises, so this family's minimum is never used
+                    i = ms.argmin()
+                    if ms[i] != ms[i]:
+                        nan = nan or (f"{check_id} has a NaN margin on "
+                                      f"{label!r} at "
+                                      f"{points.params(chunk[i])}")
+                    elif ms[i] < worst:
+                        worst = float(ms[i])
+                        best = chunk[i]
             except ArithmeticError as exc:
                 raise DomainError(
                     f"{check_id} cannot be evaluated on {label!r} at "

@@ -425,6 +425,33 @@ class TestVerifyCommand:
         assert len(lines) == 1, done.stderr
         assert lines[0].startswith("error: thm21_mono1 cannot be evaluated")
 
+    def test_json_report_without_points_is_strict_json(self, capsys,
+                                                        tmp_path):
+        # cor32_abhh and eq36_next have no points on three eigenvalues;
+        # their worst margin is NaN, which JSON cannot hold
+        path = str(tmp_path / "three.txt")
+        spectra.write_spectrum(spectra.Spectrum(
+            dimension=2, eigenvalues=[2.0, 5.0, 5.0], complete_below=900.0,
+            domain=spectra.DomainSpec("file", 2)), path)
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run_cli(capsys, "verify", "--spectrum", path,
+                               "--format", "json")
+        assert code == 1
+        checks = {c["id"]: c for c in
+                  json.loads(out, parse_constant=reject)["checks"]}
+        for check_id in ("cor32_abhh", "eq36_next"):
+            assert checks[check_id]["n_points"] == 0
+            assert checks[check_id]["worst_margin"] is None
+        assert all(c["worst_margin"] is not None for c in checks.values()
+                   if c["n_points"])
+        _, out, _ = run_cli(capsys, "verify", "--spectrum", path)
+        assert [line.split()[3] for line in out.splitlines()
+                if line.startswith(("cor32_abhh ", "eq36_next "))] == \
+            ["nan", "nan"]
+
     def test_z_max_config_error(self, capsys, spec_file):
         for z_max in ("5000", "nan"):
             code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,

@@ -5,6 +5,7 @@ import itertools
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,23 +351,41 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+INDEX_IDS = ("eq224_ratio", "yang_simplified", "cor32_abhh", "eq36_next",
+             "eq37_discrim")
+
+
+def _fresh(spec):
+    """A copy of ``spec`` with nothing cached in ``_derived``."""
+    return spectra.Spectrum(dimension=spec.dimension,
+                            eigenvalues=spec.eigenvalues,
+                            complete_below=spec.complete_below,
+                            domain=spec.domain, volume=spec.volume)
+
+
+def _assert_sweep_equals_dict_oracle(specs):
+    """``_sweep`` gives the oracle's worst margin, bit for bit, and its
+    witness, in its key order, on each spectrum and its twin."""
+    for label, spec in specs.items():
+        for twin in (spec, verify.corrupt_spectrum(spec)):
+            got = verify._sweep(label, twin, SMALL, SMALL.z_points)
+            want = oracles.dict_sweep(label, twin, SMALL, SMALL.z_points)
+            assert list(got) == list(want)
+            assert set(got) == set(verify.MARGINS)
+            for check_id, (grid, n, worst, witness) in want.items():
+                g_grid, g_n, g_worst, g_witness = got[check_id]
+                assert (g_grid, g_n) == (grid, n), check_id
+                assert _bits(g_worst) == _bits(worst), check_id
+                assert list(g_witness.items()) == list(witness.items()), \
+                    check_id
+
+
 class TestPointRows:
     """Each point is a tuple of positional arguments; the sweep gives what
     it gave when each point was a keyword dict."""
 
     def test_sweep_equals_dict_oracle(self, small_specs):
-        for label, spec in small_specs.items():
-            for twin in (spec, verify.corrupt_spectrum(spec)):
-                got = verify._sweep(label, twin, SMALL, SMALL.z_points)
-                want = oracles.dict_sweep(label, twin, SMALL, SMALL.z_points)
-                assert list(got) == list(want)
-                assert set(got) == set(verify.MARGINS)
-                for check_id, (grid, n, worst, witness) in want.items():
-                    g_grid, g_n, g_worst, g_witness = got[check_id]
-                    assert (g_grid, g_n) == (grid, n), check_id
-                    assert _bits(g_worst) == _bits(worst), check_id
-                    assert list(g_witness.items()) == list(witness.items()), \
-                        check_id
+        _assert_sweep_equals_dict_oracle(small_specs)
 
     def test_positional_equals_keyword_call(self, small_specs):
         shapes = set()
@@ -389,21 +408,43 @@ class TestPointRows:
                             shapes.add(len(row))
         assert shapes == {3, 6}
 
-    @pytest.mark.parametrize("check_id", ["eq224_ratio", "yang_simplified",
-                                          "cor32_abhh", "eq36_next",
-                                          "eq37_discrim"])
+    @pytest.mark.parametrize("check_id", INDEX_IDS)
     def test_index_margins_keep_their_bits(self, small_specs, check_id):
         # the 3-ball's exponent 2/d = 2/3 rounds, so an association change
-        # shows in the last bits
+        # shows in the last bits.  Each margin is compared on a fresh
+        # spectrum, whose first call builds the operand views, and again
+        # after a full sweep.
         ball3 = spectra.ball_spectrum(3, 1.0, 400.0)
+        fn = verify.MARGINS[check_id]
         for spec in (*small_specs.values(), ball3):
             for twin in (spec, verify.corrupt_spectrum(spec)):
-                points = {c: p for c, _, p in verify._build_points(
-                    twin, SMALL, SMALL.z_points)}[check_id]
-                fn = verify.MARGINS[check_id]
-                for row in points:
-                    assert _bits(fn(twin, *row)) == _bits(
-                        oracles.index_margin(check_id, twin, *row)), row
+                rows = list({c: p for c, _, p in verify._build_points(
+                    _fresh(twin), SMALL, SMALL.z_points)}[check_id])
+                fresh = _fresh(twin)
+                assert fresh._derived == {}
+                for swept in (False, True):
+                    if swept:
+                        verify._sweep("twin", fresh, SMALL, SMALL.z_points)
+                    for row in rows:
+                        assert _bits(fn(fresh, *row)) == _bits(
+                            oracles.index_margin(check_id, fresh, *row)), \
+                            (swept, row)
+                    assert "operands" in fresh._derived
+
+    def test_reevaluate_reproduces_index_witnesses(self, small_specs):
+        specs = {**small_specs, "ball3": spectra.ball_spectrum(3, 1.0, 400.0)}
+        for cfg in (SMALL, replace(SMALL, inject_corruption=True)):
+            report = verify.run_suite(specs, cfg)
+            for c in report.checks:
+                if c.id not in INDEX_IDS:
+                    continue
+                label = c.witness["spectrum"]
+                spec = specs[label.removeprefix("corrupted:")]
+                if label.startswith("corrupted:"):
+                    spec = verify.corrupt_spectrum(spec)
+                for on in (_fresh(spec), spec):
+                    assert _bits(verify.reevaluate(on, c.id, c.witness)) == \
+                        _bits(c.worst_margin), (label, c.id)
 
     @pytest.mark.parametrize("nan_at", [1, 5])
     def test_nan_margin_raises(self, small_specs, monkeypatch, nan_at):
@@ -448,6 +489,64 @@ class TestPointRows:
                            r"'z': .*, 'sigma0': "):
             verify._sweep("square", small_specs["square"], SMALL,
                           SMALL.z_points, ids={"hoelder_chain"})
+
+
+class TestChunks:
+    """``_sweep`` computes margins ``_CHUNK`` rows at a time; at any chunk
+    size it keeps the first smallest margin, names the first NaN row and
+    the row that raised, as a sweep one row at a time does."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_sweep_equals_dict_oracle(self, small_specs, monkeypatch, chunk):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        _assert_sweep_equals_dict_oracle(small_specs)
+
+    @staticmethod
+    def _yang(monkeypatch, chunk, margin):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        monkeypatch.setitem(verify.MARGINS, "yang_simplified", margin)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("first, second", [(-1.0, -1.0), (0.0, -0.0)])
+    def test_equal_minima_across_a_boundary_keep_the_first(
+            self, small_specs, monkeypatch, chunk, first, second):
+        # in chunks of 3 rows, k = 2 is in the first and k = 4 in the second
+        self._yang(monkeypatch, chunk, lambda s, k: {2: first, 4: second}
+                   .get(k, 1.0))
+        res = verify._sweep("disk", small_specs["disk"], SMALL,
+                            SMALL.z_points, ids={"yang_simplified"})
+        _, _, worst, witness = res["yang_simplified"]
+        assert _bits(worst) == _bits(first)
+        assert witness == {"k": 2, "spectrum": "disk"}
+
+    def test_nan_only_in_a_later_chunk(self, small_specs, monkeypatch):
+        self._yang(monkeypatch, 3, lambda s, k: math.nan if k in (5, 7)
+                   else 1.0 / k)
+        with pytest.raises(DomainError) as info:
+            verify._sweep("disk", small_specs["disk"], SMALL, SMALL.z_points,
+                          ids={"yang_simplified"})
+        assert str(info.value) == ("yang_simplified has a NaN margin on "
+                                   "'disk' at {'k': 5}")
+
+    def test_overflow_inside_a_chunk_names_its_row(self, small_specs,
+                                                   monkeypatch):
+        calls = []
+
+        def overflow_at_5(s, k):
+            calls.append(k)
+            if k == 5:
+                raise OverflowError("boom")
+            return 1.0
+
+        self._yang(monkeypatch, 3, overflow_at_5)
+        with pytest.raises(DomainError) as info:
+            verify._sweep("disk", small_specs["disk"], SMALL, SMALL.z_points,
+                          ids={"yang_simplified"})
+        assert str(info.value) == ("yang_simplified cannot be evaluated on "
+                                   "'disk' at {'k': 5}: "
+                                   "OverflowError('boom')")
+        assert isinstance(info.value.__cause__, OverflowError)
+        assert calls == [1, 2, 3, 4, 5, 4, 5]
 
 
 class TestCorruption:
