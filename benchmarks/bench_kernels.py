@@ -6,10 +6,13 @@ the Riesz, power, reciprocal and log terms of a sorted spectrum; the
 Shewchuk loop of ``tests/oracles.py`` against ``prefix_sums`` on the
 eigenvalues and on their squares, and on subnormal terms, runs of +0.0
 and terms from 1e-300 to 1e300; ``math.fsum`` of the ``np.power``
-terms against ``riesz_sum`` at sigma = 1/2, 1, 2 and 5/2; and per-z
-``math.fsum`` of the ``np.power`` terms against the rows of ``riesz_sums``
-on the default ``verify`` z grid of the 3-ball and of the unit square below
-1e6, timed against per-z ``riesz_sum`` calls.
+terms against ``riesz_sum`` on the runs of the eigenvalues at sigma = 1/2,
+1, 2 and 5/2; per-z ``math.fsum`` of the ``np.power`` terms against the
+rows of ``riesz_sums`` on the runs (one weighted term per distinct value),
+on the default ``verify`` z grid of the 3-ball below 2000, the
+10-ball below 300 and the unit square below 1e6, timed against per-z
+``riesz_sum`` calls; and ``math.fsum`` of all k terms against every field
+of ``riesz.means`` on the same spectra.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -22,13 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from rieszbounds import spectra, verify
+from rieszbounds import riesz, spectra, verify
 from rieszbounds._kernels import pykernels
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import shewchuk_prefix_sums  # noqa: E402
 
 EXACT_SIZES = (10**3, 10**4, 10**5, 10**6)
+MEAN_ORDERS = (0.5, 1.5)
 
 
 def _time(fn, *args, repeat=5):
@@ -81,11 +85,12 @@ def compare_exact() -> bool:
                   f"prefix_sums {t_new*1e3:6.2f} ms  x{t_ref / t_new:5.1f}  "
                   f"bit-equal={same}")
         z = 1.3e7
+        runs = pykernels.runs_of(lams)    # as cached on a spectrum
         for sigma in (0.5, 1.0, 2.0, 2.5):
             t_ref, ref = _time(
                 lambda: math.fsum(np.power(z - lams, sigma).tolist()),
                 repeat=repeat)
-            t_new, (new, _) = _time(pykernels.riesz_sum, lams, sigma, z,
+            t_new, (new, _) = _time(pykernels.riesz_sum, runs, sigma, z,
                                     repeat=repeat)
             same = _same_bits(ref, new)
             ok &= same
@@ -126,30 +131,78 @@ def compare_prefix_domain() -> bool:
     return ok
 
 
-def compare_rows() -> bool:
-    """``riesz_sums`` at the default ``verify`` z grid against ``math.fsum``
-    of the ``np.power`` terms at each z, a reference that shares no code
-    with the kernel, and timed against ``riesz_sum`` at each z; True if
-    all bits agree."""
+def _repeated_cases():
+    """Spectra whose eigenvalues repeat: the unit 3-ball below 2000, the
+    unit 10-ball below 300 (38,532 eigenvalues, 18 distinct) and the unit
+    square below 1e6."""
+    return (("3-ball below 2000", spectra.ball_spectrum(3, 1.0, 2000.0)),
+            ("10-ball below 300", spectra.ball_spectrum(10, 1.0, 300.0)),
+            ("unit square below 1e6", spectra.box_spectrum([1.0, 1.0], 1e6)))
+
+
+def compare_rows(cases) -> bool:
+    """``riesz_sums`` at the default ``verify`` z grid, on the runs of the
+    eigenvalues (one weighted term per distinct value, as ``riesz`` sums
+    them), against ``math.fsum`` of the ``np.power`` terms of all
+    eigenvalues below each z, a reference that shares no code with the
+    kernel, and timed against ``riesz_sum`` at each z; True if all bits
+    agree."""
     ok = True
     print("Riesz rows on the default verify z grid (200 z; bits against "
           "per-z math.fsum)")
-    cases = (("3-ball below 2000", spectra.ball_spectrum(3, 1.0, 2000.0)),
-             ("unit square below 1e6", spectra.box_spectrum([1.0, 1.0], 1e6)))
     for name, spec in cases:
         lams = spec.eigenvalues
+        runs = pykernels.runs_of(lams)
         zs = verify.z_grid(spec, verify.VerifyConfig())
         for sigma in (0.5, 1.0, 2.0, 2.5):
             ref = [math.fsum(np.power(z - lams[lams < z], sigma).tolist())
                    for z in zs]
             t_ref, _ = _time(
-                lambda: [pykernels.riesz_sum(lams, sigma, z)[0] for z in zs])
-            t_new, new = _time(pykernels.riesz_sums, lams, sigma, zs)
+                lambda: [pykernels.riesz_sum(runs, sigma, z)[0] for z in zs])
+            t_new, new = _time(pykernels.riesz_sums, runs, sigma, zs)
             same = _same_bits(ref, new)
             ok &= same
-            print(f"  {name:22} n={len(lams):>6} sigma={sigma:3}  "
-                  f"per-z riesz_sum {t_ref*1e3:8.2f} ms  "
-                  f"riesz_sums {t_new*1e3:7.2f} ms  x{t_ref / t_new:5.1f}  "
+            print(f"  {name:22} n={len(lams):>6} ({len(runs.values):>5} "
+                  f"runs) sigma={sigma:3}  per-z riesz_sum "
+                  f"{t_ref*1e3:8.2f} ms  riesz_sums {t_new*1e3:7.2f} ms  "
+                  f"x{t_ref / t_new:5.1f}  bit-equal={same}")
+    return ok
+
+
+def _means_fields(spec, k):
+    m = riesz.means(spec, k, MEAN_ORDERS)
+    return [m.mean, m.mean_sq, *m.power_means.values(), m.geometric,
+            m.harmonic]
+
+
+def _fsum_means_fields(lams, k):
+    """``riesz.means`` fields from ``math.fsum`` of all k terms."""
+    head = lams[:k]
+    return [math.fsum(head.tolist()) / k,
+            math.fsum(np.power(head, 2.0).tolist()) / k,
+            *[(math.fsum(np.power(head, s).tolist()) / k) ** (1 / s)
+              for s in MEAN_ORDERS],
+            math.exp(math.fsum([math.log(x) for x in head.tolist()]) / k),
+            k / math.fsum((1.0 / head).tolist())]
+
+
+def compare_means(cases) -> bool:
+    """Every field of ``riesz.means`` (one weighted term per run, cached
+    runs and logs) against ``math.fsum`` of the terms of the first k
+    eigenvalues at k = n/8, n/2 and n; True if all bits agree."""
+    ok = True
+    print("means fields (mean, mean square, power means of order "
+          f"{', '.join(map(str, MEAN_ORDERS))}, geometric, harmonic; bits "
+          "against math.fsum)")
+    for name, spec in cases:
+        lams = spec.eigenvalues
+        for k in (len(lams) // 8, len(lams) // 2, len(lams)):
+            t_ref, ref = _time(_fsum_means_fields, lams, k, repeat=3)
+            t_new, new = _time(_means_fields, spec, k)
+            same = _same_bits(ref, new)
+            ok &= same
+            print(f"  {name:22} k={k:>6}  math.fsum {t_ref*1e3:8.2f} ms  "
+                  f"means {t_new*1e3:7.2f} ms  x{t_ref / t_new:5.1f}  "
                   f"bit-equal={same}")
     return ok
 
@@ -157,7 +210,9 @@ def compare_rows() -> bool:
 def main() -> int:
     ok = compare_exact()
     ok &= compare_prefix_domain()
-    ok &= compare_rows()
+    cases = _repeated_cases()
+    ok &= compare_rows(cases)
+    ok &= compare_means(cases)
     return 0 if ok else 1
 
 

@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     print(f"peak RSS MB     {rss:.1f}")
     print(f"all_passed      {report.all_passed}")
     for c in report.checks:
-        if not c.passed:
+        if c.passed is False:
             print(f"FAILED {c.id}: margin {c.worst_margin!r} at {c.witness}")
     if not report.negative_control_ok:
         print(f"vacuous negative control: {report.controls}")

@@ -14,7 +14,14 @@ returns.
 - The run path (``_run_sum``) takes an array cut into segments, each
   sorted on its own, and returns one sum per segment, each with its own
   least exponent and its own fallback to ``math.fsum``; ``exact_sum`` is
-  the one-segment case.
+  the one-segment case.  It takes optional integer weights: a term of
+  weight m counts m times, and a block's mantissa sum is the sum of
+  m * (its term's bits), so each distinct eigenvalue's term is built and
+  added once however often the eigenvalue repeats.
+- ``Runs`` (built by ``runs_of``) is a sorted array as its runs of equal
+  values with their weights.  ``riesz_sum``, ``riesz_sums``, ``power_sum``
+  and ``head_sum`` take a sorted array or its ``Runs`` (from an array they
+  build the runs first), and add one weighted term per run.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
@@ -22,12 +29,28 @@ returns.
   z - lambda: it packs the rows of many z into one buffer, one segment per
   z, for one run-path pass.  ``riesz_sums`` returns its sums, and
   ``riesz_sum`` is its one-z row with the count.
+
+The block bound.  A normal term is M * 2**(E - 1075) with the integer
+mantissa M < 2**53, and a block holds terms of one sign and exponent.  Its
+uint64 sum of (weight times bits) is taken modulo 2**64, so it is exact
+when the block's total weight is at most ``_RUN_BLOCK`` = 2**11: then the
+true mantissa sum is below 2**11 * 2**53 = 2**64.  A weight is at most
+W = ``_RUN_WEIGHT`` (W = 1 without weights).  Let C_i, the position of
+term i among the weighted terms, be the total weight of the terms before
+it.  The blocks are cut at every run and segment start and at the first
+term whose C_i reaches each multiple of the step S = 2**11 + 1 - W
+(``_RUN_STEP``; 2**11 without weights).  The terms of one block then have
+their C_i in one [q S, (q + 1) S), and with its first term f and last
+term i the block weighs C_i + m_i - C_f <= ((q + 1) S - 1) + W - q S,
+that is S - 1 + W = 2**11.  Cutting at multiples of 2**11 itself would
+let a block hold 2**11 plus one weight, and overflow.
 """
 
 import math
 import operator
 from bisect import bisect_left
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +62,13 @@ BACKEND = "python"
 _CHUNK = 1 << 16
 #: below this many terms ``math.fsum`` is faster than the run path
 _SMALL = 1024
-#: terms per block on the run path: 2**11 mantissas below 2**53 sum to
-#: less than 2**64, so a block's uint64 sum is exact
+#: most total weight of a block on the run path: 2**11 mantissas below
+#: 2**53 sum to less than 2**64, so a block's uint64 sum is exact
 _RUN_BLOCK = 1 << 11
+#: most weight of one term (``Runs`` cuts longer runs into pieces), and
+#: the block step that keeps a weighted block within ``_RUN_BLOCK``
+_RUN_WEIGHT = 1 << 7
+_RUN_STEP = _RUN_BLOCK + 1 - _RUN_WEIGHT
 #: sign and exponent bits, and mantissa bits, of a float64
 _SIGN_EXP = np.uint64(0xFFF << 52)
 _MANTISSA = np.uint64((1 << 52) - 1)
@@ -58,13 +85,21 @@ _MARK = 1 << 8
 _STRETCH = np.arange(_MARK + 1)
 
 
-def _run_sum(terms, starts):
+def _run_sum(terms, starts, weights=None):
     """Exact sum of each segment of sorted, finite, non-subnormal terms far
     enough from overflow; None for any other segment, or for an exact zero.
 
     ``starts`` holds the first index of each non-empty segment, ascending
     from 0; a segment ends where the next one starts, the last at the end
     of ``terms``.  The result is a list of one sum per segment.
+
+    ``weights`` is None, each term counted once, or ``(m, pos, count)``:
+    the integer weight m[i] of each term (1 to ``_RUN_WEIGHT``), the
+    position pos[i] = m[0] + ... + m[i - 1] of each term among the weighted
+    terms of the whole array, and their number, pos[-1] < count <=
+    pos[-1] + m[-1], so that the last term counts count - pos[-1] times.  The
+    sums are those of the weighted terms, ``np.repeat(terms, m)`` cut to
+    ``count``.
 
     Along sorted terms the sign and the biased exponent E change
     monotonically, so the terms of a segment with one sign and exponent
@@ -73,13 +108,15 @@ def _run_sum(terms, starts):
     the stretches of ``_MARK`` terms whose end terms differ or that hold a
     segment start.  A normal term is M * 2**(E - 1075) with the integer
     mantissa M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs
-    are cut into blocks of at most ``_RUN_BLOCK`` terms, ``np.add.reduceat``
-    sums the bits of each block modulo 2**64, from which the exact mantissa
-    sum follows.  The signed block totals of a segment are shifted into one
+    are cut into blocks of total weight at most ``_RUN_BLOCK`` (the block
+    bound in the module docstring), ``np.add.reduceat`` sums the weighted
+    bits of each block modulo 2**64, from which the exact mantissa sum
+    follows.  The signed block totals of a segment are shifted into one
     Python integer at scale 2**(E_lo - 1075), E_lo the segment's least
     nonzero exponent, and rounded once.
     """
     n = len(terms)
+    count = n if weights is None else int(weights[2])
     starts = np.asarray(starts, np.intp)
     bad = np.zeros(len(starts), bool)
     first = terms[starts]
@@ -128,7 +165,7 @@ def _run_sum(terms, starts):
     # no inf, the sum stays below 2**1023, and the integer total converts
     # to a finite float (a segment without a normal term sums to 0 or
     # holds a subnormal)
-    width = n.bit_length()
+    width = count.bit_length()
     bad |= (e_hi > 2045 - width) | (e_hi - e_lo > 970 - width)
     if not exps.all():
         # the zeros, of either sign, lie between a segment's negative and
@@ -138,13 +175,28 @@ def _run_sum(terms, starts):
         bad[starts.searchsorted(runs[subnormal], "right") - 1] = True
     if bad.all():
         return [None] * len(starts)
-    grid = np.arange(0, n + _RUN_BLOCK, _RUN_BLOCK)
-    grid[-1] = n
-    edges = np.concatenate((grid, runs))
+    # block edges: the runs and segment starts, the end, and the first
+    # term whose position among the weighted terms (i without weights)
+    # reaches each multiple of the step
+    if weights is None:
+        grid = np.arange(_RUN_BLOCK, n, _RUN_BLOCK)
+    else:
+        m, pos, _ = weights
+        last = int(pos[-1])
+        grid = pos.searchsorted(np.arange(_RUN_STEP, last + 1, _RUN_STEP))
+    edges = np.concatenate((grid, runs, [n]))
     edges.sort()
-    sums = np.add.reduceat(bits, edges[:-1])
+    if weights is None:
+        sums = np.add.reduceat(bits, edges[:-1])
+    else:
+        sums = np.add.reduceat(bits * m, edges[:-1])
+        excess = int(m[-1]) - (count - last)    # the last term counts
+        if excess:                              # count - last times
+            sums[-1:] -= bits[-1:] * np.uint64(excess)
     signs = bits[edges[:-1]] & _SIGN_EXP
-    counts = (edges[1:] - edges[:-1]).astype(np.uint64)
+    # block weights from the positions of the edges, the count at the end
+    at = edges if weights is None else np.append(pos[edges[:-1]], count)
+    counts = (at[1:] - at[:-1]).astype(np.uint64)
     sums -= counts * (signs - (1 << 52))
     signs >>= 52
     block_exps = (signs & 0x7FF).astype(np.int64)
@@ -165,15 +217,32 @@ def _run_sum(terms, starts):
                                      cuts, cuts[1:])]
 
 
-def _exact_sums(terms, starts):
-    """``math.fsum`` of each segment of ``terms`` (as in ``_run_sum``),
-    bit for bit: the run path for at least ``_SMALL`` terms, ``math.fsum``
-    for what it leaves."""
-    sums = (_run_sum(terms, starts) if len(terms) >= _SMALL
+def _exact_sums(terms, starts, weights=None):
+    """``math.fsum`` of each segment of ``terms``, weighted (as in
+    ``_run_sum``), bit for bit: the run path for at least ``_SMALL``
+    weighted terms, ``math.fsum`` of the expanded terms for what it
+    leaves."""
+    n = len(terms)
+    count = n if weights is None else weights[2]
+    if count == n:    # every weight is 1
+        weights = None
+    sums = (_run_sum(terms, starts, weights) if count >= _SMALL
             else [None] * len(starts))
-    ends = [*starts[1:], len(terms)]
-    return [math.fsum(terms[a:b].tolist()) if total is None else total
-            for total, a, b in zip(sums, starts, ends)]
+    ends = [*starts[1:], n]
+    return [math.fsum(_expanded(terms, weights, a, b)) if total is None
+            else total for total, a, b in zip(sums, starts, ends)]
+
+
+def _expanded(terms, weights, a, b):
+    """The weighted terms a..b - 1 as a list, each as often as it counts."""
+    if weights is None:
+        return terms[a:b].tolist()
+    m, pos, count = weights
+    reps = m[a:b]
+    if b == len(terms):    # the last term counts count - pos[-1] times
+        reps = reps.copy()
+        reps[-1] = count - pos[-1]
+    return np.repeat(terms[a:b], reps).tolist()
 
 
 def exact_sum(terms):
@@ -186,6 +255,47 @@ def exact_sum(terms):
     input goes to ``math.fsum``.  It is the one-segment ``_exact_sums``.
     """
     return _exact_sums(np.asarray(terms, dtype=np.float64), [0])[0]
+
+
+class Runs(NamedTuple):
+    """A sorted array as its runs of equal values, each value once with
+    its weight: ``np.repeat(values, weights)`` is the array.
+
+    A run longer than ``_RUN_WEIGHT`` is cut into pieces of at most that
+    many, so one value can appear more than once.  ``weights`` are uint8.
+    ``offsets``, int64 and one longer, are the running counts: offsets[r]
+    is the index of piece r's first entry in the array (the number of
+    entries before it), and offsets[-1] the length of the array.
+    """
+
+    values: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+
+def runs_of(lams):
+    """The ``Runs`` of an array; equal means equal bits."""
+    lams = np.asarray(lams, dtype=np.float64)
+    n = len(lams)
+    bits = lams.view(np.uint64)
+    edge = np.ones(n + 1, bool)    # where a run starts, and the end
+    np.not_equal(bits[1:], bits[:-1], out=edge[1:n])
+    offsets = np.flatnonzero(edge).astype(np.int64, copy=False)
+    size = np.diff(offsets)
+    if len(size) and size.max() > _RUN_WEIGHT:
+        # piece j of a run starts j * _RUN_WEIGHT after the run
+        pieces = -(-size // _RUN_WEIGHT)
+        before = np.repeat(np.cumsum(pieces) - pieces, pieces)
+        offsets = np.append(np.repeat(offsets[:-1], pieces)
+                            + (np.arange(len(before)) - before)
+                            * _RUN_WEIGHT, n)
+        size = np.diff(offsets)
+    return Runs(lams[offsets[:-1]], size.astype(np.uint8), offsets)
+
+
+def _as_runs(lams):
+    """``lams`` if it is a ``Runs``, else the runs of the array."""
+    return lams if isinstance(lams, Runs) else runs_of(lams)
 
 
 def _powers(t, p, out=None):
@@ -214,10 +324,11 @@ def _powers(t, p, out=None):
 def riesz_sum(lams, sigma, z):
     """Sum of (z - lam)**sigma over eigenvalues strictly below z.
 
-    ``lams`` must be sorted ascending.  For ``sigma == 0`` the value is the
-    strict counting function.  Negative ``sigma`` is permitted as long as no
-    eigenvalue equals ``z``.  Returns ``(value, count)``, the one-z row of
-    ``riesz_sums`` and its count.
+    ``lams`` is a sorted ascending array or its ``Runs``.  For
+    ``sigma == 0`` the value is the strict counting function.  Negative
+    ``sigma`` is permitted as long as no eigenvalue equals ``z``.  Returns
+    ``(value, count)``, the one-z row of ``riesz_sums`` and its count of
+    eigenvalues (with their multiplicities).
     """
     (value,), (count,) = _riesz_rows(lams, sigma, [z])
     return value, count
@@ -231,42 +342,73 @@ def riesz_sums(lams, sigma, zs):
 def _riesz_rows(lams, sigma, zs):
     """The Riesz sums and the counts below each z of ``zs``, as two lists.
 
-    The terms ``_powers(z - lams[:count], sigma)`` of consecutive z go into
-    one buffer of at most ``_CHUNK`` terms, one segment per z, added by one
+    A row's terms ``_powers(z - values[:size], sigma)`` are one per run
+    below z, weighted by its count.  The terms of consecutive z go into one
+    buffer of at most ``_CHUNK`` terms, one segment per z, added by one
     ``_exact_sums`` pass; a z with more terms is a batch of its own, and a
     batch of one z is summed without packing.
     """
-    lams = np.asarray(lams, dtype=float)
-    counts = lams.searchsorted(zs).tolist()    # bisect_left
+    values, m, offsets = _as_runs(lams)
+    sizes = values.searchsorted(zs)    # bisect_left
+    counts = offsets[sizes].tolist()
+    sizes = sizes.tolist()
     if sigma == 0.0:
         return [float(c) for c in counts], counts
-    out = [0.0] * len(counts)
-    rows = [i for i, c in enumerate(counts) if c]
+    out = [0.0] * len(sizes)
+    rows = [i for i, s in enumerate(sizes) if s]
     at = 0
     while at < len(rows):
-        end, size = at + 1, counts[rows[at]]
-        while end < len(rows) and size + counts[rows[end]] <= _CHUNK:
-            size += counts[rows[end]]
+        end, size = at + 1, sizes[rows[at]]
+        while end < len(rows) and size + sizes[rows[end]] <= _CHUNK:
+            size += sizes[rows[end]]
             end += 1
         batch = rows[at:end]
         if len(batch) == 1:    # nothing to pack
-            terms, starts = zs[batch[0]] - lams[:size], [0]
-        else:
-            terms = np.empty(size)
-            starts = [0, *accumulate(counts[i] for i in batch[:-1])]
-            for i, here in zip(batch, starts):
-                np.subtract(zs[i], lams[:counts[i]],
-                            out=terms[here:here + counts[i]])
-        sums = _exact_sums(_powers(terms, sigma, out=terms), starts)
+            i = batch[0]
+            terms, starts = zs[i] - values[:size], [0]
+            weights = m[:size], offsets[:size], counts[i]
+        else:    # positions run on across the rows
+            lengths = [sizes[i] for i in batch]
+            starts = [0, *accumulate(lengths[:-1])]
+            terms = np.repeat([zs[i] for i in batch], lengths)
+            terms -= np.concatenate([values[:s] for s in lengths])
+            before = [0, *accumulate(counts[i] for i in batch)]
+            pos = np.concatenate([offsets[:s] for s in lengths])
+            pos += np.repeat(before[:-1], lengths)
+            weights = (np.concatenate([m[:s] for s in lengths]), pos,
+                       before[-1])
+        sums = _exact_sums(_powers(terms, sigma, out=terms), starts, weights)
         for i, total in zip(batch, sums):
             out[i] = total
         at = end
     return out, counts
 
 
+def head_sum(lams, k, terms_of):
+    """Exact sum of ``terms_of(lams[:k])``, bit for bit ``math.fsum``.
+
+    ``terms_of`` maps an array of values to one term per value; it gets
+    the values of the runs that hold the first k entries, and each term is
+    weighted by its run's count among them (the last run cut at k).  A k
+    that is not an integer raises DomainError.
+    """
+    values, m, offsets = _as_runs(lams)
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"k must be an integer, got {k!r}") from None
+    k = min(k, int(offsets[-1]))
+    if k <= 0:
+        return 0.0
+    size = int(offsets.searchsorted(k))    # through the piece holding k
+    return _exact_sums(terms_of(values[:size]), [0],
+                       (m[:size], offsets[:size], k))[0]
+
+
 def power_sum(lams, k, p):
-    """Exact sum of lams[i]**p for i < k, with the terms of ``_powers``."""
-    return exact_sum(_powers(np.asarray(lams[:k], dtype=float), p))
+    """Exact sum of lams[i]**p for i < k, with the terms of ``_powers``;
+    ``lams`` is a sorted array or its ``Runs``."""
+    return head_sum(lams, k, lambda values: _powers(values, p))
 
 
 def prefix_sums(lams):

@@ -4,11 +4,22 @@ transform of the first-order mean, all evaluated from a :class:`Spectrum`.
 Counting is strict: N(z) = #{k : lambda_k < z}, matching the limit of
 (z - lambda)_+^sigma as sigma decreases to 0.  Every evaluation point must
 stay below the spectrum's completeness threshold.
+
+Every exact sum over a spectrum (a Riesz mean or a row of them, the mean
+square and power means, the geometric and harmonic means) builds and adds
+one term per run of equal eigenvalues, weighted by its multiplicity, with
+the bits of ``math.fsum`` over all n terms.  The runs (``_runs``: the
+distinct values, their multiplicities and running counts, a run longer
+than the kernels' weight bound in pieces) are cached on the spectrum on its
+first sum, and so are the logs of the geometric mean, one ``math.log`` per
+run.  A sum over the first k eigenvalues takes the runs up to the one that
+holds eigenvalue k, that one counted only up to k.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +62,7 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
     z above the completeness threshold.
     """
     _check_z(spec, z)
-    return _kernels.riesz_sum(spec.eigenvalues, float(sigma), float(z))
+    return _kernels.riesz_sum(_runs(spec), float(sigma), float(z))
 
 
 def riesz_row(spec: Spectrum, sigma: float, zs) -> list[float]:
@@ -59,7 +70,7 @@ def riesz_row(spec: Spectrum, sigma: float, zs) -> list[float]:
     summed a batch of z at a time, with the same checks on every z."""
     for z in zs:
         _check_z(spec, z)
-    return _kernels.riesz_sums(spec.eigenvalues, float(sigma),
+    return _kernels.riesz_sums(_runs(spec), float(sigma),
                                [float(z) for z in zs])
 
 
@@ -111,14 +122,21 @@ def counting(spec: Spectrum, z: float) -> int:
 
 
 def _cached(spec: Spectrum, name: str, compute):
-    """``compute(spec.eigenvalues)``, made read-only and kept on the
-    spectrum under ``name`` from its first use on."""
-    arr = spec._derived.get(name)
-    if arr is None:
-        arr = compute(spec.eigenvalues)
-        arr.setflags(write=False)
-        spec._derived[name] = arr
-    return arr
+    """``compute(spec.eigenvalues)``, an array or a tuple of arrays, made
+    read-only and kept on the spectrum under ``name`` from its first use
+    on."""
+    value = spec._derived.get(name)
+    if value is None:
+        value = compute(spec.eigenvalues)
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.setflags(write=False)
+        spec._derived[name] = value
+    return value
+
+
+def _runs(spec: Spectrum) -> _kernels.Runs:
+    """Cached runs of equal eigenvalues (``_kernels.runs_of``)."""
+    return _cached(spec, "runs", _kernels.runs_of)
 
 
 def eigensum_prefix(spec: Spectrum):
@@ -137,26 +155,36 @@ def square_prefix(spec: Spectrum):
 
 
 def _check_index(spec: Spectrum, k: int) -> None:
-    """DomainError unless 1 <= k <= n."""
+    """DomainError unless k is an integer (an ``int`` or a numpy integer)
+    with 1 <= k <= n."""
     n = len(spec.eigenvalues)
-    if not 1 <= k <= n:
-        raise DomainError(f"k must be in 1..{n}, got {k}")
+    try:
+        index = operator.index(k)
+    except TypeError:
+        index = 0
+    if not 1 <= index <= n:
+        raise DomainError(f"k must be an integer in 1..{n}, got {k}")
 
 
 def _power_mean(spec: Spectrum, k: int, sigma: float) -> float:
     """Power mean of order sigma in (0, 2] of the first k eigenvalues."""
+    _check_index(spec, k)
     if not 0 < sigma <= 2:
         raise DomainError(f"power-mean sigma must be in (0, 2], got {sigma}")
-    return (_kernels.power_sum(spec.eigenvalues, k, float(sigma)) / k) \
+    return (_kernels.power_sum(_runs(spec), k, float(sigma)) / k) \
         ** (1.0 / sigma)
 
 
 def _geometric_mean(spec: Spectrum, k: int) -> float:
-    return math.exp(_kernels.exact_sum(_logs(spec)[:k]) / k)
+    _check_index(spec, k)
+    logs = _logs(spec)
+    return math.exp(_kernels.head_sum(
+        _runs(spec), k, lambda values: logs[:len(values)]) / k)
 
 
 def _harmonic_mean(spec: Spectrum, k: int) -> float:
-    return k / _kernels.exact_sum(1.0 / spec.eigenvalues[:k])
+    _check_index(spec, k)
+    return k / _kernels.head_sum(_runs(spec), k, lambda values: 1.0 / values)
 
 
 def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
@@ -171,7 +199,7 @@ def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
     _check_index(spec, k)
     mean = eigensum_prefix(spec)[k - 1] / k
     mean_sq = _finite(
-        _or_inf(_kernels.power_sum, spec.eigenvalues, k, 2.0) / k,
+        _or_inf(_kernels.power_sum, _runs(spec), k, 2.0) / k,
         "means at k={}: mean_sq", k)
     power = {float(sigma): _finite(_or_inf(_power_mean, spec, k, sigma),
                                    "means at k={}: power mean of order {}",
@@ -192,13 +220,13 @@ def _math_logs(values):
 
 
 def _logs(spec: Spectrum):
-    """Cached read-only ``math.log`` of every eigenvalue, filled in chunk
-    by chunk.
+    """Cached read-only ``math.log`` of each run's value, one per entry of
+    ``_runs(spec).values``, filled in chunk by chunk.
 
     ``np.log`` can differ from ``math.log`` in the last bit, which would
     move the geometric mean.
     """
-    return _cached(spec, "logs", _math_logs)
+    return _cached(spec, "logs", lambda ev: _math_logs(_runs(spec).values))
 
 
 def legendre_R1(spec: Spectrum, w: float) -> float:

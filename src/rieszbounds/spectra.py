@@ -61,10 +61,13 @@ class Spectrum:
 
     Multiplicities are represented by repetition; values are kept exactly
     as computed, with no tolerance-based merging.  ``_derived`` holds the
-    read-only arrays computed from the eigenvalues (prefix sums, logs),
-    filled on first use by :mod:`rieszbounds.riesz`, and the memoryviews of
-    them and of the eigenvalues that :mod:`rieszbounds.verify` reads its
-    index margins' operands through.
+    read-only arrays computed from the eigenvalues, filled on first use by
+    :mod:`rieszbounds.riesz`: the prefix sums, the runs of equal
+    eigenvalues that every exact sum takes once each (distinct values,
+    multiplicities and running counts; nothing is built at construction),
+    and the logs of the geometric mean, one per run.  It also holds the
+    memoryviews of them and of the eigenvalues that
+    :mod:`rieszbounds.verify` reads its index margins' operands through.
     """
 
     dimension: int

@@ -122,12 +122,15 @@ class VerifyConfig:
 
 @dataclass
 class CheckResult:
-    """Outcome of one inequality id swept over all spectra and grids."""
+    """Outcome of one inequality id swept over all spectra and grids.
+
+    ``passed`` is None for a check with no points on any spectrum: it does
+    not apply, and reads ``N/A`` in text and null in JSON."""
 
     id: str
     grid: str
     n_points: int
-    passed: bool
+    passed: bool | None
     worst_margin: float
     witness: dict = field(default_factory=dict)
 
@@ -145,7 +148,7 @@ class VerificationReport:
 
     @property
     def all_passed(self) -> bool:
-        return (all(c.passed for c in self.checks)
+        return (all(c.passed is not False for c in self.checks)
                 and self.negative_control_ok)
 
     def to_json_dict(self) -> dict:
@@ -165,8 +168,8 @@ class VerificationReport:
                  f"{'worst margin':>14s}  witness"]
         for c in self.checks:
             wit = ", ".join(f"{k}={v}" for k, v in c.witness.items())
-            lines.append(f"{c.id:24s} {c.n_points:8d} "
-                         f"{'PASS' if c.passed else 'FAIL':>6s} "
+            status = {True: "PASS", False: "FAIL", None: "N/A"}[c.passed]
+            lines.append(f"{c.id:24s} {c.n_points:8d} {status:>6s} "
                          f"{c.worst_margin: .6e}  {wit}")
         for ctl in self.controls:
             status = "ok" if ctl["n_failed"] >= 1 else "VACUOUS"
@@ -452,7 +455,6 @@ def _moment(spec, k, sigma):
 
 
 def _moment_value(spec, k, sigma):
-    riesz._check_index(spec, k)
     if sigma == -1.0:
         return riesz._harmonic_mean(spec, k)
     if sigma == 0.0:
@@ -937,7 +939,7 @@ def sweep(specs: dict[str, Spectrum], cfg: VerifyConfig,
             grid, worst, witness = parts[0][0], math.inf, {}
         checks.append(CheckResult(
             id=check_id, grid=grid, n_points=n_points,
-            passed=bool(n_points > 0 and worst >= -SLACK),
+            passed=bool(worst >= -SLACK) if n_points else None,
             worst_margin=float(worst) if n_points else math.nan,
             witness=witness))
     return checks

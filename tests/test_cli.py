@@ -452,6 +452,31 @@ class TestVerifyCommand:
                 if line.startswith(("cor32_abhh ", "eq36_next "))] == \
             ["nan", "nan"]
 
+    def test_check_without_points_is_not_applicable(self, capsys, tmp_path):
+        # the [pi, pi] square below 10 has no eq36_next point (k runs
+        # from 4 to n - 1 = 3); every other check passes
+        path = str(tmp_path / "square_pi.txt")
+        spectra.write_spectrum(spectra.box_spectrum([math.pi, math.pi],
+                                                    10.0), path)
+        code, out, _ = run_cli(capsys, "verify", "--spectrum", path)
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:4]
+                for line in out.splitlines()[1:]
+                if not line.startswith(("negative", "suite"))}
+        assert rows["eq36_next"] == ["0", "N/A", "nan"]
+        assert all(row[1] == "PASS" for name, row in rows.items()
+                   if name != "eq36_next")
+        assert out.endswith("suite result: ALL PASS\n")
+        code, out, _ = run_cli(capsys, "verify", "--spectrum", path,
+                               "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["all_passed"] is True
+        checks = {c["id"]: c for c in report["checks"]}
+        assert checks["eq36_next"]["passed"] is None
+        assert all(c["passed"] is True for name, c in checks.items()
+                   if name != "eq36_next")
+
     def test_z_max_config_error(self, capsys, spec_file):
         for z_max in ("5000", "nan"):
             code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,

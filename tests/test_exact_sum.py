@@ -1,4 +1,5 @@
-"""Exact summation: ``exact_sum`` must return the bits of ``math.fsum`` and
+"""Exact summation: ``exact_sum`` and the weighted run path must return the
+bits of ``math.fsum`` (of the repeated terms, when weighted), and
 ``prefix_sums`` those of the Shewchuk reference in ``tests/oracles.py``."""
 
 import math
@@ -492,3 +493,283 @@ class TestRunPathFallback:
     def test_ineligible_input_falls_back(self, x):
         assert _run_one(x) is None
         _assert_same(x)
+
+
+WEIGHT = pykernels._RUN_WEIGHT
+
+
+def _weights(m, count=None):
+    """``_run_sum``'s (m, pos, count): the weights, the position of each
+    term among the weighted terms, and the number of weighted terms
+    summed, all of them by default."""
+    m = np.asarray(m, np.uint8)
+    pos = np.cumsum(m, dtype=np.int64) - m
+    return m, pos, int(pos[-1] + m[-1]) if count is None else count
+
+
+def _repeated(terms, weights):
+    """The weighted terms as a list, the last one cut to the count."""
+    m, pos, count = weights
+    reps = m.astype(np.int64)
+    reps[-1] = count - pos[-1]
+    return np.repeat(terms, reps).tolist()
+
+
+def _head(terms, m, k):
+    """The terms and ``_run_sum`` weights of the first k repeated terms."""
+    size = int(np.cumsum(m).searchsorted(k)) + 1
+    return terms[:size], _weights(m[:size], k)
+
+
+def _assert_weighted(terms, weights):
+    """``_exact_sums`` of the weighted terms, and ``_run_sum`` where it
+    takes them, have the bits of ``math.fsum`` of the repeated terms;
+    returns the run path's sum or None."""
+    want = _outcome(math.fsum, _repeated(terms, weights))
+    assert _outcome(lambda t: pykernels._exact_sums(t, [0], weights)[0],
+                    terms) == want
+    run = pykernels._run_sum(terms, [0], weights)[0]
+    if run is not None:
+        assert _bits(run) == want
+    return run
+
+
+@st.composite
+def weighted_arrays(draw):
+    """Sorted normal terms (``monotone_arrays``, cut to a few hundred) with
+    weights all at the bound, all just under it, of 1 and the bound mixed,
+    or any; the last term counted in full or cut."""
+    x = draw(monotone_arrays())[:draw(st.integers(1, 700))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["bound", "under", "mixed", "any"]))
+    n = len(x)
+    m = {"bound": lambda: np.full(n, WEIGHT),
+         "under": lambda: np.full(n, WEIGHT - 1),
+         "mixed": lambda: rng.choice([1, WEIGHT - 1, WEIGHT], n),
+         "any": lambda: rng.integers(1, WEIGHT + 1, n)}[kind]()
+    full = _weights(m)
+    cut = draw(st.integers(0, int(m[-1]) - 1))
+    return x, _weights(m, full[2] - cut)
+
+
+class TestWeightedRunPath:
+    """A term of weight m counts m times: every weighted sum has the bits
+    of ``math.fsum`` of the repeated terms."""
+
+    @given(weighted_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_fsum(self, case):
+        _assert_weighted(*case)
+
+    @pytest.mark.parametrize("lead", [1, 2, WEIGHT // 2, WEIGHT - 1, WEIGHT])
+    @pytest.mark.parametrize("weight", [WEIGHT - 1, WEIGHT])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_block_bound_with_largest_mantissas(self, lead, weight, sign):
+        # every term 2**e * (1 - 2**-53), the largest mantissa: a block of
+        # total weight 2**11 sums to just below 2**64, and one more term
+        # of any weight would wrap; the leading weight moves where the
+        # blocks fall
+        for e in (0, 11, -30):
+            x = np.full(300, sign * np.nextafter(2.0**e, 0.0))
+            m = np.full(300, weight)
+            m[0] = lead
+            assert _assert_weighted(x, _weights(m)) is not None
+            assert _assert_weighted(x, _weights(m, int(m.sum()) - 1)) \
+                is not None
+
+    def test_blocks_reach_the_bound(self):
+        # with all weights at the bound some blocks weigh exactly 2**11
+        m, pos, count = _weights(np.full(64, WEIGHT))
+        edges = pos.searchsorted(np.arange(pykernels._RUN_STEP, pos[-1] + 1,
+                                           pykernels._RUN_STEP))
+        weights = np.diff(np.concatenate(([0], pos[edges], [count])))
+        assert weights.max() == RUN_BLOCK
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 7])
+    def test_longer_than_a_chunk(self, n):
+        # the weighted bits are made a chunk of terms at a time
+        rng = np.random.default_rng(n)
+        x = np.sqrt(1e6 - np.sort(rng.uniform(1.0, 9e5, n)))
+        m = rng.choice([1, 2, WEIGHT], n, p=[0.6, 0.399, 0.001])
+        m[-1] = 2
+        assert _assert_weighted(x, _weights(m)) is not None
+        assert _assert_weighted(x, _weights(m, int(m.sum()) - 1)) \
+            is not None
+
+    def test_logs_across_one(self):
+        # logs of repeated eigenvalues below and at and above 1: negative
+        # terms, a zero, then positive terms
+        rng = np.random.default_rng(11)
+        values = np.sort(np.concatenate([np.linspace(0.3, 40.0, 400), [1.0]]))
+        runs = pykernels.runs_of(np.repeat(values,
+                                           rng.integers(1, 300, len(values))))
+        logs = np.array([math.log(v) for v in runs.values.tolist()])
+        for terms, m in ((logs, runs.weights), (-logs, runs.weights),
+                         (logs[::-1].copy(), runs.weights[::-1])):
+            assert _assert_weighted(terms, _weights(m)) is not None
+            assert _assert_weighted(*_head(terms, m, 5000)) is not None
+
+    @pytest.mark.parametrize("sigma", [-0.75, -0.5])
+    def test_ascending_riesz_terms(self, sigma):
+        # (z - lambda)**sigma grows along the sorted eigenvalues
+        rng = np.random.default_rng(12)
+        values = np.sort(rng.uniform(1.0, 1e4, 900))
+        terms = np.power(1.5e4 - values, sigma)
+        m = rng.integers(1, WEIGHT + 1, len(values))
+        assert _assert_weighted(terms, _weights(m)) is not None
+        assert _assert_weighted(*_head(terms, m, 30000)) is not None
+
+    def test_segments_with_running_totals(self):
+        # packed rows: each segment a prefix of one weighted array, the
+        # running totals carried across the segments
+        rng = np.random.default_rng(13)
+        values = np.sort(rng.uniform(1.0, 100.0, 600))
+        m = rng.integers(1, WEIGHT + 1, len(values)).astype(np.uint8)
+        sizes = [600, 17, 250, 1, 400]
+        terms = np.concatenate([np.sqrt(120.0 - values[:s]) for s in sizes])
+        weights = _weights(np.concatenate([m[:s] for s in sizes]))
+        starts = np.cumsum([0] + sizes[:-1])
+        sums = pykernels._exact_sums(terms, starts, weights)
+        for s, got in zip(sizes, sums):
+            want = math.fsum(np.repeat(np.sqrt(120.0 - values[:s]),
+                                       m[:s]).tolist())
+            assert _bits(got) == _bits(want)
+
+
+class TestWeightedFallback:
+    """Weighted input the run path leaves goes to ``math.fsum`` of the
+    repeated terms."""
+
+    @pytest.mark.parametrize("x", [
+        np.sort(np.ldexp(0.75, np.arange(-1070, -900))),       # subnormal
+        np.linspace(1e300, 1.7e308, 300),                      # overflow
+        np.sort(np.concatenate([np.linspace(1.0, 2.0, 200),    # a zero
+                                -np.linspace(1.0, 2.0, 200)])),  # total
+        np.concatenate([np.linspace(1.0, 2.0, 200),            # unsorted
+                        -np.linspace(1.0, 2.0, 200)]),
+    ], ids=["subnormal", "near-overflow", "zero-total", "unsorted"])
+    def test_ineligible_input_falls_back(self, x):
+        m = np.full(len(x), WEIGHT)
+        assert _assert_weighted(x, _weights(m)) is None
+
+    def test_near_overflow_by_weight_alone(self):
+        # 1024 terms far from overflow whose weighted sum is not
+        x = np.full(1024, 2.0**1010)
+        assert _assert_weighted(x, _weights(np.full(1024, WEIGHT))) is None
+
+    def test_short_input_is_summed_by_fsum(self):
+        x = np.linspace(1.0, 2.0, 9)
+        weights = _weights(np.full(9, 100))
+        assert weights[2] < SMALL
+        _assert_weighted(x, weights)
+        assert _bits(pykernels._exact_sums(x, [0], weights)[0]) == \
+            _bits(math.fsum(_repeated(x, weights)))
+
+
+class TestRuns:
+    """``runs_of`` keeps each value once with its multiplicity, a run
+    longer than ``_RUN_WEIGHT`` in pieces, and the kernels sum the runs as
+    they sum the array."""
+
+    @pytest.mark.parametrize("size", [WEIGHT - 1, WEIGHT, WEIGHT + 1,
+                                      RUN_BLOCK - 1, RUN_BLOCK,
+                                      RUN_BLOCK + 1, 19305])
+    def test_runs_at_and_over_the_bound(self, size):
+        lams = np.repeat([1.5, 2.0, 2.0 + 2**-51, 7.25], [3, size, 1, size])
+        runs = pykernels.runs_of(lams)
+        assert np.array_equal(np.repeat(runs.values, runs.weights), lams)
+        assert runs.weights.max() <= WEIGHT
+        assert runs.offsets.tolist() == \
+            [0, *np.cumsum(runs.weights).tolist()]
+        assert len(runs.values) == 2 + 2 * -(-size // WEIGHT)
+        for k in (1, 3, 4, size, size + 3, size + 4, len(lams)):
+            for p in (0.5, 2.0):
+                assert _bits(pykernels.power_sum(runs, k, p)) == \
+                    _bits(math.fsum(np.power(lams[:k], p).tolist()))
+        for z in (2.0, 2.5, 8.0):
+            for sigma in (0.5, 2.5):
+                got = pykernels.riesz_sum(runs, sigma, z)
+                below = lams[lams < z]
+                assert got[1] == len(below)
+                assert _bits(got[0]) == _bits(
+                    math.fsum(np.power(z - below, sigma).tolist()))
+
+    def test_equal_means_equal_bits(self):
+        runs = pykernels.runs_of([-0.0, 0.0, 0.0, 1.0])
+        assert runs.weights.tolist() == [1, 2, 1]
+        assert [math.copysign(1.0, v) for v in runs.values[:2]] == \
+            [-1.0, 1.0]
+
+    def test_empty(self):
+        runs = pykernels.runs_of([])
+        assert len(runs.values) == len(runs.weights) == 0
+        assert runs.offsets.tolist() == [0]
+        assert pykernels.power_sum(runs, 3, 2.0) == 0.0
+        assert pykernels.riesz_sum(runs, 1.0, 2.0) == (0.0, 0)
+
+
+@pytest.fixture(scope="module", params=["ball10", "ball3", "square"])
+def repeated_spectrum(request):
+    """Spectra with repeated eigenvalues: the unit 10-ball below 300
+    (38,532 eigenvalues, 18 distinct, one of multiplicity 19,305), the
+    unit 3-ball below 2000 and the unit square below 5000."""
+    from rieszbounds import spectra
+    return {"ball10": lambda: spectra.ball_spectrum(10, 1.0, 300.0),
+            "ball3": lambda: spectra.ball_spectrum(3, 1.0, 2000.0),
+            "square": lambda: spectra.box_spectrum([1.0, 1.0], 5000.0),
+            }[request.param]()
+
+
+class TestSpectrumSums:
+    """Riesz means, rows of them and every field of ``means`` equal
+    ``math.fsum`` of the terms of all n eigenvalues, on spectra with
+    repeated eigenvalues and on their corrupted twins."""
+
+    SIGMAS = [-0.75, -0.5, 0.0, 0.25, 0.5, 1.0, 2.5, 5.0]
+    ORDERS = [0.25, 0.5, 1.0, 1.5, 2.0]
+
+    @pytest.fixture(params=["genuine", "twin"])
+    def spec(self, request, repeated_spectrum):
+        from rieszbounds import verify
+        if request.param == "twin":
+            return verify.corrupt_spectrum(repeated_spectrum)
+        return repeated_spectrum
+
+    @staticmethod
+    def _fsum(terms):
+        return _bits(math.fsum(terms.tolist()))
+
+    def test_riesz_values_and_rows(self, spec):
+        from rieszbounds import riesz, verify
+        ev = spec.eigenvalues
+        zs = verify.z_grid(spec, verify.VerifyConfig(z_points=40))
+        for sigma in self.SIGMAS:
+            want = [self._fsum(np.power(z - ev[ev < z], sigma)) for z in zs]
+            assert [_bits(v) for v in riesz.riesz_row(spec, sigma, zs)] \
+                == want
+            for z, bits in list(zip(zs, want))[::5]:
+                value, count = riesz.riesz_value(spec, sigma, z)
+                assert count == np.count_nonzero(ev < z)
+                assert _bits(value) == bits
+
+    def test_means_fields(self, spec):
+        from rieszbounds import riesz
+        ev = spec.eigenvalues
+        n = len(ev)
+        offsets = riesz._runs(spec).offsets
+        ks = {1, 2, n // 3, n // 2, n - 1, n}
+        for r in (1, 2, len(offsets) // 2, len(offsets) - 2):
+            ks |= {int(offsets[r]) - 1, int(offsets[r]), int(offsets[r]) + 1}
+        for k in sorted(k for k in ks if 1 <= k <= n):
+            m = riesz.means(spec, k, self.ORDERS)
+            head = ev[:k]
+            assert _bits(m.mean) == _bits(math.fsum(head.tolist()) / k)
+            assert _bits(m.mean_sq) == \
+                _bits(math.fsum(np.power(head, 2.0).tolist()) / k)
+            for s in self.ORDERS:
+                assert _bits(m.power_means[s]) == _bits(
+                    (math.fsum(np.power(head, s).tolist()) / k) ** (1 / s))
+            assert _bits(m.geometric) == _bits(math.exp(
+                math.fsum([math.log(x) for x in head.tolist()]) / k))
+            assert _bits(m.harmonic) == _bits(k / math.fsum(
+                (1.0 / head).tolist()))

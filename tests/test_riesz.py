@@ -98,6 +98,53 @@ class TestMeans:
             riesz.means(square_pi, len(square_pi) + 1)
 
 
+class TestIndexGuard:
+    """An index k that is not an integer in 1..n raises DomainError naming
+    k, in ``means`` and in each index helper of the weighted sums; an
+    integral numpy integer is an index like an ``int``."""
+
+    BAD = [2.5, math.nan, 3.0, "3", 0, -1]
+
+    @staticmethod
+    def _helpers():
+        from rieszbounds import _kernels
+        return {
+            "means": lambda spec, k: riesz.means(spec, k, [0.5]),
+            "power_mean": lambda spec, k: riesz._power_mean(spec, k, 0.5),
+            "geometric": riesz._geometric_mean,
+            "harmonic": riesz._harmonic_mean,
+            "head_sum": lambda spec, k: _kernels.head_sum(
+                riesz._runs(spec), k, lambda values: values),
+            "power_sum": lambda spec, k: _kernels.power_sum(
+                riesz._runs(spec), k, 2.0),
+        }
+
+    @pytest.mark.parametrize("k", BAD, ids=repr)
+    @pytest.mark.parametrize("name", ["means", "power_mean", "geometric",
+                                      "harmonic"])
+    def test_non_index_raises_domain_error(self, square_pi, name, k):
+        with pytest.raises(DomainError, match=f"got {k}"):
+            self._helpers()[name](square_pi, k)
+
+    @pytest.mark.parametrize("k", [2.5, math.nan, 3.0, "3"], ids=repr)
+    @pytest.mark.parametrize("name", ["head_sum", "power_sum"])
+    def test_kernel_non_integer_raises_domain_error(self, square_pi, name,
+                                                    k):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            self._helpers()[name](square_pi, k)
+
+    def test_means_beyond_n_names_k(self, square_pi):
+        n = len(square_pi)
+        with pytest.raises(DomainError, match=f"1..{n}, got {n + 1}"):
+            riesz.means(square_pi, n + 1)
+
+    @pytest.mark.parametrize("k", [1, 4, 141])
+    def test_numpy_integers_are_indices(self, square_pi, k):
+        for name, fn in self._helpers().items():
+            got, want = fn(square_pi, np.int64(k)), fn(square_pi, k)
+            assert got == want, name
+
+
 class TestMeansExactSum:
     """The vectorised geometric and harmonic means equal the scalar
     generator expressions they replaced, bit for bit."""
@@ -128,9 +175,15 @@ class TestMeansExactSum:
         assert len(spectra.box_spectrum([1.0, 1.0], 1e6)) > 2**16
 
     def test_logs_cached_read_only(self, spec):
+        # one log per run of equal eigenvalues, each math.log of its value
         logs = riesz._logs(spec)
+        runs = riesz._runs(spec)
         assert riesz._logs(spec) is logs
-        assert logs.tolist() == [math.log(x) for x in spec.eigenvalues]
+        assert len(logs) == len(runs.values)
+        assert [x.hex() for x in logs.tolist()] == \
+            [math.log(x).hex() for x in runs.values.tolist()]
+        assert [x.hex() for x in np.repeat(logs, runs.weights).tolist()] == \
+            [math.log(x).hex() for x in spec.eigenvalues.tolist()]
         with pytest.raises(ValueError):
             logs[0] = 0.0
 
@@ -145,7 +198,9 @@ class TestDerivedArrays:
     def test_cached_read_only_per_spectrum(self, square_pi, derived):
         arr = derived(square_pi)
         assert derived(square_pi) is arr
-        assert len(arr) == len(square_pi)
+        # the logs hold one entry per run of equal eigenvalues
+        assert len(arr) == (len(riesz._runs(square_pi).values)
+                            if derived is riesz._logs else len(square_pi))
         with pytest.raises(ValueError):
             arr[0] = 0.0
         twin = verify.corrupt_spectrum(square_pi)
