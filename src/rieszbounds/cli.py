@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 from . import bounds, riesz, spectra, specfun, verify
 from .errors import ResourceLimitError, RieszBoundsError
@@ -131,11 +132,9 @@ def _spectrum_from_args(args) -> spectra.Spectrum:
 
 def cmd_spectrum(args) -> int:
     spec = _spectrum_from_args(args)
-    if args.format == "csv":
-        _emit(spectra.spectrum_csv(spec, args.full_precision), args.output)
-        return 0
-    write = spectra._write_json if args.format == "json" \
-        else spectra._write_text
+    write = {"text": spectra._write_text, "json": spectra._write_json,
+             "csv": partial(spectra._write_csv,
+                            full_precision=args.full_precision)}[args.format]
     with _output_file(args.output) as fh:
         write(spec, fh)
     return 0

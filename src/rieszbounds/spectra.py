@@ -8,6 +8,7 @@ threshold; this is the main correctness contract of the whole toolkit.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -267,7 +268,7 @@ def weyl_asymptote(spec: Spectrum, k: int) -> float:
 #: lines per block that ``load_spectrum`` converts at once
 _LOAD_BLOCK = 1 << 16
 #: eigenvalues per write in ``write_spectrum`` and ``cli spectrum``
-#: (text and JSON)
+#: (text, CSV and JSON)
 _WRITE_CHUNK = 1 << 14
 
 
@@ -435,15 +436,26 @@ def write_spectrum(spec: Spectrum, path: str) -> None:
         _write_text(spec, fh)
 
 
-def spectrum_csv(spec: Spectrum, full_precision: bool = False) -> str:
-    """CSV export with columns (k, lambda_k).
+def _write_csv(spec: Spectrum, fh, full_precision: bool = False) -> None:
+    """Write the CSV export of ``spec``, columns (k, lambda_k), to the open
+    text file ``fh``, ``_WRITE_CHUNK`` rows per write.
 
     Each distinct value is formatted once per run of equal eigenvalues
-    (``_format_runs``, as in :func:`write_spectrum`), and the ``k`` column
-    is written per line; the bytes are those of formatting every line.
+    (``_format_runs``, as in :func:`_write_text`), and the ``k`` column is
+    written per line; the bytes are those of formatting every line.
     """
-    fmt = "{:.17g}" if full_precision else "{:.6g}"
-    lines = ["k,lambda_k"]
-    lines += [f"{k},{text}" for k, text in enumerate(
-        _format_runs(spec.eigenvalues, fmt.format), start=1)]
-    return "\n".join(lines) + "\n"
+    fmt = ("{:.17g}" if full_precision else "{:.6g}").format
+    fh.write("k,lambda_k\n")
+    ev = spec.eigenvalues
+    for start in range(0, len(ev), _WRITE_CHUNK):
+        texts = _format_runs(ev[start:start + _WRITE_CHUNK], fmt)
+        fh.write("".join([f"{k},{text}\n" for k, text in
+                          enumerate(texts, start=start + 1)]))
+
+
+def spectrum_csv(spec: Spectrum, full_precision: bool = False) -> str:
+    """CSV export with columns (k, lambda_k), as :func:`_write_csv`
+    writes it."""
+    buf = io.StringIO()
+    _write_csv(spec, buf, full_precision)
+    return buf.getvalue()

@@ -477,6 +477,22 @@ class TestVerifyCommand:
         assert all(c["passed"] is True for name, c in checks.items()
                    if name != "eq36_next")
 
+    def test_control_counts_only_checks_with_points(self, capsys,
+                                                    tmp_path):
+        # the [pi, pi] square below 10 with no volume: 21 checks, of which
+        # eq36_next has no point on the twin either
+        path = tmp_path / "square_pi.txt"
+        path.write_text("dim: 2\ncomplete_below: 10\n2\n5\n5\n8\n")
+        code, out, _ = run_cli(capsys, "verify", "--spectrum", str(path))
+        assert code == 0
+        assert "negative control [square_pi.txt]: 18/20 checks failed " \
+            "(ok)\n" in out
+        code, out, _ = run_cli(capsys, "verify", "--spectrum", str(path),
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["controls"] == [
+            {"spectrum": "square_pi.txt", "n_checks": 20, "n_failed": 18}]
+
     def test_z_max_config_error(self, capsys, spec_file):
         for z_max in ("5000", "nan"):
             code, _, err = run_cli(capsys, "verify", "--spectrum", spec_file,
@@ -518,6 +534,23 @@ class TestSpectrumText:
                 assert spectra.spectrum_csv(case, full) == csv, name
                 flags = ("--format", "csv") + ("--full-precision",) * full
                 assert run_cli(capsys, *load, *flags) == (0, csv, ""), name
+
+
+class TestSpectrumCsv:
+    def test_output_and_stdout_equal_oracle(self, capsys, tmp_path):
+        # more rows than one write chunk, with runs of equal eigenvalues
+        args = ["spectrum", "--box", "1", "1", "--lambda-max", "3e5"]
+        spec = spectra.box_spectrum([1.0, 1.0], 3e5)
+        assert len(spec) > spectra._WRITE_CHUNK
+        path = tmp_path / "out.csv"
+        for full in (False, True):
+            flags = ("--format", "csv") + ("--full-precision",) * full
+            csv = spectrum_csv(spec, full)
+            assert run_cli(capsys, *args, *flags) == (0, csv, "")
+            code, _, _ = run_cli(capsys, *args, *flags, "--output", str(path))
+            assert code == 0
+            assert path.read_bytes() == csv.encode()
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestSpectrumJson:

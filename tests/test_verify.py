@@ -1,7 +1,8 @@
 """Verification harness: passing suite on small grids, witness
 reproducibility, negative controls, and configuration errors."""
 
-import itertools
+import hashlib
+import inspect
 import math
 import struct
 import tracemalloc
@@ -254,11 +255,8 @@ class TestIndexGates:
             out = []
             for cid, grid, points in build(s, cfg, n_z):
                 if cid == check_id:
-                    points = verify._Points(
-                        lambda points=points: itertools.chain(points,
-                                                              bad_rows),
-                        len(points) + len(bad_rows), points.names,
-                        edges=[*points.edges, bad_rows[0]])
+                    bad_group = ((), list(zip(*bad_rows)), ())
+                    points = verify._Points(cid, [*points.groups, bad_group])
                 out.append((cid, grid, points))
             return out
 
@@ -345,6 +343,87 @@ class TestStreamedPoints:
         assert len(spec) == 15_782
         assert set(results) == {"eq224_ratio", "eq37_discrim"}
         assert peak < 2**19, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _row_digest(specs, cfg):
+    """SHA-256 over every family's rows, in order, on each spectrum and its
+    twin: each row named by its margin's signature and written in the key
+    order of ``oracles.POINT_KEYS``, so the digest does not depend on how
+    the rows are laid out."""
+    h = hashlib.sha256()
+    for spec in specs.values():
+        for twin in (spec, verify.corrupt_spectrum(spec)):
+            for check_id, grid, points in verify._build_points(
+                    twin, cfg, cfg.z_points):
+                names = list(inspect.signature(
+                    verify.MARGINS[check_id]).parameters)[1:]
+                keys = oracles.POINT_KEYS[check_id]
+                h.update(f"{check_id}|{grid}|{len(points)}\n".encode())
+                for row in points:
+                    named = dict(zip(names, row))
+                    order = (keys[named["form"]] if isinstance(keys, dict)
+                             else keys)
+                    h.update(repr([named[k] for k in order]).encode())
+    return h.hexdigest()
+
+
+class TestGoldenRows:
+    """Row membership and order of every family, pinned by digests taken
+    from the row builder that wrote out each family's rows, its count and
+    its parameter names by hand."""
+
+    DIGESTS = {
+        "default": "de7ddd80afad74d5ed12774feabf1874"
+                   "5c8a5c66fb7b52999162a2fdf59b0518",
+        "control": "d75b28440602b8918eeac5520826502c"
+                   "30014a27cfe2e6390688e2767d4b2fe6",
+        "nudged": "19e3cd40ef53c3adc2a29d67f7673dbc"
+                  "d13a3a96edfa83a8a93d5e3233abdddb",
+    }
+
+    @pytest.fixture(scope="class")
+    def default_specs(self):
+        return verify.default_spectra()
+
+    @pytest.mark.parametrize("case", ["default", "control"])
+    def test_rows_match_digest(self, default_specs, case):
+        cfg = verify.VerifyConfig()
+        if case == "control":
+            cfg = verify._control_config(cfg)
+        assert _row_digest(default_specs, cfg) == self.DIGESTS[case]
+
+    def test_sandwich_lower_rows_test_each_z(self, default_specs,
+                                             monkeypatch):
+        # the grid pair around cor23_sandwich's sigma = 2 threshold becomes
+        # one z just above it and, after it, one just below it
+        z_grid = verify.z_grid
+
+        def nudged(spec, cfg, n=None):
+            zs = z_grid(spec, cfg, n)
+            thr = (1 + 4 / spec.dimension) * spec.lambda_1
+            i = next(i for i, z in enumerate(zs) if z >= thr)
+            zs[i - 1:i + 1] = [thr * (1 + 1e-9), thr * (1 - 1e-9)]
+            return zs
+
+        monkeypatch.setattr(verify, "z_grid", nudged)
+        cfg = verify.VerifyConfig()
+        assert _row_digest(default_specs, cfg) == self.DIGESTS["nudged"]
+        spec = default_specs["square_1x1"]
+        zs = verify.z_grid(spec, cfg)
+        thr = (1 + 4 / spec.dimension) * spec.lambda_1
+        assert any(a >= thr > b for a, b in zip(zs, zs[1:]))
+        s_ge2 = [s for s in cfg.sigma_grid if s >= 2]
+        want = []
+        for s in s_ge2:
+            thr = (1 + 2 * s / spec.dimension) * spec.lambda_1
+            for z in zs:
+                want.append((s, z, "upper"))
+                if z >= thr:
+                    want.append((s, z, "lower"))
+        points = {c: p for c, _, p in verify._build_points(
+            spec, cfg, cfg.z_points)}["cor23_sandwich"]
+        assert list(points) == want
+        assert len(points) == len(want)
 
 
 def _bits(x):
@@ -659,7 +738,7 @@ class TestHandAnchors:
 
     def test_counting_chain_instance(self, square_pi_200):
         # N(9) R_2(9) >= R_1(9)^2: 4 * 82 >= 16^2
-        m = verify.margin_hoelder_chain(square_pi_200, "counting", 9.0,
+        m = verify.margin_hoelder_chain(square_pi_200, "counting", z=9.0,
                                         sigma=2.0)
         assert m == pytest.approx((4 - 256 / 82) / 4, rel=1e-12)
 
