@@ -1,13 +1,15 @@
 """Benchmark the summation kernels.
 
 Times the exact primitives against their references at n = 10^3 .. 10^6
-and checks bit-equality as it goes: ``math.fsum`` against ``exact_sum`` on
-the Riesz, power, reciprocal and log terms of a sorted spectrum; the
+and checks bit-equality as it goes: ``math.fsum`` against ``exact_sum``
+(the weighted run path with every weight 1) on the Riesz, power,
+reciprocal and log terms of a sorted spectrum; the
 Shewchuk loop of ``tests/oracles.py`` against ``prefix_sums`` on the
 eigenvalues and on their squares, and on subnormal terms, runs of +0.0
 and terms from 1e-300 to 1e300; ``math.fsum`` of the ``np.power``
-terms against ``riesz_sum`` on the runs of the eigenvalues at sigma = 1/2,
-1, 2 and 5/2; per-z ``math.fsum`` of the ``np.power`` terms against the
+terms against ``riesz_sum`` on the weighted ``Runs`` of the eigenvalues
+(the only input the Riesz and head sums take) at sigma = 1/2, 1, 2 and
+5/2; per-z ``math.fsum`` of the ``np.power`` terms against the
 rows of ``riesz_sums`` on the runs (one weighted term per distinct value),
 on the default ``verify`` z grid of the 3-ball below 2000, the
 10-ball below 300 and the unit square below 1e6, timed against per-z

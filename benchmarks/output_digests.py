@@ -4,10 +4,13 @@ Runs each invocation below as ``python -m rieszbounds.cli`` in a fresh
 process and prints ``sha256  name`` for its standard output, one line per
 artifact: ``verify`` (JSON at full precision for seeds 0, 1 and 7, and
 text), tables 1-3 and figures 1-3 at both precisions, ``bounds --list``,
-and the spectrum of the unit square and the unit 3-ball in text, CSV and
-JSON.  The child processes import ``rieszbounds`` the way this process
-would, so ``PYTHONPATH`` selects the tree under test.  Two trees give
-byte-identical output exactly when their digest lists are equal:
+the spectrum of the unit square and the unit 3-ball in text, CSV and
+JSON, and on both spectra, at full precision, ``riesz --z`` at sigma =
+1/2, 1 and 5/2, ``riesz --means`` at a k inside a run of equal
+eigenvalues, and ``riesz --legendre``.  The child processes import
+``rieszbounds`` the way this process would, so ``PYTHONPATH`` selects the
+tree under test.  Two trees give byte-identical output exactly when their
+digest lists are equal:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > head.txt
     PYTHONPATH=../base/src python3 benchmarks/output_digests.py > base.txt
@@ -22,6 +25,11 @@ import sys
 
 BOX = ["--box", "1", "1", "--lambda-max", "2000"]
 BALL = ["--ball", "--dim", "3", "--radius", "1", "--lambda-max", "2000"]
+#: per spectrum: z values (the middle one a repeated eigenvalue, which
+#: R_sigma leaves out with its whole run) and a k inside a run of equal
+#: eigenvalues (entries 57-60 of the square, 2554-2610 of the 3-ball)
+RIESZ = (("box", BOX, ["100", "838.9163740925954", "1999"], 58),
+         ("ball3", BALL, ["100", "1190.6837456015562", "1999"], 2581))
 
 
 def _invocations():
@@ -40,6 +48,14 @@ def _invocations():
         for fmt in ("text", "csv", "json"):
             yield f"spectrum-{name}-{fmt}", ["spectrum", *domain,
                                              "--format", fmt]
+    for name, domain, zs, k in RIESZ:
+        riesz = ["riesz", *domain, "--full-precision"]
+        for sigma in ("0.5", "1", "2.5"):
+            yield (f"riesz-{name}-z-sigma{sigma}",
+                   [*riesz, "--sigma", sigma, "--z", *zs])
+        yield f"riesz-{name}-means", [*riesz, "--means", str(k)]
+        yield f"riesz-{name}-legendre", [*riesz, "--legendre", "0.5", "10",
+                                         "100"]
 
 
 def main() -> int:

@@ -4,14 +4,14 @@
 of a sorted spectrum) run by run of equal sign and binary exponent, and
 leaves short, unsorted or out-of-range input to ``math.fsum``.  The same
 run path adds many sorted segments of one array at once, one sum per
-segment; ``exact_sum`` is its one-segment case.  The run path also takes
-integer weights, a term of weight m counting m times: it then sums
-m * (the term's bits) in blocks of total weight at most 2**11, whose
-mantissa sums stay below 2**11 * 2**53 = 2**64 (the proof is in
-``pykernels``).  ``runs_of`` turns a sorted array into its ``Runs``, each
+segment.  Every term has an integer weight, a term of weight m counting m
+times: the run path sums m * (the term's bits) in blocks of total weight
+at most 2**11, whose mantissa sums stay below 2**11 * 2**53 = 2**64 (the
+proof is in ``pykernels``); ``exact_sum`` is its one-segment case with
+every weight 1.  ``runs_of`` turns a sorted array into its ``Runs``, each
 distinct value once with its multiplicity; ``riesz_sum``, ``riesz_sums``,
-``power_sum`` and ``head_sum`` take the runs (or build them from an
-array) and add one weighted term per distinct value.
+``power_sum`` and ``head_sum`` take weighted ``Runs`` only and add one
+weighted term per distinct value.
 ``prefix_sums`` keeps the exact running sum of non-negative finite terms
 in 32-bit limb columns and rounds each prefix once (other input raises
 ``DomainError``).  ``riesz_sums`` is the one builder of Riesz terms: it

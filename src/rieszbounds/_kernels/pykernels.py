@@ -13,15 +13,15 @@ returns.
   input, and a zero result, go to ``math.fsum`` itself.
 - The run path (``_run_sum``) takes an array cut into segments, each
   sorted on its own, and returns one sum per segment, each with its own
-  least exponent and its own fallback to ``math.fsum``; ``exact_sum`` is
-  the one-segment case.  It takes optional integer weights: a term of
-  weight m counts m times, and a block's mantissa sum is the sum of
-  m * (its term's bits), so each distinct eigenvalue's term is built and
-  added once however often the eigenvalue repeats.
+  least exponent and its own fallback to ``math.fsum``.  Every term has an
+  integer weight: a term of weight m counts m times, and a block's
+  mantissa sum is the sum of m * (its term's bits), so each distinct
+  eigenvalue's term is built and added once however often the eigenvalue
+  repeats.  ``exact_sum`` is the one-segment case with every weight 1.
 - ``Runs`` (built by ``runs_of``) is a sorted array as its runs of equal
   values with their weights.  ``riesz_sum``, ``riesz_sums``, ``power_sum``
-  and ``head_sum`` take a sorted array or its ``Runs`` (from an array they
-  build the runs first), and add one weighted term per run.
+  and ``head_sum`` take weighted ``Runs`` only, and add one weighted term
+  per run.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
@@ -35,15 +35,15 @@ mantissa M < 2**53, and a block holds terms of one sign and exponent.  Its
 uint64 sum of (weight times bits) is taken modulo 2**64, so it is exact
 when the block's total weight is at most ``_RUN_BLOCK`` = 2**11: then the
 true mantissa sum is below 2**11 * 2**53 = 2**64.  A weight is at most
-W = ``_RUN_WEIGHT`` (W = 1 without weights).  Let C_i, the position of
-term i among the weighted terms, be the total weight of the terms before
-it.  The blocks are cut at every run and segment start and at the first
-term whose C_i reaches each multiple of the step S = 2**11 + 1 - W
-(``_RUN_STEP``; 2**11 without weights).  The terms of one block then have
-their C_i in one [q S, (q + 1) S), and with its first term f and last
-term i the block weighs C_i + m_i - C_f <= ((q + 1) S - 1) + W - q S,
-that is S - 1 + W = 2**11.  Cutting at multiples of 2**11 itself would
-let a block hold 2**11 plus one weight, and overflow.
+W = ``_RUN_WEIGHT``.  Let C_i, the position of term i among the weighted
+terms, be the total weight of the terms before it.  The blocks are cut at
+every run and segment start and at the first term whose C_i reaches each
+multiple of the step S = 2**11 + 1 - W (``_RUN_STEP``).  The terms of one
+block then have their C_i in one [q S, (q + 1) S), and with its first
+term f and last term i the block weighs
+C_i + m_i - C_f <= ((q + 1) S - 1) + W - q S, that is S - 1 + W = 2**11.
+Cutting at multiples of 2**11 itself would let a block hold 2**11 plus
+one weight, and overflow.
 """
 
 import math
@@ -85,7 +85,7 @@ _MARK = 1 << 8
 _STRETCH = np.arange(_MARK + 1)
 
 
-def _run_sum(terms, starts, weights=None):
+def _run_sum(terms, starts, weights):
     """Exact sum of each segment of sorted, finite, non-subnormal terms far
     enough from overflow; None for any other segment, or for an exact zero.
 
@@ -93,13 +93,12 @@ def _run_sum(terms, starts, weights=None):
     from 0; a segment ends where the next one starts, the last at the end
     of ``terms``.  The result is a list of one sum per segment.
 
-    ``weights`` is None, each term counted once, or ``(m, pos, count)``:
-    the integer weight m[i] of each term (1 to ``_RUN_WEIGHT``), the
-    position pos[i] = m[0] + ... + m[i - 1] of each term among the weighted
-    terms of the whole array, and their number, pos[-1] < count <=
-    pos[-1] + m[-1], so that the last term counts count - pos[-1] times.  The
-    sums are those of the weighted terms, ``np.repeat(terms, m)`` cut to
-    ``count``.
+    ``weights`` is ``(m, pos, count)``: the integer weight m[i] of each
+    term (1 to ``_RUN_WEIGHT``), the position pos[i] = m[0] + ... +
+    m[i - 1] of each term among the weighted terms of the whole array, and
+    their number, pos[-1] < count <= pos[-1] + m[-1], so that the last term
+    counts count - pos[-1] times.  The sums are those of the weighted
+    terms, ``np.repeat(terms, m)`` cut to ``count``.
 
     Along sorted terms the sign and the biased exponent E change
     monotonically, so the terms of a segment with one sign and exponent
@@ -116,7 +115,8 @@ def _run_sum(terms, starts, weights=None):
     nonzero exponent, and rounded once.
     """
     n = len(terms)
-    count = n if weights is None else int(weights[2])
+    m, pos, count = weights
+    count = int(count)
     starts = np.asarray(starts, np.intp)
     bad = np.zeros(len(starts), bool)
     first = terms[starts]
@@ -176,26 +176,19 @@ def _run_sum(terms, starts, weights=None):
     if bad.all():
         return [None] * len(starts)
     # block edges: the runs and segment starts, the end, and the first
-    # term whose position among the weighted terms (i without weights)
-    # reaches each multiple of the step
-    if weights is None:
-        grid = np.arange(_RUN_BLOCK, n, _RUN_BLOCK)
-    else:
-        m, pos, _ = weights
-        last = int(pos[-1])
-        grid = pos.searchsorted(np.arange(_RUN_STEP, last + 1, _RUN_STEP))
+    # term whose position among the weighted terms reaches each multiple
+    # of the step
+    last = int(pos[-1])
+    grid = pos.searchsorted(np.arange(_RUN_STEP, last + 1, _RUN_STEP))
     edges = np.concatenate((grid, runs, [n]))
     edges.sort()
-    if weights is None:
-        sums = np.add.reduceat(bits, edges[:-1])
-    else:
-        sums = np.add.reduceat(bits * m, edges[:-1])
-        excess = int(m[-1]) - (count - last)    # the last term counts
-        if excess:                              # count - last times
-            sums[-1:] -= bits[-1:] * np.uint64(excess)
+    sums = np.add.reduceat(bits * m, edges[:-1])
+    excess = int(m[-1]) - (count - last)    # the last term counts
+    if excess:                              # count - last times
+        sums[-1:] -= bits[-1:] * np.uint64(excess)
     signs = bits[edges[:-1]] & _SIGN_EXP
     # block weights from the positions of the edges, the count at the end
-    at = edges if weights is None else np.append(pos[edges[:-1]], count)
+    at = np.append(pos[edges[:-1]], count)
     counts = (at[1:] - at[:-1]).astype(np.uint64)
     sums -= counts * (signs - (1 << 52))
     signs >>= 52
@@ -217,31 +210,25 @@ def _run_sum(terms, starts, weights=None):
                                      cuts, cuts[1:])]
 
 
-def _exact_sums(terms, starts, weights=None):
+def _exact_sums(terms, starts, weights):
     """``math.fsum`` of each segment of ``terms``, weighted (as in
     ``_run_sum``), bit for bit: the run path for at least ``_SMALL``
     weighted terms, ``math.fsum`` of the expanded terms for what it
     leaves."""
-    n = len(terms)
-    count = n if weights is None else weights[2]
-    if count == n:    # every weight is 1
-        weights = None
-    sums = (_run_sum(terms, starts, weights) if count >= _SMALL
+    sums = (_run_sum(terms, starts, weights) if weights[2] >= _SMALL
             else [None] * len(starts))
-    ends = [*starts[1:], n]
+    ends = [*starts[1:], len(terms)]
     return [math.fsum(_expanded(terms, weights, a, b)) if total is None
             else total for total, a, b in zip(sums, starts, ends)]
 
 
 def _expanded(terms, weights, a, b):
     """The weighted terms a..b - 1 as a list, each as often as it counts."""
-    if weights is None:
-        return terms[a:b].tolist()
     m, pos, count = weights
     reps = m[a:b]
     if b == len(terms):    # the last term counts count - pos[-1] times
         reps = reps.copy()
-        reps[-1] = count - pos[-1]
+        reps[-1:] = count - pos[-1:]    # none if there are no terms
     return np.repeat(terms[a:b], reps).tolist()
 
 
@@ -252,14 +239,18 @@ def exact_sum(terms):
     zero, and non-finite input gives ``math.fsum``'s result or exception.
     Sorted input of at least ``_SMALL`` terms takes the run path when its
     terms are finite, not subnormal and far enough from overflow; all other
-    input goes to ``math.fsum``.  It is the one-segment ``_exact_sums``.
+    input goes to ``math.fsum``.  It is the one-segment ``_exact_sums``
+    with every weight 1.
     """
-    return _exact_sums(np.asarray(terms, dtype=np.float64), [0])[0]
+    terms = np.asarray(terms, dtype=np.float64)
+    n = len(terms)
+    return _exact_sums(terms, [0], (np.ones(n, np.uint8), np.arange(n), n))[0]
 
 
 class Runs(NamedTuple):
     """A sorted array as its runs of equal values, each value once with
-    its weight: ``np.repeat(values, weights)`` is the array.
+    its weight: ``np.repeat(values, weights)`` is the array.  The Riesz
+    and head sums take weighted ``Runs`` only.
 
     A run longer than ``_RUN_WEIGHT`` is cut into pieces of at most that
     many, so one value can appear more than once.  ``weights`` are uint8.
@@ -293,11 +284,6 @@ def runs_of(lams):
     return Runs(lams[offsets[:-1]], size.astype(np.uint8), offsets)
 
 
-def _as_runs(lams):
-    """``lams`` if it is a ``Runs``, else the runs of the array."""
-    return lams if isinstance(lams, Runs) else runs_of(lams)
-
-
 def _powers(t, p, out=None):
     """``np.power(t, p)`` for a scalar ``p``, bit for bit, into ``out``
     (None or ``t``); at ``p == 1`` the result is ``t`` itself.  A power
@@ -321,25 +307,25 @@ def _powers(t, p, out=None):
         return np.power(t, p, out=out)
 
 
-def riesz_sum(lams, sigma, z):
+def riesz_sum(runs, sigma, z):
     """Sum of (z - lam)**sigma over eigenvalues strictly below z.
 
-    ``lams`` is a sorted ascending array or its ``Runs``.  For
+    ``runs`` are the weighted ``Runs`` of the eigenvalues.  For
     ``sigma == 0`` the value is the strict counting function.  Negative
     ``sigma`` is permitted as long as no eigenvalue equals ``z``.  Returns
     ``(value, count)``, the one-z row of ``riesz_sums`` and its count of
     eigenvalues (with their multiplicities).
     """
-    (value,), (count,) = _riesz_rows(lams, sigma, [z])
+    (value,), (count,) = _riesz_rows(runs, sigma, [z])
     return value, count
 
 
-def riesz_sums(lams, sigma, zs):
-    """``riesz_sum(lams, sigma, z)[0]`` for each z of ``zs``, as a list."""
-    return _riesz_rows(lams, sigma, zs)[0]
+def riesz_sums(runs, sigma, zs):
+    """``riesz_sum(runs, sigma, z)[0]`` for each z of ``zs``, as a list."""
+    return _riesz_rows(runs, sigma, zs)[0]
 
 
-def _riesz_rows(lams, sigma, zs):
+def _riesz_rows(runs, sigma, zs):
     """The Riesz sums and the counts below each z of ``zs``, as two lists.
 
     A row's terms ``_powers(z - values[:size], sigma)`` are one per run
@@ -348,7 +334,7 @@ def _riesz_rows(lams, sigma, zs):
     ``_exact_sums`` pass; a z with more terms is a batch of its own, and a
     batch of one z is summed without packing.
     """
-    values, m, offsets = _as_runs(lams)
+    values, m, offsets = runs
     sizes = values.searchsorted(zs)    # bisect_left
     counts = offsets[sizes].tolist()
     sizes = sizes.tolist()
@@ -384,15 +370,16 @@ def _riesz_rows(lams, sigma, zs):
     return out, counts
 
 
-def head_sum(lams, k, terms_of):
-    """Exact sum of ``terms_of(lams[:k])``, bit for bit ``math.fsum``.
+def head_sum(runs, k, terms_of):
+    """Exact sum of the terms of the first k entries of the weighted
+    ``Runs``, bit for bit ``math.fsum``.
 
     ``terms_of`` maps an array of values to one term per value; it gets
     the values of the runs that hold the first k entries, and each term is
     weighted by its run's count among them (the last run cut at k).  A k
     that is not an integer raises DomainError.
     """
-    values, m, offsets = _as_runs(lams)
+    values, m, offsets = runs
     try:
         k = operator.index(k)
     except TypeError:
@@ -405,10 +392,10 @@ def head_sum(lams, k, terms_of):
                        (m[:size], offsets[:size], k))[0]
 
 
-def power_sum(lams, k, p):
-    """Exact sum of lams[i]**p for i < k, with the terms of ``_powers``;
-    ``lams`` is a sorted array or its ``Runs``."""
-    return head_sum(lams, k, lambda values: _powers(values, p))
+def power_sum(runs, k, p):
+    """Exact sum of lam**p over the first k entries of the weighted
+    ``Runs``, with the terms of ``_powers``."""
+    return head_sum(runs, k, lambda values: _powers(values, p))
 
 
 def prefix_sums(lams):

@@ -222,8 +222,18 @@ def cmd_verify(args) -> int:
         inject_corruption=args.inject_corruption)
     verify.check_config(cfg)
     if args.spectrum:
-        specs = {os.path.basename(p): spectra.load_spectrum(p)
-                 for p in args.spectrum}
+        # a spectrum's label is its file name; one label must not hide
+        # another spectrum
+        paths = {}
+        for path in args.spectrum:
+            label = os.path.basename(path)
+            if label in paths:
+                raise RieszBoundsError(
+                    f"spectra {paths[label]} and {path} share the label "
+                    f"{label!r}")
+            paths[label] = path
+        specs = {label: spectra.load_spectrum(path)
+                 for label, path in paths.items()}
     else:
         specs = verify.default_spectra()
     report = verify.run_suite(specs, cfg)
@@ -236,30 +246,33 @@ def cmd_verify(args) -> int:
 
 
 TABLE1_COLUMNS = (
-    ("eq_3_4_j1", lambda d, k: bounds.simple_p9(d, k)),
-    ("cy_av", lambda d, k: bounds.cy_av(d, k)),
-    ("her2", lambda d, k: bounds.her2(d, k)),
-    ("ab94_avg", lambda d, k: bounds.ab94_avg(d, k)),
-    ("fk_weyl_avg", lambda d, k: bounds.fk_weyl_avg(d, k)),
+    ("eq_3_4_j1", bounds.simple_p9),
+    ("cy_av", bounds.cy_av),
+    ("her2", bounds.her2),
+    ("ab94_avg", bounds.ab94_avg),
+    ("fk_weyl_avg", bounds.fk_weyl_avg),
 )
+
+#: the dimensions of the comparison tables
+TABLE_DIMS = range(2, 8)
 
 
 def _table2_k(d: int) -> int:
     return int(math.floor((d + 1) * (1 + d / 2) / (1 + d / 4))) + 1
 
 
-def table_rows(table_id: str, d_range=range(2, 8)):
+def table_rows(table_id: str):
     """Row data for the three comparison tables."""
     if table_id == "table1":
         header = ["d", "k"] + [name for name, _ in TABLE1_COLUMNS]
         rows = [[str(d), "127"] + [fn(d, 127) for _, fn in TABLE1_COLUMNS]
-                for d in d_range]
+                for d in TABLE_DIMS]
         return header, rows
     if table_id == "table2":
         header = ["d", "k", "abhh_over_fk_weyl_avg",
                   "cheng_yang2_avg_over_fk_weyl_avg"]
         rows = []
-        for d in d_range:
+        for d in TABLE_DIMS:
             k = _table2_k(d)
             ref = bounds.fk_weyl_avg(d, k)
             rows.append([str(d), str(k), bounds.abhh(d, k) / ref,
@@ -269,7 +282,7 @@ def table_rows(table_id: str, d_range=range(2, 8)):
         header = ["d", "eq_3_4_j1_over_fk_weyl_avg",
                   "cy_av_over_fk_weyl_avg"]
         rows = []
-        for d in d_range:
+        for d in TABLE_DIMS:
             ref = bounds.fk_coeff(d) / (1 + 2 / d)
             rows.append([str(d), bounds.simple_p9_coeff(d) / ref,
                          bounds.cy_av_coeff(d) / ref])

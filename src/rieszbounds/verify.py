@@ -785,9 +785,9 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
 _CHUNK = 256
 
 
-def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
-           ids=None):
-    """Run margin sweeps on one spectrum, optionally restricted to ids.
+def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, ids=None):
+    """Run margin sweeps on one spectrum, optionally restricted to ids,
+    on a grid of ``cfg.z_points`` z values.
 
     A family with a validity gate runs it at its edge rows before its
     first point.  Its margins are then computed ``_CHUNK`` rows at a time
@@ -806,7 +806,7 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, n_z: int,
     _riesz_memo[spec] = _RieszTable(spec)
     _moment_memo[spec] = {}
     try:
-        for check_id, grid, points in _build_points(spec, cfg, n_z):
+        for check_id, grid, points in _build_points(spec, cfg, cfg.z_points):
             if ids is not None and check_id not in ids:
                 continue
             margin = partial(MARGINS[check_id], spec)
@@ -879,8 +879,7 @@ def sweep(specs: dict[str, Spectrum], cfg: VerifyConfig,
     merged: dict[str, list] = {}
     order: list[str] = []
     for label, spec in specs.items():
-        for check_id, res in _sweep(label, spec, cfg, cfg.z_points,
-                                    ids=ids).items():
+        for check_id, res in _sweep(label, spec, cfg, ids=ids).items():
             if check_id not in merged:
                 merged[check_id] = []
                 order.append(check_id)
@@ -946,7 +945,7 @@ def run_suite(specs: dict[str, Spectrum],
     ctl_cfg = _control_config(cfg)
     for label, spec in specs.items():
         twin = corrupt_spectrum(spec)
-        res = _sweep(f"control:{label}", twin, ctl_cfg, ctl_cfg.z_points)
+        res = _sweep(f"control:{label}", twin, ctl_cfg)
         n_failed = sum(1 for _, npts, worst, _ in res.values()
                        if npts > 0 and worst < -SLACK)
         n_checks = sum(1 for _, npts, _, _ in res.values() if npts > 0)

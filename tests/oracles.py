@@ -260,7 +260,7 @@ def point_dict(check_id, fn, row) -> dict:
     return {key: bound[key] for key in keys}
 
 
-def dict_sweep(label, spec, cfg, n_z, ids=None):
+def dict_sweep(label, spec, cfg, ids=None):
     """``verify._sweep`` as it ran when every point was a keyword dict:
     ``fn(spec, **params)`` per point, the first strict minimum kept and
     its dict copied into the witness.
@@ -270,7 +270,8 @@ def dict_sweep(label, spec, cfg, n_z, ids=None):
     results = {}
     verify._riesz_memo[spec] = verify._RieszTable(spec)
     try:
-        for check_id, grid, points in verify._build_points(spec, cfg, n_z):
+        for check_id, grid, points in verify._build_points(spec, cfg,
+                                                             cfg.z_points):
             if ids is not None and check_id not in ids:
                 continue
             fn = verify.MARGINS[check_id]

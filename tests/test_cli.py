@@ -388,6 +388,24 @@ class TestVerifyCommand:
         assert err.startswith("error:")
         assert name in err
 
+    def test_repeated_label_exits_2_before_any_spectrum(self, capsys,
+                                                        monkeypatch,
+                                                        tmp_path):
+        # a spectrum is labelled by its file name: a/s.txt and b/s.txt
+        # would share one entry, and one of them would go unverified
+        def no_spectrum(*args):
+            raise AssertionError("a spectrum was loaded")
+
+        monkeypatch.setattr(cli.spectra, "load_spectrum", no_spectrum)
+        first = str(tmp_path / "a" / "s.txt")
+        second = str(tmp_path / "b" / "s.txt")
+        code, out, err = run_cli(capsys, "verify", "--spectrum", first,
+                                 "--spectrum", second)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert first in err and second in err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_magnitude_exits_2(self, capsys, tmp_path, scale):

@@ -384,8 +384,8 @@ def monotone_arrays(draw):
 
 
 def _run_one(terms):
-    """The run path's sum of ``terms`` as one segment."""
-    return pykernels._run_sum(terms, [0])[0]
+    """The run path's sum of ``terms`` as one segment, every weight 1."""
+    return pykernels._run_sum(terms, [0], _weights(np.ones(len(terms))))[0]
 
 
 class TestRunPath:
@@ -400,8 +400,8 @@ class TestRunPath:
     @pytest.mark.parametrize("n", [RUN_BLOCK + 1, 2 * CHUNK + 7])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_one_run_of_largest_mantissas(self, n, sign):
-        # every term 2 - 2**-52: each block sum is as close to 2**64 as
-        # it gets, and the one run is longer than a block and a chunk
+        # every term 2 - 2**-52: each block of _RUN_STEP unit weights sums
+        # near 2**64, and the one run is longer than a block and a chunk
         x = np.full(n, sign * np.nextafter(2.0, 0.0))
         assert _bits(_run_one(x)) == _bits(math.fsum(x.tolist()))
 
@@ -444,8 +444,8 @@ class TestRunPath:
             assert _bits(run) == _bits(math.fsum(terms.tolist()))
 
     def test_run_starts_on_the_block_grid(self):
-        # each run starts where a block of _RUN_BLOCK terms starts
-        x = np.repeat([1.5, 2.5, 5.0, 5.5, 13.0], RUN_BLOCK)
+        # each run starts where a block of _RUN_STEP unit weights starts
+        x = np.repeat([1.5, 2.5, 5.0, 5.5, 13.0], pykernels._RUN_STEP)
         x[::3] += 2.0**-40
         x.sort()
         assert _bits(_run_one(x)) == _bits(math.fsum(x.tolist()))

@@ -21,7 +21,8 @@ class TestPureKernel:
     @settings(max_examples=200, deadline=None)
     def test_matches_fsum_oracle(self, lams, sigma, z):
         lams = np.sort(np.asarray(lams))
-        value, count = pykernels.riesz_sum(lams, sigma, z)
+        runs = pykernels.runs_of(lams)
+        value, count = pykernels.riesz_sum(runs, sigma, z)
         below = [x for x in lams if x < z]
         assert count == len(below)
         if sigma == 0.0:
@@ -31,9 +32,9 @@ class TestPureKernel:
         assert value == pytest.approx(expected, rel=1e-14, abs=1e-300)
 
     def test_power_sum(self):
-        lams = np.array([1.0, 2.0, 3.0, 4.0])
-        assert pykernels.power_sum(lams, 3, 2.0) == pytest.approx(14.0)
-        assert pykernels.power_sum(lams, 4, 1.0) == pytest.approx(10.0)
+        runs = pykernels.runs_of([1.0, 2.0, 3.0, 4.0])
+        assert pykernels.power_sum(runs, 3, 2.0) == pytest.approx(14.0)
+        assert pykernels.power_sum(runs, 4, 1.0) == pytest.approx(10.0)
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e6),
                     min_size=1, max_size=200))
@@ -79,7 +80,7 @@ class TestTermShortcuts:
         rng = np.random.default_rng(3)
         lams = np.sort(rng.uniform(19.7, 1e5, 5000))
         z = 8e4
-        value, idx = pykernels.riesz_sum(lams, sigma, z)
+        value, idx = pykernels.riesz_sum(pykernels.runs_of(lams), sigma, z)
         assert idx == np.count_nonzero(lams < z)
         assert value == math.fsum(np.power(z - lams[:idx], sigma).tolist())
 
@@ -89,7 +90,7 @@ class TestTermShortcuts:
         lams = np.sort(rng.uniform(19.7, 1e5, 5000))
         lams.setflags(write=False)    # the terms must not overwrite lams
         k = 4321
-        assert pykernels.power_sum(lams, k, p) == \
+        assert pykernels.power_sum(pykernels.runs_of(lams), k, p) == \
             math.fsum(np.power(lams[:k], p).tolist())
 
 
@@ -138,20 +139,22 @@ class TestRieszRows:
     @settings(max_examples=150, deadline=None)
     def test_rows_equal_riesz_sum(self, rows, sigma):
         lams, zs = rows
-        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
-            _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
-        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+        runs = pykernels.runs_of(lams)
+        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+            _hex(pykernels.riesz_sum(runs, sigma, z)[0] for z in zs)
+        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
             _hex(_fsum_rows(lams, sigma, zs))
 
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_ball_rows_where_np_power_is_not_libm_pow(self, sigma):
         spec = spectra.ball_spectrum(3, 1.0, 2000.0)
         lams = spec.eigenvalues
+        runs = pykernels.runs_of(lams)
         zs = [lams[0] / 2, *np.geomspace(lams[0] * (1 + 1e-6), 1900.0, 200)
               .tolist()]
-        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
-            _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
-        assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+            _hex(pykernels.riesz_sum(runs, sigma, z)[0] for z in zs)
+        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
             _hex(_fsum_rows(lams, sigma, zs))
         terms = 1900.0 - lams[lams < 1900.0]
         assert np.power(terms, 2.5).tolist() != \
@@ -160,11 +163,12 @@ class TestRieszRows:
     def test_rows_longer_than_the_buffer(self):
         rng = np.random.default_rng(6)
         lams = np.sort(rng.uniform(1.0, 100.0, pykernels._CHUNK + 5000))
+        runs = pykernels.runs_of(lams)
         zs = [50.0, 99.0, 100.5, 30.0, 100.5, 0.5]
         for sigma in (0.5, 2.5):
-            assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
-                _hex(pykernels.riesz_sum(lams, sigma, z)[0] for z in zs)
-            assert _hex(pykernels.riesz_sums(lams, sigma, zs)) == \
+            assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+                _hex(pykernels.riesz_sum(runs, sigma, z)[0] for z in zs)
+            assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
                 _hex(_fsum_rows(lams, sigma, zs))
 
     def test_stretch_across_a_row_start_with_equal_end_exponents(self):
@@ -173,9 +177,10 @@ class TestRieszRows:
         # [2, 4), with the dip of the row before it in between
         lams = np.sort(np.concatenate([np.linspace(0.001, 2.0, 1490),
                                        np.linspace(2.05, 2.95, 10)]))
+        runs = pykernels.runs_of(lams)
         zs = [4.0] * 40
-        rows = pykernels.riesz_sums(lams, 1.0, zs)
-        assert _hex(rows) == _hex([pykernels.riesz_sum(lams, 1.0, 4.0)[0]]
+        rows = pykernels.riesz_sums(runs, 1.0, zs)
+        assert _hex(rows) == _hex([pykernels.riesz_sum(runs, 1.0, 4.0)[0]]
                                   * 40)
         assert rows[0] == math.fsum((4.0 - lams).tolist())
         assert _hex(rows) == _hex(_fsum_rows(lams, 1.0, zs))
@@ -192,13 +197,17 @@ class TestRieszRows:
         rng = np.random.default_rng(7)
         lams = np.sort(np.concatenate([z * rng.uniform(0.0, 0.9, 3000),
                                        z - gap * rng.uniform(1.0, 2.0, 50)]))
+        runs = pykernels.runs_of(lams)
         zs = [z, z / 2, z * (1 + 1e-15)]
-        assert _hex(pykernels.riesz_sums(lams, 2.0, zs)) == \
-            _hex(pykernels.riesz_sum(lams, 2.0, z)[0] for z in zs)
-        assert _hex(pykernels.riesz_sums(lams, 2.0, zs)) == \
+        assert _hex(pykernels.riesz_sums(runs, 2.0, zs)) == \
+            _hex(pykernels.riesz_sum(runs, 2.0, z)[0] for z in zs)
+        assert _hex(pykernels.riesz_sums(runs, 2.0, zs)) == \
             _hex(_fsum_rows(lams, 2.0, zs))
         with np.errstate(over="ignore"):
             rows = [np.power(x - lams[lams < x], 2.0) for x in zs]
         starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
-        sums = pykernels._run_sum(np.concatenate(rows), starts)
+        terms = np.concatenate(rows)
+        n = len(terms)
+        ones = np.ones(n, np.uint8), np.arange(n), n
+        sums = pykernels._run_sum(terms, starts, ones)
         assert (sums[0] is not None) == run

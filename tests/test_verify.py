@@ -84,7 +84,8 @@ class TestRieszMemo:
             return margin(s, *row)
 
         monkeypatch.setitem(verify.MARGINS, "thm21_diff1", spy)
-        verify._sweep("disk", spec, SMALL, 10, ids={"thm21_diff1"})
+        verify._sweep("disk", spec, replace(SMALL, z_points=10),
+                      ids={"thm21_diff1"})
         assert tables and tables[-1]
         assert spec not in verify._riesz_memo
 
@@ -96,7 +97,7 @@ class TestRieszMemo:
 
         monkeypatch.setitem(verify.MARGINS, "thm21_diff1", boom)
         with pytest.raises(RuntimeError):
-            verify._sweep("square", spec, SMALL, 10)
+            verify._sweep("square", spec, replace(SMALL, z_points=10))
         assert spec not in verify._riesz_memo
 
     def test_memo_counts_only_misses(self, small_specs, monkeypatch):
@@ -109,7 +110,7 @@ class TestRieszMemo:
             return riesz_value(s, sigma, z)
 
         monkeypatch.setattr(verify, "riesz_value", counting_riesz_value)
-        verify._sweep("square", spec, SMALL, SMALL.z_points)
+        verify._sweep("square", spec, SMALL)
         assert len(calls) == len(set(calls))
 
 
@@ -134,7 +135,7 @@ class TestRieszMemo:
 
         monkeypatch.setattr(verify, "riesz_value", counting_value)
         monkeypatch.setattr(verify, "riesz_row", counting_row)
-        verify._sweep("disk", spec, cfg, cfg.z_points)
+        verify._sweep("disk", spec, cfg)
         assert calls["value"] <= 3 * cfg.hoelder_samples + 22
         assert 0 < calls["row"] <= 22
 
@@ -151,7 +152,7 @@ class TestRieszMemo:
 
         monkeypatch.setattr(riesz, "counting", no_counting)
         assert verify.margin_cor29_counting(spec, j=3, z=z) == expected
-        result = verify._sweep("disk", spec, SMALL, SMALL.z_points,
+        result = verify._sweep("disk", spec, SMALL,
                                ids={"cor29_counting", "hoelder_chain"})
         assert set(result) == {"cor29_counting", "hoelder_chain"}
 
@@ -180,7 +181,7 @@ class TestMomentMemo:
 
         monkeypatch.setitem(verify.MARGINS, "moment_interpolation", spy)
         monkeypatch.setattr(verify, "_moment_value", counting_value)
-        verify._sweep("square", spec, SMALL, SMALL.z_points, ids=self.IDS)
+        verify._sweep("square", spec, SMALL, ids=self.IDS)
         assert spec not in verify._moment_memo
         assert seen and sorted(computed) == sorted(seen)
         for (k, sigma), value in seen.items():
@@ -203,7 +204,7 @@ class TestMomentMemo:
         monkeypatch.setitem(verify.MARGINS, "moment_ordering", spy)
         monkeypatch.setitem(verify.MARGINS, "moment_interpolation", boom)
         with pytest.raises(RuntimeError):
-            verify._sweep("disk", spec, SMALL, SMALL.z_points, ids=self.IDS)
+            verify._sweep("disk", spec, SMALL, ids=self.IDS)
         assert filled and filled[-1] > 0
         assert spec not in verify._moment_memo
         assert spec not in verify._riesz_memo
@@ -235,7 +236,7 @@ class TestIndexGates:
         monkeypatch.setitem(verify.MARGINS, check_id,
                             lambda s, *row: calls.append(row))
         with pytest.raises(ValidityError, match="d=11 exceeds"):
-            verify._sweep("d11", dim11, SMALL, SMALL.z_points,
+            verify._sweep("d11", dim11, SMALL,
                           ids={check_id})
         assert calls == []
 
@@ -264,7 +265,7 @@ class TestIndexGates:
         monkeypatch.setitem(verify.MARGINS, check_id,
                             lambda s, *row: calls.append(row) or 1.0)
         with pytest.raises(ValidityError, match=message):
-            verify._sweep("square", spec, SMALL, SMALL.z_points,
+            verify._sweep("square", spec, SMALL,
                           ids={check_id})
         assert calls == []
 
@@ -285,7 +286,7 @@ class TestIndexGates:
         spec = small_specs["square"]
         n = len(spec)
         calls = self._gate_calls(monkeypatch)
-        verify._sweep("square", spec, SMALL, SMALL.z_points)
+        verify._sweep("square", spec, SMALL)
         j_list = verify._index_list(n, SMALL.j_count)
         assert set(calls) == set(GATED)
         assert calls["eq224_ratio"] == [(j, j) for j in j_list if j < n]
@@ -296,7 +297,7 @@ class TestIndexGates:
                                                   monkeypatch):
         calls = self._gate_calls(monkeypatch)
         verify._sweep("square", small_specs["square"], SMALL,
-                      SMALL.z_points, ids={"cor32_abhh", "yang_simplified"})
+                      ids={"cor32_abhh", "yang_simplified"})
         assert calls == {"cor32_abhh": [(4,)]}
 
 
@@ -319,7 +320,7 @@ class TestStreamedPoints:
         spec = spectra.box_spectrum([1.0, 1.0], 1e5)
         tracemalloc.start()
         try:
-            results = verify._sweep("square", spec, SMALL, SMALL.z_points)
+            results = verify._sweep("square", spec, SMALL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,7 +336,7 @@ class TestStreamedPoints:
         riesz.square_prefix(spec)
         tracemalloc.start()
         try:
-            results = verify._sweep("square", spec, SMALL, SMALL.z_points,
+            results = verify._sweep("square", spec, SMALL,
                                     ids={"eq224_ratio", "eq37_discrim"})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -447,8 +448,8 @@ def _assert_sweep_equals_dict_oracle(specs):
     witness, in its key order, on each spectrum and its twin."""
     for label, spec in specs.items():
         for twin in (spec, verify.corrupt_spectrum(spec)):
-            got = verify._sweep(label, twin, SMALL, SMALL.z_points)
-            want = oracles.dict_sweep(label, twin, SMALL, SMALL.z_points)
+            got = verify._sweep(label, twin, SMALL)
+            want = oracles.dict_sweep(label, twin, SMALL)
             assert list(got) == list(want)
             assert set(got) == set(verify.MARGINS)
             for check_id, (grid, n, worst, witness) in want.items():
@@ -503,7 +504,7 @@ class TestPointRows:
                 assert fresh._derived == {}
                 for swept in (False, True):
                     if swept:
-                        verify._sweep("twin", fresh, SMALL, SMALL.z_points)
+                        verify._sweep("twin", fresh, SMALL)
                     for row in rows:
                         assert _bits(fn(fresh, *row)) == _bits(
                             oracles.index_margin(check_id, fresh, *row)), \
@@ -555,7 +556,7 @@ class TestPointRows:
         monkeypatch.setitem(verify.MARGINS, "hoelder_chain", overflow)
         with pytest.raises(DomainError, match="hoelder_chain cannot be "
                                               "evaluated"):
-            verify._sweep("disk", small_specs["disk"], SMALL, SMALL.z_points,
+            verify._sweep("disk", small_specs["disk"], SMALL,
                           ids={"yang_simplified", "hoelder_chain"})
 
     def test_overflow_names_the_point(self, small_specs, monkeypatch):
@@ -567,7 +568,7 @@ class TestPointRows:
                            r"evaluated on 'square' at \{'form': 'logconvex', "
                            r"'z': .*, 'sigma0': "):
             verify._sweep("square", small_specs["square"], SMALL,
-                          SMALL.z_points, ids={"hoelder_chain"})
+                          ids={"hoelder_chain"})
 
 
 class TestChunks:
@@ -593,7 +594,7 @@ class TestChunks:
         self._yang(monkeypatch, chunk, lambda s, k: {2: first, 4: second}
                    .get(k, 1.0))
         res = verify._sweep("disk", small_specs["disk"], SMALL,
-                            SMALL.z_points, ids={"yang_simplified"})
+                            ids={"yang_simplified"})
         _, _, worst, witness = res["yang_simplified"]
         assert _bits(worst) == _bits(first)
         assert witness == {"k": 2, "spectrum": "disk"}
@@ -602,7 +603,7 @@ class TestChunks:
         self._yang(monkeypatch, 3, lambda s, k: math.nan if k in (5, 7)
                    else 1.0 / k)
         with pytest.raises(DomainError) as info:
-            verify._sweep("disk", small_specs["disk"], SMALL, SMALL.z_points,
+            verify._sweep("disk", small_specs["disk"], SMALL,
                           ids={"yang_simplified"})
         assert str(info.value) == ("yang_simplified has a NaN margin on "
                                    "'disk' at {'k': 5}")
@@ -619,7 +620,7 @@ class TestChunks:
 
         self._yang(monkeypatch, 3, overflow_at_5)
         with pytest.raises(DomainError) as info:
-            verify._sweep("disk", small_specs["disk"], SMALL, SMALL.z_points,
+            verify._sweep("disk", small_specs["disk"], SMALL,
                           ids={"yang_simplified"})
         assert str(info.value) == ("yang_simplified cannot be evaluated on "
                                    "'disk' at {'k': 5}: "
