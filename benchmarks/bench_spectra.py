@@ -1,6 +1,14 @@
-"""Benchmark the spectrum text and JSON writers.
+"""Benchmark ball spectrum generation and the spectrum text and JSON
+writers.
 
-Times ``spectra._write_text`` and ``spectra._write_json`` into a
+Generation: ``spectra.ball_spectrum`` (one ``specfun.bessel_zeros``
+iteration per order, numpy assembly) against the per-zero reference of
+``tests/oracles.py`` (one ``specfun.bessel_zero`` call per zero, a Python
+list extended by multiplicity and sorted), each from an empty zero cache,
+on the disk below 1e5 and the 3-ball below 3e4.  The eigenvalues and the
+zero caches left behind are compared bit for bit.
+
+Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
 ``repr`` per line, and one ``json.dumps`` of a list of floats) on four
 spectra: the 3-ball below 3e4 and the disk below 1e5 (long runs of equal
@@ -10,7 +18,8 @@ values with no repeats.  Each writer and its reference are timed
 alternately, best of repeats, and their bytes are compared.
 
 Run:  python3 benchmarks/bench_spectra.py
-Exit status 1 if any writer's bytes differ from its reference's.
+Exit status 1 if any generated eigenvalue or cached zero differs in any bit
+from the reference's, or any writer's bytes differ from its reference's.
 """
 
 import io
@@ -20,10 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from rieszbounds import spectra
+from rieszbounds import specfun, spectra
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import spectrum_json, spectrum_text  # noqa: E402
+from oracles import (  # noqa: E402
+    ball_eigenvalues_per_zero,
+    spectrum_json,
+    spectrum_text,
+)
+
+#: (name, d, lambda_max) of the generated unit balls
+BALLS = (("disk, lambda < 1e5", 2, 1e5), ("ball d=3, lambda < 3e4", 3, 3e4))
 
 
 def _spectra():
@@ -65,8 +81,46 @@ def _time_pair(fns, spec, repeat):
     return best, texts
 
 
-def main() -> int:
+def _fresh_cache_run(fn, *args):
+    """``fn(*args)`` from an empty zero cache: its result, its time and
+    the cache it leaves, as bytes per order."""
+    specfun._zero_cache.clear()
+    t0 = time.perf_counter()
+    result = fn(*args)
+    elapsed = time.perf_counter() - t0
+    cache = [(nu, zeros.tobytes())
+             for nu, zeros in specfun._zero_cache.items()]
+    return result, elapsed, cache
+
+
+def _generation(repeat: int = 3) -> bool:
+    """Time ``ball_spectrum`` against the per-zero reference, run
+    alternately, best of ``repeat``; True if all bits agree."""
     ok = True
+    print(f"{'generated ball':<24}{'n':>10}{'zeros':>8}"
+          f"{'per-zero':>12}{'by order':>10}{'ratio':>8}  bits")
+    for name, d, lam_max in BALLS:
+        best = [float("inf"), float("inf")]
+        same = True
+        for _ in range(repeat):
+            ref, t_ref, ref_cache = _fresh_cache_run(
+                ball_eigenvalues_per_zero, d, 1.0, lam_max)
+            spec, t_new, cache = _fresh_cache_run(
+                spectra.ball_spectrum, d, 1.0, lam_max)
+            best = [min(best[0], t_ref), min(best[1], t_new)]
+            same &= (spec.eigenvalues.tobytes() == ref.tobytes()
+                     and cache == ref_cache)
+        ok &= same
+        zeros = sum(len(z) for _, z in cache) // 8
+        print(f"{name:<24}{len(ref):>10,}{zeros:>8,}"
+              f"{best[0] * 1e3:>10.1f}ms{best[1] * 1e3:>8.1f}ms"
+              f"{best[1] / best[0]:>8.2f}  {'equal' if same else 'DIFFER'}")
+    print()
+    return ok
+
+
+def main() -> int:
+    ok = _generation()
     print(f"{'spectrum':<24}{'format':>7}{'n':>10}{'repeats':>9}"
           f"{'per-value':>12}{'writer':>10}{'ratio':>8}  bytes")
     for name, spec in _spectra().items():

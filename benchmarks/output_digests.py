@@ -4,8 +4,10 @@ Runs each invocation below as ``python -m rieszbounds.cli`` in a fresh
 process and prints ``sha256  name`` for its standard output, one line per
 artifact: ``verify`` (JSON at full precision for seeds 0, 1 and 7, and
 text), tables 1-3 and figures 1-3 at both precisions, ``bounds --list``,
-the spectrum of the unit square and the unit 3-ball in text, CSV and
-JSON, and on both spectra, at full precision, ``riesz --z`` at sigma =
+``bounds --bessel-zeros`` (40 zeros of orders 0, 1/2 and 7) at both
+precisions, the spectrum of the unit square and the unit 3-ball in text,
+CSV and JSON, of the unit disk and a 4-ball of radius 1/2 in text, and
+on the square and the 3-ball, at full precision, ``riesz --z`` at sigma =
 1/2, 1 and 5/2, ``riesz --means`` at a k inside a run of equal
 eigenvalues, and ``riesz --legendre``.  The child processes import
 ``rieszbounds`` the way this process would, so ``PYTHONPATH`` selects the
@@ -25,6 +27,12 @@ import sys
 
 BOX = ["--box", "1", "1", "--lambda-max", "2000"]
 BALL = ["--ball", "--dim", "3", "--radius", "1", "--lambda-max", "2000"]
+#: further ball spectra, written as text only: the unit disk and a 4-ball
+#: of radius 1/2 (other orders and multiplicities, and r^2 != 1)
+BALLS_TEXT = (("disk", ["--ball", "--dim", "2", "--lambda-max", "5000"]),
+              ("ball4-r0.5", ["--ball", "--dim", "4", "--radius", "0.5",
+                              "--lambda-max", "2000"]))
+ZEROS = ["bounds", "--bessel-zeros", "0,0.5,7", "--zero-count", "40"]
 #: per spectrum: z values (the middle one a repeated eigenvalue, which
 #: R_sigma leaves out with its whole run) and a k inside a run of equal
 #: eigenvalues (entries 57-60 of the square, 2554-2610 of the 3-ball)
@@ -44,10 +52,14 @@ def _invocations():
             yield item, [kind, item]
             yield f"{item}-full", [kind, item, "--full-precision"]
     yield "bounds-list", ["bounds", "--list"]
+    yield "bounds-bessel-zeros", ZEROS
+    yield "bounds-bessel-zeros-full", [*ZEROS, "--full-precision"]
     for name, domain in (("box", BOX), ("ball3", BALL)):
         for fmt in ("text", "csv", "json"):
             yield f"spectrum-{name}-{fmt}", ["spectrum", *domain,
                                              "--format", fmt]
+    for name, domain in BALLS_TEXT:
+        yield f"spectrum-{name}-text", ["spectrum", *domain]
     for name, domain, zs, k in RIESZ:
         riesz = ["riesz", *domain, "--full-precision"]
         for sigma in ("0.5", "1", "2.5"):

@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 from functools import partial
+from itertools import islice
 
 from . import bounds, riesz, spectra, specfun, verify
 from .errors import ResourceLimitError, RieszBoundsError
@@ -190,8 +191,9 @@ def cmd_bounds(args) -> int:
             raise ResourceLimitError(
                 f"--zero-count {args.zero_count} for {len(orders)} order(s) "
                 f"exceeds cap {MAX_EXPORT_ZEROS} zeros")
-        rows = [[nu, p, specfun.bessel_zero(nu, p).value]
-                for nu in orders for p in range(1, args.zero_count + 1)]
+        rows = [[nu, p, value] for nu in orders
+                for p, value in enumerate(
+                    islice(specfun.bessel_zeros(nu), args.zero_count), 1)]
         _emit_rows(args, ["nu", "p", "zero"], rows)
         return 0
     if args.eval is not None:

@@ -25,13 +25,19 @@ is our own and caches the zeros of each order:
   replaced by bisection.
 * Every zero is then residual-verified: |J_nu(x)| <= RESIDUAL_TOL *
   max(1, |J_nu'(x)|), or ConvergenceError.
+
+``bessel_zero(nu, p)`` returns one zero; ``bessel_zeros(nu)`` iterates over
+the zeros of one order, for callers that read a whole order, such as the
+ball spectra.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,7 +97,9 @@ def _newton(nu: float, a, b, x, sign_a):
     running.  A lane stops when its Newton step is at most the absolute
     tolerance and returns that last step applied; a step that leaves the
     bracket is replaced by bisection, and a bracket shrunk below the
-    tolerance returns its midpoint.
+    tolerance returns its midpoint.  Results are written, and the lanes
+    compacted, only in an iteration where some lane stops; the arithmetic
+    is element-wise, so no lane's values depend on the others.
     """
     a, b, x, sign_a = (np.asarray(v, dtype=float) for v in (a, b, x, sign_a))
     out = np.empty(len(x))
@@ -107,15 +115,15 @@ def _newton(nu: float, a, b, x, sign_a):
             x_new = x - step
             polished = np.abs(step) <= tol
             mid = 0.5 * (a + b)
-            collapsed = ~polished & (b - a <= tol)
-            out[lanes[polished]] = x_new[polished]
-            out[lanes[collapsed]] = mid[collapsed]
-            run = ~(polished | collapsed)
-            if not run.any():
-                return out
-            x_new = np.where((a < x_new) & (x_new < b), x_new, mid)
-            a, b, x, sign_a, lanes = (
-                v[run] for v in (a, b, x_new, sign_a, lanes))
+            done = polished | (b - a <= tol)
+            if done.any():
+                out[lanes[done]] = np.where(polished, x_new, mid)[done]
+                if done.all():
+                    return out
+                run = ~done
+                a, b, x_new, mid, sign_a, lanes = (
+                    v[run] for v in (a, b, x_new, mid, sign_a, lanes))
+            x = np.where((a < x_new) & (x_new < b), x_new, mid)
     raise ConvergenceError(
         f"zero refinement for nu={nu} did not converge in "
         f"[{a[0]}, {b[0]}]")
@@ -207,6 +215,34 @@ def _extend_zeros(nu: float, zeros: array, p: int) -> None:
         zeros.append(float(new[0]))
 
 
+def _check_order(nu: float) -> None:
+    if not -0.5 <= nu < math.inf:
+        raise DomainError(
+            f"bessel_zero requires finite nu >= -1/2, got {nu}")
+
+
+def _check_range(nu: float, p: int) -> None:
+    """j_{nu,p} >= max(nu, 0) + (p - 1) pi/2 must stay below 2^20, where
+    one ulp exceeds 1e-10."""
+    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= 2.0 ** 20:
+        raise DomainError(
+            f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
+            f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
+
+
+def _zeros_from(nu: float, p: int) -> array:
+    """A copy of the cached zeros j_{nu,p}, j_{nu,p+1}, ..., after
+    extending the cache of order nu to hold at least p zeros."""
+    key = float(nu)
+    with _cache_lock:
+        zeros = _zero_cache.get(key)
+        if zeros is None:
+            zeros = _zero_cache[key] = array("d")
+        if len(zeros) < p:
+            _extend_zeros(key, zeros, p)
+        return zeros[p - 1:]
+
+
 def bessel_zero(nu: float, p: int) -> BesselZero:
     """The p-th positive zero j_{nu,p}, accurate to 1e-10 absolute.
 
@@ -215,22 +251,42 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
     behind the disk spectrum below 1e5 and the 3-ball spectrum below 3e4
     (nu <= 299.5, j < 317) are off by at most 2.2e-13, median 1.8e-14.
 
-    A zero whose lower bound max(nu, 0) + (p - 1) pi/2 reaches 2^20, where
-    one ulp exceeds 1e-10, raises DomainError before any J evaluation.
+    A p that is not an integer raises DomainError, and so does a zero whose
+    lower bound max(nu, 0) + (p - 1) pi/2 reaches 2^20, where one ulp
+    exceeds 1e-10; both before any J evaluation.
     """
-    if not -0.5 <= nu < math.inf:
+    _check_order(nu)
+    try:
+        p = operator.index(p)
+    except TypeError:
         raise DomainError(
-            f"bessel_zero requires finite nu >= -1/2, got {nu}")
+            f"bessel_zero requires an integer p, got {p!r}") from None
     if p < 1:
         raise DomainError(f"bessel_zero requires p >= 1, got {p}")
-    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= 2.0 ** 20:
-        raise DomainError(
-            f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
-            f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
-    key = float(nu)
-    with _cache_lock:
-        zeros = _zero_cache.setdefault(key, array("d"))
-        if len(zeros) < p:
-            _extend_zeros(key, zeros, p)
-        value = zeros[p - 1]
-    return BesselZero(order=key, index=p, value=value)
+    _check_range(nu, p)
+    return BesselZero(order=float(nu), index=p, value=_zeros_from(nu, p)[0])
+
+
+def bessel_zeros(nu: float) -> Iterator[float]:
+    """The positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu, in order, found
+    as the iteration reaches them.
+
+    Taking p zeros fills the zero cache exactly as the calls
+    bessel_zero(nu, 1), ..., bessel_zero(nu, p) do: at zero 1, one batch of
+    the zeros that a cached order nu - 1 brackets, then one scanned zero at
+    a time.  That matters beyond the count, since the path that found a
+    zero sets its last bits.  The values, their accuracy and the
+    DomainError before a zero past 2^20 are those of the calls; the zeros
+    already cached are read under one lock.
+    """
+    _check_order(nu)
+    p = 1
+    while True:
+        # only zero p may be found here; the later zeros yielded were cached,
+        # and a cached zero passed this check when it was found (a batched
+        # j_{nu,q} lies below j_{nu-1,q+1}, whose bound max(nu - 1, 0) +
+        # q pi/2 exceeds its own by more than pi/2 - 1)
+        _check_range(nu, p)
+        for value in _zeros_from(nu, p):
+            yield value
+            p += 1

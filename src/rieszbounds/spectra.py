@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -199,8 +200,20 @@ def ball_multiplicity(ell: int, d: int) -> int:
 def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     """All Dirichlet eigenvalues j_{d/2-1+ell,p}^2 / radius^2 < lam_max.
 
-    Each value is repeated with its spherical-harmonic multiplicity.
+    Each value is repeated with its spherical-harmonic multiplicity.  The
+    zeros of each order come from one ``specfun.bessel_zeros`` iteration,
+    which stops at the first eigenvalue at or above ``lam_max``; each order
+    is checked against MAX_EIGENVALUES before it is kept, and the array is
+    built by one ``np.repeat`` by multiplicity and one sort.  The values are
+    squared by Python's ``**`` (libm ``pow``), not numpy's ``square``: the
+    two differ in the last bit on some zeros.  A dimension that is not an
+    integer raises DomainError.
     """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise DomainError(f"ball_spectrum requires an integer dimension, "
+                          f"got {d!r}") from None
     if d < 2:
         raise DomainError("ball_spectrum requires d >= 2")
     if not 0 < radius < math.inf:
@@ -219,31 +232,33 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     if r2 == 0.0:
         raise DomainError(f"radius {radius} is too small: its square "
                           "underflows to 0")
-    vals: list[float] = []
+    values: list[float] = []   # one entry per zero
+    counts: list[int] = []     # the multiplicity of each entry
+    total = 0
     ell = 0
     while True:
-        nu = d / 2 - 1 + ell
-        if specfun.bessel_zero(nu, 1).value**2 / r2 >= lam_max:
-            break
-        mult = ball_multiplicity(ell, d)
-        p = 1
-        while True:
-            lam = specfun.bessel_zero(nu, p).value**2 / r2
+        order = []
+        for v in specfun.bessel_zeros(d / 2 - 1 + ell):
+            lam = v ** 2 / r2
             if lam >= lam_max:
                 break
-            if len(vals) + mult > MAX_EIGENVALUES:
-                raise ResourceLimitError(
-                    f"eigenvalue count exceeds cap {MAX_EIGENVALUES}")
-            vals.extend([lam] * mult)
-            p += 1
+            order.append(lam)
+        if not order:
+            break
+        mult = ball_multiplicity(ell, d)
+        total += len(order) * mult
+        if total > MAX_EIGENVALUES:
+            raise ResourceLimitError(
+                f"eigenvalue count exceeds cap {MAX_EIGENVALUES}")
+        values += order
+        counts += [mult] * len(order)
         ell += 1
-    if not vals:
+    if not values:
         raise EmptySpectrumError(
             f"lam_max={lam_max} is below the first eigenvalue of the ball")
-    vals.sort()
     return Spectrum(
         dimension=d,
-        eigenvalues=np.array(vals),
+        eigenvalues=np.sort(np.repeat(values, counts)),
         complete_below=float(lam_max),
         domain=DomainSpec(kind="ball", dimension=d, radius=radius),
         volume=volume,

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from rieszbounds import bounds, verify
+from rieszbounds import bounds, specfun, spectra, verify
 from rieszbounds.errors import DomainError
 from rieszbounds.riesz import eigensum_prefix, riesz_value, square_prefix
 
@@ -117,6 +117,32 @@ def bessel_j_prime(nu: float, x: float) -> float:
 def mcmahon_asymptote(nu: float, p: int) -> float:
     """Leading McMahon term (p + nu/2 - 1/4) * pi for the p-th zero."""
     return (p + nu / 2.0 - 0.25) * math.pi
+
+
+def ball_eigenvalues_per_zero(d: int, radius: float,
+                              lam_max: float) -> np.ndarray:
+    """The eigenvalues of ``spectra.ball_spectrum``, by one public
+    ``specfun.bessel_zero`` call per zero: each value repeated by its
+    multiplicity into a list with ``extend``, and the list sorted.  Input
+    is not validated and no cap is applied."""
+    r2 = radius * radius
+    vals = []
+    ell = 0
+    while True:
+        nu = d / 2 - 1 + ell
+        if specfun.bessel_zero(nu, 1).value ** 2 / r2 >= lam_max:
+            break
+        mult = spectra.ball_multiplicity(ell, d)
+        p = 1
+        while True:
+            lam = specfun.bessel_zero(nu, p).value ** 2 / r2
+            if lam >= lam_max:
+                break
+            vals.extend([lam] * mult)
+            p += 1
+        ell += 1
+    vals.sort()
+    return np.array(vals)
 
 
 def spectrum_text(spec) -> str:

@@ -245,6 +245,16 @@ class TestBoundsCommand:
         first = float(lines[1].split(",")[2])
         assert first == pytest.approx(2.404825557695773, abs=1e-10)
 
+    def test_bessel_zero_export_rows_are_the_per_zero_values(self, capsys):
+        _, out, _ = run_cli(capsys, "bounds", "--bessel-zeros", "0,0.5,7,0",
+                            "--zero-count", "12", "--full-precision")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(float(nu), int(p)) for nu, p, _ in rows] == [
+            (nu, p) for nu in (0.0, 0.5, 7.0, 0.0) for p in range(1, 13)]
+        for nu, p, zero in rows:
+            assert float(zero) == cli.specfun.bessel_zero(float(nu),
+                                                          int(p)).value
+
     @pytest.mark.parametrize("orders, count, reason", [
         ("0", cli.MAX_EXPORT_ZEROS + 1, "exceeds cap"),
         ("0,1", cli.MAX_EXPORT_ZEROS // 2 + 1, "exceeds cap"),
@@ -257,6 +267,7 @@ class TestBoundsCommand:
             raise AssertionError("a zero was computed")
 
         monkeypatch.setattr(cli.specfun, "bessel_zero", no_zero)
+        monkeypatch.setattr(cli.specfun, "bessel_zeros", no_zero)
         code, out, err = run_cli(capsys, "bounds", "--bessel-zeros", orders,
                                  "--zero-count", str(count))
         assert code == 2

@@ -3,6 +3,7 @@ the closed-form half-integer recurrence), zero residuals, and domain gates."""
 
 import concurrent.futures
 import math
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -136,6 +137,22 @@ class TestBesselZeros:
         with pytest.raises(DomainError):
             specfun.bessel_zero(0.0, 0)
 
+    @pytest.mark.parametrize("p", [2.0, 1.5, math.nan, math.inf,
+                                   np.float64(3.0), "2", None])
+    def test_non_integer_p_fails_before_any_bessel_evaluation(
+            self, p, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the p check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match="integer p"):
+            specfun.bessel_zero(0.0, p)
+
+    def test_integer_like_p_is_stored_as_int(self):
+        zero = specfun.bessel_zero(0.0, np.int64(3))
+        assert type(zero.index) is int
+        assert zero == specfun.bessel_zero(0.0, 3)
+
     @pytest.mark.parametrize("nu, p", [
         (2.0 ** 20, 1), (1e8, 1), (1e17, 1), (1e300, 1),
         (0.0, 700_000), (0.0, 10**18), (5e5, 400_000)])
@@ -209,6 +226,62 @@ class TestBesselZeroAccuracy:
             assert np.all(hi[:m - 1] < lo[1:m]), nu
             below = (np.sum(lo < x_max), np.sum(hi < x_max))
             assert below[1] in (below[0] - 1, below[0]), nu
+
+
+class TestNewtonLanes:
+    def test_lanes_finish_in_different_iterations(self):
+        # lane 0 holds no zero and is narrower than the tolerance: it stops
+        # in the first iteration at the midpoint of its updated bracket
+        # (J_0 > 0 there, so a moves up to x); lane 1 goes on to j_{0,1}
+        x0 = 1.0 + 2.5e-10
+        out = specfun._newton(0.0, [1.0, 2.0], [1.0 + 5e-10, 3.0],
+                              [x0, 2.5], [1.0, 1.0])
+        assert out[0] == 0.5 * (x0 + (1.0 + 5e-10))
+        assert out[1] == pytest.approx(2.404825557695773, abs=1e-12)
+        alone = specfun._newton(0.0, [2.0], [3.0], [2.5], [1.0])
+        assert out[1] == alone[0]
+
+
+class TestZerosByOrder:
+    """``bessel_zeros`` yields the values of repeated ``bessel_zero`` calls
+    and leaves the zero cache as those calls leave it, bit for bit."""
+
+    @staticmethod
+    def _cache_bits(cache):
+        return [(nu, zeros.tobytes()) for nu, zeros in cache.items()]
+
+    @pytest.mark.parametrize("orders", [[0.0], [7.5], [0.0, 1.0, 2.0],
+                                        [-0.5, 0.5, 1.5, 2.5]])
+    def test_matches_repeated_bessel_zero(self, orders, monkeypatch):
+        count = 60
+        calls = {}
+        monkeypatch.setattr(specfun, "_zero_cache", calls)
+        ref = [[specfun.bessel_zero(nu, p).value
+                for p in range(1, count + 1)] for nu in orders]
+        lazy = {}
+        monkeypatch.setattr(specfun, "_zero_cache", lazy)
+        got = [list(islice(specfun.bessel_zeros(nu), count))
+               for nu in orders]
+        assert got == ref
+        assert self._cache_bits(lazy) == self._cache_bits(calls)
+
+    def test_finds_only_the_zeros_taken(self, fresh_zero_cache):
+        # no order below 3.0 is cached, so every zero is scanned one by one
+        taken = list(islice(specfun.bessel_zeros(3.0), 3))
+        assert list(fresh_zero_cache[3.0]) == taken
+        assert list(islice(specfun.bessel_zeros(3.0), 5))[:3] == taken
+        assert len(fresh_zero_cache[3.0]) == 5
+
+    @pytest.mark.parametrize("nu", [-0.75, math.nan, math.inf, 2.0 ** 20,
+                                    1e300])
+    def test_bad_order_fails_before_any_bessel_evaluation(self, nu,
+                                                          monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the order check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError):
+            next(specfun.bessel_zeros(nu))
 
 
 class TestZeroFinderCost:

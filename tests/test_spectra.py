@@ -16,7 +16,7 @@ from rieszbounds.errors import (
     SpectrumFormatError,
     SpectrumValidationError,
 )
-from oracles import spectrum_text
+from oracles import ball_eigenvalues_per_zero, spectrum_text
 
 
 class TestBoxSpectrum:
@@ -110,6 +110,7 @@ class TestBallSpectrum:
             raise AssertionError("Bessel zero computed before the cap check")
 
         monkeypatch.setattr(specfun, "bessel_zero", no_zeros)
+        monkeypatch.setattr(specfun, "bessel_zeros", no_zeros)
         monkeypatch.setattr(spectra, "MAX_EIGENVALUES", cap)
         with pytest.raises(ResourceLimitError):
             spectra.ball_spectrum(d, 1.0, lam_max)
@@ -126,10 +127,77 @@ class TestBallSpectrum:
             raise AssertionError("Bessel work done before the cap check")
 
         monkeypatch.setattr(specfun, "bessel_zero", no_bessel)
+        monkeypatch.setattr(specfun, "bessel_zeros", no_bessel)
         monkeypatch.setattr(specfun, "_jv", no_bessel)
         monkeypatch.setattr(spectra, "MAX_EIGENVALUES", cap)
         with pytest.raises(ResourceLimitError):
             spectra.ball_spectrum(d, 1.0, lam_max)
+
+    def test_cap_checked_per_order_without_the_weyl_estimate(
+            self, monkeypatch):
+        # the Weyl estimate passes small counts (it fails only past twice
+        # the cap), so the count kept order by order must enforce the cap
+        n = len(spectra.ball_spectrum(3, 1.0, 2000.0))
+        monkeypatch.setattr(spectra, "_check_weyl_count",
+                            lambda *args: None)
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", n)
+        assert len(spectra.ball_spectrum(3, 1.0, 2000.0)) == n
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", n - 1)
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            spectra.ball_spectrum(3, 1.0, 2000.0)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, np.float64(3.0), "3", None])
+    def test_non_integer_dimension_fails_before_any_bessel_evaluation(
+            self, d, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("Bessel work done before the dimension "
+                                 "check")
+
+        monkeypatch.setattr(specfun, "bessel_zero", no_bessel)
+        monkeypatch.setattr(specfun, "bessel_zeros", no_bessel)
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match="integer dimension"):
+            spectra.ball_spectrum(d, 1.0, 200.0)
+
+    def test_integer_like_dimension_is_kept_as_int(self):
+        spec = spectra.ball_spectrum(np.int64(3), 1.0, 200.0)
+        assert type(spec.dimension) is int
+        assert np.array_equal(spec.eigenvalues,
+                              spectra.ball_spectrum(3, 1.0, 200.0).eigenvalues)
+
+
+class TestBallAssembly:
+    """``ball_spectrum`` against the per-zero reference, bit for bit, with
+    the zero cache it leaves behind, from an empty cache each time."""
+
+    @staticmethod
+    def _fresh_run(monkeypatch, fn, *args):
+        cache = {}
+        monkeypatch.setattr(specfun, "_zero_cache", cache)
+        return fn(*args), cache
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5, 3.0])
+    @pytest.mark.parametrize("d, level", [(2, 5000.0), (3, 2000.0),
+                                          (4, 400.0)])
+    def test_matches_per_zero_reference(self, d, level, radius,
+                                        monkeypatch):
+        # lam_max is itself an eigenvalue, so the zero that stops an order
+        # gives exactly lam_max and is left out.  The disk reaches
+        # j_{55,1}^2 = 3884.88..., where libm's pow(j, 2) and j * j differ
+        # in the last bit.
+        probe, _ = self._fresh_run(monkeypatch, ball_eigenvalues_per_zero,
+                                   d, radius, level / radius ** 2)
+        lam_max = float(probe[-1])
+        ref, ref_cache = self._fresh_run(
+            monkeypatch, ball_eigenvalues_per_zero, d, radius, lam_max)
+        spec, cache = self._fresh_run(
+            monkeypatch, spectra.ball_spectrum, d, radius, lam_max)
+        assert lam_max not in spec.eigenvalues
+        assert spec.complete_below == lam_max
+        assert spec.eigenvalues.tobytes() == ref.tobytes()
+        assert list(cache) == list(ref_cache)
+        for nu, zeros in ref_cache.items():
+            assert cache[nu].tobytes() == zeros.tobytes(), nu
 
 
 class TestSpectrumValidation:
