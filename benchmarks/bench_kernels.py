@@ -13,8 +13,12 @@ terms against ``riesz_sum`` on the weighted ``Runs`` of the eigenvalues
 rows of ``riesz_sums`` on the runs (one weighted term per distinct value),
 on the default ``verify`` z grid of the 3-ball below 2000, the
 10-ball below 300 and the unit square below 1e6, timed against per-z
-``riesz_sum`` calls; and ``math.fsum`` of all k terms against every field
-of ``riesz.means`` on the same spectra.
+``riesz_sum`` calls; per-pair ``math.fsum`` against ``riesz_sums`` at one
+sigma per z, at the Hoelder samples of ``verify`` (60 z of the z grid x
+3 random sigmas) on each default ``verify`` spectrum, timed
+against per-pair ``riesz_sum`` calls; and ``math.fsum`` of all k terms
+against every field of ``riesz.means`` on the 3-ball, the 10-ball and
+the unit square.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -171,6 +175,45 @@ def compare_rows(cases) -> bool:
     return ok
 
 
+def _hoelder_pairs(spec):
+    """The (sigma, z) pairs of the random Hoelder samples that ``verify``
+    draws on ``spec`` at the default config, 60 z x 3 sigmas, as the
+    lists of sigmas and of z."""
+    cfg = verify.VerifyConfig()
+    families = {check_id: points for check_id, _, points
+                in verify._build_points(spec, cfg, cfg.z_points)}
+    _, (zs, *sigmas), _ = families["hoelder_chain"].groups[0]
+    pairs = [(s, z) for z, *ss in zip(zs, *sigmas) for s in ss]
+    return [s for s, _ in pairs], [z for _, z in pairs]
+
+
+def compare_pairs() -> bool:
+    """``riesz_sums`` at one sigma per z, the 60 z x 3 random sigmas of
+    the Hoelder samples of ``verify``, on each default ``verify`` spectrum,
+    against per-pair ``math.fsum`` of the ``np.power`` terms, and timed
+    against per-pair ``riesz_sum``; True if all bits agree."""
+    ok = True
+    print("Riesz pairs, 60 z x 3 random sigma (bits against per-pair "
+          "math.fsum)")
+    for name, spec in verify.default_spectra().items():
+        lams = spec.eigenvalues
+        runs = pykernels.runs_of(lams)
+        sigmas, zs = _hoelder_pairs(spec)
+        pairs = list(zip(sigmas, zs))
+        ref = [math.fsum(np.power(z - lams[lams < z], s).tolist())
+               for s, z in pairs]
+        t_ref, _ = _time(
+            lambda: [pykernels.riesz_sum(runs, s, z)[0] for s, z in pairs])
+        t_new, new = _time(pykernels.riesz_sums, runs, sigmas, zs)
+        same = _same_bits(ref, new)
+        ok &= same
+        print(f"  {name:14} n={len(lams):>6} ({len(runs.values):>5} runs)  "
+              f"per-pair riesz_sum {t_ref*1e3:7.2f} ms  riesz_sums "
+              f"{t_new*1e3:6.2f} ms  x{t_ref / t_new:5.1f}  "
+              f"bit-equal={same}")
+    return ok
+
+
 def _means_fields(spec, k):
     m = riesz.means(spec, k, MEAN_ORDERS)
     return [m.mean, m.mean_sq, *m.power_means.values(), m.geometric,
@@ -214,6 +257,7 @@ def main() -> int:
     ok &= compare_prefix_domain()
     cases = _repeated_cases()
     ok &= compare_rows(cases)
+    ok &= compare_pairs()
     ok &= compare_means(cases)
     return 0 if ok else 1
 

@@ -15,10 +15,10 @@ weighted term per distinct value.
 ``prefix_sums`` keeps the exact running sum of non-negative finite terms
 in 32-bit limb columns and rounds each prefix once (other input raises
 ``DomainError``).  ``riesz_sums`` is the one builder of Riesz terms: it
-sums the rows of many z values, one segment per z, and ``riesz_sum`` (one
-value with its count) is its one-z row.  ``power_sum`` and ``head_sum``
-add the terms of the first k entries.  ``BACKEND`` is always
-``"python"``.
+sums the rows of many z values, one segment per z, at one sigma or at a
+sigma of each z's own, and ``riesz_sum`` (one value with its count) is its
+one-z row.  ``power_sum`` and ``head_sum`` add the terms of the first k
+entries.  ``BACKEND`` is always ``"python"``.
 """
 
 from .pykernels import (BACKEND, Runs, exact_sum, head_sum, power_sum,

@@ -26,8 +26,9 @@ returns.
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
 - ``_riesz_rows`` is the one builder of Riesz terms, ``_powers`` of
-  z - lambda: it packs the rows of many z into one buffer, one segment per
-  z, for one run-path pass.  ``riesz_sums`` returns its sums, and
+  z - lambda: it packs the rows of many z, each with its own sigma, into
+  one buffer, one segment per z, for one run-path pass.  ``riesz_sums``
+  returns its sums, for one sigma at every z or one sigma per z, and
   ``riesz_sum`` is its one-z row with the count.
 
 The block bound.  A normal term is M * 2**(E - 1075) with the integer
@@ -44,9 +45,25 @@ term f and last term i the block weighs
 C_i + m_i - C_f <= ((q + 1) S - 1) + W - q S, that is S - 1 + W = 2**11.
 Cutting at multiples of 2**11 itself would let a block hold 2**11 plus
 one weight, and overflow.
+
+The halves.  A block of biased exponent E >= 1 is S * 2**(E - 1075) with
+its exact mantissa sum S < 2**64.  Its high half H = S - (S mod 2**11) is
+an integer of at most 53 significant bits times 2**11, and its low half
+L = S mod 2**11 < 2**11, so both convert to float64 exactly, and H *
+2**(E - 1075) and L * 2**(E - 1075) are exact float64 products: their
+last bits weigh at least 2**(E - 1075) >= 2**-1074, the subnormal
+spacing, so neither underflows (a subnormal term sends its segment to
+``math.fsum``), and S < w * 2**53 for the block's weight w <= count, so
+with width = count.bit_length() both stay below 2**(E + width - 1022),
+which the guard E <= 2045 - width keeps below 2**1023, as it keeps every
+partial sum of a segment.  ``math.fsum`` of the halves of a segment's
+blocks is therefore the correctly rounded exact total, the bits of
+``math.fsum`` of its terms; an exact zero total is left to ``math.fsum``
+of the terms, which gives the zero its sign.
 """
 
 import math
+import numbers
 import operator
 from bisect import bisect_left
 from itertools import accumulate
@@ -72,6 +89,14 @@ _RUN_STEP = _RUN_BLOCK + 1 - _RUN_WEIGHT
 #: sign and exponent bits, and mantissa bits, of a float64
 _SIGN_EXP = np.uint64(0xFFF << 52)
 _MANTISSA = np.uint64((1 << 52) - 1)
+#: the top 53 and the low 11 bits of a block's uint64 mantissa sum
+_HIGH = np.uint64((1 << 64) - (1 << 11))
+_LOW = np.uint64(0x7FF)
+#: +-2**(E - 1075) by the sign and biased exponent bits of a term; 0 at
+#: E = 0, where the run path meets only zeros
+_SCALE = np.ldexp(1.0, np.arange(2048) - 1075)
+_SCALE[0] = 0.0
+_SCALE = np.concatenate((_SCALE, -_SCALE))
 #: widest exponent span of a prefix chunk whose shifted mantissas stay
 #: below 2**64; limbs per prefix chunk; the least prefix, in units of
 #: 2**-1074, that rounds to infinity
@@ -109,10 +134,11 @@ def _run_sum(terms, starts, weights):
     mantissa M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs
     are cut into blocks of total weight at most ``_RUN_BLOCK`` (the block
     bound in the module docstring), ``np.add.reduceat`` sums the weighted
-    bits of each block modulo 2**64, from which the exact mantissa sum
-    follows.  The signed block totals of a segment are shifted into one
-    Python integer at scale 2**(E_lo - 1075), E_lo the segment's least
-    nonzero exponent, and rounded once.
+    bits of each block modulo 2**64, from which the exact mantissa sum S
+    follows.  S < 2**64 splits into its top 53 bits and its low 11 bits,
+    and each half times 2**(E - 1075) is an exact float64 (the halves in
+    the module docstring); a segment's sum is ``math.fsum`` of the exact
+    halves of its blocks, its exact total rounded once.
     """
     n = len(terms)
     m, pos, count = weights
@@ -162,9 +188,10 @@ def _run_sum(terms, starts, weights):
     first_run = runs.searchsorted(starts)
     e_hi = np.maximum.reduceat(exps, first_run)
     e_lo = np.minimum.reduceat(exps + (exps == 0) * 4096, first_run)
-    # no inf, the sum stays below 2**1023, and the integer total converts
-    # to a finite float (a segment without a normal term sums to 0 or
-    # holds a subnormal)
+    # no inf, and every block half and every partial sum of a segment
+    # stays below 2**1023; a segment without a normal term sums to 0 or
+    # holds a subnormal, and one that spans more binades than the run
+    # path takes goes to math.fsum as well
     width = count.bit_length()
     bad |= (e_hi > 2045 - width) | (e_hi - e_lo > 970 - width)
     if not exps.all():
@@ -191,23 +218,22 @@ def _run_sum(terms, starts, weights):
     at = np.append(pos[edges[:-1]], count)
     counts = (at[1:] - at[:-1]).astype(np.uint64)
     sums -= counts * (signs - (1 << 52))
-    signs >>= 52
-    block_exps = (signs & 0x7FF).astype(np.int64)
-    shifts = block_exps - e_lo[starts.searchsorted(edges[:-1], "right") - 1]
-    np.maximum(shifts, 0, out=shifts)    # in zeros and skipped segments
-    # reduceat gives a repeated edge one term; zeros add nothing
-    sums[(counts == 0) | (block_exps == 0)] = 0
-    parts = list(map(operator.lshift, sums.tolist(), shifts.tolist()))
-    for i in (signs >> 11).nonzero()[0].tolist():
-        parts[i] = -parts[i]
-    # the exact running sum over all blocks; a segment's total is the
-    # difference at its ends, and math.fsum decides the sign of a zero
-    partial = [0, *accumulate(parts)]
-    cuts = edges[:-1].searchsorted(starts).tolist() + [len(parts)]
-    return [None if skip or not (total := partial[b] - partial[a])
-            else math.ldexp(float(total), e - 1075)
-            for skip, e, a, b in zip(bad.tolist(), e_lo.tolist(),
-                                     cuts, cuts[1:])]
+    sums[counts == 0] = 0    # reduceat gives a repeated edge one term
+    cuts = edges[:-1].searchsorted(starts)
+    if bad.any():    # whose blocks could overflow below
+        sums[np.repeat(bad, np.diff(cuts, append=len(sums)))] = 0
+    # each block as its exact high and low halves, side by side; the
+    # scale of a zero's exponent is 0, so zeros add nothing
+    scale = _SCALE[signs >> 52]
+    halves = np.empty((len(sums), 2))
+    np.multiply((sums & _HIGH).astype(np.float64), scale, out=halves[:, 0])
+    np.multiply((sums & _LOW).astype(np.float64), scale, out=halves[:, 1])
+    parts = halves.ravel().tolist()
+    # math.fsum of the exact halves rounds a segment's exact total once;
+    # an exact zero goes to math.fsum of the terms, for its sign
+    cuts = (2 * cuts).tolist() + [len(parts)]
+    return [None if skip or not (total := math.fsum(parts[a:b])) else total
+            for skip, a, b in zip(bad.tolist(), cuts, cuts[1:])]
 
 
 def _exact_sums(terms, starts, weights):
@@ -316,32 +342,38 @@ def riesz_sum(runs, sigma, z):
     ``(value, count)``, the one-z row of ``riesz_sums`` and its count of
     eigenvalues (with their multiplicities).
     """
-    (value,), (count,) = _riesz_rows(runs, sigma, [z])
+    (value,), (count,) = _riesz_rows(runs, [sigma], [z])
     return value, count
 
 
 def riesz_sums(runs, sigma, zs):
-    """``riesz_sum(runs, sigma, z)[0]`` for each z of ``zs``, as a list."""
+    """``riesz_sum(runs, s, z)[0]`` for each z of ``zs``, as a list;
+    ``sigma`` is one s for every z, or a sequence of one s per z."""
+    sigma = ([sigma] * len(zs) if isinstance(sigma, numbers.Real)
+             else list(sigma))
     return _riesz_rows(runs, sigma, zs)[0]
 
 
-def _riesz_rows(runs, sigma, zs):
-    """The Riesz sums and the counts below each z of ``zs``, as two lists.
+def _riesz_rows(runs, sigmas, zs):
+    """The Riesz sums at each (sigma, z) of ``sigmas`` and ``zs``, and the
+    counts below each z, as two lists.
 
     A row's terms ``_powers(z - values[:size], sigma)`` are one per run
-    below z, weighted by its count.  The terms of consecutive z go into one
-    buffer of at most ``_CHUNK`` terms, one segment per z, added by one
-    ``_exact_sums`` pass; a z with more terms is a batch of its own, and a
-    batch of one z is summed without packing.
+    below z, weighted by its count; at sigma = 0 the sum is the count.  The
+    terms of consecutive z go into one buffer of at most ``_CHUNK`` terms,
+    one segment per z, raised to their powers a stretch of equal sigmas at
+    a time and added by one ``_exact_sums`` pass; a z with more terms is a
+    batch of its own, and a batch of one z is summed without packing.
     """
     values, m, offsets = runs
     sizes = values.searchsorted(zs)    # bisect_left
     counts = offsets[sizes].tolist()
     sizes = sizes.tolist()
-    if sigma == 0.0:
-        return [float(c) for c in counts], counts
     out = [0.0] * len(sizes)
     rows = [i for i, s in enumerate(sizes) if s]
+    if 0.0 in sigmas:    # counts, not sums
+        out = [float(c) if s == 0.0 else 0.0 for s, c in zip(sigmas, counts)]
+        rows = [i for i in rows if sigmas[i] != 0.0]
     at = 0
     while at < len(rows):
         end, size = at + 1, sizes[rows[at]]
@@ -353,6 +385,7 @@ def _riesz_rows(runs, sigma, zs):
             i = batch[0]
             terms, starts = zs[i] - values[:size], [0]
             weights = m[:size], offsets[:size], counts[i]
+            _powers(terms, sigmas[i], out=terms)
         else:    # positions run on across the rows
             lengths = [sizes[i] for i in batch]
             starts = [0, *accumulate(lengths[:-1])]
@@ -363,8 +396,15 @@ def _riesz_rows(runs, sigma, zs):
             pos += np.repeat(before[:-1], lengths)
             weights = (np.concatenate([m[:s] for s in lengths]), pos,
                        before[-1])
-        sums = _exact_sums(_powers(terms, sigma, out=terms), starts, weights)
-        for i, total in zip(batch, sums):
+            # one power pass per stretch of rows with equal sigmas
+            sigma = operator.itemgetter(*batch)(sigmas)
+            turns = [] if sigma.count(sigma[0]) == len(sigma) else (
+                np.flatnonzero(np.not_equal(sigma[1:], sigma[:-1])) + 1
+            ).tolist()
+            edges = [0, *(starts[k] for k in turns), len(terms)]
+            for k, a, b in zip([0, *turns], edges, edges[1:]):
+                _powers(terms[a:b], sigma[k], out=terms[a:b])
+        for i, total in zip(batch, _exact_sums(terms, starts, weights)):
             out[i] = total
         at = end
     return out, counts

@@ -19,6 +19,7 @@ holds eigenvalue k, that one counted only up to k.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -65,13 +66,21 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
     return _kernels.riesz_sum(_runs(spec), float(sigma), float(z))
 
 
-def riesz_row(spec: Spectrum, sigma: float, zs) -> list[float]:
-    """``riesz_value(spec, sigma, z)[0]`` for each z of ``zs``, bit for bit,
-    summed a batch of z at a time, with the same checks on every z."""
-    for z in zs:
-        _check_z(spec, z)
-    return _kernels.riesz_sums(_runs(spec), float(sigma),
-                               [float(z) for z in zs])
+def riesz_row(spec: Spectrum, sigma, zs) -> list[float]:
+    """``riesz_value(spec, s, z)[0]`` for each z of ``zs``, bit for bit,
+    summed a batch of z at a time, with the same checks on every z.
+
+    ``sigma`` is one s for every z, or a sequence of one s per z.  The z
+    values are checked by one array test; the first that fails it is
+    checked again by ``_check_z``, which raises as ``riesz_value`` would.
+    """
+    values = np.array(zs, dtype=np.float64)
+    ok = (values > 0) & (values <= spec.complete_below)
+    if not ok.all():
+        _check_z(spec, zs[int(np.argmin(ok))])
+    sigma = (float(sigma) if isinstance(sigma, numbers.Real)
+             else [float(s) for s in sigma])
+    return _kernels.riesz_sums(_runs(spec), sigma, values.tolist())
 
 
 def _check_z(spec: Spectrum, z: float) -> None:

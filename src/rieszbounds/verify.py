@@ -46,14 +46,16 @@ and moments:
   moment memo is dropped with the Riesz memo when the sweep ends.
 * While one spectrum is swept, R_sigma(z) values are memoized per
   (sigma, z), and the memo is dropped when that spectrum's sweep ends.
-  Values are computed a row at a time: the sweep registers the rows of z
-  it evaluates (the z grid and the central-difference rows z + h and
-  z - h), and the second time that a sigma misses in a row,
-  :func:`~rieszbounds.riesz.riesz_row` sums the whole row in one
-  segmented pass.  Other misses, such as the random Hoelder sigmas, call
-  ``riesz_value``.  Every memoized value is bit-equal to what
-  ``riesz_value`` returns, so witness re-evaluation outside a sweep stays
-  exact.
+  Values are computed in whole passes.  The sweep registers the rows of
+  z it evaluates (the z grid and the central-difference rows z + h and
+  z - h) and the pair set of the random Hoelder samples (the three
+  sigmas of each sample at its z).  The first time that a sigma misses
+  in a row, :func:`~rieszbounds.riesz.riesz_row` sums the whole row in
+  one segmented pass; the first miss of a Hoelder pair sums the whole
+  pair set in one pass, each pair at its own sigma.  Only a value on no
+  row and in no pair set calls ``riesz_value``; the default suite has
+  none.  Every memoized value is bit-equal to what ``riesz_value``
+  returns, so witness re-evaluation outside a sweep stays exact.
 
 Points are streamed.  Each family states its points once, as row groups
 (``_Points``): a group is constants, equal-length columns (lists or
@@ -196,11 +198,14 @@ def _margin(big, small):
 class _RieszTable(dict):
     """{(sigma, z): R_sigma(z)} of one spectrum while it is swept.
 
-    A missing value is computed on first use.  The sweep registers rows of
-    z values that many points share (``add_row``).  The second time one
-    sigma misses in a row, ``riesz_row`` computes the whole row of that
-    sigma at once; any other miss is the one value of ``riesz_value``.
-    Both give the bits of ``riesz_value``.
+    A missing value is computed on first use, with every value that the
+    sweep registered beside it.  The sweep registers rows of z values
+    that many points share (``add_row``) and sets of (sigma, z) pairs
+    (``add_pairs``).  The first miss of a registered pair sums its whole
+    set in one ``riesz_row`` pass, a sigma of each pair's own; any other
+    first miss of a sigma at a z on a row sums that sigma's whole row.
+    Only a z on no row and in no pair set is the one value of
+    ``riesz_value``.  All give the bits of ``riesz_value``.
     """
 
     def __init__(self, spec):
@@ -208,25 +213,31 @@ class _RieszTable(dict):
         self.spec = spec
         self.rows = []
         self.row_of = {}     # z -> index of the first row that holds it
-        self.missed = set()  # (sigma, row index) pairs that missed once
+        self.pair_set = {}   # (sigma, z) -> the pairs registered with it
 
     def add_row(self, zs):
         for z in zs:
             self.row_of.setdefault(z, len(self.rows))
         self.rows.append(zs)
 
+    def add_pairs(self, pairs):
+        pairs = list(pairs)
+        for pair in pairs:
+            self.pair_set.setdefault(pair, pairs)
+
     def __missing__(self, key):
         sigma, z = key
-        row = self.row_of.get(z)
-        if (sigma, row) in self.missed:
-            zs = self.rows[row]
-            self.update(zip([(sigma, x) for x in zs],
-                            riesz_row(self.spec, sigma, zs)))
-            return self[key]
-        if row is not None:
-            self.missed.add((sigma, row))
-        value = self[key] = riesz_value(self.spec, sigma, z)[0]
-        return value
+        pairs = self.pair_set.get(key)
+        if pairs is not None:
+            sigmas, zs = zip(*pairs)
+        elif (row := self.row_of.get(z)) is not None:
+            pairs = [(sigma, x) for x in self.rows[row]]
+            sigmas, zs = sigma, self.rows[row]
+        else:
+            value = self[key] = riesz_value(self.spec, sigma, z)[0]
+            return value
+        self.update(zip(pairs, riesz_row(self.spec, sigmas, zs)))
+        return self[key]
 
 
 #: per-spectrum R_sigma(z) tables, alive while _sweep runs
@@ -747,6 +758,9 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         s1 = t * s0 + (1 - t) * s2
         for col, x in zip(logconvex, (float(rng.choice(zs)), s0, s1, s2)):
             col.append(x)
+    if table is not None:    # their Riesz values are summed in one pass
+        table.add_pairs((s, z) for z, *sigmas in zip(*logconvex)
+                        for s in sigmas)
     add("hoelder_chain", "random sigma triples + counting forms",
         [(("logconvex", None), logconvex, ())]
         + [((form, s), (zs[::5],), ())

@@ -636,6 +636,122 @@ class TestWeightedRunPath:
             assert _bits(got) == _bits(want)
 
 
+def _segment(kind, rng, size):
+    """Sorted terms of one segment and their weights: ``low`` at the least
+    normal exponent with random low mantissa bits, of both signs; ``top``
+    in [1, 2), to be scaled; ``cancel`` pairs x and -x of equal weight, an
+    exact zero; ``mixed`` both signs over 60 binades; ``plain``
+    positive."""
+    m = rng.integers(1, WEIGHT + 1, size)
+    mant = (2**52 + rng.integers(0, 2**52, size)).astype(np.float64)
+    if kind == "low":
+        x = np.ldexp(mant, -1074) * rng.choice([-1.0, 1.0], size)
+    elif kind == "top":
+        x = np.ldexp(mant, -52)
+    elif kind == "cancel":
+        v = np.sort(np.ldexp(mant[:(size + 1) // 2], -60))
+        w = m[:len(v)]
+        return np.concatenate([-v[::-1], v]), np.concatenate([w[::-1], w])
+    elif kind == "mixed":
+        x = np.ldexp(mant, rng.integers(-90, -30, size))
+        x *= rng.choice([-1.0, 1.0], size)
+    else:
+        x = np.ldexp(mant, rng.integers(-60, -50, size))
+    return np.sort(x), m
+
+
+def _segmented(kinds, seed, cut, top=0):
+    """Ascending segments of ``kinds`` packed into one array, their
+    starts and their ``_run_sum`` weights, the last term cut by ``cut``
+    below its weight (at most); a ``top`` segment is scaled to the biased
+    exponent 2045 - width + top, width the bit length of the weighted
+    count."""
+    rng = np.random.default_rng(seed)
+    parts = [_segment(kind, rng, rng.integers(1, 300)) for kind in kinds]
+    m = np.concatenate([w for _, w in parts])
+    cut = min(cut, int(m[-1]) - 1)
+    weights = _weights(m, int(m.sum()) - cut)
+    e_top = 2045 - weights[2].bit_length() + top
+    xs = [np.ldexp(x, e_top - 1023) if kind == "top" else x
+          for kind, (x, _) in zip(kinds, parts)]
+    starts = np.cumsum([0] + [len(x) for x in xs[:-1]])
+    return np.concatenate(xs), starts, weights
+
+
+def _segment_sums(terms, starts, weights):
+    """``math.fsum`` of each segment's repeated terms."""
+    m, pos, count = weights
+    reps = m.astype(np.int64)
+    reps[-1] = count - pos[-1]
+    ends = [*starts[1:], len(terms)]
+    return [math.fsum(np.repeat(terms[a:b], reps[a:b]).tolist())
+            for a, b in zip(starts, ends)]
+
+
+KINDS = ["low", "top", "cancel", "mixed", "plain"]
+
+
+class TestSegmentedRunPath:
+    """Each segment's sum from the exact halves of its blocks has the bits
+    of ``math.fsum`` of its repeated terms; an exact zero is None."""
+
+    @given(st.lists(st.sampled_from(KINDS), min_size=1, max_size=7),
+           st.integers(0, 2**32 - 1), st.integers(0, WEIGHT))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_fsum(self, kinds, seed, cut):
+        terms, starts, weights = _segmented(kinds, seed, cut)
+        got = pykernels._run_sum(terms, starts, weights)
+        for total, want in zip(got, _segment_sums(terms, starts, weights)):
+            assert (total is None) == (want == 0.0)
+            if total is not None:
+                assert _bits(total) == _bits(want)
+        assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
+                                                        weights)] == \
+            [_bits(t) for t in _segment_sums(terms, starts, weights)]
+
+    @pytest.mark.parametrize("cut", [0, 1, WEIGHT - 1])
+    def test_cancelling_segment_between_nonzero_ones(self, cut):
+        kinds = ["low", "cancel", "top", "cancel", "mixed", "plain"]
+        terms, starts, weights = _segmented(kinds, 7, cut)
+        got = pykernels._run_sum(terms, starts, weights)
+        want = _segment_sums(terms, starts, weights)
+        assert [total is None for total in got] == \
+            [False, True, False, True, False, False]
+        assert want[1] == want[3] == 0.0
+        for total, w in zip(got, want):
+            if total is not None:
+                assert _bits(total) == _bits(w)
+
+    def test_low_halves_of_least_normal_blocks(self):
+        # blocks at the least normal exponent whose low 11 bits are set:
+        # their low halves are the smallest parts, at 2**-1074 a bit
+        terms, starts, weights = _segmented(["low"] * 3, 11, 0)
+        bits = terms.view(np.uint64)
+        assert (bits >> np.uint64(52) & np.uint64(0x7FF) == 1).all()
+        # some block's mantissa sum has low bits: their total has
+        assert int(((bits & np.uint64(0x7FF)) * weights[0]).sum()) % 2**11
+        got = pykernels._run_sum(terms, starts, weights)
+        assert [_bits(t) for t in got] == \
+            [_bits(t) for t in _segment_sums(terms, starts, weights)]
+
+    @pytest.mark.parametrize("top", [0, 1])
+    def test_top_block_at_the_guard(self, top):
+        # at E = 2045 - width every half stays finite; one binade higher
+        # the segment goes to math.fsum
+        terms, starts, weights = _segmented(["plain", "top", "mixed"], 5, 0,
+                                            top)
+        got = pykernels._run_sum(terms, starts, weights)
+        want = _segment_sums(terms, starts, weights)
+        assert (got[1] is None) == bool(top)
+        assert math.isfinite(want[1])
+        assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
+                                                        weights)] == \
+            [_bits(t) for t in want]
+        for total, w in zip(got, want):
+            if total is not None:
+                assert _bits(total) == _bits(w)
+
+
 class TestWeightedFallback:
     """Weighted input the run path leaves goes to ``math.fsum`` of the
     repeated terms."""

@@ -145,6 +145,21 @@ class TestRieszRows:
         assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
             _hex(_fsum_rows(lams, sigma, zs))
 
+    @given(riesz_rows(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_per_z_sigmas_equal_riesz_sum(self, rows, data):
+        # one sigma per z, in runs of equal sigmas or all different
+        lams, zs = rows
+        runs = pykernels.runs_of(lams)
+        sigma = st.sampled_from(self.SIGMAS) | st.floats(0.05, 5.0)
+        sigmas = data.draw(st.lists(sigma, min_size=len(zs),
+                                    max_size=len(zs)))
+        got = _hex(pykernels.riesz_sums(runs, sigmas, zs))
+        assert got == _hex(pykernels.riesz_sum(runs, s, z)[0]
+                           for s, z in zip(sigmas, zs))
+        assert got == _hex(_fsum_rows(lams, s, [z])[0]
+                           for s, z in zip(sigmas, zs))
+
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_ball_rows_where_np_power_is_not_libm_pow(self, sigma):
         spec = spectra.ball_spectrum(3, 1.0, 2000.0)

@@ -52,6 +52,43 @@ class TestRieszMean:
             riesz.riesz_mean(square_pi, 1.0, 0.0)
 
 
+class TestRieszRow:
+    """``riesz_row`` checks all its z values at once, and raises for the
+    first bad one what ``riesz_value`` raises for it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -3.0, 200.0001])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_first_bad_z_raises_as_riesz_value(self, square_pi, bad, at):
+        zs = [50.0, 120.5, 7.0, 199.0]
+        zs.insert(at, bad)
+        with pytest.raises((DomainError, TruncationError)) as want:
+            riesz.riesz_value(square_pi, 1.0, bad)
+        with pytest.raises(want.type) as got:
+            riesz.riesz_row(square_pi, 1.0, zs)
+        assert got.type is want.type
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("zs, error", [
+        ([210.0, math.nan, 0.0], TruncationError),
+        ([math.nan, 210.0, -1.0], DomainError),
+        ([-1.0, 0.0, 210.0], DomainError),
+        ([5.0, 0, 210.0], DomainError),
+        ([5.0, 250, math.nan], TruncationError),
+    ])
+    def test_several_bad_z_raise_for_the_first(self, square_pi, zs, error):
+        first = next(z for z in zs if not 0 < z <= square_pi.complete_below)
+        with pytest.raises(error) as got:
+            riesz.riesz_row(square_pi, 0.5, zs)
+        with pytest.raises(error) as want:
+            riesz.riesz_value(square_pi, 0.5, first)
+        assert str(got.value) == str(want.value)
+
+    def test_good_row_equals_riesz_value(self, square_pi):
+        zs = [5.0, 200.0, 19.75, 120, 60.5]
+        assert [v.hex() for v in riesz.riesz_row(square_pi, 1.5, zs)] == \
+            [riesz.riesz_value(square_pi, 1.5, z)[0].hex() for z in zs]
+
+
 class TestCounting:
     def test_strict_at_eigenvalue(self, square_pi):
         # N(z) counts lambda_k < z strictly

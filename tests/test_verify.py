@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rieszbounds import bounds, riesz, spectra, verify
+from rieszbounds._kernels import pykernels
 from rieszbounds.errors import ConfigError, DomainError, ValidityError
 
 import oracles
@@ -115,12 +116,12 @@ class TestRieszMemo:
 
 
     def test_default_sweep_sums_rows(self, monkeypatch):
-        # the grid sigmas are summed a row at a time; single values are
-        # the 3 random Hoelder sigmas of each of the 60 samples and the
-        # first miss of each (sigma, row)
+        # every value is summed in a whole pass: the grid sigmas a row at a
+        # time on their first miss, and the 3 random Hoelder sigmas of each
+        # of the 60 samples as one pair set; no single values
         spec = verify.default_spectra()["disk_r1"]
         cfg = verify.VerifyConfig()
-        calls = {"value": 0, "row": 0}
+        calls = {"value": 0, "row": 0, "pairs": 0}
         riesz_value, riesz_row = verify.riesz_value, verify.riesz_row
 
         def counting_value(s, sigma, z):
@@ -128,16 +129,47 @@ class TestRieszMemo:
             return riesz_value(s, sigma, z)
 
         def counting_row(s, sigma, zs):
-            calls["row"] += 1
+            sigmas = sigma if np.ndim(sigma) else [sigma] * len(zs)
+            if np.ndim(sigma):
+                calls["pairs"] += 1
+                assert len(sigma) == len(zs) == 3 * cfg.hoelder_samples
+            else:
+                calls["row"] += 1
             values = riesz_row(s, sigma, zs)
-            assert values == [riesz_value(s, sigma, z)[0] for z in zs]
+            assert values == [riesz_value(s, x, z)[0]
+                              for x, z in zip(sigmas, zs)]
             return values
 
         monkeypatch.setattr(verify, "riesz_value", counting_value)
         monkeypatch.setattr(verify, "riesz_row", counting_row)
         verify._sweep("disk", spec, cfg)
-        assert calls["value"] <= 3 * cfg.hoelder_samples + 22
+        assert calls["value"] == 0
         assert 0 < calls["row"] <= 22
+        assert calls["pairs"] == 1
+
+    def test_pair_batch_equals_riesz_value(self, monkeypatch):
+        # a pair set summed in one pass has the bits of riesz_value, pair
+        # by pair: at sigma = 0 (the count), three sigmas at one z, a z on
+        # no row, and more terms than one _CHUNK buffer holds
+        spec = spectra.box_spectrum([1.0, 1.0], 50000.0)
+        zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 30).tolist()
+        table = verify._RieszTable(spec)
+        table.add_row(zs[::2])
+        pairs = [(s, z) for z in zs for s in (0.0, 0.5, 1.0, 2.0, 2.7)]
+        pairs += [(3.1, 18999.5)]   # on no row
+        terms = riesz._runs(spec).values.searchsorted(
+            [z for s, z in pairs if s])
+        assert terms.sum() > pykernels._CHUNK
+        table.add_pairs(pairs)
+        calls = []
+        monkeypatch.setattr(verify, "riesz_value",
+                            lambda *args: calls.append(args))
+        values = [table[pair] for pair in pairs]
+        assert not calls
+        assert len(table) == len(pairs)
+        assert [v.hex() for v in values] == \
+            [riesz.riesz_value(spec, s, z)[0].hex() for s, z in pairs]
+        assert values[0] == riesz.counting(spec, zs[0])
 
     def test_counting_reads_the_memo(self, small_specs, monkeypatch):
         # N(z) comes from the sigma = 0 memo entry, not riesz.counting
