@@ -16,9 +16,11 @@ on the default ``verify`` z grid of the 3-ball below 2000, the
 ``riesz_sum`` calls; per-pair ``math.fsum`` against ``riesz_sums`` at one
 sigma per z, at the Hoelder samples of ``verify`` (60 z of the z grid x
 3 random sigmas) on each default ``verify`` spectrum, timed
-against per-pair ``riesz_sum`` calls; and ``math.fsum`` of all k terms
-against every field of ``riesz.means`` on the 3-ball, the 10-ball and
-the unit square.
+against per-pair ``riesz_sum`` calls; ``math.fsum`` against
+``exact_sum`` on sorted terms spanning 2,000 binades, and per-z
+``math.fsum`` against a packed ``riesz_sums`` batch with one row that the
+run path does not take; and ``math.fsum`` of all k terms against every
+field of ``riesz.means`` on the 3-ball, the 10-ball and the unit square.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -214,6 +216,43 @@ def compare_pairs() -> bool:
     return ok
 
 
+def compare_run_path_edges() -> bool:
+    """The run path at the edges of its contract: ``exact_sum`` of sorted
+    terms spanning 2,000 binades, which it sums exactly, against
+    ``math.fsum``; and a packed ``riesz_sums`` batch (15 z, one segment
+    each) whose z / 2 row holds one subnormal term, so that the run path
+    leaves the whole batch to ``math.fsum``, against per-z ``math.fsum``
+    of the ``np.power`` terms; True if all bits agree."""
+    ok = True
+    print("run path edges (bits against math.fsum)")
+    rng = np.random.default_rng(3)
+    wide = np.sort(np.ldexp(rng.uniform(0.5, 1.0, 2000),
+                            np.arange(-1000, 1000)))
+    ones = np.ones(len(wide), np.uint8), np.arange(len(wide))
+    for name, terms in (("ascending", wide), ("descending", wide[::-1]),
+                        ("negative", -wide)):
+        t_ref, ref = _time(math.fsum, terms)
+        t_new, new = _time(pykernels.exact_sum, terms)
+        same = _same_bits(ref, new)
+        ok &= same
+        taken = pykernels._run_sum(terms, [0], ones) is not None
+        print(f"  2,000 binades {name:10}  math.fsum {t_ref*1e3:6.2f} ms  "
+              f"exact_sum {t_new*1e3:6.2f} ms  run path={taken}  "
+              f"bit-equal={same}")
+    z = 1e-150
+    lams = np.sort(np.concatenate([z * rng.uniform(0.0, 0.9, 3000),
+                                   z - 1e-165 * rng.uniform(1.0, 2.0, 50)]))
+    runs = pykernels.runs_of(lams)
+    zs = [z, z / 2, z * (1 + 1e-15), *np.geomspace(z / 8, z, 12).tolist()]
+    ref = [math.fsum(np.power(x - lams[lams < x], 2.0).tolist()) for x in zs]
+    t_new, new = _time(pykernels.riesz_sums, runs, 2.0, zs)
+    same = _same_bits(ref, new)
+    ok &= same
+    print(f"  riesz_sums, {len(zs)} z, one row with a subnormal  "
+          f"{t_new*1e3:6.2f} ms  bit-equal={same}")
+    return ok
+
+
 def _means_fields(spec, k):
     m = riesz.means(spec, k, MEAN_ORDERS)
     return [m.mean, m.mean_sq, *m.power_means.values(), m.geometric,
@@ -258,6 +297,7 @@ def main() -> int:
     cases = _repeated_cases()
     ok &= compare_rows(cases)
     ok &= compare_pairs()
+    ok &= compare_run_path_edges()
     ok &= compare_means(cases)
     return 0 if ok else 1
 

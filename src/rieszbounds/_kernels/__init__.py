@@ -4,7 +4,9 @@
 of a sorted spectrum) run by run of equal sign and binary exponent, and
 leaves short, unsorted or out-of-range input to ``math.fsum``.  The same
 run path adds many sorted segments of one array at once, one sum per
-segment.  Every term has an integer weight, a term of weight m counting m
+segment; if any segment is unsorted or out of range, every segment of the
+call goes to ``math.fsum``.  Every term has an integer weight m, given
+with its position among the weighted terms, a term of weight m counting m
 times: the run path sums m * (the term's bits) in blocks of total weight
 at most 2**11, whose mantissa sums stay below 2**11 * 2**53 = 2**64 (the
 proof is in ``pykernels``); ``exact_sum`` is its one-segment case with

@@ -12,12 +12,14 @@ returns.
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
   input, and a zero result, go to ``math.fsum`` itself.
 - The run path (``_run_sum``) takes an array cut into segments, each
-  sorted on its own, and returns one sum per segment, each with its own
-  least exponent and its own fallback to ``math.fsum``.  Every term has an
-  integer weight: a term of weight m counts m times, and a block's
-  mantissa sum is the sum of m * (its term's bits), so each distinct
-  eigenvalue's term is built and added once however often the eigenvalue
-  repeats.  ``exact_sum`` is the one-segment case with every weight 1.
+  sorted on its own, and returns one sum per segment, or None for the
+  whole call if any segment is unordered, holds a subnormal or comes too
+  near overflow; ``_exact_sums`` then sums every segment with
+  ``math.fsum``.  Every term has an integer weight, given as ``(m, pos)``:
+  a term of weight m counts m times, and a block's mantissa sum is the sum
+  of m * (its term's bits), so each distinct eigenvalue's term is built
+  and added once however often the eigenvalue repeats.  ``exact_sum`` is
+  the one-segment case with every weight 1.
 - ``Runs`` (built by ``runs_of``) is a sorted array as its runs of equal
   values with their weights.  ``riesz_sum``, ``riesz_sums``, ``power_sum``
   and ``head_sum`` take weighted ``Runs`` only, and add one weighted term
@@ -52,14 +54,15 @@ an integer of at most 53 significant bits times 2**11, and its low half
 L = S mod 2**11 < 2**11, so both convert to float64 exactly, and H *
 2**(E - 1075) and L * 2**(E - 1075) are exact float64 products: their
 last bits weigh at least 2**(E - 1075) >= 2**-1074, the subnormal
-spacing, so neither underflows (a subnormal term sends its segment to
-``math.fsum``), and S < w * 2**53 for the block's weight w <= count, so
-with width = count.bit_length() both stay below 2**(E + width - 1022),
-which the guard E <= 2045 - width keeps below 2**1023, as it keeps every
-partial sum of a segment.  ``math.fsum`` of the halves of a segment's
-blocks is therefore the correctly rounded exact total, the bits of
-``math.fsum`` of its terms; an exact zero total is left to ``math.fsum``
-of the terms, which gives the zero its sign.
+spacing, so neither underflows (a subnormal term sends the call to
+``math.fsum``), and S < w * 2**53 for the block's weight w <= count, the
+total weight of the array, so with width = count.bit_length() both stay
+below 2**(E + width - 1022), which the guard E <= 2045 - width keeps
+below 2**1023, as it keeps every partial sum of a segment.  ``math.fsum``
+of the halves of a segment's blocks is therefore the correctly rounded
+exact total, the bits of ``math.fsum`` of its terms, however many
+binades they span; an exact zero total is left to ``math.fsum`` of the
+terms, which gives the zero its sign.
 """
 
 import math
@@ -112,18 +115,18 @@ _STRETCH = np.arange(_MARK + 1)
 
 def _run_sum(terms, starts, weights):
     """Exact sum of each segment of sorted, finite, non-subnormal terms far
-    enough from overflow; None for any other segment, or for an exact zero.
+    enough from overflow; None for the whole call if a segment is not.
 
     ``starts`` holds the first index of each non-empty segment, ascending
     from 0; a segment ends where the next one starts, the last at the end
-    of ``terms``.  The result is a list of one sum per segment.
+    of ``terms``.  The result is a list of one sum per segment, None for a
+    segment whose sum is an exact zero, or None if any segment is unordered,
+    holds a subnormal or lies above the overflow guard.
 
-    ``weights`` is ``(m, pos, count)``: the integer weight m[i] of each
-    term (1 to ``_RUN_WEIGHT``), the position pos[i] = m[0] + ... +
-    m[i - 1] of each term among the weighted terms of the whole array, and
-    their number, pos[-1] < count <= pos[-1] + m[-1], so that the last term
-    counts count - pos[-1] times.  The sums are those of the weighted
-    terms, ``np.repeat(terms, m)`` cut to ``count``.
+    ``weights`` is ``(m, pos)``: the integer weight m[i] of each term (1 to
+    ``_RUN_WEIGHT``) and its position pos[i] = m[0] + ... + m[i - 1] among
+    the weighted terms of the whole array.  The sums are those of the
+    weighted terms, ``np.repeat(terms, m)``.
 
     Along sorted terms the sign and the biased exponent E change
     monotonically, so the terms of a segment with one sign and exponent
@@ -141,10 +144,9 @@ def _run_sum(terms, starts, weights):
     halves of its blocks, its exact total rounded once.
     """
     n = len(terms)
-    m, pos, count = weights
-    count = int(count)
+    m, pos = weights
+    count = int(pos[-1]) + int(m[-1])
     starts = np.asarray(starts, np.intp)
-    bad = np.zeros(len(starts), bool)
     first = terms[starts]
     last = terms[np.concatenate((starts[1:], [n])) - 1]
     ordered = (np.greater_equal if np.count_nonzero(first < last)
@@ -156,9 +158,8 @@ def _run_sum(terms, starts, weights):
             # an unordered pair whose second term starts a segment is none
             second = (~ok).nonzero()[0] + (start + 1)
             seg = starts.searchsorted(second, "right") - 1
-            bad[seg[starts[seg] != second]] = True
-            if bad.all():
-                return [None] * len(starts)
+            if (starts[seg] != second).any():
+                return None
     bits = terms.view(np.uint64)
     # a stretch of _MARK terms inside one segment whose first term has the
     # sign and exponent of the next stretch's first term (or of the last
@@ -184,44 +185,31 @@ def _run_sum(terms, starts, weights):
     # the repeated edge below makes an empty block
     runs = np.concatenate(runs)
     runs.sort()
-    exps = (bits[runs] >> 52 & 0x7FF).astype(np.int64)
-    first_run = runs.searchsorted(starts)
-    e_hi = np.maximum.reduceat(exps, first_run)
-    e_lo = np.minimum.reduceat(exps + (exps == 0) * 4096, first_run)
+    exps = bits[runs] >> 52 & 0x7FF
     # no inf, and every block half and every partial sum of a segment
-    # stays below 2**1023; a segment without a normal term sums to 0 or
-    # holds a subnormal, and one that spans more binades than the run
-    # path takes goes to math.fsum as well
-    width = count.bit_length()
-    bad |= (e_hi > 2045 - width) | (e_hi - e_lo > 970 - width)
-    if not exps.all():
-        # the zeros, of either sign, lie between a segment's negative and
-        # positive terms and add nothing; a subnormal among them would
-        subnormal = (exps == 0) & (np.bitwise_or.reduceat(bits, runs)
-                                   & _MANTISSA != 0)
-        bad[starts.searchsorted(runs[subnormal], "right") - 1] = True
-    if bad.all():
-        return [None] * len(starts)
+    # stays below 2**1023
+    if exps.max() > 2045 - count.bit_length():
+        return None
+    # the zeros, of either sign, lie between a segment's negative and
+    # positive terms and add nothing; a subnormal among them sends the
+    # call to math.fsum
+    if not exps.all() and (np.bitwise_or.reduceat(bits, runs)[exps == 0]
+                           & _MANTISSA).any():
+        return None
     # block edges: the runs and segment starts, the end, and the first
     # term whose position among the weighted terms reaches each multiple
     # of the step
-    last = int(pos[-1])
-    grid = pos.searchsorted(np.arange(_RUN_STEP, last + 1, _RUN_STEP))
+    grid = pos.searchsorted(np.arange(_RUN_STEP, int(pos[-1]) + 1,
+                                      _RUN_STEP))
     edges = np.concatenate((grid, runs, [n]))
     edges.sort()
     sums = np.add.reduceat(bits * m, edges[:-1])
-    excess = int(m[-1]) - (count - last)    # the last term counts
-    if excess:                              # count - last times
-        sums[-1:] -= bits[-1:] * np.uint64(excess)
     signs = bits[edges[:-1]] & _SIGN_EXP
     # block weights from the positions of the edges, the count at the end
     at = np.append(pos[edges[:-1]], count)
     counts = (at[1:] - at[:-1]).astype(np.uint64)
     sums -= counts * (signs - (1 << 52))
     sums[counts == 0] = 0    # reduceat gives a repeated edge one term
-    cuts = edges[:-1].searchsorted(starts)
-    if bad.any():    # whose blocks could overflow below
-        sums[np.repeat(bad, np.diff(cuts, append=len(sums)))] = 0
     # each block as its exact high and low halves, side by side; the
     # scale of a zero's exponent is 0, so zeros add nothing
     scale = _SCALE[signs >> 52]
@@ -231,31 +219,23 @@ def _run_sum(terms, starts, weights):
     parts = halves.ravel().tolist()
     # math.fsum of the exact halves rounds a segment's exact total once;
     # an exact zero goes to math.fsum of the terms, for its sign
-    cuts = (2 * cuts).tolist() + [len(parts)]
-    return [None if skip or not (total := math.fsum(parts[a:b])) else total
-            for skip, a, b in zip(bad.tolist(), cuts, cuts[1:])]
+    cuts = (2 * edges[:-1].searchsorted(starts)).tolist() + [len(parts)]
+    return [math.fsum(parts[a:b]) or None for a, b in zip(cuts, cuts[1:])]
 
 
 def _exact_sums(terms, starts, weights):
     """``math.fsum`` of each segment of ``terms``, weighted (as in
     ``_run_sum``), bit for bit: the run path for at least ``_SMALL``
-    weighted terms, ``math.fsum`` of the expanded terms for what it
-    leaves."""
-    sums = (_run_sum(terms, starts, weights) if weights[2] >= _SMALL
-            else [None] * len(starts))
+    weighted terms, ``math.fsum`` of the repeated terms of a segment for an
+    exact zero, and of every segment when the run path leaves the call."""
+    m, pos = weights
+    sums = (_run_sum(terms, starts, weights)
+            if len(m) and pos[-1] + m[-1] >= _SMALL else None)
     ends = [*starts[1:], len(terms)]
-    return [math.fsum(_expanded(terms, weights, a, b)) if total is None
-            else total for total, a, b in zip(sums, starts, ends)]
-
-
-def _expanded(terms, weights, a, b):
-    """The weighted terms a..b - 1 as a list, each as often as it counts."""
-    m, pos, count = weights
-    reps = m[a:b]
-    if b == len(terms):    # the last term counts count - pos[-1] times
-        reps = reps.copy()
-        reps[-1:] = count - pos[-1:]    # none if there are no terms
-    return np.repeat(terms[a:b], reps).tolist()
+    return [math.fsum(np.repeat(terms[a:b], m[a:b]).tolist())
+            if total is None else total
+            for total, a, b in zip(sums or [None] * len(starts), starts,
+                                   ends)]
 
 
 def exact_sum(terms):
@@ -270,7 +250,7 @@ def exact_sum(terms):
     """
     terms = np.asarray(terms, dtype=np.float64)
     n = len(terms)
-    return _exact_sums(terms, [0], (np.ones(n, np.uint8), np.arange(n), n))[0]
+    return _exact_sums(terms, [0], (np.ones(n, np.uint8), np.arange(n)))[0]
 
 
 class Runs(NamedTuple):
@@ -384,18 +364,17 @@ def _riesz_rows(runs, sigmas, zs):
         if len(batch) == 1:    # nothing to pack
             i = batch[0]
             terms, starts = zs[i] - values[:size], [0]
-            weights = m[:size], offsets[:size], counts[i]
+            weights = m[:size], offsets[:size]
             _powers(terms, sigmas[i], out=terms)
         else:    # positions run on across the rows
             lengths = [sizes[i] for i in batch]
             starts = [0, *accumulate(lengths[:-1])]
             terms = np.repeat([zs[i] for i in batch], lengths)
             terms -= np.concatenate([values[:s] for s in lengths])
-            before = [0, *accumulate(counts[i] for i in batch)]
+            before = [0, *accumulate(counts[i] for i in batch[:-1])]
             pos = np.concatenate([offsets[:s] for s in lengths])
-            pos += np.repeat(before[:-1], lengths)
-            weights = (np.concatenate([m[:s] for s in lengths]), pos,
-                       before[-1])
+            pos += np.repeat(before, lengths)
+            weights = np.concatenate([m[:s] for s in lengths]), pos
             # one power pass per stretch of rows with equal sigmas
             sigma = operator.itemgetter(*batch)(sigmas)
             turns = [] if sigma.count(sigma[0]) == len(sigma) else (
@@ -416,8 +395,9 @@ def head_sum(runs, k, terms_of):
 
     ``terms_of`` maps an array of values to one term per value; it gets
     the values of the runs that hold the first k entries, and each term is
-    weighted by its run's count among them (the last run cut at k).  A k
-    that is not an integer raises DomainError.
+    weighted by its run's count among them: the runs' weights, in a copy
+    whose last weight is cut at k (the cached ``Runs`` are read-only).  A
+    k that is not an integer raises DomainError.
     """
     values, m, offsets = runs
     try:
@@ -428,8 +408,10 @@ def head_sum(runs, k, terms_of):
     if k <= 0:
         return 0.0
     size = int(offsets.searchsorted(k))    # through the piece holding k
+    cut = m[:size].copy()                  # its weight cut at k
+    cut[-1] = k - offsets[size - 1]
     return _exact_sums(terms_of(values[:size]), [0],
-                       (m[:size], offsets[:size], k))[0]
+                       (cut, offsets[:size]))[0]
 
 
 def power_sum(runs, k, p):

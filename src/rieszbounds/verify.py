@@ -91,6 +91,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, asdict, replace
 from functools import partial
 from itertools import chain, cycle, groupby, islice, repeat, starmap
@@ -98,7 +100,8 @@ from itertools import chain, cycle, groupby, islice, repeat, starmap
 import numpy as np
 
 from . import bounds, riesz, spectra
-from .errors import ConfigError, DomainError, ResourceLimitError
+from .errors import (ConfigError, DomainError, ResourceLimitError,
+                     ValidityError)
 from .riesz import eigensum_prefix, riesz_row, riesz_value, square_prefix
 from .spectra import Spectrum
 
@@ -559,17 +562,30 @@ _GATES = {
 
 
 def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
-    """Recompute the margin for a reported witness tuple; an integer j or
-    k outside the spectrum raises DomainError (the sweep makes none), and
-    a witness outside the validity region of its family's bound raises
-    ValidityError."""
+    """Recompute the margin for a reported witness tuple.
+
+    j and k must be integers (``operator.index``): an integral value of
+    another type, such as 3.0, or a non-number raises DomainError, as does
+    an integer outside the spectrum (the sweep makes none); a non-integral
+    number, like any witness outside the validity region of its family's
+    bound, raises ValidityError."""
     params = {k: v for k, v in witness.items() if k != "spectrum"}
     reads_next = check_id in ("eq224_ratio", "yang_simplified", "eq36_next")
     for key in ("j", "k"):
+        if key not in params:
+            continue
+        value = params[key]
+        try:
+            index = operator.index(value)
+        except TypeError:
+            error = (ValidityError if isinstance(value, numbers.Real)
+                     and not bounds._whole(value) else DomainError)
+            raise error(f"{check_id}: {key} must be an integer, "
+                        f"got {value!r}") from None
         top = len(spec.eigenvalues) - (key == "k" and reads_next)
-        if bounds._whole(params.get(key)) and not 1 <= params[key] <= top:
+        if not 1 <= index <= top:
             raise DomainError(f"{check_id}: {key} must be in 1..{top}, "
-                              f"got {params[key]}")
+                              f"got {value}")
     gate = _GATES.get(check_id)
     if gate is not None:
         gate(spec, **params)

@@ -383,9 +383,13 @@ def monotone_arrays(draw):
     return x
 
 
-def _run_one(terms):
-    """The run path's sum of ``terms`` as one segment, every weight 1."""
-    return pykernels._run_sum(terms, [0], _weights(np.ones(len(terms))))[0]
+def _run_one(terms, weights=None):
+    """The run path's sum of ``terms`` as one segment, every weight 1 by
+    default; None where it leaves the sum to ``math.fsum``."""
+    if weights is None:
+        weights = _weights(np.ones(len(terms)))
+    sums = pykernels._run_sum(terms, [0], weights)
+    return None if sums is None else sums[0]
 
 
 class TestRunPath:
@@ -455,6 +459,21 @@ class TestRunPath:
         assert _bits(_run_one(x)) == _bits(math.fsum(x.tolist()))
         _assert_same(x[::-1].copy())
 
+    @pytest.mark.parametrize("x", [
+        np.sort(np.ldexp(0.75, np.arange(-600, 600))),
+        np.sort(np.ldexp(0.75, np.arange(-1000, 1000))),
+        np.sort(np.concatenate([-np.ldexp(0.625, np.arange(-1000, 990, 2)),
+                                np.ldexp(0.75, np.arange(-999, 1000, 2))])),
+    ], ids=["wide", "2000-binades", "both-signs"])
+    def test_wide_exponent_span(self, x):
+        # math.fsum of the exact halves of the blocks is exact however many
+        # binades the terms span
+        for terms in (x, x[::-1].copy(), -x):
+            run = _run_one(terms)
+            assert run is not None
+            assert _bits(run) == _bits(math.fsum(terms.tolist()))
+            _assert_same(terms)
+
 
 def _ascending_across_two(n):
     """Sorted terms just below and at 2**10, n of them."""
@@ -482,13 +501,12 @@ class TestRunPathFallback:
                                 -np.linspace(1.0, 2.0, 2000)])),  # total
         np.sort(np.ldexp(0.75, np.arange(-1070, -900))).repeat(20),
         np.linspace(1e300, 1.7e308, 3000),                     # overflow risk
-        np.sort(np.ldexp(0.75, np.arange(-600, 600, 1))),      # too wide
         np.concatenate([np.linspace(1.0, 2.0, 3000), [math.inf]]),
         np.concatenate([np.linspace(-2.0, -1.0, 3000), [-math.inf]]),
         np.concatenate([np.linspace(1.0, 2.0, 3000), [math.nan]]),
         np.concatenate([[math.nan], np.linspace(1.0, 2.0, 3000)]),
     ], ids=["sign-flip", "subnormal-between", "zeros", "cancelling",
-            "subnormal", "near-overflow", "wide", "inf", "-inf", "nan-last",
+            "subnormal", "near-overflow", "inf", "-inf", "nan-last",
             "nan-first"])
     def test_ineligible_input_falls_back(self, x):
         assert _run_one(x) is None
@@ -498,27 +516,30 @@ class TestRunPathFallback:
 WEIGHT = pykernels._RUN_WEIGHT
 
 
-def _weights(m, count=None):
-    """``_run_sum``'s (m, pos, count): the weights, the position of each
-    term among the weighted terms, and the number of weighted terms
-    summed, all of them by default."""
-    m = np.asarray(m, np.uint8)
-    pos = np.cumsum(m, dtype=np.int64) - m
-    return m, pos, int(pos[-1] + m[-1]) if count is None else count
+def _weights(m, cut=0):
+    """``_run_sum``'s (m, pos): the weights, the last one cut by ``cut``,
+    and the position of each term among the weighted terms."""
+    m = np.array(m, np.uint8)
+    m[-1] -= cut
+    return m, np.cumsum(m, dtype=np.int64) - m
+
+
+def _count(weights):
+    """The number of weighted terms."""
+    m, pos = weights
+    return int(pos[-1]) + int(m[-1])
 
 
 def _repeated(terms, weights):
-    """The weighted terms as a list, the last one cut to the count."""
-    m, pos, count = weights
-    reps = m.astype(np.int64)
-    reps[-1] = count - pos[-1]
-    return np.repeat(terms, reps).tolist()
+    """The weighted terms as a list."""
+    return np.repeat(terms, weights[0]).tolist()
 
 
 def _head(terms, m, k):
     """The terms and ``_run_sum`` weights of the first k repeated terms."""
-    size = int(np.cumsum(m).searchsorted(k)) + 1
-    return terms[:size], _weights(m[:size], k)
+    ends = np.cumsum(m)
+    size = int(ends.searchsorted(k)) + 1
+    return terms[:size], _weights(m[:size], int(ends[size - 1]) - k)
 
 
 def _assert_weighted(terms, weights):
@@ -528,7 +549,7 @@ def _assert_weighted(terms, weights):
     want = _outcome(math.fsum, _repeated(terms, weights))
     assert _outcome(lambda t: pykernels._exact_sums(t, [0], weights)[0],
                     terms) == want
-    run = pykernels._run_sum(terms, [0], weights)[0]
+    run = _run_one(terms, weights)
     if run is not None:
         assert _bits(run) == want
     return run
@@ -547,9 +568,7 @@ def weighted_arrays(draw):
          "under": lambda: np.full(n, WEIGHT - 1),
          "mixed": lambda: rng.choice([1, WEIGHT - 1, WEIGHT], n),
          "any": lambda: rng.integers(1, WEIGHT + 1, n)}[kind]()
-    full = _weights(m)
-    cut = draw(st.integers(0, int(m[-1]) - 1))
-    return x, _weights(m, full[2] - cut)
+    return x, _weights(m, draw(st.integers(0, int(m[-1]) - 1)))
 
 
 class TestWeightedRunPath:
@@ -574,15 +593,15 @@ class TestWeightedRunPath:
             m = np.full(300, weight)
             m[0] = lead
             assert _assert_weighted(x, _weights(m)) is not None
-            assert _assert_weighted(x, _weights(m, int(m.sum()) - 1)) \
-                is not None
+            assert _assert_weighted(x, _weights(m, 1)) is not None
 
     def test_blocks_reach_the_bound(self):
         # with all weights at the bound some blocks weigh exactly 2**11
-        m, pos, count = _weights(np.full(64, WEIGHT))
+        m, pos = _weights(np.full(64, WEIGHT))
         edges = pos.searchsorted(np.arange(pykernels._RUN_STEP, pos[-1] + 1,
                                            pykernels._RUN_STEP))
-        weights = np.diff(np.concatenate(([0], pos[edges], [count])))
+        weights = np.diff(np.concatenate(([0], pos[edges],
+                                          [_count((m, pos))])))
         assert weights.max() == RUN_BLOCK
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 7])
@@ -593,8 +612,7 @@ class TestWeightedRunPath:
         m = rng.choice([1, 2, WEIGHT], n, p=[0.6, 0.399, 0.001])
         m[-1] = 2
         assert _assert_weighted(x, _weights(m)) is not None
-        assert _assert_weighted(x, _weights(m, int(m.sum()) - 1)) \
-            is not None
+        assert _assert_weighted(x, _weights(m, 1)) is not None
 
     def test_logs_across_one(self):
         # logs of repeated eigenvalues below and at and above 1: negative
@@ -669,9 +687,8 @@ def _segmented(kinds, seed, cut, top=0):
     rng = np.random.default_rng(seed)
     parts = [_segment(kind, rng, rng.integers(1, 300)) for kind in kinds]
     m = np.concatenate([w for _, w in parts])
-    cut = min(cut, int(m[-1]) - 1)
-    weights = _weights(m, int(m.sum()) - cut)
-    e_top = 2045 - weights[2].bit_length() + top
+    weights = _weights(m, min(cut, int(m[-1]) - 1))
+    e_top = 2045 - _count(weights).bit_length() + top
     xs = [np.ldexp(x, e_top - 1023) if kind == "top" else x
           for kind, (x, _) in zip(kinds, parts)]
     starts = np.cumsum([0] + [len(x) for x in xs[:-1]])
@@ -680,11 +697,8 @@ def _segmented(kinds, seed, cut, top=0):
 
 def _segment_sums(terms, starts, weights):
     """``math.fsum`` of each segment's repeated terms."""
-    m, pos, count = weights
-    reps = m.astype(np.int64)
-    reps[-1] = count - pos[-1]
     ends = [*starts[1:], len(terms)]
-    return [math.fsum(np.repeat(terms[a:b], reps[a:b]).tolist())
+    return [math.fsum(np.repeat(terms[a:b], weights[0][a:b]).tolist())
             for a, b in zip(starts, ends)]
 
 
@@ -701,6 +715,7 @@ class TestSegmentedRunPath:
     def test_bitwise_equal_to_fsum(self, kinds, seed, cut):
         terms, starts, weights = _segmented(kinds, seed, cut)
         got = pykernels._run_sum(terms, starts, weights)
+        assert got is not None
         for total, want in zip(got, _segment_sums(terms, starts, weights)):
             assert (total is None) == (want == 0.0)
             if total is not None:
@@ -737,19 +752,36 @@ class TestSegmentedRunPath:
     @pytest.mark.parametrize("top", [0, 1])
     def test_top_block_at_the_guard(self, top):
         # at E = 2045 - width every half stays finite; one binade higher
-        # the segment goes to math.fsum
+        # the run path leaves every segment of the call to math.fsum
         terms, starts, weights = _segmented(["plain", "top", "mixed"], 5, 0,
                                             top)
         got = pykernels._run_sum(terms, starts, weights)
         want = _segment_sums(terms, starts, weights)
-        assert (got[1] is None) == bool(top)
+        assert (got is None) == bool(top)
         assert math.isfinite(want[1])
         assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
                                                         weights)] == \
             [_bits(t) for t in want]
-        for total, w in zip(got, want):
-            if total is not None:
-                assert _bits(total) == _bits(w)
+        for total, w in zip(got or [], want):
+            assert _bits(total) == _bits(w)
+
+    @pytest.mark.parametrize("spoil", ["unordered", "subnormal", "inf"])
+    def test_one_ineligible_segment_leaves_the_call(self, spoil):
+        # one spoilt segment among good ones: the run path returns None
+        # for the call, and every segment is math.fsum of its terms
+        terms, starts, weights = _segmented(["plain", "plain", "mixed",
+                                             "low"], 3, 0)
+        a, b = starts[1], starts[2]
+        if spoil == "unordered":
+            terms[a:b] = terms[a:b][::-1].copy()
+        elif spoil == "subnormal":    # the segment stays ascending
+            terms[a] = 5e-324
+        else:
+            terms[b - 1] = math.inf
+        assert pykernels._run_sum(terms, starts, weights) is None
+        assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
+                                                        weights)] == \
+            [_bits(t) for t in _segment_sums(terms, starts, weights)]
 
 
 class TestWeightedFallback:
@@ -776,7 +808,7 @@ class TestWeightedFallback:
     def test_short_input_is_summed_by_fsum(self):
         x = np.linspace(1.0, 2.0, 9)
         weights = _weights(np.full(9, 100))
-        assert weights[2] < SMALL
+        assert _count(weights) < SMALL
         _assert_weighted(x, weights)
         assert _bits(pykernels._exact_sums(x, [0], weights)[0]) == \
             _bits(math.fsum(_repeated(x, weights)))

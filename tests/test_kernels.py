@@ -3,6 +3,7 @@ exact prefix sums must be correctly rounded (match math.fsum term by
 term)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,11 @@ class TestTermShortcuts:
 
 def _hex(values):
     return [float(v).hex() for v in values]
+
+
+def _ones(n):
+    """``_run_sum`` weights (m, pos) of n terms of weight 1."""
+    return np.ones(n, np.uint8), np.arange(n)
 
 
 def _fsum_rows(lams, sigma, zs):
@@ -207,8 +213,10 @@ class TestRieszRows:
         (2.5e152, 1e140, False),    # terms near overflow
     ])
     def test_rows_that_fall_back(self, z, gap, run):
-        # the z row takes the run path only if its terms allow it; every
-        # row has the bits of riesz_sum either way
+        # the z row alone takes the run path only if its terms allow it;
+        # every batch holds a row that does not (where the z row does, the
+        # z / 2 row holds one subnormal), so the run path leaves the whole
+        # batch to math.fsum, and every row keeps the bits of riesz_sum
         rng = np.random.default_rng(7)
         lams = np.sort(np.concatenate([z * rng.uniform(0.0, 0.9, 3000),
                                        z - gap * rng.uniform(1.0, 2.0, 50)]))
@@ -220,9 +228,10 @@ class TestRieszRows:
             _hex(_fsum_rows(lams, 2.0, zs))
         with np.errstate(over="ignore"):
             rows = [np.power(x - lams[lams < x], 2.0) for x in zs]
+        if run:
+            assert sum(0.0 < t < sys.float_info.min for t in rows[1]) == 1
         starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
-        terms = np.concatenate(rows)
-        n = len(terms)
-        ones = np.ones(n, np.uint8), np.arange(n), n
-        sums = pykernels._run_sum(terms, starts, ones)
-        assert (sums[0] is not None) == run
+        assert pykernels._run_sum(np.concatenate(rows), starts,
+                                  _ones(sum(map(len, rows)))) is None
+        alone = pykernels._run_sum(rows[0], [0], _ones(len(rows[0])))
+        assert (alone is not None) == run

@@ -848,6 +848,9 @@ class TestBadWitness:
          DomainError),
         ("moment_interpolation",
          {"k": 10**6, "mu": 0.5, "sigma": 1.0, "tau": 2.0}, DomainError),
+        ("yang_simplified", {"k": 2.5}, ValidityError),
+        ("cor29_r2", {"j": 2.5, "z": 150.0}, ValidityError),
+        ("eq36_next", {"k": None}, DomainError),
     ])
     def test_raises(self, square_pi_200, check_id, witness, error):
         spec = square_pi_200
@@ -855,6 +858,19 @@ class TestBadWitness:
         for _ in range(2):
             with pytest.raises(error):
                 verify.reevaluate(spec, check_id, witness)
+
+    @pytest.mark.parametrize("check_id, witness, key", [
+        ("yang_simplified", {"k": 3.0}, "k"),
+        ("eq224_ratio", {"j": 2, "k": 3.0}, "k"),
+        ("cor32_abhh", {"k": 10.0}, "k"),
+        ("eq37_discrim", {"k": 3.0, "form": "lower"}, "k"),
+        ("cor31_mean_ratio", {"j": 2.0, "k": 40}, "j"),
+    ])
+    def test_float_index(self, square_pi_200, check_id, witness, key):
+        # an integral float is no index: DomainError naming check and key
+        with pytest.raises(DomainError,
+                           match=f"^{check_id}: {key} must be an integer"):
+            verify.reevaluate(square_pi_200, check_id, witness)
 
     @pytest.mark.parametrize("check_id, witness", [
         ("cor29_r2", {"j": 0, "z": 150.0}),
