@@ -1,9 +1,10 @@
 """Print one SHA-256 digest per deterministic CLI artifact.
 
 Runs each invocation below as ``python -m rieszbounds.cli`` in a fresh
-process and prints ``sha256  name`` for its standard output, one line per
-artifact: ``verify`` (JSON at full precision for seeds 0, 1 and 7, and
-text), tables 1-3 and figures 1-3 at both precisions, ``bounds --list``,
+process, once under each of ``PYTHONHASHSEED`` = 0 and 1, and prints
+``sha256  name`` for its standard output, one line per artifact:
+``verify`` (JSON at full precision for seeds 0, 1 and 7, and text),
+tables 1-3 and figures 1-3 at both precisions, ``bounds --list``,
 ``bounds --bessel-zeros`` (40 zeros of orders 0, 1/2 and 7) at both
 precisions, the spectrum of the unit square and the unit 3-ball in text,
 CSV and JSON, of the unit disk and a 4-ball of radius 1/2 in text, and
@@ -18,10 +19,12 @@ digest lists are equal:
     PYTHONPATH=../base/src python3 benchmarks/output_digests.py > base.txt
     diff base.txt head.txt
 
-Exit status 1 if any invocation exits nonzero.
+Exit status 1 if any invocation exits nonzero, or if an artifact's
+output differs between the two hash seeds.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -32,6 +35,8 @@ BALL = ["--ball", "--dim", "3", "--radius", "1", "--lambda-max", "2000"]
 BALLS_TEXT = (("disk", ["--ball", "--dim", "2", "--lambda-max", "5000"]),
               ("ball4-r0.5", ["--ball", "--dim", "4", "--radius", "0.5",
                               "--lambda-max", "2000"]))
+#: every invocation runs under each hash seed; its output must not change
+HASH_SEEDS = ("0", "1")
 ZEROS = ["bounds", "--bessel-zeros", "0,0.5,7", "--zero-count", "40"]
 #: per spectrum: z values (the middle one a repeated eigenvalue, which
 #: R_sigma leaves out with its whole run) and a k inside a run of equal
@@ -73,12 +78,21 @@ def _invocations():
 def main() -> int:
     status = 0
     for name, argv in _invocations():
-        run = subprocess.run([sys.executable, "-m", "rieszbounds.cli", *argv],
-                             capture_output=True)
-        if run.returncode != 0:
-            print(f"{name}: exit {run.returncode}: "
-                  f"{run.stderr.decode(errors='replace').strip()}",
-                  file=sys.stderr)
+        outputs = set()
+        for seed in HASH_SEEDS:
+            run = subprocess.run(
+                [sys.executable, "-m", "rieszbounds.cli", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed})
+            if run.returncode != 0:
+                print(f"{name}: exit {run.returncode} under PYTHONHASHSEED="
+                      f"{seed}: {run.stderr.decode(errors='replace').strip()}",
+                      file=sys.stderr)
+                status = 1
+            outputs.add(run.stdout)
+        if len(outputs) > 1:
+            print(f"{name}: output differs between PYTHONHASHSEED="
+                  f"{' and '.join(HASH_SEEDS)}", file=sys.stderr)
             status = 1
         print(f"{hashlib.sha256(run.stdout).hexdigest()}  {name}",
               flush=True)

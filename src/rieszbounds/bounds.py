@@ -297,7 +297,9 @@ def lambda_next_over_mean(d, j, k):
     d = _check_dim(d)
     if not (j >= 1 and _whole(j)):
         raise ValidityError(f"j must be a positive integer, got {j}")
-    if not (k >= j and _whole(k)):
+    if not _whole(k):
+        raise ValidityError(f"k must be an integer, got {k}")
+    if not k >= j:
         raise ValidityError(f"requires k >= j, got k={k}, j={j}")
     return (1 + 4 / d) * (k / j) ** (2 / d)
 

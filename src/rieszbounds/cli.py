@@ -30,9 +30,6 @@ from .errors import ResourceLimitError, RieszBoundsError
 #: (orders times ``--zero-count``; 10^5 zeros take about 15 s)
 MAX_EXPORT_ZEROS = 10**5
 
-#: most rows one ``figure fig2`` k range may produce
-MAX_FIGURE_ROWS = 10**6
-
 
 def _fmt(full_precision: bool):
     digits = "{:.17g}" if full_precision else "{:.6g}"
@@ -142,6 +139,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_riesz(args) -> int:
+    given = [flag for flag, value in (("--z", args.z), ("--means", args.means),
+                                      ("--legendre", args.legendre))
+             if value is not None]
+    if len(given) != 1:
+        raise RieszBoundsError(
+            "riesz needs exactly one of --z, --means, --legendre"
+            + (f", got {', '.join(given)}" if given else ""))
     spec = _spectrum_from_args(args)
     if args.legendre is not None:
         rows = [[w, riesz.legendre_R1(spec, w)] for w in args.legendre]
@@ -153,8 +157,6 @@ def cmd_riesz(args) -> int:
         _emit_rows(args, ["k", "mean", "mean_sq", "geometric", "harmonic"],
                    rows)
         return 0
-    if not args.z:
-        raise RieszBoundsError("riesz needs --z values (or --means/--legendre)")
     rows = []
     for z in args.z:
         ev = riesz.riesz_mean(spec, args.sigma, z)
@@ -292,43 +294,32 @@ def table_rows(table_id: str):
     raise RieszBoundsError(f"unknown table id {table_id!r}")
 
 
-def figure_rows(fig_id: str, k_min=2, k_max=127, m_max=7, d_min=2, d_max=7):
-    """Curve data for the three figures."""
+def figure_rows(fig_id: str):
+    """Curve data for the three figures, at the paper's ranges."""
     if fig_id == "fig1":
         header = ["d", "eq_3_4_j1_coeff", "cy_av_coeff"]
         rows = [[str(d), bounds.simple_p9_coeff(d), bounds.cy_av_coeff(d)]
-                for d in range(d_min, d_max + 1)]
+                for d in TABLE_DIMS]
         return header, rows
     if fig_id == "fig2":
-        if k_max - k_min + 1 > MAX_FIGURE_ROWS:
-            raise ResourceLimitError(
-                f"fig2 k range {k_min}..{k_max} exceeds cap "
-                f"{MAX_FIGURE_ROWS} rows")
         d = 4
         header = ["k"] + [name for name, _ in TABLE1_COLUMNS]
         rows = [[str(k)] + [fn(d, k) for _, fn in TABLE1_COLUMNS]
-                for k in range(k_min, k_max + 1)]
+                for k in range(2, 128)]
         return header, rows
     if fig_id == "fig3":
         d = 3
         header = ["k", "ab94", "cheng_yang"]
         rows = [[str(2 ** m), bounds.ab94(d, m),
                  bounds.cheng_yang(d, 2 ** m)]
-                for m in range(0, m_max + 1)]
+                for m in range(8)]
         return header, rows
     raise RieszBoundsError(f"unknown figure id {fig_id!r}")
 
 
-def cmd_table(args) -> int:
-    header, rows = table_rows(args.table_id)
-    _emit_rows(args, header, rows)
-    return 0
-
-
-def cmd_figure(args) -> int:
-    header, rows = figure_rows(args.fig_id, k_min=args.k_min,
-                               k_max=args.k_max, m_max=args.m_max,
-                               d_min=args.d_min, d_max=args.d_max)
+def cmd_rows(args) -> int:
+    """``table`` and ``figure``: the rows of one artifact."""
+    header, rows = args.rows(args.id)
     _emit_rows(args, header, rows)
     return 0
 
@@ -393,18 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="reproduce a comparison table")
-    p.add_argument("table_id", choices=("table1", "table2", "table3"))
-    p.set_defaults(fn=cmd_table)
+    p.add_argument("id", choices=("table1", "table2", "table3"))
+    p.set_defaults(fn=cmd_rows, rows=table_rows)
 
     p = sub.add_parser("figure", parents=[common],
                        help="emit curve data for a figure")
-    p.add_argument("fig_id", choices=("fig1", "fig2", "fig3"))
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=127)
-    p.add_argument("--m-max", type=int, default=7)
-    p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--d-max", type=int, default=7)
-    p.set_defaults(fn=cmd_figure)
+    p.add_argument("id", choices=("fig1", "fig2", "fig3"))
+    p.set_defaults(fn=cmd_rows, rows=figure_rows)
 
     return ap
 

@@ -33,10 +33,6 @@ class TruncationError(RieszBoundsError):
     """Evaluation point exceeds the spectrum's completeness threshold."""
 
 
-class MissingVolumeError(RieszBoundsError):
-    """Operation needs the domain volume but the spectrum does not carry one."""
-
-
 class ValidityError(RieszBoundsError, ValueError):
     """A closed-form bound was evaluated outside its validity region."""
 

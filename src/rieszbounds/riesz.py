@@ -6,14 +6,14 @@ Counting is strict: N(z) = #{k : lambda_k < z}, matching the limit of
 stay below the spectrum's completeness threshold.
 
 Every exact sum over a spectrum (a Riesz mean or a row of them, the mean
-square and power means, the geometric and harmonic means) builds and adds
-one term per run of equal eigenvalues, weighted by its multiplicity, with
-the bits of ``math.fsum`` over all n terms.  The runs (``_runs``: the
-distinct values, their multiplicities and running counts, a run longer
-than the kernels' weight bound in pieces) are cached on the spectrum on its
-first sum, and so are the logs of the geometric mean, one ``math.log`` per
-run.  A sum over the first k eigenvalues takes the runs up to the one that
-holds eigenvalue k, that one counted only up to k.
+square and power means, the geometric and harmonic means) adds one term
+per run of equal eigenvalues, weighted by its multiplicity, with the bits
+of ``math.fsum`` over all n terms (the kernels are described in
+:mod:`rieszbounds._kernels.pykernels`).  The runs (``_runs``) are cached
+on the spectrum on its first sum, and so are the logs of the geometric
+mean, one ``math.log`` per run.  A sum over the first k eigenvalues takes
+the runs up to the one that holds eigenvalue k, that one counted only up
+to k.
 """
 
 from __future__ import annotations

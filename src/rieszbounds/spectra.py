@@ -8,7 +8,6 @@ threshold; this is the main correctness contract of the whole toolkit.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import operator
@@ -21,7 +20,6 @@ from . import specfun
 from .errors import (
     DomainError,
     EmptySpectrumError,
-    MissingVolumeError,
     ResourceLimitError,
     SpectrumFormatError,
     SpectrumValidationError,
@@ -265,20 +263,10 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     )
 
 
-def weyl_asymptote(spec: Spectrum, k: int) -> float:
-    """Leading-order eigenvalue asymptote 4 pi Gamma(1+d/2)^{2/d} (k/|O|)^{2/d}."""
-    if spec.volume is None:
-        raise MissingVolumeError("spectrum carries no volume metadata")
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    d = spec.dimension
-    return (4 * math.pi * specfun.gamma(1 + d / 2)**(2 / d)
-            * k**(2 / d) / spec.volume**(2 / d))
-
-
 # ---------------------------------------------------------------------------
 # file format: header lines "dim: <d>", "complete_below: <v>", optional
-# "volume: <v>", then one eigenvalue per line; '#' starts a comment.
+# "volume: <v>", each at most once, then one eigenvalue per line; '#'
+# starts a comment.
 
 #: lines per block that ``load_spectrum`` converts at once
 _LOAD_BLOCK = 1 << 16
@@ -299,6 +287,9 @@ def _parse_lines(path: str, lines, lineno: int, header: dict) -> list[float]:
             key, _, rest = line.partition(":")
             key = key.strip().lower()
             rest = rest.strip()
+            if key in header:
+                raise SpectrumFormatError(
+                    f"{path}:{lineno}: repeated header {key!r}")
             try:
                 if key == "dim":
                     header["dim"] = int(rest)
@@ -350,7 +341,8 @@ def _parse_block(path: str, lines, lineno: int, header: dict) -> np.ndarray:
 
 
 def load_spectrum(path: str) -> Spectrum:
-    """Parse a spectrum file; validation errors name the first violation.
+    """Parse a spectrum file; validation errors name the file and the first
+    violation.
 
     The file is read in blocks of lines, each converted by
     ``_parse_block``: in bulk where its lines are bare numbers, by the line
@@ -374,13 +366,19 @@ def load_spectrum(path: str) -> Spectrum:
     if "complete_below" not in header:
         raise SpectrumFormatError(f"{path}: missing 'complete_below' header")
     dim = header["dim"]
-    return Spectrum(
-        dimension=dim,
-        eigenvalues=np.concatenate(parts) if parts else np.empty(0),
-        complete_below=header["complete_below"],
-        domain=DomainSpec(kind="file", dimension=dim, source_path=str(path)),
-        volume=header.get("volume"),
-    )
+    try:
+        if dim < 1:    # before DomainSpec, which would raise DomainError
+            raise SpectrumValidationError("dimension must be >= 1")
+        return Spectrum(
+            dimension=dim,
+            eigenvalues=np.concatenate(parts) if parts else np.empty(0),
+            complete_below=header["complete_below"],
+            domain=DomainSpec(kind="file", dimension=dim,
+                              source_path=str(path)),
+            volume=header.get("volume"),
+        )
+    except SpectrumValidationError as exc:
+        raise SpectrumValidationError(f"{path}: {exc}") from None
 
 
 def _format_runs(values: np.ndarray, fmt) -> list[str]:
@@ -451,7 +449,7 @@ def write_spectrum(spec: Spectrum, path: str) -> None:
         _write_text(spec, fh)
 
 
-def _write_csv(spec: Spectrum, fh, full_precision: bool = False) -> None:
+def _write_csv(spec: Spectrum, fh, full_precision: bool) -> None:
     """Write the CSV export of ``spec``, columns (k, lambda_k), to the open
     text file ``fh``, ``_WRITE_CHUNK`` rows per write.
 
@@ -466,11 +464,3 @@ def _write_csv(spec: Spectrum, fh, full_precision: bool = False) -> None:
         texts = _format_runs(ev[start:start + _WRITE_CHUNK], fmt)
         fh.write("".join([f"{k},{text}\n" for k, text in
                           enumerate(texts, start=start + 1)]))
-
-
-def spectrum_csv(spec: Spectrum, full_precision: bool = False) -> str:
-    """CSV export with columns (k, lambda_k), as :func:`_write_csv`
-    writes it."""
-    buf = io.StringIO()
-    _write_csv(spec, buf, full_precision)
-    return buf.getvalue()

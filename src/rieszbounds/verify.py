@@ -324,8 +324,10 @@ def margin_cor23_sandwich(spec, sigma, z, form):
     if form == "upper":
         ub = bounds.riesz_upper(sigma, d, spec.volume, z)
         return _margin(ub, rs)
-    lb = bounds.riesz_lower_main(sigma, d, spec.lambda_1, z)
-    return _margin(rs, lb)
+    if form == "lower":
+        lb = bounds.riesz_lower_main(sigma, d, spec.lambda_1, z)
+        return _margin(rs, lb)
+    raise DomainError(f"cor23_sandwich: unknown form {form!r}")
 
 
 def margin_aizenman_lieb_ratio(spec, sigma, z):
@@ -342,9 +344,11 @@ def margin_cor26_lower(spec, sigma, z, form):
     lb = bounds.riesz_lower_sub2(sigma, d, spec.lambda_1, z)
     if form == "direct":
         return _margin(_riesz(spec, sigma, z), lb)
-    # middle link of the sigma = 1 chain: (1 + d/4) R_2(z)/z >= lb
-    mid = (1 + d / 4) * _riesz(spec, 2.0, z) / z
-    return _margin(mid, lb)
+    if form == "chain":
+        # middle link of the sigma = 1 chain: (1 + d/4) R_2(z)/z >= lb
+        mid = (1 + d / 4) * _riesz(spec, 2.0, z) / z
+        return _margin(mid, lb)
+    raise DomainError(f"cor26_lower: unknown form {form!r}")
 
 
 def margin_eq213_lower(spec, sigma, z):
@@ -411,10 +415,11 @@ def margin_hoelder_chain(spec, form, sigma=None, z=None, sigma0=None,
         rs = _riesz(spec, sigma, z)
         lb = rsm1 ** sigma / rs ** (sigma - 1.0)
         return _margin(_riesz(spec, 0.0, z), lb)
-    # form == "counting2": sigma >= 2 counting bound
-    rs = _riesz(spec, sigma, z)
-    lb = ((d + 2 * sigma) / (2 * sigma)) ** sigma * z ** (-sigma) * rs
-    return _margin(_riesz(spec, 0.0, z), lb)
+    if form == "counting2":    # sigma >= 2 counting bound
+        rs = _riesz(spec, sigma, z)
+        lb = ((d + 2 * sigma) / (2 * sigma)) ** sigma * z ** (-sigma) * rs
+        return _margin(_riesz(spec, 0.0, z), lb)
+    raise DomainError(f"hoelder_chain: unknown form {form!r}")
 
 
 def margin_cor31_mean_ratio(spec, j, k):
@@ -449,8 +454,10 @@ def margin_eq37_discrim(spec, k, form):
     sq = mean * mean    # bounds.mean_sq_envelope(d, mean) is (sq, coeff * sq)
     if form == "lower":
         big, small = mean_sq, sq
-    else:
+    elif form == "upper":
         big, small = bounds._mean_sq_coeff(spec.dimension) * sq, mean_sq
+    else:
+        raise DomainError(f"eq37_discrim: unknown form {form!r}")
     return (big - small) / (big if big > 1.0 else 1.0)
 
 
@@ -561,15 +568,37 @@ _GATES = {
 }
 
 
+#: the parameters that each form of hoelder_chain reads; the others are None
+_HOELDER_KEYS = {"logconvex": ("z", "sigma0", "sigma1", "sigma2"),
+                 "counting": ("sigma", "z"), "counting2": ("sigma", "z")}
+
+
 def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
     """Recompute the margin for a reported witness tuple.
 
-    j and k must be integers (``operator.index``): an integral value of
-    another type, such as 3.0, or a non-number raises DomainError, as does
-    an integer outside the spectrum (the sweep makes none); a non-integral
-    number, like any witness outside the validity region of its family's
-    bound, raises ValidityError."""
+    An unknown check id, a witness that lacks a parameter of the margin
+    or names one it does not have (besides ``spectrum``), and a form that
+    the family does not have raise DomainError naming the check and the
+    key.  j and k must be integers (``operator.index``): an integral value
+    of another type, such as 3.0, or a non-number raises DomainError, as
+    does an integer outside the spectrum (the sweep makes none); a
+    non-integral number, like any witness outside the validity region of
+    its family's bound, raises ValidityError."""
+    if check_id not in MARGINS:
+        raise DomainError(f"unknown check id {check_id!r}")
     params = {k: v for k, v in witness.items() if k != "spectrum"}
+    keys = _NAMES[check_id]
+    if check_id == "hoelder_chain" and "form" in params:
+        form = params["form"]
+        if form not in _HOELDER_KEYS:
+            raise DomainError(f"hoelder_chain: unknown form {form!r}")
+        keys = ("form",) + _HOELDER_KEYS[form]
+    for key in keys:
+        if key not in params:
+            raise DomainError(f"{check_id}: witness lacks {key!r}")
+    for key in params:
+        if key not in keys:
+            raise DomainError(f"{check_id}: unexpected witness key {key!r}")
     reads_next = check_id in ("eq224_ratio", "yang_simplified", "eq36_next")
     for key in ("j", "k"):
         if key not in params:

@@ -154,7 +154,8 @@ def spectrum_text(spec) -> str:
 
 
 def spectrum_csv(spec, full_precision: bool = False) -> str:
-    """The text of ``spectrum_csv``, one format call per eigenvalue."""
+    """The text of ``cli spectrum --format csv``, one format call per
+    eigenvalue."""
     fmt = "{:.17g}" if full_precision else "{:.6g}"
     return "k,lambda_k\n" + "".join(
         f"{k},{fmt.format(v)}\n"

@@ -131,6 +131,12 @@ class TestValidityGates:
         with pytest.raises(ValidityError):
             bounds.lambda_next_over_mean(2, 5, 3)
 
+    @pytest.mark.parametrize("j, k", [(2, 3.5), (5, 3.5), (2, math.nan)])
+    def test_lambda_next_requires_integer_k(self, j, k):
+        # whatever the order of j and k, a non-integral k is named as such
+        with pytest.raises(ValidityError, match="k must be an integer"):
+            bounds.lambda_next_over_mean(2, j, k)
+
     def test_ab94_power_leaving_float_range(self):
         # ab_ratio(3) ~ 2.05, so ab_ratio(3)^m overflows between m = 900
         # and m = 1000; k = 2^999 needs m = 999

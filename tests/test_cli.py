@@ -298,7 +298,9 @@ class TestBadInput:
         (("bounds", "--bessel-zeros", "nan"), "nu"),
         (("bounds", "--bessel-zeros", "inf"), "nu"),
         (("bounds", "--bessel-zeros", "1,a"), "--bessel-zeros"),
-        (("figure", "fig3", "--m-max", "1000"), "m="),
+        # ab_ratio(3)^1000 leaves the float range
+        (("bounds", "--eval", "ab94", "--arg", "d=3", "--arg", "m=1000"),
+         "m="),
         (("bounds", "--bessel-zeros", "0", "--zero-count", "100000000"),
          "--zero-count"),
         (("bounds", "--bessel-zeros", "0", "--zero-count", "0"),
@@ -308,7 +310,7 @@ class TestBadInput:
         (("bounds", "--eval", "cheng_yang", "--arg", "d=1", "--arg",
           "k=1e300"), "cheng_yang"),
         (("verify", "--z-points", "400000000"), "z_points"),
-        (("figure", "fig2", "--k-max", "1000000000"), "k range"),
+        (BOX + ("--z", "50", "--means", "3"), "got --z, --means"),
         (("verify", "--seed", "-1"), "seed"),
         (("spectrum", "--box", "1e-200", "1", "--lambda-max", "1e5"),
          "box side 1e-200"),
@@ -329,6 +331,11 @@ class TestBadInput:
         # radius**2 is finite, pi radius**2 is not
         (("spectrum", "--ball", "--dim", "2", "--radius", "1e154",
           "--lambda-max", "1e5"), "radius 1e+154"),
+        (BOX + ("--means", "3", "--legendre", "1"), "got --means, --legendre"),
+        (BOX + ("--z", "50", "--legendre", "1"), "got --z, --legendre"),
+        (BOX, "exactly one of --z, --means, --legendre"),
+        (("bounds", "--eval", "lambda_next_over_mean", "--arg", "d=2",
+          "--arg", "j=2", "--arg", "k=3.5"), "k must be an integer"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -416,6 +423,23 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error:")
         assert first in err and second in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("dim: 2\ncomplete_below: 10\n2.0\n1.0\n", "nondecreasing"),
+        ("dim: 2\ncomplete_below: nan\n1.0\n", "finite"),
+        ("dim: 0\ncomplete_below: 10\n1.0\n", "dimension"),
+        ("dim: 2\ncomplete_below: 10\n1.0\ndim: 3\n", "repeated header"),
+    ])
+    def test_bad_file_named_among_several(self, capsys, tmp_path, spec_file,
+                                          text, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--spectrum", spec_file,
+                                 "--spectrum", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}")
+        assert reason in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -560,7 +584,9 @@ class TestSpectrumText:
             assert run_cli(capsys, *load) == (0, text, ""), name
             for full in (False, True):
                 csv = spectrum_csv(case, full)
-                assert spectra.spectrum_csv(case, full) == csv, name
+                buf = io.StringIO()
+                spectra._write_csv(case, buf, full)
+                assert buf.getvalue() == csv, name
                 flags = ("--format", "csv") + ("--full-precision",) * full
                 assert run_cli(capsys, *load, *flags) == (0, csv, ""), name
 

@@ -1,22 +1,22 @@
 """Spectrum generators against hand enumerations and the lattice-count /
 Bessel-zero oracles; file round-trips; validation gates."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 import rieszbounds.specfun as specfun
-from rieszbounds import spectra
+from rieszbounds import bounds, spectra
 from rieszbounds.errors import (
     DomainError,
     EmptySpectrumError,
-    MissingVolumeError,
     ResourceLimitError,
     SpectrumFormatError,
     SpectrumValidationError,
 )
-from oracles import ball_eigenvalues_per_zero, spectrum_text
+from oracles import ball_eigenvalues_per_zero, spectrum_csv, spectrum_text
 
 
 class TestBoxSpectrum:
@@ -242,16 +242,9 @@ class TestSpectrumValidation:
 class TestWeylAsymptote:
     def test_matches_actual_growth(self, unit_square):
         k = len(unit_square)
-        ratio = unit_square.eigenvalues[k - 1] \
-            / spectra.weyl_asymptote(unit_square, k)
+        asymptote = bounds.weyl_coeff(2, unit_square.volume) * k ** (2 / 2)
+        ratio = unit_square.eigenvalues[k - 1] / asymptote
         assert 0.8 < ratio < 1.2
-
-    def test_requires_volume(self, square_pi):
-        spec = spectra.Spectrum(
-            dimension=2, eigenvalues=np.array(square_pi.eigenvalues),
-            complete_below=200.0, domain=spectra.DomainSpec("file", 2))
-        with pytest.raises(MissingVolumeError):
-            spectra.weyl_asymptote(spec, 3)
 
 
 class TestFileFormat:
@@ -296,11 +289,45 @@ class TestFileFormat:
             spectra.load_spectrum(str(path))
 
     def test_csv_export(self, square_pi):
-        csv = spectra.spectrum_csv(square_pi)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "k,lambda_k"
-        assert lines[1].startswith("1,2")
-        assert len(lines) == len(square_pi) + 1
+        for full in (False, True):
+            buf = io.StringIO()
+            spectra._write_csv(square_pi, buf, full)
+            assert buf.getvalue() == spectrum_csv(square_pi, full)
+        assert buf.getvalue().startswith("k,lambda_k\n1,2\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("dim: 2\ndim: 3\ncomplete_below: 10\n1.0\n", 2),
+        ("dim: 2\ncomplete_below: 10\n1.0\nComplete_Below: 12\n", 4),
+        ("dim: 2\ncomplete_below: 10\nvolume: 1\n1.0\nvolume: 2\n", 5),
+    ])
+    def test_repeated_header(self, tmp_path, text, line):
+        path = tmp_path / "rep.txt"
+        path.write_text(text)
+        with pytest.raises(SpectrumFormatError,
+                           match=rf"rep\.txt:{line}: repeated header"):
+            spectra.load_spectrum(str(path))
+
+    def test_header_after_values(self, tmp_path):
+        path = tmp_path / "late.txt"
+        path.write_text("1.0\ndim: 2\n2.0\ncomplete_below: 10\n")
+        loaded = spectra.load_spectrum(str(path))
+        assert (loaded.dimension, loaded.complete_below) == (2, 10.0)
+        assert list(loaded.eigenvalues) == [1.0, 2.0]
+
+    @pytest.mark.parametrize("text, reason", [
+        ("dim: 0\ncomplete_below: 10\n1.0\n", "dimension must be >= 1"),
+        ("dim: -1\ncomplete_below: 10\n1.0\n", "dimension must be >= 1"),
+        ("dim: 2\ncomplete_below: nan\n1.0\n", "complete_below"),
+        ("dim: 2\ncomplete_below: 10\n2.0\n1.0\n", "nondecreasing"),
+        ("dim: 2\ncomplete_below: 10\n", "no eigenvalues"),
+    ])
+    def test_validation_error_names_file(self, tmp_path, text, reason):
+        path = tmp_path / "invalid.txt"
+        path.write_text(text)
+        with pytest.raises(SpectrumValidationError) as info:
+            spectra.load_spectrum(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert reason in str(info.value)
 
 
 class TestBlockParsing:
@@ -344,11 +371,11 @@ class TestBlockParsing:
 
     def test_headers_before_and_inside_the_first_block(self, tmp_path):
         # the leading header lines are parsed one by one and the rest of the
-        # block in bulk; a repeated header keeps its last value
+        # block in bulk
         lines = self._lines()
-        lines.insert(1_000, "complete_below: 1e6  # again")
+        lines.insert(1_000, "complete_below: 1e6  # inside")
         path = tmp_path / "headers.txt"
-        path.write_text("# comment\ndim: 2\n\ncomplete_below: 5\n"
+        path.write_text("# comment\ndim: 2\n\n"
                         "volume: 3\n" + "\n".join(lines) + "\n")
         loaded = self._check(path)
         assert loaded.complete_below == 1e6
@@ -363,6 +390,16 @@ class TestBlockParsing:
                         + "\n".join(lines) + "\n")
         with pytest.raises(SpectrumFormatError,
                            match=r"early\.txt:23: not a number"):
+            spectra.load_spectrum(str(path))
+
+    def test_repeated_header_deep_in_file_names_its_line(self, tmp_path):
+        lines = self._lines()
+        lines.insert(180_000, "dim: 3")
+        path = tmp_path / "deep.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e6\n"
+                        + "\n".join(lines) + "\n")
+        with pytest.raises(SpectrumFormatError,
+                           match=r"deep\.txt:180003: repeated header 'dim'"):
             spectra.load_spectrum(str(path))
 
     def test_crlf_line_endings(self, tmp_path):

@@ -859,6 +859,34 @@ class TestBadWitness:
             with pytest.raises(error):
                 verify.reevaluate(spec, check_id, witness)
 
+    @pytest.mark.parametrize("check_id, witness, message", [
+        ("no_such_check", {"k": 3}, "unknown check id 'no_such_check'"),
+        ("eq224_ratio", {"j": 1}, "eq224_ratio: witness lacks 'k'"),
+        ("thm21_diff1", {"sigma": 1.0}, "thm21_diff1: witness lacks 'z'"),
+        ("eq224_ratio", {"j": 1, "k": 3, "z": 1.0},
+         "eq224_ratio: unexpected witness key 'z'"),
+        ("hoelder_chain", {"sigma": 2.0, "z": 50.0},
+         "hoelder_chain: witness lacks 'form'"),
+        ("hoelder_chain", {"form": "counting", "z": 50.0},
+         "hoelder_chain: witness lacks 'sigma'"),
+        ("hoelder_chain", {"form": "logconvex", "sigma": 1.0, "z": 50.0,
+                           "sigma0": 0.5, "sigma1": 1.0, "sigma2": 2.0},
+         "hoelder_chain: unexpected witness key 'sigma'"),
+        ("hoelder_chain", {"form": "bogus", "sigma": 2.0, "z": 50.0},
+         "hoelder_chain: unknown form 'bogus'"),
+        ("cor23_sandwich", {"form": "bogus", "sigma": 2.0, "z": 50.0},
+         "cor23_sandwich: unknown form 'bogus'"),
+        ("cor26_lower", {"form": "bogus", "sigma": 1.0, "z": 50.0},
+         "cor26_lower: unknown form 'bogus'"),
+        ("eq37_discrim", {"form": "bogus", "k": 3},
+         "eq37_discrim: unknown form 'bogus'"),
+    ])
+    def test_malformed(self, square_pi_200, check_id, witness, message):
+        # an unknown check, a missing or extra key, or a form the family
+        # does not have: DomainError, never another family's margin
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            verify.reevaluate(square_pi_200, check_id, witness)
+
     @pytest.mark.parametrize("check_id, witness, key", [
         ("yang_simplified", {"k": 3.0}, "k"),
         ("eq224_ratio", {"j": 2, "k": 3.0}, "k"),
