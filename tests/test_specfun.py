@@ -11,10 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszbounds import specfun
+from rieszbounds import specfun, spectra
 from rieszbounds.errors import DomainError
 
-from oracles import bessel_j_half_integer, bessel_j_prime, mcmahon_asymptote
+from oracles import (
+    bessel_j_half_integer,
+    bessel_j_prime,
+    mcmahon_asymptote,
+    newton_fresh_derivative,
+)
 
 mpmath.mp.dps = 30
 
@@ -240,6 +245,27 @@ class TestNewtonLanes:
         assert out[1] == pytest.approx(2.404825557695773, abs=1e-12)
         alone = specfun._newton(0.0, [2.0], [3.0], [2.5], [1.0])
         assert out[1] == alone[0]
+
+    @pytest.mark.parametrize("d, lam_max", [(2, 2e4), (3, 1e4)])
+    def test_carried_derivative_is_bit_neutral(self, d, lam_max,
+                                               monkeypatch,
+                                               fresh_zero_cache):
+        # every batch and every scanned zero of the ball is refined from the
+        # same brackets and starts with a fresh derivative in each iteration
+        newton = specfun._newton
+        pairs = []
+
+        def both(nu, a, b, x, sign_a):
+            new = newton(nu, a, b, x, sign_a)
+            pairs.append((new, newton_fresh_derivative(nu, a, b, x, sign_a)))
+            return new
+
+        monkeypatch.setattr(specfun, "_newton", both)
+        spectra.ball_spectrum(d, 1.0, lam_max)
+        carried, fresh = (np.concatenate(v) for v in zip(*pairs))
+        assert len(carried) == sum(len(z) for z in fresh_zero_cache.values())
+        assert carried.tobytes() == fresh.tobytes(), \
+            f"{np.sum(carried != fresh)} of {len(carried)} zeros differ"
 
 
 class TestZerosByOrder:
