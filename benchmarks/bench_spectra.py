@@ -6,7 +6,9 @@ iteration per order, numpy assembly) against the per-zero reference of
 ``tests/oracles.py`` (one ``specfun.bessel_zero`` call per zero, a Python
 list extended by multiplicity and sorted), each from an empty zero cache,
 on the disk below 1e5 and the 3-ball below 3e4.  The eigenvalues and the
-zero caches left behind are compared bit for bit.
+zero caches left behind are compared bit for bit, and the J evaluations per
+cached zero of ``ball_spectrum``, counted element-wise through
+``specfun._jv``, are printed.
 
 Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
@@ -82,30 +84,41 @@ def _time_pair(fns, spec, repeat):
 
 
 def _fresh_cache_run(fn, *args):
-    """``fn(*args)`` from an empty zero cache: its result, its time and
-    the cache it leaves, as bytes per order."""
+    """``fn(*args)`` from an empty zero cache: its result, its time, the
+    cache it leaves, as bytes per order, and its J evaluations, counted
+    element-wise through ``specfun._jv``."""
     specfun._zero_cache.clear()
-    t0 = time.perf_counter()
-    result = fn(*args)
-    elapsed = time.perf_counter() - t0
+    jv, count = specfun._jv, [0]
+
+    def counting(nu, x):
+        count[0] += np.size(x)
+        return jv(nu, x)
+
+    specfun._jv = counting
+    try:
+        t0 = time.perf_counter()
+        result = fn(*args)
+        elapsed = time.perf_counter() - t0
+    finally:
+        specfun._jv = jv
     cache = [(nu, zeros.tobytes())
              for nu, zeros in specfun._zero_cache.items()]
-    return result, elapsed, cache
+    return result, elapsed, cache, count[0]
 
 
 def _generation(repeat: int = 3) -> bool:
     """Time ``ball_spectrum`` against the per-zero reference, run
     alternately, best of ``repeat``; True if all bits agree."""
     ok = True
-    print(f"{'generated ball':<24}{'n':>10}{'zeros':>8}"
+    print(f"{'generated ball':<24}{'n':>10}{'zeros':>8}{'J/zero':>8}"
           f"{'per-zero':>12}{'by order':>10}{'ratio':>8}  bits")
     for name, d, lam_max in BALLS:
         best = [float("inf"), float("inf")]
         same = True
         for _ in range(repeat):
-            ref, t_ref, ref_cache = _fresh_cache_run(
+            ref, t_ref, ref_cache, _ = _fresh_cache_run(
                 ball_eigenvalues_per_zero, d, 1.0, lam_max)
-            spec, t_new, cache = _fresh_cache_run(
+            spec, t_new, cache, evaluations = _fresh_cache_run(
                 spectra.ball_spectrum, d, 1.0, lam_max)
             best = [min(best[0], t_ref), min(best[1], t_new)]
             same &= (spec.eigenvalues.tobytes() == ref.tobytes()
@@ -113,6 +126,7 @@ def _generation(repeat: int = 3) -> bool:
         ok &= same
         zeros = sum(len(z) for _, z in cache) // 8
         print(f"{name:<24}{len(ref):>10,}{zeros:>8,}"
+              f"{evaluations / zeros:>8.2f}"
               f"{best[0] * 1e3:>10.1f}ms{best[1] * 1e3:>8.1f}ms"
               f"{best[1] / best[0]:>8.2f}  {'equal' if same else 'DIFFER'}")
     print()
