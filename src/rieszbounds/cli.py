@@ -204,7 +204,12 @@ def cmd_bounds(args) -> int:
         if bound is None:
             raise RieszBoundsError(
                 f"unknown bound id {bound_id!r} (see 'bounds --list')")
-        kwargs = dict(_bound_arg(item) for item in args.arg)
+        kwargs = {}
+        for item in args.arg:
+            key, num = _bound_arg(item)
+            if key in kwargs:
+                raise RieszBoundsError(f"repeated --arg {key!r}")
+            kwargs[key] = num
         try:
             inspect.signature(bound.fn).bind(**kwargs)
         except TypeError as exc:

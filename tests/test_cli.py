@@ -336,6 +336,8 @@ class TestBadInput:
         (BOX, "exactly one of --z, --means, --legendre"),
         (("bounds", "--eval", "lambda_next_over_mean", "--arg", "d=2",
           "--arg", "j=2", "--arg", "k=3.5"), "k must be an integer"),
+        (("bounds", "--eval", "cheng_yang", "--arg", "d=2", "--arg", "k=3",
+          "--arg", "k=4"), "repeated --arg 'k'"),
     ])
     def test_exit_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
