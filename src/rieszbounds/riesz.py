@@ -252,13 +252,3 @@ def legendre_R1(spec: Spectrum, w: float) -> float:
     partial = eigensum_prefix(spec)[m - 1] if m >= 1 else 0.0
     value = (w - m) * float(ev[m]) + partial
     return _finite(value, "legendre_R1 at w={}", w)
-
-
-def c_sigma(sigma: float) -> float:
-    """Piecewise constant in the secant-slope inequality:
-    sigma/2 on [0, 1), 1 on [1, 2], sigma/2 on (2, inf)."""
-    if sigma < 0:
-        raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    if sigma < 1 or sigma > 2:
-        return sigma / 2.0
-    return 1.0

@@ -530,14 +530,6 @@ MARGINS = {
 _NAMES = {check_id: tuple(inspect.signature(fn).parameters)[1:]
           for check_id, fn in MARGINS.items()}
 
-#: checks covering the core differential/monotonicity statements
-THEOREM_IDS = ("thm21_diff1", "thm21_diff2", "thm21_deriv1", "thm21_deriv2",
-               "thm21_mono1", "thm21_mono2")
-
-#: all remaining corollary/consequence checks
-COROLLARY_IDS = tuple(i for i in MARGINS if i not in THEOREM_IDS)
-
-
 # Validity gates of the margins that compute a catalog bound in place: the
 # public bound at one point, whose value is not used.  A sweep runs a
 # family's gate at the edge rows of its row groups (``_Points.edges``),

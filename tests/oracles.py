@@ -88,6 +88,24 @@ def legendre_numeric(spec, w: float) -> float:
     return (w - k) * float(ev[k]) + (prefix[k - 1] if k >= 1 else 0.0)
 
 
+def c_sigma(sigma: float) -> float:
+    """Piecewise constant in the secant-slope inequality:
+    sigma/2 on [0, 1), 1 on [1, 2], sigma/2 on (2, inf)."""
+    if sigma < 0:
+        raise DomainError(f"sigma must be nonnegative, got {sigma}")
+    if sigma < 1 or sigma > 2:
+        return sigma / 2.0
+    return 1.0
+
+
+#: checks covering the core differential/monotonicity statements
+THEOREM_IDS = ("thm21_diff1", "thm21_diff2", "thm21_deriv1", "thm21_deriv2",
+               "thm21_mono1", "thm21_mono2")
+
+#: all remaining corollary/consequence checks
+COROLLARY_IDS = tuple(i for i in verify.MARGINS if i not in THEOREM_IDS)
+
+
 def bessel_j_half_integer(nu: float, x: float) -> float:
     """Closed-form J_nu for half-integer nu = m + 1/2, m >= 0.
 

@@ -10,7 +10,7 @@ import pytest
 
 from rieszbounds import bounds, cli, riesz, specfun, verify
 
-from oracles import legendre_numeric
+from oracles import COROLLARY_IDS, THEOREM_IDS, c_sigma, legendre_numeric
 
 # Golden table values (published comparison tables, 6 displayed digits).
 TABLE1_GOLDEN = {
@@ -88,8 +88,8 @@ def test_criterion_3_table2_reproduction():
 def test_criterion_4_theorem_suite(full_specs):
     t0 = time.perf_counter()
     cfg = verify.VerifyConfig()
-    checks = verify.sweep(full_specs, cfg, ids=verify.THEOREM_IDS)
-    assert {c.id for c in checks} == set(verify.THEOREM_IDS)
+    checks = verify.sweep(full_specs, cfg, ids=THEOREM_IDS)
+    assert {c.id for c in checks} == set(THEOREM_IDS)
     for c in checks:
         assert c.passed, f"{c.id} worst margin {c.worst_margin}"
         assert c.worst_margin >= -1e-9
@@ -106,8 +106,8 @@ def test_criterion_4_theorem_suite(full_specs):
 def test_criterion_5_corollary_suite(full_specs):
     t0 = time.perf_counter()
     cfg = verify.VerifyConfig()
-    checks = verify.sweep(full_specs, cfg, ids=verify.COROLLARY_IDS)
-    assert {c.id for c in checks} == set(verify.COROLLARY_IDS)
+    checks = verify.sweep(full_specs, cfg, ids=COROLLARY_IDS)
+    assert {c.id for c in checks} == set(COROLLARY_IDS)
     total = sum(c.n_points for c in checks)
     assert total >= 10_000, f"only {total} grid points checked"
     for c in checks:
@@ -148,13 +148,13 @@ def test_criterion_8_secant_slope_property():
         if hi - lo < 1e-12:
             continue
         lhs = (hi ** sigma - lo ** sigma) / (hi - lo)
-        rhs = riesz.c_sigma(sigma) * (hi ** (sigma - 1) + lo ** (sigma - 1))
+        rhs = c_sigma(sigma) * (hi ** (sigma - 1) + lo ** (sigma - 1))
         assert lhs <= rhs * (1 + 1e-12), (x, y, sigma)
 
     # sharpness: a 1% smaller constant must fail near each regime boundary
     def violates(sigma, x, y):
         lhs = (y ** sigma - x ** sigma) / (y - x)
-        rhs = 0.99 * riesz.c_sigma(sigma) \
+        rhs = 0.99 * c_sigma(sigma) \
             * (y ** (sigma - 1) + x ** (sigma - 1))
         return lhs > rhs
 
