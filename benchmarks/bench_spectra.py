@@ -6,9 +6,9 @@ iteration per order, numpy assembly) against the per-zero reference of
 ``tests/oracles.py`` (one ``specfun.bessel_zero`` call per zero, a Python
 list extended by multiplicity and sorted), each from an empty zero cache,
 on the disk below 1e5 and the 3-ball below 3e4.  The eigenvalues and the
-zero caches left behind are compared bit for bit, and the J evaluations per
+zero caches left behind are compared bit for bit.  The J evaluations per
 cached zero of ``ball_spectrum``, counted element-wise through
-``specfun._jv``, are printed.
+``specfun._jv`` in one more, untimed run, are printed.
 
 Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
@@ -84,9 +84,21 @@ def _time_pair(fns, spec, repeat):
 
 
 def _fresh_cache_run(fn, *args):
-    """``fn(*args)`` from an empty zero cache: its result, its time, the
-    cache it leaves, as bytes per order, and its J evaluations, counted
-    element-wise through ``specfun._jv``."""
+    """``fn(*args)`` from an empty zero cache: its result, its time and
+    the cache it leaves, as bytes per order."""
+    specfun._zero_cache.clear()
+    t0 = time.perf_counter()
+    result = fn(*args)
+    elapsed = time.perf_counter() - t0
+    cache = [(nu, zeros.tobytes())
+             for nu, zeros in specfun._zero_cache.items()]
+    return result, elapsed, cache
+
+
+def _evaluations_per_zero(d, lam_max):
+    """J evaluations per cached zero of one untimed ``ball_spectrum`` run
+    from an empty zero cache, counted element-wise through
+    ``specfun._jv``."""
     specfun._zero_cache.clear()
     jv, count = specfun._jv, [0]
 
@@ -96,14 +108,10 @@ def _fresh_cache_run(fn, *args):
 
     specfun._jv = counting
     try:
-        t0 = time.perf_counter()
-        result = fn(*args)
-        elapsed = time.perf_counter() - t0
+        spectra.ball_spectrum(d, 1.0, lam_max)
     finally:
         specfun._jv = jv
-    cache = [(nu, zeros.tobytes())
-             for nu, zeros in specfun._zero_cache.items()]
-    return result, elapsed, cache, count[0]
+    return count[0] / sum(len(z) for z in specfun._zero_cache.values())
 
 
 def _generation(repeat: int = 3) -> bool:
@@ -116,9 +124,9 @@ def _generation(repeat: int = 3) -> bool:
         best = [float("inf"), float("inf")]
         same = True
         for _ in range(repeat):
-            ref, t_ref, ref_cache, _ = _fresh_cache_run(
+            ref, t_ref, ref_cache = _fresh_cache_run(
                 ball_eigenvalues_per_zero, d, 1.0, lam_max)
-            spec, t_new, cache, evaluations = _fresh_cache_run(
+            spec, t_new, cache = _fresh_cache_run(
                 spectra.ball_spectrum, d, 1.0, lam_max)
             best = [min(best[0], t_ref), min(best[1], t_new)]
             same &= (spec.eigenvalues.tobytes() == ref.tobytes()
@@ -126,7 +134,7 @@ def _generation(repeat: int = 3) -> bool:
         ok &= same
         zeros = sum(len(z) for _, z in cache) // 8
         print(f"{name:<24}{len(ref):>10,}{zeros:>8,}"
-              f"{evaluations / zeros:>8.2f}"
+              f"{_evaluations_per_zero(d, lam_max):>8.2f}"
               f"{best[0] * 1e3:>10.1f}ms{best[1] * 1e3:>8.1f}ms"
               f"{best[1] / best[0]:>8.2f}  {'equal' if same else 'DIFFER'}")
     print()
