@@ -20,17 +20,12 @@ is our own and caches the zeros of each order:
   by a sign-change scan, starting at max(nu, 0) for the first zero
   (j_{nu,1} > nu) and otherwise pi/2 above the previous zero (consecutive
   zeros are more than pi/2 apart) or at j_{nu-1,p}, whichever is larger.
-* Batched safeguarded Newton.  Each iteration evaluates J_nu once over all
-  unconverged brackets as numpy arrays, and J_{nu-1}, for the derivative,
-  over the lanes that do not carry it; converged lanes drop out.  After a
-  Newton step of at most 1e-3, a lane carries its derivative to the next
-  iterate by a second-order Taylor step, with J'' and J''' from Bessel's
-  equation, good to about 1e-9 relative (on the tested balls, the zeros
-  are bit for bit those of a fresh derivative in every iteration).  A lane
-  stops when its Newton step is at most 1e-9 absolute (or 4 ulps of x, if
-  larger), and that step is still applied as a final polish, which leaves
-  an error of about step^2 / (2x).  A step leaving its bracket is replaced
-  by bisection.
+* Batched safeguarded Newton.  Each iteration evaluates J_nu and J_{nu-1}
+  once over all unconverged brackets as numpy arrays; converged lanes drop
+  out.  A lane stops when its Newton step is at most 1e-9 absolute (or 4 ulps
+  of x, if larger), and that step is still applied as a final polish, which
+  leaves an error of about step^2 / (2x).  A step leaving its bracket is
+  replaced by bisection.
 * Every zero is then residual-verified: |J_nu(x)| <= RESIDUAL_TOL *
   max(1, |J_nu'(x)|), or ConvergenceError.
 
@@ -62,10 +57,6 @@ RESIDUAL_TOL = 1e-10
 _STEP_TOL = 1e-9
 _STEP_ULPS = 4
 _MAX_ITER = 200
-#: a Newton step at most this long carries the lane's derivative to the next
-#: iterate by a Taylor step (error about step^3 |J''''| / 6) in place of a
-#: fresh J_{nu-1}
-_CARRY_STEP = 1e-3
 #: a batched zero starts from the extrapolation through at most this many
 #: cached orders below it (degree _START_ORDERS - 1)
 _START_ORDERS = 9
@@ -108,33 +99,21 @@ def _newton(nu: float, a, b, x, sign_a):
 
     All arguments are arrays with one lane per bracket: ``x`` is the start
     point inside (a, b) and ``sign_a`` the sign of J_nu just right of ``a``.
-    Each iteration evaluates J_nu once over the lanes still running, and
-    J_{nu-1}, for J_nu' = J_{nu-1} - (nu/x) J_nu, over those whose
-    derivative is not carried: after a Newton step of at most _CARRY_STEP
-    that stays in its bracket, the derivative is carried to the new iterate
-    by a second-order Taylor step, with J'' and J''' from Bessel's equation.
-    A lane stops when its Newton step is at most the absolute tolerance and
-    returns that last step applied; a step that leaves the bracket is
-    replaced by bisection, and a bracket shrunk below the tolerance returns
-    its midpoint.  Results are written, and the lanes compacted, only in an
-    iteration where some lane stops; the arithmetic is element-wise, so no
-    lane's values depend on the others.
+    Each iteration evaluates J_nu and J_{nu-1} once over the lanes still
+    running.  A lane stops when its Newton step is at most the absolute
+    tolerance and returns that last step applied; a step that leaves the
+    bracket is replaced by bisection, and a bracket shrunk below the
+    tolerance returns its midpoint.  Results are written, and the lanes
+    compacted, only in an iteration where some lane stops; the arithmetic
+    is element-wise, so no lane's values depend on the others.
     """
     a, b, x, sign_a = (np.asarray(v, dtype=float) for v in (a, b, x, sign_a))
     out = np.empty(len(x))
     lanes = np.arange(len(x))
-    carried = np.zeros(len(x), dtype=bool)
-    nu2 = nu * nu
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             f = _jv(nu, x)
-            if carried.any():
-                fresh = ~carried
-                xf = x[fresh]
-                df[fresh] = _jv(nu - 1.0, xf) - (nu / xf) * f[fresh]
-            else:
-                df = _jv(nu - 1.0, x) - (nu / x) * f
-            step = f / df
+            step = f / (_jv(nu - 1.0, x) - (nu / x) * f)
             tol = np.maximum(_STEP_TOL, _STEP_ULPS * np.spacing(x))
             same = np.sign(f) == sign_a
             a = np.where(same, x, a)
@@ -148,20 +127,9 @@ def _newton(nu: float, a, b, x, sign_a):
                 if done.all():
                     return out
                 run = ~done
-                a, b, x, x_new, mid, sign_a, lanes, f, df, step = (
-                    v[run] for v in (a, b, x, x_new, mid, sign_a, lanes, f,
-                                     df, step))
-            inside = (a < x_new) & (x_new < b)
-            carried = inside & (np.abs(step) <= _CARRY_STEP)
-            if carried.any():
-                # x^2 J'' + x J' + (x^2 - nu^2) J = 0, and its derivative
-                q = 1.0 - nu2 / (x * x)
-                d2 = -df / x - q * f
-                d3 = (-d2 / x + df / (x * x)
-                      - (2.0 * nu2 / (x * x * x)) * f - q * df)
-                h = x_new - x
-                df = df + h * (d2 + 0.5 * h * d3)
-            x = np.where(inside, x_new, mid)
+                a, b, x_new, mid, sign_a, lanes = (
+                    v[run] for v in (a, b, x_new, mid, sign_a, lanes))
+            x = np.where((a < x_new) & (x_new < b), x_new, mid)
     raise ConvergenceError(
         f"zero refinement for nu={nu} did not converge in "
         f"[{a[0]}, {b[0]}]")

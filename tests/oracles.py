@@ -137,38 +137,6 @@ def mcmahon_asymptote(nu: float, p: int) -> float:
     return (p + nu / 2.0 - 0.25) * math.pi
 
 
-def newton_fresh_derivative(nu: float, a, b, x, sign_a):
-    """``specfun._newton`` with J_{nu-1} evaluated afresh for the
-    derivative in every iteration, as the finder did before it carried
-    derivatives by Taylor steps: the same brackets, bisection safeguard and
-    stop rule, through ``specfun._jv``."""
-    a, b, x, sign_a = (np.asarray(v, dtype=float) for v in (a, b, x, sign_a))
-    out = np.empty(len(x))
-    lanes = np.arange(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(specfun._MAX_ITER):
-            f = specfun._jv(nu, x)
-            step = f / (specfun._jv(nu - 1.0, x) - (nu / x) * f)
-            tol = np.maximum(specfun._STEP_TOL,
-                             specfun._STEP_ULPS * np.spacing(x))
-            same = np.sign(f) == sign_a
-            a = np.where(same, x, a)
-            b = np.where(same, b, x)
-            x_new = x - step
-            polished = np.abs(step) <= tol
-            mid = 0.5 * (a + b)
-            done = polished | (b - a <= tol)
-            if done.any():
-                out[lanes[done]] = np.where(polished, x_new, mid)[done]
-                if done.all():
-                    return out
-                run = ~done
-                a, b, x_new, mid, sign_a, lanes = (
-                    v[run] for v in (a, b, x_new, mid, sign_a, lanes))
-            x = np.where((a < x_new) & (x_new < b), x_new, mid)
-    raise AssertionError(f"no convergence for nu={nu}")
-
-
 def ball_eigenvalues_per_zero(d: int, radius: float,
                               lam_max: float) -> np.ndarray:
     """The eigenvalues of ``spectra.ball_spectrum``, by one public
