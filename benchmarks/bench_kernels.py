@@ -16,8 +16,12 @@ on the default ``verify`` z grid of the 3-ball below 2000, the
 ``riesz_sum`` calls; per-pair ``math.fsum`` against ``riesz_sums`` at one
 sigma per z, at the Hoelder samples of ``verify`` (60 z of the z grid x
 3 random sigmas) on each default ``verify`` spectrum, timed
-against per-pair ``riesz_sum`` calls; ``math.fsum`` against
-``exact_sum`` on sorted terms spanning 2,000 binades, and per-z
+against per-pair ``riesz_sum`` calls; the rows of the default ``verify``
+suite on each default spectrum (the z grid with every sigma its families
+read, and the central-difference rows) summed one sigma at a time, one
+packed pass per row and sign of sigma, and one ``riesz_grid`` pass per
+row, bit-equal to each other; ``math.fsum``
+against ``exact_sum`` on sorted terms spanning 2,000 binades, and per-z
 ``math.fsum`` against a packed ``riesz_sums`` batch with one row that the
 run path does not take; and ``math.fsum`` of all k terms against every
 field of ``riesz.means`` on the 3-ball, the 10-ball and the unit square.
@@ -216,10 +220,88 @@ def compare_pairs() -> bool:
     return ok
 
 
+def _suite_rows(spec, cfg):
+    """The rows of z that the ``verify`` sweep of ``spec`` registers, each
+    with the sigmas that its families read there: the z grid and the
+    central-difference rows z + h and z - h."""
+    table = verify._riesz_memo[spec] = verify._RieszTable(spec)
+    try:
+        verify._build_points(spec, cfg, cfg.z_points)
+    finally:
+        verify._riesz_memo.pop(spec, None)
+    return table.rows
+
+
+def compare_row_sets() -> bool:
+    """The default ``verify`` suite's rows on each default spectrum, on the
+    runs of the eigenvalues, summed three ways: one ``riesz_sums`` call per
+    sigma of a row (as the sweep summed them before); one ``riesz_sums``
+    call per row and sign of sigma, every (sigma, z) pair of the sign in
+    one packed pass; and one ``riesz_grid`` call per row, which packs the
+    terms z - lambda once and raises them to each sigma (as the sweep sums
+    them now).  True if the three agree in every bit."""
+    ok = True
+    cfg = verify.VerifyConfig()
+    print("Riesz rows of the default verify suite: per sigma, per row and "
+          "sign, per row (riesz_grid); bits against per sigma")
+    for name, spec in verify.default_spectra().items():
+        runs = pykernels.runs_of(spec.eigenvalues)
+        rows = _suite_rows(spec, cfg)
+
+        def per_sigma():
+            return [pykernels.riesz_sums(runs, s, zs)
+                    for sigmas, zs in rows for s in sigmas]
+
+        def per_sign():
+            out = []
+            for sigmas, zs in rows:
+                for part in ([s for s in sigmas if s < 0],
+                             [s for s in sigmas if not s < 0]):
+                    flat = pykernels.riesz_sums(
+                        runs, [s for s in part for _ in zs], zs * len(part))
+                    out += [flat[i:i + len(zs)]
+                            for i in range(0, len(flat), len(zs))]
+            return out
+
+        def per_row():
+            return [values for sigmas, zs in rows
+                    for values in pykernels.riesz_grid(runs, sigmas, zs)]
+
+        t_ref, ref = _time(per_sigma)
+        t_sign, by_sign = _time(per_sign)
+        t_row, by_row = _time(per_row)
+        same = (_same_bits(sum(ref, []), sum(by_sign, []))
+                and _same_bits(sum(ref, []), sum(by_row, [])))
+        ok &= same
+        print(f"  {name:14} {sum(len(s) for s, _ in rows):>2} sigma rows "
+              f"{t_ref*1e3:6.2f} ms  per row and sign {t_sign*1e3:6.2f} ms  "
+              f"{len(rows)} grid rows {t_row*1e3:6.2f} ms  "
+              f"x{t_ref / t_row:5.2f}  bit-equal={same}")
+    return ok
+
+
+def _path(terms):
+    """How ``_run_sum`` sums ``terms`` as one segment of unit weights: by
+    blocks, by ``math.fsum`` from the larger end where most terms start a
+    run (``_fsum_segments``), or not at all (None, ``math.fsum``)."""
+    dense = []
+    fsum_segments = pykernels._fsum_segments
+    pykernels._fsum_segments = \
+        lambda *args: dense.append(1) or fsum_segments(*args)
+    try:
+        sums = pykernels._run_sum(terms, [0], (np.ones(len(terms), np.uint8),
+                                               np.arange(len(terms))))
+    finally:
+        pykernels._fsum_segments = fsum_segments
+    return "math.fsum" if sums is None else (
+        "larger end first" if dense else "blocks")
+
+
 def compare_run_path_edges() -> bool:
     """The run path at the edges of its contract: ``exact_sum`` of sorted
-    terms spanning 2,000 binades, which it sums exactly, against
-    ``math.fsum``; and a packed ``riesz_sums`` batch (15 z, one segment
+    terms spanning 2,000 binades, each the one term of its binade, which
+    it sums by ``math.fsum`` from the larger end, against ``math.fsum``;
+    and a packed ``riesz_sums`` batch (15 z, one segment
     each) whose z / 2 row holds one subnormal term, so that the run path
     leaves the whole batch to ``math.fsum``, against per-z ``math.fsum``
     of the ``np.power`` terms; True if all bits agree."""
@@ -228,16 +310,14 @@ def compare_run_path_edges() -> bool:
     rng = np.random.default_rng(3)
     wide = np.sort(np.ldexp(rng.uniform(0.5, 1.0, 2000),
                             np.arange(-1000, 1000)))
-    ones = np.ones(len(wide), np.uint8), np.arange(len(wide))
     for name, terms in (("ascending", wide), ("descending", wide[::-1]),
                         ("negative", -wide)):
         t_ref, ref = _time(math.fsum, terms)
         t_new, new = _time(pykernels.exact_sum, terms)
         same = _same_bits(ref, new)
         ok &= same
-        taken = pykernels._run_sum(terms, [0], ones) is not None
         print(f"  2,000 binades {name:10}  math.fsum {t_ref*1e3:6.2f} ms  "
-              f"exact_sum {t_new*1e3:6.2f} ms  run path={taken}  "
+              f"exact_sum {t_new*1e3:6.2f} ms  by {_path(terms)}  "
               f"bit-equal={same}")
     z = 1e-150
     lams = np.sort(np.concatenate([z * rng.uniform(0.0, 0.9, 3000),
@@ -297,6 +377,7 @@ def main() -> int:
     cases = _repeated_cases()
     ok &= compare_rows(cases)
     ok &= compare_pairs()
+    ok &= compare_row_sets()
     ok &= compare_run_path_edges()
     ok &= compare_means(cases)
     return 0 if ok else 1

@@ -10,7 +10,9 @@ returns.
   fill one contiguous run.  The integer mantissas of each run are added
   exactly in uint64 blocks read straight from the float bits, and the total
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
-  input, and a zero result, go to ``math.fsum`` itself.
+  input, and a zero result, go to ``math.fsum`` itself; so do terms that
+  mostly start a run of their own, fed from their larger end
+  (``_fsum_segments``).
 - The run path (``_run_sum``) takes an array cut into segments, each
   sorted on its own, and returns one sum per segment, or None for the
   whole call if any segment is unordered, holds a subnormal or comes too
@@ -27,11 +29,14 @@ returns.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
-- ``_riesz_rows`` is the one builder of Riesz terms, ``_powers`` of
-  z - lambda: it packs the rows of many z, each with its own sigma, into
-  one buffer, one segment per z, for one run-path pass.  ``riesz_sums``
-  returns its sums, for one sigma at every z or one sigma per z, and
-  ``riesz_sum`` is its one-z row with the count.
+- ``_riesz_rows`` builds the Riesz terms, ``_powers`` of z - lambda, of
+  many z: it packs their rows once into one buffer, one segment per z,
+  and raises it to each layer of sigmas (one sigma per z) for one
+  run-path pass per layer.  ``riesz_sums`` returns its one layer, for one
+  sigma at every z or one sigma per z, and ``riesz_grid`` its layers for
+  every sigma of a set at every z.  ``riesz_sum`` sums its one z from
+  slices of the runs (``_row_sum``), as ``_riesz_rows`` sums a row too
+  long to pack, and returns the count beside it.
 
 The block bound.  A normal term is M * 2**(E - 1075) with the integer
 mantissa M < 2**53, and a block holds terms of one sign and exponent.  Its
@@ -69,7 +74,6 @@ import math
 import numbers
 import operator
 from bisect import bisect_left
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -196,6 +200,10 @@ def _run_sum(terms, starts, weights):
     if not exps.all() and (np.bitwise_or.reduceat(bits, runs)[exps == 0]
                            & _MANTISSA).any():
         return None
+    # where most terms start a run (or a segment), each run would be a
+    # block of its own, and math.fsum of the terms is faster
+    if 2 * len(runs) > n:
+        return _fsum_segments(terms, starts, m)
     # block edges: the runs and segment starts, the end, and the first
     # term whose position among the weighted terms reaches each multiple
     # of the step
@@ -221,6 +229,25 @@ def _run_sum(terms, starts, weights):
     # an exact zero goes to math.fsum of the terms, for its sign
     cuts = (2 * edges[:-1].searchsorted(starts)).tolist() + [len(parts)]
     return [math.fsum(parts[a:b]) or None for a, b in zip(cuts, cuts[1:])]
+
+
+def _fsum_segments(terms, starts, m):
+    """``math.fsum`` of the weighted terms of each sorted segment (as in
+    ``_run_sum``), None for an exact zero, each fed from its larger end.
+
+    ``math.fsum`` is correctly rounded, so the order of the terms leaves
+    its result alone unless a partial sum overflows, which the overflow
+    guard of ``_run_sum`` excludes; along terms whose exponents mostly
+    differ it is many times faster from the larger end (0.2 against 2.7
+    ms for 2,000 terms over 2,000 binades)."""
+    ends = [*starts[1:].tolist(), len(terms)]
+    sums = []
+    for a, b in zip(starts.tolist(), ends):
+        segment = np.repeat(terms[a:b], m[a:b])
+        if abs(segment[0]) < abs(segment[-1]):
+            segment = segment[::-1]
+        sums.append(math.fsum(segment.tolist()) or None)
+    return sums
 
 
 def _exact_sums(terms, starts, weights):
@@ -319,11 +346,15 @@ def riesz_sum(runs, sigma, z):
     ``runs`` are the weighted ``Runs`` of the eigenvalues.  For
     ``sigma == 0`` the value is the strict counting function.  Negative
     ``sigma`` is permitted as long as no eigenvalue equals ``z``.  Returns
-    ``(value, count)``, the one-z row of ``riesz_sums`` and its count of
-    eigenvalues (with their multiplicities).
+    ``(value, count)``: the value ``riesz_sums`` gives at z, and the count
+    of eigenvalues below z (with their multiplicities).
     """
-    (value,), (count,) = _riesz_rows(runs, [sigma], [z])
-    return value, count
+    values, m, offsets = runs
+    size = int(values.searchsorted(z))    # bisect_left
+    count = int(offsets[size])
+    if sigma == 0.0:
+        return float(count), count
+    return _row_sum(runs, sigma, z, size), count
 
 
 def riesz_sums(runs, sigma, zs):
@@ -331,62 +362,105 @@ def riesz_sums(runs, sigma, zs):
     ``sigma`` is one s for every z, or a sequence of one s per z."""
     sigma = ([sigma] * len(zs) if isinstance(sigma, numbers.Real)
              else list(sigma))
-    return _riesz_rows(runs, sigma, zs)[0]
+    return _riesz_rows(runs, [sigma], zs)[0]
+
+
+def riesz_grid(runs, sigmas, zs):
+    """``riesz_sums(runs, s, zs)`` for each s of ``sigmas``, as a list of
+    lists: the terms z - lambda of the rows are packed once and raised to
+    each s in turn."""
+    sigmas = np.repeat(np.asarray(sigmas, dtype=np.float64)[:, None],
+                       len(zs), axis=1)
+    return _riesz_rows(runs, sigmas, zs)
 
 
 def _riesz_rows(runs, sigmas, zs):
-    """The Riesz sums at each (sigma, z) of ``sigmas`` and ``zs``, and the
-    counts below each z, as two lists.
+    """The Riesz sums at each z of ``zs`` for each layer of ``sigmas``,
+    one list per layer.
 
-    A row's terms ``_powers(z - values[:size], sigma)`` are one per run
-    below z, weighted by its count; at sigma = 0 the sum is the count.  The
-    terms of consecutive z go into one buffer of at most ``_CHUNK`` terms,
-    one segment per z, raised to their powers a stretch of equal sigmas at
-    a time and added by one ``_exact_sums`` pass; a z with more terms is a
-    batch of its own, and a batch of one z is summed without packing.
+    ``sigmas`` holds layers of one sigma per z.  A row's terms
+    ``_powers(z - values[:size], sigma)`` are one per run below z,
+    weighted by its count; at sigma = 0 the sum is the count.  The rows
+    that sum terms are cut into batches by ``searchsorted`` on their
+    running sizes: a batch takes the next rows while their terms fit in
+    ``_CHUNK``, and a row with more terms is a batch of its own, summed
+    layer by layer from slices of the runs without packing.  The rows of a
+    larger batch are packed once into one buffer, one segment per row, by
+    one index that ``np.repeat`` and ``arange`` build: it gathers each
+    row's z - lambda, weights and positions (which run on across the
+    rows).  Each layer raises a copy of the buffer to its powers, a
+    stretch of rows with equal sigmas at a time, and adds it by one
+    ``_exact_sums`` pass.  ``_run_sum`` checks every segment of a pass
+    against one direction, and the terms fall along the runs when sigma >
+    0 and rise when sigma < 0, so a layer should hold one sign of sigma.
     """
     values, m, offsets = runs
+    zs = np.asarray(zs, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
     sizes = values.searchsorted(zs)    # bisect_left
-    counts = offsets[sizes].tolist()
-    sizes = sizes.tolist()
-    out = [0.0] * len(sizes)
-    rows = [i for i, s in enumerate(sizes) if s]
-    if 0.0 in sigmas:    # counts, not sums
-        out = [float(c) if s == 0.0 else 0.0 for s, c in zip(sigmas, counts)]
-        rows = [i for i in rows if sigmas[i] != 0.0]
+    counts = offsets[sizes]
+    live = sigmas != 0.0    # sums, not counts
+    out = np.where(live, 0.0, counts).tolist()
+    sizes[~live.any(axis=0)] = 0
+    rows = sizes.nonzero()[0]
+    lengths = sizes[rows]
+    ends = lengths.cumsum()    # a row's terms end here in the packed rows
     at = 0
     while at < len(rows):
-        end, size = at + 1, sizes[rows[at]]
-        while end < len(rows) and size + sizes[rows[end]] <= _CHUNK:
-            size += sizes[rows[end]]
-            end += 1
+        size = int(lengths[at])
+        end = max(at + 1, int(ends.searchsorted(ends[at] - size + _CHUNK,
+                                                "right")))
+        if end == at + 1:    # nothing to pack
+            i = int(rows[at])
+            for layer, sigma in zip(out, sigmas[:, i].tolist()):
+                if sigma:
+                    layer[i] = _row_sum(runs, sigma, zs[i], size)
+            at = end
+            continue
         batch = rows[at:end]
-        if len(batch) == 1:    # nothing to pack
-            i = batch[0]
-            terms, starts = zs[i] - values[:size], [0]
-            weights = m[:size], offsets[:size]
-            _powers(terms, sigmas[i], out=terms)
-        else:    # positions run on across the rows
-            lengths = [sizes[i] for i in batch]
-            starts = [0, *accumulate(lengths[:-1])]
-            terms = np.repeat([zs[i] for i in batch], lengths)
-            terms -= np.concatenate([values[:s] for s in lengths])
-            before = [0, *accumulate(counts[i] for i in batch[:-1])]
-            pos = np.concatenate([offsets[:s] for s in lengths])
-            pos += np.repeat(before, lengths)
-            weights = np.concatenate([m[:s] for s in lengths]), pos
+        lengths_b = lengths[at:end]
+        starts = ends[at:end] - lengths_b
+        starts -= starts[0]
+        # the index of each packed term among the runs of its row
+        index = np.arange(int(starts[-1] + lengths_b[-1]))
+        index -= np.repeat(starts, lengths_b)
+        base = np.repeat(zs[batch], lengths_b)
+        base -= values[index]
+        before = counts[batch].cumsum() - counts[batch]
+        pos = offsets[index]
+        pos += np.repeat(before, lengths_b)
+        weights = m[index], pos
+        del index
+        # one layer raises the buffer itself, more raise a copy each
+        terms = base if len(out) == 1 else np.empty_like(base)
+        for layer, sigma, keep in zip(out, sigmas[:, batch], live[:, batch]):
+            if not keep.any():
+                continue
+            if terms is not base:
+                np.copyto(terms, base)
             # one power pass per stretch of rows with equal sigmas
-            sigma = operator.itemgetter(*batch)(sigmas)
-            turns = [] if sigma.count(sigma[0]) == len(sigma) else (
-                np.flatnonzero(np.not_equal(sigma[1:], sigma[:-1])) + 1
-            ).tolist()
-            edges = [0, *(starts[k] for k in turns), len(terms)]
-            for k, a, b in zip([0, *turns], edges, edges[1:]):
-                _powers(terms[a:b], sigma[k], out=terms[a:b])
-        for i, total in zip(batch, _exact_sums(terms, starts, weights)):
-            out[i] = total
+            turns = (sigma[1:] != sigma[:-1]).nonzero()[0] + 1
+            edges = [0, *starts[turns].tolist(), len(terms)]
+            for k, a, b in zip([0, *turns.tolist()], edges, edges[1:]):
+                _powers(terms[a:b], float(sigma[k]), out=terms[a:b])
+            for i, total, summed in zip(batch.tolist(),
+                                        _exact_sums(terms, starts, weights),
+                                        keep.tolist()):
+                if summed:
+                    layer[i] = total
         at = end
-    return out, counts
+    return out
+
+
+def _row_sum(runs, sigma, z, size):
+    """The Riesz sum at (sigma, z) from the first ``size`` runs, those below
+    z, summed from slices of the runs without packing; sigma is not 0."""
+    if not size:
+        return 0.0
+    values, m, offsets = runs
+    terms = z - values[:size]
+    _powers(terms, sigma, out=terms)
+    return _exact_sums(terms, [0], (m[:size], offsets[:size]))[0]
 
 
 def head_sum(runs, k, terms_of):

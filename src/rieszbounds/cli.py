@@ -2,7 +2,9 @@
 
 Subcommands: spectrum | riesz | bounds | verify | table | figure.
 Global flags (valid on every subcommand): --output <path>, --format,
---full-precision.
+--full-precision.  Each subcommand, and each mode of ``bounds``, writes
+only some formats, the first of them by default (``_resolve_format``); a
+``--format`` that it would not write exits 2 with an argparse error.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes, numbers are rendered with 6 significant figures by default and 17
@@ -336,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH",
                         help="write output to PATH (atomic) instead of stdout")
     common.add_argument("--format", choices=("csv", "json", "text"),
-                        default="csv", help="output format (default csv)")
+                        help="output format; each subcommand writes "
+                             "some, the first by default: spectrum text, "
+                             "csv, json; verify text, json; bounds --list "
+                             "and --eval json; the others csv, json")
     common.add_argument("--full-precision", action="store_true",
                         help="render numbers with 17 digits instead of 6")
 
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[common],
                        help="generate or convert a spectrum")
     _add_domain_flags(p)
-    p.set_defaults(fn=cmd_spectrum, format="text")
+    p.set_defaults(fn=cmd_spectrum, formats=("text", "csv", "json"))
 
     p = sub.add_parser("riesz", parents=[common],
                        help="evaluate Riesz means, averages, or the "
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report eigenvalue averages at index K")
     p.add_argument("--legendre", nargs="+", type=float, metavar="W",
                    help="Legendre transform of the first-order mean at W")
-    p.set_defaults(fn=cmd_riesz)
+    p.set_defaults(fn=cmd_riesz, formats=("csv", "json"))
 
     p = sub.add_parser("bounds", parents=[common],
                        help="list or evaluate catalog bounds")
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export Bessel zeros j_{nu,p} for the given orders")
     p.add_argument("--zero-count", type=int, default=10,
                    help="zeros per order for --bessel-zeros")
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, formats=("csv", "json"))
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the inequality verification suite")
@@ -385,23 +390,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-corruption", action="store_true",
                    help="corrupt the spectra first (must make the suite fail)")
-    p.set_defaults(fn=cmd_verify, format="text")
+    p.set_defaults(fn=cmd_verify, formats=("text", "json"))
 
     p = sub.add_parser("table", parents=[common],
                        help="reproduce a comparison table")
     p.add_argument("id", choices=("table1", "table2", "table3"))
-    p.set_defaults(fn=cmd_rows, rows=table_rows)
+    p.set_defaults(fn=cmd_rows, rows=table_rows, formats=("csv", "json"))
 
     p = sub.add_parser("figure", parents=[common],
                        help="emit curve data for a figure")
     p.add_argument("id", choices=("fig1", "fig2", "fig3"))
-    p.set_defaults(fn=cmd_rows, rows=figure_rows)
+    p.set_defaults(fn=cmd_rows, rows=figure_rows, formats=("csv", "json"))
 
     return ap
 
 
+def _resolve_format(parser, args) -> None:
+    """Set ``args.format`` to the subcommand's default when none is given;
+    exit 2 through ``parser.error`` on one that the subcommand, or the mode
+    of ``bounds``, does not write."""
+    command, formats = args.command, args.formats
+    if command == "bounds":
+        if args.bessel_zeros is not None:
+            command += " --bessel-zeros"
+        else:    # one JSON object
+            command += " --eval" if args.eval is not None else " --list"
+            formats = ("json",)
+    if args.format is None:
+        args.format = formats[0]
+    elif args.format not in formats:
+        parser.error(f"argument --format: invalid choice for {command}: "
+                     f"{args.format!r} (choose from "
+                     f"{', '.join(map(repr, formats))})")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _resolve_format(parser, args)
     try:
         return args.fn(args)
     except RieszBoundsError as exc:

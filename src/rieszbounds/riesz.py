@@ -71,16 +71,30 @@ def riesz_row(spec: Spectrum, sigma, zs) -> list[float]:
     summed a batch of z at a time, with the same checks on every z.
 
     ``sigma`` is one s for every z, or a sequence of one s per z.  The z
-    values are checked by one array test; the first that fails it is
-    checked again by ``_check_z``, which raises as ``riesz_value`` would.
+    values are checked by one array test (``_check_zs``).
     """
+    zs = _check_zs(spec, zs)
+    sigma = (float(sigma) if isinstance(sigma, numbers.Real)
+             else [float(s) for s in sigma])
+    return _kernels.riesz_sums(_runs(spec), sigma, zs)
+
+
+def riesz_grid(spec: Spectrum, sigmas, zs) -> list[list[float]]:
+    """``riesz_row(spec, s, zs)`` for each s of ``sigmas``, bit for bit, as
+    a list of rows: the terms z - lambda of a batch of z are built once
+    and raised to each s.  The z values are checked as in ``riesz_row``."""
+    zs = _check_zs(spec, zs)
+    return _kernels.riesz_grid(_runs(spec), [float(s) for s in sigmas], zs)
+
+
+def _check_zs(spec: Spectrum, zs) -> list[float]:
+    """``zs`` as floats after one array test; the first z that fails it is
+    checked again by ``_check_z``, which raises as ``riesz_value`` would."""
     values = np.array(zs, dtype=np.float64)
     ok = (values > 0) & (values <= spec.complete_below)
     if not ok.all():
         _check_z(spec, zs[int(np.argmin(ok))])
-    sigma = (float(sigma) if isinstance(sigma, numbers.Real)
-             else [float(s) for s in sigma])
-    return _kernels.riesz_sums(_runs(spec), sigma, values.tolist())
+    return values.tolist()
 
 
 def _check_z(spec: Spectrum, z: float) -> None:

@@ -46,40 +46,48 @@ and moments:
   moment memo is dropped with the Riesz memo when the sweep ends.
 * While one spectrum is swept, R_sigma(z) values are memoized per
   (sigma, z), and the memo is dropped when that spectrum's sweep ends.
-  Values are computed in whole passes.  The sweep registers the rows of
-  z it evaluates (the z grid and the central-difference rows z + h and
-  z - h) and the pair set of the random Hoelder samples (the three
-  sigmas of each sample at its z).  The first time that a sigma misses
-  in a row, :func:`~rieszbounds.riesz.riesz_row` sums the whole row in
-  one segmented pass; the first miss of a Hoelder pair sums the whole
-  pair set in one pass, each pair at its own sigma.  Only a value on no
-  row and in no pair set calls ``riesz_value``; the default suite has
-  none.  Every memoized value is bit-equal to what ``riesz_value``
-  returns, so witness re-evaluation outside a sweep stays exact.
+  Values are computed in whole passes.  The sweep registers each row of z
+  it evaluates with the sigmas that its families read on the row: on the
+  z grid every grid sigma, each sigma - 1 of the difference families, 0,
+  1 and 2, and the sigmas of the Hoelder counting forms; on the
+  central-difference rows z + h and z - h the grid sigmas >= 1.5.  It
+  also registers the pair set of the random Hoelder samples (the three
+  sigmas of each sample at its z).  The first miss in a row sums its
+  whole sigma set in one :func:`~rieszbounds.riesz.riesz_grid` pass, which
+  builds the terms z - lambda of a batch of z once and raises them to
+  each sigma; the first miss of a Hoelder pair sums the whole pair set,
+  each pair at its own sigma, in one :func:`~rieszbounds.riesz.riesz_row`
+  pass per sign of sigma.  A default sweep makes four passes.  Only a
+  value on no row and in no pair set calls ``riesz_value``; the default
+  suite has none.  Every memoized value is bit-equal to what
+  ``riesz_value`` returns, so witness re-evaluation outside a sweep stays
+  exact.
 
 Points are streamed.  Each family states its points once, as row groups
 (``_Points``): a group is constants, equal-length columns (lists or
 ``range``s) and trailing values, and its rows are the constants, one item
-of each column, then each trailing value in turn.  A row is a tuple of
-the margin function's arguments after the spectrum, in its parameter
-order, and the witness names every argument that is not None, read from
-the signature.  The count, the validity-gate edges (the first row of each
-group) and the rows all follow from the groups, and the rows are made by
-``zip``, ``repeat``, ``cycle`` and ``chain`` without a Python frame per
-row.  The sweep takes the rows ``_CHUNK`` at a time and computes their
-margins into one array by ``np.fromiter(starmap(partial(fn, spec),
-chunk))``, with no Python frame between the calls, so ``fn(spec, *row)``
-is still called once per point; it makes a keyword dict only once per
-family, for the witness.  What a sweep holds therefore does not grow with
-the number of points: the z grid, the per-parameter lists of z values
-that pass a family's threshold, the random Hoelder samples, one chunk of
-rows and margins, and the spectrum's own O(n) arrays, where n is the
-number of eigenvalues; no Python object is made per eigenvalue.  The
-~16 n points of the index families (eq224_ratio, yang_simplified,
-cor32_abhh, eq36_next, eq37_discrim) are never stored.  The unit square
-below 1.3e7 (n = 1,033,365; 16.1 M genuine points and 8.3 M control
-points) is verified by ``benchmarks/bench_verify_scale.py`` with a peak
-RSS of about 140 MB.
+of each column, then each trailing value in turn.  A row holds the margin
+function's arguments after the spectrum, in its parameter order, and the
+witness names every argument that is not None, read from the signature.
+The count, the validity-gate edges (the first row of each group) and the
+rows all follow from the groups.  The sweep evaluates each group as
+``map(fn, repeat(spec), *columns)``, its argument columns made by
+``repeat``, ``cycle`` and ``chain`` (``_group_columns``), and takes the
+margins ``_CHUNK`` at a time into one array by ``np.fromiter``: no tuple
+is built per row and no Python frame runs between the calls, so
+``fn(spec, *row)`` is still called once per point.  The witness row, and
+the row named by an error, are rebuilt from their index in the family
+(``points[i]``), and a keyword dict is made only once per family, for the
+witness.  What a sweep holds therefore does not grow with the number of
+points: the z grid, the per-parameter lists of z values that pass a
+family's threshold, the random Hoelder samples, one chunk of margins, and
+the spectrum's own O(n) arrays, where n is the number of eigenvalues; no
+Python object is made per eigenvalue.  The ~16 n points of the index
+families (eq224_ratio, yang_simplified, cor32_abhh, eq36_next,
+eq37_discrim) are never stored.  The unit square below 1.3e7
+(n = 1,033,365; 16.1 M genuine points and 8.3 M control points) is
+verified by ``benchmarks/bench_verify_scale.py`` with a peak RSS of about
+140 MB.
 
 A corrupted-spectrum negative control is part of the standard suite: the
 suite is only green if the genuine checks pass *and* the corrupted twin
@@ -94,15 +102,15 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field, asdict, replace
-from functools import partial
-from itertools import chain, cycle, groupby, islice, repeat, starmap
+from itertools import chain, cycle, groupby, repeat
 
 import numpy as np
 
 from . import bounds, riesz, spectra
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      ValidityError)
-from .riesz import eigensum_prefix, riesz_row, riesz_value, square_prefix
+from .riesz import (eigensum_prefix, riesz_grid, riesz_row, riesz_value,
+                    square_prefix)
 from .spectra import Spectrum
 
 #: relative numerical slack on all inequality checks
@@ -202,13 +210,18 @@ class _RieszTable(dict):
     """{(sigma, z): R_sigma(z)} of one spectrum while it is swept.
 
     A missing value is computed on first use, with every value that the
-    sweep registered beside it.  The sweep registers rows of z values
-    that many points share (``add_row``) and sets of (sigma, z) pairs
-    (``add_pairs``).  The first miss of a registered pair sums its whole
-    set in one ``riesz_row`` pass, a sigma of each pair's own; any other
-    first miss of a sigma at a z on a row sums that sigma's whole row.
-    Only a z on no row and in no pair set is the one value of
-    ``riesz_value``.  All give the bits of ``riesz_value``.
+    sweep registered beside it.  The sweep registers rows of z values, each
+    with the sigmas that its families read on the row (``add_row``), and
+    sets of (sigma, z) pairs (``add_pairs``).  The first miss of a sigma
+    of a row's set at a z of the row sums every sigma of the set at every
+    z of the row in one ``riesz_grid`` pass, which builds the terms
+    z - lambda once and raises them to each sigma.  The first miss of a
+    registered pair sums its whole set, each pair at its own sigma, in one
+    ``riesz_row`` pass per sign of sigma: ``_run_sum`` checks every
+    segment of a pass against one direction, and the terms fall along the
+    spectrum when sigma > 0 and rise when sigma < 0.  Only a value on no
+    row and in no pair set is the one value of ``riesz_value``.  All give
+    the bits of ``riesz_value``.
     """
 
     def __init__(self, spec):
@@ -218,10 +231,10 @@ class _RieszTable(dict):
         self.row_of = {}     # z -> index of the first row that holds it
         self.pair_set = {}   # (sigma, z) -> the pairs registered with it
 
-    def add_row(self, zs):
+    def add_row(self, sigmas, zs):
         for z in zs:
             self.row_of.setdefault(z, len(self.rows))
-        self.rows.append(zs)
+        self.rows.append((tuple(sigmas), zs))
 
     def add_pairs(self, pairs):
         pairs = list(pairs)
@@ -232,14 +245,19 @@ class _RieszTable(dict):
         sigma, z = key
         pairs = self.pair_set.get(key)
         if pairs is not None:
-            sigmas, zs = zip(*pairs)
-        elif (row := self.row_of.get(z)) is not None:
-            pairs = [(sigma, x) for x in self.rows[row]]
-            sigmas, zs = sigma, self.rows[row]
+            for part in ([p for p in pairs if p[0] < 0],
+                         [p for p in pairs if not p[0] < 0]):
+                if part:
+                    sigmas, zs = zip(*part)
+                    self.update(zip(part, riesz_row(self.spec, sigmas, zs)))
+        elif (row := self.row_of.get(z)) is not None \
+                and sigma in self.rows[row][0]:
+            sigmas, zs = self.rows[row]
+            for s, values in zip(sigmas, riesz_grid(self.spec, sigmas, zs)):
+                self.update(zip(zip(repeat(s), zs), values))
         else:
             value = self[key] = riesz_value(self.spec, sigma, z)[0]
             return value
-        self.update(zip(pairs, riesz_row(self.spec, sigmas, zs)))
         return self[key]
 
 
@@ -563,6 +581,9 @@ _GATES = {
 #: the parameters that each form of hoelder_chain reads; the others are None
 _HOELDER_KEYS = {"logconvex": ("z", "sigma0", "sigma1", "sigma2"),
                  "counting": ("sigma", "z"), "counting2": ("sigma", "z")}
+#: the sigmas at which the sweep checks each counting form of hoelder_chain
+_HOELDER_COUNTING = {"counting": (1.5, 2.0, 3.0),
+                     "counting2": (2.0, 3.0, 5.0)}
 
 
 def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
@@ -673,8 +694,10 @@ class _Points:
     (``_NAMES``), so ``fn(spec, *row)`` and ``fn(spec, **params(row))``
     are the same call.  The length, the ``edges`` (the first row of each
     group, where the family's validity gate runs) and the rows all follow
-    from the groups; the rows are made by ``zip``, ``repeat``, ``cycle``
-    and ``chain``, without a Python frame per row.
+    from the groups.  ``_group_columns`` gives a group's rows as argument
+    columns, made by ``repeat``, ``cycle`` and ``chain``, without a Python
+    frame per row; ``points[i]`` rebuilds row i from its group and its
+    index there.
     """
 
     __slots__ = ("groups", "names")
@@ -688,7 +711,17 @@ class _Points:
                    for _, cols, trailing in self.groups)
 
     def __iter__(self):
-        return chain.from_iterable(starmap(_group_rows, self.groups))
+        return chain.from_iterable(
+            zip(*_group_columns(*group)) for group in self.groups)
+
+    def __getitem__(self, i):
+        for consts, cols, trailing in self.groups:
+            each = len(trailing) or 1
+            if i < len(cols[0]) * each:
+                return (*consts, *(col[i // each] for col in cols),
+                        *trailing[i % each:i % each + 1])
+            i -= len(cols[0]) * each
+        raise IndexError("row index out of range")
 
     @property
     def edges(self):
@@ -701,12 +734,14 @@ class _Points:
         return {k: v for k, v in zip(self.names, row) if v is not None}
 
 
-def _group_rows(consts, cols, trailing):
+def _group_columns(consts, cols, trailing):
+    """The rows of a group as argument columns, one iterator per parameter
+    in parameter order."""
     if len(trailing) > 1:   # each column item once per trailing value
         cols = [chain.from_iterable(zip(*repeat(col, len(trailing))))
                 for col in cols]
-    return zip(*map(repeat, consts), *cols,
-               *([cycle(trailing)] if trailing else []))
+    return [*map(repeat, consts), *cols,
+            *([cycle(trailing)] if trailing else [])]
 
 
 def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
@@ -735,9 +770,19 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     z_fd = [z for z, ok in zip(zs, clear.tolist()) if ok]
     table = _riesz_memo.get(spec)
     if table is not None:
-        for row in (zs, [z + 1e-6 * z for z in z_fd],
-                    [z - 1e-6 * z for z in z_fd]):
-            table.add_row(row)
+        # the sigmas that the families read on each row: on the grid each
+        # grid sigma, each sigma - 1 of the difference families, the fixed
+        # sigmas of cor26, cor29 and the Hoelder counting forms; the
+        # central differences read the grid sigmas >= 1.5 at z +- h
+        sigma_fd = [s for s in cfg.sigma_grid if s >= 1.5]
+        on_grid = {*cfg.sigma_grid, 0.0, 1.0, 2.0,
+                   *(s - 1.0 for s in cfg.sigma_grid if s > 0),
+                   *_HOELDER_COUNTING["counting2"],
+                   *chain.from_iterable(
+                       (s, s - 1.0) for s in _HOELDER_COUNTING["counting"])}
+        table.add_row(sorted(on_grid), zs)
+        table.add_row(sigma_fd, [z + 1e-6 * z for z in z_fd])
+        table.add_row(sigma_fd, [z - 1e-6 * z for z in z_fd])
     h_fd = [1e-6 * z for z in z_fd]
     add("thm21_deriv1", "sigma in {1.5, 2}, central differences",
         [((s,), (z_fd, h_fd), ()) for s in s_le2 if s >= 1.5])
@@ -801,9 +846,7 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     add("hoelder_chain", "random sigma triples + counting forms",
         [(("logconvex", None), logconvex, ())]
         + [((form, s), (zs[::5],), ())
-           for form, sigmas in (("counting", (1.5, 2.0, 3.0)),
-                                ("counting2", (2.0, 3.0, 5.0)))
-           for s in sigmas])
+           for form, sigmas in _HOELDER_COUNTING.items() for s in sigmas])
 
     k_list = _index_list(n, cfg.k_count)
     add("cor31_mean_ratio", "(j, k) pairs above validity threshold",
@@ -831,8 +874,8 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     return out
 
 
-#: rows whose margins ``_sweep`` computes into one array; 1,024 rows were
-#: no faster and hold four times the row tuples at once
+#: rows whose margins ``_sweep`` computes into one array (1,024 rows were
+#: no faster)
 _CHUNK = 256
 
 
@@ -860,8 +903,11 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, ids=None):
         for check_id, grid, points in _build_points(spec, cfg, cfg.z_points):
             if ids is not None and check_id not in ids:
                 continue
-            margin = partial(MARGINS[check_id], spec)
-            rows = iter(points)
+            fn = MARGINS[check_id]
+            margins = chain.from_iterable(
+                map(fn, repeat(spec), *_group_columns(*group))
+                for group in points.groups)
+            n_points = len(points)
             worst = math.inf
             best = row = None
             gate = _GATES.get(check_id)
@@ -869,13 +915,15 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, ids=None):
                 if gate is not None:
                     for row in points.edges:
                         gate(spec, *row)
-                while chunk := list(islice(rows, _CHUNK)):
+                for start in range(0, n_points, _CHUNK):
+                    size = min(_CHUNK, n_points - start)
                     try:
-                        ms = np.fromiter(starmap(margin, chunk), float,
-                                         len(chunk))
+                        ms = np.fromiter(margins, float, size)
                     except ArithmeticError:
-                        for row in chunk:   # find the row that raised
-                            margin(*row)
+                        # find the row that raised
+                        for row in map(points.__getitem__,
+                                       range(start, start + size)):
+                            fn(spec, *row)
                         raise
                     # the first NaN if there is one; the sweep then
                     # raises, so this family's minimum is never used
@@ -883,19 +931,19 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, ids=None):
                     if ms[i] != ms[i]:
                         nan = nan or (f"{check_id} has a NaN margin on "
                                       f"{label!r} at "
-                                      f"{points.params(chunk[i])}")
+                                      f"{points.params(points[start + i])}")
                     elif ms[i] < worst:
                         worst = float(ms[i])
-                        best = chunk[i]
+                        best = start + int(i)
             except ArithmeticError as exc:
                 raise DomainError(
                     f"{check_id} cannot be evaluated on {label!r} at "
                     f"{points.params(row)}: {exc!r}") from exc
             witness = {}
             if best is not None:
-                witness = points.params(best)
+                witness = points.params(points[best])
                 witness["spectrum"] = label
-            results[check_id] = (grid, len(points), worst, witness)
+            results[check_id] = (grid, n_points, worst, witness)
     finally:
         _riesz_memo.pop(spec, None)
         _moment_memo.pop(spec, None)

@@ -374,6 +374,83 @@ def spec_file(tmp_path_factory):
     return str(path)
 
 
+class TestFormatChoice:
+    """Each subcommand, and each mode of ``bounds``, writes some formats:
+    an explicit ``--format`` that it would ignore exits 2 with an argparse
+    error before any work, and every value that it writes is honoured,
+    its default the same bytes as no ``--format`` at all."""
+
+    BOX = ("--box", "1", "1", "--lambda-max", "100")
+    EVAL = ("bounds", "--eval", "cheng_yang", "--arg", "d=2", "--arg", "k=3")
+
+    @pytest.mark.parametrize("argv, fmt, name", [
+        (("verify",), "csv", "verify"),
+        (("riesz", *BOX, "--z", "50"), "text", "riesz"),
+        (("riesz", *BOX, "--means", "3"), "text", "riesz"),
+        (("riesz", *BOX, "--legendre", "1.5"), "text", "riesz"),
+        (("table", "table1"), "text", "table"),
+        (("figure", "fig1"), "text", "figure"),
+        (("bounds", "--bessel-zeros", "0"), "text", "bounds --bessel-zeros"),
+        (("bounds", "--list"), "csv", "bounds --list"),
+        (("bounds", "--list"), "text", "bounds --list"),
+        (("bounds",), "csv", "bounds --list"),
+        (EVAL, "csv", "bounds --eval"),
+        (EVAL, "text", "bounds --eval"),
+    ])
+    def test_ignored_value_exits_2(self, capsys, monkeypatch, argv, fmt,
+                                   name):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.verify, "default_spectra", no_work)
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--format", fmt])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: rieszbounds")
+        assert (f"error: argument --format: invalid choice for {name}: "
+                f"{fmt!r}") in err
+
+    @pytest.mark.parametrize("argv, fmt", [
+        (("spectrum", *BOX), "text"),
+        (("spectrum", *BOX), "csv"),
+        (("spectrum", *BOX), "json"),
+        (("riesz", *BOX, "--z", "50"), "csv"),
+        (("riesz", *BOX, "--z", "50"), "json"),
+        (("riesz", *BOX, "--means", "3"), "csv"),
+        (("riesz", *BOX, "--means", "3"), "json"),
+        (("riesz", *BOX, "--legendre", "1.5"), "csv"),
+        (("riesz", *BOX, "--legendre", "1.5"), "json"),
+        (("table", "table1"), "csv"),
+        (("table", "table1"), "json"),
+        (("figure", "fig1"), "csv"),
+        (("figure", "fig1"), "json"),
+        (("bounds", "--bessel-zeros", "0"), "csv"),
+        (("bounds", "--bessel-zeros", "0"), "json"),
+        (("bounds", "--list"), "json"),
+        (("bounds",), "json"),
+        (EVAL, "json"),
+        (("verify", "--z-points", "20"), "text"),
+        (("verify", "--z-points", "20"), "json"),
+    ])
+    def test_honoured_value(self, capsys, spec_file, argv, fmt):
+        if argv[0] == "verify":
+            argv = (*argv, "--spectrum", spec_file)
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            assert "," in out.splitlines()[0] and not out.startswith("{")
+        else:
+            assert out.startswith(("dim: 2\n", "inequality "))
+        default = {"spectrum": "text", "verify": "text",
+                   "bounds": "csv" if "--bessel-zeros" in argv else "json"}
+        if fmt == default.get(argv[0], "csv"):
+            assert run_cli(capsys, *argv)[1] == out
+
+
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys, spec_file):
         code, out, _ = run_cli(capsys, "verify", "--spectrum", spec_file,

@@ -383,6 +383,12 @@ def monotone_arrays(draw):
     return x
 
 
+def _per_binade(exps):
+    """Three terms in each binade 2**e of ``exps``, unsorted."""
+    return np.ldexp(np.tile([0.625, 0.75, 0.875], len(exps)),
+                    np.repeat(exps, 3))
+
+
 def _run_one(terms, weights=None):
     """The run path's sum of ``terms`` as one segment, every weight 1 by
     default; None where it leaves the sum to ``math.fsum``."""
@@ -460,14 +466,16 @@ class TestRunPath:
         _assert_same(x[::-1].copy())
 
     @pytest.mark.parametrize("x", [
-        np.sort(np.ldexp(0.75, np.arange(-600, 600))),
-        np.sort(np.ldexp(0.75, np.arange(-1000, 1000))),
-        np.sort(np.concatenate([-np.ldexp(0.625, np.arange(-1000, 990, 2)),
-                                np.ldexp(0.75, np.arange(-999, 1000, 2))])),
+        np.sort(_per_binade(np.arange(-600, 600))),
+        np.sort(_per_binade(np.arange(-1000, 1000))),
+        np.sort(np.concatenate([-_per_binade(np.arange(-1000, 990, 2)),
+                                _per_binade(np.arange(-999, 1000, 2))])),
     ], ids=["wide", "2000-binades", "both-signs"])
-    def test_wide_exponent_span(self, x):
+    def test_wide_exponent_span(self, monkeypatch, x):
         # math.fsum of the exact halves of the blocks is exact however many
-        # binades the terms span
+        # binades the terms span; three terms a binade keep the run starts
+        # below half the terms, so the blocks sum them
+        monkeypatch.setattr(pykernels, "_fsum_segments", None)
         for terms in (x, x[::-1].copy(), -x):
             run = _run_one(terms)
             assert run is not None
@@ -782,6 +790,92 @@ class TestSegmentedRunPath:
         assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
                                                         weights)] == \
             [_bits(t) for t in _segment_sums(terms, starts, weights)]
+
+
+class TestDenseRuns:
+    """Where most terms start a run (or a segment), ``_run_sum`` sums each
+    segment by ``math.fsum`` of its weighted terms from the larger end
+    (``_fsum_segments``), with the bits of ``math.fsum`` in their order;
+    spectrum sums, whose runs are few, never take that path."""
+
+    WIDE = np.sort(np.ldexp(np.random.default_rng(3).uniform(0.5, 1.0, 2000),
+                            np.arange(-1000, 1000)))
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        fsum_segments = pykernels._fsum_segments
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return fsum_segments(*args)
+
+        monkeypatch.setattr(pykernels, "_fsum_segments", counting)
+        return calls
+
+    @pytest.mark.parametrize("order", ["ascending", "descending",
+                                       "negative"])
+    def test_2000_binades(self, monkeypatch, order):
+        terms = {"ascending": self.WIDE, "descending": self.WIDE[::-1].copy(),
+                 "negative": -self.WIDE}[order]
+        calls = self._counting(monkeypatch)
+        assert _bits(_run_one(terms)) == _bits(math.fsum(terms.tolist()))
+        _assert_same(terms)
+        assert calls == [1, 1]
+
+    def test_weighted_segments_and_a_zero(self, monkeypatch):
+        # weighted segments over many binades each, one across both signs
+        # and one that cancels to an exact zero (None, left to math.fsum
+        # of the terms for the sign of the zero)
+        rng = np.random.default_rng(5)
+        parts = [self.WIDE[:700],
+                 np.sort(np.concatenate([-self.WIDE[900:1300:2],
+                                         self.WIDE[1000:1400:2]])),
+                 np.concatenate([-self.WIDE[1500:1700][::-1],
+                                 self.WIDE[1500:1700]]),
+                 self.WIDE[100:400]]
+        terms = np.concatenate(parts)
+        m = rng.integers(1, WEIGHT + 1, len(terms))
+        m[1100:1500] = 3    # the cancelling segment
+        weights = _weights(m)
+        starts = np.cumsum([0] + [len(x) for x in parts[:-1]])
+        calls = self._counting(monkeypatch)
+        got = pykernels._run_sum(terms, starts, weights)
+        want = _segment_sums(terms, starts, weights)
+        assert calls == [len(parts)]
+        assert [total is None for total in got] == [False, False, True,
+                                                    False]
+        for total, w in zip(got, want):
+            if total is not None:
+                assert _bits(total) == _bits(w)
+        assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
+                                                        weights)] == \
+            [_bits(t) for t in want]
+
+    def test_default_suite_and_a_large_sum_take_the_blocks(self,
+                                                          monkeypatch):
+        # every run-path call of the default verify suite, and of one Riesz
+        # mean and one means query on 10^5 eigenvalues (a large_queries
+        # sum, scaled down), sums by blocks: none goes to _fsum_segments,
+        # and none leaves its segments to math.fsum
+        from rieszbounds import riesz, spectra, verify
+        calls = self._counting(monkeypatch)
+        left = []
+        run_sum = pykernels._run_sum
+
+        def watched(*args):
+            sums = run_sum(*args)
+            left.append(sums is None)
+            return sums
+
+        monkeypatch.setattr(pykernels, "_run_sum", watched)
+        verify.run_suite(verify.default_spectra())
+        square = spectra.box_spectrum([1.0, 1.0], 1.3e6)
+        for sigma in (0.5, 1.0, 2.0):
+            riesz.riesz_mean(square, sigma, 0.95 * 1.3e6)
+        riesz.means(square, len(square) // 2, [0.5, 1.5])
+        assert calls == []
+        assert left and not any(left)
 
 
 class TestWeightedFallback:

@@ -166,6 +166,30 @@ class TestRieszRows:
         assert got == _hex(_fsum_rows(lams, s, [z])[0]
                            for s, z in zip(sigmas, zs))
 
+    @given(riesz_rows(), st.lists(st.sampled_from(SIGMAS)
+                                  | st.floats(0.05, 5.0), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_equals_riesz_sums(self, rows, sigmas):
+        # every sigma of a set at every z, the rows packed once: the bits
+        # of riesz_sums one sigma at a time
+        lams, zs = rows
+        runs = pykernels.runs_of(lams)
+        grid = pykernels.riesz_grid(runs, sigmas, zs)
+        assert [_hex(row) for row in grid] == \
+            [_hex(pykernels.riesz_sums(runs, s, zs)) for s in sigmas]
+
+    def test_grid_longer_than_the_buffer(self):
+        # packed batches and rows of more terms than the buffer holds, at
+        # sigmas of both signs and 0, against math.fsum
+        rng = np.random.default_rng(8)
+        lams = np.sort(rng.uniform(1.0, 100.0, pykernels._CHUNK + 5000))
+        runs = pykernels.runs_of(lams)
+        zs = [50.0, 99.0, 100.5, 30.0, 0.5, *np.linspace(2.0, 9.0, 40)]
+        sigmas = [-0.75, 0.0, 0.5, 1.0, 2.5]
+        grid = pykernels.riesz_grid(runs, sigmas, zs)
+        assert [_hex(row) for row in grid] == \
+            [_hex(_fsum_rows(lams, s, zs)) for s in sigmas]
+
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_ball_rows_where_np_power_is_not_libm_pow(self, sigma):
         spec = spectra.ball_spectrum(3, 1.0, 2000.0)

@@ -53,8 +53,8 @@ class TestRieszMean:
 
 
 class TestRieszRow:
-    """``riesz_row`` checks all its z values at once, and raises for the
-    first bad one what ``riesz_value`` raises for it."""
+    """``riesz_row`` and ``riesz_grid`` check all their z values at once,
+    and raise for the first bad one what ``riesz_value`` raises for it."""
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -3.0, 200.0001])
     @pytest.mark.parametrize("at", [0, 2, 4])
@@ -87,6 +87,23 @@ class TestRieszRow:
         zs = [5.0, 200.0, 19.75, 120, 60.5]
         assert [v.hex() for v in riesz.riesz_row(square_pi, 1.5, zs)] == \
             [riesz.riesz_value(square_pi, 1.5, z)[0].hex() for z in zs]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 200.0001])
+    def test_grid_checks_z_as_riesz_row(self, square_pi, bad):
+        zs = [50.0, bad, 7.0]
+        with pytest.raises((DomainError, TruncationError)) as want:
+            riesz.riesz_row(square_pi, 1.0, zs)
+        with pytest.raises(want.type) as got:
+            riesz.riesz_grid(square_pi, [0.5, 1.0], zs)
+        assert str(got.value) == str(want.value)
+
+    def test_good_grid_equals_riesz_value(self, square_pi):
+        zs = [5.0, 200.0, 19.75, 120, 60.5]
+        sigmas = [-0.5, 0, 0.5, 1, 2.5]
+        assert [[v.hex() for v in row]
+                for row in riesz.riesz_grid(square_pi, sigmas, zs)] == \
+            [[riesz.riesz_value(square_pi, s, z)[0].hex() for z in zs]
+             for s in sigmas]
 
 
 class TestCounting:

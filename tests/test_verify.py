@@ -3,6 +3,7 @@ reproducibility, negative controls, and configuration errors."""
 
 import hashlib
 import inspect
+import json
 import math
 import struct
 import tracemalloc
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rieszbounds import bounds, riesz, spectra, verify
+from rieszbounds import bounds, riesz, specfun, spectra, verify
 from rieszbounds._kernels import pykernels
 from rieszbounds.errors import ConfigError, DomainError, ValidityError
 
@@ -115,37 +116,70 @@ class TestRieszMemo:
         assert len(calls) == len(set(calls))
 
 
-    def test_default_sweep_sums_rows(self, monkeypatch):
-        # every value is summed in a whole pass: the grid sigmas a row at a
-        # time on their first miss, and the 3 random Hoelder sigmas of each
-        # of the 60 samples as one pair set; no single values
-        spec = verify.default_spectra()["disk_r1"]
-        cfg = verify.VerifyConfig()
-        calls = {"value": 0, "row": 0, "pairs": 0}
-        riesz_value, riesz_row = verify.riesz_value, verify.riesz_row
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Count riesz_value calls and whole passes (riesz_grid for a row,
+        riesz_row for a pair set), each pass checked against riesz_value
+        and holding one sign of sigma if it is a pair set."""
+        calls = {"value": 0, "grid": 0, "row": 0}
+        riesz_value = verify.riesz_value
+        riesz_grid, riesz_row = verify.riesz_grid, verify.riesz_row
 
         def counting_value(s, sigma, z):
             calls["value"] += 1
             return riesz_value(s, sigma, z)
 
+        def counting_grid(s, sigmas, zs):
+            calls["grid"] += 1
+            rows = riesz_grid(s, sigmas, zs)
+            assert rows == [[riesz_value(s, x, z)[0] for z in zs]
+                            for x in sigmas]
+            return rows
+
         def counting_row(s, sigma, zs):
-            sigmas = sigma if np.ndim(sigma) else [sigma] * len(zs)
-            if np.ndim(sigma):
-                calls["pairs"] += 1
-                assert len(sigma) == len(zs) == 3 * cfg.hoelder_samples
-            else:
-                calls["row"] += 1
+            calls["row"] += 1
+            assert len({x < 0 for x in sigma}) == 1
             values = riesz_row(s, sigma, zs)
             assert values == [riesz_value(s, x, z)[0]
-                              for x, z in zip(sigmas, zs)]
+                              for x, z in zip(sigma, zs)]
             return values
 
         monkeypatch.setattr(verify, "riesz_value", counting_value)
+        monkeypatch.setattr(verify, "riesz_grid", counting_grid)
         monkeypatch.setattr(verify, "riesz_row", counting_row)
-        verify._sweep("disk", spec, cfg)
-        assert calls["value"] == 0
-        assert 0 < calls["row"] <= 22
-        assert calls["pairs"] == 1
+        return calls
+
+    def test_default_sweep_sums_rows(self, monkeypatch):
+        # every value is summed in a whole pass: the z grid with every
+        # sigma its families read there, each central-difference row z + h
+        # and z - h with its sigmas, and the 3 random Hoelder sigmas of
+        # each of the 60 samples as one pair set; no single values
+        spec = verify.default_spectra()["disk_r1"]
+        calls = self._count_passes(monkeypatch)
+        verify._sweep("disk", spec, verify.VerifyConfig())
+        assert calls == {"value": 0, "grid": 3, "row": 1}
+
+    def test_row_set_equals_riesz_value(self, monkeypatch):
+        # a registered row's whole sigma set, summed in one pass, has the
+        # bits of riesz_value at every (sigma, z): at sigma < 0 (terms
+        # that rise along the spectrum), sigma = 0 (the count) and sigma >
+        # 0, with more terms than one _CHUNK buffer holds; a z on no row is
+        # the one riesz_value call
+        spec = spectra.box_spectrum([1.0, 1.0], 50000.0)
+        zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 90).tolist()
+        sigmas = [-0.75, -0.5, 0.0, 0.25, 1.0, 2.5]
+        table = verify._RieszTable(spec)
+        table.add_row(sigmas, zs)
+        terms = riesz._runs(spec).values.searchsorted(zs).sum()
+        assert terms > pykernels._CHUNK
+        calls = self._count_passes(monkeypatch)
+        pairs = [(s, z) for z in zs for s in sigmas] + [(1.5, 18999.5)]
+        values = [table[pair] for pair in pairs]
+        assert calls == {"value": 1, "grid": 1, "row": 0}
+        assert len(table) == len(pairs)
+        assert [v.hex() for v in values] == \
+            [riesz.riesz_value(spec, s, z)[0].hex() for s, z in pairs]
+        assert values[2] == riesz.counting(spec, zs[0])
 
     def test_pair_batch_equals_riesz_value(self, monkeypatch):
         # a pair set summed in one pass has the bits of riesz_value, pair
@@ -154,7 +188,7 @@ class TestRieszMemo:
         spec = spectra.box_spectrum([1.0, 1.0], 50000.0)
         zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 30).tolist()
         table = verify._RieszTable(spec)
-        table.add_row(zs[::2])
+        table.add_row([0.5], zs[::2])
         pairs = [(s, z) for z in zs for s in (0.0, 0.5, 1.0, 2.0, 2.7)]
         pairs += [(3.1, 18999.5)]   # on no row
         terms = riesz._runs(spec).values.searchsorted(
@@ -187,6 +221,38 @@ class TestRieszMemo:
         result = verify._sweep("disk", spec, SMALL,
                                ids={"cor29_counting", "hoelder_chain"})
         assert set(result) == {"cor29_counting", "hoelder_chain"}
+
+
+class TestGoldenReport:
+    """The default suite's report keeps its bytes: the JSON that ``verify
+    --format json --full-precision`` writes at seeds 0 and 7, and the text
+    report, hash as they did before the sweep summed each row's sigma set
+    in one pass per sign."""
+
+    DIGESTS = {
+        ("json", 0): "9a4108d07c72c11cfa5d80d4c56239c1"
+                     "5712a33d1c9d172362798f47a8f64a64",
+        ("text", 0): "7880e1a497b7b2b342d3af8350afbec4"
+                     "4022e9e76e803e450b6109031ae99f84",
+        ("json", 7): "dee8157c8907561ba3114035b5bbda62"
+                     "be997276b58177f5238155a8cad97a86",
+    }
+
+    def test_default_report_digests(self, monkeypatch):
+        # the ball spectra are built from an empty Bessel-zero cache, as in
+        # a fresh ``verify`` process: zeros that an earlier call found one
+        # at a time can differ from batched ones in the last bit
+        monkeypatch.setattr(specfun, "_zero_cache", {})
+        specs = verify.default_spectra()
+        got = {}
+        for seed in (0, 7):
+            report = verify.run_suite(specs, verify.VerifyConfig(seed=seed))
+            blob = json.dumps(report.to_json_dict(), indent=2) + "\n"
+            got["json", seed] = hashlib.sha256(blob.encode()).hexdigest()
+            if seed == 0:
+                got["text", seed] = hashlib.sha256(
+                    report.to_text().encode()).hexdigest()
+        assert got == self.DIGESTS
 
 
 class TestMomentMemo:
