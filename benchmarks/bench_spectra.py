@@ -1,14 +1,19 @@
 """Benchmark ball spectrum generation and the spectrum text and JSON
 writers.
 
-Generation: ``spectra.ball_spectrum`` (one ``specfun.bessel_zeros``
+Generation: ``spectra.ball_spectrum`` (one bounded ``specfun.bessel_zeros``
 iteration per order, numpy assembly) against the per-zero reference of
 ``tests/oracles.py`` (one ``specfun.bessel_zero`` call per zero, a Python
 list extended by multiplicity and sorted), each from an empty zero cache,
-on the disk below 1e5 and the 3-ball below 3e4.  The eigenvalues and the
-zero caches left behind are compared bit for bit.  The J evaluations per
-cached zero of ``ball_spectrum``, counted element-wise through
-``specfun._jv`` in one more, untimed run, are printed.
+on the disk below 1e5 and the 3-ball below 3e4.  The eigenvalues are
+compared bit for bit, and so is every zero that ``ball_spectrum`` caches
+with the reference's zero of the same order and index.  The reference
+finds each order's first zero at or above the limit; ``ball_spectrum``
+finds it only for its first order, which no order below brackets, and any
+later order that caches a zero at or above its bound fails.  Printed: the
+spectrum's zeros (those below the limit), the zeros cached at or above the
+limit, and the J evaluations per spectrum zero, counted element-wise
+through ``specfun._jv`` in one more, untimed run.
 
 Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
@@ -21,7 +26,8 @@ alternately, best of repeats, and their bytes are compared.
 
 Run:  python3 benchmarks/bench_spectra.py
 Exit status 1 if any generated eigenvalue or cached zero differs in any bit
-from the reference's, or any writer's bytes differ from its reference's.
+from the reference's, if an order after the first caches a zero at or
+above its bound, or if any writer's bytes differ from its reference's.
 """
 
 import io
@@ -85,21 +91,39 @@ def _time_pair(fns, spec, repeat):
 
 def _fresh_cache_run(fn, *args):
     """``fn(*args)`` from an empty zero cache: its result, its time and
-    the cache it leaves, as bytes per order."""
-    specfun._zero_cache.clear()
+    the cache it leaves."""
+    specfun._zero_cache = {}
     t0 = time.perf_counter()
     result = fn(*args)
     elapsed = time.perf_counter() - t0
-    cache = [(nu, zeros.tobytes())
-             for nu, zeros in specfun._zero_cache.items()]
-    return result, elapsed, cache
+    return result, elapsed, specfun._zero_cache
 
 
-def _evaluations_per_zero(d, lam_max):
-    """J evaluations per cached zero of one untimed ``ball_spectrum`` run
-    from an empty zero cache, counted element-wise through
-    ``specfun._jv``."""
-    specfun._zero_cache.clear()
+def _same_zeros(cache, ref_cache) -> bool:
+    """Whether every zero in ``cache`` has the bits of the reference's zero
+    of the same order and index.  A zero past the reference's last one of
+    its order is found in ``ref_cache`` by ``bessel_zero``, as the
+    reference would find it."""
+    specfun._zero_cache = ref_cache
+    for nu, zeros in cache.items():
+        if len(zeros):
+            specfun.bessel_zero(nu, len(zeros))
+        if zeros.tobytes() != ref_cache[nu][:len(zeros)].tobytes():
+            return False
+    return True
+
+
+def _stops_at_bound(cache) -> bool:
+    """Whether no order after the first caches a zero at or above the
+    bound it was filled below."""
+    _, *rest = cache.values()
+    return all(zeros[-1] < zeros.bound for zeros in rest if len(zeros))
+
+
+def _evaluations(d, lam_max) -> int:
+    """J evaluations of one untimed ``ball_spectrum`` run from an empty
+    zero cache, counted element-wise through ``specfun._jv``."""
+    specfun._zero_cache = {}
     jv, count = specfun._jv, [0]
 
     def counting(nu, x):
@@ -111,15 +135,16 @@ def _evaluations_per_zero(d, lam_max):
         spectra.ball_spectrum(d, 1.0, lam_max)
     finally:
         specfun._jv = jv
-    return count[0] / sum(len(z) for z in specfun._zero_cache.values())
+    return count[0]
 
 
 def _generation(repeat: int = 3) -> bool:
     """Time ``ball_spectrum`` against the per-zero reference, run
-    alternately, best of ``repeat``; True if all bits agree."""
+    alternately, best of ``repeat``; True if all bits agree and no order
+    after the first caches a zero at or above its bound."""
     ok = True
-    print(f"{'generated ball':<24}{'n':>10}{'zeros':>8}{'J/zero':>8}"
-          f"{'per-zero':>12}{'by order':>10}{'ratio':>8}  bits")
+    print(f"{'generated ball':<24}{'n':>10}{'zeros':>8}{'above':>7}"
+          f"{'J/zero':>8}{'per-zero':>12}{'by order':>10}{'ratio':>8}  bits")
     for name, d, lam_max in BALLS:
         best = [float("inf"), float("inf")]
         same = True
@@ -130,13 +155,16 @@ def _generation(repeat: int = 3) -> bool:
                 spectra.ball_spectrum, d, 1.0, lam_max)
             best = [min(best[0], t_ref), min(best[1], t_new)]
             same &= (spec.eigenvalues.tobytes() == ref.tobytes()
-                     and cache == ref_cache)
-        ok &= same
-        zeros = sum(len(z) for _, z in cache) // 8
-        print(f"{name:<24}{len(ref):>10,}{zeros:>8,}"
-              f"{_evaluations_per_zero(d, lam_max):>8.2f}"
+                     and _same_zeros(cache, ref_cache))
+        stops = _stops_at_bound(cache)
+        ok &= same and stops
+        zeros = np.concatenate([np.asarray(z) for z in cache.values()])
+        kept = int(np.count_nonzero(zeros ** 2 < lam_max))
+        print(f"{name:<24}{len(ref):>10,}{kept:>8,}{len(zeros) - kept:>7,}"
+              f"{_evaluations(d, lam_max) / kept:>8.2f}"
               f"{best[0] * 1e3:>10.1f}ms{best[1] * 1e3:>8.1f}ms"
-              f"{best[1] / best[0]:>8.2f}  {'equal' if same else 'DIFFER'}")
+              f"{best[1] / best[0]:>8.2f}  {'equal' if same else 'DIFFER'}"
+              f"{'' if stops else ', ZERO AT OR ABOVE A LATER BOUND'}")
     print()
     return ok
 

@@ -20,6 +20,16 @@ is our own and caches the zeros of each order:
   by a sign-change scan, starting at max(nu, 0) for the first zero
   (j_{nu,1} > nu) and otherwise pi/2 above the previous zero (consecutive
   zeros are more than pi/2 apart) or at j_{nu-1,p}, whichever is larger.
+* Bounded fills.  Each order's cache records a bound below which it holds
+  every zero.  If order nu - 1 holds every zero below a bound, K of them,
+  zeros 1 .. K-1 of order nu lie between consecutive ones, and zero K lies
+  in (j_{nu-1,K}, bound) exactly when J_nu changes sign there, since that
+  interval lies inside (j_{nu-1,K}, j_{nu-1,K+1}).  One J_nu evaluation at
+  the bound decides it, and zero K joins the batch, so no zero at or above
+  the bound is found.  Its bracket ends at j_{nu-1,K+1} if that is cached
+  and otherwise at max(bound, j_{nu-1,K} + pi), which is at most
+  j_{nu-1,K+1}, so an extrapolated start below it is the one the unbounded
+  fill takes.
 * Batched safeguarded Newton.  Each iteration evaluates J_nu and J_{nu-1}
   once over all unconverged brackets as numpy arrays; converged lanes drop
   out.  A lane stops when its Newton step is at most 1e-9 absolute (or 4 ulps
@@ -30,8 +40,8 @@ is our own and caches the zeros of each order:
   max(1, |J_nu'(x)|), or ConvergenceError.
 
 ``bessel_zero(nu, p)`` returns one zero; ``bessel_zeros(nu)`` iterates over
-the zeros of one order, for callers that read a whole order, such as the
-ball spectra.
+the zeros of one order, and ``bessel_zeros(nu, below)`` over those below a
+bound, for callers that read a whole order, such as the ball spectra.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ import math
 import operator
 import threading
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,8 +100,24 @@ class BesselZero:
     value: float
 
 
-#: order -> its zeros found so far, in order, as float64 (8 bytes a zero)
-_zero_cache: dict[float, array] = {}
+class _OrderZeros(array):
+    """The zeros of one order found so far, in order, as float64 (8 bytes a
+    zero).  Every zero below ``bound`` is among them."""
+
+    __slots__ = ("bound",)
+
+    def __new__(cls):
+        zeros = super().__new__(cls, "d")
+        zeros.bound = 0.0
+        return zeros
+
+    def holds_below(self, x: float) -> bool:
+        """Whether every zero below ``x`` is among them."""
+        return x <= self.bound or (len(self) > 0 and self[-1] >= x)
+
+
+#: order -> its zeros found so far
+_zero_cache: dict[float, _OrderZeros] = {}
 _cache_lock = threading.Lock()
 
 
@@ -233,6 +260,44 @@ def _extend_zeros(nu: float, zeros: array, p: int) -> None:
         zeros.append(float(new[0]))
 
 
+def _fill_below(nu: float, zeros: _OrderZeros, bound: float) -> None:
+    """Append zeros of J_nu until every zero below ``bound`` is cached.
+
+    If the cached order nu - 1 holds every zero below ``bound``, K of them,
+    the missing zeros among 1 .. K are found in one batch, bracketed as in
+    ``_extend_zeros``; zero K joins it when J_nu changes sign on
+    (j_{nu-1,K}, bound), and its bracket ends at j_{nu-1,K+1} if that is
+    cached and at max(bound, j_{nu-1,K} + pi) otherwise.  No zero at or
+    above ``bound`` is found.  Otherwise zeros are appended as
+    ``_extend_zeros`` appends them, through the first at or above
+    ``bound``.
+    """
+    lower = _zero_cache.get(nu - 1.0)
+    if lower is None or not lower.holds_below(bound):
+        while not zeros.holds_below(bound):
+            _check_range(nu, len(zeros) + 1)
+            _extend_zeros(nu, zeros, len(zeros) + 1)
+    else:
+        n = len(zeros)
+        k = bisect_left(lower, bound)
+        # j_{nu,K+1} > j_{nu-1,K+1} >= bound, so at most K zeros lie below;
+        # J_nu has sign (-1)^(K-1) just above j_{nu-1,K}
+        top = k if n < k and _jv(nu, bound) * (-1) ** k > 0 else k - 1
+        if n < top:
+            a = np.array(lower[n:top])
+            b = np.array(lower[n + 1:top + 1])
+            if len(b) < len(a):
+                # j_{nu-1,K+1} is not cached, so order nu - 1 was batched
+                # and nu - 1 >= 1/2, where zeros are at least pi apart
+                b = np.append(b, max(bound, a[-1] + math.pi))
+            x = _start_points(nu, n, a, b)
+            sign_a = 1.0 - 2.0 * (np.arange(n, top) % 2)
+            new = _newton(nu, a, b, x, sign_a)
+            _check_residuals(nu, new, n + 1)
+            zeros.extend(new.tolist())
+    zeros.bound = bound
+
+
 def _check_order(nu: float) -> None:
     if not -0.5 <= nu < math.inf:
         raise DomainError(
@@ -248,17 +313,35 @@ def _check_range(nu: float, p: int) -> None:
             f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
 
 
+def _cached(key: float) -> _OrderZeros:
+    """The cache of order ``key``, made empty if there is none yet; the
+    caller holds ``_cache_lock``."""
+    zeros = _zero_cache.get(key)
+    if zeros is None:
+        zeros = _zero_cache[key] = _OrderZeros()
+    return zeros
+
+
 def _zeros_from(nu: float, p: int) -> array:
     """A copy of the cached zeros j_{nu,p}, j_{nu,p+1}, ..., after
     extending the cache of order nu to hold at least p zeros."""
     key = float(nu)
     with _cache_lock:
-        zeros = _zero_cache.get(key)
-        if zeros is None:
-            zeros = _zero_cache[key] = array("d")
+        zeros = _cached(key)
         if len(zeros) < p:
             _extend_zeros(key, zeros, p)
         return zeros[p - 1:]
+
+
+def _zeros_below(nu: float, bound: float) -> array:
+    """A copy of the cached zeros of order nu below ``bound``, after
+    filling the cache of order nu to hold every one of them."""
+    key = float(nu)
+    with _cache_lock:
+        zeros = _cached(key)
+        if not zeros.holds_below(bound):
+            _fill_below(key, zeros, bound)
+        return zeros[:bisect_left(zeros, bound)]
 
 
 def bessel_zero(nu: float, p: int) -> BesselZero:
@@ -285,26 +368,48 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
     return BesselZero(order=float(nu), index=p, value=_zeros_from(nu, p)[0])
 
 
-def bessel_zeros(nu: float) -> Iterator[float]:
-    """The positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu, in order, found
-    as the iteration reaches them.
+def bessel_zeros(nu: float, below: float = math.inf) -> Iterator[float]:
+    """The positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu below ``below``,
+    in order.
 
-    Taking p zeros fills the zero cache exactly as the calls
+    Without a bound the zeros are found as the iteration reaches them, and
+    taking p zeros fills the zero cache exactly as the calls
     bessel_zero(nu, 1), ..., bessel_zero(nu, p) do: at zero 1, one batch of
     the zeros that a cached order nu - 1 brackets, then one scanned zero at
     a time.  That matters beyond the count, since the path that found a
     zero sets its last bits.  The values, their accuracy and the
     DomainError before a zero past 2^20 are those of the calls; the zeros
     already cached are read under one lock.
+
+    With a bound up to 2^20, every zero below it is found at the first
+    step.  If order nu - 1 holds every zero below the bound, as a ball's
+    orders after the first do when filled with one bound, they come from
+    one batch and the first zero at or above the bound is not found; each
+    keeps the lower bracket end and the extrapolated start of the calls,
+    and its upper end matters only to a bisection step.  Otherwise the
+    order is extended as by the calls, through the first zero at or above
+    the bound.  Zeros already cached below the bound are read with no J
+    evaluation.  A bound above 2^20 ends the unbounded iteration.  A bound
+    that is NaN or not positive raises DomainError before any J
+    evaluation, as a bad order does.
     """
     _check_order(nu)
+    if not below > 0:
+        raise DomainError(f"bessel_zeros requires below > 0, got {below}")
+    if below <= 2.0 ** 20:
+        # zeros below 2^20 pass the range check; only nu itself can fail it
+        _check_range(nu, 1)
+        yield from _zeros_below(nu, below)
+        return
     p = 1
     while True:
         # only zero p may be found here; the later zeros yielded were cached,
-        # and a cached zero passed this check when it was found (a batched
-        # j_{nu,q} lies below j_{nu-1,q+1}, whose bound max(nu - 1, 0) +
-        # q pi/2 exceeds its own by more than pi/2 - 1)
+        # and a cached zero passes this check (a batched j_{nu,q} lies below
+        # j_{nu-1,q+1}, whose bound max(nu - 1, 0) + q pi/2 exceeds its own
+        # by more than pi/2 - 1; a bounded fill's zeros lie below 2^20)
         _check_range(nu, p)
         for value in _zeros_from(nu, p):
+            if value >= below:
+                return
             yield value
             p += 1

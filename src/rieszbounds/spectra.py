@@ -97,8 +97,9 @@ class Spectrum:
         if ev[0] <= 0:
             raise SpectrumValidationError(
                 f"eigenvalues must be positive, first is {ev[0]}")
-        if np.any(np.diff(ev) < 0):
-            i = int(np.argmax(np.diff(ev) < 0))
+        falls = ev[1:] < ev[:-1]
+        if falls.any():
+            i = int(np.argmax(falls))
             raise SpectrumValidationError(
                 f"eigenvalues must be nondecreasing (violated at index {i+1})")
         if self.volume is not None and not (
@@ -199,13 +200,15 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     """All Dirichlet eigenvalues j_{d/2-1+ell,p}^2 / radius^2 < lam_max.
 
     Each value is repeated with its spherical-harmonic multiplicity.  The
-    zeros of each order come from one ``specfun.bessel_zeros`` iteration,
-    which stops at the first eigenvalue at or above ``lam_max``; each order
-    is checked against MAX_EIGENVALUES before it is kept, and the array is
-    built by one ``np.repeat`` by multiplicity and one sort.  The values are
-    squared by Python's ``**`` (libm ``pow``), not numpy's ``square``: the
-    two differ in the last bit on some zeros.  A dimension that is not an
-    integer raises DomainError.
+    zeros of each order come from one ``specfun.bessel_zeros`` iteration
+    bounded 16 ulps above radius * sqrt(lam_max), above every zero whose
+    eigenvalue is kept, so no order after the first finds a zero past that
+    bound; an order's values stop at the first eigenvalue at or above
+    ``lam_max``.  Each order is checked against MAX_EIGENVALUES before it is
+    kept, and the array is built by one ``np.repeat`` by multiplicity and
+    sorted in place.  The values are squared by Python's ``**`` (libm
+    ``pow``), not numpy's ``square``: the two differ in the last bit on
+    some zeros.  A dimension that is not an integer raises DomainError.
     """
     try:
         d = operator.index(d)
@@ -230,13 +233,18 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     if r2 == 0.0:
         raise DomainError(f"radius {radius} is too small: its square "
                           "underflows to 0")
+    # a kept zero v has v**2 / r2 < lam_max, so v < radius * sqrt(lam_max)
+    # but for the roundings of sqrt, the product, r2, pow and the quotient,
+    # under 4 ulps; the bound lies 16 ulps above
+    below = radius * math.sqrt(lam_max)
+    below += 16 * math.ulp(below)
     values: list[float] = []   # one entry per zero
     counts: list[int] = []     # the multiplicity of each entry
     total = 0
     ell = 0
     while True:
         order = []
-        for v in specfun.bessel_zeros(d / 2 - 1 + ell):
+        for v in specfun.bessel_zeros(d / 2 - 1 + ell, below):
             lam = v ** 2 / r2
             if lam >= lam_max:
                 break
@@ -254,9 +262,11 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     if not values:
         raise EmptySpectrumError(
             f"lam_max={lam_max} is below the first eigenvalue of the ball")
+    eigenvalues = np.repeat(values, counts)
+    eigenvalues.sort()
     return Spectrum(
         dimension=d,
-        eigenvalues=np.sort(np.repeat(values, counts)),
+        eigenvalues=eigenvalues,
         complete_below=float(lam_max),
         domain=DomainSpec(kind="ball", dimension=d, radius=radius),
         volume=volume,

@@ -3,6 +3,7 @@ the closed-form half-integer recurrence), zero residuals, and domain gates."""
 
 import concurrent.futures
 import math
+import sys
 from itertools import islice
 
 import mpmath
@@ -243,8 +244,9 @@ class TestNewtonLanes:
 
 
 class TestZerosByOrder:
-    """``bessel_zeros`` yields the values of repeated ``bessel_zero`` calls
-    and leaves the zero cache as those calls leave it, bit for bit."""
+    """``bessel_zeros`` yields the values of repeated ``bessel_zero`` calls,
+    bit for bit; without a bound it leaves the zero cache as those calls
+    leave it, and with one it finds no zero of a batched order above it."""
 
     @staticmethod
     def _cache_bits(cache):
@@ -282,6 +284,119 @@ class TestZerosByOrder:
         monkeypatch.setattr(specfun, "_jv", no_bessel)
         with pytest.raises(DomainError):
             next(specfun.bessel_zeros(nu))
+        with pytest.raises(DomainError):
+            next(specfun.bessel_zeros(nu, 50.0))
+
+    def test_order_past_2_20_fails_with_the_order_below_cached(
+            self, fresh_zero_cache, monkeypatch):
+        # order 2^20 - 1 holds every zero below 50 (none), so a bounded
+        # fill of order 2^20 would need no J evaluation and find nothing
+        assert list(specfun.bessel_zeros(2.0 ** 20 - 1.0, 50.0)) == []
+
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the order check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match=r"< 2\^20"):
+            next(specfun.bessel_zeros(2.0 ** 20, 50.0))
+
+    @pytest.mark.parametrize("orders", [[0.0], [7.5], [0.0, 1.0, 2.0],
+                                        [-0.5, 0.5, 1.5, 2.5]])
+    @pytest.mark.parametrize("below", [60.0, 100.0])
+    def test_bounded_matches_repeated_bessel_zero(self, orders, below,
+                                                  monkeypatch):
+        # the orders after the first are batched, each zero K bracketed up
+        # to j_{nu-1,K+1} (the second order, whose order below was scanned)
+        # or to max(below, j_{nu-1,K} + pi)
+        calls = {}
+        monkeypatch.setattr(specfun, "_zero_cache", calls)
+        ref = [[v for v in _zeros_through(nu, 100.0) if v < below]
+               for nu in orders]
+        monkeypatch.setattr(specfun, "_zero_cache", {})
+        got = [list(specfun.bessel_zeros(nu, below)) for nu in orders]
+        assert got == ref
+
+    @pytest.mark.parametrize("orders", [[0.0], [7.5], [0.0, 1.0, 2.0],
+                                        [-0.5, 0.5, 1.5, 2.5]])
+    def test_bound_at_a_zero_excludes_it(self, orders, monkeypatch):
+        # each bound is the third zero of the last order, as repeated
+        # bessel_zero calls find it
+        calls = {}
+        monkeypatch.setattr(specfun, "_zero_cache", calls)
+        for nu in orders:
+            ref = _zeros_through(nu, 20.0)
+        for cache in (calls, {}):
+            monkeypatch.setattr(specfun, "_zero_cache", cache)
+            for nu in orders[:-1]:
+                list(specfun.bessel_zeros(nu, ref[2]))
+            assert list(specfun.bessel_zeros(orders[-1], ref[2])) == ref[:2]
+
+    @pytest.mark.parametrize("orders", [[1.0], [0.0, 1.0], [0.5, 1.5, 2.5]])
+    def test_bound_below_the_first_zero_yields_nothing(self, orders,
+                                                       fresh_zero_cache):
+        # j_{0,1} = 2.40, j_{1,1} = 3.83; j_{0.5,1} = pi, j_{1.5,1} = 4.49,
+        # j_{2.5,1} = 5.76: the last order's first zero lies above 3.5
+        for nu in orders[:-1]:
+            list(specfun.bessel_zeros(nu, 3.5))
+        assert list(specfun.bessel_zeros(orders[-1], 3.5)) == []
+        assert list(specfun.bessel_zeros(orders[-1], 1e-300)) == []
+
+    def test_smaller_bound_reads_the_cache(self, fresh_zero_cache,
+                                           monkeypatch):
+        for nu in (0.0, 1.0, 2.0):
+            full = list(specfun.bessel_zeros(nu, 80.0))
+
+        def no_bessel(*args):
+            raise AssertionError("J evaluated for cached zeros")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        assert list(specfun.bessel_zeros(2.0, 40.0)) == \
+            [v for v in full if v < 40.0]
+        assert list(specfun.bessel_zeros(2.0, 80.0)) == full
+
+    def test_bound_above_2_20_ends_the_unbounded_iteration(
+            self, fresh_zero_cache):
+        # max(nu, 0) < 2^20 passes the range check, and j_{nu,1} > nu + 100
+        nu = 2.0 ** 20 - 10.0
+        assert list(specfun.bessel_zeros(nu, 2.0 ** 20 + 1.0)) == []
+        assert len(fresh_zero_cache[nu]) == 1
+        assert list(islice(specfun.bessel_zeros(0.0, 2.0 ** 20 + 1.0), 40)) \
+            == list(islice(specfun.bessel_zeros(0.0), 40))
+
+    def test_concurrent_bounded_and_unbounded_calls(self, fresh_zero_cache):
+        # cached zeros are only appended, so each bounded result must be
+        # the zeros below its bound in the final cache
+        tasks = [((i * 5) % 4 + 0.5, 20.0 + (i * 37) % 90) for i in range(160)]
+
+        def grab(task):
+            nu, below = task
+            if below > 100.0:
+                return specfun.bessel_zero(nu, int(below) - 100).value
+            return list(specfun.bessel_zeros(nu, below))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(grab, tasks, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (nu, below), got in zip(tasks, results):
+            zeros = list(fresh_zero_cache[nu])
+            if below > 100.0:
+                assert got == zeros[int(below) - 101]
+            else:
+                assert got == [v for v in zeros if v < below]
+
+    @pytest.mark.parametrize("below", [math.nan, 0.0, -1.0, -math.inf])
+    def test_bad_bound_fails_before_any_bessel_evaluation(self, below,
+                                                          monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the bound check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match="below > 0"):
+            next(specfun.bessel_zeros(0.0, below))
 
 
 class TestZeroFinderCost:
@@ -311,11 +426,12 @@ class TestZeroFinderCost:
         n = len(_zeros_through(1.0, 100.0))
         assert evaluations[0] <= 7.5 * n
 
-    @pytest.mark.parametrize("d, lam_max, budget", [(2, 2e4, 4.5),
-                                                    (3, 1e4, 5.0)])
+    @pytest.mark.parametrize("d, lam_max, budget", [(2, 2e4, 4.2),
+                                                    (3, 1e4, 4.8)])
     def test_ball_cost_per_zero(self, d, lam_max, budget, evaluations,
                                 fresh_zero_cache):
-        # all cached zeros, the first of each order at or above lam_max too
         spectra.ball_spectrum(d, 1.0, lam_max)
         zeros = sum(len(z) for z in fresh_zero_cache.values())
         assert evaluations[0] <= budget * zeros
+        _, *rest = fresh_zero_cache.values()
+        assert all(z[-1] < math.sqrt(lam_max) for z in rest if len(z))

@@ -168,7 +168,7 @@ class TestBallSpectrum:
 
 class TestBallAssembly:
     """``ball_spectrum`` against the per-zero reference, bit for bit, with
-    the zero cache it leaves behind, from an empty cache each time."""
+    every zero it caches, from an empty cache each time."""
 
     @staticmethod
     def _fresh_run(monkeypatch, fn, *args):
@@ -196,7 +196,45 @@ class TestBallAssembly:
         assert spec.complete_below == lam_max
         assert spec.eigenvalues.tobytes() == ref.tobytes()
         assert list(cache) == list(ref_cache)
-        for nu, zeros in ref_cache.items():
+        # every cached zero has the bits of the reference's zero of the same
+        # order and index; the first order is scanned through a zero at or
+        # above the bound, which can lie past the reference's last zero
+        monkeypatch.setattr(specfun, "_zero_cache", ref_cache)
+        first, *rest = cache
+        for nu, zeros in cache.items():
+            assert list(zeros) == [specfun.bessel_zero(nu, p).value
+                                   for p in range(1, len(zeros) + 1)], nu
+        for nu in rest:
+            assert all(v < cache[nu].bound for v in cache[nu]), nu
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5, 3.0])
+    @pytest.mark.parametrize("d, level", [(2, 5000.0), (3, 2000.0),
+                                          (4, 400.0)])
+    def test_limit_just_above_an_eigenvalue_keeps_it(self, d, level, radius,
+                                                     monkeypatch):
+        # the zero of an eigenvalue one ulp below lam_max can lie above
+        # radius * sqrt(lam_max) as rounded; the bound must still pass it
+        probe, _ = self._fresh_run(monkeypatch, ball_eigenvalues_per_zero,
+                                   d, radius, level / radius ** 2)
+        for lam in np.unique(probe)[-12:]:
+            lam_max = math.nextafter(float(lam), math.inf)
+            spec, _ = self._fresh_run(monkeypatch, spectra.ball_spectrum,
+                                      d, radius, lam_max)
+            assert spec.eigenvalues.tobytes() == \
+                probe[probe <= lam].tobytes(), lam
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_larger_limit_reuses_the_cache(self, d, monkeypatch):
+        # below 2e4 after below 1e4: each order's last zero below 1e4 was
+        # bracketed up to the bound, and is now an inner zero
+        fresh, fresh_cache = self._fresh_run(
+            monkeypatch, spectra.ball_spectrum, d, 1.0, 2e4)
+        _, cache = self._fresh_run(
+            monkeypatch, spectra.ball_spectrum, d, 1.0, 1e4)
+        again = spectra.ball_spectrum(d, 1.0, 2e4)
+        assert again.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert list(cache) == list(fresh_cache)
+        for nu, zeros in fresh_cache.items():
             assert cache[nu].tobytes() == zeros.tobytes(), nu
 
 
