@@ -19,11 +19,14 @@ sigma per z, at the Hoelder samples of ``verify`` (60 z of the z grid x
 against per-pair ``riesz_sum`` calls; the rows of the default ``verify``
 suite on each default spectrum (the z grid with every sigma its families
 read, and the central-difference rows) summed one sigma at a time, one
-packed pass per row and sign of sigma, and one ``riesz_grid`` pass per
-row, bit-equal to each other; ``math.fsum``
-against ``exact_sum`` on sorted terms spanning 2,000 binades, and per-z
-``math.fsum`` against a packed ``riesz_sums`` batch with one row that the
-run path does not take; and ``math.fsum`` of all k terms against every
+packed pass per row with both signs of sigma in it, and one
+``riesz_grid`` pass per row, bit-equal to each other; ``math.fsum``
+against ``exact_sum`` on sorted terms spanning 2,000 binades, each the one
+term of its binade and so a block of its own, and on 20,000 rising terms
+over 200 binades, naming the path of each (the blocks, or ``math.fsum``),
+and per-z ``math.fsum`` against a packed ``riesz_sums`` batch with one
+row that the run path does not take; and ``math.fsum`` of all k terms
+against every
 field of ``riesz.means`` on the 3-ball, the 10-ball and the unit square.
 
 Run:  python3 benchmarks/bench_kernels.py
@@ -235,15 +238,15 @@ def _suite_rows(spec, cfg):
 def compare_row_sets() -> bool:
     """The default ``verify`` suite's rows on each default spectrum, on the
     runs of the eigenvalues, summed three ways: one ``riesz_sums`` call per
-    sigma of a row (as the sweep summed them before); one ``riesz_sums``
-    call per row and sign of sigma, every (sigma, z) pair of the sign in
-    one packed pass; and one ``riesz_grid`` call per row, which packs the
-    terms z - lambda once and raises them to each sigma (as the sweep sums
-    them now).  True if the three agree in every bit."""
+    sigma of a row; one ``riesz_sums`` call per row, every (sigma, z) pair
+    of the row in one packed pass, whose rows of negative sigma rise and
+    whose rows of positive sigma fall; and one ``riesz_grid`` call per row,
+    which packs the terms z - lambda once and raises them to each sigma (as
+    the sweep sums them).  True if the three agree in every bit."""
     ok = True
     cfg = verify.VerifyConfig()
-    print("Riesz rows of the default verify suite: per sigma, per row and "
-          "sign, per row (riesz_grid); bits against per sigma")
+    print("Riesz rows of the default verify suite: per sigma, per row as "
+          "pairs, per row (riesz_grid); bits against per sigma")
     for name, spec in verify.default_spectra().items():
         runs = pykernels.runs_of(spec.eigenvalues)
         rows = _suite_rows(spec, cfg)
@@ -252,15 +255,13 @@ def compare_row_sets() -> bool:
             return [pykernels.riesz_sums(runs, s, zs)
                     for sigmas, zs in rows for s in sigmas]
 
-        def per_sign():
+        def per_pairs():
             out = []
             for sigmas, zs in rows:
-                for part in ([s for s in sigmas if s < 0],
-                             [s for s in sigmas if not s < 0]):
-                    flat = pykernels.riesz_sums(
-                        runs, [s for s in part for _ in zs], zs * len(part))
-                    out += [flat[i:i + len(zs)]
-                            for i in range(0, len(flat), len(zs))]
+                flat = pykernels.riesz_sums(
+                    runs, [s for s in sigmas for _ in zs], zs * len(sigmas))
+                out += [flat[i:i + len(zs)]
+                        for i in range(0, len(flat), len(zs))]
             return out
 
         def per_row():
@@ -268,13 +269,13 @@ def compare_row_sets() -> bool:
                     for values in pykernels.riesz_grid(runs, sigmas, zs)]
 
         t_ref, ref = _time(per_sigma)
-        t_sign, by_sign = _time(per_sign)
+        t_pairs, by_pairs = _time(per_pairs)
         t_row, by_row = _time(per_row)
-        same = (_same_bits(sum(ref, []), sum(by_sign, []))
+        same = (_same_bits(sum(ref, []), sum(by_pairs, []))
                 and _same_bits(sum(ref, []), sum(by_row, [])))
         ok &= same
         print(f"  {name:14} {sum(len(s) for s, _ in rows):>2} sigma rows "
-              f"{t_ref*1e3:6.2f} ms  per row and sign {t_sign*1e3:6.2f} ms  "
+              f"{t_ref*1e3:6.2f} ms  per row as pairs {t_pairs*1e3:6.2f} ms  "
               f"{len(rows)} grid rows {t_row*1e3:6.2f} ms  "
               f"x{t_ref / t_row:5.2f}  bit-equal={same}")
     return ok
@@ -282,26 +283,18 @@ def compare_row_sets() -> bool:
 
 def _path(terms):
     """How ``_run_sum`` sums ``terms`` as one segment of unit weights: by
-    blocks, by ``math.fsum`` from the larger end where most terms start a
-    run (``_fsum_segments``), or not at all (None, ``math.fsum``)."""
-    dense = []
-    fsum_segments = pykernels._fsum_segments
-    pykernels._fsum_segments = \
-        lambda *args: dense.append(1) or fsum_segments(*args)
-    try:
-        sums = pykernels._run_sum(terms, [0], (np.ones(len(terms), np.uint8),
-                                               np.arange(len(terms))))
-    finally:
-        pykernels._fsum_segments = fsum_segments
-    return "math.fsum" if sums is None else (
-        "larger end first" if dense else "blocks")
+    blocks, or not at all (None, left to ``math.fsum``)."""
+    sums = pykernels._run_sum(terms, [0], (np.ones(len(terms), np.uint8),
+                                           np.arange(len(terms))))
+    return "math.fsum" if sums is None else "blocks"
 
 
 def compare_run_path_edges() -> bool:
     """The run path at the edges of its contract: ``exact_sum`` of sorted
-    terms spanning 2,000 binades, each the one term of its binade, which
-    it sums by ``math.fsum`` from the larger end, against ``math.fsum``;
-    and a packed ``riesz_sums`` batch (15 z, one segment
+    terms spanning 2,000 binades, each the one term of its binade and so a
+    block of its own, and of 20,000 rising terms over 200 binades, whose
+    block halves ``math.fsum`` takes from the larger end, against
+    ``math.fsum``; and a packed ``riesz_sums`` batch (15 z, one segment
     each) whose z / 2 row holds one subnormal term, so that the run path
     leaves the whole batch to ``math.fsum``, against per-z ``math.fsum``
     of the ``np.power`` terms; True if all bits agree."""
@@ -310,13 +303,17 @@ def compare_run_path_edges() -> bool:
     rng = np.random.default_rng(3)
     wide = np.sort(np.ldexp(rng.uniform(0.5, 1.0, 2000),
                             np.arange(-1000, 1000)))
-    for name, terms in (("ascending", wide), ("descending", wide[::-1]),
-                        ("negative", -wide)):
-        t_ref, ref = _time(math.fsum, terms)
-        t_new, new = _time(pykernels.exact_sum, terms)
+    rising = np.sort(np.ldexp(rng.uniform(0.5, 1.0, 20000),
+                              np.repeat(np.arange(-100, 100), 100)))
+    for name, terms in (("2,000 binades ascending", wide),
+                        ("2,000 binades descending", wide[::-1]),
+                        ("2,000 binades negative", -wide),
+                        ("20,000 rising, 200 binades", rising)):
+        t_ref, ref = _time(math.fsum, terms, repeat=20)
+        t_new, new = _time(pykernels.exact_sum, terms, repeat=20)
         same = _same_bits(ref, new)
         ok &= same
-        print(f"  2,000 binades {name:10}  math.fsum {t_ref*1e3:6.2f} ms  "
+        print(f"  {name:26}  math.fsum {t_ref*1e3:6.2f} ms  "
               f"exact_sum {t_new*1e3:6.2f} ms  by {_path(terms)}  "
               f"bit-equal={same}")
     z = 1e-150

@@ -10,14 +10,15 @@ returns.
   fill one contiguous run.  The integer mantissas of each run are added
   exactly in uint64 blocks read straight from the float bits, and the total
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
-  input, and a zero result, go to ``math.fsum`` itself; so do terms that
-  mostly start a run of their own, fed from their larger end
-  (``_fsum_segments``).
-- The run path (``_run_sum``) takes an array cut into segments, each
-  sorted on its own, and returns one sum per segment, or None for the
-  whole call if any segment is unordered, holds a subnormal or comes too
-  near overflow; ``_exact_sums`` then sums every segment with
-  ``math.fsum``.  Every term has an integer weight, given as ``(m, pos)``:
+  input, and a zero result, go to ``math.fsum`` itself.
+- The run path (``_run_sum``) takes an array cut into segments and returns
+  one sum per segment, or None for the whole call if any segment is
+  unordered, holds a subnormal or comes too near overflow; ``_exact_sums``
+  then sums every segment with ``math.fsum``.  Each segment is sorted in
+  its own direction: it rises if its first term is below its last and
+  falls otherwise, so one call may hold the rising rows of negative sigma
+  beside the falling rows of positive sigma.  Every term has an integer
+  weight, given as ``(m, pos)``:
   a term of weight m counts m times, and a block's mantissa sum is the sum
   of m * (its term's bits), so each distinct eigenvalue's term is built
   and added once however often the eigenvalue repeats.  ``exact_sum`` is
@@ -66,8 +67,10 @@ below 2**(E + width - 1022), which the guard E <= 2045 - width keeps
 below 2**1023, as it keeps every partial sum of a segment.  ``math.fsum``
 of the halves of a segment's blocks is therefore the correctly rounded
 exact total, the bits of ``math.fsum`` of its terms, however many
-binades they span; an exact zero total is left to ``math.fsum`` of the
-terms, which gives the zero its sign.
+binades they span, in any order; they are fed from the segment's larger
+end, which keeps the list of ``math.fsum``'s partials short.  An exact
+zero total is left to ``math.fsum`` of the terms, which gives the zero its
+sign.
 """
 
 import math
@@ -123,9 +126,11 @@ def _run_sum(terms, starts, weights):
 
     ``starts`` holds the first index of each non-empty segment, ascending
     from 0; a segment ends where the next one starts, the last at the end
-    of ``terms``.  The result is a list of one sum per segment, None for a
-    segment whose sum is an exact zero, or None if any segment is unordered,
-    holds a subnormal or lies above the overflow guard.
+    of ``terms``.  A segment rises if its first term is below its last and
+    falls otherwise.  The result is a list of one sum per segment, None for
+    a segment whose sum is an exact zero, or None if any segment is
+    unordered in its direction, holds a subnormal or lies above the
+    overflow guard.
 
     ``weights`` is ``(m, pos)``: the integer weight m[i] of each term (1 to
     ``_RUN_WEIGHT``) and its position pos[i] = m[0] + ... + m[i - 1] among
@@ -134,9 +139,10 @@ def _run_sum(terms, starts, weights):
 
     Along sorted terms the sign and the biased exponent E change
     monotonically, so the terms of a segment with one sign and exponent
-    form one run.  One pass per chunk checks each segment's order against
-    the direction of most segments; the run starts are looked for only in
-    the stretches of ``_MARK`` terms whose end terms differ or that hold a
+    form one run.  One pass per chunk checks each pair of terms in its
+    segment's direction, with one comparison unless the call holds both
+    rising and falling segments; the run starts are looked for only in the
+    stretches of ``_MARK`` terms whose end terms differ or that hold a
     segment start.  A normal term is M * 2**(E - 1075) with the integer
     mantissa M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs
     are cut into blocks of total weight at most ``_RUN_BLOCK`` (the block
@@ -145,19 +151,31 @@ def _run_sum(terms, starts, weights):
     follows.  S < 2**64 splits into its top 53 bits and its low 11 bits,
     and each half times 2**(E - 1075) is an exact float64 (the halves in
     the module docstring); a segment's sum is ``math.fsum`` of the exact
-    halves of its blocks, its exact total rounded once.
+    halves of its blocks from its larger end, its exact total rounded
+    once.
     """
     n = len(terms)
     m, pos = weights
     count = int(pos[-1]) + int(m[-1])
     starts = np.asarray(starts, np.intp)
+    ends = np.append(starts[1:], n)
     first = terms[starts]
-    last = terms[np.concatenate((starts[1:], [n])) - 1]
-    ordered = (np.greater_equal if np.count_nonzero(first < last)
-               >= np.count_nonzero(first > last) else np.less_equal)
+    last = terms[ends - 1]
+    up = first < last
+    # a segment with equal end terms is ordered only if it is constant,
+    # which either direction checks; where rising and falling segments
+    # meet, each pair is checked in its own segment's direction
+    ordered = np.greater_equal if up.any() else np.less_equal
+    rising = (np.repeat(up, ends - starts)
+              if up.any() and (first > last).any() else None)
     for start in range(0, n - 1, _CHUNK):
         chunk = terms[start:start + _CHUNK + 1]
-        ok = ordered(chunk[1:], chunk[:-1])
+        after, before = chunk[1:], chunk[:-1]
+        if rising is None:
+            ok = ordered(after, before)
+        else:
+            ok = np.where(rising[start + 1:start + len(chunk)],
+                          after >= before, after <= before)
         if not ok.all():
             # an unordered pair whose second term starts a segment is none
             second = (~ok).nonzero()[0] + (start + 1)
@@ -200,10 +218,6 @@ def _run_sum(terms, starts, weights):
     if not exps.all() and (np.bitwise_or.reduceat(bits, runs)[exps == 0]
                            & _MANTISSA).any():
         return None
-    # where most terms start a run (or a segment), each run would be a
-    # block of its own, and math.fsum of the terms is faster
-    if 2 * len(runs) > n:
-        return _fsum_segments(terms, starts, m)
     # block edges: the runs and segment starts, the end, and the first
     # term whose position among the weighted terms reaches each multiple
     # of the step
@@ -225,29 +239,13 @@ def _run_sum(terms, starts, weights):
     np.multiply((sums & _HIGH).astype(np.float64), scale, out=halves[:, 0])
     np.multiply((sums & _LOW).astype(np.float64), scale, out=halves[:, 1])
     parts = halves.ravel().tolist()
-    # math.fsum of the exact halves rounds a segment's exact total once;
-    # an exact zero goes to math.fsum of the terms, for its sign
+    # math.fsum of the exact halves, from the larger end, rounds a
+    # segment's exact total once; an exact zero goes to math.fsum of the
+    # terms, for its sign
     cuts = (2 * edges[:-1].searchsorted(starts)).tolist() + [len(parts)]
-    return [math.fsum(parts[a:b]) or None for a, b in zip(cuts, cuts[1:])]
-
-
-def _fsum_segments(terms, starts, m):
-    """``math.fsum`` of the weighted terms of each sorted segment (as in
-    ``_run_sum``), None for an exact zero, each fed from its larger end.
-
-    ``math.fsum`` is correctly rounded, so the order of the terms leaves
-    its result alone unless a partial sum overflows, which the overflow
-    guard of ``_run_sum`` excludes; along terms whose exponents mostly
-    differ it is many times faster from the larger end (0.2 against 2.7
-    ms for 2,000 terms over 2,000 binades)."""
-    ends = [*starts[1:].tolist(), len(terms)]
-    sums = []
-    for a, b in zip(starts.tolist(), ends):
-        segment = np.repeat(terms[a:b], m[a:b])
-        if abs(segment[0]) < abs(segment[-1]):
-            segment = segment[::-1]
-        sums.append(math.fsum(segment.tolist()) or None)
-    return sums
+    flips = (np.abs(first) < np.abs(last)).tolist()
+    return [math.fsum(parts[a:b][::-1] if flip else parts[a:b]) or None
+            for a, b, flip in zip(cuts, cuts[1:], flips)]
 
 
 def _exact_sums(terms, starts, weights):
@@ -390,9 +388,7 @@ def _riesz_rows(runs, sigmas, zs):
     row's z - lambda, weights and positions (which run on across the
     rows).  Each layer raises a copy of the buffer to its powers, a
     stretch of rows with equal sigmas at a time, and adds it by one
-    ``_exact_sums`` pass.  ``_run_sum`` checks every segment of a pass
-    against one direction, and the terms fall along the runs when sigma >
-    0 and rise when sigma < 0, so a layer should hold one sign of sigma.
+    ``_exact_sums`` pass.
     """
     values, m, offsets = runs
     zs = np.asarray(zs, dtype=np.float64)

@@ -57,11 +57,10 @@ and moments:
   builds the terms z - lambda of a batch of z once and raises them to
   each sigma; the first miss of a Hoelder pair sums the whole pair set,
   each pair at its own sigma, in one :func:`~rieszbounds.riesz.riesz_row`
-  pass per sign of sigma.  A default sweep makes four passes.  Only a
-  value on no row and in no pair set calls ``riesz_value``; the default
-  suite has none.  Every memoized value is bit-equal to what
-  ``riesz_value`` returns, so witness re-evaluation outside a sweep stays
-  exact.
+  pass.  A default sweep makes four passes.  Only a value on no row and
+  in no pair set calls ``riesz_value``; the default suite has none.
+  Every memoized value is bit-equal to what ``riesz_value`` returns, so
+  witness re-evaluation outside a sweep stays exact.
 
 Points are streamed.  Each family states its points once, as row groups
 (``_Points``): a group is constants, equal-length columns (lists or
@@ -217,11 +216,8 @@ class _RieszTable(dict):
     z of the row in one ``riesz_grid`` pass, which builds the terms
     z - lambda once and raises them to each sigma.  The first miss of a
     registered pair sums its whole set, each pair at its own sigma, in one
-    ``riesz_row`` pass per sign of sigma: ``_run_sum`` checks every
-    segment of a pass against one direction, and the terms fall along the
-    spectrum when sigma > 0 and rise when sigma < 0.  Only a value on no
-    row and in no pair set is the one value of ``riesz_value``.  All give
-    the bits of ``riesz_value``.
+    ``riesz_row`` pass.  Only a value on no row and in no pair set is the
+    one value of ``riesz_value``.  All give the bits of ``riesz_value``.
     """
 
     def __init__(self, spec):
@@ -245,11 +241,8 @@ class _RieszTable(dict):
         sigma, z = key
         pairs = self.pair_set.get(key)
         if pairs is not None:
-            for part in ([p for p in pairs if p[0] < 0],
-                         [p for p in pairs if not p[0] < 0]):
-                if part:
-                    sigmas, zs = zip(*part)
-                    self.update(zip(part, riesz_row(self.spec, sigmas, zs)))
+            sigmas, zs = zip(*pairs)
+            self.update(zip(pairs, riesz_row(self.spec, sigmas, zs)))
         elif (row := self.row_of.get(z)) is not None \
                 and sigma in self.rows[row][0]:
             sigmas, zs = self.rows[row]
@@ -822,8 +815,10 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         [((s,), (zs,), ()) for s in cfg.sigma_grid if s >= 1])
 
     j_list = _index_list(n, cfg.j_count)
-    z29 = [((j,), ([z for z in zs if z >= (1 + 4 / d) * _mean(spec, j)],), ())
-           for j in j_list]
+    z29 = []
+    for j in j_list:
+        thr = (1 + 4 / d) * _mean(spec, j)
+        z29.append(((j,), ([z for z in zs if z >= thr],), ()))
     for check_id in ("cor29_r2", "cor29_r1", "cor29_counting"):
         add(check_id, f"j in {j_list}, z above (1+4/d) mean_j", z29)
 
@@ -976,17 +971,12 @@ def sweep(specs: dict[str, Spectrum], cfg: VerifyConfig,
           ids=None) -> list[CheckResult]:
     """Run the (optionally restricted) check set, merged across spectra."""
     merged: dict[str, list] = {}
-    order: list[str] = []
     for label, spec in specs.items():
         for check_id, res in _sweep(label, spec, cfg, ids=ids).items():
-            if check_id not in merged:
-                merged[check_id] = []
-                order.append(check_id)
-            merged[check_id].append(res)
+            merged.setdefault(check_id, []).append(res)
 
     checks = []
-    for check_id in order:
-        parts = merged[check_id]
+    for check_id, parts in merged.items():
         n_points = sum(p[1] for p in parts)
         nonempty = [p for p in parts if p[1] > 0]
         if nonempty:

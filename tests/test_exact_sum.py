@@ -471,11 +471,9 @@ class TestRunPath:
         np.sort(np.concatenate([-_per_binade(np.arange(-1000, 990, 2)),
                                 _per_binade(np.arange(-999, 1000, 2))])),
     ], ids=["wide", "2000-binades", "both-signs"])
-    def test_wide_exponent_span(self, monkeypatch, x):
+    def test_wide_exponent_span(self, x):
         # math.fsum of the exact halves of the blocks is exact however many
-        # binades the terms span; three terms a binade keep the run starts
-        # below half the terms, so the blocks sum them
-        monkeypatch.setattr(pykernels, "_fsum_segments", None)
+        # binades the terms span, in either direction
         for terms in (x, x[::-1].copy(), -x):
             run = _run_one(terms)
             assert run is not None
@@ -780,8 +778,9 @@ class TestSegmentedRunPath:
         terms, starts, weights = _segmented(["plain", "plain", "mixed",
                                              "low"], 3, 0)
         a, b = starts[1], starts[2]
-        if spoil == "unordered":
-            terms[a:b] = terms[a:b][::-1].copy()
+        if spoil == "unordered":    # an interior swap
+            assert terms[a + 1] < terms[a + 2] and a + 2 < b - 1
+            terms[a + 1], terms[a + 2] = terms[a + 2], terms[a + 1]
         elif spoil == "subnormal":    # the segment stays ascending
             terms[a] = 5e-324
         else:
@@ -792,38 +791,129 @@ class TestSegmentedRunPath:
             [_bits(t) for t in _segment_sums(terms, starts, weights)]
 
 
+def _directions(terms, starts):
+    """Whether each segment rises (its first term below its last)."""
+    ends = [*starts[1:], len(terms)]
+    return [bool(terms[a] < terms[b - 1]) for a, b in zip(starts, ends)]
+
+
+class TestMixedDirections:
+    """One call may hold rising and falling segments: each is checked in
+    its own direction, and its block sum has the bits of ``math.fsum`` of
+    its repeated terms; a segment unordered inside it sends the whole call
+    to ``math.fsum``."""
+
+    @given(st.lists(st.sampled_from(KINDS), min_size=2, max_size=7),
+           st.integers(0, 2**32 - 1), st.integers(0, WEIGHT),
+           st.lists(st.booleans(), min_size=7, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_reversed_segments(self, kinds, seed, cut, flips):
+        terms, starts, weights = _segmented(kinds, seed, cut)
+        ends = [*starts[1:], len(terms)]
+        for a, b, flip in zip(starts, ends, flips):
+            if flip:
+                terms[a:b] = terms[a:b][::-1].copy()
+        got = pykernels._run_sum(terms, starts, weights)
+        assert got is not None
+        want = _segment_sums(terms, starts, weights)
+        assert [total is None for total in got] == [w == 0.0 for w in want]
+        assert [_bits(t) for t in got if t is not None] == \
+            [_bits(w) for w in want if w != 0.0]
+        assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
+                                                        weights)] == \
+            [_bits(w) for w in want]
+
+    def test_weighted_hand_built_segments(self):
+        # rising and falling segments side by side: positive, negative,
+        # across both signs with zeros between them, over 60 binades, a
+        # constant one and a single term
+        parts = [np.linspace(1.0, 3.0, 500),
+                 np.geomspace(1e9, 1e-9, 400),
+                 np.linspace(-2.0, 5.0, 301),
+                 -np.geomspace(1e-5, 1e5, 300),
+                 np.full(50, 0.75),
+                 np.concatenate([np.linspace(3.0, 0.5, 200), [0.0, -0.0],
+                                 -np.linspace(0.5, 9.0, 250)]),
+                 np.array([4.0]),
+                 np.geomspace(1e-3, 1e3, 700)]
+        terms = np.concatenate(parts)
+        m = np.random.default_rng(21).integers(1, WEIGHT + 1, len(terms))
+        weights = _weights(m)
+        starts = np.cumsum([0] + [len(x) for x in parts[:-1]])
+        assert _directions(terms, starts) == [True, False, True, False,
+                                              False, False, False, True]
+        got = pykernels._run_sum(terms, starts, weights)
+        assert [_bits(t) for t in got] == \
+            [_bits(w) for w in _segment_sums(terms, starts, weights)]
+
+    @pytest.mark.parametrize("spoil", ["swap", "equal-ends"])
+    def test_unordered_segment_leaves_the_call(self, spoil):
+        # between a rising and a falling segment, one with an interior
+        # swap, or whose end terms are equal but whose interior varies
+        middle = np.linspace(1.0, 2.0, 600)
+        if spoil == "swap":
+            middle[300], middle[301] = middle[301], middle[300]
+        else:
+            middle[0] = middle[-1]
+        parts = [np.linspace(0.5, 7.0, 800), middle,
+                 np.linspace(9.0, 3.0, 700)]
+        terms = np.concatenate(parts)
+        weights = _weights(np.ones(len(terms)))
+        starts = np.cumsum([0] + [len(x) for x in parts[:-1]])
+        assert pykernels._run_sum(terms, starts, weights) is None
+        assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
+                                                        weights)] == \
+            [_bits(w) for w in _segment_sums(terms, starts, weights)]
+
+    def test_riesz_sums_with_both_signs_of_sigma(self, monkeypatch):
+        # one sigma per z, negative (terms that rise along the spectrum)
+        # and positive (terms that fall) in turn: the rows are packed into
+        # calls that mix both directions, and every call takes the blocks
+        spec_lams = np.sort(np.concatenate([
+            (np.arange(1, 60)[:, None] ** 2
+             + np.arange(1, 60)[None, :] ** 2).ravel() * 9.87,
+            np.geomspace(25.0, 3e4, 400)]))
+        runs = pykernels.runs_of(spec_lams)
+        zs = np.linspace(100.0, 34000.0, 40) + 0.5
+        assert not np.isin(zs, spec_lams).any()
+        sigmas = [(-0.75, 0.5, -0.25, 1.0, 2.5, -0.5, 2.0, 0.0)[i % 8]
+                  for i in range(len(zs))]
+        calls = []
+        run_sum = pykernels._run_sum
+
+        def watched(terms, starts, weights):
+            sums = run_sum(terms, starts, weights)
+            calls.append((set(_directions(terms, starts)), sums is None))
+            return sums
+
+        monkeypatch.setattr(pykernels, "_run_sum", watched)
+        got = pykernels.riesz_sums(runs, sigmas, zs.tolist())
+        want = [math.fsum(np.power(z - spec_lams[spec_lams < z], s).tolist())
+                if s else float(np.count_nonzero(spec_lams < z))
+                for s, z in zip(sigmas, zs.tolist())]
+        assert [_bits(v) for v in got] == [_bits(w) for w in want]
+        assert ({True, False}, False) in calls
+        assert not any(left for _, left in calls)
+
+
 class TestDenseRuns:
-    """Where most terms start a run (or a segment), ``_run_sum`` sums each
-    segment by ``math.fsum`` of its weighted terms from the larger end
-    (``_fsum_segments``), with the bits of ``math.fsum`` in their order;
-    spectrum sums, whose runs are few, never take that path."""
+    """Where most terms start a run (or a segment), each run is a block of
+    its own, and ``_run_sum`` still gives the bits of ``math.fsum`` in
+    their order, fed from each segment's larger end; spectrum sums, whose
+    runs are few, always take the blocks."""
 
     WIDE = np.sort(np.ldexp(np.random.default_rng(3).uniform(0.5, 1.0, 2000),
                             np.arange(-1000, 1000)))
 
-    @staticmethod
-    def _counting(monkeypatch):
-        calls = []
-        fsum_segments = pykernels._fsum_segments
-
-        def counting(*args):
-            calls.append(len(args[1]))
-            return fsum_segments(*args)
-
-        monkeypatch.setattr(pykernels, "_fsum_segments", counting)
-        return calls
-
     @pytest.mark.parametrize("order", ["ascending", "descending",
                                        "negative"])
-    def test_2000_binades(self, monkeypatch, order):
+    def test_2000_binades(self, order):
         terms = {"ascending": self.WIDE, "descending": self.WIDE[::-1].copy(),
                  "negative": -self.WIDE}[order]
-        calls = self._counting(monkeypatch)
         assert _bits(_run_one(terms)) == _bits(math.fsum(terms.tolist()))
         _assert_same(terms)
-        assert calls == [1, 1]
 
-    def test_weighted_segments_and_a_zero(self, monkeypatch):
+    def test_weighted_segments_and_a_zero(self):
         # weighted segments over many binades each, one across both signs
         # and one that cancels to an exact zero (None, left to math.fsum
         # of the terms for the sign of the zero)
@@ -839,10 +929,8 @@ class TestDenseRuns:
         m[1100:1500] = 3    # the cancelling segment
         weights = _weights(m)
         starts = np.cumsum([0] + [len(x) for x in parts[:-1]])
-        calls = self._counting(monkeypatch)
         got = pykernels._run_sum(terms, starts, weights)
         want = _segment_sums(terms, starts, weights)
-        assert calls == [len(parts)]
         assert [total is None for total in got] == [False, False, True,
                                                     False]
         for total, w in zip(got, want):
@@ -856,10 +944,9 @@ class TestDenseRuns:
                                                           monkeypatch):
         # every run-path call of the default verify suite, and of one Riesz
         # mean and one means query on 10^5 eigenvalues (a large_queries
-        # sum, scaled down), sums by blocks: none goes to _fsum_segments,
-        # and none leaves its segments to math.fsum
+        # sum, scaled down), sums by blocks: none leaves its segments to
+        # math.fsum
         from rieszbounds import riesz, spectra, verify
-        calls = self._counting(monkeypatch)
         left = []
         run_sum = pykernels._run_sum
 
@@ -874,7 +961,6 @@ class TestDenseRuns:
         for sigma in (0.5, 1.0, 2.0):
             riesz.riesz_mean(square, sigma, 0.95 * 1.3e6)
         riesz.means(square, len(square) // 2, [0.5, 1.5])
-        assert calls == []
         assert left and not any(left)
 
 
