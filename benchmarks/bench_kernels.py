@@ -19,14 +19,13 @@ sigma per z, at the Hoelder samples of ``verify`` (60 z of the z grid x
 against per-pair ``riesz_sum`` calls; the rows of the default ``verify``
 suite on each default spectrum (the z grid with every sigma its families
 read, and the central-difference rows) summed one sigma at a time, one
-packed pass per row with both signs of sigma in it, and one
-``riesz_grid`` pass per row, bit-equal to each other; ``math.fsum``
-against ``exact_sum`` on sorted terms spanning 2,000 binades, each the one
-term of its binade and so a block of its own, and on 20,000 rising terms
-over 200 binades, naming the path of each (the blocks, or ``math.fsum``),
-and per-z ``math.fsum`` against a packed ``riesz_sums`` batch with one
-row that the run path does not take; and ``math.fsum`` of all k terms
-against every
+packed pass per row and sign of sigma, and one ``riesz_grid`` pass per
+row, bit-equal to each other; ``math.fsum`` against ``exact_sum`` on
+sorted terms spanning 2,000 binades, each the one term of its binade and
+so a block of its own, and on 20,000 rising terms over 200 binades,
+naming the path of each (the blocks, or ``math.fsum``), and per-z
+``math.fsum`` against a packed ``riesz_sums`` batch with one row that the
+run path does not take; and ``math.fsum`` of all k terms against every
 field of ``riesz.means`` on the 3-ball, the 10-ball and the unit square.
 
 Run:  python3 benchmarks/bench_kernels.py
@@ -238,15 +237,15 @@ def _suite_rows(spec, cfg):
 def compare_row_sets() -> bool:
     """The default ``verify`` suite's rows on each default spectrum, on the
     runs of the eigenvalues, summed three ways: one ``riesz_sums`` call per
-    sigma of a row; one ``riesz_sums`` call per row, every (sigma, z) pair
-    of the row in one packed pass, whose rows of negative sigma rise and
-    whose rows of positive sigma fall; and one ``riesz_grid`` call per row,
-    which packs the terms z - lambda once and raises them to each sigma (as
-    the sweep sums them).  True if the three agree in every bit."""
+    sigma of a row (as the sweep summed them before); one ``riesz_sums``
+    call per row and sign of sigma, every (sigma, z) pair of the sign in
+    one packed pass; and one ``riesz_grid`` call per row, which packs the
+    terms z - lambda once and raises them to each sigma (as the sweep sums
+    them now).  True if the three agree in every bit."""
     ok = True
     cfg = verify.VerifyConfig()
-    print("Riesz rows of the default verify suite: per sigma, per row as "
-          "pairs, per row (riesz_grid); bits against per sigma")
+    print("Riesz rows of the default verify suite: per sigma, per row and "
+          "sign, per row (riesz_grid); bits against per sigma")
     for name, spec in verify.default_spectra().items():
         runs = pykernels.runs_of(spec.eigenvalues)
         rows = _suite_rows(spec, cfg)
@@ -255,13 +254,15 @@ def compare_row_sets() -> bool:
             return [pykernels.riesz_sums(runs, s, zs)
                     for sigmas, zs in rows for s in sigmas]
 
-        def per_pairs():
+        def per_sign():
             out = []
             for sigmas, zs in rows:
-                flat = pykernels.riesz_sums(
-                    runs, [s for s in sigmas for _ in zs], zs * len(sigmas))
-                out += [flat[i:i + len(zs)]
-                        for i in range(0, len(flat), len(zs))]
+                for part in ([s for s in sigmas if s < 0],
+                             [s for s in sigmas if not s < 0]):
+                    flat = pykernels.riesz_sums(
+                        runs, [s for s in part for _ in zs], zs * len(part))
+                    out += [flat[i:i + len(zs)]
+                            for i in range(0, len(flat), len(zs))]
             return out
 
         def per_row():
@@ -269,13 +270,13 @@ def compare_row_sets() -> bool:
                     for values in pykernels.riesz_grid(runs, sigmas, zs)]
 
         t_ref, ref = _time(per_sigma)
-        t_pairs, by_pairs = _time(per_pairs)
+        t_sign, by_sign = _time(per_sign)
         t_row, by_row = _time(per_row)
-        same = (_same_bits(sum(ref, []), sum(by_pairs, []))
+        same = (_same_bits(sum(ref, []), sum(by_sign, []))
                 and _same_bits(sum(ref, []), sum(by_row, [])))
         ok &= same
         print(f"  {name:14} {sum(len(s) for s, _ in rows):>2} sigma rows "
-              f"{t_ref*1e3:6.2f} ms  per row as pairs {t_pairs*1e3:6.2f} ms  "
+              f"{t_ref*1e3:6.2f} ms  per row and sign {t_sign*1e3:6.2f} ms  "
               f"{len(rows)} grid rows {t_row*1e3:6.2f} ms  "
               f"x{t_ref / t_row:5.2f}  bit-equal={same}")
     return ok
@@ -292,12 +293,11 @@ def _path(terms):
 def compare_run_path_edges() -> bool:
     """The run path at the edges of its contract: ``exact_sum`` of sorted
     terms spanning 2,000 binades, each the one term of its binade and so a
-    block of its own, and of 20,000 rising terms over 200 binades, whose
-    block halves ``math.fsum`` takes from the larger end, against
-    ``math.fsum``; and a packed ``riesz_sums`` batch (15 z, one segment
-    each) whose z / 2 row holds one subnormal term, so that the run path
-    leaves the whole batch to ``math.fsum``, against per-z ``math.fsum``
-    of the ``np.power`` terms; True if all bits agree."""
+    block of its own, and of 20,000 rising terms over 200 binades, 100 to
+    a block, against ``math.fsum``; and a packed ``riesz_sums`` batch (15
+    z, one segment each) whose z / 2 row holds one subnormal term, so that
+    the run path leaves the whole batch to ``math.fsum``, against per-z
+    ``math.fsum`` of the ``np.power`` terms; True if all bits agree."""
     ok = True
     print("run path edges (bits against math.fsum)")
     rng = np.random.default_rng(3)

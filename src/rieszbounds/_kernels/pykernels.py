@@ -11,13 +11,13 @@ returns.
   exactly in uint64 blocks read straight from the float bits, and the total
   is rounded once.  Short, unsorted, subnormal, non-finite or near-overflow
   input, and a zero result, go to ``math.fsum`` itself.
-- The run path (``_run_sum``) takes an array cut into segments and returns
-  one sum per segment, or None for the whole call if any segment is
-  unordered, holds a subnormal or comes too near overflow; ``_exact_sums``
-  then sums every segment with ``math.fsum``.  Each segment is sorted in
-  its own direction: it rises if its first term is below its last and
-  falls otherwise, so one call may hold the rising rows of negative sigma
-  beside the falling rows of positive sigma.  Every term has an integer
+- The run path (``_run_sum``) takes an array cut into segments, all
+  sorted in one direction, and returns one sum per segment, or None for
+  the whole call if any segment is unordered, holds a subnormal or comes
+  too near overflow; ``_exact_sums`` then sums every segment with
+  ``math.fsum``.  The terms of negative sigma rise along a spectrum and
+  those of positive sigma fall, so a call that mixes both signs is summed
+  by ``math.fsum``, bit for bit the same.  Every term has an integer
   weight, given as ``(m, pos)``:
   a term of weight m counts m times, and a block's mantissa sum is the sum
   of m * (its term's bits), so each distinct eigenvalue's term is built
@@ -67,10 +67,8 @@ below 2**(E + width - 1022), which the guard E <= 2045 - width keeps
 below 2**1023, as it keeps every partial sum of a segment.  ``math.fsum``
 of the halves of a segment's blocks is therefore the correctly rounded
 exact total, the bits of ``math.fsum`` of its terms, however many
-binades they span, in any order; they are fed from the segment's larger
-end, which keeps the list of ``math.fsum``'s partials short.  An exact
-zero total is left to ``math.fsum`` of the terms, which gives the zero its
-sign.
+binades they span; an exact zero total is left to ``math.fsum`` of the
+terms, which gives the zero its sign.
 """
 
 import math
@@ -126,11 +124,9 @@ def _run_sum(terms, starts, weights):
 
     ``starts`` holds the first index of each non-empty segment, ascending
     from 0; a segment ends where the next one starts, the last at the end
-    of ``terms``.  A segment rises if its first term is below its last and
-    falls otherwise.  The result is a list of one sum per segment, None for
-    a segment whose sum is an exact zero, or None if any segment is
-    unordered in its direction, holds a subnormal or lies above the
-    overflow guard.
+    of ``terms``.  The result is a list of one sum per segment, None for a
+    segment whose sum is an exact zero, or None if any segment is unordered,
+    holds a subnormal or lies above the overflow guard.
 
     ``weights`` is ``(m, pos)``: the integer weight m[i] of each term (1 to
     ``_RUN_WEIGHT``) and its position pos[i] = m[0] + ... + m[i - 1] among
@@ -139,43 +135,31 @@ def _run_sum(terms, starts, weights):
 
     Along sorted terms the sign and the biased exponent E change
     monotonically, so the terms of a segment with one sign and exponent
-    form one run.  One pass per chunk checks each pair of terms in its
-    segment's direction, with one comparison unless the call holds both
-    rising and falling segments; the run starts are looked for only in the
-    stretches of ``_MARK`` terms whose end terms differ or that hold a
-    segment start.  A normal term is M * 2**(E - 1075) with the integer
-    mantissa M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs
-    are cut into blocks of total weight at most ``_RUN_BLOCK`` (the block
-    bound in the module docstring), ``np.add.reduceat`` sums the weighted
-    bits of each block modulo 2**64, from which the exact mantissa sum S
-    follows.  S < 2**64 splits into its top 53 bits and its low 11 bits,
-    and each half times 2**(E - 1075) is an exact float64 (the halves in
-    the module docstring); a segment's sum is ``math.fsum`` of the exact
-    halves of its blocks from its larger end, its exact total rounded
-    once.
+    form one run.  One pass per chunk checks each segment's order against
+    the direction of most segments, so a segment sorted the other way is
+    unordered; the run starts are looked for only in the stretches of
+    ``_MARK`` terms whose end terms differ or that hold a segment start.
+    A normal term is M * 2**(E - 1075) with the integer mantissa
+    M = bits - (sign and exponent bits) + 2**52 < 2**53.  The runs are cut
+    into blocks of total weight at most ``_RUN_BLOCK`` (the block bound in
+    the module docstring), ``np.add.reduceat`` sums the weighted bits of
+    each block modulo 2**64, from which the exact mantissa sum S follows.
+    S < 2**64 splits into its top 53 bits and its low 11 bits, and each
+    half times 2**(E - 1075) is an exact float64 (the halves in the module
+    docstring); a segment's sum is ``math.fsum`` of the exact halves of its
+    blocks, its exact total rounded once.
     """
     n = len(terms)
     m, pos = weights
     count = int(pos[-1]) + int(m[-1])
     starts = np.asarray(starts, np.intp)
-    ends = np.append(starts[1:], n)
     first = terms[starts]
-    last = terms[ends - 1]
-    up = first < last
-    # a segment with equal end terms is ordered only if it is constant,
-    # which either direction checks; where rising and falling segments
-    # meet, each pair is checked in its own segment's direction
-    ordered = np.greater_equal if up.any() else np.less_equal
-    rising = (np.repeat(up, ends - starts)
-              if up.any() and (first > last).any() else None)
+    last = terms[np.concatenate((starts[1:], [n])) - 1]
+    ordered = (np.greater_equal if np.count_nonzero(first < last)
+               >= np.count_nonzero(first > last) else np.less_equal)
     for start in range(0, n - 1, _CHUNK):
         chunk = terms[start:start + _CHUNK + 1]
-        after, before = chunk[1:], chunk[:-1]
-        if rising is None:
-            ok = ordered(after, before)
-        else:
-            ok = np.where(rising[start + 1:start + len(chunk)],
-                          after >= before, after <= before)
+        ok = ordered(chunk[1:], chunk[:-1])
         if not ok.all():
             # an unordered pair whose second term starts a segment is none
             second = (~ok).nonzero()[0] + (start + 1)
@@ -239,13 +223,10 @@ def _run_sum(terms, starts, weights):
     np.multiply((sums & _HIGH).astype(np.float64), scale, out=halves[:, 0])
     np.multiply((sums & _LOW).astype(np.float64), scale, out=halves[:, 1])
     parts = halves.ravel().tolist()
-    # math.fsum of the exact halves, from the larger end, rounds a
-    # segment's exact total once; an exact zero goes to math.fsum of the
-    # terms, for its sign
+    # math.fsum of the exact halves rounds a segment's exact total once;
+    # an exact zero goes to math.fsum of the terms, for its sign
     cuts = (2 * edges[:-1].searchsorted(starts)).tolist() + [len(parts)]
-    flips = (np.abs(first) < np.abs(last)).tolist()
-    return [math.fsum(parts[a:b][::-1] if flip else parts[a:b]) or None
-            for a, b, flip in zip(cuts, cuts[1:], flips)]
+    return [math.fsum(parts[a:b]) or None for a, b in zip(cuts, cuts[1:])]
 
 
 def _exact_sums(terms, starts, weights):

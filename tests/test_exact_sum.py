@@ -792,16 +792,25 @@ class TestSegmentedRunPath:
 
 
 def _directions(terms, starts):
-    """Whether each segment rises (its first term below its last)."""
+    """Each segment's direction: 1 if its first term is below its last, -1
+    if above, 0 if they are equal."""
     ends = [*starts[1:], len(terms)]
-    return [bool(terms[a] < terms[b - 1]) for a, b in zip(starts, ends)]
+    return [int(np.sign(terms[b - 1] - terms[a]))
+            for a, b in zip(starts, ends)]
+
+
+def _packed(parts):
+    """The segments ``parts`` packed into one array, and their starts."""
+    return (np.concatenate(parts),
+            np.cumsum([0] + [len(x) for x in parts[:-1]]))
 
 
 class TestMixedDirections:
-    """One call may hold rising and falling segments: each is checked in
-    its own direction, and its block sum has the bits of ``math.fsum`` of
-    its repeated terms; a segment unordered inside it sends the whole call
-    to ``math.fsum``."""
+    """The segments of one call are sorted in one direction: all falling,
+    they take the blocks as rising ones do, with the bits of ``math.fsum``
+    of their repeated terms.  A call that holds both rising and falling
+    segments, or a segment unordered inside it, returns None, and
+    ``_exact_sums`` gives every segment the bits of its ``math.fsum``."""
 
     @given(st.lists(st.sampled_from(KINDS), min_size=2, max_size=7),
            st.integers(0, 2**32 - 1), st.integers(0, WEIGHT),
@@ -814,52 +823,59 @@ class TestMixedDirections:
             if flip:
                 terms[a:b] = terms[a:b][::-1].copy()
         got = pykernels._run_sum(terms, starts, weights)
-        assert got is not None
         want = _segment_sums(terms, starts, weights)
-        assert [total is None for total in got] == [w == 0.0 for w in want]
-        assert [_bits(t) for t in got if t is not None] == \
-            [_bits(w) for w in want if w != 0.0]
+        assert (got is None) == ({1, -1} <= set(_directions(terms, starts)))
+        if got is not None:
+            assert [total is None for total in got] == \
+                [w == 0.0 for w in want]
+            assert [_bits(t) for t in got if t is not None] == \
+                [_bits(w) for w in want if w != 0.0]
         assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
                                                         weights)] == \
             [_bits(w) for w in want]
 
     def test_weighted_hand_built_segments(self):
-        # rising and falling segments side by side: positive, negative,
-        # across both signs with zeros between them, over 60 binades, a
-        # constant one and a single term
-        parts = [np.linspace(1.0, 3.0, 500),
-                 np.geomspace(1e9, 1e-9, 400),
-                 np.linspace(-2.0, 5.0, 301),
-                 -np.geomspace(1e-5, 1e5, 300),
-                 np.full(50, 0.75),
-                 np.concatenate([np.linspace(3.0, 0.5, 200), [0.0, -0.0],
-                                 -np.linspace(0.5, 9.0, 250)]),
-                 np.array([4.0]),
-                 np.geomspace(1e-3, 1e3, 700)]
-        terms = np.concatenate(parts)
-        m = np.random.default_rng(21).integers(1, WEIGHT + 1, len(terms))
-        weights = _weights(m)
-        starts = np.cumsum([0] + [len(x) for x in parts[:-1]])
-        assert _directions(terms, starts) == [True, False, True, False,
-                                              False, False, False, True]
-        got = pykernels._run_sum(terms, starts, weights)
-        assert [_bits(t) for t in got] == \
-            [_bits(w) for w in _segment_sums(terms, starts, weights)]
+        # rising and falling segments: positive, negative, across both
+        # signs with zeros between them, over 60 binades, a constant one
+        # and a single term; each direction alone takes the blocks, both in
+        # one call go to math.fsum
+        rising = [np.linspace(1.0, 3.0, 500),
+                  np.linspace(-2.0, 5.0, 301),
+                  np.geomspace(1e-3, 1e3, 700),
+                  np.full(50, 0.75)]
+        falling = [np.geomspace(1e9, 1e-9, 400),
+                   -np.geomspace(1e-5, 1e5, 300),
+                   np.concatenate([np.linspace(3.0, 0.5, 200), [0.0, -0.0],
+                                   -np.linspace(0.5, 9.0, 250)]),
+                   np.array([4.0])]
+        rng = np.random.default_rng(21)
+        for parts in (rising, falling, rising[:2] + falling + rising[2:]):
+            terms, starts = _packed(parts)
+            weights = _weights(rng.integers(1, WEIGHT + 1, len(terms)))
+            want = [_bits(w) for w in _segment_sums(terms, starts, weights)]
+            got = pykernels._run_sum(terms, starts, weights)
+            if parts is rising or parts is falling:
+                assert [_bits(t) for t in got] == want
+            else:
+                assert got is None
+            assert [_bits(t) for t in pykernels._exact_sums(
+                terms, starts, weights)] == want
 
     @pytest.mark.parametrize("spoil", ["swap", "equal-ends"])
     def test_unordered_segment_leaves_the_call(self, spoil):
-        # between a rising and a falling segment, one with an interior
-        # swap, or whose end terms are equal but whose interior varies
+        # between two rising segments, one with an interior swap, or whose
+        # end terms are equal but whose interior varies
         middle = np.linspace(1.0, 2.0, 600)
-        if spoil == "swap":
-            middle[300], middle[301] = middle[301], middle[300]
-        else:
-            middle[0] = middle[-1]
         parts = [np.linspace(0.5, 7.0, 800), middle,
-                 np.linspace(9.0, 3.0, 700)]
-        terms = np.concatenate(parts)
+                 np.linspace(3.0, 9.0, 700)]
+        terms, starts = _packed(parts)
         weights = _weights(np.ones(len(terms)))
-        starts = np.cumsum([0] + [len(x) for x in parts[:-1]])
+        assert pykernels._run_sum(terms, starts, weights) is not None
+        a = starts[1]
+        if spoil == "swap":
+            terms[a + 300], terms[a + 301] = terms[a + 301], terms[a + 300]
+        else:
+            terms[a] = terms[starts[2] - 1]
         assert pykernels._run_sum(terms, starts, weights) is None
         assert [_bits(t) for t in pykernels._exact_sums(terms, starts,
                                                         weights)] == \
@@ -867,8 +883,9 @@ class TestMixedDirections:
 
     def test_riesz_sums_with_both_signs_of_sigma(self, monkeypatch):
         # one sigma per z, negative (terms that rise along the spectrum)
-        # and positive (terms that fall) in turn: the rows are packed into
-        # calls that mix both directions, and every call takes the blocks
+        # and positive (terms that fall) in turn: every row has the bits of
+        # its math.fsum, and the packed calls that mix both directions are
+        # the ones left to math.fsum
         spec_lams = np.sort(np.concatenate([
             (np.arange(1, 60)[:, None] ** 2
              + np.arange(1, 60)[None, :] ** 2).ravel() * 9.87,
@@ -883,7 +900,8 @@ class TestMixedDirections:
 
         def watched(terms, starts, weights):
             sums = run_sum(terms, starts, weights)
-            calls.append((set(_directions(terms, starts)), sums is None))
+            calls.append(({1, -1} <= set(_directions(terms, starts)),
+                          sums is None))
             return sums
 
         monkeypatch.setattr(pykernels, "_run_sum", watched)
@@ -892,15 +910,15 @@ class TestMixedDirections:
                 if s else float(np.count_nonzero(spec_lams < z))
                 for s, z in zip(sigmas, zs.tolist())]
         assert [_bits(v) for v in got] == [_bits(w) for w in want]
-        assert ({True, False}, False) in calls
-        assert not any(left for _, left in calls)
+        assert (True, True) in calls
+        assert all(mixed == left for mixed, left in calls)
 
 
 class TestDenseRuns:
     """Where most terms start a run (or a segment), each run is a block of
     its own, and ``_run_sum`` still gives the bits of ``math.fsum`` in
-    their order, fed from each segment's larger end; spectrum sums, whose
-    runs are few, always take the blocks."""
+    their order; spectrum sums, whose runs are few, always take the
+    blocks."""
 
     WIDE = np.sort(np.ldexp(np.random.default_rng(3).uniform(0.5, 1.0, 2000),
                             np.arange(-1000, 1000)))

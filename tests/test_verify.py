@@ -119,8 +119,9 @@ class TestRieszMemo:
     @staticmethod
     def _count_passes(monkeypatch):
         """Count riesz_value calls and whole passes (riesz_grid for a row,
-        riesz_row for a pair set), each pass checked against riesz_value
-        and holding one sign of sigma if it is a pair set."""
+        riesz_row for a pair set), each pass checked against riesz_value.
+        A pair set of the default suite holds one sign of sigma, because
+        the Hoelder sigmas are >= 0; the table itself does not need it."""
         calls = {"value": 0, "grid": 0, "row": 0}
         riesz_value = verify.riesz_value
         riesz_grid, riesz_row = verify.riesz_grid, verify.riesz_row
@@ -138,6 +139,8 @@ class TestRieszMemo:
 
         def counting_row(s, sigma, zs):
             calls["row"] += 1
+            # no default pair set mixes the directions of its terms, so
+            # each takes the run path's blocks
             assert len({x < 0 for x in sigma}) == 1
             values = riesz_row(s, sigma, zs)
             assert values == [riesz_value(s, x, z)[0]
