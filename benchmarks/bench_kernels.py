@@ -231,7 +231,7 @@ def _suite_rows(spec, cfg):
         verify._build_points(spec, cfg, cfg.z_points)
     finally:
         verify._riesz_memo.pop(spec, None)
-    return table.rows
+    return [(sigmas, zs) for sigmas, zs, row in table.pending if row]
 
 
 def compare_row_sets() -> bool:

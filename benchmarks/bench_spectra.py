@@ -1,5 +1,10 @@
-"""Benchmark ball spectrum generation and the spectrum text and JSON
-writers.
+"""Benchmark box and ball spectrum generation and the spectrum text and
+JSON writers.
+
+Boxes: ``spectra.box_spectrum`` (one array pass per axis) against the
+recursion of ``tests/oracles.py`` (one float, one list append and one cap
+check per eigenvalue), on the unit square below 1.3e7 and the 1 x 2 x 3
+box below 3e4, compared bit for bit.
 
 Generation: ``spectra.ball_spectrum`` (one bounded ``specfun.bessel_zeros``
 iteration per order, numpy assembly) against the per-zero reference of
@@ -25,9 +30,11 @@ values with no repeats.  Each writer and its reference are timed
 alternately, best of repeats, and their bytes are compared.
 
 Run:  python3 benchmarks/bench_spectra.py
-Exit status 1 if any generated eigenvalue or cached zero differs in any bit
-from the reference's, if an order after the first caches a zero at or
-above its bound, or if any writer's bytes differ from its reference's.
+Exit status 1 if any box eigenvalue differs in any bit from the
+recursion's, if any generated ball eigenvalue or cached zero differs in
+any bit from the reference's, if an order after the first caches a zero
+at or above its bound, or if any writer's bytes differ from its
+reference's.
 """
 
 import io
@@ -42,10 +49,14 @@ from rieszbounds import specfun, spectra
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import (  # noqa: E402
     ball_eigenvalues_per_zero,
+    box_eigenvalues_recursive,
     spectrum_json,
     spectrum_text,
 )
 
+#: (name, sides, lambda_max) of the generated boxes
+BOXES = (("square, lambda < 1.3e7", [1.0, 1.0], 1.3e7),
+         ("1 x 2 x 3, lambda < 3e4", [1.0, 2.0, 3.0], 3e4))
 #: (name, d, lambda_max) of the generated unit balls
 BALLS = (("disk, lambda < 1e5", 2, 1e5), ("ball d=3, lambda < 3e4", 3, 3e4))
 
@@ -138,6 +149,31 @@ def _evaluations(d, lam_max) -> int:
     return count[0]
 
 
+def _boxes(repeat: int = 3) -> bool:
+    """Time ``box_spectrum`` against the recursion, run alternately, best
+    of ``repeat``; True if all bits agree."""
+    ok = True
+    print(f"{'generated box':<24}{'n':>10}{'recursion':>12}{'by axis':>10}"
+          f"{'ratio':>8}  bits")
+    for name, sides, lam_max in BOXES:
+        best = [float("inf"), float("inf")]
+        same = True
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            ref = box_eigenvalues_recursive(sides, lam_max)
+            t1 = time.perf_counter()
+            spec = spectra.box_spectrum(sides, lam_max)
+            t2 = time.perf_counter()
+            best = [min(best[0], t1 - t0), min(best[1], t2 - t1)]
+            same &= spec.eigenvalues.tobytes() == ref.tobytes()
+        ok &= same
+        print(f"{name:<24}{len(ref):>10,}{best[0] * 1e3:>10.1f}ms"
+              f"{best[1] * 1e3:>8.1f}ms{best[1] / best[0]:>8.2f}  "
+              f"{'equal' if same else 'DIFFER'}")
+    print()
+    return ok
+
+
 def _generation(repeat: int = 3) -> bool:
     """Time ``ball_spectrum`` against the per-zero reference, run
     alternately, best of ``repeat``; True if all bits agree and no order
@@ -170,7 +206,8 @@ def _generation(repeat: int = 3) -> bool:
 
 
 def main() -> int:
-    ok = _generation()
+    ok = _boxes()
+    ok &= _generation()
     print(f"{'spectrum':<24}{'format':>7}{'n':>10}{'repeats':>9}"
           f"{'per-value':>12}{'writer':>10}{'ratio':>8}  bytes")
     for name, spec in _spectra().items():

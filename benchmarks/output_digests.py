@@ -10,10 +10,12 @@ precisions, the spectrum of the unit square and the unit 3-ball in text,
 CSV and JSON, of the unit disk and a 4-ball of radius 1/2 in text, and
 on the square and the 3-ball, at full precision, ``riesz --z`` at sigma =
 1/2, 1 and 5/2, ``riesz --means`` at a k inside a run of equal
-eigenvalues, and ``riesz --legendre``.  The child processes import
-``rieszbounds`` the way this process would, so ``PYTHONPATH`` selects the
-tree under test.  Two trees give byte-identical output exactly when their
-digest lists are equal:
+eigenvalues, and ``riesz --legendre``; then the spectra of the unit cube
+and the 1 x 2 x 3 box below 3000 in text, and ``bounds --bessel-zeros``
+of the consecutive orders 0, 1 and 2 at full precision.  The child
+processes import ``rieszbounds`` the way this process would, so
+``PYTHONPATH`` selects the tree under test.  Two trees give
+byte-identical output exactly when their digest lists are equal:
 
     PYTHONPATH=src python3 benchmarks/output_digests.py > head.txt
     PYTHONPATH=../base/src python3 benchmarks/output_digests.py > base.txt
@@ -35,6 +37,8 @@ BALL = ["--ball", "--dim", "3", "--radius", "1", "--lambda-max", "2000"]
 BALLS_TEXT = (("disk", ["--ball", "--dim", "2", "--lambda-max", "5000"]),
               ("ball4-r0.5", ["--ball", "--dim", "4", "--radius", "0.5",
                               "--lambda-max", "2000"]))
+#: 3-D boxes, written as text below 3000: the unit cube and 1 x 2 x 3
+BOXES_TEXT = (("cube", ["1", "1", "1"]), ("box123", ["1", "2", "3"]))
 #: every invocation runs under each hash seed; its output must not change
 HASH_SEEDS = ("0", "1")
 ZEROS = ["bounds", "--bessel-zeros", "0,0.5,7", "--zero-count", "40"]
@@ -73,6 +77,14 @@ def _invocations():
         yield f"riesz-{name}-means", [*riesz, "--means", str(k)]
         yield f"riesz-{name}-legendre", [*riesz, "--legendre", "0.5", "10",
                                          "100"]
+    for name, sides in BOXES_TEXT:
+        yield f"spectrum-{name}-text", ["spectrum", "--box", *sides,
+                                        "--lambda-max", "3000"]
+    # consecutive orders: each order's zeros are bracketed by the cached
+    # zeros of the order below and found in one batch
+    yield "bounds-bessel-zeros-012-full", [
+        "bounds", "--bessel-zeros", "0,1,2", "--zero-count", "40",
+        "--full-precision"]
 
 
 def main() -> int:

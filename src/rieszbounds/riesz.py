@@ -60,10 +60,10 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
 
     Accepts any real sigma; for sigma < 0 the caller must keep z away from
     eigenvalues (the summand has a pole there).  Raises TruncationError for
-    z above the completeness threshold.
+    z above the completeness threshold, DomainError for a NaN sigma.
     """
     _check_z(spec, z)
-    return _kernels.riesz_sum(_runs(spec), float(sigma), float(z))
+    return _kernels.riesz_sum(_runs(spec), _sigma(sigma), float(z))
 
 
 def riesz_row(spec: Spectrum, sigma, zs) -> list[float]:
@@ -71,20 +71,31 @@ def riesz_row(spec: Spectrum, sigma, zs) -> list[float]:
     summed a batch of z at a time, with the same checks on every z.
 
     ``sigma`` is one s for every z, or a sequence of one s per z.  The z
-    values are checked by one array test (``_check_zs``).
+    values are checked by one array test (``_check_zs``); a NaN s, or a
+    sequence of another length than ``zs``, raises DomainError.
     """
     zs = _check_zs(spec, zs)
-    sigma = (float(sigma) if isinstance(sigma, numbers.Real)
-             else [float(s) for s in sigma])
-    return _kernels.riesz_sums(_runs(spec), sigma, zs)
+    sigmas = ([sigma] * len(zs) if isinstance(sigma, numbers.Real)
+              else list(sigma))
+    if len(sigmas) != len(zs):
+        raise DomainError(f"riesz_row needs one sigma per z, got "
+                          f"{len(sigmas)} sigmas for {len(zs)} z values")
+    return _kernels.riesz_sums(_runs(spec), [_sigma(s) for s in sigmas], zs)
 
 
 def riesz_grid(spec: Spectrum, sigmas, zs) -> list[list[float]]:
     """``riesz_row(spec, s, zs)`` for each s of ``sigmas``, bit for bit, as
     a list of rows: the terms z - lambda of a batch of z are built once
-    and raised to each s.  The z values are checked as in ``riesz_row``."""
+    and raised to each s.  Each z and s is checked as in ``riesz_row``."""
     zs = _check_zs(spec, zs)
-    return _kernels.riesz_grid(_runs(spec), [float(s) for s in sigmas], zs)
+    return _kernels.riesz_grid(_runs(spec), [_sigma(s) for s in sigmas], zs)
+
+
+def _sigma(sigma) -> float:
+    """``float(sigma)``; DomainError if it is NaN."""
+    if math.isnan(value := float(sigma)):
+        raise DomainError(f"sigma must be a number, got {value}")
+    return value
 
 
 def _check_zs(spec: Spectrum, zs) -> list[float]:

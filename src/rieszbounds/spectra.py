@@ -128,7 +128,15 @@ def _check_weyl_count(d: int, volume: float, lam_max: float) -> None:
 
 
 def box_spectrum(sides, lam_max: float) -> Spectrum:
-    """All Dirichlet eigenvalues pi^2 sum(n_i^2/L_i^2) < lam_max, sorted."""
+    """All Dirichlet eigenvalues pi^2 sum(n_i^2/L_i^2) < lam_max, sorted.
+
+    One array pass per axis, in the order given: from ``[0.0]``, the sums
+    ``acc + c * n * n`` (c = pi^2/L^2, n = 1 .. isqrt(lam_max / c) + 1)
+    below ``lam_max``, sorted once; the cap counts only final values.  The
+    bits are a recursion's that stops each axis at its first sum at or
+    above ``lam_max``: the same IEEE products and sums, monotone rounding,
+    so the filter keeps what the stop kept; equal floats sort alike.
+    """
     sides = tuple(float(s) for s in sides)
     if not sides or not all(0 < s < math.inf for s in sides):
         raise DomainError(
@@ -157,29 +165,18 @@ def box_spectrum(sides, lam_max: float) -> Spectrum:
                           "the volume, overflows")
     _check_weyl_count(d, volume, lam_max)
 
-    vals: list[float] = []
-
-    def recurse(axis: int, acc: float) -> None:
-        c = coeffs[axis]
-        n = 1
-        while True:
-            t = acc + c * n * n
-            if t >= lam_max:
-                break
-            if axis == d - 1:
-                if len(vals) >= MAX_EIGENVALUES:
-                    raise ResourceLimitError(
-                        f"eigenvalue count exceeds cap {MAX_EIGENVALUES}")
-                vals.append(t)
-            else:
-                recurse(axis + 1, t)
-            n += 1
-
-    recurse(0, 0.0)
+    vals = np.zeros(1)
+    for c in coeffs:
+        n = np.arange(1.0, math.isqrt(int(lam_max / c)) + 2)
+        vals = np.add.outer(vals, c * n * n).ravel()
+        vals = vals[vals < lam_max]
+    if len(vals) > MAX_EIGENVALUES:
+        raise ResourceLimitError(
+            f"eigenvalue count exceeds cap {MAX_EIGENVALUES}")
     vals.sort()
     return Spectrum(
         dimension=d,
-        eigenvalues=np.array(vals),
+        eigenvalues=vals,
         complete_below=float(lam_max),
         domain=DomainSpec(kind="box", dimension=d, side_lengths=sides),
         volume=volume,

@@ -45,22 +45,16 @@ and moments:
   and while one spectrum is swept each (k, order) is computed once: the
   moment memo is dropped with the Riesz memo when the sweep ends.
 * While one spectrum is swept, R_sigma(z) values are memoized per
-  (sigma, z), and the memo is dropped when that spectrum's sweep ends.
-  Values are computed in whole passes.  The sweep registers each row of z
-  it evaluates with the sigmas that its families read on the row: on the
-  z grid every grid sigma, each sigma - 1 of the difference families, 0,
-  1 and 2, and the sigmas of the Hoelder counting forms; on the
-  central-difference rows z + h and z - h the grid sigmas >= 1.5.  It
-  also registers the pair set of the random Hoelder samples (the three
-  sigmas of each sample at its z).  The first miss in a row sums its
-  whole sigma set in one :func:`~rieszbounds.riesz.riesz_grid` pass, which
-  builds the terms z - lambda of a batch of z once and raises them to
-  each sigma; the first miss of a Hoelder pair sums the whole pair set,
-  each pair at its own sigma, in one :func:`~rieszbounds.riesz.riesz_row`
-  pass.  A default sweep makes four passes.  Only a value on no row and
-  in no pair set calls ``riesz_value``; the default suite has none.
-  Every memoized value is bit-equal to what ``riesz_value`` returns, so
-  witness re-evaluation outside a sweep stays exact.
+  (sigma, z) in a ``_RieszTable``, dropped when that sweep ends.  The
+  sweep registers each row of z it evaluates (the z grid and the rows
+  z + h and z - h) with the sigmas that its families read there, and the
+  pair set of the random Hoelder samples.  The first read sums all of it,
+  each row in one :func:`~rieszbounds.riesz.riesz_grid` pass and the pair
+  set in one :func:`~rieszbounds.riesz.riesz_row` pass: four passes in a
+  default sweep, none in a sweep that reads no Riesz value.  Only a value
+  on no row and in no pair set calls ``riesz_value``; the default suite
+  has none.  Every value has the bits of ``riesz_value``, so witness
+  re-evaluation outside a sweep stays exact.
 
 Points are streamed.  Each family states its points once, as row groups
 (``_Points``): a group is constants, equal-length columns (lists or
@@ -101,7 +95,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field, asdict, replace
-from itertools import chain, cycle, groupby, repeat
+from itertools import chain, cycle, groupby, product, repeat
 
 import numpy as np
 
@@ -208,49 +202,37 @@ def _margin(big, small):
 class _RieszTable(dict):
     """{(sigma, z): R_sigma(z)} of one spectrum while it is swept.
 
-    A missing value is computed on first use, with every value that the
-    sweep registered beside it.  The sweep registers rows of z values, each
-    with the sigmas that its families read on the row (``add_row``), and
-    sets of (sigma, z) pairs (``add_pairs``).  The first miss of a sigma
-    of a row's set at a z of the row sums every sigma of the set at every
-    z of the row in one ``riesz_grid`` pass, which builds the terms
-    z - lambda once and raises them to each sigma.  The first miss of a
-    registered pair sums its whole set, each pair at its own sigma, in one
-    ``riesz_row`` pass.  Only a value on no row and in no pair set is the
-    one value of ``riesz_value``.  All give the bits of ``riesz_value``.
+    Rows of z, each with the sigmas read on it (``add_row``), and sets of
+    (sigma, z) pairs (``add_pairs``) wait in one pending list.  The first
+    miss sums all of it: each row in one ``riesz_grid`` pass, each pair
+    set, each pair at its own sigma, in one ``riesz_row`` pass.  Any other
+    key is one ``riesz_value`` call.  All give the bits of ``riesz_value``.
     """
 
     def __init__(self, spec):
         super().__init__()
         self.spec = spec
-        self.rows = []
-        self.row_of = {}     # z -> index of the first row that holds it
-        self.pair_set = {}   # (sigma, z) -> the pairs registered with it
+        self.pending = []    # (sigmas, zs, is a row) not yet summed
 
     def add_row(self, sigmas, zs):
-        for z in zs:
-            self.row_of.setdefault(z, len(self.rows))
-        self.rows.append((tuple(sigmas), zs))
+        self.pending.append((tuple(sigmas), zs, True))
 
     def add_pairs(self, pairs):
         pairs = list(pairs)
-        for pair in pairs:
-            self.pair_set.setdefault(pair, pairs)
+        self.pending.append(([s for s, _ in pairs], [z for _, z in pairs],
+                             False))
 
     def __missing__(self, key):
-        sigma, z = key
-        pairs = self.pair_set.get(key)
-        if pairs is not None:
-            sigmas, zs = zip(*pairs)
-            self.update(zip(pairs, riesz_row(self.spec, sigmas, zs)))
-        elif (row := self.row_of.get(z)) is not None \
-                and sigma in self.rows[row][0]:
-            sigmas, zs = self.rows[row]
-            for s, values in zip(sigmas, riesz_grid(self.spec, sigmas, zs)):
-                self.update(zip(zip(repeat(s), zs), values))
-        else:
-            value = self[key] = riesz_value(self.spec, sigma, z)[0]
-            return value
+        pending, self.pending = self.pending, []
+        for sigmas, zs, row in pending:
+            if row:
+                self.update(zip(product(sigmas, zs), chain.from_iterable(
+                    riesz_grid(self.spec, sigmas, zs))))
+            else:
+                self.update(zip(zip(sigmas, zs),
+                                riesz_row(self.spec, sigmas, zs)))
+        if key not in self:
+            self[key] = riesz_value(self.spec, *key)[0]
         return self[key]
 
 
@@ -589,7 +571,8 @@ def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
     of another type, such as 3.0, or a non-number raises DomainError, as
     does an integer outside the spectrum (the sweep makes none); a
     non-integral number, like any witness outside the validity region of
-    its family's bound, raises ValidityError."""
+    its family's bound, raises ValidityError.  A margin that is NaN or
+    whose arithmetic raises is no verdict, as in the sweep: DomainError."""
     if check_id not in MARGINS:
         raise DomainError(f"unknown check id {check_id!r}")
     params = {k: v for k, v in witness.items() if k != "spectrum"}
@@ -622,9 +605,16 @@ def reevaluate(spec: Spectrum, check_id: str, witness: dict) -> float:
             raise DomainError(f"{check_id}: {key} must be in 1..{top}, "
                               f"got {value}")
     gate = _GATES.get(check_id)
-    if gate is not None:
-        gate(spec, **params)
-    return MARGINS[check_id](spec, **params)
+    try:
+        if gate is not None:
+            gate(spec, **params)
+        margin = MARGINS[check_id](spec, **params)
+    except ArithmeticError as exc:
+        raise DomainError(f"{check_id} cannot be evaluated at {params}: "
+                          f"{exc!r}") from exc
+    if margin != margin:
+        raise DomainError(f"{check_id} has a NaN margin at {params}")
+    return margin
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from rieszbounds import bounds, specfun, spectra, verify
-from rieszbounds.errors import DomainError
+from rieszbounds.errors import DomainError, ResourceLimitError
 from rieszbounds.riesz import eigensum_prefix, riesz_value, square_prefix
 
 
@@ -135,6 +135,38 @@ def bessel_j_prime(nu: float, x: float) -> float:
 def mcmahon_asymptote(nu: float, p: int) -> float:
     """Leading McMahon term (p + nu/2 - 1/4) * pi for the p-th zero."""
     return (p + nu / 2.0 - 0.25) * math.pi
+
+
+def box_eigenvalues_recursive(sides, lam_max: float) -> np.ndarray:
+    """The eigenvalues of ``spectra.box_spectrum``, by a recursion over the
+    axes that makes one float, one list append and one cap check per
+    eigenvalue: each axis stops at its first sum at or above ``lam_max``,
+    and the list is sorted.  More than ``spectra.MAX_EIGENVALUES`` values
+    raise ResourceLimitError.  Input is not validated."""
+    coeffs = [math.pi**2 / float(s)**2 for s in sides]
+    d = len(coeffs)
+    vals = []
+
+    def recurse(axis: int, acc: float) -> None:
+        c = coeffs[axis]
+        n = 1
+        while True:
+            t = acc + c * n * n
+            if t >= lam_max:
+                break
+            if axis == d - 1:
+                if len(vals) >= spectra.MAX_EIGENVALUES:
+                    raise ResourceLimitError(
+                        f"eigenvalue count exceeds cap "
+                        f"{spectra.MAX_EIGENVALUES}")
+                vals.append(t)
+            else:
+                recurse(axis + 1, t)
+            n += 1
+
+    recurse(0, 0.0)
+    vals.sort()
+    return np.array(vals)
 
 
 def ball_eigenvalues_per_zero(d: int, radius: float,

@@ -106,6 +106,37 @@ class TestRieszRow:
              for s in sigmas]
 
 
+class TestBadSigma:
+    """A NaN sigma, or a sigma sequence of another length than the z
+    values, raises DomainError before any sum."""
+
+    @pytest.fixture
+    def no_sums(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("summed")
+
+        for name in ("riesz_sum", "riesz_sums", "riesz_grid"):
+            monkeypatch.setattr(riesz._kernels, name, fail)
+
+    @pytest.mark.parametrize("sigmas", [[1.0, 2.0], [1.0, 2.0, 0.5, 3.0], []],
+                             ids=["short", "long", "empty"])
+    def test_row_length(self, square_pi, no_sums, sigmas):
+        with pytest.raises(DomainError, match=f"got {len(sigmas)} sigmas "
+                           "for 3 z values"):
+            riesz.riesz_row(square_pi, sigmas, [50.0, 120.5, 7.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: riesz.riesz_value(spec, math.nan, 50.0),
+        lambda spec: riesz.riesz_row(spec, math.nan, [50.0, 7.0]),
+        lambda spec: riesz.riesz_row(spec, [1.0, math.nan], [50.0, 7.0]),
+        lambda spec: riesz.riesz_grid(spec, [0.5, math.nan], [50.0, 7.0]),
+    ], ids=["value", "row", "row-sequence", "grid"])
+    def test_nan_sigma(self, square_pi, no_sums, call):
+        with pytest.raises(DomainError, match="sigma must be a number, "
+                           "got nan"):
+            call(square_pi)
+
+
 class TestCounting:
     def test_strict_at_eigenvalue(self, square_pi):
         # N(z) counts lambda_k < z strictly

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszbounds.specfun as specfun
 from rieszbounds import bounds, spectra
@@ -16,7 +18,12 @@ from rieszbounds.errors import (
     SpectrumFormatError,
     SpectrumValidationError,
 )
-from oracles import ball_eigenvalues_per_zero, spectrum_csv, spectrum_text
+from oracles import (
+    ball_eigenvalues_per_zero,
+    box_eigenvalues_recursive,
+    spectrum_csv,
+    spectrum_text,
+)
 
 
 class TestBoxSpectrum:
@@ -57,6 +64,63 @@ class TestBoxSpectrum:
         monkeypatch.setattr(spectra, "MAX_EIGENVALUES", 10)
         with pytest.raises(ResourceLimitError):
             spectra.box_spectrum([1.0, 1.0], 5000.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestBoxArrayPass:
+    """``box_spectrum`` builds its values in one array pass per axis; the
+    recursion of ``oracles.box_eigenvalues_recursive`` is the bit-for-bit
+    reference."""
+
+    @given(st.lists(st.floats(min_value=0.25, max_value=5.0),
+                    min_size=1, max_size=5),
+           st.integers(min_value=1, max_value=1500),
+           st.one_of(st.none(), st.integers(min_value=0)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_recursion_bit_for_bit(self, sides, target, on_value):
+        # lam_max is set by Weyl's law for about ``target`` eigenvalues,
+        # and at least past the first; ``on_value`` moves it onto one of
+        # the eigenvalues above the first, which the strict bound excludes
+        d = len(sides)
+        lam_1 = sum(math.pi**2 / s**2 for s in sides)
+        weyl = 4 * math.pi * (target * math.gamma(1 + d / 2)
+                              / math.prod(sides))**(2 / d)
+        lam_max = max(weyl, 1.5 * lam_1)
+        if on_value is not None:
+            ref = box_eigenvalues_recursive(sides, lam_max)
+            above = ref[ref > ref[0]]
+            if len(above):
+                lam_max = float(above[on_value % len(above)])
+        got = spectra.box_spectrum(sides, lam_max).eigenvalues
+        ref = box_eigenvalues_recursive(sides, lam_max)
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert got[-1] < lam_max
+
+    def test_unit_square_below_1_3e7(self):
+        # the 1,033,365 eigenvalues behind the large verification runs
+        got = spectra.box_spectrum([1.0, 1.0], 1.3e7).eigenvalues
+        assert len(got) == 1_033_365
+        assert np.array_equal(
+            _bits(got), _bits(box_eigenvalues_recursive([1.0, 1.0], 1.3e7)))
+
+    def test_cap_counts_final_eigenvalues_only(self, monkeypatch):
+        # a thin third axis: the 764 sums over the first two axes below
+        # 1e4 outnumber the 459 eigenvalues, and the cap counts only the
+        # eigenvalues, as the recursion did
+        sides, lam_max = [1.0, 1.0, 0.05], 1e4
+        assert len(spectra.box_spectrum(sides[:2], lam_max)) == 764
+        n = len(box_eigenvalues_recursive(sides, lam_max))
+        assert n == 459
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", n)
+        assert len(spectra.box_spectrum(sides, lam_max)) == n
+        monkeypatch.setattr(spectra, "MAX_EIGENVALUES", n - 1)
+        with pytest.raises(ResourceLimitError):
+            spectra.box_spectrum(sides, lam_max)
+        with pytest.raises(ResourceLimitError):
+            box_eigenvalues_recursive(sides, lam_max)
 
 
 class TestBallSpectrum:

@@ -980,3 +980,18 @@ class TestBadWitness:
         assert len(square_pi_200) == 141
         with pytest.raises(DomainError):
             verify.reevaluate(square_pi_200, check_id, witness)
+
+    @pytest.mark.parametrize("check_id, witness, cause", [
+        ("hoelder_chain", {"form": "logconvex", "z": 150.0, "sigma0": 1.0,
+                           "sigma1": 1.0, "sigma2": 1.0}, "ZeroDivisionError"),
+        ("thm21_deriv1", {"sigma": 1.5, "z": 150.0, "h": 0.0},
+         "ZeroDivisionError"),
+        ("thm21_diff1", {"sigma": math.inf, "z": 150.0}, "NaN margin"),
+    ], ids=["equal-sigmas", "zero-step", "infinite-sigma"])
+    def test_no_verdict(self, square_pi_200, check_id, witness, cause):
+        # a margin whose arithmetic raises, or a NaN margin, is no verdict:
+        # DomainError naming the check and the point, as in the sweep
+        with pytest.raises(DomainError, match=f"^{check_id} ") as got:
+            verify.reevaluate(square_pi_200, check_id, witness)
+        assert str(witness) in str(got.value)
+        assert cause in str(got.value)
