@@ -12,7 +12,8 @@ on the square and the 3-ball, at full precision, ``riesz --z`` at sigma =
 1/2, 1 and 5/2, ``riesz --means`` at a k inside a run of equal
 eigenvalues, and ``riesz --legendre``; then the spectra of the unit cube
 and the 1 x 2 x 3 box below 3000 in text, and ``bounds --bessel-zeros``
-of the consecutive orders 0, 1 and 2 at full precision.  The child
+of the consecutive orders 0, 1, 2 and of 1/2, 3/2, 5/2 at full
+precision.  The child
 processes import ``rieszbounds`` the way this process would, so
 ``PYTHONPATH`` selects the tree under test.  Two trees give
 byte-identical output exactly when their digest lists are equal:
@@ -81,9 +82,13 @@ def _invocations():
         yield f"spectrum-{name}-text", ["spectrum", "--box", *sides,
                                         "--lambda-max", "3000"]
     # consecutive orders: each order's zeros are bracketed by the cached
-    # zeros of the order below and found in one batch
+    # zeros of the order below and found in one batch, for integer and
+    # half-integer orders
     yield "bounds-bessel-zeros-012-full", [
         "bounds", "--bessel-zeros", "0,1,2", "--zero-count", "40",
+        "--full-precision"]
+    yield "bounds-bessel-zeros-half-full", [
+        "bounds", "--bessel-zeros", "0.5,1.5,2.5", "--zero-count", "40",
         "--full-precision"]
 
 

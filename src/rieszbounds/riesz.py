@@ -217,7 +217,14 @@ def _geometric_mean(spec: Spectrum, k: int) -> float:
 
 
 def _harmonic_mean(spec: Spectrum, k: int) -> float:
+    """k over the sum of the reciprocals of the first k eigenvalues.  A
+    reciprocal outside the float range (of a subnormal eigenvalue) raises
+    OverflowError before any is taken, as ``math.fsum`` does on a sum of
+    finite ones that leaves it."""
     _check_index(spec, k)
+    if 1.0 / spec.lambda_1 == math.inf:
+        raise OverflowError(f"1 / lambda_1 = 1 / {spec.lambda_1} is "
+                            "outside the float range")
     return k / _kernels.head_sum(_runs(spec), k, lambda values: 1.0 / values)
 
 
@@ -239,10 +246,15 @@ def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
                                    "means at k={}: power mean of order {}",
                                    k, sigma)
              for sigma in sigma_list}
+    try:
+        harmonic = _harmonic_mean(spec, k)
+    except OverflowError:
+        raise DomainError(f"means at k={k}: the sum of reciprocals behind "
+                          "the harmonic mean is outside the float "
+                          "range") from None
     return MeanSet(k=k, mean=mean, mean_sq=mean_sq, power_means=power,
                    geometric=_geometric_mean(spec, k),
-                   harmonic=_finite(_harmonic_mean(spec, k),
-                                    "means at k={}: harmonic", k))
+                   harmonic=_finite(harmonic, "means at k={}: harmonic", k))
 
 
 def _math_logs(values):

@@ -8,28 +8,28 @@ memoized per argument (a bounded memo), since the bounds ask for the same
 few Gamma(1 + d/2) and Gamma(1 + sigma) again and again.  The zero finder
 is our own and caches the zeros of each order:
 
-* Interlacing brackets.  Zeros of neighbouring orders interlace,
-  j_{nu-1,p} < j_{nu,p} < j_{nu-1,p+1} (DLMF 10.21(i)), and J_nu has sign
-  (-1)^(p-1) just above j_{nu-1,p}.  When order nu - 1 is cached, every zero
-  of order nu it brackets is found in one batch.  Each starts from the
-  polynomial extrapolation in the order, of degree at most 8, through the
-  zeros of the same index of up to nine consecutive cached orders below;
-  through nine orders most starts lie within 1e-9 of the zero, so the first
-  Newton step is the final polish.
+* Interlacing brackets, in one batch.  Zeros of neighbouring orders
+  interlace, j_{nu-1,p} < j_{nu,p} < j_{nu-1,p+1} (DLMF 10.21(i)), and
+  J_nu has sign (-1)^(p-1) just above j_{nu-1,p}.  Each order's cache
+  records a bound below which it holds every zero.  If order nu - 1 holds
+  every zero below a bound, K of them, zeros 1 .. K-1 of order nu lie
+  between consecutive ones, and zero K lies in (j_{nu-1,K}, bound) exactly
+  when J_nu changes sign there, since that interval lies inside
+  (j_{nu-1,K}, j_{nu-1,K+1}).  One J_nu evaluation at the bound decides
+  it, and every missing zero below the bound is found in one batch; none
+  at or above it is.  Zero K's bracket ends at j_{nu-1,K+1} if that is
+  cached and otherwise at max(bound, j_{nu-1,K} + pi), which is at most
+  j_{nu-1,K+1}.  An order extended without a bound is batched with the
+  last cached zero of order nu - 1 as the bound: by interlacing zero K
+  always lies below it, and its bracket ends there.  Each zero
+  starts from the polynomial extrapolation in the order, of degree at
+  most 8, through the zeros of the same index of up to nine consecutive
+  cached orders below; through nine orders most starts lie within 1e-9
+  of the zero, so the first Newton step is the final polish.
 * Scanning.  Zeros that no cached order brackets are found one at a time
   by a sign-change scan, starting at max(nu, 0) for the first zero
   (j_{nu,1} > nu) and otherwise pi/2 above the previous zero (consecutive
   zeros are more than pi/2 apart) or at j_{nu-1,p}, whichever is larger.
-* Bounded fills.  Each order's cache records a bound below which it holds
-  every zero.  If order nu - 1 holds every zero below a bound, K of them,
-  zeros 1 .. K-1 of order nu lie between consecutive ones, and zero K lies
-  in (j_{nu-1,K}, bound) exactly when J_nu changes sign there, since that
-  interval lies inside (j_{nu-1,K}, j_{nu-1,K+1}).  One J_nu evaluation at
-  the bound decides it, and zero K joins the batch, so no zero at or above
-  the bound is found.  Its bracket ends at j_{nu-1,K+1} if that is cached
-  and otherwise at max(bound, j_{nu-1,K} + pi), which is at most
-  j_{nu-1,K+1}, so an extrapolated start below it is the one the unbounded
-  fill takes.
 * Batched safeguarded Newton.  Each iteration evaluates J_nu and J_{nu-1}
   once over all unconverged brackets as numpy arrays; converged lanes drop
   out.  A lane stops when its Newton step is at most 1e-9 absolute (or 4 ulps
@@ -227,24 +227,17 @@ def _start_points(nu: float, n: int, a, b):
     return x
 
 
-def _extend_zeros(nu: float, zeros: array, p: int) -> None:
+def _extend_zeros(nu: float, zeros: _OrderZeros, p: int) -> None:
     """Append zeros of J_nu until at least p are cached.
 
-    Every zero that the cached order nu - 1 brackets is computed in one
-    batch; the rest are found one at a time by scanning.
+    If the cached order nu - 1 brackets the next zero, holding more than
+    len(zeros) + 1 zeros, ``_fill_below`` finds every zero below its last
+    one in one batch; the rest are found here, one at a time by
+    scanning.
     """
     below = _zero_cache.get(nu - 1.0, [])
-    n = len(zeros)
-    if len(below) > n + 1:
-        # j_{nu-1,q} < j_{nu,q} < j_{nu-1,q+1} for q = n+1 .. len(below)-1;
-        # J_nu has sign (-1)^(q-1) just above j_{nu-1,q}
-        a = np.array(below[n:-1])
-        b = np.array(below[n + 1:])
-        x = _start_points(nu, n, a, b)
-        sign_a = 1.0 - 2.0 * (np.arange(n, len(below) - 1) % 2)
-        new = _newton(nu, a, b, x, sign_a)
-        _check_residuals(nu, new, n + 1)
-        zeros.extend(new.tolist())
+    if len(below) > len(zeros) + 1:
+        _fill_below(nu, zeros, below[-1])
     while len(zeros) < p:
         q = len(zeros)
         # j_{nu,1} > max(nu, 0); consecutive zeros are more than pi/2 apart
@@ -264,13 +257,13 @@ def _fill_below(nu: float, zeros: _OrderZeros, bound: float) -> None:
     """Append zeros of J_nu until every zero below ``bound`` is cached.
 
     If the cached order nu - 1 holds every zero below ``bound``, K of them,
-    the missing zeros among 1 .. K are found in one batch, bracketed as in
-    ``_extend_zeros``; zero K joins it when J_nu changes sign on
-    (j_{nu-1,K}, bound), and its bracket ends at j_{nu-1,K+1} if that is
-    cached and at max(bound, j_{nu-1,K} + pi) otherwise.  No zero at or
-    above ``bound`` is found.  Otherwise zeros are appended as
-    ``_extend_zeros`` appends them, through the first at or above
-    ``bound``.
+    the missing zeros among 1 .. K are found in one batch: zero q < K in
+    (j_{nu-1,q}, j_{nu-1,q+1}), and zero K, when J_nu changes sign on
+    (j_{nu-1,K}, bound), with its bracket ending at j_{nu-1,K+1} if that
+    is cached and at max(bound, j_{nu-1,K} + pi) otherwise.  No zero at or
+    above ``bound`` is found.  This is the one batched Newton pass.
+    Otherwise zeros are appended by ``_extend_zeros``, one more at a
+    time, through the first at or above ``bound``.
     """
     lower = _zero_cache.get(nu - 1.0)
     if lower is None or not lower.holds_below(bound):
@@ -374,10 +367,10 @@ def bessel_zeros(nu: float, below: float = math.inf) -> Iterator[float]:
 
     Without a bound the zeros are found as the iteration reaches them, and
     taking p zeros fills the zero cache exactly as the calls
-    bessel_zero(nu, 1), ..., bessel_zero(nu, p) do: at zero 1, one batch of
-    the zeros that a cached order nu - 1 brackets, then one scanned zero at
-    a time.  That matters beyond the count, since the path that found a
-    zero sets its last bits.  The values, their accuracy and the
+    bessel_zero(nu, 1), ..., bessel_zero(nu, p) do: at zero 1, one batch,
+    the bounded fill below the last cached zero of order nu - 1, then one
+    scanned zero at a time.  That matters beyond the count, since the path
+    that found a zero sets its last bits.  The values, their accuracy and the
     DomainError before a zero past 2^20 are those of the calls; the zeros
     already cached are read under one lock.
 

@@ -119,9 +119,23 @@ class Spectrum:
 def _check_weyl_count(d: int, volume: float, lam_max: float) -> None:
     """Fail before any work if Weyl's law predicts far more than
     MAX_EIGENVALUES eigenvalues below ``lam_max``; an infinite ``lam_max``
-    always fails."""
-    predicted = (volume * (lam_max / (4 * math.pi))**(d / 2)
-                 / specfun.gamma(1 + d / 2))
+    always fails.  Where (lam_max / 4 pi)^(d/2) or Gamma(1 + d/2) leaves
+    the float range, the prediction is compared in logs; a volume that
+    underflowed to 0 then raises DomainError, as no spectrum can carry
+    it."""
+    gamma = specfun.gamma(1 + d / 2)
+    try:
+        predicted = volume * (lam_max / (4 * math.pi))**(d / 2) / gamma
+    except OverflowError:
+        gamma = math.inf
+    if gamma == math.inf:
+        if volume == 0.0:
+            raise DomainError(f"the volume in dimension {d} underflows to "
+                              "0, so no eigenvalue count can be predicted")
+        log10 = (math.log10(volume)
+                 + d / 2 * math.log10(lam_max / (4 * math.pi))
+                 - math.lgamma(1 + d / 2) / math.log(10))
+        predicted = 10.0 ** log10 if log10 < 308.0 else math.inf
     if predicted > 2 * MAX_EIGENVALUES:
         raise ResourceLimitError(f"predicted eigenvalue count {predicted:.3g} "
                                  f"exceeds cap {MAX_EIGENVALUES}")
@@ -157,7 +171,8 @@ def box_spectrum(sides, lam_max: float) -> Spectrum:
     lam_1 = sum(coeffs)
     if lam_max <= lam_1:
         raise EmptySpectrumError(
-            f"lam_max={lam_max} is below the first eigenvalue {lam_1}")
+            f"lam_max={lam_max} is not above the first eigenvalue "
+            f"{lam_1}")
     d = len(sides)
     volume = math.prod(sides)
     if volume == math.inf:
@@ -258,7 +273,8 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
         ell += 1
     if not values:
         raise EmptySpectrumError(
-            f"lam_max={lam_max} is below the first eigenvalue of the ball")
+            f"lam_max={lam_max} is not above the first eigenvalue of the "
+            "ball")
     eigenvalues = np.repeat(values, counts)
     eigenvalues.sort()
     return Spectrum(

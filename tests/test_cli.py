@@ -351,6 +351,10 @@ class TestBadInput:
         # the squares are finite, their sum is not
         ("1e154 1.2e154 1.3e154", ("--means", "3"), "mean_sq"),
         ("1e-3 2e-3", ("--z", "1.3e154", "--sigma", "2"), "riesz_mean"),
+        # 1 / 1e-320 overflows; the two reciprocals of 1e-308 sum past
+        # the float range
+        ("1e-320 2", ("--means", "2"), "sum of reciprocals"),
+        ("1e-308 1e-308", ("--means", "2"), "sum of reciprocals"),
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_value_outside_float_range_exits_2(self, capsys, tmp_path, fmt,
@@ -364,6 +368,90 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error:")
         assert name in err
+
+
+def _adversarial_invocations():
+    """Adversarial invocations of the subcommands that do not verify: NaN,
+    inf, huge and negative values for each numeric flag, and the Weyl
+    counts whose power overflows."""
+    box = ("--box", "1", "1", "--lambda-max", "100")
+    ball = ("--ball", "--dim", "2", "--lambda-max", "100")
+    for bad in ("nan", "inf", "1e308", "-1"):
+        yield "spectrum", "--box", bad, "1", "--lambda-max", "100"
+        yield "spectrum", "--box", "1", "1", "--lambda-max", bad
+        yield "spectrum", "--ball", "--dim", "2", "--radius", bad, \
+            "--lambda-max", "100"
+        yield "spectrum", "--ball", "--dim", "2", "--lambda-max", bad
+        yield "riesz", *box, "--z", "50", "--sigma", bad
+        yield "riesz", *box, "--legendre", bad
+        yield "bounds", "--bessel-zeros", bad
+        yield "bounds", "--eval", "cheng_yang", "--arg", f"d={bad}", \
+            "--arg", "k=3"
+        yield "bounds", "--eval", "riesz_upper", "--arg", f"sigma={bad}", \
+            "--arg", "d=2", "--arg", "volume=1", "--arg", "z=10"
+        yield "bounds", "--eval", "riesz_upper", "--arg", "sigma=1", \
+            "--arg", "d=2", "--arg", f"volume={bad}", "--arg", "z=10"
+    for bad in ("nan", "inf", "1e308"):    # R_sigma(-1) = 0 is a value
+        yield "riesz", *box, "--z", bad
+        yield "riesz", *ball, "--z", bad
+        yield "bounds", "--eval", "riesz_upper", "--arg", "sigma=1", \
+            "--arg", "d=2", "--arg", "volume=1", "--arg", f"z={bad}"
+    for bad in ("nan", "inf", str(10**30), "-1"):
+        yield "spectrum", "--ball", "--dim", bad, "--lambda-max", "100"
+        yield "riesz", *box, "--means", bad
+        yield "bounds", "--bessel-zeros", "0", "--zero-count", bad
+    # (lam_max / 4 pi)^(d/2) overflows: ~10^205 eigenvalues of the cube
+    # lie below 1e4, none of the 1000-ball below 100
+    yield "spectrum", "--ball", "--dim", "1000", "--lambda-max", "100"
+    yield "spectrum", "--box", *["1"] * 400, "--lambda-max", "1e4"
+    yield "riesz", "--box", *["1"] * 400, "--lambda-max", "1e4", "--z", "5"
+    for kind in ("table", "figure"):
+        for bad in ("nan", "inf", "1e308", "-1"):
+            yield kind, bad
+    yield "table", "table1", "--format", "text"
+    yield "figure", "fig1", "--full-precision", "17"
+
+
+class TestExitCodeTable:
+    """Every adversarial invocation exits 2 with one ``error:`` line on
+    stderr, last, and no traceback; exit 1 means a failed inequality."""
+
+    @pytest.mark.parametrize(
+        "argv", list(_adversarial_invocations()),
+        ids=lambda argv: " ".join(
+            argv if len(argv) < 20 else (*argv[:3], "...", *argv[-3:])))
+    def test_exits_2(self, capsys, argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:    # argparse rejects the argument
+            code = exc.code
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert code == 2
+        assert out.out == ""
+        assert "Traceback" not in out.err
+        assert [line for line in lines if "error:" in line] == lines[-1:]
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--ball", "--dim", "1000", "--lambda-max", "100"),
+        ("riesz", "--load", "{path}", "--means", "2"),
+    ])
+    def test_in_a_fresh_process(self, tmp_path, argv):
+        # a separate interpreter shows every traceback and warning that
+        # would reach stderr: 1 / 1e-320 overflows in numpy
+        path = tmp_path / "subnormal.txt"
+        path.write_text("dim: 2\ncomplete_below: 1e308\n1e-320\n2\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        done = subprocess.run(
+            [sys.executable, "-m", "rieszbounds.cli",
+             *(arg.format(path=path) for arg in argv)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("error:")
 
 
 @pytest.fixture(scope="module")

@@ -176,6 +176,18 @@ class TestMeans:
                                            for s in (0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
 
+    @pytest.mark.parametrize("values", [[1e-320, 2.0], [1e-308, 1e-308]])
+    def test_harmonic_reciprocals_outside_float_range(self, values):
+        # 1 / 1e-320 overflows; 1 / 1e-308 does not, but two of them sum
+        # past the float range; either raises DomainError with no warning
+        spec = spectra.Spectrum(
+            dimension=2, eigenvalues=np.array(values), complete_below=1e308,
+            domain=spectra.DomainSpec("file", 2))
+        with pytest.raises(DomainError, match="sum of reciprocals"):
+            riesz.means(spec, 2)
+        with pytest.raises(OverflowError):
+            riesz._harmonic_mean(spec, 2)
+
     def test_k_range_guard(self, square_pi):
         with pytest.raises(DomainError):
             riesz.means(square_pi, 0)

@@ -399,6 +399,54 @@ class TestZerosByOrder:
             next(specfun.bessel_zeros(0.0, below))
 
 
+class TestOneBatchPath:
+    """Every batched Newton pass goes through ``_fill_below``; an order
+    extended without a bound is filled below the last cached zero of the
+    order beneath it, with the bits and cache of that bounded fill."""
+
+    def test_unbounded_batch_is_the_bounded_fill(self, monkeypatch):
+        # order 0 holds 40 zeros, so the first 39 of order 1 lie below
+        # j_{0,40}: taking them without a bound fills order 1 below it
+        monkeypatch.setattr(specfun, "_zero_cache", {})
+        bound = list(islice(specfun.bessel_zeros(0.0), 40))[-1]
+        order0 = specfun._zero_cache[0.0]
+        filled = []
+        for take in (lambda: list(islice(specfun.bessel_zeros(1.0), 39)),
+                     lambda: list(specfun.bessel_zeros(1.0, bound))):
+            cache = {0.0: order0}
+            monkeypatch.setattr(specfun, "_zero_cache", cache)
+            filled.append((take(), cache[1.0].tobytes(), cache[1.0].bound))
+        assert filled[0] == filled[1]
+        assert len(filled[0][0]) == 39
+        assert filled[0][2] == bound
+
+    def test_newton_batches_only_in_fill_below(self, fresh_zero_cache,
+                                               monkeypatch):
+        depth = [0]
+        batches = []
+        fill_below, newton = specfun._fill_below, specfun._newton
+
+        def filling(*args):
+            depth[0] += 1
+            try:
+                return fill_below(*args)
+            finally:
+                depth[0] -= 1
+
+        def counting(nu, a, *rest):
+            if len(a) > 1:
+                batches.append(depth[0])
+            return newton(nu, a, *rest)
+
+        monkeypatch.setattr(specfun, "_fill_below", filling)
+        monkeypatch.setattr(specfun, "_newton", counting)
+        for nu in (0.0, 1.0, 2.0, 0.5, 1.5):
+            list(islice(specfun.bessel_zeros(nu), 40))
+        spectra.ball_spectrum(3, 1.0, 2000.0)
+        assert len(batches) > 0
+        assert all(batches)
+
+
 class TestZeroFinderCost:
     """J evaluations per zero, counted element-wise through specfun._jv."""
 
@@ -425,6 +473,19 @@ class TestZeroFinderCost:
         evaluations[0] = 0
         n = len(_zeros_through(1.0, 100.0))
         assert evaluations[0] <= 7.5 * n
+
+    def test_export_of_consecutive_orders(self, evaluations):
+        # 1,107, of which one per batched order (1 and 2) is the sign test
+        # at the bound
+        for nu in (0.0, 1.0, 2.0):
+            list(islice(specfun.bessel_zeros(nu), 40))
+        assert evaluations[0] <= 1107
+
+    def test_disk_and_ball3_total(self, evaluations):
+        # the zeros behind the disk below 1e5 and the 3-ball below 3e4
+        spectra.ball_spectrum(2, 1.0, 1e5)
+        spectra.ball_spectrum(3, 1.0, 3e4)
+        assert evaluations[0] <= 55_759
 
     @pytest.mark.parametrize("d, lam_max, budget", [(2, 2e4, 4.2),
                                                     (3, 1e4, 4.8)])

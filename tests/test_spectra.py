@@ -3,6 +3,7 @@ Bessel-zero oracles; file round-trips; validation gates."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rieszbounds.errors import (
     DomainError,
     EmptySpectrumError,
     ResourceLimitError,
+    RieszBoundsError,
     SpectrumFormatError,
     SpectrumValidationError,
 )
@@ -300,6 +302,66 @@ class TestBallAssembly:
         assert list(cache) == list(fresh_cache)
         for nu, zeros in fresh_cache.items():
             assert cache[nu].tobytes() == zeros.tobytes(), nu
+
+
+class TestWeylCount:
+    """The Weyl-law guard compares in logs where its power or Gamma factor
+    leaves the float range, and decides as before everywhere else."""
+
+    @pytest.mark.parametrize("lam_max, count", [(1e4, "1.82e+205"),
+                                                (math.inf, "inf")])
+    def test_large_cube_is_a_resource_limit(self, lam_max, count):
+        # (lam_max / 4 pi)^200 overflows and Gamma(201) is inf
+        with pytest.raises(ResourceLimitError,
+                           match=re.escape(f"count {count} ")):
+            spectra.box_spectrum([1.0] * 400, lam_max)
+
+    def test_ball_whose_volume_underflows_fails_before_any_zero(
+            self, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("Bessel work done before the Weyl count")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(RieszBoundsError, match="underflows"):
+            spectra.ball_spectrum(1000, 1.0, 100.0)
+
+    @given(st.integers(min_value=1, max_value=400),
+           st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=-5.0, max_value=300.0))
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_where_nothing_overflows(self, d, log_volume,
+                                               log_lam):
+        # elsewhere only the decision's arithmetic moves to logs, and no
+        # OverflowError escapes
+        volume, lam_max = 10.0 ** log_volume, 10.0 ** log_lam
+        gamma = specfun.gamma(1 + d / 2)
+        try:
+            predicted = volume * (lam_max / (4 * math.pi))**(d / 2) / gamma
+        except OverflowError:
+            predicted = None
+        try:
+            spectra._check_weyl_count(d, volume, lam_max)
+            raised = False
+        except ResourceLimitError:
+            raised = True
+        if predicted is not None and gamma < math.inf:
+            assert raised == (predicted > 2 * spectra.MAX_EIGENVALUES)
+
+
+class TestEmptyMessage:
+    """lam_max at the first eigenvalue leaves the spectrum empty, and the
+    error says lam_max is not above it."""
+
+    def test_box(self):
+        with pytest.raises(EmptySpectrumError,
+                           match="is not above the first eigenvalue"):
+            spectra.box_spectrum([1.0, 1.0], 2 * math.pi ** 2)
+
+    def test_ball(self):
+        j01 = specfun.bessel_zero(0.0, 1).value
+        with pytest.raises(EmptySpectrumError,
+                           match="is not above the first eigenvalue"):
+            spectra.ball_spectrum(2, 1.0, j01 ** 2)
 
 
 class TestSpectrumValidation:
