@@ -14,11 +14,17 @@ on the disk below 1e5 and the 3-ball below 3e4.  The eigenvalues are
 compared bit for bit, and so is every zero that ``ball_spectrum`` caches
 with the reference's zero of the same order and index.  The reference
 finds each order's first zero at or above the limit; ``ball_spectrum``
-finds it only for its first order, which no order below brackets, and any
-later order that caches a zero at or above its bound fails.  Printed: the
-spectrum's zeros (those below the limit), the zeros cached at or above the
-limit, and the J evaluations per spectrum zero, counted element-wise
+finds it only for the chain roots it scans (orders 0 and 1/2), and an order
+that is not a root and caches a zero at or above its bound fails.  Printed:
+the spectrum's zeros (those below the limit), the zeros cached at or above
+the limit, and the J evaluations per spectrum zero, counted element-wise
 through ``specfun._jv`` in one more, untimed run.
+
+Lone queries: J evaluations and time, each from an empty zero cache, of
+the first zero of orders 7, 100, 511 and 1000, which fill the chain of
+orders below them (rooted at 0, 0, 0 and 512), and of the export
+``bounds --bessel-zeros 0,0.5,7 --zero-count 40``.  Each has a budget of
+J evaluations and of seconds.
 
 Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
@@ -32,14 +38,15 @@ alternately, best of repeats, and their bytes are compared.
 Run:  python3 benchmarks/bench_spectra.py
 Exit status 1 if any box eigenvalue differs in any bit from the
 recursion's, if any generated ball eigenvalue or cached zero differs in
-any bit from the reference's, if an order after the first caches a zero
-at or above its bound, or if any writer's bytes differ from its
-reference's.
+any bit from the reference's, if an order that is not a chain root caches
+a zero at or above its bound, if a lone query exceeds its budget, or if
+any writer's bytes differ from its reference's.
 """
 
 import io
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +66,18 @@ BOXES = (("square, lambda < 1.3e7", [1.0, 1.0], 1.3e7),
          ("1 x 2 x 3, lambda < 3e4", [1.0, 2.0, 3.0], 3e4))
 #: (name, d, lambda_max) of the generated unit balls
 BALLS = (("disk, lambda < 1e5", 2, 1e5), ("ball d=3, lambda < 3e4", 3, 3e4))
+#: (name, query, J evaluations, seconds) of the lone queries; the budgets
+#: are about 1.1 times the J evaluations and 2.5 to 5 times the time
+#: measured on a 2-vCPU host, which can run 2x slow in episodes
+LONE = (
+    ("j_{7,1}", lambda: specfun.bessel_zero(7.0, 1), 350, 0.02),
+    ("j_{100,1}", lambda: specfun.bessel_zero(100.0, 1), 21_000, 0.4),
+    ("j_{511,1}", lambda: specfun.bessel_zero(511.0, 1), 450_000, 4.0),
+    ("j_{1000,1}", lambda: specfun.bessel_zero(1000.0, 1), 410_000, 4.0),
+    ("export 0,0.5,7 x 40",
+     lambda: [list(islice(specfun.bessel_zeros(nu), 40))
+              for nu in (0.0, 0.5, 7.0)], 3_300, 0.1),
+)
 
 
 def _spectra():
@@ -125,15 +144,15 @@ def _same_zeros(cache, ref_cache) -> bool:
 
 
 def _stops_at_bound(cache) -> bool:
-    """Whether no order after the first caches a zero at or above the
-    bound it was filled below."""
-    _, *rest = cache.values()
-    return all(zeros[-1] < zeros.bound for zeros in rest if len(zeros))
+    """Whether no order that is not a chain root caches a zero at or above
+    the bound it was filled below."""
+    return all(zeros[-1] < zeros.bound for nu, zeros in cache.items()
+               if specfun._rank(nu) and len(zeros))
 
 
-def _evaluations(d, lam_max) -> int:
-    """J evaluations of one untimed ``ball_spectrum`` run from an empty
-    zero cache, counted element-wise through ``specfun._jv``."""
+def _evaluations(fn, *args) -> int:
+    """J evaluations of one untimed ``fn(*args)`` run from an empty zero
+    cache, counted element-wise through ``specfun._jv``."""
     specfun._zero_cache = {}
     jv, count = specfun._jv, [0]
 
@@ -143,7 +162,7 @@ def _evaluations(d, lam_max) -> int:
 
     specfun._jv = counting
     try:
-        spectra.ball_spectrum(d, 1.0, lam_max)
+        fn(*args)
     finally:
         specfun._jv = jv
     return count[0]
@@ -196,8 +215,9 @@ def _generation(repeat: int = 3) -> bool:
         ok &= same and stops
         zeros = np.concatenate([np.asarray(z) for z in cache.values()])
         kept = int(np.count_nonzero(zeros ** 2 < lam_max))
+        evals = _evaluations(spectra.ball_spectrum, d, 1.0, lam_max)
         print(f"{name:<24}{len(ref):>10,}{kept:>8,}{len(zeros) - kept:>7,}"
-              f"{_evaluations(d, lam_max) / kept:>8.2f}"
+              f"{evals / kept:>8.2f}"
               f"{best[0] * 1e3:>10.1f}ms{best[1] * 1e3:>8.1f}ms"
               f"{best[1] / best[0]:>8.2f}  {'equal' if same else 'DIFFER'}"
               f"{'' if stops else ', ZERO AT OR ABOVE A LATER BOUND'}")
@@ -205,9 +225,27 @@ def _generation(repeat: int = 3) -> bool:
     return ok
 
 
+def _lone_queries() -> bool:
+    """J evaluations and time of each lone query from an empty zero cache;
+    True if each is within its budgets."""
+    ok = True
+    print(f"{'lone query':<24}{'J evals':>10}{'budget':>10}{'time':>10}"
+          f"{'budget':>10}")
+    for name, query, max_evals, max_s in LONE:
+        _, elapsed, _ = _fresh_cache_run(query)
+        evals = _evaluations(query)
+        within = evals <= max_evals and elapsed <= max_s
+        ok &= within
+        print(f"{name:<24}{evals:>10,}{max_evals:>10,}{elapsed:>9.3f}s"
+              f"{max_s:>9.2f}s{'' if within else '  OVER BUDGET'}")
+    print()
+    return ok
+
+
 def main() -> int:
     ok = _boxes()
     ok &= _generation()
+    ok &= _lone_queries()
     print(f"{'spectrum':<24}{'format':>7}{'n':>10}{'repeats':>9}"
           f"{'per-value':>12}{'writer':>10}{'ratio':>8}  bytes")
     for name, spec in _spectra().items():

@@ -28,8 +28,9 @@ from itertools import islice
 from . import bounds, riesz, spectra, specfun, verify
 from .errors import ResourceLimitError, RieszBoundsError
 
-#: most Bessel zeros one ``bounds --bessel-zeros`` export may compute
-#: (orders times ``--zero-count``; 10^5 zeros take about 15 s)
+#: most Bessel zeros one ``bounds --bessel-zeros`` export may find, the
+#: orders of their chains below included (``specfun.chain_zeros``); 10^5
+#: zeros of one scanned root take about 12 s, of a batched chain 1.5 s
 MAX_EXPORT_ZEROS = 10**5
 
 
@@ -191,10 +192,12 @@ def cmd_bounds(args) -> int:
         if args.zero_count < 1:
             raise RieszBoundsError(
                 f"--zero-count must be >= 1, got {args.zero_count}")
-        if len(orders) * args.zero_count > MAX_EXPORT_ZEROS:
+        need = specfun.chain_zeros(orders, args.zero_count)
+        if need > MAX_EXPORT_ZEROS:
             raise ResourceLimitError(
                 f"--zero-count {args.zero_count} for {len(orders)} order(s) "
-                f"exceeds cap {MAX_EXPORT_ZEROS} zeros")
+                f"may find {need} zeros with their chains, which exceeds cap "
+                f"{MAX_EXPORT_ZEROS} zeros")
         rows = [[nu, p, value] for nu in orders
                 for p, value in enumerate(
                     islice(specfun.bessel_zeros(nu), args.zero_count), 1)]

@@ -6,30 +6,25 @@ accuracy targets (relative 1e-12 for Gamma on [0.5, 50], absolute 1e-12 for
 J on the needed range) with well-tested implementations; Gamma values are
 memoized per argument (a bounded memo), since the bounds ask for the same
 few Gamma(1 + d/2) and Gamma(1 + sigma) again and again.  The zero finder
-is our own and caches the zeros of each order:
+is our own and caches the zeros of each order.  An order nu < 1, or one
+whose integer part is a multiple of 512, is the root of a chain; any other
+order nu is batched from order nu - 1, filled first, down to its root.  So
+the path to a zero, and its bits, depend on its order alone:
 
+* Roots are scanned, one zero at a time, from max(nu, 0) for the first
+  zero (j_{nu,1} > nu) and otherwise pi/2 above the previous zero
+  (consecutive zeros are more than pi/2 apart).
 * Interlacing brackets, in one batch.  Zeros of neighbouring orders
-  interlace, j_{nu-1,p} < j_{nu,p} < j_{nu-1,p+1} (DLMF 10.21(i)), and
-  J_nu has sign (-1)^(p-1) just above j_{nu-1,p}.  Each order's cache
-  records a bound below which it holds every zero.  If order nu - 1 holds
-  every zero below a bound, K of them, zeros 1 .. K-1 of order nu lie
-  between consecutive ones, and zero K lies in (j_{nu-1,K}, bound) exactly
-  when J_nu changes sign there, since that interval lies inside
-  (j_{nu-1,K}, j_{nu-1,K+1}).  One J_nu evaluation at the bound decides
-  it, and every missing zero below the bound is found in one batch; none
-  at or above it is.  Zero K's bracket ends at j_{nu-1,K+1} if that is
-  cached and otherwise at max(bound, j_{nu-1,K} + pi), which is at most
-  j_{nu-1,K+1}.  An order extended without a bound is batched with the
-  last cached zero of order nu - 1 as the bound: by interlacing zero K
-  always lies below it, and its bracket ends there.  Each zero
-  starts from the polynomial extrapolation in the order, of degree at
-  most 8, through the zeros of the same index of up to nine consecutive
-  cached orders below; through nine orders most starts lie within 1e-9
-  of the zero, so the first Newton step is the final polish.
-* Scanning.  Zeros that no cached order brackets are found one at a time
-  by a sign-change scan, starting at max(nu, 0) for the first zero
-  (j_{nu,1} > nu) and otherwise pi/2 above the previous zero (consecutive
-  zeros are more than pi/2 apart) or at j_{nu-1,p}, whichever is larger.
+  interlace, j_{nu-1,p} < j_{nu,p} < j_{nu-1,p+1} (DLMF 10.21(i)), and J_nu
+  has sign (-1)^(p-1) just above j_{nu-1,p}.  Each order's cache records a
+  bound below which it holds every zero.  If order nu - 1 holds every zero
+  below a bound, K of them, zeros 1 .. K-1 of order nu lie between
+  consecutive ones, and zero K lies in (j_{nu-1,K}, bound) exactly when
+  J_nu changes sign there.  One J_nu evaluation at the bound decides it
+  (none if the bound is j_{nu-1,K+1}); no zero at or above it is found.
+  Each zero starts from the polynomial extrapolation in the order, of
+  degree at most 8, through the zeros of the same index of up to nine
+  orders of its chain below, so most need one Newton step.
 * Batched safeguarded Newton.  Each iteration evaluates J_nu and J_{nu-1}
   once over all unconverged brackets as numpy arrays; converged lanes drop
   out.  A lane stops when its Newton step is at most 1e-9 absolute (or 4 ulps
@@ -37,11 +32,13 @@ is our own and caches the zeros of each order:
   leaves an error of about step^2 / (2x).  A step leaving its bracket is
   replaced by bisection.
 * Every zero is then residual-verified: |J_nu(x)| <= RESIDUAL_TOL *
-  max(1, |J_nu'(x)|), or ConvergenceError.
+  max(1, |J_nu'(x)|), or ConvergenceError.  None at or above 2^20, where
+  one ulp exceeds 1e-10, is cached or returned.
 
 ``bessel_zero(nu, p)`` returns one zero; ``bessel_zeros(nu)`` iterates over
 the zeros of one order, and ``bessel_zeros(nu, below)`` over those below a
-bound, for callers that read a whole order, such as the ball spectra.
+bound, for callers that read a whole order, such as the ball spectra.  A
+lone zero costs the zeros of its chain below it (``chain_zeros``).
 """
 
 from __future__ import annotations
@@ -69,9 +66,13 @@ _STEP_TOL = 1e-9
 _STEP_ULPS = 4
 _MAX_ITER = 200
 #: a batched zero starts from the extrapolation through at most this many
-#: cached orders below it (degree _START_ORDERS - 1)
+#: orders of its chain below it (degree _START_ORDERS - 1)
 _START_ORDERS = 9
 _SCAN_STEP = 0.5  # safe: consecutive zeros of J_nu, nu >= -1/2, are > pi/2 apart
+#: an order nu >= 1 whose integer part is a multiple of this is a chain root
+_CHAIN = 512
+#: no zero at or above this is cached or returned: one ulp there exceeds 1e-10
+_LIMIT = 2.0 ** 20
 
 
 @lru_cache(maxsize=256)
@@ -111,9 +112,14 @@ class _OrderZeros(array):
         zeros.bound = 0.0
         return zeros
 
-    def holds_below(self, x: float) -> bool:
-        """Whether every zero below ``x`` is among them."""
-        return x <= self.bound or (len(self) > 0 and self[-1] >= x)
+    def reach(self) -> float:
+        """The largest x such that every zero below x is among them."""
+        return max(self.bound, self[-1]) if self else self.bound
+
+
+def _rank(nu: float) -> int:
+    """How many orders of its chain lie below order nu; 0 for a root."""
+    return math.floor(nu) % _CHAIN if nu >= 1.0 else 0
 
 
 #: order -> its zeros found so far
@@ -162,132 +168,100 @@ def _newton(nu: float, a, b, x, sign_a):
         f"[{a[0]}, {b[0]}]")
 
 
-def _scan(nu: float, lo: float) -> tuple[float, float, float, float]:
-    """Bracket the first zero of J_nu above ``lo`` by sign-change scanning.
-
-    Returns (a, b, J_nu(a), J_nu(b)).  A grid point where J_nu is exactly
-    0.0 ends the bracket.
-    """
-    a, fa = lo, float(_jv(nu, lo))
-    while True:
-        b = a + _SCAN_STEP
-        fb = float(_jv(nu, b))
-        if fb == 0.0 or (fb > 0) != (fa > 0):
-            return a, b, fa, fb
-        a, fa = b, fb
-
-
 def _check_residuals(nu: float, zeros, first: int) -> None:
     """Residual acceptance: |J_nu(x)| <= RESIDUAL_TOL * max(1, |J_nu'(x)|).
 
-    For nu >= 1, |J_nu'| = |J_{nu-1} - J_{nu+1}| / 2 <= 1 (DLMF 10.14.1),
-    so the bound is RESIDUAL_TOL itself and J_{nu-1} is not evaluated.
+    At a zero, |J_nu'| = |J_{nu+1}| <= 1 (DLMF 10.6.2 and 10.14.1, as
+    nu + 1 >= 0), so the check |J_nu(x)| <= RESIDUAL_TOL, which needs no
+    J_nu', is at least as strict.
     """
-    f = _jv(nu, zeros)
-    bound = np.full(len(zeros), RESIDUAL_TOL)
-    if nu < 1.0:
-        df = _jv(nu - 1.0, zeros) - (nu / zeros) * f
-        bound *= np.maximum(1.0, np.abs(df))
-    bad = np.flatnonzero(np.abs(f) > bound)
+    f = np.abs(_jv(nu, zeros))
+    bad = np.flatnonzero(f > RESIDUAL_TOL)
     if len(bad):
         i = bad[0]
         raise ConvergenceError(
-            f"residual {abs(f[i]):.3e} too large for zero {first + i} "
-            f"of J_{nu}")
+            f"residual {f[i]:.3e} too large for zero {first + i} of J_{nu}")
 
 
 def _start_points(nu: float, n: int, a, b):
     """Newton start points for zeros n+1, n+2, ... of J_nu in brackets (a, b).
 
-    Zeros move smoothly with the order, so j_{nu,q} is extrapolated through
-    the cached zeros j_{nu-1,q} (``a``), ..., j_{nu-m,q} of the m <=
-    _START_ORDERS consecutive orders below that hold it, by the polynomial
-    of degree m - 1 in the order: the m-th finite difference vanishes, so
-    j_{nu,q} ~ sum_{k=1..m} (-1)^(k+1) C(m, k) j_{nu-k,q}.  Zeros with only
-    order nu - 1 below, and guesses outside their bracket, start at the
+    j_{nu,q} ~ sum_{k=1..m} (-1)^(k+1) C(m, k) j_{nu-k,q}, the extrapolation
+    through j_{nu-1,q} (``a``), ..., j_{nu-m,q} of the m = min(_START_ORDERS,
+    rank) orders of its chain below, which hold every lane's zero.  The order
+    just above a root, and guesses outside their bracket, start at the
     bracket midpoint.
     """
     x = 0.5 * (a + b)
-    rows = [a]
-    for k in range(2, _START_ORDERS + 1):
-        row = _zero_cache.get(nu - k, ())[n:n + len(a)]
-        if not len(row):
-            break
-        rows.append(np.array(row))
-    # lanes [0, avail[m-1]) hold all of orders nu-1 .. nu-m
-    avail = np.minimum.accumulate([len(row) for row in rows])
-    stop = 0
-    for m in range(len(rows), 1, -1):
-        start, stop = stop, avail[m - 1]
-        if start < stop:
-            guess = sum((-1) ** (k + 1) * math.comb(m, k) * row[start:stop]
-                        for k, row in enumerate(rows[:m], start=1))
-            inside = (a[start:stop] < guess) & (guess < b[start:stop])
-            x[start:stop] = np.where(inside, guess, x[start:stop])
+    m = min(_START_ORDERS, _rank(nu))
+    if m > 1:
+        rows = [a] + [np.array(_zero_cache[nu - k][n:n + len(a)])
+                      for k in range(2, m + 1)]
+        guess = sum((-1) ** (k + 1) * math.comb(m, k) * row
+                    for k, row in enumerate(rows, start=1))
+        x = np.where((a < guess) & (guess < b), guess, x)
     return x
 
 
-def _extend_zeros(nu: float, zeros: _OrderZeros, p: int) -> None:
-    """Append zeros of J_nu until at least p are cached.
-
-    If the cached order nu - 1 brackets the next zero, holding more than
-    len(zeros) + 1 zeros, ``_fill_below`` finds every zero below its last
-    one in one batch; the rest are found here, one at a time by
-    scanning.
-    """
-    below = _zero_cache.get(nu - 1.0, [])
-    if len(below) > len(zeros) + 1:
-        _fill_below(nu, zeros, below[-1])
-    while len(zeros) < p:
-        q = len(zeros)
+def _scan_root(nu: float, zeros: _OrderZeros, p: int, bound: float) -> None:
+    """Append zeros of the chain root nu, bracketed one at a time by a
+    sign-change scan, until at least p are cached and every zero below
+    ``bound`` is.  A zero found at or above 2^20 is not cached: every zero
+    below 2^20 is then, and the order's bound becomes 2^20."""
+    while zeros.bound < _LIMIT and (len(zeros) < p or zeros.reach() < bound):
         # j_{nu,1} > max(nu, 0); consecutive zeros are more than pi/2 apart
-        lo = zeros[-1] + 0.5 * math.pi if zeros else max(nu, 0.0)
-        if len(below) > q:
-            lo = max(lo, below[q])
-        a, b, fa, fb = _scan(nu, lo)
+        a = zeros[-1] + 0.5 * math.pi if zeros else max(nu, 0.0)
+        fa = float(_jv(nu, a))
+        while True:  # a grid point where J_nu is exactly 0.0 ends the bracket
+            b = a + _SCAN_STEP
+            fb = float(_jv(nu, b))
+            if fb == 0.0 or (fb > 0) != (fa > 0):
+                break
+            a, fa = b, fb
         x = a - fa * (b - a) / (fb - fa)  # secant; nan if J_nu(a) is inf
         if not a < x < b:
             x = 0.5 * (a + b)
         new = _newton(nu, [a], [b], [x], [math.copysign(1.0, fa)])
-        _check_residuals(nu, new, q + 1)
+        if new[0] >= _LIMIT:
+            zeros.bound = _LIMIT
+            return
+        _check_residuals(nu, new, len(zeros) + 1)
         zeros.append(float(new[0]))
 
 
 def _fill_below(nu: float, zeros: _OrderZeros, bound: float) -> None:
     """Append zeros of J_nu until every zero below ``bound`` is cached.
 
-    If the cached order nu - 1 holds every zero below ``bound``, K of them,
-    the missing zeros among 1 .. K are found in one batch: zero q < K in
-    (j_{nu-1,q}, j_{nu-1,q+1}), and zero K, when J_nu changes sign on
-    (j_{nu-1,K}, bound), with its bracket ending at j_{nu-1,K+1} if that
-    is cached and at max(bound, j_{nu-1,K} + pi) otherwise.  No zero at or
-    above ``bound`` is found.  This is the one batched Newton pass.
-    Otherwise zeros are appended by ``_extend_zeros``, one more at a
-    time, through the first at or above ``bound``.
+    A root is scanned through its first zero at or above ``bound``.  Any
+    other order gets the missing ones in one batch, the one batched Newton
+    pass, from order nu - 1, which holds every zero below ``bound``; none
+    at or above ``bound`` is found.
     """
-    lower = _zero_cache.get(nu - 1.0)
-    if lower is None or not lower.holds_below(bound):
-        while not zeros.holds_below(bound):
-            _check_range(nu, len(zeros) + 1)
-            _extend_zeros(nu, zeros, len(zeros) + 1)
-    else:
-        n = len(zeros)
-        k = bisect_left(lower, bound)
-        # j_{nu,K+1} > j_{nu-1,K+1} >= bound, so at most K zeros lie below;
-        # J_nu has sign (-1)^(K-1) just above j_{nu-1,K}
-        top = k if n < k and _jv(nu, bound) * (-1) ** k > 0 else k - 1
-        if n < top:
-            a = np.array(lower[n:top])
-            b = np.array(lower[n + 1:top + 1])
-            if len(b) < len(a):
-                # j_{nu-1,K+1} is not cached, so order nu - 1 was batched
-                # and nu - 1 >= 1/2, where zeros are at least pi apart
-                b = np.append(b, max(bound, a[-1] + math.pi))
-            x = _start_points(nu, n, a, b)
-            sign_a = 1.0 - 2.0 * (np.arange(n, top) % 2)
-            new = _newton(nu, a, b, x, sign_a)
-            _check_residuals(nu, new, n + 1)
-            zeros.extend(new.tolist())
+    if not _rank(nu):
+        _scan_root(nu, zeros, 0, bound)
+        return
+    lower = _zero_cache[nu - 1.0]
+    n = len(zeros)
+    k = bisect_left(lower, bound)
+    # j_{nu,K+1} > j_{nu-1,K+1} >= bound, so at most K zeros lie below;
+    # J_nu has sign (-1)^(K-1) just above j_{nu-1,K}, and zero K lies
+    # below j_{nu-1,K+1}
+    top = k - 1
+    if n < k and (k < len(lower) and lower[k] == bound
+                  or _jv(nu, bound) * (-1) ** k > 0):
+        top = k
+    if n < top:
+        a = np.array(lower[n:top])
+        b = np.array(lower[n + 1:top + 1])
+        if len(b) < len(a):
+            # j_{nu-1,K+1} is not cached: zero K's bracket ends at most pi
+            # above j_{nu-1,K}, unless the bound lies higher
+            b = np.append(b, max(bound, a[-1] + math.pi))
+        x = _start_points(nu, n, a, b)
+        sign_a = 1.0 - 2.0 * (np.arange(n, top) % 2)
+        new = _newton(nu, a, b, x, sign_a)
+        _check_residuals(nu, new, n + 1)
+        zeros.extend(new.tolist())
     zeros.bound = bound
 
 
@@ -300,7 +274,7 @@ def _check_order(nu: float) -> None:
 def _check_range(nu: float, p: int) -> None:
     """j_{nu,p} >= max(nu, 0) + (p - 1) pi/2 must stay below 2^20, where
     one ulp exceeds 1e-10."""
-    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= 2.0 ** 20:
+    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= _LIMIT:
         raise DomainError(
             f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
             f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
@@ -316,25 +290,65 @@ def _cached(key: float) -> _OrderZeros:
 
 
 def _zeros_from(nu: float, p: int) -> array:
-    """A copy of the cached zeros j_{nu,p}, j_{nu,p+1}, ..., after
-    extending the cache of order nu to hold at least p zeros."""
+    """A copy of the cached zeros j_{nu,p}, j_{nu,p+1}, ..., after giving
+    order nu at least p zeros.
+
+    A root is scanned.  Any other order is filled below the last cached
+    zero of order nu - 1 if that is j_{nu-1,p+1} or later, which lies above
+    j_{nu,p}, and otherwise below the reach of order nu - 1; if that leaves
+    fewer than p zeros, order nu - 1 is first given p + 1.
+    """
     key = float(nu)
+    todo = [(key, p)]
     with _cache_lock:
-        zeros = _cached(key)
+        while todo:
+            order, want = todo[-1]
+            zeros = _cached(order)
+            if not _rank(order):
+                _scan_root(order, zeros, want, 0.0)
+            elif len(zeros) < want:
+                lower = _cached(order - 1.0)
+                bound = lower[-1] if len(lower) > want else lower.reach()
+                if zeros.reach() < bound:
+                    _fill_below(order, zeros, bound)
+                if len(zeros) < want and lower.reach() < _LIMIT:
+                    todo.append((order - 1.0, want + 1))
+                    continue
+            todo.pop()
         if len(zeros) < p:
-            _extend_zeros(key, zeros, p)
+            raise DomainError(f"zero {p} of J_{nu} lies at or above 2^20, "
+                              "where one ulp exceeds 1e-10")
         return zeros[p - 1:]
 
 
 def _zeros_below(nu: float, bound: float) -> array:
     """A copy of the cached zeros of order nu below ``bound``, after
-    filling the cache of order nu to hold every one of them."""
-    key = float(nu)
+    filling each order of its chain, from the lowest that needs it, to hold
+    every one of them."""
+    chain = [float(nu)]
     with _cache_lock:
-        zeros = _cached(key)
-        if not zeros.holds_below(bound):
-            _fill_below(key, zeros, bound)
+        while (_cached(chain[-1]).reach() < bound and _rank(chain[-1])
+               and _cached(chain[-1] - 1.0).reach() < bound):
+            chain.append(chain[-1] - 1.0)
+        for order in reversed(chain):
+            zeros = _zero_cache[order]
+            if zeros.reach() < bound:
+                _fill_below(order, zeros, bound)
         return zeros[:bisect_left(zeros, bound)]
+
+
+def chain_zeros(orders, p: int) -> int:
+    """The most zeros that finding zeros 1 .. p of each of ``orders``, one
+    at a time from an empty cache, can find.  An order with r orders of its
+    chain below is given p zeros, the order below it p + 1, ..., its root
+    p + r; orders of one chain share them.  A bad order raises DomainError
+    before any J evaluation."""
+    top: dict[float, int] = {}
+    for nu in orders:
+        _check_order(nu)
+        r = _rank(nu)
+        top[nu - r] = max(top.get(nu - r, 0), r)
+    return sum((r + 1) * p + r * (r + 1) // 2 for r in top.values())
 
 
 def bessel_zero(nu: float, p: int) -> BesselZero:
@@ -347,7 +361,8 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
 
     A p that is not an integer raises DomainError, and so does a zero whose
     lower bound max(nu, 0) + (p - 1) pi/2 reaches 2^20, where one ulp
-    exceeds 1e-10; both before any J evaluation.
+    exceeds 1e-10, both before any J evaluation, or that is found at or
+    above 2^20.
     """
     _check_order(nu)
     try:
@@ -363,43 +378,25 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
 
 def bessel_zeros(nu: float, below: float = math.inf) -> Iterator[float]:
     """The positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu below ``below``,
-    in order.
+    in order, with the bits of ``bessel_zero``.
 
-    Without a bound the zeros are found as the iteration reaches them, and
-    taking p zeros fills the zero cache exactly as the calls
-    bessel_zero(nu, 1), ..., bessel_zero(nu, p) do: at zero 1, one batch,
-    the bounded fill below the last cached zero of order nu - 1, then one
-    scanned zero at a time.  That matters beyond the count, since the path
-    that found a zero sets its last bits.  The values, their accuracy and the
-    DomainError before a zero past 2^20 are those of the calls; the zeros
-    already cached are read under one lock.
-
-    With a bound up to 2^20, every zero below it is found at the first
-    step.  If order nu - 1 holds every zero below the bound, as a ball's
-    orders after the first do when filled with one bound, they come from
-    one batch and the first zero at or above the bound is not found; each
-    keeps the lower bracket end and the extrapolated start of the calls,
-    and its upper end matters only to a bisection step.  Otherwise the
-    order is extended as by the calls, through the first zero at or above
-    the bound.  Zeros already cached below the bound are read with no J
-    evaluation.  A bound above 2^20 ends the unbounded iteration.  A bound
-    that is NaN or not positive raises DomainError before any J
-    evaluation, as a bad order does.
+    With a bound up to 2^20, every zero below it is found at the first step
+    by the bounded fill of the order's chain, and zeros already cached are
+    read with no J evaluation.  Otherwise the zeros are found as the
+    iteration reaches them, and it raises DomainError at a zero at or above
+    2^20, as ``bessel_zero`` does.  A bound that is NaN or not positive
+    raises DomainError before any J evaluation, as a bad order does.
     """
     _check_order(nu)
     if not below > 0:
         raise DomainError(f"bessel_zeros requires below > 0, got {below}")
-    if below <= 2.0 ** 20:
+    if below <= _LIMIT:
         # zeros below 2^20 pass the range check; only nu itself can fail it
         _check_range(nu, 1)
         yield from _zeros_below(nu, below)
         return
     p = 1
     while True:
-        # only zero p may be found here; the later zeros yielded were cached,
-        # and a cached zero passes this check (a batched j_{nu,q} lies below
-        # j_{nu-1,q+1}, whose bound max(nu - 1, 0) + q pi/2 exceeds its own
-        # by more than pi/2 - 1; a bounded fill's zeros lie below 2^20)
         _check_range(nu, p)
         for value in _zeros_from(nu, p):
             if value >= below:

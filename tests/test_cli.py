@@ -255,9 +255,24 @@ class TestBoundsCommand:
             assert float(zero) == cli.specfun.bessel_zero(float(nu),
                                                           int(p)).value
 
+    @pytest.mark.parametrize("argv", [
+        # order 2^20 - 1 needs its chain from 2^20 - 512 up, past the cap;
+        # the root 2^20 - 512 has fewer than 10 zeros below 2^20
+        ("--bessel-zeros", "1048575"),
+        ("--bessel-zeros", "1048064", "--zero-count", "10")])
+    def test_zero_past_2_20_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("orders, count, reason", [
         ("0", cli.MAX_EXPORT_ZEROS + 1, "exceeds cap"),
         ("0,1", cli.MAX_EXPORT_ZEROS // 2 + 1, "exceeds cap"),
+        # order 1 needs zero p + 1 of order 0, and one zero of order 511
+        # needs 131,328 zeros of its chain
+        ("0,1", cli.MAX_EXPORT_ZEROS // 2, "exceeds cap"),
+        ("511", 1, "exceeds cap"),
         ("0", 0, "must be >= 1"),
         ("0", -5, "must be >= 1"),
     ])

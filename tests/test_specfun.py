@@ -2,6 +2,7 @@
 the closed-form half-integer recurrence), zero residuals, and domain gates."""
 
 import concurrent.futures
+import contextlib
 import math
 import sys
 from itertools import islice
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszbounds import specfun, spectra
+from rieszbounds import bounds, specfun, spectra, verify
 from rieszbounds.errors import DomainError
 
 from oracles import bessel_j_half_integer, bessel_j_prime, mcmahon_asymptote
@@ -193,23 +194,23 @@ class TestBesselZeroAccuracy:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 49.5, 150.0, 299.0])
     def test_large_p_and_nu_against_mpmath(self, nu, fresh_zero_cache):
-        # scanned: order nu alone; interlaced: orders nu-3 .. nu-1 cached
-        # first, so order nu is bracketed by them and extrapolated from them
-        scanned = _zeros_through(nu, self.X_MAX)
+        # order nu from an empty cache, and again after orders nu-3 .. nu-1
+        # were filled first
+        alone = _zeros_through(nu, self.X_MAX)
         fresh_zero_cache.clear()
         for k in (3, 2, 1):
             if nu - k >= -0.5:
                 _zeros_through(nu - k, self.X_MAX)
-        interlaced = _zeros_through(nu, self.X_MAX)
-        assert len(interlaced) == len(scanned)
-        for p, ours in enumerate(scanned[:self.P_MAX], start=1):
+        after = _zeros_through(nu, self.X_MAX)
+        assert len(after) == len(alone)
+        for p, ours in enumerate(alone[:self.P_MAX], start=1):
             if ours >= self.X_MAX:
                 break
             ref = mpmath.findroot(lambda x: mpmath.besselj(nu, x),
                                   mpmath.mpf(ours))
-            assert abs(float(ref) - ours) <= 1e-10, (nu, p, "scanned")
-            assert abs(float(ref) - interlaced[p - 1]) <= 1e-10, \
-                (nu, p, "interlaced")
+            assert abs(float(ref) - ours) <= 1e-10, (nu, p, "alone")
+            assert abs(float(ref) - after[p - 1]) <= 1e-10, \
+                (nu, p, "after")
 
     @pytest.mark.parametrize("first_order", [0.0, -0.5])
     def test_interlacing_over_whole_ranges(self, first_order,
@@ -227,6 +228,173 @@ class TestBesselZeroAccuracy:
             assert np.all(hi[:m - 1] < lo[1:m]), nu
             below = (np.sum(lo < x_max), np.sum(hi < x_max))
             assert below[1] in (below[0] - 1, below[0]), nu
+
+
+class TestBlockEdge:
+    """Zeros on both sides of the chain root at 512, and on chains rooted at
+    orders that are not integers or half-integers, within 1e-10 absolute of
+    a 30-digit root."""
+
+    @staticmethod
+    def _check(nu, zeros):
+        for p, ours in enumerate(zeros, start=1):
+            ref = mpmath.findroot(lambda x: mpmath.besselj(nu, x),
+                                  mpmath.mpf(ours))
+            assert abs(float(ref) - ours) <= 1e-10, (nu, p)
+
+    def test_first_20_zeros_across_the_root_at_512(self, fresh_zero_cache):
+        # orders 510 and 511 (510.5 and 511.5) end the chains rooted at 0
+        # (1/2); 512 (512.5) is a root, and 513, 514 (513.5) are batched
+        # from it.  Every j_{nu,20} lies below 665.
+        for nu in (510.0, 511.0, 512.0, 513.0, 514.0,
+                   510.5, 511.5, 512.5, 513.5):
+            zeros = list(specfun.bessel_zeros(nu, 665.0))[:20]
+            assert len(zeros) == 20, nu
+            self._check(nu, zeros)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.3, 2.3, 0.7, 1.7])
+    def test_first_20_zeros_of_fractional_chains(self, nu,
+                                                 fresh_zero_cache):
+        self._check(nu, [specfun.bessel_zero(nu, p).value
+                         for p in range(1, 21)])
+
+
+@contextlib.contextmanager
+def _own_zero_cache():
+    """An empty zero cache for the block, and empty memos of the bounds
+    that read it; both are emptied again after it."""
+    memos = (bounds.first_zero_sq, bounds.H_d, bounds.fk_coeff,
+             bounds.ab_ratio)
+    saved = specfun._zero_cache
+    specfun._zero_cache = {}
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        yield
+    finally:
+        specfun._zero_cache = saved
+        for memo in memos:
+            memo.cache_clear()
+
+
+#: orders of every chain the library's balls and bounds use, and a few more
+_ORDERS = [-0.5, 0.0, 0.3, 0.5, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
+           6.0, 7.5]
+_CALLS = st.one_of(
+    st.tuples(st.just("bessel_zero"), st.sampled_from(_ORDERS),
+              st.integers(1, 15)),
+    st.tuples(st.just("bessel_zeros"), st.sampled_from(_ORDERS),
+              st.integers(1, 15)),
+    st.tuples(st.just("bessel_zeros_below"), st.sampled_from(_ORDERS),
+              st.floats(1.0, 50.0)),
+    st.tuples(st.just("bounds"), st.integers(1, 10)),
+    st.tuples(st.just("ball_spectrum"), st.integers(2, 5),
+              st.floats(50.0, 3000.0)))
+
+
+def _call(call):
+    """What one call of ``_CALLS`` returns, as bits that compare with ==;
+    the memos of the bounds are emptied first."""
+    kind, *args = call
+    if kind == "bessel_zero":
+        return specfun.bessel_zero(*args).value
+    if kind == "bessel_zeros":
+        nu, count = args
+        return list(islice(specfun.bessel_zeros(nu), count))
+    if kind == "bessel_zeros_below":
+        return list(specfun.bessel_zeros(*args))
+    if kind == "bounds":
+        for memo in (bounds.first_zero_sq, bounds.H_d, bounds.ab_ratio):
+            memo.cache_clear()
+        return bounds.H_d(*args), bounds.ab_ratio(*args)
+    d, lam_max = args
+    return spectra.ball_spectrum(d, 1.0, lam_max).eigenvalues.tobytes()
+
+
+class TestHistoryIndependence:
+    """A zero's bits depend on its order and index alone: after any calls,
+    every zero and every ball has the bits it gets from an empty cache."""
+
+    @given(st.lists(_CALLS, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_random_call_sequences(self, calls):
+        with _own_zero_cache():
+            got = [_call(call) for call in calls]
+        for call, value in zip(calls, got):
+            with _own_zero_cache():
+                assert _call(call) == value, call
+
+    def test_default_spectra_after_the_bounds(self):
+        with _own_zero_cache():
+            fresh = verify.default_spectra()
+        with _own_zero_cache():
+            for d in range(1, 11):
+                bounds.H_d(d), bounds.fk_coeff(d), bounds.ab_ratio(d)
+            after = verify.default_spectra()
+        for label, spec in fresh.items():
+            assert (after[label].eigenvalues.tobytes()
+                    == spec.eigenvalues.tobytes()), label
+
+    def test_disk_and_ball4_in_either_order(self):
+        # they share orders 1, 2, ...; the disk reaches order 1 from order 0,
+        # and so does the 4-ball
+        def build(dims):
+            with _own_zero_cache():
+                return {d: spectra.ball_spectrum(d, 1.0, 3000.0)
+                        .eigenvalues.tobytes() for d in dims}
+
+        assert build([2, 4]) == build([4, 2])
+
+
+class TestPast2To20:
+    """No zero at or above 2^20, where one ulp exceeds 1e-10, is returned
+    or cached, also when the lower bound max(nu, 0) + (p - 1) pi/2 passes."""
+
+    def test_zero_of_order_just_below_2_20(self, fresh_zero_cache):
+        # j_{2^20-1,1} ~ 2^20 + 187; its chain is rooted at 2^20 - 512
+        with pytest.raises(DomainError, match=r"2\^20"):
+            specfun.bessel_zero(2.0 ** 20 - 1.0, 1)
+        assert fresh_zero_cache
+        for zeros in fresh_zero_cache.values():
+            assert all(z < 2.0 ** 20 for z in zeros)
+
+    def test_root_stops_below_2_20(self, fresh_zero_cache):
+        nu = 2.0 ** 20 - 512.0
+        zeros = list(specfun.bessel_zeros(nu, 2.0 ** 20))
+        assert 0 < len(zeros) == len(fresh_zero_cache[nu])
+        assert zeros[-1] < 2.0 ** 20
+        with pytest.raises(DomainError, match=r"2\^20"):
+            specfun.bessel_zero(nu, len(zeros) + 1)
+        with pytest.raises(DomainError, match=r"2\^20"):
+            list(specfun.bessel_zeros(nu))
+        assert list(fresh_zero_cache[nu]) == zeros
+
+
+class TestChainZeros:
+    """``chain_zeros`` bounds the zeros that taking p zeros of each order
+    finds from an empty cache, chains included."""
+
+    @pytest.mark.parametrize("orders, p", [
+        ([7.0], 40), ([0.0, 0.5, 7.0], 40), ([7.0, 3.0, 0.0, 1.5], 12),
+        ([2.0, 1.0, 0.0], 40), ([40.0], 3), ([513.5, 512.5], 5)])
+    def test_bounds_the_zeros_found(self, orders, p, fresh_zero_cache):
+        for nu in orders:
+            assert len(list(islice(specfun.bessel_zeros(nu), p))) == p
+        found = sum(len(zeros) for zeros in fresh_zero_cache.values())
+        assert found <= specfun.chain_zeros(orders, p)
+
+    @pytest.mark.parametrize("nu, p", [(7.0, 40), (40.0, 3), (513.5, 5)])
+    def test_is_the_chain_of_one_lone_zero(self, nu, p, fresh_zero_cache):
+        # zero p of an order with r orders of its chain below: the root gets
+        # p + r zeros, and each order above one fewer
+        specfun.bessel_zero(nu, p)
+        found = sum(len(zeros) for zeros in fresh_zero_cache.values())
+        assert found == specfun.chain_zeros([nu], p)
+
+    @pytest.mark.parametrize("nu", [-0.75, math.nan, math.inf])
+    def test_bad_order_raises(self, nu):
+        with pytest.raises(DomainError):
+            specfun.chain_zeros([0.0, nu], 1)
 
 
 class TestNewtonLanes:
@@ -268,7 +436,8 @@ class TestZerosByOrder:
         assert self._cache_bits(lazy) == self._cache_bits(calls)
 
     def test_finds_only_the_zeros_taken(self, fresh_zero_cache):
-        # no order below 3.0 is cached, so every zero is scanned one by one
+        # order 3.0 is filled from its chain, and no fill finds more zeros
+        # of it than were asked for
         taken = list(islice(specfun.bessel_zeros(3.0), 3))
         assert list(fresh_zero_cache[3.0]) == taken
         assert list(islice(specfun.bessel_zeros(3.0), 5))[:3] == taken
@@ -305,9 +474,9 @@ class TestZerosByOrder:
     @pytest.mark.parametrize("below", [60.0, 100.0])
     def test_bounded_matches_repeated_bessel_zero(self, orders, below,
                                                   monkeypatch):
-        # the orders after the first are batched, each zero K bracketed up
-        # to j_{nu-1,K+1} (the second order, whose order below was scanned)
-        # or to max(below, j_{nu-1,K} + pi)
+        # the orders that are not chain roots are batched, each zero K
+        # bracketed up to j_{nu-1,K+1} (an order just above a root, which
+        # is scanned past the bound) or to max(below, j_{nu-1,K} + pi)
         calls = {}
         monkeypatch.setattr(specfun, "_zero_cache", calls)
         ref = [[v for v in _zeros_through(nu, 100.0) if v < below]
@@ -356,10 +525,13 @@ class TestZerosByOrder:
 
     def test_bound_above_2_20_ends_the_unbounded_iteration(
             self, fresh_zero_cache):
-        # max(nu, 0) < 2^20 passes the range check, and j_{nu,1} > nu + 100
+        # max(nu, 0) < 2^20 passes the range check, but j_{nu,1} > nu + 100:
+        # the iteration raises there, and no zero past 2^20 is cached
         nu = 2.0 ** 20 - 10.0
-        assert list(specfun.bessel_zeros(nu, 2.0 ** 20 + 1.0)) == []
-        assert len(fresh_zero_cache[nu]) == 1
+        with pytest.raises(DomainError,
+                           match=r"zero 1 of J_1048566.0 .*2\^20"):
+            list(specfun.bessel_zeros(nu, 2.0 ** 20 + 1.0))
+        assert all(z[-1] < 2.0 ** 20 for z in fresh_zero_cache.values() if z)
         assert list(islice(specfun.bessel_zeros(0.0, 2.0 ** 20 + 1.0), 40)) \
             == list(islice(specfun.bessel_zeros(0.0), 40))
 
@@ -401,8 +573,8 @@ class TestZerosByOrder:
 
 class TestOneBatchPath:
     """Every batched Newton pass goes through ``_fill_below``; an order
-    extended without a bound is filled below the last cached zero of the
-    order beneath it, with the bits and cache of that bounded fill."""
+    extended without a bound gets the bits and cache of the bounded fill
+    below the same zero of the order beneath it."""
 
     def test_unbounded_batch_is_the_bounded_fill(self, monkeypatch):
         # order 0 holds 40 zeros, so the first 39 of order 1 lie below
@@ -475,8 +647,9 @@ class TestZeroFinderCost:
         assert evaluations[0] <= 7.5 * n
 
     def test_export_of_consecutive_orders(self, evaluations):
-        # 1,107, of which one per batched order (1 and 2) is the sign test
-        # at the bound
+        # 1,068: order 0 is scanned through zero 41, for zero 40 of order 1;
+        # zero 40 of order 2 lies below j_{0,41}, the bound of order 1, and
+        # the sign test there is the only one
         for nu in (0.0, 1.0, 2.0):
             list(islice(specfun.bessel_zeros(nu), 40))
         assert evaluations[0] <= 1107

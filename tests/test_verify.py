@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rieszbounds import bounds, riesz, specfun, spectra, verify
+from rieszbounds import bounds, riesz, spectra, verify
 from rieszbounds._kernels import pykernels
 from rieszbounds.errors import ConfigError, DomainError, ValidityError
 
@@ -241,11 +241,9 @@ class TestGoldenReport:
                      "be997276b58177f5238155a8cad97a86",
     }
 
-    def test_default_report_digests(self, monkeypatch):
-        # the ball spectra are built from an empty Bessel-zero cache, as in
-        # a fresh ``verify`` process: zeros that an earlier call found one
-        # at a time can differ from batched ones in the last bit
-        monkeypatch.setattr(specfun, "_zero_cache", {})
+    def test_default_report_digests(self):
+        # built on whatever earlier tests left in the Bessel-zero cache:
+        # each zero has the bits a fresh ``verify`` process gives it
         specs = verify.default_spectra()
         got = {}
         for seed in (0, 7):
