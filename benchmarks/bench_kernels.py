@@ -10,23 +10,25 @@ and terms from 1e-300 to 1e300; ``math.fsum`` of the ``np.power``
 terms against ``riesz_sum`` on the weighted ``Runs`` of the eigenvalues
 (the only input the Riesz and head sums take) at sigma = 1/2, 1, 2 and
 5/2; per-z ``math.fsum`` of the ``np.power`` terms against the
-rows of ``riesz_sums`` on the runs (one weighted term per distinct value),
-on the default ``verify`` z grid of the 3-ball below 2000, the
-10-ball below 300 and the unit square below 1e6, timed against per-z
-``riesz_sum`` calls; per-pair ``math.fsum`` against ``riesz_sums`` at one
-sigma per z, at the Hoelder samples of ``verify`` (60 z of the z grid x
-3 random sigmas) on each default ``verify`` spectrum, timed
-against per-pair ``riesz_sum`` calls; the rows of the default ``verify``
-suite on each default spectrum (the z grid with every sigma its families
-read, and the central-difference rows) summed one sigma at a time, one
-packed pass per row and sign of sigma, and one ``riesz_grid`` pass per
-row, bit-equal to each other; ``math.fsum`` against ``exact_sum`` on
+rows of a one-layer ``riesz_grid`` on the runs (one weighted term per
+distinct value), on the default ``verify`` z grid of the 3-ball below
+2000, the 10-ball below 300 and the unit square below 1e6, timed against
+per-z ``riesz_sum`` calls; per-pair ``math.fsum`` against ``riesz_grid``
+with three layers of one sigma per z, at the Hoelder samples of
+``verify`` (60 z of the z grid x 3 random sigmas) on each default
+``verify`` spectrum, timed against per-pair ``riesz_sum`` calls; the
+grids of one sigma per layer of the default ``verify`` suite on each
+default spectrum (the z grid with every sigma its families read, and the
+central-difference rows) summed one sigma at a time, one packed pass per
+grid and sign of sigma, and one ``riesz_grid`` pass per grid, bit-equal
+to each other; ``math.fsum`` against ``exact_sum`` on
 sorted terms spanning 2,000 binades, each the one term of its binade and
 so a block of its own, and on 20,000 rising terms over 200 binades,
 naming the path of each (the blocks, or ``math.fsum``), and per-z
-``math.fsum`` against a packed ``riesz_sums`` batch with one row that the
-run path does not take; and ``math.fsum`` of all k terms against every
-field of ``riesz.means`` on the 3-ball, the 10-ball and the unit square.
+``math.fsum`` against a packed one-layer ``riesz_grid`` batch with one
+row that the run path does not take; and ``math.fsum`` of all k terms
+against every field of ``riesz.means`` on the 3-ball, the 10-ball and the
+unit square.
 
 Run:  python3 benchmarks/bench_kernels.py
 Exit status 1 if any result differs from its reference in a single bit.
@@ -155,7 +157,8 @@ def _repeated_cases():
 
 
 def compare_rows(cases) -> bool:
-    """``riesz_sums`` at the default ``verify`` z grid, on the runs of the
+    """A one-layer ``riesz_grid`` at the default ``verify`` z grid, on the
+    runs of the
     eigenvalues (one weighted term per distinct value, as ``riesz`` sums
     them), against ``math.fsum`` of the ``np.power`` terms of all
     eigenvalues below each z, a reference that shares no code with the
@@ -173,85 +176,86 @@ def compare_rows(cases) -> bool:
                    for z in zs]
             t_ref, _ = _time(
                 lambda: [pykernels.riesz_sum(runs, sigma, z)[0] for z in zs])
-            t_new, new = _time(pykernels.riesz_sums, runs, sigma, zs)
+            t_new, (new,) = _time(pykernels.riesz_grid, runs, [sigma], zs)
             same = _same_bits(ref, new)
             ok &= same
             print(f"  {name:22} n={len(lams):>6} ({len(runs.values):>5} "
                   f"runs) sigma={sigma:3}  per-z riesz_sum "
-                  f"{t_ref*1e3:8.2f} ms  riesz_sums {t_new*1e3:7.2f} ms  "
+                  f"{t_ref*1e3:8.2f} ms  riesz_grid {t_new*1e3:7.2f} ms  "
                   f"x{t_ref / t_new:5.1f}  bit-equal={same}")
     return ok
 
 
-def _hoelder_pairs(spec):
-    """The (sigma, z) pairs of the random Hoelder samples that ``verify``
-    draws on ``spec`` at the default config, 60 z x 3 sigmas, as the
-    lists of sigmas and of z."""
+def _hoelder_grid(spec):
+    """The z of the random Hoelder samples that ``verify`` draws on
+    ``spec`` at the default config, 60 z, and their three layers of one
+    sigma per z."""
     cfg = verify.VerifyConfig()
     families = {check_id: points for check_id, _, points
                 in verify._build_points(spec, cfg, cfg.z_points)}
-    _, (zs, *sigmas), _ = families["hoelder_chain"].groups[0]
-    pairs = [(s, z) for z, *ss in zip(zs, *sigmas) for s in ss]
-    return [s for s, _ in pairs], [z for _, z in pairs]
+    _, (zs, *layers), _ = families["hoelder_chain"].groups[0]
+    return layers, zs
 
 
 def compare_pairs() -> bool:
-    """``riesz_sums`` at one sigma per z, the 60 z x 3 random sigmas of
-    the Hoelder samples of ``verify``, on each default ``verify`` spectrum,
-    against per-pair ``math.fsum`` of the ``np.power`` terms, and timed
-    against per-pair ``riesz_sum``; True if all bits agree."""
+    """``riesz_grid`` with three layers of one sigma per z, the 60 z x 3
+    random sigmas of the Hoelder samples of ``verify``, on each default
+    ``verify`` spectrum, against per-pair ``math.fsum`` of the
+    ``np.power`` terms, and timed against per-pair ``riesz_sum``; True if
+    all bits agree."""
     ok = True
-    print("Riesz pairs, 60 z x 3 random sigma (bits against per-pair "
-          "math.fsum)")
+    print("Riesz pairs, 60 z x 3 random sigma layers (bits against "
+          "per-pair math.fsum)")
     for name, spec in verify.default_spectra().items():
         lams = spec.eigenvalues
         runs = pykernels.runs_of(lams)
-        sigmas, zs = _hoelder_pairs(spec)
-        pairs = list(zip(sigmas, zs))
+        layers, zs = _hoelder_grid(spec)
+        pairs = [(s, z) for layer in layers for s, z in zip(layer, zs)]
         ref = [math.fsum(np.power(z - lams[lams < z], s).tolist())
                for s, z in pairs]
         t_ref, _ = _time(
             lambda: [pykernels.riesz_sum(runs, s, z)[0] for s, z in pairs])
-        t_new, new = _time(pykernels.riesz_sums, runs, sigmas, zs)
-        same = _same_bits(ref, new)
+        t_new, new = _time(pykernels.riesz_grid, runs, layers, zs)
+        same = _same_bits(ref, sum(new, []))
         ok &= same
         print(f"  {name:14} n={len(lams):>6} ({len(runs.values):>5} runs)  "
-              f"per-pair riesz_sum {t_ref*1e3:7.2f} ms  riesz_sums "
+              f"per-pair riesz_sum {t_ref*1e3:7.2f} ms  riesz_grid "
               f"{t_new*1e3:6.2f} ms  x{t_ref / t_new:5.1f}  "
               f"bit-equal={same}")
     return ok
 
 
 def _suite_rows(spec, cfg):
-    """The rows of z that the ``verify`` sweep of ``spec`` registers, each
-    with the sigmas that its families read there: the z grid and the
-    central-difference rows z + h and z - h."""
+    """The grids of z that the ``verify`` sweep of ``spec`` registers with
+    one sigma per layer, the sigmas that its families read there: the z
+    grid and the central-difference rows z + h and z - h."""
     table = verify._riesz_memo[spec] = verify._RieszTable(spec)
     try:
         verify._build_points(spec, cfg, cfg.z_points)
     finally:
         verify._riesz_memo.pop(spec, None)
-    return [(sigmas, zs) for sigmas, zs, row in table.pending if row]
+    return [(sigmas, zs) for sigmas, zs in table.pending
+            if not np.ndim(sigmas[0])]
 
 
 def compare_row_sets() -> bool:
-    """The default ``verify`` suite's rows on each default spectrum, on the
-    runs of the eigenvalues, summed three ways: one ``riesz_sums`` call per
-    sigma of a row (as the sweep summed them before); one ``riesz_sums``
-    call per row and sign of sigma, every (sigma, z) pair of the sign in
-    one packed pass; and one ``riesz_grid`` call per row, which packs the
-    terms z - lambda once and raises them to each sigma (as the sweep sums
-    them now).  True if the three agree in every bit."""
+    """The default ``verify`` suite's grids of one sigma per layer on each
+    default spectrum, on the runs of the eigenvalues, summed three ways:
+    one one-layer ``riesz_grid`` call per sigma of a grid; one call per
+    grid and sign of sigma, every (sigma, z) pair of the sign in one
+    packed layer of one sigma per z; and one ``riesz_grid`` call per grid,
+    which packs the terms z - lambda once and raises them to each sigma
+    (as the sweep sums them).  True if the three agree in every bit."""
     ok = True
     cfg = verify.VerifyConfig()
-    print("Riesz rows of the default verify suite: per sigma, per row and "
-          "sign, per row (riesz_grid); bits against per sigma")
+    print("Riesz grids of the default verify suite: per sigma, per grid "
+          "and sign, per grid (riesz_grid); bits against per sigma")
     for name, spec in verify.default_spectra().items():
         runs = pykernels.runs_of(spec.eigenvalues)
         rows = _suite_rows(spec, cfg)
 
         def per_sigma():
-            return [pykernels.riesz_sums(runs, s, zs)
+            return [pykernels.riesz_grid(runs, [s], zs)[0]
                     for sigmas, zs in rows for s in sigmas]
 
         def per_sign():
@@ -259,8 +263,8 @@ def compare_row_sets() -> bool:
             for sigmas, zs in rows:
                 for part in ([s for s in sigmas if s < 0],
                              [s for s in sigmas if not s < 0]):
-                    flat = pykernels.riesz_sums(
-                        runs, [s for s in part for _ in zs], zs * len(part))
+                    flat, = pykernels.riesz_grid(
+                        runs, [[s for s in part for _ in zs]], zs * len(part))
                     out += [flat[i:i + len(zs)]
                             for i in range(0, len(flat), len(zs))]
             return out
@@ -276,8 +280,8 @@ def compare_row_sets() -> bool:
                 and _same_bits(sum(ref, []), sum(by_row, [])))
         ok &= same
         print(f"  {name:14} {sum(len(s) for s, _ in rows):>2} sigma rows "
-              f"{t_ref*1e3:6.2f} ms  per row and sign {t_sign*1e3:6.2f} ms  "
-              f"{len(rows)} grid rows {t_row*1e3:6.2f} ms  "
+              f"{t_ref*1e3:6.2f} ms  per grid and sign {t_sign*1e3:6.2f} ms  "
+              f"{len(rows)} grids {t_row*1e3:6.2f} ms  "
               f"x{t_ref / t_row:5.2f}  bit-equal={same}")
     return ok
 
@@ -294,10 +298,11 @@ def compare_run_path_edges() -> bool:
     """The run path at the edges of its contract: ``exact_sum`` of sorted
     terms spanning 2,000 binades, each the one term of its binade and so a
     block of its own, and of 20,000 rising terms over 200 binades, 100 to
-    a block, against ``math.fsum``; and a packed ``riesz_sums`` batch (15
-    z, one segment each) whose z / 2 row holds one subnormal term, so that
-    the run path leaves the whole batch to ``math.fsum``, against per-z
-    ``math.fsum`` of the ``np.power`` terms; True if all bits agree."""
+    a block, against ``math.fsum``; and a packed one-layer ``riesz_grid``
+    batch (15 z, one segment each) whose z / 2 row holds one subnormal
+    term, so that the run path leaves the whole batch to ``math.fsum``,
+    against per-z ``math.fsum`` of the ``np.power`` terms; True if all
+    bits agree."""
     ok = True
     print("run path edges (bits against math.fsum)")
     rng = np.random.default_rng(3)
@@ -322,10 +327,10 @@ def compare_run_path_edges() -> bool:
     runs = pykernels.runs_of(lams)
     zs = [z, z / 2, z * (1 + 1e-15), *np.geomspace(z / 8, z, 12).tolist()]
     ref = [math.fsum(np.power(x - lams[lams < x], 2.0).tolist()) for x in zs]
-    t_new, new = _time(pykernels.riesz_sums, runs, 2.0, zs)
+    t_new, (new,) = _time(pykernels.riesz_grid, runs, [2.0], zs)
     same = _same_bits(ref, new)
     ok &= same
-    print(f"  riesz_sums, {len(zs)} z, one row with a subnormal  "
+    print(f"  riesz_grid, {len(zs)} z, one row with a subnormal  "
           f"{t_new*1e3:6.2f} ms  bit-equal={same}")
     return ok
 

@@ -23,7 +23,9 @@ byte-identical output exactly when their digest lists are equal:
     diff base.txt head.txt
 
 Exit status 1 if any invocation exits nonzero, or if an artifact's
-output differs between the two hash seeds.
+output differs between the two hash seeds; 2, before any invocation, if
+a child process cannot import ``rieszbounds`` (no ``PYTHONPATH`` and no
+install).
 """
 
 import hashlib
@@ -93,6 +95,13 @@ def _invocations():
 
 
 def main() -> int:
+    if subprocess.run([sys.executable, "-c", "import rieszbounds.cli"],
+                      capture_output=True).returncode:
+        print("output_digests: python cannot import rieszbounds; run it as "
+              "PYTHONPATH=src python3 benchmarks/output_digests.py, with the "
+              "src directory of the tree under test, or install the "
+              "package", file=sys.stderr)
+        return 2
     status = 0
     for name, argv in _invocations():
         outputs = set()

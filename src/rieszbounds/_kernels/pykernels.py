@@ -24,7 +24,7 @@ returns.
   and added once however often the eigenvalue repeats.  ``exact_sum`` is
   the one-segment case with every weight 1.
 - ``Runs`` (built by ``runs_of``) is a sorted array as its runs of equal
-  values with their weights.  ``riesz_sum``, ``riesz_sums``, ``power_sum``
+  values with their weights.  ``riesz_sum``, ``riesz_grid``, ``power_sum``
   and ``head_sum`` take weighted ``Runs`` only, and add one weighted term
   per run.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
@@ -33,11 +33,11 @@ returns.
 - ``_riesz_rows`` builds the Riesz terms, ``_powers`` of z - lambda, of
   many z: it packs their rows once into one buffer, one segment per z,
   and raises it to each layer of sigmas (one sigma per z) for one
-  run-path pass per layer.  ``riesz_sums`` returns its one layer, for one
-  sigma at every z or one sigma per z, and ``riesz_grid`` its layers for
-  every sigma of a set at every z.  ``riesz_sum`` sums its one z from
-  slices of the runs (``_row_sum``), as ``_riesz_rows`` sums a row too
-  long to pack, and returns the count beside it.
+  run-path pass per layer.  ``riesz_grid`` is its one entry: a layer is
+  one sigma for every z or one sigma per z, and it checks the layers.
+  ``riesz_sum`` sums its one z from slices of the runs (``_row_sum``), as
+  ``_riesz_rows`` sums a row too long to pack, and returns the count
+  beside it.
 
 The block bound.  A normal term is M * 2**(E - 1075) with the integer
 mantissa M < 2**53, and a block holds terms of one sign and exponent.  Its
@@ -72,7 +72,6 @@ terms, which gives the zero its sign.
 """
 
 import math
-import numbers
 import operator
 from bisect import bisect_left
 from typing import NamedTuple
@@ -325,7 +324,7 @@ def riesz_sum(runs, sigma, z):
     ``runs`` are the weighted ``Runs`` of the eigenvalues.  For
     ``sigma == 0`` the value is the strict counting function.  Negative
     ``sigma`` is permitted as long as no eigenvalue equals ``z``.  Returns
-    ``(value, count)``: the value ``riesz_sums`` gives at z, and the count
+    ``(value, count)``: the value ``riesz_grid`` gives at z, and the count
     of eigenvalues below z (with their multiplicities).
     """
     values, m, offsets = runs
@@ -336,29 +335,29 @@ def riesz_sum(runs, sigma, z):
     return _row_sum(runs, sigma, z, size), count
 
 
-def riesz_sums(runs, sigma, zs):
-    """``riesz_sum(runs, s, z)[0]`` for each z of ``zs``, as a list;
-    ``sigma`` is one s for every z, or a sequence of one s per z."""
-    sigma = ([sigma] * len(zs) if isinstance(sigma, numbers.Real)
-             else list(sigma))
-    return _riesz_rows(runs, [sigma], zs)[0]
-
-
 def riesz_grid(runs, sigmas, zs):
-    """``riesz_sums(runs, s, zs)`` for each s of ``sigmas``, as a list of
-    lists: the terms z - lambda of the rows are packed once and raised to
-    each s in turn."""
-    sigmas = np.repeat(np.asarray(sigmas, dtype=np.float64)[:, None],
-                       len(zs), axis=1)
-    return _riesz_rows(runs, sigmas, zs)
+    """``riesz_sum(runs, s, z)[0]`` at each z of ``zs`` for each layer of
+    ``sigmas``, one list per layer, by ``_riesz_rows``.  A layer is one s
+    for every z (a real number or a 0-d array) or a sequence of one s per
+    z.  A NaN s, or a per-z layer of another length than ``zs``, raises
+    DomainError before any sum."""
+    layers = np.empty((len(sigmas), len(zs)))
+    for layer, sigma in zip(layers, sigmas):
+        if np.ndim(sigma) and len(sigma) != len(zs):
+            raise DomainError(f"a sigma layer needs one sigma per z, got "
+                              f"{len(sigma)} sigmas for {len(zs)} z values")
+        layer[:] = sigma
+    if np.isnan(layers).any():
+        raise DomainError(f"sigma must be a number, got {math.nan}")
+    return _riesz_rows(runs, layers, zs)
 
 
 def _riesz_rows(runs, sigmas, zs):
     """The Riesz sums at each z of ``zs`` for each layer of ``sigmas``,
     one list per layer.
 
-    ``sigmas`` holds layers of one sigma per z.  A row's terms
-    ``_powers(z - values[:size], sigma)`` are one per run below z,
+    ``sigmas`` is a float array of layers of one sigma per z.  A row's
+    terms ``_powers(z - values[:size], sigma)`` are one per run below z,
     weighted by its count; at sigma = 0 the sum is the count.  The rows
     that sum terms are cut into batches by ``searchsorted`` on their
     running sizes: a batch takes the next rows while their terms fit in
@@ -373,7 +372,6 @@ def _riesz_rows(runs, sigmas, zs):
     """
     values, m, offsets = runs
     zs = np.asarray(zs, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
     sizes = values.searchsorted(zs)    # bisect_left
     counts = offsets[sizes]
     live = sigmas != 0.0    # sums, not counts

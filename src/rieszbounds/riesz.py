@@ -19,7 +19,6 @@ to k.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -63,39 +62,25 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
     z above the completeness threshold, DomainError for a NaN sigma.
     """
     _check_z(spec, z)
-    return _kernels.riesz_sum(_runs(spec), _sigma(sigma), float(z))
+    if math.isnan(sigma := float(sigma)):
+        raise DomainError(f"sigma must be a number, got {sigma}")
+    return _kernels.riesz_sum(_runs(spec), sigma, float(z))
 
 
 def riesz_row(spec: Spectrum, sigma, zs) -> list[float]:
-    """``riesz_value(spec, s, z)[0]`` for each z of ``zs``, bit for bit,
-    summed a batch of z at a time, with the same checks on every z.
-
-    ``sigma`` is one s for every z, or a sequence of one s per z.  The z
-    values are checked by one array test (``_check_zs``); a NaN s, or a
-    sequence of another length than ``zs``, raises DomainError.
-    """
-    zs = _check_zs(spec, zs)
-    sigmas = ([sigma] * len(zs) if isinstance(sigma, numbers.Real)
-              else list(sigma))
-    if len(sigmas) != len(zs):
-        raise DomainError(f"riesz_row needs one sigma per z, got "
-                          f"{len(sigmas)} sigmas for {len(zs)} z values")
-    return _kernels.riesz_sums(_runs(spec), [_sigma(s) for s in sigmas], zs)
+    """``riesz_grid(spec, [sigma], zs)[0]``: ``sigma`` is one s for every z
+    of ``zs``, or a sequence of one s per z."""
+    return riesz_grid(spec, [sigma], zs)[0]
 
 
 def riesz_grid(spec: Spectrum, sigmas, zs) -> list[list[float]]:
-    """``riesz_row(spec, s, zs)`` for each s of ``sigmas``, bit for bit, as
-    a list of rows: the terms z - lambda of a batch of z are built once
-    and raised to each s.  Each z and s is checked as in ``riesz_row``."""
+    """``riesz_value(spec, s, z)[0]`` for each z of ``zs`` and each layer of
+    ``sigmas``, bit for bit, one row per layer: the terms z - lambda of a
+    batch of z are built once and raised to each layer.  A layer is one s
+    for every z or one s per z.  The z values are checked by one array
+    test (``_check_zs``), then the layers by ``_kernels.riesz_grid``."""
     zs = _check_zs(spec, zs)
-    return _kernels.riesz_grid(_runs(spec), [_sigma(s) for s in sigmas], zs)
-
-
-def _sigma(sigma) -> float:
-    """``float(sigma)``; DomainError if it is NaN."""
-    if math.isnan(value := float(sigma)):
-        raise DomainError(f"sigma must be a number, got {value}")
-    return value
+    return _kernels.riesz_grid(_runs(spec), sigmas, zs)
 
 
 def _check_zs(spec: Spectrum, zs) -> list[float]:

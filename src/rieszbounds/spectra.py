@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -116,11 +116,13 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def _check_weyl_count(d: int, volume: float, lam_max: float) -> None:
+def _check_weyl_count(d: int, volume: float, lam_max: float,
+                      bound=None) -> None:
     """Fail before any work if Weyl's law predicts far more than
-    MAX_EIGENVALUES eigenvalues below ``lam_max``; an infinite ``lam_max``
-    always fails.  Where (lam_max / 4 pi)^(d/2) or Gamma(1 + d/2) leaves
-    the float range, the prediction is compared in logs; a volume that
+    MAX_EIGENVALUES eigenvalues below ``lam_max``, unless ``bound()``, an
+    upper bound on the count, does not; an infinite ``lam_max`` always
+    fails.  Where (lam_max / 4 pi)^(d/2) or Gamma(1 + d/2) leaves the
+    float range, the prediction is compared in logs; a volume that
     underflowed to 0 then raises DomainError, as no spectrum can carry
     it."""
     gamma = specfun.gamma(1 + d / 2)
@@ -136,7 +138,8 @@ def _check_weyl_count(d: int, volume: float, lam_max: float) -> None:
                  + d / 2 * math.log10(lam_max / (4 * math.pi))
                  - math.lgamma(1 + d / 2) / math.log(10))
         predicted = 10.0 ** log10 if log10 < 308.0 else math.inf
-    if predicted > 2 * MAX_EIGENVALUES:
+    if predicted > 2 * MAX_EIGENVALUES and (
+            bound is None or bound() > 2 * MAX_EIGENVALUES):
         raise ResourceLimitError(f"predicted eigenvalue count {predicted:.3g} "
                                  f"exceeds cap {MAX_EIGENVALUES}")
 
@@ -208,6 +211,22 @@ def ball_multiplicity(ell: int, d: int) -> int:
             // (math.factorial(ell) * math.factorial(d - 2)))
 
 
+def _ball_count_bound(d: int, x: float) -> float:
+    """An upper bound on the zeros j_{nu,k} < x of the d-ball's orders
+    nu = d/2 - 1 + ell, with multiplicity, summed until it passes twice
+    MAX_EIGENVALUES.  Order nu has at most 1 + (x - low) / pi: j_{nu,1} >
+    low = nu + 1.8557 nu^(1/3) (Qu and Wong, 1999; 1.85575... is -a_1 /
+    2^(1/3), a_1 the first zero of Airy's Ai), and its zeros lie more than
+    pi apart for nu >= 1/2; j_{0,k} > (k - 1) pi."""
+    total = 0
+    for ell in count():
+        nu = d / 2 - 1 + ell
+        low = nu + 1.8557 * nu ** (1 / 3) if nu else 0.0
+        if low >= x or total > 2 * MAX_EIGENVALUES:
+            return total
+        total += ball_multiplicity(ell, d) * (1 + (x - low) / math.pi)
+
+
 def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     """All Dirichlet eigenvalues j_{d/2-1+ell,p}^2 / radius^2 < lam_max.
 
@@ -234,13 +253,19 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     if not lam_max > 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
     try:
-        volume = math.pi**(d / 2) * radius**d / specfun.gamma(1 + d / 2)
+        gamma = specfun.gamma(1 + d / 2)
+        if gamma < math.inf:
+            volume = math.pi**(d / 2) * radius**d / gamma
+        else:    # d >= 342: Gamma overflows, the volume may not
+            volume = math.exp(d / 2 * math.log(math.pi) + d * math.log(radius)
+                              - math.lgamma(1 + d / 2))
     except OverflowError:
         volume = math.inf
     if volume == math.inf:
         raise DomainError(f"the volume of the {d}-ball of radius {radius} "
                           "overflows")
-    _check_weyl_count(d, volume, lam_max)
+    _check_weyl_count(d, volume, lam_max, lambda: _ball_count_bound(
+        d, radius * math.sqrt(lam_max)))
     r2 = radius * radius
     if r2 == 0.0:
         raise DomainError(f"radius {radius} is too small: its square "

@@ -46,15 +46,15 @@ and moments:
   moment memo is dropped with the Riesz memo when the sweep ends.
 * While one spectrum is swept, R_sigma(z) values are memoized per
   (sigma, z) in a ``_RieszTable``, dropped when that sweep ends.  The
-  sweep registers each row of z it evaluates (the z grid and the rows
-  z + h and z - h) with the sigmas that its families read there, and the
-  pair set of the random Hoelder samples.  The first read sums all of it,
-  each row in one :func:`~rieszbounds.riesz.riesz_grid` pass and the pair
-  set in one :func:`~rieszbounds.riesz.riesz_row` pass: four passes in a
-  default sweep, none in a sweep that reads no Riesz value.  Only a value
-  on no row and in no pair set calls ``riesz_value``; the default suite
-  has none.  Every value has the bits of ``riesz_value``, so witness
-  re-evaluation outside a sweep stays exact.
+  sweep registers three grids of z with the sigma layers its families
+  read there: the z grid and the rows z +- h with one sigma per layer,
+  and the random Hoelder samples' z with three layers of one sigma per z.
+  The first read sums each grid in one
+  :func:`~rieszbounds.riesz.riesz_grid` pass: three in a default sweep,
+  none in one that reads no Riesz value.  Only a value on no grid calls
+  ``riesz_value``; the default suite has none.  Every value has the bits
+  of ``riesz_value``, so witness re-evaluation outside a sweep stays
+  exact.
 
 Points are streamed.  Each family states its points once, as row groups
 (``_Points``): a group is constants, equal-length columns (lists or
@@ -95,15 +95,14 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field, asdict, replace
-from itertools import chain, cycle, groupby, product, repeat
+from itertools import chain, cycle, groupby, repeat
 
 import numpy as np
 
 from . import bounds, riesz, spectra
 from .errors import (ConfigError, DomainError, ResourceLimitError,
                      ValidityError)
-from .riesz import (eigensum_prefix, riesz_grid, riesz_row, riesz_value,
-                    square_prefix)
+from .riesz import eigensum_prefix, riesz_grid, riesz_value, square_prefix
 from .spectra import Spectrum
 
 #: relative numerical slack on all inequality checks
@@ -202,35 +201,28 @@ def _margin(big, small):
 class _RieszTable(dict):
     """{(sigma, z): R_sigma(z)} of one spectrum while it is swept.
 
-    Rows of z, each with the sigmas read on it (``add_row``), and sets of
-    (sigma, z) pairs (``add_pairs``) wait in one pending list.  The first
-    miss sums all of it: each row in one ``riesz_grid`` pass, each pair
-    set, each pair at its own sigma, in one ``riesz_row`` pass.  Any other
-    key is one ``riesz_value`` call.  All give the bits of ``riesz_value``.
+    Grids of z, each with its sigma layers (``add_grid``: a layer is one
+    sigma for every z or one sigma per z), wait in a pending list.  The
+    first miss sums all of it, each grid in one ``riesz_grid`` pass.  Any
+    other key is one ``riesz_value`` call.  Both give the bits of
+    ``riesz_value``.
     """
 
     def __init__(self, spec):
         super().__init__()
         self.spec = spec
-        self.pending = []    # (sigmas, zs, is a row) not yet summed
+        self.pending = []    # (layers, zs) not yet summed
 
-    def add_row(self, sigmas, zs):
-        self.pending.append((tuple(sigmas), zs, True))
-
-    def add_pairs(self, pairs):
-        pairs = list(pairs)
-        self.pending.append(([s for s, _ in pairs], [z for _, z in pairs],
-                             False))
+    def add_grid(self, layers, zs):
+        self.pending.append((layers, zs))
 
     def __missing__(self, key):
         pending, self.pending = self.pending, []
-        for sigmas, zs, row in pending:
-            if row:
-                self.update(zip(product(sigmas, zs), chain.from_iterable(
-                    riesz_grid(self.spec, sigmas, zs))))
-            else:
-                self.update(zip(zip(sigmas, zs),
-                                riesz_row(self.spec, sigmas, zs)))
+        for layers, zs in pending:
+            rows = riesz_grid(self.spec, layers, zs)
+            for sigma, row in zip(layers, rows):
+                sigmas = sigma if np.ndim(sigma) else repeat(sigma)
+                self.update(zip(zip(sigmas, zs), row))
         if key not in self:
             self[key] = riesz_value(self.spec, *key)[0]
         return self[key]
@@ -763,9 +755,9 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
                    *_HOELDER_COUNTING["counting2"],
                    *chain.from_iterable(
                        (s, s - 1.0) for s in _HOELDER_COUNTING["counting"])}
-        table.add_row(sorted(on_grid), zs)
-        table.add_row(sigma_fd, [z + 1e-6 * z for z in z_fd])
-        table.add_row(sigma_fd, [z - 1e-6 * z for z in z_fd])
+        table.add_grid(sorted(on_grid), zs)
+        table.add_grid(sigma_fd, [z + 1e-6 * z for z in z_fd]
+                       + [z - 1e-6 * z for z in z_fd])
     h_fd = [1e-6 * z for z in z_fd]
     add("thm21_deriv1", "sigma in {1.5, 2}, central differences",
         [((s,), (z_fd, h_fd), ()) for s in s_le2 if s >= 1.5])
@@ -823,11 +815,11 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         s2 = s0 + float(rng.uniform(0.5, 3.0))
         t = float(rng.uniform(0.05, 0.95))
         s1 = t * s0 + (1 - t) * s2
-        for col, x in zip(logconvex, (float(rng.choice(zs)), s0, s1, s2)):
+        z = float(rng.choice(z_arr))
+        for col, x in zip(logconvex, (z, s0, s1, s2)):
             col.append(x)
-    if table is not None:    # their Riesz values are summed in one pass
-        table.add_pairs((s, z) for z, *sigmas in zip(*logconvex)
-                        for s in sigmas)
+    if table is not None:    # one layer per sigma of the triples
+        table.add_grid(logconvex[1:], logconvex[0])
     add("hoelder_chain", "random sigma triples + counting forms",
         [(("logconvex", None), logconvex, ())]
         + [((form, s), (zs[::5],), ())

@@ -107,6 +107,23 @@ class TestSpectrumCommand:
         assert float(rows[0].split(",")[1]) == pytest.approx(math.pi ** 2,
                                                              rel=1e-10)
 
+    def test_ball_of_dimension_342(self, capsys):
+        # Gamma(172) overflows, so the volume is taken in logs; below 33000
+        # lie j_{170,1}^2 once and j_{171,1}^2 with multiplicity 342
+        code, out, _ = run_cli(capsys, "spectrum", "--ball", "--dim", "342",
+                               "--lambda-max", "33000")
+        assert code == 0
+        lines = out.splitlines()
+        header = dict(line.split(": ") for line in lines[:3])
+        values = [float(line) for line in lines[3:]]
+        assert header["dim"] == "342"
+        assert 0 < float(header["volume"]) == pytest.approx(8.30e-225,
+                                                            rel=1e-3)
+        assert len(values) == 343
+        assert values[0] == pytest.approx(32568.237, abs=1e-3)
+        assert values[1:] == [values[1]] * 342
+        assert values[1] == pytest.approx(32937.340, abs=1e-3)
+
     def test_empty_spectrum_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--box", "1", "1",
                                "--lambda-max", "0.1")

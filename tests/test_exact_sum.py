@@ -905,7 +905,7 @@ class TestMixedDirections:
             return sums
 
         monkeypatch.setattr(pykernels, "_run_sum", watched)
-        got = pykernels.riesz_sums(runs, sigmas, zs.tolist())
+        got = pykernels.riesz_grid(runs, [sigmas], zs.tolist())[0]
         want = [math.fsum(np.power(z - spec_lams[spec_lams < z], s).tolist())
                 if s else float(np.count_nonzero(spec_lams < z))
                 for s, z in zip(sigmas, zs.tolist())]

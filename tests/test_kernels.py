@@ -136,8 +136,9 @@ def riesz_rows(draw):
 
 
 class TestRieszRows:
-    """``riesz_sums`` adds many rows in one segmented pass and must give
-    the bits of ``riesz_sum`` at every z, and of ``_fsum_rows``."""
+    """A one-layer ``riesz_grid`` adds many rows in one segmented pass and
+    must give the bits of ``riesz_sum`` at every z, and of
+    ``_fsum_rows``."""
 
     SIGMAS = [0.0, 0.5, 1.0, 2.0, -0.5, 2.5]
 
@@ -146,9 +147,9 @@ class TestRieszRows:
     def test_rows_equal_riesz_sum(self, rows, sigma):
         lams, zs = rows
         runs = pykernels.runs_of(lams)
-        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+        assert _hex(pykernels.riesz_grid(runs, [sigma], zs)[0]) == \
             _hex(pykernels.riesz_sum(runs, sigma, z)[0] for z in zs)
-        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+        assert _hex(pykernels.riesz_grid(runs, [sigma], zs)[0]) == \
             _hex(_fsum_rows(lams, sigma, zs))
 
     @given(riesz_rows(), st.data())
@@ -160,7 +161,7 @@ class TestRieszRows:
         sigma = st.sampled_from(self.SIGMAS) | st.floats(0.05, 5.0)
         sigmas = data.draw(st.lists(sigma, min_size=len(zs),
                                     max_size=len(zs)))
-        got = _hex(pykernels.riesz_sums(runs, sigmas, zs))
+        got = _hex(pykernels.riesz_grid(runs, [sigmas], zs)[0])
         assert got == _hex(pykernels.riesz_sum(runs, s, z)[0]
                            for s, z in zip(sigmas, zs))
         assert got == _hex(_fsum_rows(lams, s, [z])[0]
@@ -171,12 +172,12 @@ class TestRieszRows:
     @settings(max_examples=100, deadline=None)
     def test_grid_equals_riesz_sums(self, rows, sigmas):
         # every sigma of a set at every z, the rows packed once: the bits
-        # of riesz_sums one sigma at a time
+        # of one-layer grids, one sigma at a time
         lams, zs = rows
         runs = pykernels.runs_of(lams)
         grid = pykernels.riesz_grid(runs, sigmas, zs)
         assert [_hex(row) for row in grid] == \
-            [_hex(pykernels.riesz_sums(runs, s, zs)) for s in sigmas]
+            [_hex(pykernels.riesz_grid(runs, [s], zs)[0]) for s in sigmas]
 
     def test_grid_longer_than_the_buffer(self):
         # packed batches and rows of more terms than the buffer holds, at
@@ -197,9 +198,9 @@ class TestRieszRows:
         runs = pykernels.runs_of(lams)
         zs = [lams[0] / 2, *np.geomspace(lams[0] * (1 + 1e-6), 1900.0, 200)
               .tolist()]
-        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+        assert _hex(pykernels.riesz_grid(runs, [sigma], zs)[0]) == \
             _hex(pykernels.riesz_sum(runs, sigma, z)[0] for z in zs)
-        assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+        assert _hex(pykernels.riesz_grid(runs, [sigma], zs)[0]) == \
             _hex(_fsum_rows(lams, sigma, zs))
         terms = 1900.0 - lams[lams < 1900.0]
         assert np.power(terms, 2.5).tolist() != \
@@ -211,9 +212,9 @@ class TestRieszRows:
         runs = pykernels.runs_of(lams)
         zs = [50.0, 99.0, 100.5, 30.0, 100.5, 0.5]
         for sigma in (0.5, 2.5):
-            assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+            assert _hex(pykernels.riesz_grid(runs, [sigma], zs)[0]) == \
                 _hex(pykernels.riesz_sum(runs, sigma, z)[0] for z in zs)
-            assert _hex(pykernels.riesz_sums(runs, sigma, zs)) == \
+            assert _hex(pykernels.riesz_grid(runs, [sigma], zs)[0]) == \
                 _hex(_fsum_rows(lams, sigma, zs))
 
     def test_stretch_across_a_row_start_with_equal_end_exponents(self):
@@ -224,7 +225,7 @@ class TestRieszRows:
                                        np.linspace(2.05, 2.95, 10)]))
         runs = pykernels.runs_of(lams)
         zs = [4.0] * 40
-        rows = pykernels.riesz_sums(runs, 1.0, zs)
+        rows = pykernels.riesz_grid(runs, [1.0], zs)[0]
         assert _hex(rows) == _hex([pykernels.riesz_sum(runs, 1.0, 4.0)[0]]
                                   * 40)
         assert rows[0] == math.fsum((4.0 - lams).tolist())
@@ -246,9 +247,9 @@ class TestRieszRows:
                                        z - gap * rng.uniform(1.0, 2.0, 50)]))
         runs = pykernels.runs_of(lams)
         zs = [z, z / 2, z * (1 + 1e-15)]
-        assert _hex(pykernels.riesz_sums(runs, 2.0, zs)) == \
+        assert _hex(pykernels.riesz_grid(runs, [2.0], zs)[0]) == \
             _hex(pykernels.riesz_sum(runs, 2.0, z)[0] for z in zs)
-        assert _hex(pykernels.riesz_sums(runs, 2.0, zs)) == \
+        assert _hex(pykernels.riesz_grid(runs, [2.0], zs)[0]) == \
             _hex(_fsum_rows(lams, 2.0, zs))
         with np.errstate(over="ignore"):
             rows = [np.power(x - lams[lams < x], 2.0) for x in zs]

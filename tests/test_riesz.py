@@ -2,6 +2,7 @@
 hand enumerations and brute-force numpy oracles."""
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszbounds import riesz, spectra, verify
+from rieszbounds._kernels import pykernels
 from rieszbounds.errors import DomainError, TruncationError
 
 from oracles import c_sigma, legendre_numeric, riesz_derivative_check
@@ -105,18 +107,60 @@ class TestRieszRow:
             [[riesz.riesz_value(square_pi, s, z)[0].hex() for z in zs]
              for s in sigmas]
 
+    def test_grid_layers_of_one_sigma_per_z(self, square_pi):
+        # a layer is one sigma for every z (a 0-d array too) or one per z
+        zs = [5.0, 200.0, 19.75, 120, 60.5]
+        per_z = [-0.5, 0.0, 2.5, 1.0, 0.5]
+        rows = riesz.riesz_grid(square_pi, [np.float64(1.5), per_z,
+                                            np.array(0.5)], zs)
+        layers = [[1.5] * len(zs), per_z, [0.5] * len(zs)]
+        assert [[v.hex() for v in row] for row in rows] == \
+            [[riesz.riesz_value(square_pi, s, z)[0].hex()
+              for s, z in zip(layer, zs)] for layer in layers]
+        assert riesz.riesz_row(square_pi, per_z, zs) == rows[1]
+
+    SIGMA = (st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -0.75])
+             | st.floats(-0.9, 5.0))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_layers_equal_riesz_value(self, data):
+        # constant and per-z layers in one grid, sigmas of both signs and
+        # 0, repeated eigenvalues and repeated z (some below lambda_1, none
+        # on an eigenvalue): every value has the bits of riesz_value
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 3000))
+        lams = np.sort(np.repeat(rng.uniform(1.0, 100.0, n),
+                                 rng.integers(1, 4, n)))
+        spec = spectra.Spectrum(
+            dimension=2, eigenvalues=lams, complete_below=120.0,
+            domain=spectra.DomainSpec("file", 2))
+        grid = rng.uniform(0.5, 120.0, data.draw(st.integers(1, 40)))
+        zs = [z for z in rng.choice(grid, len(grid)).tolist()
+              if z not in set(lams.tolist())]
+        layers = data.draw(st.lists(
+            self.SIGMA | st.lists(self.SIGMA, min_size=len(zs),
+                                  max_size=len(zs)), max_size=5))
+        rows = riesz.riesz_grid(spec, layers, zs)
+        assert [[v.hex() for v in row] for row in rows] == \
+            [[riesz.riesz_value(spec, s, z)[0].hex()
+              for s, z in zip(layer if isinstance(layer, list)
+                              else repeat(layer), zs)]
+             for layer in layers]
+
 
 class TestBadSigma:
     """A NaN sigma, or a sigma sequence of another length than the z
-    values, raises DomainError before any sum."""
+    values, raises DomainError before any sum: ``riesz_grid`` checks its
+    layers before it calls ``_riesz_rows``."""
 
     @pytest.fixture
     def no_sums(self, monkeypatch):
         def fail(*args):
             raise AssertionError("summed")
 
-        for name in ("riesz_sum", "riesz_sums", "riesz_grid"):
-            monkeypatch.setattr(riesz._kernels, name, fail)
+        monkeypatch.setattr(riesz._kernels, "riesz_sum", fail)
+        monkeypatch.setattr(pykernels, "_riesz_rows", fail)
 
     @pytest.mark.parametrize("sigmas", [[1.0, 2.0], [1.0, 2.0, 0.5, 3.0], []],
                              ids=["short", "long", "empty"])
@@ -124,13 +168,18 @@ class TestBadSigma:
         with pytest.raises(DomainError, match=f"got {len(sigmas)} sigmas "
                            "for 3 z values"):
             riesz.riesz_row(square_pi, sigmas, [50.0, 120.5, 7.0])
+        with pytest.raises(DomainError, match=f"got {len(sigmas)} sigmas "
+                           "for 3 z values"):
+            riesz.riesz_grid(square_pi, [0.5, sigmas], [50.0, 120.5, 7.0])
 
     @pytest.mark.parametrize("call", [
         lambda spec: riesz.riesz_value(spec, math.nan, 50.0),
         lambda spec: riesz.riesz_row(spec, math.nan, [50.0, 7.0]),
         lambda spec: riesz.riesz_row(spec, [1.0, math.nan], [50.0, 7.0]),
         lambda spec: riesz.riesz_grid(spec, [0.5, math.nan], [50.0, 7.0]),
-    ], ids=["value", "row", "row-sequence", "grid"])
+        lambda spec: riesz.riesz_grid(spec, [0.5, [1.0, math.nan]],
+                                      [50.0, 7.0]),
+    ], ids=["value", "row", "row-sequence", "grid", "grid-per-z"])
     def test_nan_sigma(self, square_pi, no_sums, call):
         with pytest.raises(DomainError, match="sigma must be a number, "
                            "got nan"):

@@ -349,6 +349,51 @@ class TestWeylCount:
             assert raised == (predicted > 2 * spectra.MAX_EIGENVALUES)
 
 
+class TestHighDimensionalBall:
+    """Gamma(1 + d/2) overflows from d = 342 on, and the ball's volume is
+    then taken in logs; below it keeps its bits.  Near the bottom of a
+    high-dimensional ball's spectrum Weyl's law overestimates the count by
+    many orders, so the guard also asks the ball's count bound."""
+
+    @pytest.mark.parametrize("d, lam_max", [(341, 32600.0),
+                                            (342, 33000.0)])
+    def test_volume(self, d, lam_max):
+        spec = spectra.ball_spectrum(d, 1.0, lam_max)
+        if d <= 341:
+            assert spec.volume == math.pi ** (d / 2) / specfun.gamma(1 + d / 2)
+        else:
+            # V_d = V_{d-2} 2 pi / d, from a volume whose Gamma is finite
+            assert specfun.gamma(1 + d / 2) == math.inf
+            below = spectra.ball_spectrum(d - 2, 1.0, 32400.0).volume
+            assert spec.volume == pytest.approx(below * 2 * math.pi / d,
+                                                rel=1e-12)
+            assert spec.volume == pytest.approx(8.2956e-225, rel=1e-4)
+
+    @pytest.mark.parametrize("d, lam_max", [
+        (2, 5000.0), (3, 2000.0), (4, 800.0), (10, 300.0), (341, 32600.0),
+        (342, 33000.0), (342, 33600.0)])
+    def test_count_bound_holds(self, d, lam_max):
+        n = len(spectra.ball_spectrum(d, 1.0, lam_max))
+        assert n <= spectra._ball_count_bound(d, math.sqrt(lam_max))
+
+    def test_weyl_alone_refuses_what_the_bound_admits(self):
+        # 343 eigenvalues below 33000, against ~3.4e51 by Weyl's law
+        volume = spectra.ball_spectrum(342, 1.0, 33000.0).volume
+        assert 343 <= spectra._ball_count_bound(342, math.sqrt(33000.0)) \
+            < 400
+        with pytest.raises(ResourceLimitError, match="count 3.36e"):
+            spectra._check_weyl_count(342, volume, 33000.0)
+
+    @pytest.mark.parametrize("d, lam_max", [(2, 1e12), (3, 1e7),
+                                            (342, 1e6)])
+    def test_bound_stops_past_twice_the_cap(self, d, lam_max):
+        bound = spectra._ball_count_bound(d, math.sqrt(lam_max))
+        assert 2 * spectra.MAX_EIGENVALUES < bound < math.inf
+        assert spectra._ball_count_bound(d, math.inf) == math.inf
+        with pytest.raises(ResourceLimitError):
+            spectra.ball_spectrum(d, 1.0, lam_max)
+
+
 class TestEmptyMessage:
     """lam_max at the first eigenvalue leaves the spectrum empty, and the
     error says lam_max is not above it."""

@@ -118,49 +118,43 @@ class TestRieszMemo:
 
     @staticmethod
     def _count_passes(monkeypatch):
-        """Count riesz_value calls and whole passes (riesz_grid for a row,
-        riesz_row for a pair set), each pass checked against riesz_value.
-        A pair set of the default suite holds one sign of sigma, because
-        the Hoelder sigmas are >= 0; the table itself does not need it."""
-        calls = {"value": 0, "grid": 0, "row": 0}
-        riesz_value = verify.riesz_value
-        riesz_grid, riesz_row = verify.riesz_grid, verify.riesz_row
+        """Count riesz_value calls and riesz_grid passes, each pass checked
+        against riesz_value.  A per-z layer of the default suite holds one
+        sign of sigma, because the Hoelder sigmas are >= 0; the table
+        itself does not need it."""
+        calls = {"value": 0, "grid": 0}
+        riesz_value, riesz_grid = verify.riesz_value, verify.riesz_grid
 
         def counting_value(s, sigma, z):
             calls["value"] += 1
             return riesz_value(s, sigma, z)
 
-        def counting_grid(s, sigmas, zs):
+        def counting_grid(s, layers, zs):
             calls["grid"] += 1
-            rows = riesz_grid(s, sigmas, zs)
-            assert rows == [[riesz_value(s, x, z)[0] for z in zs]
-                            for x in sigmas]
-            return rows
-
-        def counting_row(s, sigma, zs):
-            calls["row"] += 1
-            # no default pair set mixes the directions of its terms, so
+            # no default per-z layer mixes the directions of its terms, so
             # each takes the run path's blocks
-            assert len({x < 0 for x in sigma}) == 1
-            values = riesz_row(s, sigma, zs)
-            assert values == [riesz_value(s, x, z)[0]
-                              for x, z in zip(sigma, zs)]
-            return values
+            assert all(len({x < 0 for x in layer}) <= 1
+                       for layer in layers if np.ndim(layer))
+            rows = riesz_grid(s, layers, zs)
+            assert rows == [[riesz_value(s, x, z)[0] for x, z in zip(
+                layer if np.ndim(layer) else [layer] * len(zs), zs)]
+                for layer in layers]
+            return rows
 
         monkeypatch.setattr(verify, "riesz_value", counting_value)
         monkeypatch.setattr(verify, "riesz_grid", counting_grid)
-        monkeypatch.setattr(verify, "riesz_row", counting_row)
         return calls
 
     def test_default_sweep_sums_rows(self, monkeypatch):
-        # every value is summed in a whole pass: the z grid with every
-        # sigma its families read there, each central-difference row z + h
-        # and z - h with its sigmas, and the 3 random Hoelder sigmas of
-        # each of the 60 samples as one pair set; no single values
+        # every value is summed in one of three grid passes: the z grid
+        # with every sigma its families read there, the central-difference
+        # rows z + h and z - h with their sigmas, and the z of the 60
+        # Hoelder samples with their 3 random sigmas as per-z layers; no
+        # single values
         spec = verify.default_spectra()["disk_r1"]
         calls = self._count_passes(monkeypatch)
         verify._sweep("disk", spec, verify.VerifyConfig())
-        assert calls == {"value": 0, "grid": 3, "row": 1}
+        assert calls == {"value": 0, "grid": 3}
 
     def test_row_set_equals_riesz_value(self, monkeypatch):
         # a registered row's whole sigma set, summed in one pass, has the
@@ -172,32 +166,32 @@ class TestRieszMemo:
         zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 90).tolist()
         sigmas = [-0.75, -0.5, 0.0, 0.25, 1.0, 2.5]
         table = verify._RieszTable(spec)
-        table.add_row(sigmas, zs)
+        table.add_grid(sigmas, zs)
         terms = riesz._runs(spec).values.searchsorted(zs).sum()
         assert terms > pykernels._CHUNK
         calls = self._count_passes(monkeypatch)
         pairs = [(s, z) for z in zs for s in sigmas] + [(1.5, 18999.5)]
         values = [table[pair] for pair in pairs]
-        assert calls == {"value": 1, "grid": 1, "row": 0}
+        assert calls == {"value": 1, "grid": 1}
         assert len(table) == len(pairs)
         assert [v.hex() for v in values] == \
             [riesz.riesz_value(spec, s, z)[0].hex() for s, z in pairs]
         assert values[2] == riesz.counting(spec, zs[0])
 
     def test_pair_batch_equals_riesz_value(self, monkeypatch):
-        # a pair set summed in one pass has the bits of riesz_value, pair
-        # by pair: at sigma = 0 (the count), three sigmas at one z, a z on
-        # no row, and more terms than one _CHUNK buffer holds
+        # a per-z layer summed in one pass has the bits of riesz_value,
+        # pair by pair: at sigma = 0 (the count), five sigmas at one z, a z
+        # on no other grid, and more terms than one _CHUNK buffer holds
         spec = spectra.box_spectrum([1.0, 1.0], 50000.0)
         zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 30).tolist()
         table = verify._RieszTable(spec)
-        table.add_row([0.5], zs[::2])
+        table.add_grid([0.5], zs[::2])
         pairs = [(s, z) for z in zs for s in (0.0, 0.5, 1.0, 2.0, 2.7)]
         pairs += [(3.1, 18999.5)]   # on no row
         terms = riesz._runs(spec).values.searchsorted(
             [z for s, z in pairs if s])
         assert terms.sum() > pykernels._CHUNK
-        table.add_pairs(pairs)
+        table.add_grid([[s for s, _ in pairs]], [z for _, z in pairs])
         calls = []
         monkeypatch.setattr(verify, "riesz_value",
                             lambda *args: calls.append(args))
