@@ -30,14 +30,14 @@ returns.
 - ``prefix_sums`` sums non-negative terms of any span in 32-bit limb
   columns by ``np.cumsum`` and rounds each prefix once from a 63-bit
   window.
-- ``_riesz_rows`` builds the Riesz terms, ``_powers`` of z - lambda, of
+- ``_riesz_layers`` builds the Riesz terms, ``_powers`` of z - lambda, of
   many z: it packs their rows once into one buffer, one segment per z,
   and raises it to each layer of sigmas (one sigma per z) for one
   run-path pass per layer.  ``riesz_grid`` is its one entry: a layer is
   one sigma for every z or one sigma per z, and it checks the layers.
-  ``riesz_sum`` sums its one z from slices of the runs (``_row_sum``), as
-  ``_riesz_rows`` sums a row too long to pack, and returns the count
-  beside it.
+  ``riesz_sum`` sums its one z through ``head_sum``, the count of
+  eigenvalues below z being the head, as ``_riesz_layers`` sums a row too
+  long to pack, and returns the count beside it.
 
 The block bound.  A normal term is M * 2**(E - 1075) with the integer
 mantissa M < 2**53, and a block holds terms of one sign and exponent.  Its
@@ -327,17 +327,21 @@ def riesz_sum(runs, sigma, z):
     ``(value, count)``: the value ``riesz_grid`` gives at z, and the count
     of eigenvalues below z (with their multiplicities).
     """
-    values, m, offsets = runs
-    size = int(values.searchsorted(z))    # bisect_left
-    count = int(offsets[size])
+    count = int(runs.offsets[runs.values.searchsorted(z)])    # bisect_left
     if sigma == 0.0:
         return float(count), count
-    return _row_sum(runs, sigma, z, size), count
+    return head_sum(runs, count, _riesz_terms(sigma, z)), count
+
+
+def _riesz_terms(sigma, z):
+    """``head_sum``'s map of values to their Riesz terms (z - values)**sigma,
+    each array z - values raised in place."""
+    return lambda values: _powers(t := z - values, sigma, out=t)
 
 
 def riesz_grid(runs, sigmas, zs):
     """``riesz_sum(runs, s, z)[0]`` at each z of ``zs`` for each layer of
-    ``sigmas``, one list per layer, by ``_riesz_rows``.  A layer is one s
+    ``sigmas``, one list per layer, by ``_riesz_layers``.  A layer is one s
     for every z (a real number or a 0-d array) or a sequence of one s per
     z.  A NaN s, or a per-z layer of another length than ``zs``, raises
     DomainError before any sum."""
@@ -349,10 +353,10 @@ def riesz_grid(runs, sigmas, zs):
         layer[:] = sigma
     if np.isnan(layers).any():
         raise DomainError(f"sigma must be a number, got {math.nan}")
-    return _riesz_rows(runs, layers, zs)
+    return _riesz_layers(runs, layers, zs)
 
 
-def _riesz_rows(runs, sigmas, zs):
+def _riesz_layers(runs, sigmas, zs):
     """The Riesz sums at each z of ``zs`` for each layer of ``sigmas``,
     one list per layer.
 
@@ -362,7 +366,7 @@ def _riesz_rows(runs, sigmas, zs):
     that sum terms are cut into batches by ``searchsorted`` on their
     running sizes: a batch takes the next rows while their terms fit in
     ``_CHUNK``, and a row with more terms is a batch of its own, summed
-    layer by layer from slices of the runs without packing.  The rows of a
+    layer by layer by ``head_sum`` without packing.  The rows of a
     larger batch are packed once into one buffer, one segment per row, by
     one index that ``np.repeat`` and ``arange`` build: it gathers each
     row's z - lambda, weights and positions (which run on across the
@@ -389,7 +393,8 @@ def _riesz_rows(runs, sigmas, zs):
             i = int(rows[at])
             for layer, sigma in zip(out, sigmas[:, i].tolist()):
                 if sigma:
-                    layer[i] = _row_sum(runs, sigma, zs[i], size)
+                    layer[i] = head_sum(runs, int(counts[i]),
+                                        _riesz_terms(sigma, zs[i]))
             at = end
             continue
         batch = rows[at:end]
@@ -427,26 +432,16 @@ def _riesz_rows(runs, sigmas, zs):
     return out
 
 
-def _row_sum(runs, sigma, z, size):
-    """The Riesz sum at (sigma, z) from the first ``size`` runs, those below
-    z, summed from slices of the runs without packing; sigma is not 0."""
-    if not size:
-        return 0.0
-    values, m, offsets = runs
-    terms = z - values[:size]
-    _powers(terms, sigma, out=terms)
-    return _exact_sums(terms, [0], (m[:size], offsets[:size]))[0]
-
-
 def head_sum(runs, k, terms_of):
     """Exact sum of the terms of the first k entries of the weighted
     ``Runs``, bit for bit ``math.fsum``.
 
     ``terms_of`` maps an array of values to one term per value; it gets
     the values of the runs that hold the first k entries, and each term is
-    weighted by its run's count among them: the runs' weights, in a copy
-    whose last weight is cut at k (the cached ``Runs`` are read-only).  A
-    k that is not an integer raises DomainError.
+    weighted by its run's count among them: the runs' weights themselves
+    where k ends a run (as a Riesz count does), else a copy whose last
+    weight is cut at k (the cached ``Runs`` are read-only).  A k that is
+    not an integer raises DomainError.
     """
     values, m, offsets = runs
     try:
@@ -457,10 +452,12 @@ def head_sum(runs, k, terms_of):
     if k <= 0:
         return 0.0
     size = int(offsets.searchsorted(k))    # through the piece holding k
-    cut = m[:size].copy()                  # its weight cut at k
-    cut[-1] = k - offsets[size - 1]
+    weights = m[:size]
+    if offsets[size] != k:    # k cuts that piece
+        weights = weights.copy()
+        weights[-1] = k - offsets[size - 1]
     return _exact_sums(terms_of(values[:size]), [0],
-                       (cut, offsets[:size]))[0]
+                       (weights, offsets[:size]))[0]
 
 
 def power_sum(runs, k, p):

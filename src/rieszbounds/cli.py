@@ -4,7 +4,8 @@ Subcommands: spectrum | riesz | bounds | verify | table | figure.
 Global flags (valid on every subcommand): --output <path>, --format,
 --full-precision.  Each subcommand, and each mode of ``bounds``, writes
 only some formats, the first of them by default (``_resolve_format``); a
-``--format`` that it would not write exits 2 with an argparse error.
+``--format`` that it would not write exits 2 with an argparse error, and
+a flag that the chosen mode does not read exits 2 (``_read_only_with``).
 
 Output is deterministic: identical invocations produce byte-identical
 bytes, numbers are rendered with 6 significant figures by default and 17
@@ -106,10 +107,20 @@ def _add_domain_flags(p):
                    help="box side lengths")
     p.add_argument("--ball", action="store_true", help="ball domain")
     p.add_argument("--dim", type=int, help="ball dimension")
-    p.add_argument("--radius", type=float, default=1.0, help="ball radius")
+    p.add_argument("--radius", type=float, help="ball radius (default 1.0)")
     p.add_argument("--load", metavar="PATH", help="load a spectrum file")
     p.add_argument("--lambda-max", type=float,
                    help="completeness threshold for generated spectra")
+
+
+def _read_only_with(mode: str, args, *names: str) -> None:
+    """RieszBoundsError naming the first flag of ``names`` (``args``
+    attributes) that was given, as only ``mode`` reads it: a mode rejects
+    the flags it does not read."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise RieszBoundsError(
+                f"--{name.replace('_', '-')} is read only with {mode}")
 
 
 def _spectrum_from_args(args) -> spectra.Spectrum:
@@ -117,7 +128,10 @@ def _spectrum_from_args(args) -> spectra.Spectrum:
     if chosen != 1:
         raise RieszBoundsError(
             "choose exactly one of --box, --ball, --load")
+    if not args.ball:
+        _read_only_with("--ball", args, "dim", "radius")
     if args.load:
+        _read_only_with("--box or --ball", args, "lambda_max")
         return spectra.load_spectrum(args.load)
     if args.lambda_max is None:
         raise RieszBoundsError("--lambda-max is required for generation")
@@ -125,7 +139,8 @@ def _spectrum_from_args(args) -> spectra.Spectrum:
         return spectra.box_spectrum(args.box, args.lambda_max)
     if args.dim is None:
         raise RieszBoundsError("--ball requires --dim")
-    return spectra.ball_spectrum(args.dim, args.radius, args.lambda_max)
+    radius = 1.0 if args.radius is None else args.radius
+    return spectra.ball_spectrum(args.dim, radius, args.lambda_max)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +164,8 @@ def cmd_riesz(args) -> int:
         raise RieszBoundsError(
             "riesz needs exactly one of --z, --means, --legendre"
             + (f", got {', '.join(given)}" if given else ""))
+    if args.z is None:
+        _read_only_with("--z", args, "sigma")
     spec = _spectrum_from_args(args)
     if args.legendre is not None:
         rows = [[w, riesz.legendre_R1(spec, w)] for w in args.legendre]
@@ -160,10 +177,11 @@ def cmd_riesz(args) -> int:
         _emit_rows(args, ["k", "mean", "mean_sq", "geometric", "harmonic"],
                    rows)
         return 0
+    sigma = 1.0 if args.sigma is None else args.sigma
     rows = []
     for z in args.z:
-        ev = riesz.riesz_mean(spec, args.sigma, z)
-        rows.append([args.sigma, z, ev.value, ev.contributing])
+        ev = riesz.riesz_mean(spec, sigma, z)
+        rows.append([sigma, z, ev.value, ev.contributing])
     _emit_rows(args, ["sigma", "z", "riesz_mean", "contributing"], rows)
     return 0
 
@@ -183,24 +201,28 @@ def _bound_arg(item: str):
 
 
 def cmd_bounds(args) -> int:
-    if args.bessel_zeros is not None:
+    if args.eval is None:
+        _read_only_with("--eval", args, "arg")
+    if args.bessel_zeros is None:
+        _read_only_with("--bessel-zeros", args, "zero_count")
+    else:
         try:
             orders = [float(v) for v in args.bessel_zeros.split(",")]
         except ValueError as exc:
             raise RieszBoundsError(
                 f"bad --bessel-zeros {args.bessel_zeros!r}: {exc}") from None
-        if args.zero_count < 1:
-            raise RieszBoundsError(
-                f"--zero-count must be >= 1, got {args.zero_count}")
-        need = specfun.chain_zeros(orders, args.zero_count)
+        count = 10 if args.zero_count is None else args.zero_count
+        if count < 1:
+            raise RieszBoundsError(f"--zero-count must be >= 1, got {count}")
+        need = specfun.chain_zeros(orders, count)
         if need > MAX_EXPORT_ZEROS:
             raise ResourceLimitError(
-                f"--zero-count {args.zero_count} for {len(orders)} order(s) "
+                f"--zero-count {count} for {len(orders)} order(s) "
                 f"may find {need} zeros with their chains, which exceeds cap "
                 f"{MAX_EXPORT_ZEROS} zeros")
         rows = [[nu, p, value] for nu in orders
                 for p, value in enumerate(
-                    islice(specfun.bessel_zeros(nu), args.zero_count), 1)]
+                    islice(specfun.bessel_zeros(nu), count), 1)]
         _emit_rows(args, ["nu", "p", "zero"], rows)
         return 0
     if args.eval is not None:
@@ -210,7 +232,7 @@ def cmd_bounds(args) -> int:
             raise RieszBoundsError(
                 f"unknown bound id {bound_id!r} (see 'bounds --list')")
         kwargs = {}
-        for item in args.arg:
+        for item in args.arg or ():
             key, num = _bound_arg(item)
             if key in kwargs:
                 raise RieszBoundsError(f"repeated --arg {key!r}")
@@ -363,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate Riesz means, averages, or the "
                             "Legendre transform")
     _add_domain_flags(p)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float,
+                   help="Riesz order for --z (default 1.0)")
     p.add_argument("--z", nargs="+", type=float)
     p.add_argument("--means", type=int, metavar="K",
                    help="report eigenvalue averages at index K")
@@ -373,15 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", parents=[common],
                        help="list or evaluate catalog bounds")
-    p.add_argument("--list", action="store_true",
-                   help="dump the bound catalog as JSON (default)")
-    p.add_argument("--eval", metavar="ID", help="evaluate one bound")
-    p.add_argument("--arg", action="append", default=[],
-                   metavar="KEY=VALUE", help="bound arguments for --eval")
-    p.add_argument("--bessel-zeros", metavar="NU[,NU...]",
-                   help="export Bessel zeros j_{nu,p} for the given orders")
-    p.add_argument("--zero-count", type=int, default=10,
-                   help="zeros per order for --bessel-zeros")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true",
+                      help="dump the bound catalog as JSON (default)")
+    mode.add_argument("--eval", metavar="ID", help="evaluate one bound")
+    mode.add_argument("--bessel-zeros", metavar="NU[,NU...]",
+                      help="export Bessel zeros j_{nu,p} for the given "
+                           "orders")
+    p.add_argument("--arg", action="append", metavar="KEY=VALUE",
+                   help="bound arguments for --eval")
+    p.add_argument("--zero-count", type=int,
+                   help="zeros per order for --bessel-zeros (default 10)")
     p.set_defaults(fn=cmd_bounds, formats=("csv", "json"))
 
     p = sub.add_parser("verify", parents=[common],

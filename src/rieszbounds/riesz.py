@@ -5,10 +5,10 @@ Counting is strict: N(z) = #{k : lambda_k < z}, matching the limit of
 (z - lambda)_+^sigma as sigma decreases to 0.  Every evaluation point must
 stay below the spectrum's completeness threshold.
 
-Every exact sum over a spectrum (a Riesz mean or a row of them, the mean
-square and power means, the geometric and harmonic means) adds one term
-per run of equal eigenvalues, weighted by its multiplicity, with the bits
-of ``math.fsum`` over all n terms (the kernels are described in
+Every exact sum over a spectrum (a Riesz mean or a grid of them, the mean
+square, and ``power_mean`` of any order, geometric and harmonic included)
+adds one term per run of equal eigenvalues, weighted by its multiplicity,
+with the bits of ``math.fsum`` over all n terms (the kernels are in
 :mod:`rieszbounds._kernels.pykernels`).  The runs (``_runs``) are cached
 on the spectrum on its first sum, and so are the logs of the geometric
 mean, one ``math.log`` per run.  A sum over the first k eigenvalues takes
@@ -65,12 +65,6 @@ def riesz_value(spec: Spectrum, sigma: float, z: float) -> tuple[float, int]:
     if math.isnan(sigma := float(sigma)):
         raise DomainError(f"sigma must be a number, got {sigma}")
     return _kernels.riesz_sum(_runs(spec), sigma, float(z))
-
-
-def riesz_row(spec: Spectrum, sigma, zs) -> list[float]:
-    """``riesz_grid(spec, [sigma], zs)[0]``: ``sigma`` is one s for every z
-    of ``zs``, or a sequence of one s per z."""
-    return riesz_grid(spec, [sigma], zs)[0]
 
 
 def riesz_grid(spec: Spectrum, sigmas, zs) -> list[list[float]]:
@@ -185,60 +179,54 @@ def _check_index(spec: Spectrum, k: int) -> None:
         raise DomainError(f"k must be an integer in 1..{n}, got {k}")
 
 
-def _power_mean(spec: Spectrum, k: int, sigma: float) -> float:
-    """Power mean of order sigma in (0, 2] of the first k eigenvalues."""
+def power_mean(spec: Spectrum, k: int, p: float) -> float:
+    """Power mean of order p of the first k eigenvalues: geometric at p = 0,
+    harmonic at p = -1, (sum lambda**p / k)**(1/p) for p in (0, 2]; any
+    other p raises DomainError.  At p = -1 a reciprocal outside the float
+    range (of a subnormal eigenvalue) raises OverflowError before any is
+    taken, as ``math.fsum`` does on a sum of finite ones that leaves it."""
     _check_index(spec, k)
-    if not 0 < sigma <= 2:
-        raise DomainError(f"power-mean sigma must be in (0, 2], got {sigma}")
-    return (_kernels.power_sum(_runs(spec), k, float(sigma)) / k) \
-        ** (1.0 / sigma)
-
-
-def _geometric_mean(spec: Spectrum, k: int) -> float:
-    _check_index(spec, k)
-    logs = _logs(spec)
-    return math.exp(_kernels.head_sum(
-        _runs(spec), k, lambda values: logs[:len(values)]) / k)
-
-
-def _harmonic_mean(spec: Spectrum, k: int) -> float:
-    """k over the sum of the reciprocals of the first k eigenvalues.  A
-    reciprocal outside the float range (of a subnormal eigenvalue) raises
-    OverflowError before any is taken, as ``math.fsum`` does on a sum of
-    finite ones that leaves it."""
-    _check_index(spec, k)
-    if 1.0 / spec.lambda_1 == math.inf:
-        raise OverflowError(f"1 / lambda_1 = 1 / {spec.lambda_1} is "
-                            "outside the float range")
-    return k / _kernels.head_sum(_runs(spec), k, lambda values: 1.0 / values)
+    runs = _runs(spec)
+    if p == 0:
+        return math.exp(_kernels.head_sum(
+            runs, k, lambda values: _logs(spec)[:len(values)]) / k)
+    if p == -1:
+        if 1.0 / spec.lambda_1 == math.inf:
+            raise OverflowError(f"1 / lambda_1 = 1 / {spec.lambda_1} is "
+                                "outside the float range")
+        return k / _kernels.head_sum(runs, k, lambda values: 1.0 / values)
+    if not 0 < p <= 2:
+        raise DomainError(f"power-mean order must be 0, -1 or in (0, 2], "
+                          f"got {p}")
+    return (_kernels.power_sum(runs, k, float(p)) / k) ** (1.0 / p)
 
 
 def means(spec: Spectrum, k: int, sigma_list=()) -> MeanSet:
-    """Mean, mean square, requested power means, geometric and harmonic
-    means of the first k eigenvalues.
+    """Mean, mean square, the power means of the orders in ``sigma_list``
+    (0 and -1 among them give the geometric and harmonic means), and the
+    geometric and harmonic means of the first k eigenvalues.
 
-    The power, geometric and harmonic means each have their own helper
-    (``_power_mean``, ``_geometric_mean``, ``_harmonic_mean``), so a caller
-    that needs one of them can compute just that one.  A field outside the
-    float range raises DomainError.
+    Every power, geometric and harmonic mean is ``power_mean``'s, so a
+    caller that needs one of them can compute just that one.  A field
+    outside the float range raises DomainError.
     """
     _check_index(spec, k)
     mean = eigensum_prefix(spec)[k - 1] / k
     mean_sq = _finite(
         _or_inf(_kernels.power_sum, _runs(spec), k, 2.0) / k,
         "means at k={}: mean_sq", k)
-    power = {float(sigma): _finite(_or_inf(_power_mean, spec, k, sigma),
+    power = {float(sigma): _finite(_or_inf(power_mean, spec, k, sigma),
                                    "means at k={}: power mean of order {}",
                                    k, sigma)
              for sigma in sigma_list}
     try:
-        harmonic = _harmonic_mean(spec, k)
+        harmonic = power_mean(spec, k, -1)
     except OverflowError:
         raise DomainError(f"means at k={k}: the sum of reciprocals behind "
                           "the harmonic mean is outside the float "
                           "range") from None
     return MeanSet(k=k, mean=mean, mean_sq=mean_sq, power_means=power,
-                   geometric=_geometric_mean(spec, k),
+                   geometric=power_mean(spec, k, 0),
                    harmonic=_finite(harmonic, "means at k={}: harmonic", k))
 
 

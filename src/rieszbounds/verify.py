@@ -41,9 +41,9 @@ and moments:
   the witness itself.  The other families call their bound per point; its
   gates pass an ``int`` dimension or index without converting it.
 * A moment point computes only the one power, geometric or harmonic mean
-  it compares, by the helper that ``riesz.means`` uses for that field,
-  and while one spectrum is swept each (k, order) is computed once: the
-  moment memo is dropped with the Riesz memo when the sweep ends.
+  it compares, by ``riesz.power_mean`` as ``riesz.means`` does, and while
+  one spectrum is swept each (k, order) is computed once: the moment memo
+  is dropped with the Riesz memo when the sweep ends.
 * While one spectrum is swept, R_sigma(z) values are memoized per
   (sigma, z) in a ``_RieszTable``, dropped when that sweep ends.  The
   sweep registers three grids of z with the sigma layers its families
@@ -451,24 +451,14 @@ _moment_memo: dict[Spectrum, dict] = {}
 
 
 def _moment(spec, k, sigma):
-    """The one mean of order sigma that ``riesz.means`` reports: sigma = 0
-    denotes the geometric mean, -1 the harmonic mean.  Memoized per
-    (k, sigma) while the spectrum is being swept, with the same bits."""
-    table = _moment_memo.get(spec)
-    if table is None:
-        return _moment_value(spec, k, sigma)
+    """``riesz.power_mean(spec, k, sigma)``: sigma = 0 denotes the
+    geometric mean, -1 the harmonic mean.  Memoized per (k, sigma) while
+    the spectrum is being swept, with the same bits."""
+    table = _moment_memo.get(spec, {})
     value = table.get((k, sigma))
     if value is None:
-        value = table[k, sigma] = _moment_value(spec, k, sigma)
+        value = table[k, sigma] = riesz.power_mean(spec, k, sigma)
     return value
-
-
-def _moment_value(spec, k, sigma):
-    if sigma == -1.0:
-        return riesz._harmonic_mean(spec, k)
-    if sigma == 0.0:
-        return riesz._geometric_mean(spec, k)
-    return riesz._power_mean(spec, k, sigma)
 
 
 def margin_moment_ordering(spec, k, s_lo, s_hi):

@@ -444,6 +444,57 @@ def _adversarial_invocations():
     yield "figure", "fig1", "--full-precision", "17"
 
 
+class TestUnreadFlags:
+    """A flag that the chosen mode does not read exits 2, with nothing on
+    stdout and an ``error:`` line that names the flag; the three modes of
+    ``bounds`` exclude each other."""
+
+    EVAL = ("bounds", "--eval", "cheng_yang", "--arg", "d=2", "--arg", "k=3")
+    BOX = ("--box", "1", "1", "--lambda-max", "100")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("bounds", "--list", *EVAL[1:]), "--eval"),
+        (("bounds", "--list", "--bessel-zeros", "0", "--zero-count", "2"),
+         "--bessel-zeros"),
+        (("bounds", "--eval", "cheng_yang", "--bessel-zeros", "0"),
+         "--bessel-zeros"),
+        (("bounds", "--arg", "d=2"), "--arg"),
+        (("bounds", "--zero-count", "5"), "--zero-count"),
+        (("bounds", "--bessel-zeros", "0", "--arg", "d=2"), "--arg"),
+        (EVAL + ("--zero-count", "4"), "--zero-count"),
+        (("riesz", *BOX, "--means", "3", "--sigma", "2"), "--sigma"),
+        (("riesz", *BOX, "--legendre", "2", "--sigma", "3"), "--sigma"),
+        (("spectrum", "--box", "1", "1", "--lambda-max", "60", "--dim", "3",
+          "--radius", "5"), "--dim"),
+        (("spectrum", "--box", "1", "1", "--lambda-max", "60", "--radius",
+          "5"), "--radius"),
+        (("spectrum", "--load", "{path}", "--lambda-max", "10"),
+         "--lambda-max"),
+        (("spectrum", "--load", "{path}", "--radius", "3"), "--radius"),
+        (("riesz", "--load", "{path}", "--dim", "2", "--z", "5"), "--dim"),
+    ])
+    def test_exits_2(self, capsys, spec_file, argv, flag):
+        try:
+            code = cli.main([a.format(path=spec_file) for a in argv])
+        except SystemExit as exc:    # argparse rejects the combination
+            code = exc.code
+        out = capsys.readouterr()
+        lines = [line for line in out.err.splitlines() if "error:" in line]
+        assert code == 2
+        assert out.out == ""
+        assert len(lines) == 1 and flag in lines[0]
+
+    @pytest.mark.parametrize("argv, row", [
+        (("riesz", *BOX, "--z", "50"), "1,50,"),
+        (("bounds", "--bessel-zeros", "0"), "0,10,"),
+    ])
+    def test_defaults_apply_in_the_mode_that_reads_them(self, capsys, argv,
+                                                        row):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert row in out
+
+
 class TestExitCodeTable:
     """Every adversarial invocation exits 2 with one ``error:`` line on
     stderr, last, and no traceback; exit 1 means a failed inequality."""

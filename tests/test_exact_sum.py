@@ -1040,6 +1040,39 @@ class TestRuns:
                 assert _bits(got[0]) == _bits(
                     math.fsum(np.power(z - below, sigma).tolist()))
 
+    def test_cut_run_of_the_3_ball(self, monkeypatch):
+        # the unit 3-ball below 6000 holds lambda = 5212.808... 129 times,
+        # cut into pieces of 128 and 1 at offset 25,338: a Riesz sum just
+        # above it ends at a run's end and sums the cached weights
+        # themselves, a head sum inside the run sums a copy cut at k
+        from rieszbounds import riesz, spectra
+        spec = spectra.ball_spectrum(3, 1.0, 6000.0)
+        ev = spec.eigenvalues
+        runs = riesz._runs(spec)
+        piece = int(np.flatnonzero(runs.offsets == 25338)[0])
+        lam = float(runs.values[piece])
+        assert runs.weights[piece:piece + 2].tolist() == [WEIGHT, 1]
+        assert runs.values[piece + 1] == lam == pytest.approx(5212.808)
+        summed = []
+        exact_sums = pykernels._exact_sums
+
+        def spy(terms, starts, weights):
+            summed.append(weights[0])
+            return exact_sums(terms, starts, weights)
+
+        monkeypatch.setattr(pykernels, "_exact_sums", spy)
+        z = math.nextafter(lam, math.inf)
+        value, count = pykernels.riesz_sum(runs, 1.5, z)
+        assert count == 25338 + 129
+        assert _bits(value) == _bits(
+            math.fsum(np.power(z - ev[:count], 1.5).tolist()))
+        assert np.shares_memory(summed[-1], runs.weights)
+        k = 25338 + 60
+        value = pykernels.head_sum(runs, k, lambda values: values * values)
+        assert _bits(value) == _bits(math.fsum((ev[:k] * ev[:k]).tolist()))
+        assert not np.shares_memory(summed[-1], runs.weights)
+        assert summed[-1][-1] == 60
+
     def test_equal_means_equal_bits(self):
         runs = pykernels.runs_of([-0.0, 0.0, 0.0, 1.0])
         assert runs.weights.tolist() == [1, 2, 1]
@@ -1091,8 +1124,8 @@ class TestSpectrumSums:
         zs = verify.z_grid(spec, verify.VerifyConfig(z_points=40))
         for sigma in self.SIGMAS:
             want = [self._fsum(np.power(z - ev[ev < z], sigma)) for z in zs]
-            assert [_bits(v) for v in riesz.riesz_row(spec, sigma, zs)] \
-                == want
+            assert [_bits(v) for v in riesz.riesz_grid(spec, [sigma],
+                                                       zs)[0]] == want
             for z, bits in list(zip(zs, want))[::5]:
                 value, count = riesz.riesz_value(spec, sigma, z)
                 assert count == np.count_nonzero(ev < z)

@@ -55,7 +55,7 @@ class TestRieszMean:
 
 
 class TestRieszRow:
-    """``riesz_row`` and ``riesz_grid`` check all their z values at once,
+    """``riesz_grid`` checks all its z values at once, one layer or more,
     and raise for the first bad one what ``riesz_value`` raises for it."""
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -3.0, 200.0001])
@@ -66,7 +66,7 @@ class TestRieszRow:
         with pytest.raises((DomainError, TruncationError)) as want:
             riesz.riesz_value(square_pi, 1.0, bad)
         with pytest.raises(want.type) as got:
-            riesz.riesz_row(square_pi, 1.0, zs)
+            riesz.riesz_grid(square_pi, [1.0], zs)[0]
         assert got.type is want.type
         assert str(got.value) == str(want.value)
 
@@ -80,21 +80,22 @@ class TestRieszRow:
     def test_several_bad_z_raise_for_the_first(self, square_pi, zs, error):
         first = next(z for z in zs if not 0 < z <= square_pi.complete_below)
         with pytest.raises(error) as got:
-            riesz.riesz_row(square_pi, 0.5, zs)
+            riesz.riesz_grid(square_pi, [0.5], zs)[0]
         with pytest.raises(error) as want:
             riesz.riesz_value(square_pi, 0.5, first)
         assert str(got.value) == str(want.value)
 
     def test_good_row_equals_riesz_value(self, square_pi):
         zs = [5.0, 200.0, 19.75, 120, 60.5]
-        assert [v.hex() for v in riesz.riesz_row(square_pi, 1.5, zs)] == \
+        row = riesz.riesz_grid(square_pi, [1.5], zs)[0]
+        assert [v.hex() for v in row] == \
             [riesz.riesz_value(square_pi, 1.5, z)[0].hex() for z in zs]
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, 200.0001])
     def test_grid_checks_z_as_riesz_row(self, square_pi, bad):
         zs = [50.0, bad, 7.0]
         with pytest.raises((DomainError, TruncationError)) as want:
-            riesz.riesz_row(square_pi, 1.0, zs)
+            riesz.riesz_grid(square_pi, [1.0], zs)[0]
         with pytest.raises(want.type) as got:
             riesz.riesz_grid(square_pi, [0.5, 1.0], zs)
         assert str(got.value) == str(want.value)
@@ -117,7 +118,7 @@ class TestRieszRow:
         assert [[v.hex() for v in row] for row in rows] == \
             [[riesz.riesz_value(square_pi, s, z)[0].hex()
               for s, z in zip(layer, zs)] for layer in layers]
-        assert riesz.riesz_row(square_pi, per_z, zs) == rows[1]
+        assert riesz.riesz_grid(square_pi, [per_z], zs)[0] == rows[1]
 
     SIGMA = (st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -0.75])
              | st.floats(-0.9, 5.0))
@@ -152,7 +153,7 @@ class TestRieszRow:
 class TestBadSigma:
     """A NaN sigma, or a sigma sequence of another length than the z
     values, raises DomainError before any sum: ``riesz_grid`` checks its
-    layers before it calls ``_riesz_rows``."""
+    layers before it calls ``_riesz_layers``."""
 
     @pytest.fixture
     def no_sums(self, monkeypatch):
@@ -160,22 +161,23 @@ class TestBadSigma:
             raise AssertionError("summed")
 
         monkeypatch.setattr(riesz._kernels, "riesz_sum", fail)
-        monkeypatch.setattr(pykernels, "_riesz_rows", fail)
+        monkeypatch.setattr(pykernels, "_riesz_layers", fail)
 
     @pytest.mark.parametrize("sigmas", [[1.0, 2.0], [1.0, 2.0, 0.5, 3.0], []],
                              ids=["short", "long", "empty"])
     def test_row_length(self, square_pi, no_sums, sigmas):
         with pytest.raises(DomainError, match=f"got {len(sigmas)} sigmas "
                            "for 3 z values"):
-            riesz.riesz_row(square_pi, sigmas, [50.0, 120.5, 7.0])
+            riesz.riesz_grid(square_pi, [sigmas], [50.0, 120.5, 7.0])[0]
         with pytest.raises(DomainError, match=f"got {len(sigmas)} sigmas "
                            "for 3 z values"):
             riesz.riesz_grid(square_pi, [0.5, sigmas], [50.0, 120.5, 7.0])
 
     @pytest.mark.parametrize("call", [
         lambda spec: riesz.riesz_value(spec, math.nan, 50.0),
-        lambda spec: riesz.riesz_row(spec, math.nan, [50.0, 7.0]),
-        lambda spec: riesz.riesz_row(spec, [1.0, math.nan], [50.0, 7.0]),
+        lambda spec: riesz.riesz_grid(spec, [math.nan], [50.0, 7.0])[0],
+        lambda spec: riesz.riesz_grid(spec, [[1.0, math.nan]],
+                                      [50.0, 7.0])[0],
         lambda spec: riesz.riesz_grid(spec, [0.5, math.nan], [50.0, 7.0]),
         lambda spec: riesz.riesz_grid(spec, [0.5, [1.0, math.nan]],
                                       [50.0, 7.0]),
@@ -235,7 +237,17 @@ class TestMeans:
         with pytest.raises(DomainError, match="sum of reciprocals"):
             riesz.means(spec, 2)
         with pytest.raises(OverflowError):
-            riesz._harmonic_mean(spec, 2)
+            riesz.power_mean(spec, 2, -1)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -0.5, 2.5], ids=repr)
+    def test_power_mean_order_outside_its_domain(self, square_pi, p):
+        with pytest.raises(DomainError, match="power-mean order"):
+            riesz.power_mean(square_pi, 5, p)
+
+    def test_orders_0_and_minus_1_are_geometric_and_harmonic(self, ball3):
+        m = riesz.means(ball3, 50, sigma_list=[0.0, -1.0])
+        assert m.power_means[0.0].hex() == m.geometric.hex()
+        assert m.power_means[-1.0].hex() == m.harmonic.hex()
 
     def test_k_range_guard(self, square_pi):
         with pytest.raises(DomainError):
@@ -256,9 +268,9 @@ class TestIndexGuard:
         from rieszbounds import _kernels
         return {
             "means": lambda spec, k: riesz.means(spec, k, [0.5]),
-            "power_mean": lambda spec, k: riesz._power_mean(spec, k, 0.5),
-            "geometric": riesz._geometric_mean,
-            "harmonic": riesz._harmonic_mean,
+            "power_mean": lambda spec, k: riesz.power_mean(spec, k, 0.5),
+            "geometric": lambda spec, k: riesz.power_mean(spec, k, 0),
+            "harmonic": lambda spec, k: riesz.power_mean(spec, k, -1),
             "head_sum": lambda spec, k: _kernels.head_sum(
                 riesz._runs(spec), k, lambda values: values),
             "power_sum": lambda spec, k: _kernels.power_sum(

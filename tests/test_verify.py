@@ -261,7 +261,7 @@ class TestMomentMemo:
         seen = {}
         computed = []
         margin = verify.MARGINS["moment_interpolation"]
-        moment_value = verify._moment_value
+        moment_value = riesz.power_mean
 
         def spy(s, *row):
             m = margin(s, *row)
@@ -273,7 +273,7 @@ class TestMomentMemo:
             return moment_value(s, k, sigma)
 
         monkeypatch.setitem(verify.MARGINS, "moment_interpolation", spy)
-        monkeypatch.setattr(verify, "_moment_value", counting_value)
+        monkeypatch.setattr(riesz, "power_mean", counting_value)
         verify._sweep("square", spec, SMALL, ids=self.IDS)
         assert spec not in verify._moment_memo
         assert seen and sorted(computed) == sorted(seen)
