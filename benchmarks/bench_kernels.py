@@ -229,13 +229,9 @@ def _suite_rows(spec, cfg):
     """The grids of z that the ``verify`` sweep of ``spec`` registers with
     one sigma per layer, the sigmas that its families read there: the z
     grid and the central-difference rows z + h and z - h."""
-    table = verify._riesz_memo[spec] = verify._RieszTable(spec)
-    try:
-        verify._build_points(spec, cfg, cfg.z_points)
-    finally:
-        verify._riesz_memo.pop(spec, None)
-    return [(sigmas, zs) for sigmas, zs in table.pending
-            if not np.ndim(sigmas[0])]
+    grids = []
+    verify._build_points(spec, cfg, cfg.z_points, grids)
+    return [(sigmas, zs) for sigmas, zs in grids if not np.ndim(sigmas[0])]
 
 
 def compare_row_sets() -> bool:

@@ -36,8 +36,9 @@ returns.
   run-path pass per layer.  ``riesz_grid`` is its one entry: a layer is
   one sigma for every z or one sigma per z, and it checks the layers.
   ``riesz_sum`` sums its one z through ``head_sum``, the count of
-  eigenvalues below z being the head, as ``_riesz_layers`` sums a row too
-  long to pack, and returns the count beside it.
+  eigenvalues below z being the head, and returns the count beside it;
+  it is the one builder of single-z terms, and ``_riesz_layers`` sums a
+  row too long to pack through it.
 
 The block bound.  A normal term is M * 2**(E - 1075) with the integer
 mantissa M < 2**53, and a block holds terms of one sign and exponent.  Its
@@ -330,13 +331,9 @@ def riesz_sum(runs, sigma, z):
     count = int(runs.offsets[runs.values.searchsorted(z)])    # bisect_left
     if sigma == 0.0:
         return float(count), count
-    return head_sum(runs, count, _riesz_terms(sigma, z)), count
-
-
-def _riesz_terms(sigma, z):
-    """``head_sum``'s map of values to their Riesz terms (z - values)**sigma,
-    each array z - values raised in place."""
-    return lambda values: _powers(t := z - values, sigma, out=t)
+    # each array z - values is raised in place
+    return head_sum(runs, count, lambda values: _powers(
+        t := z - values, sigma, out=t)), count
 
 
 def riesz_grid(runs, sigmas, zs):
@@ -366,7 +363,7 @@ def _riesz_layers(runs, sigmas, zs):
     that sum terms are cut into batches by ``searchsorted`` on their
     running sizes: a batch takes the next rows while their terms fit in
     ``_CHUNK``, and a row with more terms is a batch of its own, summed
-    layer by layer by ``head_sum`` without packing.  The rows of a
+    layer by layer by ``riesz_sum`` without packing.  The rows of a
     larger batch are packed once into one buffer, one segment per row, by
     one index that ``np.repeat`` and ``arange`` build: it gathers each
     row's z - lambda, weights and positions (which run on across the
@@ -393,8 +390,7 @@ def _riesz_layers(runs, sigmas, zs):
             i = int(rows[at])
             for layer, sigma in zip(out, sigmas[:, i].tolist()):
                 if sigma:
-                    layer[i] = head_sum(runs, int(counts[i]),
-                                        _riesz_terms(sigma, zs[i]))
+                    layer[i] = riesz_sum(runs, sigma, zs[i])[0]
             at = end
             continue
         batch = rows[at:end]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -122,18 +123,19 @@ def _check_weyl_count(d: int, volume: float, lam_max: float,
     MAX_EIGENVALUES eigenvalues below ``lam_max``, unless ``bound()``, an
     upper bound on the count, does not; an infinite ``lam_max`` always
     fails.  Where (lam_max / 4 pi)^(d/2) or Gamma(1 + d/2) leaves the
-    float range, the prediction is compared in logs; a volume that
-    underflowed to 0 then raises DomainError, as no spectrum can carry
-    it."""
+    float range, the prediction is compared in logs.  A volume below the
+    normal float range (``sys.float_info.min``), subnormal or 0, raises
+    DomainError first: it has lost bits, so no spectrum should carry it."""
+    if volume < sys.float_info.min:
+        raise DomainError(f"the volume {volume!r} in dimension {d} underflows "
+                          f"the normal float range (below "
+                          f"{sys.float_info.min!r})")
     gamma = specfun.gamma(1 + d / 2)
     try:
         predicted = volume * (lam_max / (4 * math.pi))**(d / 2) / gamma
     except OverflowError:
         gamma = math.inf
     if gamma == math.inf:
-        if volume == 0.0:
-            raise DomainError(f"the volume in dimension {d} underflows to "
-                              "0, so no eigenvalue count can be predicted")
         log10 = (math.log10(volume)
                  + d / 2 * math.log10(lam_max / (4 * math.pi))
                  - math.lgamma(1 + d / 2) / math.log(10))
@@ -264,12 +266,12 @@ def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:
     if volume == math.inf:
         raise DomainError(f"the volume of the {d}-ball of radius {radius} "
                           "overflows")
-    _check_weyl_count(d, volume, lam_max, lambda: _ball_count_bound(
-        d, radius * math.sqrt(lam_max)))
     r2 = radius * radius
     if r2 == 0.0:
         raise DomainError(f"radius {radius} is too small: its square "
                           "underflows to 0")
+    _check_weyl_count(d, volume, lam_max, lambda: _ball_count_bound(
+        d, radius * math.sqrt(lam_max)))
     # a kept zero v has v**2 / r2 < lam_max, so v < radius * sqrt(lam_max)
     # but for the roundings of sqrt, the product, r2, pow and the quotient,
     # under 4 ulps; the bound lies 16 ulps above

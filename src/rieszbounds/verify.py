@@ -44,17 +44,17 @@ and moments:
   it compares, by ``riesz.power_mean`` as ``riesz.means`` does, and while
   one spectrum is swept each (k, order) is computed once: the moment memo
   is dropped with the Riesz memo when the sweep ends.
-* While one spectrum is swept, R_sigma(z) values are memoized per
-  (sigma, z) in a ``_RieszTable``, dropped when that sweep ends.  The
-  sweep registers three grids of z with the sigma layers its families
-  read there: the z grid and the rows z +- h with one sigma per layer,
-  and the random Hoelder samples' z with three layers of one sigma per z.
-  The first read sums each grid in one
+* While one spectrum is swept, R_sigma(z) values are read from a dict
+  keyed by (sigma, z), dropped when that sweep ends.  ``_build_points``
+  registers three grids of z with the sigma layers its families read
+  there: the z grid and the rows z +- h with one sigma per layer, and the
+  random Hoelder samples' z with three layers of one sigma per z.  Before
+  the first family runs, the sweep sums each in one
   :func:`~rieszbounds.riesz.riesz_grid` pass: three in a default sweep,
-  none in one that reads no Riesz value.  Only a value on no grid calls
-  ``riesz_value``; the default suite has none.  Every value has the bits
-  of ``riesz_value``, so witness re-evaluation outside a sweep stays
-  exact.
+  none where no family reads R_sigma(z).  A value on no grid, or on one
+  whose sum overflows, is one ``riesz_value`` call, so the error names
+  the check and point that meet it.  Every value has the bits of
+  ``riesz_value``, so witness re-evaluation outside a sweep stays exact.
 
 Points are streamed.  Each family states its points once, as row groups
 (``_Points``): a group is constants, equal-length columns (lists or
@@ -198,38 +198,24 @@ def _margin(big, small):
     return (big - small) / (scale if scale > 1.0 else 1.0)
 
 
-class _RieszTable(dict):
-    """{(sigma, z): R_sigma(z)} of one spectrum while it is swept.
-
-    Grids of z, each with its sigma layers (``add_grid``: a layer is one
-    sigma for every z or one sigma per z), wait in a pending list.  The
-    first miss sums all of it, each grid in one ``riesz_grid`` pass.  Any
-    other key is one ``riesz_value`` call.  Both give the bits of
-    ``riesz_value``.
-    """
-
-    def __init__(self, spec):
-        super().__init__()
-        self.spec = spec
-        self.pending = []    # (layers, zs) not yet summed
-
-    def add_grid(self, layers, zs):
-        self.pending.append((layers, zs))
-
-    def __missing__(self, key):
-        pending, self.pending = self.pending, []
-        for layers, zs in pending:
-            rows = riesz_grid(self.spec, layers, zs)
-            for sigma, row in zip(layers, rows):
-                sigmas = sigma if np.ndim(sigma) else repeat(sigma)
-                self.update(zip(zip(sigmas, zs), row))
-        if key not in self:
-            self[key] = riesz_value(self.spec, *key)[0]
-        return self[key]
+#: per-spectrum {(sigma, z): R_sigma(z)} tables, alive while _sweep runs
+_riesz_memo: dict[Spectrum, dict] = {}
 
 
-#: per-spectrum R_sigma(z) tables, alive while _sweep runs
-_riesz_memo: dict[Spectrum, _RieszTable] = {}
+def _riesz_table(spec, grids):
+    """{(sigma, z): R_sigma(z)} on each grid ``(sigma layers, zs)``, summed
+    in one ``riesz_grid`` pass; a grid whose pass raises ArithmeticError
+    (a sum overflows) is left out, to be read value by value."""
+    table = {}
+    for layers, zs in grids:
+        try:
+            rows = riesz_grid(spec, layers, zs)
+        except ArithmeticError:
+            continue
+        for sigma, row in zip(layers, rows):
+            sigmas = sigma if np.ndim(sigma) else repeat(sigma)
+            table.update(zip(zip(sigmas, zs), row))
+    return table
 
 
 def _operands(spec):
@@ -248,15 +234,15 @@ def _mean(spec, j):
 
 
 def _riesz(spec, sigma, z):
-    """R_sigma(z), memoized while the spectrum is being swept.
-
-    Every call outside a sweep goes to ``riesz_value``; a memoized value
-    has the bits that ``riesz_value`` returns (see ``_RieszTable``).
-    """
-    table = _riesz_memo.get(spec)
-    if table is None:
-        return riesz_value(spec, sigma, z)[0]
-    return table[sigma, z]
+    """R_sigma(z), read from the sweep's table of summed grids while the
+    spectrum is being swept.  A key the table lacks, and every call
+    outside a sweep, is one ``riesz_value`` call, kept in the table; a
+    summed value has the bits that ``riesz_value`` returns."""
+    table = _riesz_memo.get(spec, {})
+    value = table.get((sigma, z))
+    if value is None:
+        value = table[sigma, z] = riesz_value(spec, sigma, z)[0]
+    return value
 
 
 def margin_thm21_diff1(spec, sigma, z):
@@ -709,7 +695,10 @@ def _group_columns(consts, cols, trailing):
             *([cycle(trailing)] if trailing else [])]
 
 
-def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
+def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int, grids=None):
+    """``[(check_id, grid, points)]`` of every family on ``spec``; each
+    grid of z that the families read R_sigma(z) on is appended to the list
+    ``grids``, if given, as ``(sigma layers, zs)``."""
     d = spec.dimension
     lam1 = spec.lambda_1
     n = len(spec)
@@ -733,8 +722,7 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
     clear = ((_nearest_gap(spec.eigenvalues, z_arr) > 10 * (1e-6 * z_arr))
              & (z_arr + 1e-6 * z_arr <= spec.complete_below))
     z_fd = [z for z, ok in zip(zs, clear.tolist()) if ok]
-    table = _riesz_memo.get(spec)
-    if table is not None:
+    if grids is not None:
         # the sigmas that the families read on each row: on the grid each
         # grid sigma, each sigma - 1 of the difference families, the fixed
         # sigmas of cor26, cor29 and the Hoelder counting forms; the
@@ -745,9 +733,9 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
                    *_HOELDER_COUNTING["counting2"],
                    *chain.from_iterable(
                        (s, s - 1.0) for s in _HOELDER_COUNTING["counting"])}
-        table.add_grid(sorted(on_grid), zs)
-        table.add_grid(sigma_fd, [z + 1e-6 * z for z in z_fd]
-                       + [z - 1e-6 * z for z in z_fd])
+        grids.append((sorted(on_grid), zs))
+        grids.append((sigma_fd, [z + 1e-6 * z for z in z_fd]
+                       + [z - 1e-6 * z for z in z_fd]))
     h_fd = [1e-6 * z for z in z_fd]
     add("thm21_deriv1", "sigma in {1.5, 2}, central differences",
         [((s,), (z_fd, h_fd), ()) for s in s_le2 if s >= 1.5])
@@ -808,8 +796,8 @@ def _build_points(spec: Spectrum, cfg: VerifyConfig, n_z: int):
         z = float(rng.choice(z_arr))
         for col, x in zip(logconvex, (z, s0, s1, s2)):
             col.append(x)
-    if table is not None:    # one layer per sigma of the triples
-        table.add_grid(logconvex[1:], logconvex[0])
+    if grids is not None:    # one layer per sigma of the triples
+        grids.append((logconvex[1:], logconvex[0]))
     add("hoelder_chain", "random sigma triples + counting forms",
         [(("logconvex", None), logconvex, ())]
         + [((form, s), (zs[::5],), ())
@@ -850,26 +838,31 @@ def _sweep(label: str, spec: Spectrum, cfg: VerifyConfig, ids=None):
     """Run margin sweeps on one spectrum, optionally restricted to ids,
     on a grid of ``cfg.z_points`` z values.
 
-    A family with a validity gate runs it at its edge rows before its
-    first point.  Its margins are then computed ``_CHUNK`` rows at a time
-    into one array.  Each family keeps its first row with the smallest
-    margin and builds its witness dict once, from that row.  An
-    ArithmeticError raises DomainError at once, naming the row that raised
-    (its chunk is re-run row by row to find it).  A NaN margin is no
-    verdict either, but it is raised only after the spectrum's other
-    families are swept, so that it never hides such an error, which names
-    the operation that failed.
+    The sweep builds the points, sums the Riesz grids into the spectrum's
+    table (see the module docstring), then runs the families.  A family
+    with a validity gate runs it at its edge rows before its first point.
+    Its margins are then computed ``_CHUNK`` rows at a time into one
+    array.  Each family keeps its first row with the smallest margin and
+    builds its witness dict once, from that row.  An ArithmeticError
+    raises DomainError at once, naming the row that raised (its chunk is
+    re-run row by row to find it).  A NaN margin is no verdict either, but
+    it is raised only after the spectrum's other families are swept, so
+    that it never hides such an error, which names the operation that
+    failed.
 
     Returns {check_id: (grid, n_points, worst_margin, witness)}.
     """
     results = {}
     nan = None      # message for the first NaN margin
-    _riesz_memo[spec] = _RieszTable(spec)
+    grids = []
+    _riesz_memo[spec] = {}
     _moment_memo[spec] = {}
     try:
-        for check_id, grid, points in _build_points(spec, cfg, cfg.z_points):
-            if ids is not None and check_id not in ids:
-                continue
+        families = [f for f in _build_points(spec, cfg, cfg.z_points, grids)
+                    if ids is None or f[0] in ids]
+        if any({"z", "z1"} & {*_NAMES[f[0]]} for f in families):
+            _riesz_memo[spec] = _riesz_table(spec, grids)
+        for check_id, grid, points in families:
             fn = MARGINS[check_id]
             margins = chain.from_iterable(
                 map(fn, repeat(spec), *_group_columns(*group))

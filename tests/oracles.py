@@ -340,12 +340,13 @@ def point_dict(check_id, fn, row) -> dict:
 def dict_sweep(label, spec, cfg, ids=None):
     """``verify._sweep`` as it ran when every point was a keyword dict:
     ``fn(spec, **params)`` per point, the first strict minimum kept and
-    its dict copied into the witness.
+    its dict copied into the witness.  Each Riesz value is one
+    ``riesz_value`` call, kept while the spectrum is swept.
 
     Returns {check_id: (grid, n_points, worst_margin, witness)}.
     """
     results = {}
-    verify._riesz_memo[spec] = verify._RieszTable(spec)
+    verify._riesz_memo[spec] = {}
     try:
         for check_id, grid, points in verify._build_points(spec, cfg,
                                                              cfg.z_points):

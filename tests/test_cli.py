@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from rieszbounds import cli, spectra
+from rieszbounds import cli, spectra, verify
+from rieszbounds.errors import DomainError
 from oracles import spectrum_csv, spectrum_json, spectrum_text
 
 
@@ -123,6 +124,27 @@ class TestSpectrumCommand:
         assert values[0] == pytest.approx(32568.237, abs=1e-3)
         assert values[1:] == [values[1]] * 342
         assert values[1] == pytest.approx(32937.340, abs=1e-3)
+
+    def test_ball_of_dimension_435(self, capsys):
+        # the last unit-ball volume in the normal float range
+        code, out, _ = run_cli(capsys, "spectrum", "--ball", "--dim", "435",
+                               "--lambda-max", "53000")
+        assert code == 0
+        header = dict(line.split(": ") for line in out.splitlines()[:3])
+        assert float(header["volume"]) == pytest.approx(4.205e-308, rel=1e-3)
+
+    @pytest.mark.parametrize("d, lam_max", [("436", "52300"),
+                                            ("452", "57000"),
+                                            ("453", "56400")])
+    def test_ball_of_subnormal_volume(self, capsys, d, lam_max):
+        # V_436 = 5.0e-309 and V_452 = 7.97e-324 are subnormal, and V_453
+        # underflows to 0: none could be written as it is
+        code, out, err = run_cli(capsys, "spectrum", "--ball", "--dim", d,
+                                 "--lambda-max", lam_max)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the volume ")
+        assert f"in dimension {d} underflows" in err
 
     def test_empty_spectrum_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--box", "1", "1",
@@ -707,6 +729,36 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: thm21_mono1 cannot be evaluated")
         assert "scaled.txt" in err and "'sigma'" in err
+
+    @staticmethod
+    def _scaled_square(tmp_path, e):
+        """README's scaling example: the unit square below 900 with its
+        eigenvalues and threshold scaled by 10^e and its volume by 10^-e,
+        written to a file."""
+        square = spectra.box_spectrum([1.0, 1.0], 900.0)
+        path = str(tmp_path / f"square-e{e}.txt")
+        spectra.write_spectrum(spectra.Spectrum(
+            dimension=2, eigenvalues=square.eigenvalues * 10.0 ** e,
+            complete_below=900.0 * 10.0 ** e,
+            domain=spectra.DomainSpec("file", 2), volume=10.0 ** -e), path)
+        return path
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("e, check_id, witness", [
+        (60, "thm21_diff2", {"sigma": 5.0, "z": 8.979957299856315e+61}),
+        (100, "thm21_diff2", {"sigma": 3.0, "z": 3.445082741887978e+102})])
+    def test_overflowing_riesz_sum_names_its_point(self, capsys, tmp_path,
+                                                   e, check_id, witness):
+        # a Riesz sum that overflows is named where a margin reads it, and
+        # the point named cannot be evaluated either
+        path = self._scaled_square(tmp_path, e)
+        code, out, err = run_cli(capsys, "verify", "--spectrum", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {check_id} cannot be evaluated on "
+                              f"'square-e{e}.txt' at {witness}: ")
+        with pytest.raises(DomainError, match=check_id):
+            verify.reevaluate(spectra.load_spectrum(path), check_id, witness)
 
     def test_overflowing_terms_print_only_the_error(self, tmp_path):
         # R_2 terms near 1e400 overflow to inf in numpy; a separate

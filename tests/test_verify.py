@@ -145,6 +145,41 @@ class TestRieszMemo:
         monkeypatch.setattr(verify, "riesz_grid", counting_grid)
         return calls
 
+    @staticmethod
+    def _read(spec, grids, pairs):
+        """The table of ``grids`` that a sweep of ``spec`` reads, after
+        ``_riesz`` has read each pair through it."""
+        table = verify._riesz_memo[spec] = verify._riesz_table(spec, grids)
+        try:
+            for pair in pairs:
+                verify._riesz(spec, *pair)
+        finally:
+            verify._riesz_memo.pop(spec)
+        return table
+
+    def test_grids_are_summed_before_the_families_run(self, small_specs,
+                                                      monkeypatch):
+        # every (sigma, z) of the three registered grids is in the table
+        # when the first family's first margin runs
+        spec = small_specs["disk"]
+        grids = []
+        verify._build_points(spec, SMALL, SMALL.z_points, grids)
+        keys = {(s, z) for layers, zs in grids for layer in layers
+                for s, z in zip(layer if np.ndim(layer)
+                                else [layer] * len(zs), zs)}
+        assert len(grids) == 3 and len(keys) > 100
+        seen = []
+        margin = verify.MARGINS["thm21_diff1"]
+
+        def spy(s, *row):
+            if not seen:
+                seen.append(set(verify._riesz_memo[s]))
+            return margin(s, *row)
+
+        monkeypatch.setitem(verify.MARGINS, "thm21_diff1", spy)
+        verify._sweep("disk", spec, SMALL)
+        assert seen[0] >= keys
+
     def test_default_sweep_sums_rows(self, monkeypatch):
         # every value is summed in one of three grid passes: the z grid
         # with every sigma its families read there, the central-difference
@@ -165,12 +200,11 @@ class TestRieszMemo:
         spec = spectra.box_spectrum([1.0, 1.0], 50000.0)
         zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 90).tolist()
         sigmas = [-0.75, -0.5, 0.0, 0.25, 1.0, 2.5]
-        table = verify._RieszTable(spec)
-        table.add_grid(sigmas, zs)
         terms = riesz._runs(spec).values.searchsorted(zs).sum()
         assert terms > pykernels._CHUNK
         calls = self._count_passes(monkeypatch)
         pairs = [(s, z) for z in zs for s in sigmas] + [(1.5, 18999.5)]
+        table = self._read(spec, [(sigmas, zs)], pairs)
         values = [table[pair] for pair in pairs]
         assert calls == {"value": 1, "grid": 1}
         assert len(table) == len(pairs)
@@ -184,17 +218,17 @@ class TestRieszMemo:
         # on no other grid, and more terms than one _CHUNK buffer holds
         spec = spectra.box_spectrum([1.0, 1.0], 50000.0)
         zs = np.linspace(spec.lambda_1 * 1.01, 49000.0, 30).tolist()
-        table = verify._RieszTable(spec)
-        table.add_grid([0.5], zs[::2])
         pairs = [(s, z) for z in zs for s in (0.0, 0.5, 1.0, 2.0, 2.7)]
         pairs += [(3.1, 18999.5)]   # on no row
         terms = riesz._runs(spec).values.searchsorted(
             [z for s, z in pairs if s])
         assert terms.sum() > pykernels._CHUNK
-        table.add_grid([[s for s, _ in pairs]], [z for _, z in pairs])
         calls = []
         monkeypatch.setattr(verify, "riesz_value",
                             lambda *args: calls.append(args))
+        table = self._read(spec, [([0.5], zs[::2]),
+                                  ([[s for s, _ in pairs]],
+                                   [z for _, z in pairs])], pairs)
         values = [table[pair] for pair in pairs]
         assert not calls
         assert len(table) == len(pairs)
@@ -345,9 +379,9 @@ class TestIndexGates:
         build = verify._build_points
         calls = []
 
-        def with_bad_group(s, cfg, n_z):
+        def with_bad_group(s, cfg, n_z, grids=None):
             out = []
-            for cid, grid, points in build(s, cfg, n_z):
+            for cid, grid, points in build(s, cfg, n_z, grids):
                 if cid == check_id:
                     bad_group = ((), list(zip(*bad_rows)), ())
                     points = verify._Points(cid, [*points.groups, bad_group])
