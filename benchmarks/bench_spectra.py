@@ -22,9 +22,10 @@ through ``specfun._jv`` in one more, untimed run.
 
 Lone queries: J evaluations and time, each from an empty zero cache, of
 the first zero of orders 7, 100, 511 and 1000, which fill the chain of
-orders below them (rooted at 0, 0, 0 and 512), and of the export
-``bounds --bessel-zeros 0,0.5,7 --zero-count 40``.  Each has a budget of
-J evaluations and of seconds.
+orders below them (rooted at 0, 0, 0 and 512) below an upper bound on the
+zero, and of the export ``bounds --bessel-zeros 0,0.5,7 --zero-count 40``
+(zero 40 of each order, then the zeros up to it, read from the cache).
+Each has a budget of J evaluations and of seconds.
 
 Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
@@ -44,9 +45,9 @@ any writer's bytes differ from its reference's.
 """
 
 import io
+import math
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -67,16 +68,20 @@ BOXES = (("square, lambda < 1.3e7", [1.0, 1.0], 1.3e7),
 #: (name, d, lambda_max) of the generated unit balls
 BALLS = (("disk, lambda < 1e5", 2, 1e5), ("ball d=3, lambda < 3e4", 3, 3e4))
 #: (name, query, J evaluations, seconds) of the lone queries; the budgets
-#: are about 1.1 times the J evaluations and 2.5 to 5 times the time
-#: measured on a 2-vCPU host, which can run 2x slow in episodes
+#: are at most 1.5 times the J evaluations (150; 6,603; 109,359; 68,915;
+#: 2,783), so an overshoot of the chain fails, and the time budgets stay
+#: at 2.5 to 5 times the time each query took when each order asked the
+#: one below for one more zero, on a 2-vCPU host that can run 2x slow in
+#: episodes
 LONE = (
-    ("j_{7,1}", lambda: specfun.bessel_zero(7.0, 1), 350, 0.02),
-    ("j_{100,1}", lambda: specfun.bessel_zero(100.0, 1), 21_000, 0.4),
-    ("j_{511,1}", lambda: specfun.bessel_zero(511.0, 1), 450_000, 4.0),
-    ("j_{1000,1}", lambda: specfun.bessel_zero(1000.0, 1), 410_000, 4.0),
+    ("j_{7,1}", lambda: specfun.bessel_zero(7.0, 1), 220, 0.02),
+    ("j_{100,1}", lambda: specfun.bessel_zero(100.0, 1), 9_900, 0.4),
+    ("j_{511,1}", lambda: specfun.bessel_zero(511.0, 1), 160_000, 4.0),
+    ("j_{1000,1}", lambda: specfun.bessel_zero(1000.0, 1), 100_000, 4.0),
     ("export 0,0.5,7 x 40",
-     lambda: [list(islice(specfun.bessel_zeros(nu), 40))
-              for nu in (0.0, 0.5, 7.0)], 3_300, 0.1),
+     lambda: [list(specfun.bessel_zeros(nu, math.nextafter(
+         specfun.bessel_zero(nu, 40).value, math.inf)))
+              for nu in (0.0, 0.5, 7.0)], 4_100, 0.1),
 )
 
 

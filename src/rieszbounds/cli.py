@@ -24,14 +24,13 @@ import os
 import sys
 import tempfile
 from functools import partial
-from itertools import islice
 
 from . import bounds, riesz, spectra, specfun, verify
 from .errors import ResourceLimitError, RieszBoundsError
 
-#: most Bessel zeros one ``bounds --bessel-zeros`` export may find, the
-#: orders of their chains below included (``specfun.chain_zeros``); 10^5
-#: zeros of one scanned root take about 12 s, of a batched chain 1.5 s
+#: most Bessel zeros one ``bounds --bessel-zeros`` export may find, counted
+#: by ``specfun.chain_zeros`` below each chain's bound on its zeros asked;
+#: 10^5 zeros of one scanned root take about 8 s, of a batched chain 1.5 s
 MAX_EXPORT_ZEROS = 10**5
 
 
@@ -220,9 +219,12 @@ def cmd_bounds(args) -> int:
                 f"--zero-count {count} for {len(orders)} order(s) "
                 f"may find {need} zeros with their chains, which exceeds cap "
                 f"{MAX_EXPORT_ZEROS} zeros")
-        rows = [[nu, p, value] for nu in orders
-                for p, value in enumerate(
-                    islice(specfun.bessel_zeros(nu), count), 1)]
+        rows = []
+        for nu in orders:
+            # zero ``count`` fills the chain; the zeros up to it are cached
+            last = specfun.bessel_zero(nu, count).value
+            zeros = specfun.bessel_zeros(nu, math.nextafter(last, math.inf))
+            rows += ([nu, p, value] for p, value in enumerate(zeros, 1))
         _emit_rows(args, ["nu", "p", "zero"], rows)
         return 0
     if args.eval is not None:

@@ -21,7 +21,8 @@ the path to a zero, and its bits, depend on its order alone:
   below a bound, K of them, zeros 1 .. K-1 of order nu lie between
   consecutive ones, and zero K lies in (j_{nu-1,K}, bound) exactly when
   J_nu changes sign there.  One J_nu evaluation at the bound decides it
-  (none if the bound is j_{nu-1,K+1}); no zero at or above it is found.
+  (none if the bound is j_{nu-1,K+1} or at least _zero_bound(nu, K)); no
+  zero at or above it is found.
   Each zero starts from the polynomial extrapolation in the order, of
   degree at most 8, through the zeros of the same index of up to nine
   orders of its chain below, so most need one Newton step.
@@ -35,10 +36,10 @@ the path to a zero, and its bits, depend on its order alone:
   max(1, |J_nu'(x)|), or ConvergenceError.  None at or above 2^20, where
   one ulp exceeds 1e-10, is cached or returned.
 
-``bessel_zero(nu, p)`` returns one zero; ``bessel_zeros(nu)`` iterates over
-the zeros of one order, and ``bessel_zeros(nu, below)`` over those below a
-bound, for callers that read a whole order, such as the ball spectra.  A
-lone zero costs the zeros of its chain below it (``chain_zeros``).
+Each query is one bounded fill of a chain: ``bessel_zeros(nu, below)``
+iterates over the zeros of one order below a bound, as the ball spectra read
+them, and ``bessel_zero(nu, p)`` reads zero p after filling below an upper
+bound on it (``_zero_bound``); ``chain_zeros`` bounds the zeros found.
 """
 
 from __future__ import annotations
@@ -203,12 +204,12 @@ def _start_points(nu: float, n: int, a, b):
     return x
 
 
-def _scan_root(nu: float, zeros: _OrderZeros, p: int, bound: float) -> None:
+def _scan_root(nu: float, zeros: _OrderZeros, bound: float) -> None:
     """Append zeros of the chain root nu, bracketed one at a time by a
-    sign-change scan, until at least p are cached and every zero below
-    ``bound`` is.  A zero found at or above 2^20 is not cached: every zero
-    below 2^20 is then, and the order's bound becomes 2^20."""
-    while zeros.bound < _LIMIT and (len(zeros) < p or zeros.reach() < bound):
+    sign-change scan, through its first zero at or above ``bound``.  A
+    zero found at or above 2^20 is not cached: every zero below 2^20 is
+    then, and the order's bound becomes 2^20."""
+    while zeros.bound < _LIMIT and zeros.reach() < bound:
         # j_{nu,1} > max(nu, 0); consecutive zeros are more than pi/2 apart
         a = zeros[-1] + 0.5 * math.pi if zeros else max(nu, 0.0)
         fa = float(_jv(nu, a))
@@ -238,16 +239,17 @@ def _fill_below(nu: float, zeros: _OrderZeros, bound: float) -> None:
     at or above ``bound`` is found.
     """
     if not _rank(nu):
-        _scan_root(nu, zeros, 0, bound)
+        _scan_root(nu, zeros, bound)
         return
     lower = _zero_cache[nu - 1.0]
     n = len(zeros)
     k = bisect_left(lower, bound)
     # j_{nu,K+1} > j_{nu-1,K+1} >= bound, so at most K zeros lie below;
     # J_nu has sign (-1)^(K-1) just above j_{nu-1,K}, and zero K lies
-    # below j_{nu-1,K+1}
+    # below j_{nu-1,K+1} and below its own upper bound
     top = k - 1
     if n < k and (k < len(lower) and lower[k] == bound
+                  or _zero_bound(nu, k) <= bound
                   or _jv(nu, bound) * (-1) ** k > 0):
         top = k
     if n < top:
@@ -266,59 +268,8 @@ def _fill_below(nu: float, zeros: _OrderZeros, bound: float) -> None:
 
 
 def _check_order(nu: float) -> None:
-    if not -0.5 <= nu < math.inf:
-        raise DomainError(
-            f"bessel_zero requires finite nu >= -1/2, got {nu}")
-
-
-def _check_range(nu: float, p: int) -> None:
-    """j_{nu,p} >= max(nu, 0) + (p - 1) pi/2 must stay below 2^20, where
-    one ulp exceeds 1e-10."""
-    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= _LIMIT:
-        raise DomainError(
-            f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
-            f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
-
-
-def _cached(key: float) -> _OrderZeros:
-    """The cache of order ``key``, made empty if there is none yet; the
-    caller holds ``_cache_lock``."""
-    zeros = _zero_cache.get(key)
-    if zeros is None:
-        zeros = _zero_cache[key] = _OrderZeros()
-    return zeros
-
-
-def _zeros_from(nu: float, p: int) -> array:
-    """A copy of the cached zeros j_{nu,p}, j_{nu,p+1}, ..., after giving
-    order nu at least p zeros.
-
-    A root is scanned.  Any other order is filled below the last cached
-    zero of order nu - 1 if that is j_{nu-1,p+1} or later, which lies above
-    j_{nu,p}, and otherwise below the reach of order nu - 1; if that leaves
-    fewer than p zeros, order nu - 1 is first given p + 1.
-    """
-    key = float(nu)
-    todo = [(key, p)]
-    with _cache_lock:
-        while todo:
-            order, want = todo[-1]
-            zeros = _cached(order)
-            if not _rank(order):
-                _scan_root(order, zeros, want, 0.0)
-            elif len(zeros) < want:
-                lower = _cached(order - 1.0)
-                bound = lower[-1] if len(lower) > want else lower.reach()
-                if zeros.reach() < bound:
-                    _fill_below(order, zeros, bound)
-                if len(zeros) < want and lower.reach() < _LIMIT:
-                    todo.append((order - 1.0, want + 1))
-                    continue
-            todo.pop()
-        if len(zeros) < p:
-            raise DomainError(f"zero {p} of J_{nu} lies at or above 2^20, "
-                              "where one ulp exceeds 1e-10")
-        return zeros[p - 1:]
+    if not -0.5 <= nu < _LIMIT:
+        raise DomainError(f"bessel_zero requires -1/2 <= nu < 2^20, got {nu}")
 
 
 def _zeros_below(nu: float, bound: float) -> array:
@@ -327,9 +278,10 @@ def _zeros_below(nu: float, bound: float) -> array:
     every one of them."""
     chain = [float(nu)]
     with _cache_lock:
-        while (_cached(chain[-1]).reach() < bound and _rank(chain[-1])
-               and _cached(chain[-1] - 1.0).reach() < bound):
-            chain.append(chain[-1] - 1.0)
+        for order in chain:    # down to a root or an order that holds them
+            zeros = _zero_cache.setdefault(order, _OrderZeros())
+            if _rank(order) and zeros.reach() < bound:
+                chain.append(order - 1.0)
         for order in reversed(chain):
             zeros = _zero_cache[order]
             if zeros.reach() < bound:
@@ -337,18 +289,58 @@ def _zeros_below(nu: float, bound: float) -> array:
         return zeros[:bisect_left(zeros, bound)]
 
 
+def _zero_bound(nu: float, p: int) -> float:
+    """An upper bound on j_{nu,p}, 16 ulps above its formula's value.  For
+    nu <= 1/2, p pi = j_{1/2,p}, as j_{nu,p} grows with nu (DLMF 10.21(iv)).
+    Above 1/2, the smaller of McMahon's (p + nu/2 - 1/4) pi (the phase
+    theta_nu(x) - x of DLMF 10.18 decreases to -(nu/2 + 1/4) pi, as x M_nu^2
+    does to 2/pi, Watson 13.74) and Qu and Wong's nu + |a_p| (nu/2)^(1/3) +
+    (3/20) |a_p|^2 (nu/2)^(-1/3) (Trans. AMS 351, 1999), with the Airy zero
+    |a_p| <= t^(2/3) (1 + 5/48 t^-2), t = 3 pi (4p - 1)/8 (DLMF 9.9.6,
+    9.9.18; Pittaluga and Sacripante, SIAM J. Math. Anal. 22, 1991)."""
+    if nu <= 0.5:
+        bound = p * math.pi
+    else:
+        t = 3 * math.pi * (4 * p - 1) / 8
+        a = t ** (2 / 3) * (1 + 5 / 48 / (t * t))
+        s = (nu / 2) ** (1 / 3)
+        bound = min((p + nu / 2 - 0.25) * math.pi,
+                    nu + a * s + 0.15 * a * a / s)
+    return bound + 16 * math.ulp(bound)
+
+
+def _count_below(nu: float, x: float) -> float:
+    """An upper bound on the zeros of J_nu below x.  Below nu = 1/2,
+    j_{nu,k} >= j_{-1/2,k} = (k - 1/2) pi.  From 1/2 up, none lies below
+    low = nu + 1.8557 nu^(1/3) (-a_1 / 2^(1/3) = 1.85575...), they lie at
+    least pi apart, and zero k lies above nu + |a_k| (nu/2)^(1/3) (Qu and
+    Wong), with |a_k| >= t^(2/3), t = 3 pi (4k - 1)/8, so below x only
+    k < (8 y^(3/2) / (3 pi) + 1) / 4 can, y = (x - nu) (nu/2)^(-1/3)."""
+    if nu < 0.5:
+        return 0.5 + x / math.pi
+    low = nu + 1.8557 * nu ** (1 / 3)
+    if x <= low:
+        return 0.0
+    y = (x - nu) / (nu / 2) ** (1 / 3)
+    return min(1 + (x - low) / math.pi,
+               (8 * y * math.sqrt(y) / (3 * math.pi) + 1) / 4)
+
+
 def chain_zeros(orders, p: int) -> int:
-    """The most zeros that finding zeros 1 .. p of each of ``orders``, one
-    at a time from an empty cache, can find.  An order with r orders of its
-    chain below is given p zeros, the order below it p + 1, ..., its root
-    p + r; orders of one chain share them.  A bad order raises DomainError
-    before any J evaluation."""
-    top: dict[float, int] = {}
+    """The most zeros that ``bessel_zero(nu, p)`` for each of ``orders`` can
+    find from an empty cache: each order of a chain, up to the highest
+    asked, counts those below the largest of their bounds, and at most 2^20,
+    where each fill stops; its root one more, which its scan finds past it.
+    A bad order raises DomainError before any J evaluation."""
+    chains: dict[float, tuple[int, float]] = {}
     for nu in orders:
         _check_order(nu)
         r = _rank(nu)
-        top[nu - r] = max(top.get(nu - r, 0), r)
-    return sum((r + 1) * p + r * (r + 1) // 2 for r in top.values())
+        x = min(_zero_bound(nu, min(p, 2 ** 21)), _LIMIT)  # j_{nu,2^21} > 2^20
+        top, bound = chains.get(nu - r, (0, 0.0))
+        chains[nu - r] = (max(top, r), max(bound, x))
+    return sum(1 + sum(int(_count_below(root + k, x)) for k in range(r + 1))
+               for root, (r, x) in chains.items())
 
 
 def bessel_zero(nu: float, p: int) -> BesselZero:
@@ -359,10 +351,11 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
     behind the disk spectrum below 1e5 and the 3-ball spectrum below 3e4
     (nu <= 299.5, j < 317) are off by at most 2.4e-13, median 1.8e-14.
 
-    A p that is not an integer raises DomainError, and so does a zero whose
-    lower bound max(nu, 0) + (p - 1) pi/2 reaches 2^20, where one ulp
-    exceeds 1e-10, both before any J evaluation, or that is found at or
-    above 2^20.
+    Zero p is read after its chain is filled below ``_zero_bound(nu, p)``;
+    a bound that fell short would raise ConvergenceError.  A p that is not
+    an integer raises DomainError, and so does a zero whose lower bound
+    max(nu, 0) + (p - 1) pi/2 reaches 2^20, where one ulp exceeds 1e-10,
+    both before any J evaluation, or that is found at or above 2^20.
     """
     _check_order(nu)
     try:
@@ -372,34 +365,31 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
             f"bessel_zero requires an integer p, got {p!r}") from None
     if p < 1:
         raise DomainError(f"bessel_zero requires p >= 1, got {p}")
-    _check_range(nu, p)
-    return BesselZero(order=float(nu), index=p, value=_zeros_from(nu, p)[0])
+    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= _LIMIT:
+        raise DomainError(
+            f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
+            f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
+    bound = _zero_bound(nu, p)
+    zeros = _zeros_below(nu, min(bound, _LIMIT))
+    if len(zeros) >= p:
+        return BesselZero(order=float(nu), index=p, value=zeros[p - 1])
+    if bound < _LIMIT:
+        raise ConvergenceError(f"zero {p} of J_{nu} is above bound {bound!r}")
+    raise DomainError(f"zero {p} of J_{nu} lies at or above 2^20, where one "
+                      "ulp exceeds 1e-10")
 
 
-def bessel_zeros(nu: float, below: float = math.inf) -> Iterator[float]:
+def bessel_zeros(nu: float, below: float) -> Iterator[float]:
     """The positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu below ``below``,
     in order, with the bits of ``bessel_zero``.
 
-    With a bound up to 2^20, every zero below it is found at the first step
-    by the bounded fill of the order's chain, and zeros already cached are
-    read with no J evaluation.  Otherwise the zeros are found as the
-    iteration reaches them, and it raises DomainError at a zero at or above
-    2^20, as ``bessel_zero`` does.  A bound that is NaN or not positive
-    raises DomainError before any J evaluation, as a bad order does.
+    Every zero below the bound is found at the first step by the bounded
+    fill of the order's chain, and zeros already cached are read with no J
+    evaluation.  A bound that is NaN, not positive or above 2^20 raises
+    DomainError before any J evaluation, as a bad order does.
     """
     _check_order(nu)
-    if not below > 0:
-        raise DomainError(f"bessel_zeros requires below > 0, got {below}")
-    if below <= _LIMIT:
-        # zeros below 2^20 pass the range check; only nu itself can fail it
-        _check_range(nu, 1)
-        yield from _zeros_below(nu, below)
-        return
-    p = 1
-    while True:
-        _check_range(nu, p)
-        for value in _zeros_from(nu, p):
-            if value >= below:
-                return
-            yield value
-            p += 1
+    if not 0 < below <= _LIMIT:
+        raise DomainError(f"bessel_zeros requires below > 0 and at most "
+                          f"2^20, got {below}")
+    yield from _zeros_below(nu, below)

@@ -103,11 +103,13 @@ class Spectrum:
             i = int(np.argmax(falls))
             raise SpectrumValidationError(
                 f"eigenvalues must be nondecreasing (violated at index {i+1})")
+        # a volume below the normal float range has lost bits, as in
+        # _check_weyl_count
         if self.volume is not None and not (
-                math.isfinite(self.volume) and self.volume > 0):
+                sys.float_info.min <= self.volume < math.inf):
             raise SpectrumValidationError(
-                f"volume must be positive and finite if given, "
-                f"got {self.volume}")
+                f"volume must be finite and at least {sys.float_info.min!r} "
+                f"(normal) if given, got {self.volume!r}")
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -215,18 +217,14 @@ def ball_multiplicity(ell: int, d: int) -> int:
 
 def _ball_count_bound(d: int, x: float) -> float:
     """An upper bound on the zeros j_{nu,k} < x of the d-ball's orders
-    nu = d/2 - 1 + ell, with multiplicity, summed until it passes twice
-    MAX_EIGENVALUES.  Order nu has at most 1 + (x - low) / pi: j_{nu,1} >
-    low = nu + 1.8557 nu^(1/3) (Qu and Wong, 1999; 1.85575... is -a_1 /
-    2^(1/3), a_1 the first zero of Airy's Ai), and its zeros lie more than
-    pi apart for nu >= 1/2; j_{0,k} > (k - 1) pi."""
+    nu = d/2 - 1 + ell, with multiplicity (``specfun._count_below``), summed
+    until an order has none or the sum passes twice MAX_EIGENVALUES."""
     total = 0
     for ell in count():
-        nu = d / 2 - 1 + ell
-        low = nu + 1.8557 * nu ** (1 / 3) if nu else 0.0
-        if low >= x or total > 2 * MAX_EIGENVALUES:
+        n = specfun._count_below(d / 2 - 1 + ell, x)
+        if not n or total > 2 * MAX_EIGENVALUES:
             return total
-        total += ball_multiplicity(ell, d) * (1 + (x - low) / math.pi)
+        total += ball_multiplicity(ell, d) * n
 
 
 def ball_spectrum(d: int, radius: float, lam_max: float) -> Spectrum:

@@ -295,8 +295,8 @@ class TestBoundsCommand:
                                                           int(p)).value
 
     @pytest.mark.parametrize("argv", [
-        # order 2^20 - 1 needs its chain from 2^20 - 512 up, past the cap;
-        # the root 2^20 - 512 has fewer than 10 zeros below 2^20
+        # j_{2^20-1,10} > 2^20 - 1 + 9 pi/2 lies past 2^20; the root
+        # 2^20 - 512 has fewer than 10 zeros below 2^20
         ("--bessel-zeros", "1048575"),
         ("--bessel-zeros", "1048064", "--zero-count", "10")])
     def test_zero_past_2_20_exits_2(self, capsys, argv):
@@ -305,13 +305,30 @@ class TestBoundsCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_one_zero_of_a_deep_order_passes_the_cap(self, capsys):
+        # its chain, orders 0 .. 511, is filled below the bound on j_{511,1}:
+        # the cap counts 39,821 zeros there, and 34,530 are found
+        code, out, err = run_cli(capsys, "bounds", "--bessel-zeros", "511",
+                                 "--zero-count", "1", "--full-precision")
+        assert code == 0
+        assert err == ""
+        rows = [line.split(",") for line in out.strip().splitlines()]
+        assert rows[0] == ["nu", "p", "zero"]
+        assert [row[:2] for row in rows[1:]] == [["511", "1"]]
+        zero = float(rows[1][2])
+        assert zero == cli.specfun.bessel_zero(511.0, 1).value
+        assert zero == pytest.approx(525.96560239146846, abs=1e-10)
+
     @pytest.mark.parametrize("orders, count, reason", [
         ("0", cli.MAX_EXPORT_ZEROS + 1, "exceeds cap"),
+        # the root's scan goes on to zero 100,001, the first past the bound
+        ("0", cli.MAX_EXPORT_ZEROS, "exceeds cap"),
         ("0,1", cli.MAX_EXPORT_ZEROS // 2 + 1, "exceeds cap"),
-        # order 1 needs zero p + 1 of order 0, and one zero of order 511
-        # needs 131,328 zeros of its chain
+        # orders 0 and 1 may find 50,000 zeros each below 50,000.25 pi, the
+        # bound on j_{1,50000}, and the root's scan one more; zero 1000 of
+        # order 300 may find 330,965 zeros of its chain
         ("0,1", cli.MAX_EXPORT_ZEROS // 2, "exceeds cap"),
-        ("511", 1, "exceeds cap"),
+        ("300", 1000, "exceeds cap"),
         ("0", 0, "must be >= 1"),
         ("0", -5, "must be >= 1"),
     ])
@@ -712,6 +729,17 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith(f"error: {path}")
         assert reason in err
+
+    def test_subnormal_volume_exits_2(self, capsys, tmp_path):
+        # cor23_sandwich's upper form reads the volume, which has lost bits
+        path = tmp_path / "subnormal_volume.txt"
+        path.write_text("dim: 2\ncomplete_below: 100\nvolume: 1e-323\n"
+                        "19.7\n49.3\n")
+        code, out, err = run_cli(capsys, "verify", "--spectrum", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}")
+        assert "got 1e-323" in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])

@@ -5,16 +5,16 @@ import concurrent.futures
 import contextlib
 import math
 import sys
-from itertools import islice
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszbounds import bounds, specfun, spectra, verify
-from rieszbounds.errors import DomainError
+from rieszbounds.errors import ConvergenceError, DomainError
 
 from oracles import bessel_j_half_integer, bessel_j_prime, mcmahon_asymptote
 
@@ -170,6 +170,13 @@ class TestBesselZeros:
             specfun.bessel_zero(nu, p)
 
 
+def _first(nu, count):
+    """The first ``count`` zeros of J_nu, read as ``bounds --bessel-zeros``
+    reads them: zero ``count``, then the zeros up to it."""
+    last = specfun.bessel_zero(nu, count).value
+    return list(specfun.bessel_zeros(nu, math.nextafter(last, math.inf)))
+
+
 def _zeros_through(nu, x_max):
     """Zeros of J_nu below x_max, followed by the first one at or above it."""
     zeros = []
@@ -299,8 +306,7 @@ def _call(call):
     if kind == "bessel_zero":
         return specfun.bessel_zero(*args).value
     if kind == "bessel_zeros":
-        nu, count = args
-        return list(islice(specfun.bessel_zeros(nu), count))
+        return _first(*args)
     if kind == "bessel_zeros_below":
         return list(specfun.bessel_zeros(*args))
     if kind == "bounds":
@@ -366,30 +372,79 @@ class TestPast2To20:
         with pytest.raises(DomainError, match=r"2\^20"):
             specfun.bessel_zero(nu, len(zeros) + 1)
         with pytest.raises(DomainError, match=r"2\^20"):
-            list(specfun.bessel_zeros(nu))
+            list(specfun.bessel_zeros(nu, math.nextafter(2.0 ** 20,
+                                                         math.inf)))
         assert list(fresh_zero_cache[nu]) == zeros
+
+
+def _root_30_digits(nu, p):
+    """j_{nu,p} to 30 digits.  J_{-1/2}(x) = sqrt(2 / (pi x)) cos x; for
+    orders 511 and 512, where ``mpmath.besseljzero`` takes about a minute,
+    scipy's ``jn_zeros`` finds and indexes the zero, and mpmath polishes it."""
+    if nu == -0.5:
+        return mpmath.pi * (p - 0.5)
+    if nu < 500:
+        return mpmath.besseljzero(nu, p)
+    start = mpmath.mpf(scipy.special.jn_zeros(int(nu), p)[-1])
+    return mpmath.findroot(lambda x: mpmath.besselj(nu, x), start)
+
+
+class TestZeroBound:
+    """``_zero_bound`` lies above j_{nu,p}, and within 3 % of it above
+    nu = 1/2; a bound that fell short raises instead of giving a zero."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.3, 0.5, 0.5001, 0.75, 1.0,
+                                    3.0, 7.0, 40.0, 100.0, 511.0, 512.0])
+    def test_against_mpmath(self, nu):
+        for p in (1, 2, 3, 10, 40, 1000):
+            root = _root_30_digits(nu, p)
+            bound = specfun._zero_bound(nu, p)
+            assert bound > root, (nu, p)
+            if nu > 0.5:
+                assert bound < 1.03 * root, (nu, p)
+
+    def test_bound_that_fell_short_raises(self, fresh_zero_cache,
+                                          monkeypatch):
+        # (p - 1/2) pi lies below j_{0,p}: zero p is not found below it
+        monkeypatch.setattr(specfun, "_zero_bound",
+                            lambda nu, p: (p - 0.5) * math.pi)
+        with pytest.raises(ConvergenceError, match="zero 3 of J_0.0"):
+            specfun.bessel_zero(0.0, 3)
 
 
 class TestChainZeros:
     """``chain_zeros`` bounds the zeros that taking p zeros of each order
-    finds from an empty cache, chains included."""
+    finds from an empty cache, chains included, within twice them."""
 
     @pytest.mark.parametrize("orders, p", [
         ([7.0], 40), ([0.0, 0.5, 7.0], 40), ([7.0, 3.0, 0.0, 1.5], 12),
         ([2.0, 1.0, 0.0], 40), ([40.0], 3), ([513.5, 512.5], 5)])
     def test_bounds_the_zeros_found(self, orders, p, fresh_zero_cache):
         for nu in orders:
-            assert len(list(islice(specfun.bessel_zeros(nu), p))) == p
+            assert len(_first(nu, p)) == p
         found = sum(len(zeros) for zeros in fresh_zero_cache.values())
-        assert found <= specfun.chain_zeros(orders, p)
+        assert found <= specfun.chain_zeros(orders, p) <= 2 * found
 
     @pytest.mark.parametrize("nu, p", [(7.0, 40), (40.0, 3), (513.5, 5)])
     def test_is_the_chain_of_one_lone_zero(self, nu, p, fresh_zero_cache):
-        # zero p of an order with r orders of its chain below: the root gets
-        # p + r zeros, and each order above one fewer
+        # zero p of an order fills each order of its chain, and no other,
+        # below the bound on it: each holds at most the count below that
+        # bound, and the root one more, the first its scan finds past it
         specfun.bessel_zero(nu, p)
+        bound = specfun._zero_bound(nu, p)
+        root = nu - specfun._rank(nu)
+        assert sorted(fresh_zero_cache) == [root + k for k in
+                                            range(specfun._rank(nu) + 1)]
+        for order, zeros in fresh_zero_cache.items():
+            count = int(specfun._count_below(order, bound))
+            assert len(zeros) <= count + (order == root), order
         found = sum(len(zeros) for zeros in fresh_zero_cache.values())
-        assert found == specfun.chain_zeros([nu], p)
+        assert found <= specfun.chain_zeros([nu], p) <= 2 * found
+
+    def test_count_where_the_airy_term_overflows(self):
+        # y^(3/2) leaves the float range, so the pi spacing bounds the count
+        count = specfun._count_below(170.0, 1e250)
+        assert count == pytest.approx(1e250 / math.pi, rel=1e-12)
 
     @pytest.mark.parametrize("nu", [-0.75, math.nan, math.inf])
     def test_bad_order_raises(self, nu):
@@ -413,8 +468,9 @@ class TestNewtonLanes:
 
 class TestZerosByOrder:
     """``bessel_zeros`` yields the values of repeated ``bessel_zero`` calls,
-    bit for bit; without a bound it leaves the zero cache as those calls
-    leave it, and with one it finds no zero of a batched order above it."""
+    bit for bit; read up to zero p, it leaves the zero cache as the calls
+    for zeros 1 .. p leave it, and it finds no zero of a batched order at
+    or above its bound."""
 
     @staticmethod
     def _cache_bits(cache):
@@ -430,17 +486,19 @@ class TestZerosByOrder:
                 for p in range(1, count + 1)] for nu in orders]
         lazy = {}
         monkeypatch.setattr(specfun, "_zero_cache", lazy)
-        got = [list(islice(specfun.bessel_zeros(nu), count))
-               for nu in orders]
+        got = [_first(nu, count) for nu in orders]
         assert got == ref
+        # both end with each chain filled below the largest bound on a zero
+        # 60 of its orders; the calls for zeros 1 .. 59 fill below less
         assert self._cache_bits(lazy) == self._cache_bits(calls)
 
     def test_finds_only_the_zeros_taken(self, fresh_zero_cache):
-        # order 3.0 is filled from its chain, and no fill finds more zeros
-        # of it than were asked for
-        taken = list(islice(specfun.bessel_zeros(3.0), 3))
+        # order 3.0 is filled below the bounds on its zeros 3 and 5, which
+        # lie below its zeros 4 and 6, so no fill finds more zeros of it
+        # than were asked for
+        taken = _first(3.0, 3)
         assert list(fresh_zero_cache[3.0]) == taken
-        assert list(islice(specfun.bessel_zeros(3.0), 5))[:3] == taken
+        assert _first(3.0, 5)[:3] == taken
         assert len(fresh_zero_cache[3.0]) == 5
 
     @pytest.mark.parametrize("nu", [-0.75, math.nan, math.inf, 2.0 ** 20,
@@ -452,7 +510,7 @@ class TestZerosByOrder:
 
         monkeypatch.setattr(specfun, "_jv", no_bessel)
         with pytest.raises(DomainError):
-            next(specfun.bessel_zeros(nu))
+            next(specfun.bessel_zeros(nu, 2.0 ** 20))
         with pytest.raises(DomainError):
             next(specfun.bessel_zeros(nu, 50.0))
 
@@ -523,18 +581,6 @@ class TestZerosByOrder:
             [v for v in full if v < 40.0]
         assert list(specfun.bessel_zeros(2.0, 80.0)) == full
 
-    def test_bound_above_2_20_ends_the_unbounded_iteration(
-            self, fresh_zero_cache):
-        # max(nu, 0) < 2^20 passes the range check, but j_{nu,1} > nu + 100:
-        # the iteration raises there, and no zero past 2^20 is cached
-        nu = 2.0 ** 20 - 10.0
-        with pytest.raises(DomainError,
-                           match=r"zero 1 of J_1048566.0 .*2\^20"):
-            list(specfun.bessel_zeros(nu, 2.0 ** 20 + 1.0))
-        assert all(z[-1] < 2.0 ** 20 for z in fresh_zero_cache.values() if z)
-        assert list(islice(specfun.bessel_zeros(0.0, 2.0 ** 20 + 1.0), 40)) \
-            == list(islice(specfun.bessel_zeros(0.0), 40))
-
     def test_concurrent_bounded_and_unbounded_calls(self, fresh_zero_cache):
         # cached zeros are only appended, so each bounded result must be
         # the zeros below its bound in the final cache
@@ -560,7 +606,8 @@ class TestZerosByOrder:
             else:
                 assert got == [v for v in zeros if v < below]
 
-    @pytest.mark.parametrize("below", [math.nan, 0.0, -1.0, -math.inf])
+    @pytest.mark.parametrize("below", [math.nan, 0.0, -1.0, -math.inf,
+                                       2.0 ** 20 + 1.0, math.inf])
     def test_bad_bound_fails_before_any_bessel_evaluation(self, below,
                                                           monkeypatch):
         def no_bessel(*args):
@@ -572,18 +619,18 @@ class TestZerosByOrder:
 
 
 class TestOneBatchPath:
-    """Every batched Newton pass goes through ``_fill_below``; an order
-    extended without a bound gets the bits and cache of the bounded fill
-    below the same zero of the order beneath it."""
+    """Every batched Newton pass goes through ``_fill_below``; a lone zero
+    gets the bits and cache of the bounded fill below its upper bound."""
 
-    def test_unbounded_batch_is_the_bounded_fill(self, monkeypatch):
-        # order 0 holds 40 zeros, so the first 39 of order 1 lie below
-        # j_{0,40}: taking them without a bound fills order 1 below it
+    def test_lone_zero_is_the_bounded_fill(self, monkeypatch):
+        # order 0 holds every zero below 40 pi, so zero 39 of order 1 fills
+        # order 1 below the bound on it, 39.25 pi, as the iteration does
         monkeypatch.setattr(specfun, "_zero_cache", {})
-        bound = list(islice(specfun.bessel_zeros(0.0), 40))[-1]
+        _first(0.0, 40)
         order0 = specfun._zero_cache[0.0]
+        bound = specfun._zero_bound(1.0, 39)
         filled = []
-        for take in (lambda: list(islice(specfun.bessel_zeros(1.0), 39)),
+        for take in (lambda: _first(1.0, 39),
                      lambda: list(specfun.bessel_zeros(1.0, bound))):
             cache = {0.0: order0}
             monkeypatch.setattr(specfun, "_zero_cache", cache)
@@ -613,7 +660,7 @@ class TestOneBatchPath:
         monkeypatch.setattr(specfun, "_fill_below", filling)
         monkeypatch.setattr(specfun, "_newton", counting)
         for nu in (0.0, 1.0, 2.0, 0.5, 1.5):
-            list(islice(specfun.bessel_zeros(nu), 40))
+            _first(nu, 40)
         spectra.ball_spectrum(3, 1.0, 2000.0)
         assert len(batches) > 0
         assert all(batches)
@@ -647,12 +694,21 @@ class TestZeroFinderCost:
         assert evaluations[0] <= 7.5 * n
 
     def test_export_of_consecutive_orders(self, evaluations):
-        # 1,068: order 0 is scanned through zero 41, for zero 40 of order 1;
-        # zero 40 of order 2 lies below j_{0,41}, the bound of order 1, and
-        # the sign test there is the only one
+        # 1,067: order 0 is scanned through zero 41, just above 40.75 pi;
+        # orders 1 and 2 are batched below 40.25 pi and 40.75 pi, the bounds
+        # on their zeros 40, so no sign test decides whether zero 40 lies
+        # below
         for nu in (0.0, 1.0, 2.0):
-            list(islice(specfun.bessel_zeros(nu), 40))
+            _first(nu, 40)
         assert evaluations[0] <= 1107
+
+    def test_lone_zero_of_a_deep_order(self, evaluations, fresh_zero_cache):
+        # orders 512 .. 1000 filled below one bound just above j_{1000,1}:
+        # 22,081 zeros and 68,915 J evaluations, where asking each order
+        # below for one more zero found 119,805 with 369,181
+        specfun.bessel_zero(1000.0, 1)
+        assert sum(len(z) for z in fresh_zero_cache.values()) <= 25_000
+        assert evaluations[0] <= 80_000
 
     def test_disk_and_ball3_total(self, evaluations):
         # the zeros behind the disk below 1e5 and the 3-ball below 3e4

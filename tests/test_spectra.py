@@ -4,6 +4,7 @@ Bessel-zero oracles; file round-trips; validation gates."""
 import io
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +444,22 @@ class TestSpectrumValidation:
                              complete_below=complete_below,
                              domain=spectra.DomainSpec("file", 2),
                              volume=volume)
+
+    @pytest.mark.parametrize("volume", [1e-323, 5e-324, 0.0,
+                                        sys.float_info.min / 2])
+    def test_rejects_volume_below_the_normal_range(self, volume):
+        # it has lost bits, as _check_weyl_count refuses it for generators
+        with pytest.raises(SpectrumValidationError, match="normal"):
+            spectra.Spectrum(dimension=2, eigenvalues=np.array([1.0, 3.0]),
+                             complete_below=10.0,
+                             domain=spectra.DomainSpec("file", 2),
+                             volume=volume)
+
+    def test_smallest_normal_volume_loads(self, tmp_path):
+        path = tmp_path / "tiny.txt"
+        path.write_text("dim: 2\ncomplete_below: 100\n"
+                        "volume: 2.2250738585072014e-308\n19.7\n49.3\n")
+        assert spectra.load_spectrum(str(path)).volume == sys.float_info.min
 
     def test_eigenvalues_read_only(self, square_pi):
         with pytest.raises(ValueError):
