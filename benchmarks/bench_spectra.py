@@ -81,7 +81,7 @@ LONE = (
     ("export 0,0.5,7 x 40",
      lambda: [list(specfun.bessel_zeros(nu, math.nextafter(
          specfun.bessel_zero(nu, 40).value, math.inf)))
-              for nu in (0.0, 0.5, 7.0)], 4_100, 0.1),
+              for nu in (0.0, 0.5, 7.0)], 3_300, 0.1),
 )
 
 

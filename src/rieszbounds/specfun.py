@@ -272,10 +272,9 @@ def _check_order(nu: float) -> None:
         raise DomainError(f"bessel_zero requires -1/2 <= nu < 2^20, got {nu}")
 
 
-def _zeros_below(nu: float, bound: float) -> array:
-    """A copy of the cached zeros of order nu below ``bound``, after
-    filling each order of its chain, from the lowest that needs it, to hold
-    every one of them."""
+def _fill_chain(nu: float, bound: float) -> _OrderZeros:
+    """The cached zeros of order nu, after filling each order of its chain,
+    from the lowest that needs it, to hold every zero below ``bound``."""
     chain = [float(nu)]
     with _cache_lock:
         for order in chain:    # down to a root or an order that holds them
@@ -286,7 +285,7 @@ def _zeros_below(nu: float, bound: float) -> array:
             zeros = _zero_cache[order]
             if zeros.reach() < bound:
                 _fill_below(order, zeros, bound)
-        return zeros[:bisect_left(zeros, bound)]
+        return zeros
 
 
 def _zero_bound(nu: float, p: int) -> float:
@@ -370,8 +369,9 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
             f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
             f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
     bound = _zero_bound(nu, p)
-    zeros = _zeros_below(nu, min(bound, _LIMIT))
-    if len(zeros) >= p:
+    # a cache only grows, and a zero once cached keeps its bits
+    zeros = _fill_chain(nu, min(bound, _LIMIT))
+    if len(zeros) >= p and zeros[p - 1] < bound:
         return BesselZero(order=float(nu), index=p, value=zeros[p - 1])
     if bound < _LIMIT:
         raise ConvergenceError(f"zero {p} of J_{nu} is above bound {bound!r}")
@@ -381,15 +381,14 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
 
 def bessel_zeros(nu: float, below: float) -> Iterator[float]:
     """The positive zeros j_{nu,1}, j_{nu,2}, ... of J_nu below ``below``,
-    in order, with the bits of ``bessel_zero``.
-
-    Every zero below the bound is found at the first step by the bounded
-    fill of the order's chain, and zeros already cached are read with no J
-    evaluation.  A bound that is NaN, not positive or above 2^20 raises
-    DomainError before any J evaluation, as a bad order does.
+    in order, with the bits of ``bessel_zero``, from one bounded fill of
+    the order's chain (no J evaluation for zeros already cached).  A bound
+    that is NaN, not positive or above 2^20 raises DomainError before any J
+    evaluation, as a bad order does.
     """
     _check_order(nu)
     if not 0 < below <= _LIMIT:
         raise DomainError(f"bessel_zeros requires below > 0 and at most "
                           f"2^20, got {below}")
-    yield from _zeros_below(nu, below)
+    zeros = _fill_chain(nu, below)
+    yield from zeros[:bisect_left(zeros, below)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import rieszbounds.specfun as specfun
 from rieszbounds import bounds, spectra
@@ -376,6 +377,26 @@ class TestHighDimensionalBall:
     def test_count_bound_holds(self, d, lam_max):
         n = len(spectra.ball_spectrum(d, 1.0, lam_max))
         assert n <= spectra._ball_count_bound(d, math.sqrt(lam_max))
+
+    @pytest.mark.parametrize("d, lam_max", [
+        (2, 5000.0), (2, 1e5), (2, 1e7), (3, 3e4), (3, 1e5), (10, 300.0),
+        (342, 33000.0), (342, 33600.0)])
+    def test_count_bound_at_most_the_pi_spacing_sum(self, d, lam_max):
+        # the guard's per-order count was 1 + (x - low)/pi, low = nu +
+        # (-a_1 / 2^(1/3)) nu^(1/3) from Airy's first zero a_1 (0 at
+        # order 0), before specfun._count_below; it is now at most that,
+        # so the guard refuses no ball it admitted
+        c = -special.ai_zeros(1)[0][0] / 2 ** (1 / 3)
+        x = math.sqrt(lam_max)
+        spacing_sum = 0.0
+        for ell in range(math.ceil(x) + 1):
+            nu = d / 2 - 1 + ell
+            low = nu + c * nu ** (1 / 3)
+            if low < x:
+                spacing_sum += (spectra.ball_multiplicity(ell, d)
+                                * (1 + (x - low) / math.pi))
+        assert spacing_sum < 2 * spectra.MAX_EIGENVALUES
+        assert spectra._ball_count_bound(d, x) <= spacing_sum
 
     def test_weyl_alone_refuses_what_the_bound_admits(self):
         # 343 eigenvalues below 33000, against ~3.4e51 by Weyl's law
