@@ -23,9 +23,12 @@ through ``specfun._jv`` in one more, untimed run.
 Lone queries: J evaluations and time, each from an empty zero cache, of
 the first zero of orders 7, 100, 511 and 1000, which fill the chain of
 orders below them (rooted at 0, 0, 0 and 512) below an upper bound on the
-zero, and of the export ``bounds --bessel-zeros 0,0.5,7 --zero-count 40``
-(zero 40 of each order, then the zeros up to it, read from the cache).
-Each has a budget of J evaluations and of seconds.
+zero, of the export ``bounds --bessel-zeros 0,0.5,7 --zero-count 40``
+(zero 40 of each order, then the zeros up to it, read from the cache), of
+the first zeros of the 20 roots 1048064 + k/1000, k < 20, each scanned
+from Qu and Wong's lower bound on it, and of ``bessel_zero(0, 340000)``,
+which (p - 1/2) pi refuses before any J evaluation.  Each has a budget of
+J evaluations and of seconds.
 
 Writers: times ``spectra._write_text`` and ``spectra._write_json`` into a
 ``StringIO`` against the per-value references of ``tests/oracles.py`` (one
@@ -53,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from rieszbounds import specfun, spectra
+from rieszbounds.errors import DomainError
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import (  # noqa: E402
@@ -67,12 +71,24 @@ BOXES = (("square, lambda < 1.3e7", [1.0, 1.0], 1.3e7),
          ("1 x 2 x 3, lambda < 3e4", [1.0, 2.0, 3.0], 3e4))
 #: (name, d, lambda_max) of the generated unit balls
 BALLS = (("disk, lambda < 1e5", 2, 1e5), ("ball d=3, lambda < 3e4", 3, 3e4))
+
+def _refused(query):
+    """Run ``query``, which must raise DomainError."""
+    try:
+        query()
+    except DomainError:
+        return
+    raise AssertionError("query not refused")
+
+
 #: (name, query, J evaluations, seconds) of the lone queries; the budgets
-#: are at most 1.5 times the J evaluations (150; 6,603; 109,359; 68,915;
-#: 2,783), so an overshoot of the chain fails, and the time budgets stay
-#: at 2.5 to 5 times the time each query took when each order asked the
-#: one below for one more zero, on a 2-vCPU host that can run 2x slow in
-#: episodes
+#: are at most 1.5 times the J evaluations (150; 6,603; 109,359; 68,815;
+#: 2,783; 380; 0), so an overshoot of the chain, a root scan from nu or a
+#: scan of order 0 up to 2^20 fails, and the time budgets stay at 2.5 to
+#: 5 times the time each query took when each order asked the one below
+#: for one more zero (the roots near 2^20: 10 times their 0.01 s, below
+#: the 0.12 s of their scan from nu), on a 2-vCPU host that can run 2x
+#: slow in episodes
 LONE = (
     ("j_{7,1}", lambda: specfun.bessel_zero(7.0, 1), 220, 0.02),
     ("j_{100,1}", lambda: specfun.bessel_zero(100.0, 1), 9_900, 0.4),
@@ -82,6 +98,11 @@ LONE = (
      lambda: [list(specfun.bessel_zeros(nu, math.nextafter(
          specfun.bessel_zero(nu, 40).value, math.inf)))
               for nu in (0.0, 0.5, 7.0)], 3_300, 0.1),
+    ("20 roots near 2^20",
+     lambda: [specfun.bessel_zero(1048064 + k / 1000, 1) for k in range(20)],
+     570, 0.1),
+    ("j_{0,340000} refused",
+     lambda: _refused(lambda: specfun.bessel_zero(0.0, 340_000)), 0, 0.01),
 )
 
 

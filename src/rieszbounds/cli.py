@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Subcommands: spectrum | riesz | bounds | verify | table | figure.
-Global flags (valid on every subcommand): --output <path>, --format,
---full-precision.  Each subcommand, and each mode of ``bounds``, writes
-only some formats, the first of them by default (``_resolve_format``); a
-``--format`` that it would not write exits 2 with an argparse error, and
-a flag that the chosen mode does not read exits 2 (``_read_only_with``).
+Global flags (valid on every subcommand): --output <path>,
+--full-precision.  Argparse owns the shape of the arguments: each
+subcommand's ``--format`` chooses among the formats it writes, the first
+by default (``_add_format``), and a spectrum source (--box, --ball,
+--load) and a ``riesz`` mode (--z, --means, --legendre) are each one
+required group of exclusive flags.  The commands own their meaning: a
+flag that the chosen mode does not read exits 2 (``_read_only_with``), as
+does ``bounds --list`` or ``--eval``, which write one JSON object, with
+``--format csv``.
 
 Output is deterministic: identical invocations produce byte-identical
 bytes, numbers are rendered with 6 significant figures by default and 17
@@ -102,12 +106,13 @@ def _emit_rows(args, header, rows):
 # spectrum sources shared by several subcommands
 
 def _add_domain_flags(p):
-    p.add_argument("--box", nargs="+", type=float, metavar="L",
-                   help="box side lengths")
-    p.add_argument("--ball", action="store_true", help="ball domain")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--box", nargs="+", type=float, metavar="L",
+                        help="box side lengths")
+    source.add_argument("--ball", action="store_true", help="ball domain")
+    source.add_argument("--load", metavar="PATH", help="load a spectrum file")
     p.add_argument("--dim", type=int, help="ball dimension")
     p.add_argument("--radius", type=float, help="ball radius (default 1.0)")
-    p.add_argument("--load", metavar="PATH", help="load a spectrum file")
     p.add_argument("--lambda-max", type=float,
                    help="completeness threshold for generated spectra")
 
@@ -123,13 +128,9 @@ def _read_only_with(mode: str, args, *names: str) -> None:
 
 
 def _spectrum_from_args(args) -> spectra.Spectrum:
-    chosen = sum(bool(x) for x in (args.box, args.ball, args.load))
-    if chosen != 1:
-        raise RieszBoundsError(
-            "choose exactly one of --box, --ball, --load")
     if not args.ball:
         _read_only_with("--ball", args, "dim", "radius")
-    if args.load:
+    if args.load is not None:
         _read_only_with("--box or --ball", args, "lambda_max")
         return spectra.load_spectrum(args.load)
     if args.lambda_max is None:
@@ -156,13 +157,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_riesz(args) -> int:
-    given = [flag for flag, value in (("--z", args.z), ("--means", args.means),
-                                      ("--legendre", args.legendre))
-             if value is not None]
-    if len(given) != 1:
-        raise RieszBoundsError(
-            "riesz needs exactly one of --z, --means, --legendre"
-            + (f", got {', '.join(given)}" if given else ""))
     if args.z is None:
         _read_only_with("--z", args, "sigma")
     spec = _spectrum_from_args(args)
@@ -200,6 +194,10 @@ def _bound_arg(item: str):
 
 
 def cmd_bounds(args) -> int:
+    if args.bessel_zeros is None and args.format == "csv":
+        mode = "--list" if args.eval is None else "--eval"
+        raise RieszBoundsError(
+            f"--format csv: bounds {mode} writes one JSON object")
     if args.eval is None:
         _read_only_with("--eval", args, "arg")
     if args.bessel_zeros is None:
@@ -360,15 +358,19 @@ def cmd_rows(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _add_format(p, formats, default):
+    """Give subcommand ``p`` its ``--format``, one of ``formats``; none
+    given reads ``default``, or for ``bounds`` (None) the mode's."""
+    p.add_argument("--format", choices=formats, default=default,
+                   help=f"output format (default {default})" if default
+                   else "output format (default csv for --bessel-zeros; "
+                        "--list and --eval write json)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH",
                         help="write output to PATH (atomic) instead of stdout")
-    common.add_argument("--format", choices=("csv", "json", "text"),
-                        help="output format; each subcommand writes "
-                             "some, the first by default: spectrum text, "
-                             "csv, json; verify text, json; bounds --list "
-                             "and --eval json; the others csv, json")
     common.add_argument("--full-precision", action="store_true",
                         help="render numbers with 17 digits instead of 6")
 
@@ -381,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[common],
                        help="generate or convert a spectrum")
     _add_domain_flags(p)
-    p.set_defaults(fn=cmd_spectrum, formats=("text", "csv", "json"))
+    _add_format(p, ("text", "csv", "json"), "text")
+    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("riesz", parents=[common],
                        help="evaluate Riesz means, averages, or the "
@@ -389,12 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(p)
     p.add_argument("--sigma", type=float,
                    help="Riesz order for --z (default 1.0)")
-    p.add_argument("--z", nargs="+", type=float)
-    p.add_argument("--means", type=int, metavar="K",
-                   help="report eigenvalue averages at index K")
-    p.add_argument("--legendre", nargs="+", type=float, metavar="W",
-                   help="Legendre transform of the first-order mean at W")
-    p.set_defaults(fn=cmd_riesz, formats=("csv", "json"))
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--z", nargs="+", type=float)
+    mode.add_argument("--means", type=int, metavar="K",
+                      help="report eigenvalue averages at index K")
+    mode.add_argument("--legendre", nargs="+", type=float, metavar="W",
+                      help="Legendre transform of the first-order mean at W")
+    _add_format(p, ("csv", "json"), "csv")
+    p.set_defaults(fn=cmd_riesz)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="list or evaluate catalog bounds")
@@ -409,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound arguments for --eval")
     p.add_argument("--zero-count", type=int,
                    help="zeros per order for --bessel-zeros (default 10)")
-    p.set_defaults(fn=cmd_bounds, formats=("csv", "json"))
+    _add_format(p, ("csv", "json"), None)
+    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the inequality verification suite")
@@ -420,44 +426,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-corruption", action="store_true",
                    help="corrupt the spectra first (must make the suite fail)")
-    p.set_defaults(fn=cmd_verify, formats=("text", "json"))
+    _add_format(p, ("text", "json"), "text")
+    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", parents=[common],
                        help="reproduce a comparison table")
     p.add_argument("id", choices=("table1", "table2", "table3"))
-    p.set_defaults(fn=cmd_rows, rows=table_rows, formats=("csv", "json"))
+    _add_format(p, ("csv", "json"), "csv")
+    p.set_defaults(fn=cmd_rows, rows=table_rows)
 
     p = sub.add_parser("figure", parents=[common],
                        help="emit curve data for a figure")
     p.add_argument("id", choices=("fig1", "fig2", "fig3"))
-    p.set_defaults(fn=cmd_rows, rows=figure_rows, formats=("csv", "json"))
+    _add_format(p, ("csv", "json"), "csv")
+    p.set_defaults(fn=cmd_rows, rows=figure_rows)
 
     return ap
 
 
-def _resolve_format(parser, args) -> None:
-    """Set ``args.format`` to the subcommand's default when none is given;
-    exit 2 through ``parser.error`` on one that the subcommand, or the mode
-    of ``bounds``, does not write."""
-    command, formats = args.command, args.formats
-    if command == "bounds":
-        if args.bessel_zeros is not None:
-            command += " --bessel-zeros"
-        else:    # one JSON object
-            command += " --eval" if args.eval is not None else " --list"
-            formats = ("json",)
-    if args.format is None:
-        args.format = formats[0]
-    elif args.format not in formats:
-        parser.error(f"argument --format: invalid choice for {command}: "
-                     f"{args.format!r} (choose from "
-                     f"{', '.join(map(repr, formats))})")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _resolve_format(parser, args)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except RieszBoundsError as exc:

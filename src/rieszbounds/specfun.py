@@ -11,9 +11,13 @@ whose integer part is a multiple of 512, is the root of a chain; any other
 order nu is batched from order nu - 1, filled first, down to its root.  So
 the path to a zero, and its bits, depend on its order alone:
 
-* Roots are scanned, one zero at a time, from max(nu, 0) for the first
-  zero (j_{nu,1} > nu) and otherwise pi/2 above the previous zero
-  (consecutive zeros are more than pi/2 apart).
+* Roots are scanned, one zero at a time, in half steps from max(nu, 0)
+  for the first zero (j_{nu,1} > nu) and otherwise pi/2 above the
+  previous zero (consecutive zeros are more than pi/2 apart).  From 512
+  up, the scan starts at the last point of that grid at or below Qu and
+  Wong's lower bound nu + t^(2/3) (nu/2)^(1/3) on zero p, t = 3 pi (4p -
+  1)/8, taken 4 ulps low: it passes only points with no zero below them,
+  so the bracket and the bits are those of the scan from the grid's start.
 * Interlacing brackets, in one batch.  Zeros of neighbouring orders
   interlace, j_{nu-1,p} < j_{nu,p} < j_{nu-1,p+1} (DLMF 10.21(i)), and J_nu
   has sign (-1)^(p-1) just above j_{nu-1,p}.  Each order's cache records a
@@ -34,7 +38,9 @@ the path to a zero, and its bits, depend on its order alone:
   replaced by bisection.
 * Every zero is then residual-verified: |J_nu(x)| <= RESIDUAL_TOL *
   max(1, |J_nu'(x)|), or ConvergenceError.  None at or above 2^20, where
-  one ulp exceeds 1e-10, is cached or returned.
+  one ulp exceeds 1e-10, is cached or returned, and ``bessel_zero``
+  refuses a zero whose lower bound, max(nu, 0) + (p - 1) pi/2 or
+  (p - 1/2) pi, reaches 2^20 before any J evaluation.
 
 Each query is one bounded fill of a chain: ``bessel_zeros(nu, below)``
 iterates over the zeros of one order below a bound, as the ball spectra read
@@ -86,9 +92,9 @@ def gamma(x: float) -> float:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind J_nu(x), nu >= -1/2, x >= 0."""
-    if nu < -0.5:
+    if not nu >= -0.5:
         raise DomainError(f"bessel_j requires nu >= -1/2, got {nu}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"bessel_j requires x >= 0, got {x}")
     return float(_jv(nu, x))
 
@@ -212,6 +218,15 @@ def _scan_root(nu: float, zeros: _OrderZeros, bound: float) -> None:
     while zeros.bound < _LIMIT and zeros.reach() < bound:
         # j_{nu,1} > max(nu, 0); consecutive zeros are more than pi/2 apart
         a = zeros[-1] + 0.5 * math.pi if zeros else max(nu, 0.0)
+        if nu >= 1.0:
+            # zero p = len(zeros) + 1 lies above Qu and Wong's nu + t^(2/3)
+            # (nu/2)^(1/3), t = 3 pi (4p - 1)/8: the grid points at or
+            # below it, taken 4 ulps low, hold no sign change to scan
+            t = 3 * math.pi * (4 * len(zeros) + 3) / 8
+            low = nu + t ** (2 / 3) * (nu / 2) ** (1 / 3)
+            low -= 4 * math.ulp(low)
+            while a + _SCAN_STEP <= low:
+                a += _SCAN_STEP
         fa = float(_jv(nu, a))
         while True:  # a grid point where J_nu is exactly 0.0 ends the bracket
             b = a + _SCAN_STEP
@@ -272,6 +287,18 @@ def _check_order(nu: float) -> None:
         raise DomainError(f"bessel_zero requires -1/2 <= nu < 2^20, got {nu}")
 
 
+def _check_index(p) -> int:
+    """Zero index ``p`` as an int; DomainError unless an integer >= 1."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise DomainError(
+            f"bessel_zero requires an integer p, got {p!r}") from None
+    if p < 1:
+        raise DomainError(f"bessel_zero requires p >= 1, got {p}")
+    return p
+
+
 def _fill_chain(nu: float, bound: float) -> _OrderZeros:
     """The cached zeros of order nu, after filling each order of its chain,
     from the lowest that needs it, to hold every zero below ``bound``."""
@@ -330,7 +357,9 @@ def chain_zeros(orders, p: int) -> int:
     find from an empty cache: each order of a chain, up to the highest
     asked, counts those below the largest of their bounds, and at most 2^20,
     where each fill stops; its root one more, which its scan finds past it.
-    A bad order raises DomainError before any J evaluation."""
+    A bad order, or a p that is not an integer >= 1, raises DomainError
+    before any J evaluation."""
+    p = _check_index(p)
     chains: dict[float, tuple[int, float]] = {}
     for nu in orders:
         _check_order(nu)
@@ -352,22 +381,22 @@ def bessel_zero(nu: float, p: int) -> BesselZero:
 
     Zero p is read after its chain is filled below ``_zero_bound(nu, p)``;
     a bound that fell short would raise ConvergenceError.  A p that is not
-    an integer raises DomainError, and so does a zero whose lower bound
-    max(nu, 0) + (p - 1) pi/2 reaches 2^20, where one ulp exceeds 1e-10,
-    both before any J evaluation, or that is found at or above 2^20.
+    an integer >= 1 raises DomainError, and so does a zero whose lower
+    bound reaches 2^20, where one ulp exceeds 1e-10, both before any J
+    evaluation, or a zero that is found at or above 2^20.  The lower bound
+    is the larger of max(nu, 0) + (p - 1) pi/2 (j_{nu,1} > max(nu, 0), and
+    zeros lie more than pi/2 apart) and (p - 1/2) pi = j_{-1/2,p} (zeros
+    grow with nu); for nu = 0, p >= 333,773 is refused, and 333,772 zeros
+    lie below 2^20.
     """
     _check_order(nu)
-    try:
-        p = operator.index(p)
-    except TypeError:
+    p = _check_index(p)
+    if max(max(nu, 0.0) + (p - 1) * (0.5 * math.pi),
+           (p - 0.5) * math.pi) >= _LIMIT:
         raise DomainError(
-            f"bessel_zero requires an integer p, got {p!r}") from None
-    if p < 1:
-        raise DomainError(f"bessel_zero requires p >= 1, got {p}")
-    if max(nu, 0.0) + (p - 1) * (0.5 * math.pi) >= _LIMIT:
-        raise DomainError(
-            f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20, got "
-            f"nu={nu}, p={p}: one ulp of such a zero exceeds 1e-10")
+            f"bessel_zero requires max(nu, 0) + (p - 1) pi/2 < 2^20 and "
+            f"(p - 1/2) pi < 2^20, got nu={nu}, p={p}: one ulp of such a "
+            "zero exceeds 1e-10")
     bound = _zero_bound(nu, p)
     # a cache only grows, and a zero once cached keeps its bits
     zeros = _fill_chain(nu, min(bound, _LIMIT))

@@ -965,12 +965,23 @@ def _control_config(cfg: VerifyConfig) -> VerifyConfig:
 
 def check_config(cfg: VerifyConfig) -> None:
     """Reject what is wrong with ``cfg`` whatever the spectra, so a caller
-    can check it before building any spectrum."""
-    if cfg.z_points < 2:
-        raise ConfigError("z_points must be >= 2")
-    if cfg.z_points > MAX_Z_POINTS:
-        raise ResourceLimitError(
-            f"z_points={cfg.z_points} exceeds cap {MAX_Z_POINTS}")
+    can check it before building any spectrum: every count is an integer,
+    the two z grids have 2 to MAX_Z_POINTS points and the other counts
+    are at least 0."""
+    for name in ("z_points", "control_z_points", "j_count", "k_count",
+                 "hoelder_samples", "moment_k_count", "control_j_count"):
+        value = getattr(cfg, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(
+                f"{name} must be an integer, got {value!r}") from None
+        least = 2 if name.endswith("z_points") else 0
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if least and value > MAX_Z_POINTS:
+            raise ResourceLimitError(
+                f"{name}={value} exceeds cap {MAX_Z_POINTS}")
     if cfg.z_max is not None and not math.isfinite(cfg.z_max):
         raise ConfigError(f"z_max must be finite, got {cfg.z_max}")
     if cfg.seed < 0:

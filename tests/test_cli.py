@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,9 +17,21 @@ from oracles import spectrum_csv, spectrum_json, spectrum_text
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:    # argparse refuses the arguments, or -h
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def error_line(err):
+    """The one ``error:`` line of stderr, its last line: argparse's
+    ``rieszbounds <subcommand>: error: ...`` after its usage, or the
+    command's ``error: ...`` alone."""
+    lines = err.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:], err
+    return lines[-1]
 
 
 class TestTables:
@@ -414,8 +427,14 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
-        assert name in err
+        line = error_line(err)
+        if name.startswith(("got ", "exactly one of ")):
+            # argparse refuses the riesz mode group and names each flag
+            # of it, in words that vary across Python versions
+            assert all(flag in line for flag in re.findall(r"--\w+", name))
+        else:
+            assert line.startswith("error:")
+            assert name in line
 
     @pytest.mark.parametrize("values, query, name", [
         ("1e200 2e200 3e200", ("--means", "3"), "mean_sq"),
@@ -486,7 +505,7 @@ def _adversarial_invocations():
 class TestUnreadFlags:
     """A flag that the chosen mode does not read exits 2, with nothing on
     stdout and an ``error:`` line that names the flag; the three modes of
-    ``bounds`` exclude each other."""
+    ``bounds``, and the three spectrum sources, exclude each other."""
 
     EVAL = ("bounds", "--eval", "cheng_yang", "--arg", "d=2", "--arg", "k=3")
     BOX = ("--box", "1", "1", "--lambda-max", "100")
@@ -511,17 +530,16 @@ class TestUnreadFlags:
          "--lambda-max"),
         (("spectrum", "--load", "{path}", "--radius", "3"), "--radius"),
         (("riesz", "--load", "{path}", "--dim", "2", "--z", "5"), "--dim"),
+        (("spectrum", *BOX, "--ball"), "--ball"),
+        (("spectrum", "--ball", "--load", "{path}"), "--load"),
+        (("riesz", "--box", "1", "--load", "{path}", "--z", "1"), "--load"),
     ])
     def test_exits_2(self, capsys, spec_file, argv, flag):
-        try:
-            code = cli.main([a.format(path=spec_file) for a in argv])
-        except SystemExit as exc:    # argparse rejects the combination
-            code = exc.code
-        out = capsys.readouterr()
-        lines = [line for line in out.err.splitlines() if "error:" in line]
+        code, out, err = run_cli(
+            capsys, *(a.format(path=spec_file) for a in argv))
         assert code == 2
-        assert out.out == ""
-        assert len(lines) == 1 and flag in lines[0]
+        assert out == ""
+        assert flag in error_line(err)
 
     @pytest.mark.parametrize("argv, row", [
         (("riesz", *BOX, "--z", "50"), "1,50,"),
@@ -543,16 +561,11 @@ class TestExitCodeTable:
         ids=lambda argv: " ".join(
             argv if len(argv) < 20 else (*argv[:3], "...", *argv[-3:])))
     def test_exits_2(self, capsys, argv):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:    # argparse rejects the argument
-            code = exc.code
-        out = capsys.readouterr()
-        lines = out.err.splitlines()
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert out.out == ""
-        assert "Traceback" not in out.err
-        assert [line for line in lines if "error:" in line] == lines[-1:]
+        assert out == ""
+        assert "Traceback" not in err
+        error_line(err)
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--ball", "--dim", "1000", "--lambda-max", "100"),
@@ -586,9 +599,11 @@ def spec_file(tmp_path_factory):
 
 class TestFormatChoice:
     """Each subcommand, and each mode of ``bounds``, writes some formats:
-    an explicit ``--format`` that it would ignore exits 2 with an argparse
-    error before any work, and every value that it writes is honoured,
-    its default the same bytes as no ``--format`` at all."""
+    an explicit ``--format`` that it would ignore exits 2 before any work,
+    with an error that names the subcommand, the flag and the value
+    (argparse's own for a format the subcommand never writes), and every
+    value that it writes is honoured, its default the same bytes as no
+    ``--format`` at all."""
 
     BOX = ("--box", "1", "1", "--lambda-max", "100")
     EVAL = ("bounds", "--eval", "cheng_yang", "--arg", "d=2", "--arg", "k=3")
@@ -612,15 +627,19 @@ class TestFormatChoice:
         def no_work(*args):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(cli.verify, "default_spectra", no_work)
-        with pytest.raises(SystemExit) as info:
-            cli.main([*argv, "--format", fmt])
-        assert info.value.code == 2
-        out, err = capsys.readouterr()
+        for module, fn in ((cli.verify, "default_spectra"),
+                           (cli.spectra, "box_spectrum"),
+                           (cli.bounds, "catalog_dump"),
+                           (cli.bounds, "evaluate"),
+                           (cli.specfun, "chain_zeros"),
+                           (cli, "table_rows"), (cli, "figure_rows")):
+            monkeypatch.setattr(module, fn, no_work)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 2
         assert out == ""
-        assert err.startswith("usage: rieszbounds")
-        assert (f"error: argument --format: invalid choice for {name}: "
-                f"{fmt!r}") in err
+        line = error_line(err)
+        assert name.split()[0] in line
+        assert "--format" in line and fmt in line
 
     @pytest.mark.parametrize("argv, fmt", [
         (("spectrum", *BOX), "text"),
@@ -659,6 +678,35 @@ class TestFormatChoice:
                    "bounds": "csv" if "--bessel-zeros" in argv else "json"}
         if fmt == default.get(argv[0], "csv"):
             assert run_cli(capsys, *argv)[1] == out
+
+
+class TestUsage:
+    """Argparse states the shape of the arguments: each subcommand's
+    ``-h`` lists exactly the formats it writes and its required groups;
+    what an argument means is the command's to check."""
+
+    @pytest.mark.parametrize("command, formats", [
+        ("spectrum", "text,csv,json"), ("riesz", "csv,json"),
+        ("bounds", "csv,json"), ("verify", "text,json"),
+        ("table", "csv,json"), ("figure", "csv,json")])
+    def test_help_lists_the_formats_written(self, capsys, command, formats):
+        code, out, err = run_cli(capsys, command, "-h")
+        assert code == 0 and err == ""
+        assert set(re.findall(r"--format \{([a-z,]+)\}", out)) == {formats}
+
+    @pytest.mark.parametrize("command", ["spectrum", "riesz"])
+    def test_help_shows_the_required_groups(self, capsys, command):
+        out = " ".join(run_cli(capsys, command, "-h")[1].split())
+        assert "(--box L [L ...] | --ball | --load PATH)" in out
+        assert ("(--z Z [Z ...] | --means K | --legendre W [W ...])"
+                in out) == (command == "riesz")
+
+    def test_empty_load_path_is_named(self, capsys):
+        # an empty path is a given one: load_spectrum refuses it by name
+        code, out, err = run_cli(capsys, "spectrum", "--load", "")
+        assert code == 2
+        assert out == ""
+        assert error_line(err).startswith("error: : cannot read")
 
 
 class TestVerifyCommand:

@@ -84,6 +84,13 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             bessel_j_half_integer(1.0, 2.0)
 
+    @pytest.mark.parametrize("nu, x, name", [
+        (math.nan, 1.0, "nu"), (1.0, math.nan, "x"),
+        (math.nan, math.nan, "nu")])
+    def test_nan_is_refused(self, nu, x, name):
+        with pytest.raises(DomainError, match=f"requires {name} >="):
+            specfun.bessel_j(nu, x)
+
 
 class TestBesselZeros:
     def test_first_zeros_reference(self):
@@ -168,6 +175,20 @@ class TestBesselZeros:
         monkeypatch.setattr(specfun, "_jv", no_bessel)
         with pytest.raises(DomainError, match=r"< 2\^20"):
             specfun.bessel_zero(nu, p)
+
+    @pytest.mark.parametrize("p", [333_773, 340_000])
+    def test_zero_past_2_20_by_the_order_minus_one_half(
+            self, p, monkeypatch, fresh_zero_cache):
+        # j_{0,p} >= j_{-1/2,p} = (p - 1/2) pi reaches 2^20 from p = 333,773
+        # on, where max(nu, 0) + (p - 1) pi/2 is still near 5.2e5; the scan
+        # of order 0 through every zero below 2^20 took half a minute
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the range check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match=r"\(p - 1/2\) pi < 2\^20"):
+            specfun.bessel_zero(0.0, p)
+        assert fresh_zero_cache == {}
 
 
 def _first(nu, count):
@@ -377,6 +398,20 @@ class TestPast2To20:
         assert list(fresh_zero_cache[nu]) == zeros
 
 
+class TestRootScanStart:
+    """A chain root from 512 up starts each zero's scan at the last point
+    of its half-step grid at or below Qu and Wong's lower bound on the
+    zero; only points with no zero below them are passed, so each zero
+    keeps the bracket, the secant start and the bits of a scan from the
+    previous zero (or from nu)."""
+
+    @pytest.mark.parametrize("nu, bits", [
+        (512.0, "0x1.077cd30609e94p+9"), (1000.0, "0x1.fd5497bf5fdb4p+9"),
+        (2047.5, "0x1.02e4acc06120bp+11")])
+    def test_first_zero_bits(self, nu, bits, fresh_zero_cache):
+        assert specfun.bessel_zero(nu, 1).value == float.fromhex(bits)
+
+
 def _root_30_digits(nu, p):
     """j_{nu,p} to 30 digits.  J_{-1/2}(x) = sqrt(2 / (pi x)) cos x; for
     orders 511 and 512, where ``mpmath.besseljzero`` takes about a minute,
@@ -450,6 +485,18 @@ class TestChainZeros:
     def test_bad_order_raises(self, nu):
         with pytest.raises(DomainError):
             specfun.chain_zeros([0.0, nu], 1)
+
+    @pytest.mark.parametrize("p, match", [
+        (0, "p >= 1"), (-5, "p >= 1"), (1.5, "integer p"),
+        (2.0, "integer p"), (math.nan, "integer p")])
+    def test_bad_index_raises_before_any_bessel_evaluation(
+            self, p, match, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("J evaluated before the p check")
+
+        monkeypatch.setattr(specfun, "_jv", no_bessel)
+        with pytest.raises(DomainError, match=match):
+            specfun.chain_zeros([0.0], p)
 
 
 class TestNewtonLanes:
@@ -704,11 +751,18 @@ class TestZeroFinderCost:
 
     def test_lone_zero_of_a_deep_order(self, evaluations, fresh_zero_cache):
         # orders 512 .. 1000 filled below one bound just above j_{1000,1}:
-        # 22,081 zeros and 68,915 J evaluations, where asking each order
+        # 22,081 zeros and 68,815 J evaluations, where asking each order
         # below for one more zero found 119,805 with 369,181
         specfun.bessel_zero(1000.0, 1)
         assert sum(len(z) for z in fresh_zero_cache.values()) <= 25_000
         assert evaluations[0] <= 80_000
+
+    def test_roots_near_2_20_start_at_the_lower_bound(self, evaluations):
+        # 380 J evaluations for these 20 roots, each scanned from Qu and
+        # Wong's lower bound on its zero; from nu they took 13,400
+        for k in range(20):
+            specfun.bessel_zero(1048064 + k / 1000, 1)
+        assert evaluations[0] <= 570
 
     def test_disk_and_ball3_total(self, evaluations):
         # the zeros behind the disk below 1e5 and the 3-ball below 3e4

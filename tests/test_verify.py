@@ -14,7 +14,8 @@ import pytest
 
 from rieszbounds import bounds, riesz, spectra, verify
 from rieszbounds._kernels import pykernels
-from rieszbounds.errors import ConfigError, DomainError, ValidityError
+from rieszbounds.errors import (ConfigError, DomainError, ResourceLimitError,
+                               ValidityError)
 
 import oracles
 
@@ -849,6 +850,34 @@ class TestConfig:
     def test_bad_z_points(self, small_specs):
         with pytest.raises(ConfigError):
             verify.run_suite(small_specs, verify.VerifyConfig(z_points=1))
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("z_points", 2.5, ConfigError),
+        ("z_points", verify.MAX_Z_POINTS + 1, ResourceLimitError),
+        ("control_z_points", 0, ConfigError),
+        ("control_z_points", -4, ConfigError),
+        ("control_z_points", 10**6, ResourceLimitError),
+        ("j_count", -1, ConfigError),
+        ("k_count", -1, ConfigError),
+        ("hoelder_samples", -1, ConfigError),
+        ("moment_k_count", -1, ConfigError),
+        ("control_j_count", -1, ConfigError),
+        ("j_count", 3.0, ConfigError),
+        ("control_z_points", "40", ConfigError),
+    ])
+    def test_bad_count_is_named(self, small_specs, field, value, error):
+        # refused before any sweep: numpy raised ValueError or TypeError
+        # for some, and 10^6 control points passed
+        cfg = replace(SMALL, **{field: value})
+        with pytest.raises(error, match=field):
+            verify.run_suite(small_specs, cfg)
+
+    def test_zero_counts_pass(self, small_specs):
+        cfg = replace(SMALL, j_count=0, k_count=0, hoelder_samples=0,
+                      moment_k_count=0, control_j_count=0,
+                      control_z_points=verify.MAX_Z_POINTS)
+        verify.check_config(cfg)
+        verify.check_config(verify.VerifyConfig())
 
 
 @pytest.fixture(scope="module")
